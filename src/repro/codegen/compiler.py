@@ -107,6 +107,10 @@ class CompiledSDFG:
         #: Non-fatal diagnostics raised during code generation (e.g. a
         #: custom WCR reduction degraded to the scalar loop path).
         self.codegen_warnings: List[Any] = []
+        #: Python backend: the tier each map scope lowered to, one
+        #: ``{map, state, tier, reason}`` row per scope; also served as
+        #: ``compile_report["lowering"]``.
+        self.lowering: List[Dict[str, Optional[str]]] = []
         #: Sanitizer mode this artifact was built with (None, ``"raise"``,
         #: or ``"collect"``); set by ``compile_sdfg``.
         self.sanitize: Optional[str] = None
@@ -567,6 +571,7 @@ def compile_sdfg(
             pool.register_functions(chunks)
             compiled.attach_pool(pool)
     compiled.compile_report = crec.report(sdfg.name, backend=f"compile[{backend}]")
+    compiled.compile_report.lowering = compiled.lowering
     if recorder is not None:
         for node in crec.root.children.values():
             recorder.absorb(node)
@@ -618,6 +623,7 @@ def _rebuild_from_cache(sdfg, entry_rec, main, store, key) -> CompiledSDFG:
         except Exception:
             continue
     compiled.codegen_warnings = warnings
+    compiled.lowering = list(entry_rec.lowering)
     return compiled
 
 
@@ -647,6 +653,7 @@ def _store_in_cache(sdfg, compiled, store, key_pre, backend, variant="") -> None
         arg_arrays=orders[0],
         symbol_order=orders[1],
         warnings=warnings,
+        lowering=compiled.lowering,
     )
     compiled.cache_key = key_pre
     store.store(key_pre, entry, main)
@@ -726,6 +733,7 @@ def _compile_python(
 
     compiled = CompiledSDFG(sdfg, _python_entry(main, arg_arrays, syms_order), source, "python")
     compiled.codegen_warnings = list(getattr(gen, "diagnostics", []))
+    compiled.lowering = gen.lowering
     # Kept for the program cache: the raw module entry plus argument order.
     compiled._py_main = main
     compiled._py_orders = (arg_arrays, syms_order)

@@ -40,7 +40,8 @@ from repro.telemetry.sink import active_sink
 #: Bump whenever generated-code semantics change; part of every key, so
 #: old entries become unreachable (and age out by LRU) rather than stale.
 #: v2: entry functions grew the ``__guard`` parameter (sanitizer/watchdog).
-CODEGEN_VERSION = 3
+#: v4: strided-view, ragged and predicated map lowerings; bulk stream copies.
+CODEGEN_VERSION = 4
 
 #: Entry file layout version; mismatched files are quarantined as misses.
 CACHE_SCHEMA_VERSION = 1
@@ -79,6 +80,7 @@ class ProgramCacheEntry:
         "symbol_order",
         "codegen_version",
         "warnings",
+        "lowering",
     )
 
     def __init__(
@@ -91,6 +93,7 @@ class ProgramCacheEntry:
         symbol_order: List[str],
         codegen_version: int = CODEGEN_VERSION,
         warnings: Optional[List[Dict[str, Any]]] = None,
+        lowering: Optional[List[Dict[str, Any]]] = None,
     ):
         self.key = key
         self.backend = backend
@@ -100,6 +103,8 @@ class ProgramCacheEntry:
         self.symbol_order = list(symbol_order)
         self.codegen_version = codegen_version
         self.warnings = list(warnings or [])
+        #: The generator's tier census (``compile_report["lowering"]``).
+        self.lowering = list(lowering or [])
 
     def to_json(self) -> Dict[str, Any]:
         return {
@@ -112,6 +117,7 @@ class ProgramCacheEntry:
             "symbol_order": self.symbol_order,
             "codegen_version": self.codegen_version,
             "warnings": self.warnings,
+            "lowering": self.lowering,
         }
 
     @staticmethod
@@ -135,6 +141,7 @@ class ProgramCacheEntry:
             symbol_order=obj["symbol_order"],
             codegen_version=obj["codegen_version"],
             warnings=obj.get("warnings") or [],
+            lowering=obj.get("lowering") or [],
         )
 
 

@@ -1,19 +1,27 @@
 """Python/NumPy code generation — the primary executable backend.
 
 Lowers an SDFG to a Python module with one function per (nested) SDFG.
-Map scopes lower through a three-tier strategy, mirroring how the
-paper's CPU backend exploits the representation's inherent parallelism:
+Every map scope takes the first lowering whose preconditions its memlets
+and tasklet meet, mirroring how the paper's CPU backend exploits the
+representation's inherent parallelism (DESIGN.md §9 has the full ladder):
 
-1. **Contraction lowering** (maps marked by the ``Vectorization``
-   transformation whose body is a pure product into a sum-WCR output):
-   a single ``np.einsum(..., optimize=True)``, which dispatches to BLAS —
-   the analogue of the paper's vector-extensions code path.
-2. **Bulk vectorization** (any map whose body is a single elementwise
-   tasklet with per-dimension single-parameter affine memlets): the whole
-   iteration domain evaluates at once over broadcast NumPy index arrays.
-   This is why *unoptimized* SDFGs still perform reasonably (paper §5).
-3. **Loop fallback**: plain Python loops executing tasklet code verbatim
-   — semantically complete (streams, WCR, dynamic ranges, indirection).
+* **contraction** — maps marked by the ``Vectorization`` transformation
+  whose body is a (scaled) pure product into a sum-WCR output: a single
+  ``np.einsum(..., optimize=True)``, which dispatches to BLAS.
+* **slice / gather** — one elementwise tasklet over point memlets affine
+  in the map parameters: the whole domain evaluates at once over strided
+  *views* (index arrays only for operands no basic slice can express).
+  This is why *unoptimized* SDFGs still perform reasonably (paper §5).
+* **predicated** — the same with a trailing ``if``/``else``: a mask,
+  ``np.where`` merges and masked stores (also into streams).
+* **scatter** — ``view[idx] op= val`` (histogram): ``np.<ufunc>.at``.
+* **ragged** — a map nest with data-dependent inner bounds (SpMV): one
+  evaluation over flat index vectors.
+* **loop** — plain Python loops executing tasklet code verbatim;
+  semantically complete (streams, consume scopes, dynamic ranges,
+  indirection) and the only tier under ``sanitize=True``.
+
+The tier each map took is recorded in :attr:`PythonGenerator.lowering`.
 """
 
 from __future__ import annotations
@@ -48,6 +56,7 @@ from repro.sdfg.nodes import (
     Tasklet,
 )
 from repro.symbolic import Expr, Integer, Symbol
+from repro.symbolic.expr import Add, Mul
 from repro.symbolic.sets import linear_coefficient
 
 _EINSUM_LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -107,6 +116,7 @@ class PythonGenerator:
         self._current_fn = "main"
         #: Names of emitted chunk functions (fork-tier registration).
         self.parallel_chunks: List[str] = []
+        self._lowering: Dict[int, Dict[str, Optional[str]]] = {}
 
     # ------------------------------------------------------------------ API
     def generate(self) -> str:
@@ -432,7 +442,9 @@ class PythonGenerator:
         self, sdfg, state, entry, body, buf, order, scope_dict, params
     ) -> None:
         """Single-threaded map lowering: vectorized tiers, then the loop."""
-        if self._try_vectorized_map(sdfg, state, entry, body, buf, params):
+        if self._try_vectorized_map(
+            sdfg, state, entry, body, buf, order, scope_dict
+        ):
             return
         new_params = params + tuple(entry.map.params)
         inner: CodeBuffer = buf
@@ -549,7 +561,7 @@ class PythonGenerator:
         m.range = Subset(chunked)
         try:
             vectorized = self._try_vectorized_map(
-                sdfg, state, entry, body, buf, params=()
+                sdfg, state, entry, body, buf, order, scope_dict
             )
             if not vectorized:
                 self._emit_map_serial(
@@ -994,27 +1006,29 @@ class PythonGenerator:
             sidx = _slices_only(Memlet(data=src.data, subset=ssub or src_desc.full_subset()))
             didx = _slices_only(Memlet(data=dst.data, subset=dsub or dst_desc.full_subset()))
             if isinstance(src_desc, Stream) and isinstance(dst_desc, Stream):
-                sq, dq = self._tmp("q"), self._tmp("q")
-                buf.line(f"{sq} = {src.data}[0]")
-                buf.line(f"{dq} = {dst.data}[0]")
-                with buf.block(f"while len({sq}):"):
-                    buf.line(f"{dq}.push({sq}.pop())")
+                buf.line(f"{dst.data}[0].push_many({src.data}[0].drain())")
                 continue
             if isinstance(src_desc, Stream) and not isinstance(dst_desc, Stream):
-                qv = self._tmp("q")
-                buf.line(f"{qv} = {src.data}[0]")
                 vv = self._tmp("vals")
-                buf.line(f"{vv} = [{qv}.pop() for _ in range(len({qv}))]")
-                buf.line(f"{dst.data}.reshape(-1)[:len({vv})] = {vv}")
+                buf.line(f"{vv} = {src.data}[0].drain()")
+                msg = (
+                    f"stream {src.data!r} drains %d elements into "
+                    f"{dst.data!r}, which holds %d"
+                )
+                with buf.block(f"if len({vv}) > {dst.data}.size:"):
+                    buf.line(
+                        f"raise ValueError({msg!r} % (len({vv}), {dst.data}.size))"
+                    )
+                # ``flat`` writes through for any layout; ``reshape(-1)`` of
+                # a non-contiguous array is a copy and drops every element.
+                buf.line(f"{dst.data}.flat[:len({vv})] = {vv}")
                 self._emit_mark_written(buf, sdfg, dst.data)
                 continue
             if isinstance(dst_desc, Stream) and not isinstance(src_desc, Stream):
-                qv = self._tmp("q")
-                buf.line(f"{qv} = {dst.data}[0]")
-                with buf.block(
-                    f"for __v in np.asarray({src.data}[{sidx}]).reshape(-1):"
-                ):
-                    buf.line(f"{qv}.push(__v)")
+                buf.line(
+                    f"{dst.data}[0].push_many("
+                    f"np.asarray({src.data}[{sidx}]).reshape(-1))"
+                )
                 continue
             src_expr = f"np.asarray({src.data}[{sidx}])"
             if m.wcr is not None:
@@ -1045,11 +1059,7 @@ class PythonGenerator:
             if isinstance(sdfg.arrays[node.data], Stream) and isinstance(
                 sdfg.arrays[final.data], Stream
             ):
-                sq, dq = self._tmp("q"), self._tmp("q")
-                buf.line(f"{sq} = {node.data}[0]")
-                buf.line(f"{dq} = {final.data}[0]")
-                with buf.block(f"while len({sq}):"):
-                    buf.line(f"{dq}.push({sq}.pop())")
+                buf.line(f"{final.data}[0].push_many({node.data}[0].drain())")
                 continue
             sidx = _slices_only(e.data)
             didx = _slices_only(Memlet(data=final.data, subset=e.data.other_subset))
@@ -1067,173 +1077,332 @@ class PythonGenerator:
                 )
             self._emit_mark_written(buf, sdfg, final.data)
 
-    # ---------------------------------------------------- vectorized map path
-    def _try_vectorized_map(self, sdfg, state, entry, body, buf, params) -> bool:
-        """Emit a whole-domain NumPy evaluation of the map if feasible."""
+    # ------------------------------------------------- whole-domain lowerings
+    @property
+    def lowering(self) -> List[Dict[str, Optional[str]]]:
+        """The tier census: one ``{map, state, tier, reason}`` row per map
+        scope, in emission order (``reason`` is set for ``loop`` only)."""
+        return list(self._lowering.values())
+
+    def _record_tier(self, state, entry, tier: str, reason: Optional[str] = None):
+        # Keyed by scope: the parallel tier lowers a map twice (chunk
+        # function and serial fallback) and both agree.
+        self._lowering[id(entry)] = {
+            "map": entry.map.label,
+            "state": state.name,
+            "tier": tier,
+            "reason": reason,
+        }
+
+    def _try_vectorized_map(
+        self, sdfg, state, entry, body, buf, order, scope_dict
+    ) -> bool:
+        """Emit a whole-domain NumPy evaluation of the map if one applies,
+        and record the tier taken (or ``loop`` and the first precondition
+        that failed) in the census."""
+        scratch = CodeBuffer()
+        try:
+            tier = self._lower_whole_domain(
+                sdfg, state, entry, body, scratch, order, scope_dict
+            )
+        except (_Reject, CodegenError) as why:
+            self._record_tier(state, entry, "loop", str(why))
+            return False
+        buf.lines(scratch.getvalue())
+        self._record_tier(state, entry, tier)
+        return True
+
+    def _lower_whole_domain(
+        self, sdfg, state, entry, body, buf, order, scope_dict
+    ) -> str:
+        """Emit the map into ``buf`` and return its tier, or raise
+        :class:`_Reject`.  Nothing emitted before a rejection survives."""
         if not self.vectorize:
-            return False
+            raise _Reject(
+                "sanitize=True keeps the per-element loop tier"
+                if self.sanitize
+                else "vectorize=False"
+            )
         inner = [n for n in body if not isinstance(n, ExitNode)]
+        if len(inner) == 1 and isinstance(inner[0], MapEntry):
+            tier = self._lower_ragged(
+                sdfg, state, entry, inner[0], buf, order, scope_dict
+            )
+            # The absorbed inner map gets its own row, after its parent's.
+            self._record_tier(state, entry, tier)
+            self._record_tier(state, inner[0], tier)
+            return tier
         if len(inner) != 1 or not isinstance(inner[0], Tasklet):
-            return False
-        tasklet: Tasklet = inner[0]
+            raise _Reject(
+                f"scope body is {len(inner)} nodes, not one tasklet or one "
+                "ragged inner map"
+            )
+        return self._lower_tasklet_map(sdfg, state, entry, inner[0], buf)
+
+    @staticmethod
+    def _check_tasklet(tasklet: Tasklet, params) -> None:
         if tasklet.language != Language.Python:
-            return False
-        # Instrumented tasklets need per-firing events: fall back to the
-        # loop lowering so counts match the reference interpreter.
+            raise _Reject(f"tasklet {tasklet.name!r} is not Python")
+        # Instrumented tasklets need per-firing events, so that counts
+        # match the reference interpreter.
         if tasklet.instrument != InstrumentationType.NONE:
-            return False
-        if not pytranslate.is_vectorizable_tasklet(tasklet.code):
-            # Histogram-shaped bodies (subscripted WCR updates through a
-            # view connector) have their own whole-domain lowering.
-            return self._try_wcr_scatter(sdfg, state, entry, tasklet, buf)
+            raise _Reject(f"tasklet {tasklet.name!r} is instrumented")
+        # Parameters become index arrays that loads and stores share.
+        tree = pytranslate.parse_tasklet(tasklet.code)
+        if pytranslate.assigned_names(tree) & set(params):
+            raise _Reject(f"tasklet {tasklet.name!r} assigns a map parameter")
+
+    @staticmethod
+    def _affine_point(memlet: Memlet, mparams):
+        a = _analyze_subset(memlet, mparams)
+        if a is None:
+            raise _Reject(
+                f"memlet {_memlet_str(memlet)} is not a point affine in one "
+                "map parameter per dimension"
+            )
+        return a
+
+    def _emit_domain_header(self, buf, mparams, pranges, index_params) -> None:
+        """Trip counts, the emptiness guard (left open: the caller
+        dedents) and the index arrays of ``index_params``.  Empty domains
+        are no-ops, which also keeps reductions without identity and
+        wrapped slice bounds unevaluated."""
+        for p in mparams:
+            r = pranges[p]
+            buf.line(
+                f"__n_{p} = len(range({pycode(r.start)}, {pycode(r.end)}, "
+                f"{pycode(r.step)}))"
+            )
+        buf.line("if " + " and ".join(f"__n_{p}" for p in mparams) + ":")
+        buf.indent()
+        for axis, p in enumerate(mparams):
+            if p not in index_params:
+                continue
+            r = pranges[p]
+            shape = ["1"] * len(mparams)
+            shape[axis] = "-1"
+            buf.line(
+                f"__ix_{p} = np.arange({pycode(r.start)}, {pycode(r.end)}, "
+                f"{pycode(r.step)})"
+            )
+            buf.line(f"__bix_{p} = __ix_{p}.reshape({', '.join(shape)})")
+
+    def _domain_load(
+        self, memlet: Memlet, analysis, mparams, pranges, gathers: Set[str]
+    ) -> Tuple[str, bool]:
+        """Source of a memlet's value over the whole domain, axes in
+        map-parameter order with a size-1 axis per unused parameter, and
+        whether it is a view.  Strided views wherever the analysis proves
+        ``c*p + d`` with positive integer ``c``; the parameters of any
+        other memlet join ``gathers`` and it indexes through their arrays."""
+        sl = _slice_index(analysis, pranges)
+        if sl is None:
+            gathers.update(d[1] for d in analysis if d[0] == "param")
+            bcast = {p: f"__bix_{p}" for p in mparams}
+            return self._bcast_index_expr(memlet, analysis, bcast), False
+        idx, axes = sl
+        transpose, expand = _axes_suffix(axes, mparams)
+        # A transposed operand that is also reused along a parameter it
+        # lacks would be re-read with a long stride once per reuse: one
+        # contiguous copy (what a gather produced) is cheaper.
+        copy = ".copy()" if transpose and expand else ""
+        src = f"{memlet.data}[{idx}]{transpose}{copy}{expand}"
+        return src, bool(axes) and not copy
+
+    def _lower_tasklet_map(self, sdfg, state, entry, tasklet: Tasklet, buf) -> str:
+        """Single-tasklet maps: contraction (marked maps), slice/gather,
+        predicated, or — for indexed updates — the WCR scatter."""
         mparams = entry.map.params
+        self._check_tasklet(tasklet, mparams)
+        if not pytranslate.is_vectorizable_tasklet(tasklet.code):
+            return self._lower_wcr_scatter(sdfg, state, entry, tasklet, buf)
         pranges = entry.map.param_ranges()
         in_edges = [e for e in state.in_edges(tasklet) if not e.data.is_empty()]
         out_edges = [e for e in state.out_edges(tasklet) if not e.data.is_empty()]
         if not out_edges:
-            return False
-        memlets = [e.data for e in in_edges + out_edges]
+            raise _Reject(f"tasklet {tasklet.name!r} has no outputs")
+        always, conditional = pytranslate.assignment_summary(tasklet.code)
         analyses = {}
-        for m in memlets:
-            if m.dynamic:
-                return False
-            desc = sdfg.arrays[m.data]
-            if isinstance(desc, Stream):
-                return False
-            a = _analyze_subset(m, mparams)
-            if a is None:
-                return False
-            analyses[id(m)] = a
-        # Outputs: params absent from the subset need a recognized WCR.
-        for e in out_edges:
-            used = set()
-            for dim in analyses[id(e.data)]:
-                if dim[0] == "param":
-                    used.add(dim[1])
-            missing = [p for p in mparams if p not in used]
-            if missing and e.data.reduction_type() not in (
-                ReductionType.Sum,
-                ReductionType.Min,
-                ReductionType.Max,
-                ReductionType.Product,
-            ):
-                return False
-            if not missing and e.data.wcr is not None and e.data.reduction_type() not in (
-                ReductionType.Sum,
-                ReductionType.Min,
-                ReductionType.Max,
-                ReductionType.Product,
-            ):
-                return False
-
-        # Try the einsum contraction path first (transformed maps only).
-        if entry.map.vectorized and self._try_einsum(
-            sdfg, state, entry, tasklet, in_edges, out_edges, analyses, buf
-        ):
-            return True
-
-        # Bulk broadcast path.
-        buf.line(f"# vectorized map {entry.map.label}")
-        sizes: Dict[str, str] = {}
-        for p in mparams:
-            rng = pranges[p]
-            ix = f"__ix_{p}"
-            buf.line(
-                f"{ix} = np.arange({pycode(rng.start)}, {pycode(rng.end)}, "
-                f"{pycode(rng.step)})"
-            )
-            sizes[p] = f"len({ix})"
-        # Empty iteration domains are no-ops (guards reductions without
-        # identity, e.g. np.maximum.reduce over zero elements).
-        guard = " and ".join(f"len(__ix_{p})" for p in mparams)
-        buf.line(f"if {guard}:")
-        buf.indent()
-        k = len(mparams)
-        bcast: Dict[str, str] = {}
-        for axis, p in enumerate(mparams):
-            shape = ["1"] * k
-            shape[axis] = "-1"
-            bcast[p] = f"__bix_{p}"
-            buf.line(f"__bix_{p} = __ix_{p}.reshape({', '.join(shape)})")
-        rename: Dict[str, str] = {p: bcast[p] for p in mparams}
-        # Input loads.
+        streams: Set[str] = set()
         for e in in_edges:
-            load = self._bcast_index_expr(e.data, analyses[id(e.data)], bcast)
-            var = f"__in_{e.dst_conn}"
-            buf.line(f"{var} = {load}")
-            rename[e.dst_conn] = var
+            if e.data.dynamic or isinstance(sdfg.arrays[e.data.data], Stream):
+                raise _Reject(f"input {_memlet_str(e.data)} is dynamic or a stream")
+            analyses[id(e.data)] = self._affine_point(e.data, mparams)
+        for e in out_edges:
+            mem, conn = e.data, e.src_conn
+            if conn not in always and conn not in conditional:
+                raise _Reject(f"output {conn!r} is never assigned")
+            if conn in conditional and not mem.dynamic:
+                raise _Reject(
+                    f"output {conn!r} is assigned on one branch only but "
+                    f"{_memlet_str(mem)} is not dynamic"
+                )
+            a = analyses[id(mem)] = self._affine_point(mem, mparams)
+            used = {d[1] for d in a if d[0] == "param"}
+            if isinstance(sdfg.arrays[mem.data], Stream):
+                if mem.wcr is not None or used:
+                    raise _Reject(
+                        f"stream push {_memlet_str(mem)} has a WCR or a "
+                        "per-iteration queue index"
+                    )
+                # One bulk push per connector: two connectors into one
+                # stream would lose the per-iteration interleaving.
+                if mem.data in streams:
+                    raise _Reject(f"more than one output pushes to {mem.data!r}")
+                streams.add(mem.data)
+                continue
+            if mem.wcr is not None and mem.reduction_type() not in self._UFUNC:
+                raise _Reject(f"custom WCR on {_memlet_str(mem)} has no ufunc")
+            if len(used) < len(mparams) and mem.wcr is None:
+                raise _Reject(
+                    f"write {_memlet_str(mem)} repeats across iterations "
+                    "without a WCR"
+                )
+            if conn in conditional and used:
+                if len(used) < len(mparams):
+                    raise _Reject(
+                        f"masked partial reduction into {_memlet_str(mem)}"
+                    )
+                if _slice_index(a, pranges) is None:
+                    raise _Reject(
+                        f"masked store {_memlet_str(mem)} is not a strided view"
+                    )
+
+        # Contraction (einsum) tier: transformed maps only — the gate is
+        # the paper's Vectorization step.
+        if entry.map.vectorized and self._try_einsum(
+            entry, tasklet, in_edges, out_edges, analyses, buf
+        ):
+            return "contraction"
+
+        gathers: Set[str] = set()
+        index = {p: f"__bix_{p}" for p in mparams}
+        rename: Dict[str, str] = dict(index)
+        loads = []
+        written = {e.data.data for e in out_edges}
+        aliases = set()
+        for e in in_edges:
+            src, is_view = self._domain_load(
+                e.data, analyses[id(e.data)], mparams, pranges, gathers
+            )
+            var = rename[e.dst_conn] = f"__in_{e.dst_conn}"
+            loads.append(f"{var} = {src}")
+            if is_view and e.data.data in written:
+                aliases.add(var)
         out_rename = {e.src_conn: f"__out_{e.src_conn}" for e in out_edges}
         rename.update(out_rename)
         stmts = pytranslate.vectorize_tasklet(tasklet.code, rename)
+        predicated = any(tgt == pytranslate.MASK for tgt, _ in stmts)
+        # Index arrays only where a parameter's *value* is needed: read by
+        # the tasklet, or by a memlet no basic slice can express.
+        values = _params_read(tasklet.code, rename, index)
+        # Loads are views and every statement runs before the first
+        # store, so an output that is a bare alias of a view into a
+        # container this map writes must be materialized first.
+        for i, (tgt, expr) in enumerate(stmts):
+            if expr not in aliases:
+                aliases.discard(tgt)
+            elif tgt in out_rename.values():
+                stmts[i] = (tgt, f"{expr}.copy()")
+            else:
+                aliases.add(tgt)
+        stores = CodeBuffer()
+        for e in out_edges:
+            mask = None
+            if e.src_conn in conditional:
+                taken = conditional[e.src_conn]
+                mask = pytranslate.MASK if taken else pytranslate.NOT_MASK
+            self._emit_domain_store(
+                stores, sdfg, e.data, analyses[id(e.data)], out_rename[e.src_conn],
+                mask, mparams, pranges, gathers,
+            )
+
+        buf.line(f"# vectorized map {entry.map.label}")
+        self._emit_domain_header(buf, mparams, pranges, values | gathers)
+        for ln in loads:
+            buf.line(ln)
+        if predicated:
+            # Both branches run over every lane; the test only selects.
+            buf.line("with np.errstate(all='ignore'):")
+            buf.indent()
         for tgt, expr in stmts:
             buf.line(f"{tgt} = {expr}")
-        # Stores.
-        for e in out_edges:
-            a = analyses[id(e.data)]
-            used = [dim[1] for dim in a if dim[0] == "param"]
-            missing_axes = [i for i, p in enumerate(mparams) if p not in used]
-            val = out_rename[e.src_conn]
-            if missing_axes:
-                ufunc = self._UFUNC[e.data.reduction_type()]
-                axes_src = "(" + ", ".join(map(str, missing_axes)) + ",)"
-                red = self._tmp("red")
-                buf.line(
-                    f"{red} = {ufunc}.reduce("
-                    f"np.broadcast_to({val}, ({', '.join(sizes[p] for p in mparams)})), "
-                    f"axis={axes_src})"
-                )
-                val = red
-                # Remaining axes follow map-param order filtered to `used`.
-                remaining = [p for p in mparams if p in used]
-            else:
-                remaining = list(mparams)
-                buf.line(
-                    f"{val} = np.broadcast_to({val}, "
-                    f"({', '.join(sizes[p] for p in mparams)}))"
-                )
-            idx = self._bcast_store_index(e.data, a, remaining)
-            target = f"{e.data.data}[{idx}]"
-            if e.data.wcr is not None:
-                ufunc = self._UFUNC[e.data.reduction_type()]
-                buf.line(f"{target} = {ufunc}({target}, {val})")
-            else:
-                buf.line(f"{target} = {val}")
+        if predicated:
+            buf.dedent()
+        buf.lines(stores.getvalue())
         buf.dedent()
-        return True
+        if predicated:
+            return "predicated"
+        return "gather" if gathers else "slice"
 
-    def _bcast_index_expr(self, memlet: Memlet, analysis, bcast: Dict[str, str]) -> str:
-        dims = []
-        for kind, *rest in analysis:
-            if kind == "const":
-                dims.append(pycode(rest[0]))
+    def _emit_domain_store(
+        self, buf, sdfg, mem: Memlet, analysis, val: str, mask: Optional[str],
+        mparams, pranges, gathers: Set[str],
+    ) -> None:
+        """Store one output of a whole-domain evaluation: reduce over the
+        parameters the subset omits, then write (or accumulate) through a
+        strided view taken in map-parameter axis order — under ``mask``
+        when only one branch assigned the value."""
+        shape = _domain_shape(mparams)
+        used = [d[1] for d in analysis if d[0] == "param"]
+        remaining = [p for p in mparams if p in used]
+        if isinstance(sdfg.arrays[mem.data], Stream):
+            vals = (
+                _selected_lanes(val, mask, shape)
+                if mask
+                else f"np.broadcast_to({val}, {shape}).ravel()"
+            )
+            buf.line(f"{self._queue_expr(mem)}.push_many({vals})")
+            return
+        ufunc = self._UFUNC[mem.reduction_type()] if mem.wcr is not None else None
+        sl = _slice_index(analysis, pranges)
+        if mask and not used:
+            # Reduce over the selected lanes only; none selected, no write.
+            sel, tgt = self._tmp("sel"), f"{mem.data}[{sl[0]}]"
+            buf.line(f"{sel} = {_selected_lanes(val, mask, shape)}")
+            buf.line(f"if {sel}.size: {tgt} = {ufunc}({tgt}, {ufunc}.reduce({sel}))")
+            return
+        if len(remaining) < len(mparams):
+            axes = ", ".join(str(i) for i, p in enumerate(mparams) if p not in used)
+            red = self._tmp("red")
+            buf.line(
+                f"{red} = {ufunc}.reduce(np.broadcast_to({val}, {shape}), "
+                f"axis=({axes},))"
+            )
+            val = red
+        if sl is None:
+            gathers.update(used)
+            tgt = f"{mem.data}[{self._bcast_store_index(analysis, remaining)}]"
+        else:
+            tgt = f"{mem.data}[{sl[0]}]"
+        if sl is None or not used:  # index arrays, or one element
+            buf.line(f"{tgt} = {ufunc}({tgt}, {val})" if ufunc else f"{tgt} = {val}")
+            return
+        suffix = "".join(_axes_suffix(sl[1], remaining))
+        if ufunc or mask:
+            # ``unsafe`` casting is what element assignment does.
+            dst = self._tmp("dst")
+            buf.line(f"{dst} = {tgt}{suffix}")
+            where = f", where={mask}" if mask else ""
+            if ufunc:
+                buf.line(f"{ufunc}({dst}, {val}, out={dst}, casting='unsafe'{where})")
             else:
-                p, c, d = rest
-                term = bcast[p]
-                if c != Integer(1):
-                    term = f"{pycode(c)} * {term}"
-                if d != Integer(0):
-                    term = f"{term} + {pycode(d)}"
-                dims.append(term)
-        return f"{memlet.data}[{', '.join(dims)}]"
+                buf.line(f"np.copyto({dst}, {val}, casting='unsafe'{where})")
+        else:
+            buf.line(f"{tgt}{suffix}[...] = {val}" if suffix else f"{tgt} = {val}")
 
-    def _bcast_store_index(self, memlet: Memlet, analysis, remaining: List[str]) -> str:
-        k = len(remaining)
-        axis_of = {p: i for i, p in enumerate(remaining)}
-        dims = []
-        for kind, *rest in analysis:
-            if kind == "const":
-                dims.append(pycode(rest[0]))
-            else:
-                p, c, d = rest
-                shape = ["1"] * k
-                shape[axis_of[p]] = "-1"
-                term = f"__ix_{p}.reshape({', '.join(shape)})"
-                if c != Integer(1):
-                    term = f"{pycode(c)} * {term}"
-                if d != Integer(0):
-                    term = f"{term} + {pycode(d)}"
-                dims.append(term)
-        return ", ".join(dims)
+    def _bcast_index_expr(self, memlet: Memlet, analysis, index: Dict[str, str]) -> str:
+        """Advanced-indexing load through per-parameter index arrays."""
+        return f"{memlet.data}[{', '.join(_index_terms(analysis, index))}]"
+
+    def _bcast_store_index(self, analysis, remaining: List[str]) -> str:
+        """Index arrays of a store whose value's axes run over ``remaining``."""
+        index = {}
+        for axis, p in enumerate(remaining):
+            shape = ["1"] * len(remaining)
+            shape[axis] = "-1"
+            index[p] = f"__ix_{p}.reshape({', '.join(shape)})"
+        return ", ".join(_index_terms(analysis, index))
 
     # ------------------------------------------------------------ wcr scatter
     _SCATTER_UFUNC = {
@@ -1250,29 +1419,31 @@ class PythonGenerator:
         "max": ReductionType.Max,
     }
 
-    def _try_wcr_scatter(self, sdfg, state, entry, tasklet, buf) -> bool:
+    def _lower_wcr_scatter(self, sdfg, state, entry, tasklet, buf) -> str:
         """Whole-domain lowering for indirect-update (histogram-shaped)
         maps: ``view[idx] += val`` over all iterations becomes one
         unbuffered ``np.add.at`` scatter (exact WCR semantics — ``.at``
         applies every update even on index collisions)."""
         mparams = entry.map.params
-        if not mparams:
-            return False
         pranges = entry.map.param_ranges()
         in_edges = [e for e in state.in_edges(tasklet) if not e.data.is_empty()]
         out_edges = [e for e in state.out_edges(tasklet) if not e.data.is_empty()]
+        not_update = _Reject(
+            f"tasklet {tasklet.name!r} is neither elementwise assignments nor "
+            "an indexed update of a loop-invariant rank-1 view"
+        )
         if len(out_edges) != 1:
-            return False
+            raise not_update
         m_out = out_edges[0].data
         if m_out.subset is None or isinstance(sdfg.arrays[m_out.data], Stream):
-            return False
+            raise not_update
         # The updated view must be loop-invariant and rank-1, so a scalar
         # subscript in the tasklet addresses exactly one element.
         pset = set(mparams)
         if len(m_out.subset.ranges) != 1 or m_out.subset.ranges[0].is_point():
-            return False
+            raise not_update
         if {s.name for s in m_out.subset.ranges[0].free_symbols} & pset:
-            return False
+            raise not_update
         # The tasklet mutates the *read* view of the same data/subset; the
         # out connector only declares the (dynamic/WCR) write.
         view_edges = [
@@ -1281,136 +1452,392 @@ class PythonGenerator:
             if e.data.data == m_out.data and e.data.subset == m_out.subset
         ]
         if len(view_edges) != 1:
-            return False
+            raise not_update
         view_edge = view_edges[0]
         det = pytranslate.detect_indexed_update(tasklet.code, view_edge.dst_conn)
         if det is None:
-            return False
+            raise not_update
         op, mini_code = det
-        ufunc = self._SCATTER_UFUNC.get(op)
-        if ufunc is None:
-            return False
+        ufunc = self._SCATTER_UFUNC[op]
         # Semantics check: an explicit WCR must agree with the detected
         # update op; without one the write must be declared dynamic (the
         # frontend's indirect-write pattern).
         if m_out.wcr is not None:
             if m_out.reduction_type() != self._SCATTER_RTYPE[op]:
-                return False
+                raise _Reject(
+                    f"indexed update '{op}' disagrees with the WCR on "
+                    f"{_memlet_str(m_out)}"
+                )
         elif not m_out.dynamic:
-            return False
+            raise _Reject(f"indexed update of {_memlet_str(m_out)} is not dynamic")
         # Remaining inputs: static affine point loads only.
+        gathers: Set[str] = set()
+        index = {p: f"__bix_{p}" for p in mparams}
+        rename: Dict[str, str] = dict(index)
         loads = []
-        analyses = {}
         for e in in_edges:
             if e is view_edge:
                 continue
             m = e.data
             if m.dynamic or isinstance(sdfg.arrays[m.data], Stream):
-                return False
-            a = _analyze_subset(m, mparams)
-            if a is None:
-                return False
-            analyses[id(m)] = a
-            loads.append(e)
-        # Translate before emitting anything, so a vectorization failure
-        # cannot leave partial output in the buffer.
-        bcast = {p: f"__bix_{p}" for p in mparams}
-        rename: Dict[str, str] = dict(bcast)
-        for e in loads:
+                raise _Reject(f"input {_memlet_str(m)} is dynamic or a stream")
+            src, _ = self._domain_load(
+                m, self._affine_point(m, mparams), mparams, pranges, gathers
+            )
             rename[e.dst_conn] = f"__in_{e.dst_conn}"
-        try:
-            stmts = pytranslate.vectorize_tasklet(mini_code, rename)
-        except CodegenError:
-            return False
+            loads.append(f"__in_{e.dst_conn} = {src}")
+        stmts = pytranslate.vectorize_tasklet(mini_code, rename)
+        values = _params_read(mini_code, rename, index)
 
         buf.line(f"# wcr scatter lowering for map {entry.map.label}")
-        sizes: Dict[str, str] = {}
-        for p in mparams:
-            rng = pranges[p]
-            buf.line(
-                f"__ix_{p} = np.arange({pycode(rng.start)}, {pycode(rng.end)}, "
-                f"{pycode(rng.step)})"
-            )
-            sizes[p] = f"len(__ix_{p})"
-        guard = " and ".join(f"len(__ix_{p})" for p in mparams)
-        buf.line(f"if {guard}:")
-        buf.indent()
-        k = len(mparams)
-        for axis, p in enumerate(mparams):
-            shape = ["1"] * k
-            shape[axis] = "-1"
-            buf.line(f"__bix_{p} = __ix_{p}.reshape({', '.join(shape)})")
-        for e in loads:
-            load = self._bcast_index_expr(e.data, analyses[id(e.data)], bcast)
-            buf.line(f"__in_{e.dst_conn} = {load}")
+        self._emit_domain_header(buf, mparams, pranges, values | gathers)
+        for ln in loads:
+            buf.line(ln)
         for tgt, expr in stmts:
             buf.line(f"{tgt} = {expr}")
-        shape_src = "(" + ", ".join(sizes[p] for p in mparams) + ",)"
-        buf.line(
-            f"__sidx = np.broadcast_to(np.asarray(__scatter_idx), {shape_src}).ravel()"
-        )
-        buf.line(
-            f"__sval = np.broadcast_to(np.asarray(__scatter_val), {shape_src}).ravel()"
-        )
+        shape = _domain_shape(mparams)
+        buf.line(f"__sidx = np.broadcast_to(np.asarray(__scatter_idx), {shape}).ravel()")
+        buf.line(f"__sval = np.broadcast_to(np.asarray(__scatter_val), {shape}).ravel()")
         buf.line(f"{ufunc}.at({m_out.data}[{_slices_only(m_out)}], __sidx, __sval)")
         buf.dedent()
-        return True
+        return "scatter"
 
     # ---------------------------------------------------------------- einsum
     def _try_einsum(
-        self, sdfg, state, entry, tasklet, in_edges, out_edges, analyses, buf
+        self, entry, tasklet, in_edges, out_edges, analyses, buf
     ) -> bool:
         if len(out_edges) != 1 or len(in_edges) < 2:
             return False
         out_e = out_edges[0]
         if out_e.data.reduction_type() != ReductionType.Sum:
             return False
-        if not pytranslate.detect_pure_product(
+        coef = pytranslate.detect_pure_product(
             tasklet.code,
             [e.dst_conn for e in in_edges],
             out_e.src_conn,
-        ):
+        )
+        if coef is None:
             return False
         mparams = entry.map.params
         letters = {p: _EINSUM_LETTERS[i] for i, p in enumerate(mparams)}
         pranges = entry.map.param_ranges()
-
-        def operand(memlet: Memlet):
-            """Slice so dimension index becomes exactly the parameter."""
-            a = analyses[id(memlet)]
-            idx_parts, sub = [], []
-            for kind, *rest in a:
-                if kind == "const":
-                    idx_parts.append(pycode(rest[0]))  # drops the axis
-                else:
-                    p, c, d = rest
-                    if not isinstance(c, Integer) or c.value <= 0:
-                        return None
-                    rng = pranges[p]
-                    n = rng.size()
-                    lo = c * rng.start + d
-                    st = c * rng.step
-                    hi = lo + st * n
-                    idx_parts.append(f"{pycode(lo)}:{pycode(hi)}:{pycode(st)}")
-                    sub.append(letters[p])
-            return f"{memlet.data}[{', '.join(idx_parts)}]", "".join(sub)
-
+        # Slice every operand so its axes are exactly its parameters.
         ops = []
-        for e in in_edges:
-            op = operand(e.data)
-            if op is None:
+        for e in in_edges + [out_e]:
+            sl = _slice_index(analyses[id(e.data)], pranges)
+            if sl is None:
                 return False
-            ops.append(op)
-        out_op = operand(out_e.data)
-        if out_op is None:
-            return False
-        out_expr, out_sub = out_op
+            ops.append((f"{e.data.data}[{sl[0]}]", "".join(letters[p] for p in sl[1])))
+        out_expr, out_sub = ops.pop()
         # Every output letter must appear in inputs; reduction over the rest.
         spec = ",".join(sub for _, sub in ops) + "->" + out_sub
         buf.line(f"# contraction lowering (einsum) for map {entry.map.label}")
         args = ", ".join(expr for expr, _ in ops)
-        buf.line(f"{out_expr} += np.einsum('{spec}', {args}, optimize=True)")
+        scale = "" if coef == 1 else f"{coef!r} * "
+        buf.line(f"{out_expr} += {scale}np.einsum('{spec}', {args}, optimize=True)")
         return True
+
+    # ------------------------------------------------------------ ragged maps
+    def _lower_ragged(
+        self, sdfg, state, entry, inner_entry, buf, order, scope_dict
+    ) -> str:
+        """Map nests whose inner range is data-dependent (CSR-shaped:
+        ``for i: for j in row[i]:row[i+1]``) have a flat iteration space.
+        Build its parameter vectors once — ``i`` repeated per row, ``j``
+        counting within each row — and evaluate the inner scope's tasklets
+        over them: point loads become gathers, single-element transients
+        become whole-domain temporaries, ``view[idx]`` reads through a
+        whole-array connector become gathers, and WCR outputs become
+        unbuffered ``np.<ufunc>.at`` scatters."""
+        om, im = entry.map, inner_entry.map
+        conns = sorted(c for c in inner_entry.in_connectors if not c.startswith("IN_"))
+        if not conns:
+            raise _Reject(
+                f"inner map {im.label!r} takes no range bound from a connector"
+            )
+        if im.instrument != InstrumentationType.NONE:
+            raise _Reject(f"inner map {im.label!r} is instrumented")
+        rng = im.range.ranges[0]
+        if len(im.params) != 1 or rng.step != Integer(1) or rng.tile != Integer(1):
+            raise _Reject(
+                f"inner map {im.label!r} is not one unit-step parameter"
+            )
+        oparams, opranges = om.params, om.param_ranges()
+        inner = im.params[0]
+        flat = list(oparams) + [inner]
+        findex = {p: f"__f_{p}" for p in flat}
+
+        # Row bounds over the outer domain, from the range connectors.
+        index_params: Set[str] = set()
+        bound_rename = {p: f"__bix_{p}" for p in oparams}
+        conn_loads = []
+        for c in conns:
+            edges = state.in_edges_by_connector(inner_entry, c)
+            if len(edges) != 1 or edges[0].src is not entry:
+                raise _Reject(f"range connector {c!r} is not fed through the outer map")
+            mem = edges[0].data
+            if mem.dynamic or isinstance(sdfg.arrays[mem.data], Stream):
+                raise _Reject(f"range input {_memlet_str(mem)} is dynamic or a stream")
+            src, _ = self._domain_load(
+                mem, self._affine_point(mem, oparams), oparams, opranges, index_params
+            )
+            conn_loads.append(f"{c} = {src}")
+        for bound in (rng.start, rng.end):
+            if not _is_sum_of_products(bound):
+                raise _Reject(f"inner range bound {bound} is not elementwise")
+            index_params.update(s.name for s in bound.free_symbols if s.name in oparams)
+
+        # The inner scope: tasklets chained through one-element transients.
+        body = CodeBuffer()
+        temps: Dict[str, str] = {}
+        used_flat: Set[str] = set()
+        read_data: Set[str] = set()
+        wcr_data: Set[str] = set()
+        nodes = [
+            n for n in order
+            if scope_dict.get(n) is inner_entry and not isinstance(n, ExitNode)
+        ]
+        if not any(isinstance(n, Tasklet) for n in nodes):
+            raise _Reject(f"inner map {im.label!r} holds no tasklet")
+        for node in nodes:
+            if isinstance(node, AccessNode):
+                desc = sdfg.arrays[node.data]
+                if (
+                    isinstance(desc, Stream)
+                    or not desc.transient
+                    or any(s != Integer(1) for s in desc.shape)
+                    or self._accessed_outside(sdfg, state, node.data, nodes)
+                ):
+                    raise _Reject(
+                        f"{node.data!r} inside the inner scope is not a private "
+                        "one-element transient"
+                    )
+                continue
+            if not isinstance(node, Tasklet):
+                raise _Reject(f"inner scope holds {type(node).__name__} {node!r}")
+            self._check_tasklet(node, flat)
+            rename: Dict[str, str] = dict(findex)
+            views = []
+            body.line(f"# tasklet {node.name}")
+            for e in state.in_edges(node):
+                mem = e.data
+                if mem.is_empty():
+                    continue
+                var = rename[e.dst_conn] = f"__in_{e.dst_conn}"
+                if isinstance(e.src, AccessNode):
+                    if mem.data not in temps:
+                        raise _Reject(f"{mem.data!r} is read before it is produced")
+                    body.line(f"{var} = {temps[mem.data]}")
+                    continue
+                if e.src is not inner_entry:
+                    raise _Reject(f"input {_memlet_str(mem)} bypasses the map entry")
+                if isinstance(sdfg.arrays[mem.data], Stream):
+                    raise _Reject(f"input {_memlet_str(mem)} is a stream")
+                read_data.add(mem.data)
+                a = _analyze_subset(mem, flat)
+                if a is None and not {s.name for s in mem.subset.free_symbols} & set(flat):
+                    # Loop-invariant whole-array view: ``view[idx]`` gathers.
+                    views.append(e.dst_conn)
+                    body.line(f"{var} = {mem.data}[{subset_to_py_index(mem.subset)}]")
+                    continue
+                if a is None or mem.dynamic:
+                    raise _Reject(
+                        f"input {_memlet_str(mem)} is neither an affine point "
+                        "nor a loop-invariant view"
+                    )
+                used_flat.update(d[1] for d in a if d[0] == "param")
+                body.line(f"{var} = {self._bcast_index_expr(mem, a, findex)}")
+            if not pytranslate.is_vectorizable_tasklet(
+                node.code, views=views, allow_branch=False
+            ):
+                raise _Reject(
+                    f"tasklet {node.name!r} is not straight-line elementwise code"
+                )
+            out_edges = [e for e in state.out_edges(node) if not e.data.is_empty()]
+            for e in out_edges:
+                rename[e.src_conn] = f"__out_{e.src_conn}"
+            used_flat |= _params_read(node.code, rename, findex)
+            for tgt, expr in pytranslate.vectorize_tasklet(node.code, rename):
+                body.line(f"{tgt} = {expr}")
+            for e in out_edges:
+                mem, val = e.data, rename[e.src_conn]
+                if isinstance(e.dst, AccessNode):
+                    if mem.wcr is not None or mem.dynamic:
+                        raise _Reject(f"{_memlet_str(mem)} is not a plain temporary")
+                    dtype = sdfg.arrays[mem.data].dtype.name
+                    temps[mem.data] = f"__t_{mem.data}"
+                    body.line(f"__t_{mem.data} = np.asarray({val}, dtype=np.{dtype})")
+                    continue
+                ufunc = self._UFUNC.get(mem.reduction_type())
+                if ufunc is None or isinstance(sdfg.arrays[mem.data], Stream):
+                    raise _Reject(
+                        f"output {_memlet_str(mem)} is not a recognized WCR "
+                        "into an array"
+                    )
+                a = self._affine_point(mem, flat)
+                used_flat.update(d[1] for d in a if d[0] == "param")
+                wcr_data.add(mem.data)
+                idx = ", ".join(_index_terms(a, findex))
+                body.line(
+                    f"{ufunc}.at({mem.data}, ({idx},), "
+                    f"np.broadcast_to({val}, (__rtot,)))"
+                )
+        if read_data & wcr_data:
+            raise _Reject(
+                f"{sorted(read_data & wcr_data)} is read and accumulated in "
+                "the same scope"
+            )
+
+        buf.line(f"# ragged map {om.label} / {im.label}")
+        index_params |= used_flat & set(oparams)
+        self._emit_domain_header(buf, oparams, opranges, index_params)
+        for ln in conn_loads:
+            buf.line(ln)
+        oshape = _domain_shape(oparams)
+        for var, bound in (("__rlo", rng.start), ("__rhi", rng.end)):
+            buf.line(
+                f"{var} = np.broadcast_to({pycode(bound, bound_rename)}, {oshape})"
+                ".ravel().astype(np.int64)"
+            )
+        buf.line("__rcnt = np.maximum(__rhi - __rlo, 0)")
+        buf.line("__rtot = int(__rcnt.sum())")
+        buf.line("if __rtot:")
+        buf.indent()
+        for p in oparams:
+            if p in used_flat:
+                buf.line(
+                    f"__f_{p} = np.repeat(np.broadcast_to(__bix_{p}, {oshape})"
+                    ".ravel(), __rcnt)"
+                )
+        if inner in used_flat:
+            # Position within the flat space minus each row's start offset.
+            buf.line(
+                f"__f_{inner} = np.arange(__rtot) - "
+                "np.repeat(np.cumsum(__rcnt) - __rcnt - __rlo, __rcnt)"
+            )
+        buf.lines(body.getvalue())
+        buf.dedent()
+        buf.dedent()
+        return "ragged"
+
+    @staticmethod
+    def _accessed_outside(sdfg, state, data: str, scope_nodes) -> bool:
+        """True when ``data`` has an access node outside ``scope_nodes``."""
+        inside = {id(n) for n in scope_nodes}
+        return any(
+            n.data == data and id(n) not in inside
+            for st in sdfg.nodes()
+            for n in st.data_nodes()
+        )
+
+
+class _Reject(Exception):
+    """A whole-domain lowering does not apply.  The message names the
+    first precondition that failed; it becomes the census ``reason``."""
+
+
+def _memlet_str(memlet: Memlet) -> str:
+    return f"{memlet.data}[{memlet.subset}]"
+
+
+def _domain_shape(mparams: Sequence[str]) -> str:
+    return "(" + ", ".join(f"__n_{p}" for p in mparams) + ",)"
+
+
+def _selected_lanes(val: str, mask: str, shape: str) -> str:
+    """The lanes of ``val`` that ``mask`` selects, in row-major — that is,
+    iteration — order (``compress`` outruns boolean indexing severalfold)."""
+    return (
+        f"np.compress(np.broadcast_to({mask}, {shape}).ravel(), "
+        f"np.broadcast_to({val}, {shape}))"
+    )
+
+
+def _params_read(code: str, rename: Dict[str, str], index: Dict[str, str]) -> Set[str]:
+    """Parameters of ``index`` whose value the tasklet reads (a connector
+    of the same name shadows the parameter in ``rename``)."""
+    read = pytranslate.loaded_names(pytranslate.parse_tasklet(code))
+    return {p for p, var in index.items() if p in read and rename[p] == var}
+
+
+def _is_sum_of_products(e: Expr) -> bool:
+    """Only ``+``/``*`` over integers and symbols: evaluates elementwise
+    when the symbols are bound to arrays."""
+    if isinstance(e, (Integer, Symbol)):
+        return True
+    return isinstance(e, (Add, Mul)) and all(_is_sum_of_products(a) for a in e.args)
+
+
+def _index_terms(analysis, index: Dict[str, str]) -> List[str]:
+    """One index source per dimension: constants as they are, ``c*p + d``
+    over the index array ``index[p]``."""
+    dims = []
+    for kind, *rest in analysis:
+        if kind == "const":
+            dims.append(pycode(rest[0]))
+            continue
+        p, c, d = rest
+        term = index[p]
+        if c != Integer(1):
+            term = f"{pycode(c)} * {term}"
+        if d != Integer(0):
+            term = f"{term} + {pycode(d)}"
+        dims.append(term)
+    return dims
+
+
+def _slice_index(analysis, pranges) -> Optional[Tuple[str, List[str]]]:
+    """Basic-indexing source selecting exactly the elements a memlet
+    touches over a non-empty domain, and the parameters its result axes
+    run over (array-dimension order; constant dimensions drop out).
+    None unless every parameter dimension is ``c*p + d`` with ``c`` and
+    the parameter's step positive integer constants — anything else
+    (reversed or symbolically strided operands) needs index arrays."""
+    parts, axes = [], []
+    for kind, *rest in analysis:
+        if kind == "const":
+            parts.append(pycode(rest[0]))
+            continue
+        p, c, d = rest
+        rng = pranges[p]
+        if not all(isinstance(x, Integer) and x.value > 0 for x in (c, rng.step)):
+            return None
+        if c == rng.step == Integer(1):
+            # The common case, kept clear of symbolic arithmetic (which
+            # dominates code generation time): ``p + d`` over ``lo:hi``.
+            parts.append(f"{pycode(_offset(rng.start, d))}:{pycode(_offset(rng.end, d))}")
+        else:
+            unit = rng.step == Integer(1)
+            last = rng.end - 1 if unit else rng.start + rng.step * (rng.size() - 1)
+            lo, hi = c * rng.start + d, c * last + d + 1  # last touched, plus one
+            parts.append(f"{pycode(lo)}:{pycode(hi)}:{pycode(c * rng.step)}")
+        axes.append(p)
+    return ", ".join(parts), axes
+
+
+def _offset(e: Expr, d: Expr) -> Expr:
+    """``e + d``, free when ``d`` is zero or both are integers."""
+    if d == Integer(0):
+        return e
+    if isinstance(e, Integer) and isinstance(d, Integer):
+        return Integer(e.value + d.value)
+    return e + d
+
+
+def _axes_suffix(axes: Sequence[str], order: Sequence[str]) -> Tuple[str, str]:
+    """Source suffixes taking a view whose axes run over the parameters
+    ``axes`` to the axis order of ``order``: the transposition (if any),
+    then the index inserting a size-1 axis for every parameter of
+    ``order`` the view lacks (if any)."""
+    if not axes:
+        return "", ""
+    perm = [axes.index(p) for p in order if p in axes]
+    transpose = expand = ""
+    if perm != sorted(perm):
+        transpose = f".transpose({', '.join(map(str, perm))})"
+    if len(perm) < len(order):
+        expand = "[" + ", ".join(":" if p in axes else "None" for p in order) + "]"
+    return transpose, expand
 
 
 def _analyze_subset(memlet: Memlet, mparams: Sequence[str]):
@@ -1427,11 +1854,7 @@ def _analyze_subset(memlet: Memlet, mparams: Sequence[str]):
     pset = set(mparams)
     for rng in memlet.subset.ranges:
         if not rng.is_point():
-            free = {s.name for s in rng.free_symbols} & pset
-            if free:
-                return None
-            out.append(("const_range", rng))
-            return None  # keep simple: no mixed slice dims in vector mode
+            return None  # keep simple: no slice dims in vector mode
         expr = rng.start
         used = sorted({s.name for s in expr.free_symbols} & pset)
         if not used:

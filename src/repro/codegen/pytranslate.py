@@ -5,7 +5,10 @@ Python).  Vector-mode lowering, used when an entire Map iteration domain
 is evaluated at once, rewrites the tasklet AST so every operation is
 elementwise over NumPy arrays: ``min`` becomes ``np.minimum``, ``x if c
 else y`` becomes ``np.where(c, x, y)``, boolean operators become logical
-ufuncs, and ``math.*`` calls become their ``np.*`` equivalents.
+ufuncs, and ``math.*`` calls become their ``np.*`` equivalents.  A trailing
+``if``/``else`` over plain assignments becomes a mask (:data:`MASK`): names
+both paths define merge through ``np.where``, names only one branch defines
+are left to the caller to store under the mask.
 """
 
 from __future__ import annotations
@@ -63,64 +66,129 @@ def loaded_names(tree: ast.Module) -> Set[str]:
     return out
 
 
-def is_vectorizable_tasklet(code: str) -> bool:
-    """True when every statement is a plain assignment of an elementwise
-    expression (the vector-mode contract)."""
+#: Variables holding the trailing ``if`` test of a predicated tasklet and
+#: its negation in :func:`vectorize_tasklet` output.
+MASK = "__mask"
+NOT_MASK = "__nmask"
+
+
+def _statements(body: Sequence[ast.stmt]) -> List[ast.stmt]:
+    """``body`` without ``pass`` and docstrings."""
+    return [
+        s
+        for s in body
+        if not (
+            isinstance(s, ast.Pass)
+            or (isinstance(s, ast.Expr) and isinstance(s.value, ast.Constant))
+        )
+    ]
+
+
+def _split_branch(tree: ast.Module):
+    """``(prelude, trailing if or None)``, no-ops dropped throughout."""
+    stmts = _statements(tree.body)
+    if stmts and isinstance(stmts[-1], ast.If):
+        branch = stmts[-1]
+        branch.body = _statements(branch.body)
+        branch.orelse = _statements(branch.orelse)
+        return stmts[:-1], branch
+    return stmts, None
+
+
+def _plain_assignment(stmt: ast.stmt, views: Sequence[str]) -> bool:
+    if isinstance(stmt, ast.Assign):
+        return (
+            len(stmt.targets) == 1
+            and isinstance(stmt.targets[0], ast.Name)
+            and _expr_vectorizable(stmt.value, views)
+        )
+    if isinstance(stmt, ast.AugAssign):
+        return isinstance(stmt.target, ast.Name) and _expr_vectorizable(
+            stmt.value, views
+        )
+    return False
+
+
+def is_vectorizable_tasklet(
+    code: str, views: Sequence[str] = (), allow_branch: bool = True
+) -> bool:
+    """True when the body is plain assignments of elementwise expressions,
+    optionally closed by one ``if <elementwise test>:`` / ``else:`` over
+    more of the same (the vector-mode contract).
+
+    ``views`` names connectors bound to whole array views: ``view[idx]``
+    with an elementwise ``idx`` is then a gather.  Stores through a
+    subscript (``view[c] = ...``) never qualify, so bodies that read back
+    through a view they write stay on the loop tier.
+    """
     try:
         tree = parse_tasklet(code)
     except CodegenError:
         return False
-    for stmt in tree.body:
-        if isinstance(stmt, ast.Assign):
-            if len(stmt.targets) != 1 or not isinstance(stmt.targets[0], ast.Name):
-                return False
-            if not _expr_vectorizable(stmt.value):
-                return False
-        elif isinstance(stmt, ast.AugAssign):
-            if not isinstance(stmt.target, ast.Name):
-                return False
-            if not _expr_vectorizable(stmt.value):
-                return False
-        elif isinstance(stmt, (ast.Pass, ast.Expr)) and (
-            isinstance(stmt, ast.Pass) or isinstance(stmt.value, ast.Constant)
-        ):
-            continue
-        else:
+    body, branch = _split_branch(tree)
+    if branch is not None:
+        if not allow_branch or not _expr_vectorizable(branch.test, views):
             return False
-    return True
+        body = body + branch.body + branch.orelse
+    return all(_plain_assignment(s, views) for s in body)
 
 
-def _expr_vectorizable(node: ast.expr) -> bool:
+def _targets(stmts: Sequence[ast.stmt]) -> List[str]:
+    return [
+        (s.targets[0] if isinstance(s, ast.Assign) else s.target).id  # type: ignore
+        for s in stmts
+    ]
+
+
+def assignment_summary(code: str) -> Tuple[Set[str], Dict[str, bool]]:
+    """For a body :func:`is_vectorizable_tasklet` accepts: the names every
+    execution assigns, and the names only one branch of the trailing
+    ``if`` assigns (``True``: the taken branch, ``False``: the ``else``).
+    A caller may store a one-branch name only under the mask."""
+    return _summarize(*_split_branch(parse_tasklet(code)))
+
+
+def _summarize(body, branch) -> Tuple[Set[str], Dict[str, bool]]:
+    always = set(_targets(body))
+    if branch is None:
+        return always, {}
+    then, orelse = set(_targets(branch.body)), set(_targets(branch.orelse))
+    conditional = {n: n in then for n in (then ^ orelse) - always}
+    return always | (then & orelse), conditional
+
+
+def _expr_vectorizable(node: ast.expr, views: Sequence[str] = ()) -> bool:
+    def ok(n: ast.expr) -> bool:
+        return _expr_vectorizable(n, views)
+
     if isinstance(node, ast.Constant):
         return isinstance(node.value, (int, float, complex, bool))
     if isinstance(node, ast.Name):
         return True
     if isinstance(node, ast.BinOp):
         ok_ops = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow)
-        return (
-            isinstance(node.op, ok_ops)
-            and _expr_vectorizable(node.left)
-            and _expr_vectorizable(node.right)
-        )
+        return isinstance(node.op, ok_ops) and ok(node.left) and ok(node.right)
     if isinstance(node, ast.UnaryOp):
-        return isinstance(node.op, (ast.USub, ast.UAdd, ast.Not)) and _expr_vectorizable(
-            node.operand
-        )
+        return isinstance(node.op, (ast.USub, ast.UAdd, ast.Not)) and ok(node.operand)
     if isinstance(node, ast.Compare):
-        return all(_expr_vectorizable(c) for c in [node.left] + node.comparators)
+        return all(ok(c) for c in [node.left] + node.comparators)
     if isinstance(node, ast.BoolOp):
-        return all(_expr_vectorizable(v) for v in node.values)
+        return all(ok(v) for v in node.values)
     if isinstance(node, ast.IfExp):
-        return all(
-            _expr_vectorizable(x) for x in (node.test, node.body, node.orelse)
-        )
+        return all(ok(x) for x in (node.test, node.body, node.orelse))
+    if isinstance(node, ast.Subscript):
+        # Gather through a whole-array view connector.
+        if not (isinstance(node.value, ast.Name) and node.value.id in views):
+            return False
+        idx = node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
+        return all(ok(i) for i in idx)
     if isinstance(node, ast.Call):
         fname = _call_name(node)
         if fname in _CASTS and len(node.args) == 1:
-            return _expr_vectorizable(node.args[0])
+            return ok(node.args[0])
         if fname is None or fname not in _NP_FUNCS:
             return False
-        return all(_expr_vectorizable(a) for a in node.args)
+        return all(ok(a) for a in node.args)
     return False
 
 
@@ -219,67 +287,106 @@ def vectorize_tasklet(
     ``rename`` maps connector/parameter names to replacement expressions
     (array loads, broadcast index arrays).  Returns ``(target, expr)``
     source pairs in statement order.
+
+    A trailing ``if`` evaluates both branches over the whole domain (the
+    caller silences floating-point warnings from lanes the test excludes):
+    its test is assigned to :data:`MASK`, each branch computes into
+    private ``__t_<name>`` / ``__f_<name>`` variables, a connector both
+    paths define merges through ``np.where``, and a name only one branch
+    defines is assigned unmerged — see :func:`assignment_summary`.
     """
-    tree = parse_tasklet(code)
+    body, branch = _split_branch(parse_tasklet(code))
     out: List[Tuple[str, str]] = []
-    locals_seen: Set[str] = set()
-    for stmt in tree.body:
-        if isinstance(stmt, ast.Pass):
-            continue
-        if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant):
-            continue  # docstring
+
+    def vec(value: ast.expr, scope: Dict[str, str]) -> str:
+        new_value = _Vectorize(scope).visit(value)
+        ast.fix_missing_locations(new_value)
+        return ast.unparse(new_value)
+
+    def translate(stmt: ast.stmt, scope: Dict[str, str]) -> Tuple[str, str]:
         if isinstance(stmt, ast.Assign):
-            target = stmt.targets[0].id  # type: ignore[attr-defined]
-            value = stmt.value
-        elif isinstance(stmt, ast.AugAssign):
+            return stmt.targets[0].id, vec(stmt.value, scope)  # type: ignore
+        if isinstance(stmt, ast.AugAssign):
             target = stmt.target.id  # type: ignore[attr-defined]
             value = ast.BinOp(left=ast.Name(id=target, ctx=ast.Load()), op=stmt.op,
                               right=stmt.value)
-            ast.fix_missing_locations(value)
+            return target, vec(ast.fix_missing_locations(value), scope)
+        raise CodegenError(f"statement not vectorizable: {ast.dump(stmt)}")
+
+    for stmt in body:
+        target, expr = translate(stmt, rename)
+        out.append((rename.get(target, target), expr))
+    if branch is None:
+        return out
+
+    # ``asarray(bool)`` is Python truthiness, and free for comparisons.
+    out.append((MASK, f"np.asarray({vec(branch.test, rename)}, dtype=bool)"))
+    _, conditional = _summarize(body, branch)
+    # Both branches run over every lane, so neither may see what the other
+    # assigned: every name a branch assigns — connector or local — lives
+    # under a branch-private alias that later reads on that path resolve to.
+    sides = []
+    for tag, stmts in (("t", branch.body), ("f", branch.orelse)):
+        scope = dict(rename)
+        for stmt in stmts:
+            target, expr = translate(stmt, scope)
+            scope[target] = f"__{tag}_{target}"
+            out.append((scope[target], expr))
+        sides.append(scope)
+    # Only connectors outlive the ``if``: one-branch names keep their
+    # branch's value, the rest merge with the other path's (or the
+    # prelude's) under the mask.
+    for n in dict.fromkeys(_targets(branch.body) + _targets(branch.orelse)):
+        if n not in rename:
+            continue
+        if n in conditional:
+            out.append((rename[n], sides[0 if conditional[n] else 1][n]))
         else:
-            raise CodegenError(f"statement not vectorizable: {ast.dump(stmt)}")
-        # Locals defined by earlier statements shadow renames.
-        local_rename = {k: v for k, v in rename.items() if k not in locals_seen}
-        new_value = _Vectorize(local_rename).visit(value)
-        ast.fix_missing_locations(new_value)
-        expr_src = ast.unparse(new_value)
-        tgt = rename.get(target)
-        if tgt is not None and target not in locals_seen:
-            out.append((tgt, expr_src))
-        else:
-            locals_seen.add(target)
-            out.append((target, expr_src))
+            out.append((rename[n], f"np.where({MASK}, {sides[0][n]}, {sides[1][n]})"))
+    if not all(conditional.values()):
+        out.append((NOT_MASK, f"np.logical_not({MASK})"))
     return out
 
 
-def detect_pure_product(code: str, inputs: Sequence[str], output: str) -> bool:
-    """True when the tasklet computes ``output = prod(inputs)`` exactly —
-    the pattern that admits einsum-based contraction lowering."""
+def detect_pure_product(code: str, inputs: Sequence[str], output: str):
+    """The constant ``coef`` when the tasklet computes ``output = coef *
+    prod(inputs)`` exactly (1 for a bare product) — the pattern that admits
+    einsum-based contraction lowering — else None."""
     try:
         tree = parse_tasklet(code)
     except CodegenError:
-        return False
-    stmts = [s for s in tree.body if not isinstance(s, ast.Pass)]
+        return None
+    stmts = _statements(tree.body)
     if len(stmts) != 1 or not isinstance(stmts[0], ast.Assign):
-        return False
+        return None
     stmt = stmts[0]
     if len(stmt.targets) != 1 or not isinstance(stmt.targets[0], ast.Name):
-        return False
+        return None
     if stmt.targets[0].id != output:
-        return False
+        return None
     factors: List[str] = []
+    coef = 1
 
     def collect(node: ast.expr) -> bool:
+        nonlocal coef
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
             return collect(node.left) and collect(node.right)
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            coef = -coef
+            return collect(node.operand)
         if isinstance(node, ast.Name):
             factors.append(node.id)
             return True
+        if isinstance(node, ast.Constant) and isinstance(
+            node.value, (int, float, complex)
+        ) and not isinstance(node.value, bool):
+            coef = coef * node.value
+            return True
         return False
 
-    if not collect(stmt.value):
-        return False
-    return sorted(factors) == sorted(inputs)
+    if not collect(stmt.value) or sorted(factors) != sorted(inputs):
+        return None
+    return coef
 
 
 def _references(node: ast.AST, name: str) -> bool:
@@ -310,14 +417,7 @@ def detect_indexed_update(code: str, view_conn: str) -> Optional[Tuple[str, str]
         tree = parse_tasklet(code)
     except CodegenError:
         return None
-    stmts = [
-        s
-        for s in tree.body
-        if not (
-            isinstance(s, ast.Pass)
-            or (isinstance(s, ast.Expr) and isinstance(s.value, ast.Constant))
-        )
-    ]
+    stmts = _statements(tree.body)
     if not stmts:
         return None
     prelude, update = stmts[:-1], stmts[-1]

@@ -26,6 +26,15 @@ class InstrumentationReport:
     sdfg: str
     backend: str = ""
     events: List[EventNode] = field(default_factory=list)
+    #: Compile reports of the Python backend: the tier each map scope
+    #: lowered to (``CompiledSDFG.lowering``), also read as
+    #: ``report["lowering"]``.
+    lowering: List[Dict[str, Any]] = field(default_factory=list)
+
+    def __getitem__(self, name: str) -> Any:
+        if name != "lowering":
+            raise KeyError(name)
+        return self.lowering
 
     # ------------------------------------------------------------- queries
     def is_empty(self) -> bool:
@@ -104,12 +113,15 @@ class InstrumentationReport:
 
     # ------------------------------------------------------------- (de)ser
     def to_json(self) -> Dict[str, Any]:
-        return {
+        out = {
             "schema": REPORT_SCHEMA_VERSION,
             "sdfg": self.sdfg,
             "backend": self.backend,
             "events": [ev.to_json() for ev in self.events],
         }
+        if self.lowering:
+            out["lowering"] = self.lowering
+        return out
 
     @staticmethod
     def from_json(obj: Dict[str, Any]) -> "InstrumentationReport":
@@ -119,6 +131,7 @@ class InstrumentationReport:
             sdfg=obj["sdfg"],
             backend=obj.get("backend", ""),
             events=[EventNode.from_json(e) for e in obj["events"]],
+            lowering=list(obj.get("lowering") or []),
         )
 
     def save(self, path: str) -> None:

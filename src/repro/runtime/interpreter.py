@@ -597,8 +597,7 @@ class SDFGInterpreter:
                 dq = self._resolve_stream_queue(
                     Memlet(data=final.data, subset=e.data.other_subset), mem, sym
                 )
-                while len(sq):
-                    dq.push(sq.pop())
+                dq.push_many(sq.drain())
                 continue
             src_view = self._view_memlet(sdfg, e.data, mem, sym)
             target = mem[final.data]
@@ -630,18 +629,23 @@ class SDFGInterpreter:
             dq = self._resolve_stream_queue(
                 Memlet(data=dst.data, subset=dst_subset), mem, sym
             )
-            while len(sq):
-                dq.push(sq.pop())
+            dq.push_many(sq.drain())
             return
         if isinstance(src_desc, Stream) and not isinstance(dst_desc, Stream):
             # Drain stream into array prefix (paper's Query/BFS pattern).
             queue = self._resolve_stream_queue(
                 Memlet(data=src.data, subset=src_subset), mem, sym
             )
-            vals = [queue.pop() for _ in range(len(queue))]
+            vals = queue.drain()
             arr = mem[dst.data]
-            flat = arr.reshape(-1)
-            flat[: len(vals)] = vals
+            if len(vals) > arr.size:
+                raise ValueError(
+                    f"stream {src.data!r} drains {len(vals)} elements into "
+                    f"{dst.data!r}, which holds {arr.size}"
+                )
+            # ``flat`` writes through for any layout; ``reshape(-1)`` of a
+            # non-contiguous array is a copy and would drop every element.
+            arr.flat[: len(vals)] = vals
             self._mark_written(sdfg, dst.data)
             return
         if isinstance(dst_desc, Stream) and not isinstance(src_desc, Stream):
@@ -652,8 +656,7 @@ class SDFGInterpreter:
                 sdfg, Memlet(data=src.data, subset=src_subset or src_desc.full_subset()),
                 mem, sym,
             )
-            for v in np.asarray(src_view).reshape(-1):
-                queue.push(v)
+            queue.push_many(np.asarray(src_view).reshape(-1))
             return
         src_view = mem[src.data][
             (src_subset or src_desc.full_subset()).evaluate(sym)

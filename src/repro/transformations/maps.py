@@ -312,7 +312,10 @@ class Vectorization(Transformation):
         if len(body) != len(tasklets) or len(tasklets) != 1:
             return False
         t = tasklets[0]
-        return t.language == Language.Python and is_vectorizable_tasklet(t.code)
+        # Only straight-line bodies can be the contraction the mark unlocks.
+        return t.language == Language.Python and is_vectorizable_tasklet(
+            t.code, allow_branch=False
+        )
 
     def apply(self) -> None:
         self.node(self._entry).map.vectorized = True

@@ -187,6 +187,46 @@ class TestEinsumLowering:
         assert np.allclose(C, A @ B)
 
 
+    @pytest.mark.parametrize("marked", [True, False])
+    def test_scaled_gemm_chain_links(self, marked):
+        """Fig. 15's program: every link is ``o = alpha_k * x * y``.  A
+        constant factor still contracts (``alpha * einsum``) once the
+        Vectorization step marks the map; unmarked links never do."""
+        from repro.transformations import (
+            Vectorization,
+            apply_transformations_repeated,
+        )
+        from repro.workloads import kernels
+
+        sdfg = kernels.gemm_chain_sdfg()
+        if marked:
+            assert apply_transformations_repeated(sdfg, Vectorization) == 16
+        comp = compile_sdfg(sdfg)
+        tiers = {r["map"]: r["tier"] for r in comp.lowering}
+        if marked:
+            assert "1.125 * np.einsum(" in comp.source
+            assert tiers == {"gemm": "contraction", "zero": "slice"}
+        else:
+            assert "einsum" not in comp.source
+            assert tiers == {"gemm": "slice", "zero": "slice"}
+        data = kernels.gemm_chain_data(12)
+        comp(**data)
+        np.testing.assert_allclose(
+            data["C"], kernels.gemm_chain_reference(data), rtol=1e-9, atol=0
+        )
+
+    def test_pure_product_detection(self):
+        from repro.codegen.pytranslate import detect_pure_product as detect
+
+        assert detect("o = x * y", ["x", "y"], "o") == 1
+        assert detect("o = 1.125 * x * y", ["x", "y"], "o") == 1.125
+        assert detect("o = x * -2 * y * 0.5", ["x", "y"], "o") == -1.0
+        assert detect("o = x * y + 1", ["x", "y"], "o") is None
+        assert detect("o = x * x", ["x", "y"], "o") is None
+        assert detect("o = True * x * y", ["x", "y"], "o") is None
+        assert detect("p = x * y", ["x", "y"], "o") is None
+
+
 class TestLoopFallback:
     def test_indirect_access(self):
         sdfg = SDFG("gather")

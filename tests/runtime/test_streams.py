@@ -1,6 +1,7 @@
 """Stream container runtime: FIFO semantics and the structured E101
 out-of-bounds diagnostic that replaced the raw ``IndexError``."""
 
+import numpy as np
 import pytest
 
 from repro.runtime.streams import StreamArray, StreamError, StreamQueue
@@ -26,6 +27,66 @@ def test_queue_capacity_overflow():
 def test_queue_pop_empty():
     with pytest.raises(RuntimeError, match="empty"):
         StreamQueue().pop()
+
+
+# -------------------------------------------------- bulk push and drain
+def _filled(capacity, items):
+    q = StreamQueue(capacity)
+    q.push(*items)
+    return q
+
+
+@pytest.mark.parametrize("bulk", [[4, 5, 6], np.array([4, 5, 6])])
+def test_push_many_is_a_run_of_pushes(bulk):
+    one, many = _filled(0, [1, 2]), _filled(0, [1, 2])
+    one.push(*bulk)
+    many.push_many(bulk)
+    assert len(many) == len(one) == 5 and bool(many)
+    assert list(many) == list(one) == [1, 2, 4, 5, 6]
+    many.push(7)  # elements pushed after a bulk push stay behind it
+    assert [many.pop() for _ in range(6)] == [1, 2, 4, 5, 6, 7]
+    assert not many and len(many) == 0
+
+
+@pytest.mark.parametrize("bulk", [list(range(10)), np.arange(10)])
+def test_push_many_overflows_at_the_same_element_as_push(bulk):
+    one, many = _filled(5, [0, 0]), _filled(5, [0, 0])
+    with pytest.raises(RuntimeError) as e1:
+        one.push(*bulk)
+    with pytest.raises(RuntimeError) as e2:
+        many.push_many(bulk)
+    assert str(e1.value) == str(e2.value)
+    assert list(many) == list(one) == [0, 0, 0, 1, 2]
+    with pytest.raises(RuntimeError, match="overflow"):
+        many.push_many([9])  # full: not even one more
+    many.push_many([])
+
+
+def test_push_many_copies_the_callers_array():
+    src = np.arange(4.0)
+    q = StreamQueue()
+    q.push_many(src[1:])
+    src[:] = -1
+    assert list(q.drain()) == [1.0, 2.0, 3.0]
+
+
+def test_drain_empties_in_fifo_order():
+    q = _filled(0, [1, 2])
+    q.push_many(np.array([3, 4]))
+    q.push_many(np.array([5]))
+    got = q.drain()
+    assert isinstance(got, np.ndarray) and got.tolist() == [1, 2, 3, 4, 5]
+    empty = q.drain()
+    assert len(q) == 0 and isinstance(empty, np.ndarray) and empty.shape == (0,)
+    with pytest.raises(RuntimeError, match="empty"):
+        q.pop()
+    # One bulk push drains as the array itself: no per-element work.
+    q.push_many(np.array([7.5, 8.5]))
+    got = q.drain()
+    assert isinstance(got, np.ndarray) and got.tolist() == [7.5, 8.5]
+    q.push_many(np.array([1, 2]))
+    q.clear()
+    assert not q
 
 
 # ------------------------------------------------------------ StreamArray
