@@ -258,12 +258,17 @@ class Integer(Expr):
 
 
 class Real(Expr):
-    """Floating-point literal (rare in the IR; used by WCR identities)."""
+    """Floating-point literal (rare in the IR; used by WCR identities).
+
+    ``-0.0`` is stored as ``0.0``: the two compare and hash equal, so
+    normalizing them keeps every memo keyed on structural equality from
+    returning a differently-rendered result for an "equal" argument.
+    """
 
     __slots__ = ("value",)
 
     def __init__(self, value: float):
-        object.__setattr__(self, "value", float(value))
+        object.__setattr__(self, "value", float(value) + 0.0)
 
     def _key(self) -> Tuple:
         return (self.value,)
@@ -366,7 +371,11 @@ class Add(_NAry):
     __slots__ = ()
 
     @staticmethod
+    @memo.cached("add")
     def make(*args: Expr) -> Expr:
+        # Memoized on the argument tuple: structurally equal arguments are
+        # the same value (Real stores -0.0 as 0.0), and Reals fold through
+        # Fraction anyway; a NaN Real makes Fraction raise, so never caches.
         terms: Dict[Expr, Fraction] = {}
         const = Fraction(0)
         has_float = False
@@ -417,7 +426,9 @@ class Mul(_NAry):
     __slots__ = ()
 
     @staticmethod
+    @memo.cached("mul")
     def make(*args: Expr) -> Expr:
+        # Memoized like Add.make; Reals fold through Fraction here too.
         coeff = Fraction(1)
         has_float = False
         powers: Dict[Expr, Expr] = {}

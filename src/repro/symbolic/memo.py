@@ -1,8 +1,10 @@
 """Shared memoization substrate for the symbolic engine (hot-path PR).
 
-Expressions are immutable and hashable, so results of pure functions over
-them — parsing, substitution, canonical simplification, subset images,
-memlet-volume propagation — can be cached on structural identity.  Each
+Expressions, ranges and subsets are immutable and hashable, so results
+of pure functions over them — canonical ``Add``/``Mul`` construction,
+parsing, substitution, canonical simplification, sign decisions, subset
+parsing and images, memlet-volume propagation — can be cached on
+structural identity.  Each
 named cache is a plain dict with wholesale clearing when it grows past
 :data:`MAX_ENTRIES` (the working set of a compile rebuilds immediately,
 and clearing wholesale avoids LRU bookkeeping on the hot path).
@@ -16,6 +18,7 @@ deltas as ``symcache`` instrumentation events.
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Callable, Dict, Tuple
 
 #: Per-cache entry cap; a full cache is cleared wholesale rather than
@@ -27,15 +30,20 @@ _HITS: Dict[str, int] = {}
 _MISSES: Dict[str, int] = {}
 
 
-def memoized(name: str, key: Any, compute: Callable[[], Any]) -> Any:
-    """Return the cached value for ``key`` in cache ``name``, computing
-    (and storing) it on a miss.  Unhashable keys bypass the cache and
-    count as misses."""
+def _table(name: str) -> Dict[Any, Any]:
     cache = _CACHES.get(name)
     if cache is None:
         cache = _CACHES[name] = {}
         _HITS.setdefault(name, 0)
         _MISSES.setdefault(name, 0)
+    return cache
+
+
+def memoized(name: str, key: Any, compute: Callable[[], Any]) -> Any:
+    """Return the cached value for ``key`` in cache ``name``, computing
+    (and storing) it on a miss.  Unhashable keys bypass the cache and
+    count as misses."""
+    cache = _table(name)
     try:
         value = cache[key]
     except KeyError:
@@ -50,6 +58,36 @@ def memoized(name: str, key: Any, compute: Callable[[], Any]) -> Any:
         return compute()
     _HITS[name] += 1
     return value
+
+
+def cached(name: str) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
+    """Decorator form of :func:`memoized` for a pure function of
+    hashable positional arguments, keyed on the argument tuple.  The
+    hot-path constructors use it: no closure is built per call."""
+
+    def decorate(fn: Callable[..., Any]) -> Callable[..., Any]:
+        cache = _table(name)
+
+        @functools.wraps(fn)
+        def wrapper(*args: Any) -> Any:
+            try:
+                value = cache[args]
+            except KeyError:
+                _MISSES[name] += 1
+                value = fn(*args)
+                if len(cache) >= MAX_ENTRIES:
+                    cache.clear()
+                cache[args] = value
+                return value
+            except TypeError:  # unhashable argument — bypass, don't fail
+                _MISSES[name] += 1
+                return fn(*args)
+            _HITS[name] += 1
+            return value
+
+        return wrapper
+
+    return decorate
 
 
 def stats() -> Dict[str, Dict[str, int]]:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.symbolic import memo
 from repro.symbolic.expr import (
     Add,
     CeilDiv,
@@ -43,18 +44,27 @@ _PROBE_VALUES = (101, 257, 1021, 4099, 65537)
 
 
 def linear_coefficient(e: Expr, sym: Symbol) -> Optional[Expr]:
-    """Return ``c`` if ``e`` is linear in ``sym`` (``e = c*sym + d``), else None."""
-    d1 = (e.subs({sym: Symbol(sym.name)})).subs({sym: 1}) - e.subs({sym: 0})
-    d2 = e.subs({sym: 2}) - e.subs({sym: 1})
-    if d1 == d2:
-        return d1
-    return None
+    """Return ``c`` if ``e`` is linear in ``sym`` (``e = c*sym + d``), else None.
+
+    Equal differences at 0, 1, 2 are necessary but not sufficient (the
+    cubic ``p*(p-1)*(p-2)`` has them), so ``c`` must also be free of
+    ``sym`` and the canonical ``e - c*sym`` must be.  None is the sound
+    answer: callers fall back to a Min/Max envelope.
+    """
+    c = e.subs({sym: 1}) - e.subs({sym: 0})
+    if c != e.subs({sym: 2}) - e.subs({sym: 1}) or sym in c.free_symbols:
+        return None
+    if sym in (e - c * sym).free_symbols:
+        return None
+    return c
 
 
-def decide_nonnegative(e: Expr, positive_symbols: bool = True) -> Optional[bool]:
+@memo.cached("nonneg")
+def decide_nonnegative(e: Expr) -> Optional[bool]:
     """Best-effort decision of ``e >= 0`` under the all-symbols-positive model.
 
     Returns True/False when confident, None when genuinely undecidable.
+    A pure function of ``e``, memoized on it.
     """
     if isinstance(e, Integer):
         return e.value >= 0
@@ -92,9 +102,12 @@ class Range:
 
     ``tile > 1`` means each index denotes a block of ``tile`` consecutive
     elements (used by :class:`~repro.transformations`' Vectorization).
+
+    Immutable like :class:`Expr` (so memoized parses and images may share
+    one instance between graphs); the rendered string is cached.
     """
 
-    __slots__ = ("start", "end", "step", "tile")
+    __slots__ = ("start", "end", "step", "tile", "_str")
 
     def __init__(
         self,
@@ -103,12 +116,23 @@ class Range:
         step: ExprLike = 1,
         tile: ExprLike = 1,
     ):
-        self.start = sympify(start)
-        self.end = sympify(end)
-        self.step = sympify(step)
-        self.tile = sympify(tile)
-        if self.step == Integer(0):
+        step = sympify(step)
+        if step == Integer(0):
             raise ValueError("range step must be nonzero")
+        object.__setattr__(self, "start", sympify(start))
+        object.__setattr__(self, "end", sympify(end))
+        object.__setattr__(self, "step", step)
+        object.__setattr__(self, "tile", sympify(tile))
+        object.__setattr__(self, "_str", None)
+
+    def __setattr__(self, *a):
+        raise AttributeError("Range is immutable")
+
+    def __copy__(self) -> "Range":
+        return self
+
+    def __deepcopy__(self, _memo) -> "Range":
+        return self
 
     @staticmethod
     def point(index: ExprLike) -> "Range":
@@ -200,6 +224,13 @@ class Range:
         return hash((self.start, self.end, self.step, self.tile))
 
     def __str__(self) -> str:
+        s = self._str
+        if s is None:
+            s = self._to_str()
+            object.__setattr__(self, "_str", s)
+        return s
+
+    def _to_str(self) -> str:
         if self.is_point():
             return str(self.start)
         s = f"{self.start}:{self.end}"
@@ -214,17 +245,30 @@ class Range:
 
 
 class Subset:
-    """A multi-dimensional subset: one :class:`Range` per dimension."""
+    """A multi-dimensional subset: one :class:`Range` per dimension.
+
+    Immutable like :class:`Range`; copies are the object itself.
+    """
 
     __slots__ = ("ranges",)
 
     def __init__(self, ranges: Iterable[Range]):
-        self.ranges = tuple(ranges)
+        object.__setattr__(self, "ranges", tuple(ranges))
+
+    def __setattr__(self, *a):
+        raise AttributeError("Subset is immutable")
+
+    def __copy__(self) -> "Subset":
+        return self
+
+    def __deepcopy__(self, _memo) -> "Subset":
+        return self
 
     # -- constructors --------------------------------------------------------
     @staticmethod
+    @memo.cached("subset")
     def from_string(text: str) -> "Subset":
-        """Parse ``"0:N, k, 2*i:2*i+2"`` into a subset."""
+        """Parse ``"0:N, k, 2*i:2*i+2"`` into a subset (memoized on ``text``)."""
         dims = _split_toplevel_commas(text)
         ranges = []
         for dim in dims:
@@ -354,8 +398,6 @@ class Subset:
         Subsets and ranges are immutable, so results are memoized on
         (subset, parameter ranges) identity.
         """
-        from repro.symbolic import memo
-
         try:
             key = (self, tuple(sorted(params.items())))
         except TypeError:

@@ -411,8 +411,10 @@ def _expand(
 
     parent_label = variant.label()
     children: List[_Variant] = []
+    # Enumeration only reads the graph (after an idempotent propagate), so
+    # one parse of the variant serves every transformation in the pool.
+    probe = sdfg_from_json(variant.snapshot)
     for name in cfg.pool():
-        probe = sdfg_from_json(variant.snapshot)
         try:
             n_matches = len(enumerate_matches(probe, name))
         except Exception as err:  # noqa: BLE001 - enumeration itself failed

@@ -2,10 +2,16 @@
 results must be indistinguishable from uncached recomputation, and the
 hit/miss counters must be monotonic."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.symbolic import (
     Integer,
+    Max,
+    Pow,
+    Range,
+    Real,
+    Subset,
     Symbol,
     cache_snapshot,
     cache_stats,
@@ -14,6 +20,7 @@ from repro.symbolic import (
     simplify,
 )
 from repro.symbolic import memo
+from repro.symbolic.sets import decide_nonnegative
 
 SYMS = ("N", "M", "K", "TSTEPS")
 
@@ -36,6 +43,16 @@ def exprs(max_leaves: int = 10) -> st.SearchStrategy:
         )
 
     return st.recursive(base, extend, max_leaves=max_leaves)
+
+
+def subsets() -> st.SearchStrategy:
+    rng = st.one_of(
+        exprs(max_leaves=4).map(Range.point),
+        st.tuples(exprs(max_leaves=4), exprs(max_leaves=4)).map(
+            lambda ab: Range(ab[0], ab[1])
+        ),
+    )
+    return st.lists(rng, min_size=1, max_size=3).map(Subset)
 
 
 #: Polybench-style size bindings: every size symbol in [1, 128].
@@ -71,6 +88,70 @@ class TestMemoizedEqualsUncached:
         fresh = parse_expr(text)
         assert cached == fresh
         assert cached.evaluate(env) == fresh.evaluate(env)
+
+    @pytest.mark.parametrize(
+        "op",
+        [lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b],
+        ids=["add", "sub", "mul"],
+    )
+    @settings(max_examples=150, deadline=None)
+    @given(a=exprs(max_leaves=6), b=exprs(max_leaves=6), env=bindings)
+    def test_arithmetic(self, op, a, b, env):
+        op(a, b)
+        cached = op(a, b)  # served by the add/mul tables
+        clear_caches()
+        fresh = op(a, b)
+        assert cached == fresh and str(cached) == str(fresh)
+        assert cached.evaluate(env) == op(a.evaluate(env), b.evaluate(env))
+
+    @settings(max_examples=150, deadline=None)
+    @given(e=exprs())
+    def test_decide_nonnegative(self, e):
+        decide_nonnegative(e)
+        cached = decide_nonnegative(e)
+        clear_caches()
+        assert cached is decide_nonnegative(e)
+
+    @settings(max_examples=100, deadline=None)
+    @given(s=subsets())
+    def test_subset_from_string(self, s):
+        text = str(s)
+        Subset.from_string(text)
+        cached = Subset.from_string(text)
+        clear_caches()
+        fresh = Subset.from_string(text)
+        assert cached == fresh and str(cached) == str(fresh)
+
+    def test_signed_zero_reals_key_identically(self):
+        # Real(0.0) == Real(-0.0) structurally, so they share memo keys;
+        # both must produce the same (identically rendered) results.
+        N = Symbol("N")
+        pos, neg = Real(0.0), Real(-0.0)
+        assert pos == neg and hash(pos) == hash(neg) and str(neg) == "0.0"
+        for op in (lambda z: z + N, lambda z: z * N, lambda z: N - z,
+                   lambda z: Max.make(z, N), lambda z: Pow.make(z, N)):
+            clear_caches()
+            first = op(pos)
+            warm = op(neg)  # hits the entry keyed with Real(0.0)
+            clear_caches()
+            cold = op(neg)
+            assert first == warm == cold
+            assert str(first) == str(warm) == str(cold)
+
+
+class TestImmutability:
+    def test_range_and_subset_reject_attribute_writes(self):
+        s = Subset.from_string("0:N, i")
+        with pytest.raises(AttributeError):
+            s.ranges = ()
+        with pytest.raises(AttributeError):
+            s[0].start = Integer(1)
+        with pytest.raises(AttributeError):
+            s[0].end = Integer(1)
+        assert str(s) == "0:N, i"
+
+    def test_memoized_parse_shares_one_subset(self):
+        assert Subset.from_string("0:N, i") is Subset.from_string("0:N, i")
 
 
 class TestCounters:

@@ -187,3 +187,14 @@ class TestDecisionProcedure:
         assert linear_coefficient(N - i, i) == Integer(-1)
         assert linear_coefficient(i * i, i) is None
         assert linear_coefficient(N * i, i) == N
+
+    def test_cubic_with_equal_differences_is_not_linear(self):
+        # e(0) = e(1) = e(2) = 0, so the two-point difference test alone
+        # would call it linear with coefficient 0.
+        p = Symbol("p")
+        cubic = -p * (p - 1) * (p - 2)
+        assert linear_coefficient(cubic, p) is None
+        img = Subset([Range.point(cubic)]).image({"p": Range(0, 10)})
+        lo, hi = img[0].min_element(), img[0].max_element()
+        # True footprint over p in 0..9 is -504..0; the envelope covers it.
+        assert lo.evaluate({}) <= -504 and hi.evaluate({}) >= 0

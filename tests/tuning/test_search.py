@@ -172,6 +172,38 @@ class TestSearchDrivers:
         )
 
 
+class TestMemoStateInvariance:
+    """The symbolic memo tables are a pure cache: a search that starts on
+    cleared tables and one that starts on warm tables are the same search."""
+
+    @pytest.mark.parametrize("name", ["gemm", "atax"])
+    def test_cold_and_warm_memo_give_identical_search(self, name):
+        from repro.symbolic import clear_caches
+        from repro.workloads import polybench
+
+        kernel = polybench.get(name)
+
+        def run():
+            result = tune(
+                kernel.make_sdfg(),
+                cost="analytic",
+                symbols=kernel.sizes,
+                strategy="greedy",
+            )
+            return (
+                [(c.status, c.score) for c in result.report.candidates],
+                result.report.budget_used,
+                result.history,
+                content_hash(result.sdfg),
+            )
+
+        clear_caches()
+        cold = run()
+        warm = run()
+        assert cold == warm
+        assert cold[0], "search recorded no candidates"
+
+
 class TestReportAndInstrumentation:
     def test_report_json_round_trip(self, tmp_path):
         result = tune(
