@@ -4,7 +4,10 @@ The catalog is documentation *and* contract: ``python -m repro.chaos
 list`` prints it, ``FaultPlan.parse(strict=True)`` validates plans
 against it, and the chaos test suite asserts that each registered point
 spans the layer it claims.  Keep entries in sync with the
-``faultpoint(...)`` call sites — there is a test that greps for them.
+``faultpoint(...)`` call sites — ``tests/chaos/test_engine.py`` checks
+that each name is a literal in its ``module`` and that every literal
+call site is registered.  Shared code (:mod:`repro.store`) receives the
+names from the registered module rather than spelling them itself.
 """
 
 from __future__ import annotations

@@ -202,7 +202,7 @@ class CompiledSDFG:
         from repro.runtime.isolation import BackendCrashError
         from repro.runtime.watchdog import BREAKERS, RetryPolicy, WatchdogViolation
 
-        policy = RetryPolicy.from_env()
+        policy = None  # built on the first contained crash only
         attempt = 0
         while True:
             try:
@@ -223,6 +223,8 @@ class CompiledSDFG:
             except BackendCrashError as err:
                 # The crash was contained by the subprocess harness and
                 # the caller's arrays are intact: retry, then degrade.
+                if policy is None:
+                    policy = RetryPolicy.from_env()
                 if attempt < policy.retries:
                     time.sleep(policy.delay(attempt))
                     attempt += 1

@@ -12,11 +12,9 @@ in-process hit — even ``exec``.  The cache is two-tier:
 
 * an in-memory LRU (``OrderedDict``) holding the entry *and* the already
   ``exec``'d entry callable, and
-* an optional on-disk tier (one JSON file per entry) following the
-  :class:`repro.tuning.cache.TuningCache` conventions: schema-versioned
-  entries, **atomic writes** via ``os.replace``, **mtime-LRU eviction**,
-  and **corrupt-entry quarantine** (unreadable or mismatched files are
-  deleted and counted as misses, never raised).
+* an optional on-disk tier, one JSON file per entry in a
+  :class:`repro.store.Store` (atomic writes, mtime-LRU eviction, corrupt
+  entries deleted and counted as misses; DESIGN.md §16).
 
 Selection is explicit: the cache is *off* by default so existing
 pipelines (and the fault-injection harness, which relies on backends
@@ -28,14 +26,11 @@ cache="memory"|"disk")``, a :class:`ProgramCache` instance, or the
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.chaos import faultpoint
-from repro.filelock import FileLock
-from repro.telemetry.sink import active_sink
+from repro.store import Store, content_key
 
 #: Bump whenever generated-code semantics change; part of every key, so
 #: old entries become unreachable (and age out by LRU) rather than stale.
@@ -43,7 +38,7 @@ from repro.telemetry.sink import active_sink
 #: v4: strided-view, ragged and predicated map lowerings; bulk stream copies.
 CODEGEN_VERSION = 4
 
-#: Entry file layout version; mismatched files are quarantined as misses.
+#: Entry file layout version; mismatched files are deleted as misses.
 CACHE_SCHEMA_VERSION = 1
 
 
@@ -54,16 +49,8 @@ def program_key(sdfg_hash: str, backend: str, variant: str = "") -> str:
     graph (e.g. ``"sanitize"`` for guarded codegen) so a sanitized build
     never shadows — or is shadowed by — the plain one.
     """
-    h = hashlib.sha256()
-    h.update(sdfg_hash.encode())
-    h.update(b"\x00")
-    h.update(backend.encode())
-    h.update(b"\x00")
-    h.update(str(CODEGEN_VERSION).encode())
-    if variant:
-        h.update(b"\x00")
-        h.update(variant.encode())
-    return h.hexdigest()
+    parts = (sdfg_hash, backend, str(CODEGEN_VERSION))
+    return content_key(*parts, variant) if variant else content_key(*parts)
 
 
 class ProgramCacheEntry:
@@ -107,8 +94,8 @@ class ProgramCacheEntry:
         self.lowering = list(lowering or [])
 
     def to_json(self) -> Dict[str, Any]:
+        """The entry record; the store adds ``schema``."""
         return {
-            "schema": CACHE_SCHEMA_VERSION,
             "key": self.key,
             "backend": self.backend,
             "sdfg_name": self.sdfg_name,
@@ -121,12 +108,11 @@ class ProgramCacheEntry:
         }
 
     @staticmethod
-    def from_json(obj: Any) -> "ProgramCacheEntry":
+    def from_json(obj: Dict[str, Any]) -> "ProgramCacheEntry":
+        """Rebuild an entry from a sound store record (``key`` and
+        ``schema`` are the store's checks)."""
         if (
-            not isinstance(obj, dict)
-            or obj.get("schema") != CACHE_SCHEMA_VERSION
-            or obj.get("codegen_version") != CODEGEN_VERSION
-            or not isinstance(obj.get("key"), str)
+            obj.get("codegen_version") != CODEGEN_VERSION
             or not isinstance(obj.get("source"), str)
             or not isinstance(obj.get("arg_arrays"), list)
             or not isinstance(obj.get("symbol_order"), list)
@@ -146,7 +132,8 @@ class ProgramCacheEntry:
 
 
 class ProgramCache:
-    """Two-tier (memory + optional disk) LRU cache of generated programs."""
+    """Memory LRU of ``exec``'d programs over an on-disk
+    :class:`~repro.store.Store` (memory only when ``cache_dir`` is None)."""
 
     def __init__(self, cache_dir: Optional[str] = None, max_entries: int = 256):
         self.cache_dir = cache_dir
@@ -155,38 +142,14 @@ class ProgramCache:
         self._memory: "OrderedDict[str, Tuple[ProgramCacheEntry, Optional[Callable]]]" = (
             OrderedDict()
         )
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.evictions = 0
-        self.corrupt = 0
-        if cache_dir:
-            os.makedirs(cache_dir, exist_ok=True)
+        self.disk = Store(
+            cache_dir, "progcache", CACHE_SCHEMA_VERSION,
+            read_point="progcache.disk_read",
+            write_point="progcache.disk_write",
+            max_entries=self.max_entries,
+            decode=ProgramCacheEntry.from_json,
+        )
 
-    def _tap(self, event: str, n: int = 1) -> None:
-        """Mirror one counter bump into the active telemetry sink."""
-        sink = active_sink()
-        if sink is not None:
-            sink.publish("cache", "progcache", fields={"event": event, "n": n})
-
-    # ---------------------------------------------------------------- paths
-    def _path(self, key: str) -> str:
-        assert self.cache_dir is not None
-        return os.path.join(self.cache_dir, f"{key}.json")
-
-    def _dir_lock(self) -> Optional[FileLock]:
-        """Cross-process lock serializing multi-file disk operations
-        (eviction, quarantine) against other worker processes sharing
-        this cache directory.  Single-file writes stay lock-free — they
-        are already atomic via ``os.replace``.  Best-effort: a lock that
-        cannot be acquired degrades to the lock-free behavior rather
-        than failing the compile."""
-        if self.cache_dir is None:
-            return None
-        lock = FileLock(os.path.join(self.cache_dir, ".lock"), timeout=5.0)
-        return lock if lock.acquire(best_effort=True) else None
-
-    # --------------------------------------------------------------- lookup
     def lookup(self, key: str) -> Optional[Tuple[ProgramCacheEntry, Optional[Callable]]]:
         """Return ``(entry, callable_or_None)`` on a hit, None on a miss.
 
@@ -198,45 +161,11 @@ class ProgramCache:
         cached = self._memory.get(key)
         if cached is not None:
             self._memory.move_to_end(key)
-            self.hits += 1
-            self._tap("hit")
+            self.disk.count("hit")
             return cached
-        if self.cache_dir is None:
-            self.misses += 1
-            self._tap("miss")
+        entry = self.disk.get(key)
+        if entry is None:
             return None
-        path = self._path(key)
-        try:
-            with open(path) as f:
-                raw = f.read()
-            raw = faultpoint("progcache.disk_read", payload=raw)
-            entry = ProgramCacheEntry.from_json(json.loads(raw))
-            if entry.key != key:
-                raise ValueError("key mismatch in program cache entry")
-        except FileNotFoundError:
-            self.misses += 1
-            self._tap("miss")
-            return None
-        except (OSError, ValueError, json.JSONDecodeError):
-            self.corrupt += 1
-            self.misses += 1
-            self._tap("corrupt")
-            self._tap("miss")
-            lock = self._dir_lock()
-            try:
-                os.remove(path)
-            except OSError:
-                pass
-            finally:
-                if lock is not None:
-                    lock.release()
-            return None
-        self.hits += 1
-        self._tap("hit")
-        try:
-            os.utime(path)  # refresh LRU recency
-        except OSError:
-            pass
         self._remember(key, entry, None)
         return self._memory[key]
 
@@ -247,82 +176,28 @@ class ProgramCache:
         if cached is not None and cached[1] is None:
             self._memory[key] = (cached[0], fn)
 
-    # ---------------------------------------------------------------- store
     def store(self, key: str, entry: ProgramCacheEntry, fn: Optional[Callable] = None) -> None:
-        """Store an entry in both tiers (disk write is atomic)."""
+        """Store an entry in both tiers; the disk write is best-effort.
+        Aliases are written under their own ``key``."""
         self._remember(key, entry, fn)
-        self.stores += 1
-        self._tap("store")
-        if self.cache_dir is None:
-            return
-        record = entry.to_json()
-        record["key"] = key  # aliases store under their own key
-        path = self._path(key)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        try:
-            data = json.dumps(record, indent=1, sort_keys=True)
-            # A `corrupt` rule here lands a genuinely torn entry on disk
-            # (quarantined by the next read or by fsck); `raise-io` /
-            # `enospc` exercise the store-is-best-effort contract.
-            data = faultpoint("progcache.disk_write", payload=data)
-            with open(tmp, "w") as f:
-                f.write(data)
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.remove(tmp)
-            except OSError:
-                pass
-            return
-        self._evict_disk()
+        self.disk.count("store")
+        self.disk.put(key, entry.to_json())
 
     def _remember(self, key: str, entry: ProgramCacheEntry, fn: Optional[Callable]) -> None:
         self._memory[key] = (entry, fn)
         self._memory.move_to_end(key)
         while len(self._memory) > self.max_entries:
             self._memory.popitem(last=False)
-            self.evictions += 1
-            self._tap("evict")
+            self.disk.count("evict")
 
-    # ------------------------------------------------------------- eviction
-    def _evict_disk(self) -> None:
-        lock = self._dir_lock()
-        try:
-            try:
-                names = os.listdir(self.cache_dir)
-            except OSError:
-                return
-            entries = []
-            for name in names:
-                if not name.endswith(".json"):
-                    continue
-                path = os.path.join(self.cache_dir, name)
-                try:
-                    entries.append((os.path.getmtime(path), path))
-                except OSError:
-                    continue
-            if len(entries) <= self.max_entries:
-                return
-            entries.sort()  # oldest mtime first
-            for _, path in entries[: len(entries) - self.max_entries]:
-                try:
-                    os.remove(path)
-                    self.evictions += 1
-                    self._tap("evict")
-                except OSError:
-                    pass
-        finally:
-            if lock is not None:
-                lock.release()
-
-    # ------------------------------------------------------------- counters
     def stats(self) -> Dict[str, int]:
+        counts = self.disk.counts
         return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "evictions": self.evictions,
-            "corrupt": self.corrupt,
+            "hits": counts["hit"],
+            "misses": counts["miss"],
+            "stores": counts["store"],
+            "evictions": counts["evict"],
+            "corrupt": counts["corrupt"],
             "memory_entries": len(self._memory),
         }
 

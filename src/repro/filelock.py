@@ -1,14 +1,13 @@
-"""Cross-process file locking for the on-disk caches.
+"""Cross-process file locking for the on-disk store.
 
-The :class:`~repro.codegen.progcache.ProgramCache` and
-:class:`~repro.tuning.cache.TuningCache` disk tiers already write
-atomically (``os.replace``), which is enough for single-writer use.  The
-worker pool of :mod:`repro.serve` breaks that assumption: many worker
-processes share one cache directory, and concurrent *LRU eviction* and
-*corrupt-entry quarantine* race — two processes can both decide to evict
-the same set of files, or a reader can quarantine an entry a writer is
-mid-refresh on.  :class:`FileLock` serializes those multi-file critical
-sections.
+Entries of a :class:`~repro.store.Store` (the program and tuning cache
+disk tiers) are written atomically (``os.replace``), which is enough
+for single-writer use.  The worker pool of :mod:`repro.serve` breaks
+that assumption: many worker processes share one cache directory, and
+concurrent *LRU eviction* and *corrupt-entry deletion* race — two
+processes can both decide to evict the same set of files, or a reader
+can delete an entry a writer is mid-refresh on.  :class:`FileLock`
+serializes those multi-file critical sections.
 
 Implementation: ``fcntl.flock`` on a dedicated ``.lock`` file when the
 platform has it (Linux/macOS — always true for this repo's CI), with an
@@ -155,8 +154,3 @@ class FileLock:
 
     def __exit__(self, *exc) -> None:
         self.release()
-
-
-def cache_lock(cache_dir: str) -> FileLock:
-    """The conventional lock guarding one cache directory."""
-    return FileLock(os.path.join(cache_dir, ".lock"))

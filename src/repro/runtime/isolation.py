@@ -27,20 +27,19 @@ process spawn and array round-trip matter).
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
-import threading
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.chaos import faultpoint
 from repro.diagnostics import DiagnosticError, Severity, make_diagnostic
+from repro.store import write_bundle
 
 
 class BackendCrashError(DiagnosticError):
@@ -90,98 +89,23 @@ def crash_keep() -> int:
         return DEFAULT_CRASH_KEEP
 
 
-def rotate_crash_bundles(root: Optional[str] = None,
-                         keep: Optional[int] = None) -> int:
-    """Delete this process's oldest crash bundles beyond ``keep``.
-
-    Bundle names embed the writer's pid and a monotonic sequence number
-    (``<stem>_<pid>_<seq>``), so rotation is scoped to the calling
-    process — a supervisor cleaning up after itself never deletes a
-    sibling's fresh bundle.  Returns the number removed and publishes a
-    ``crash:rotated`` telemetry event when any were.
-    """
-    root = root or crash_dir()
-    keep = crash_keep() if keep is None else max(1, int(keep))
-    tag = f"_{os.getpid()}_"
-    try:
-        names = os.listdir(root)
-    except OSError:
-        return 0
-    mine = []
-    for name in names:
-        if tag not in name:
-            continue
-        path = os.path.join(root, name)
-        if not os.path.isdir(path):
-            continue
-        try:
-            seq = int(name.rsplit("_", 1)[1])
-        except (ValueError, IndexError):
-            continue
-        mine.append((seq, path))
-    mine.sort()
-    removed = 0
-    for _, path in mine[: max(0, len(mine) - keep)]:
-        shutil.rmtree(path, ignore_errors=True)
-        removed += 1
-    if removed:
-        from repro.telemetry.sink import active_sink
-
-        sink = active_sink()
-        if sink is not None:
-            sink.publish("crash", "rotated",
-                         fields={"n": removed, "keep": keep})
-    return removed
-
-
-#: Monotonic per-process crash counter: bundle directory names are
-#: ``<sdfg>_<pid>_<counter>`` so two workers (distinct pids) or two
-#: crashes in one process (distinct counters) can never collide — and,
-#: unlike ``mkdtemp``, the name deterministically identifies which
-#: process crashed in what order, which the pool supervisor logs.
-_BUNDLE_COUNTER = itertools.count()
-_BUNDLE_LOCK = threading.Lock()
-
-
-def _unique_bundle_dir(root: str, stem: str) -> str:
-    """Create and return a collision-free per-crash directory."""
-    while True:
-        with _BUNDLE_LOCK:
-            seq = next(_BUNDLE_COUNTER)
-        path = os.path.join(root, f"{stem}_{os.getpid()}_{seq:06d}")
-        try:
-            os.makedirs(path, exist_ok=False)
-            return path
-        except FileExistsError:
-            # A previous process run left this name behind; advance.
-            continue
-
-
 def write_crash_bundle(sdfg, manifest: Dict, stderr: str) -> Optional[str]:
     """Persist a minimized repro bundle; returns its path (None if the
     bundle itself could not be written — never masks the crash)."""
-    try:
-        from repro.sdfg.serialize import sdfg_to_json
+    from repro.sdfg.serialize import sdfg_to_json
 
-        root = crash_dir()
-        os.makedirs(root, exist_ok=True)
-        faultpoint("isolation.bundle_write", sdfg=manifest.get("sdfg"))
-        safe = "".join(
-            c if c.isalnum() or c in "-_." else "_"
-            for c in str(manifest.get("sdfg", "sdfg"))
-        )
-        bundle = _unique_bundle_dir(root, safe or "sdfg")
-        with open(os.path.join(bundle, "sdfg.json"), "w") as f:
-            json.dump(sdfg_to_json(sdfg, canonical=True), f, indent=2, sort_keys=True)
-        slim = {k: v for k, v in manifest.items() if k != "lib"}
-        with open(os.path.join(bundle, "manifest.json"), "w") as f:
-            json.dump(slim, f, indent=2, sort_keys=True)
-        with open(os.path.join(bundle, "stderr.txt"), "w") as f:
-            f.write(stderr or "")
-        rotate_crash_bundles(root)
-        return bundle
-    except OSError:
-        return None
+    return write_bundle(
+        crash_dir(),
+        str(manifest.get("sdfg") or "sdfg"),
+        manifest={k: v for k, v in manifest.items() if k != "lib"},
+        files={
+            "sdfg.json": sdfg_to_json(sdfg, canonical=True),
+            "stderr.txt": stderr or "",
+        },
+        keep=crash_keep(),
+        point="isolation.bundle_write",
+        sdfg=manifest.get("sdfg"),
+    )
 
 
 def _repo_pythonpath() -> str:

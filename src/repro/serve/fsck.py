@@ -3,17 +3,18 @@
 A crash — real or injected — can leave three kinds of debris behind:
 
 * **torn cache entries**: a disk cache file that is not valid JSON or
-  whose recorded key does not match its filename (a write that died
-  between ``open`` and ``os.replace``, or a corruption injected by the
-  chaos layer).  These are *quarantined* (moved into a ``.quarantine/``
-  sibling) rather than deleted, so a real incident keeps its evidence;
-* **orphaned temp files**: ``*.tmp.<pid>`` staging files whose writer
-  died before the atomic rename.  Removed;
+  whose recorded key does not match its filename (a corruption injected
+  by the chaos layer, or a file written outside the store).  These are
+  *quarantined* (moved into a ``.quarantine/`` sibling) rather than
+  deleted, so a real incident keeps its evidence;
+* **orphaned staging files**: ``*.tmp.*`` files whose writer died before
+  the atomic rename.  Removed;
 * **stale crash bundles**: bundle directories missing their
   ``manifest.json`` (the writer died mid-bundle — quarantined), plus
   any overflow beyond the global retention cap (rotated away, oldest
   first).
 
+The definitions are the store's (:mod:`repro.store`, DESIGN.md §16).
 The daemon runs the sweep in :meth:`SDFGServer.start` before accepting
 traffic; the CLI flag runs it standalone and exits 0 when the trees
 were already clean, 3 when repairs were made.
@@ -21,108 +22,10 @@ were already clean, 3 when repairs were made.
 
 from __future__ import annotations
 
-import json
-import os
-import shutil
 from typing import Any, Dict, Optional
 
 from repro.runtime.isolation import crash_dir, crash_keep
-
-#: Quarantine subdirectory name (skipped by subsequent sweeps).
-QUARANTINE = ".quarantine"
-
-
-def _quarantine(path: str, qdir: str) -> bool:
-    """Move ``path`` into ``qdir`` under a collision-free name."""
-    try:
-        os.makedirs(qdir, exist_ok=True)
-        base = os.path.basename(path.rstrip(os.sep))
-        target = os.path.join(qdir, base)
-        n = 0
-        while os.path.exists(target):
-            n += 1
-            target = os.path.join(qdir, f"{base}.{n}")
-        os.replace(path, target)
-        return True
-    except OSError:
-        return False
-
-
-def _entry_is_sound(path: str) -> bool:
-    """A disk cache entry parses and self-identifies correctly."""
-    key = os.path.basename(path)[: -len(".json")]
-    try:
-        with open(path) as f:
-            entry = json.load(f)
-    except (OSError, ValueError):
-        return False
-    return isinstance(entry, dict) and entry.get("key") == key
-
-
-def sweep_cache_tree(root: str) -> Dict[str, int]:
-    """Sweep one cache root (program and tuning caches share the entry
-    conventions: one ``<key>.json`` per entry, ``*.tmp.<pid>`` staging
-    files, atomic renames)."""
-    report = {"scanned": 0, "quarantined": 0, "tmp_removed": 0}
-    if not os.path.isdir(root):
-        return report
-    for dirpath, dirnames, filenames in os.walk(root):
-        # Never descend into quarantine: debris there is already handled.
-        dirnames[:] = [d for d in dirnames if d != QUARANTINE]
-        qdir = os.path.join(dirpath, QUARANTINE)
-        for name in filenames:
-            path = os.path.join(dirpath, name)
-            if ".tmp." in name:
-                try:
-                    os.remove(path)
-                    report["tmp_removed"] += 1
-                except OSError:
-                    pass
-                continue
-            if not name.endswith(".json"):
-                continue
-            report["scanned"] += 1
-            if not _entry_is_sound(path) and _quarantine(path, qdir):
-                report["quarantined"] += 1
-    return report
-
-
-def sweep_crash_tree(root: str, keep: Optional[int] = None) -> Dict[str, int]:
-    """Quarantine torn bundles; rotate overflow past the retention cap."""
-    keep = crash_keep() if keep is None else max(1, int(keep))
-    report = {"scanned": 0, "quarantined": 0, "rotated": 0}
-    if not os.path.isdir(root):
-        return report
-    qdir = os.path.join(root, QUARANTINE)
-    bundles = []
-    try:
-        names = sorted(os.listdir(root))
-    except OSError:
-        return report
-    for name in names:
-        if name == QUARANTINE:
-            continue
-        path = os.path.join(root, name)
-        if not os.path.isdir(path):
-            continue
-        report["scanned"] += 1
-        if not os.path.isfile(os.path.join(path, "manifest.json")):
-            if _quarantine(path, qdir):
-                report["quarantined"] += 1
-            continue
-        try:
-            mtime = os.path.getmtime(path)
-        except OSError:
-            mtime = 0.0
-        bundles.append((mtime, path))
-    # Global cap across processes: the per-process rotation in
-    # write_crash_bundle bounds steady-state growth; this bounds what a
-    # fleet of dead pids left behind.
-    bundles.sort()
-    for _, path in bundles[: max(0, len(bundles) - keep)]:
-        shutil.rmtree(path, ignore_errors=True)
-        report["rotated"] += 1
-    return report
+from repro.store import sweep_bundles, sweep_entries
 
 
 def fsck_sweep(
@@ -132,10 +35,9 @@ def fsck_sweep(
 ) -> Dict[str, Any]:
     """Run the full sweep; returns a report with ``clean`` = True when
     nothing needed fixing."""
-    cache = sweep_cache_tree(cache_root) if cache_root else {
-        "scanned": 0, "quarantined": 0, "tmp_removed": 0,
-    }
-    crash = sweep_crash_tree(crash_root or crash_dir(), keep=keep_bundles)
+    keep = crash_keep() if keep_bundles is None else max(1, int(keep_bundles))
+    cache = sweep_entries(cache_root)
+    crash = sweep_bundles(crash_root or crash_dir(), keep)
     repairs = (
         cache["quarantined"] + cache["tmp_removed"]
         + crash["quarantined"] + crash["rotated"]

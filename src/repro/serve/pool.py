@@ -43,14 +43,10 @@ from queue import Empty, Queue
 from typing import Any, Dict, List, Optional
 
 from repro.chaos import ChaosFault, faultpoint
-from repro.runtime.isolation import (
-    _repo_pythonpath,
-    _unique_bundle_dir,
-    crash_dir,
-    rotate_crash_bundles,
-)
+from repro.runtime.isolation import _repo_pythonpath, crash_dir, crash_keep
 from repro.runtime.watchdog import RetryPolicy
 from repro.serve import protocol
+from repro.store import write_bundle
 from repro.telemetry.sink import TelemetryEvent, TelemetrySink
 
 #: Seconds granted to a worker for its ready handshake.
@@ -509,42 +505,30 @@ class WorkerPool:
             self._idle.put(handle)
 
     def _write_crash_bundle(self, job: Dict[str, Any], death: WorkerDeath) -> Optional[str]:
-        """Minimized repro bundle for a worker death (no array payloads)."""
-        try:
-            root = crash_dir()
-            os.makedirs(root, exist_ok=True)
-            # raise-io/enospc here: the bundle is lost but the death is
-            # still surfaced to the caller (E201 without a bundle path).
-            faultpoint("pool.crash_bundle", tenant=job.get("tenant"))
-            stem = "".join(
-                c if c.isalnum() or c in "-_." else "_"
-                for c in str(job.get("tenant", "tenant"))
-            ) or "tenant"
-            bundle = _unique_bundle_dir(root, f"serve_{stem}")
-            manifest = {
-                "op": job.get("op"),
-                "tenant": job.get("tenant"),
-                "backend": job.get("backend", "python"),
-                "program": job.get("program"),
-                "returncode": death.returncode,
-                "arrays": {
-                    name: {"dtype": spec.get("dtype"), "shape": spec.get("shape")}
-                    for name, spec in (job.get("arrays") or {}).items()
-                    if isinstance(spec, dict)
-                },
-                "symbols": job.get("symbols") or {},
-            }
-            with open(os.path.join(bundle, "manifest.json"), "w") as f:
-                json.dump(manifest, f, indent=2, sort_keys=True)
-            if job.get("sdfg") is not None:
-                with open(os.path.join(bundle, "sdfg.json"), "w") as f:
-                    json.dump(job["sdfg"], f, indent=2, sort_keys=True)
-            with open(os.path.join(bundle, "stderr.txt"), "w") as f:
-                f.write(death.stderr_tail or "")
-            rotate_crash_bundles(root)
-            return bundle
-        except (OSError, ChaosFault):
-            return None
+        """Minimized repro bundle for a worker death (no array payloads).
+        raise-io/enospc at ``pool.crash_bundle`` loses the bundle, but the
+        death is still surfaced to the caller (E201 without a bundle path)."""
+        files: Dict[str, Any] = {"stderr.txt": death.stderr_tail or ""}
+        if job.get("sdfg") is not None:
+            files["sdfg.json"] = job["sdfg"]
+        manifest = {
+            "op": job.get("op"),
+            "tenant": job.get("tenant"),
+            "backend": job.get("backend", "python"),
+            "program": job.get("program"),
+            "returncode": death.returncode,
+            "arrays": {
+                name: {"dtype": spec.get("dtype"), "shape": spec.get("shape")}
+                for name, spec in (job.get("arrays") or {}).items()
+                if isinstance(spec, dict)
+            },
+            "symbols": job.get("symbols") or {},
+        }
+        return write_bundle(
+            crash_dir(), f"serve_{job.get('tenant') or 'tenant'}",
+            manifest=manifest, files=files, keep=crash_keep(),
+            point="pool.crash_bundle", tenant=job.get("tenant"),
+        )
 
     def submit(self, job: Dict[str, Any], timeout: Optional[float] = None) -> Dict[str, Any]:
         """Dispatch one job; always returns a protocol response payload.

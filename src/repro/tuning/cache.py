@@ -11,31 +11,29 @@ and the cost provider setup are all identical.  On a hit the search is
 skipped entirely and the history is replayed through
 :func:`repro.transformations.optimizer.replay`.
 
-The store is one JSON file per entry in ``cache_dir``, with:
-
-* **LRU eviction** — reads touch the entry's mtime; writes evict the
-  stalest entries beyond ``max_entries``;
-* **corrupt-entry tolerance** — unreadable or schema-mismatched files
-  count as misses and are deleted rather than raised;
-* **hit/miss counters** — kept on the object and surfaced as
-  ``cache`` instrumentation events on the recorder the tuner shares.
+Entries live in a :class:`repro.store.Store` (one JSON file per entry,
+atomic writes, mtime-LRU eviction, corrupt files deleted and counted as
+misses; DESIGN.md §16).  Hit/miss/store/evict counters are kept on the
+store and surfaced as ``cache`` instrumentation events on the recorder
+the tuner shares.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 from typing import Any, Dict, Optional
 
-from repro.chaos import faultpoint
-from repro.filelock import FileLock
 from repro.instrumentation import InstrumentationRecorder
 from repro.sdfg.serialize import content_hash
-from repro.telemetry.sink import active_sink
+from repro.store import Store, content_key
 
-#: Bump when the entry layout changes; mismatched entries are evicted.
+#: Bump when the entry layout changes; mismatched entries are deleted on read.
 CACHE_SCHEMA_VERSION = 1
+
+
+def _decode(entry: Dict[str, Any]) -> Dict[str, Any]:
+    if not isinstance(entry.get("history"), list):
+        raise ValueError("malformed tuning cache entry")
+    return entry
 
 
 class TuningCache:
@@ -48,99 +46,31 @@ class TuningCache:
         recorder: Optional[InstrumentationRecorder] = None,
     ):
         self.cache_dir = cache_dir
-        self.max_entries = max(1, max_entries)
         self.recorder = recorder
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        os.makedirs(cache_dir, exist_ok=True)
+        self.disk = Store(
+            cache_dir, "tuning", CACHE_SCHEMA_VERSION,
+            read_point="tuningcache.disk_read",
+            write_point="tuningcache.disk_write",
+            max_entries=max_entries,
+            decode=_decode,
+            on_count=self._record,
+        )
 
-    # ---------------------------------------------------------------- keys
     def key(self, sdfg, config_key: str, cost_key: str) -> str:
         """Content address of one tuning problem."""
-        h = hashlib.sha256()
-        h.update(content_hash(sdfg).encode())
-        h.update(b"\x00")
-        h.update(config_key.encode())
-        h.update(b"\x00")
-        h.update(cost_key.encode())
-        return h.hexdigest()
+        return content_key(content_hash(sdfg), config_key, cost_key)
 
-    def _path(self, key: str) -> str:
-        return os.path.join(self.cache_dir, f"{key}.json")
-
-    def _dir_lock(self) -> Optional[FileLock]:
-        """Best-effort cross-process lock for multi-file operations
-        (eviction, quarantine); see :mod:`repro.filelock`.  Concurrent
-        worker processes share tuning-cache directories, and two racing
-        evictions must not double-delete or interleave with a put."""
-        lock = FileLock(os.path.join(self.cache_dir, ".lock"), timeout=5.0)
-        return lock if lock.acquire(best_effort=True) else None
-
-    # ------------------------------------------------------------- get/put
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """Look up an entry; None on miss.  Corrupt or stale-schema files
         are deleted and counted as misses, never raised."""
-        path = self._path(key)
-        try:
-            with open(path) as f:
-                raw = f.read()
-            raw = faultpoint("tuningcache.disk_read", payload=raw)
-            entry = json.loads(raw)
-            if (
-                not isinstance(entry, dict)
-                or entry.get("schema") != CACHE_SCHEMA_VERSION
-                or entry.get("key") != key
-                or not isinstance(entry.get("history"), list)
-            ):
-                raise ValueError("malformed cache entry")
-        except FileNotFoundError:
-            self._count("miss")
-            return None
-        except (OSError, ValueError):
-            self._count("corrupt")
-            self._count("miss")
-            lock = self._dir_lock()
-            try:
-                os.remove(path)
-            except OSError:
-                pass
-            finally:
-                if lock is not None:
-                    lock.release()
-            return None
-        self._count("hit")
-        try:
-            os.utime(path)  # refresh LRU recency
-        except OSError:
-            pass
-        return entry
+        return self.disk.get(key)
 
     def put(self, key: str, entry: Dict[str, Any]) -> None:
-        """Store an entry (atomically via rename) and evict LRU overflow."""
-        record = dict(entry)
-        record["schema"] = CACHE_SCHEMA_VERSION
-        record["key"] = key
-        path = self._path(key)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        try:
-            data = json.dumps(record, indent=1, sort_keys=True, default=str)
-            data = faultpoint("tuningcache.disk_write", payload=data)
-            with open(tmp, "w") as f:
-                f.write(data)
-            os.replace(tmp, path)
-        except OSError:
-            # A failed store (disk full, torn directory) loses only the
-            # shortcut — the tuning result itself is already in hand.
-            try:
-                os.remove(tmp)
-            except OSError:
-                pass
-            return
-        self._count("store")
-        self._evict()
+        """Store an entry.  A failed store (disk full, torn directory)
+        loses only the shortcut — the tuning result is already in hand."""
+        if self.disk.put(key, entry):
+            self.disk.count("store")
 
-    # --------------------------------------------------------- invalidation
     def invalidate(self, sdfg_name: str) -> int:
         """Delete every entry recorded for ``sdfg_name``.
 
@@ -154,82 +84,22 @@ class TuningCache:
         per-cutout winners either.  Returns how many entries were
         removed.
         """
-        removed = 0
         cutout_prefix = f"{sdfg_name}_cut_"
-        lock = self._dir_lock()
-        try:
-            for _, path in self._entries():
-                try:
-                    with open(path) as f:
-                        entry = json.load(f)
-                except (OSError, ValueError):
-                    continue
-                if not isinstance(entry, dict):
-                    continue
-                name = str(entry.get("sdfg", ""))
-                if name != sdfg_name and not name.startswith(cutout_prefix):
-                    continue
-                try:
-                    os.remove(path)
-                    removed += 1
-                    self._count("invalidate")
-                except OSError:
-                    pass
-        finally:
-            if lock is not None:
-                lock.release()
-        return removed
 
-    # ------------------------------------------------------------ eviction
-    def _entries(self):
-        out = []
-        try:
-            names = os.listdir(self.cache_dir)
-        except OSError:
-            return out
-        for name in names:
-            if not name.endswith(".json"):
-                continue
-            path = os.path.join(self.cache_dir, name)
-            try:
-                out.append((os.path.getmtime(path), path))
-            except OSError:
-                continue
-        return out
+        def recorded_for(entry: Dict[str, Any]) -> bool:
+            name = str(entry.get("sdfg", ""))
+            return name == sdfg_name or name.startswith(cutout_prefix)
 
-    def _evict(self) -> None:
-        lock = self._dir_lock()
-        try:
-            entries = self._entries()
-            if len(entries) <= self.max_entries:
-                return
-            entries.sort()  # oldest mtime first
-            for _, path in entries[: len(entries) - self.max_entries]:
-                try:
-                    os.remove(path)
-                    self.evictions += 1
-                    self._count("evict")
-                except OSError:
-                    pass
-        finally:
-            if lock is not None:
-                lock.release()
+        return self.disk.invalidate_where(recorded_for)
 
-    # ------------------------------------------------------------ counters
-    def _count(self, what: str) -> None:
-        if what == "hit":
-            self.hits += 1
-        elif what == "miss":
-            self.misses += 1
+    def _record(self, what: str) -> None:
         if self.recorder is not None:
             self.recorder.event("cache", what, itype="COUNTER")
-        sink = active_sink()
-        if sink is not None:
-            sink.publish("cache", "tuning", fields={"event": what, "n": 1})
 
     def stats(self) -> Dict[str, int]:
+        counts = self.disk.counts
         return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
+            "hits": counts["hit"],
+            "misses": counts["miss"],
+            "evictions": counts["evict"],
         }

@@ -60,6 +60,9 @@ def test_drain_finishes_inflight_and_rejects_new_jobs(tmp_path, monkeypatch):
         # connection's next job must get a structured R809.
         late = ServeClient(socket_path=server.config.socket_path,
                            tenant="bob")
+        # A round trip proves the daemon accepted the connection; one
+        # still in the listen backlog is dropped when the listener closes.
+        assert late.stats()["draining"] is False
         server.request_shutdown()
         assert _wait_for(server._draining.is_set, timeout=5.0)
         resp = late.execute(sdfg, arrays={"A": np.zeros(8)},

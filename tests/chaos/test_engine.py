@@ -77,6 +77,29 @@ def test_catalog_spans_all_layers_with_at_least_15_points():
         assert "." in name and ":" not in name
 
 
+def test_catalog_matches_the_faultpoint_call_sites():
+    """Each registered name is a quoted literal in its declared module,
+    and every literal ``faultpoint("...")`` under ``src/repro`` is
+    registered — so a call site cannot move or be renamed silently."""
+    import importlib.util
+    import pathlib
+    import re
+
+    for name, point in CATALOG.items():
+        source = pathlib.Path(importlib.util.find_spec(point.module).origin).read_text()
+        assert f'"{name}"' in source or f"'{name}'" in source, (name, point.module)
+
+    root = pathlib.Path(importlib.util.find_spec("repro").origin).parent
+    literal = re.compile(r"""faultpoint\(\s*(["'])([^"']+)\1""")
+    called = {
+        m.group(2)
+        for path in root.rglob("*.py")
+        for m in literal.finditer(path.read_text())
+    }
+    assert called, "no faultpoint call sites found"
+    assert called <= set(CATALOG), sorted(called - set(CATALOG))
+
+
 def test_seed_defaults_are_deterministic_per_point():
     a = parse_rule("progcache.disk_write:raise")
     b = parse_rule("progcache.disk_write:raise")

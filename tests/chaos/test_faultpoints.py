@@ -46,7 +46,7 @@ def test_torn_progcache_write_is_quarantined_on_the_next_read(tmp_path):
 
     fresh = ProgramCache(cache_dir=cache_dir)  # cold memory tier
     assert fresh.lookup("k1") is None
-    assert fresh.corrupt == 1 and fresh.misses == 1
+    assert fresh.stats()["corrupt"] == 1 and fresh.stats()["misses"] == 1
     assert not os.path.exists(path), "the torn entry was removed"
 
 
@@ -68,7 +68,7 @@ def test_progcache_read_error_counts_as_a_miss(tmp_path):
     install_plan(FaultPlan.parse("progcache.disk_read:raise-io@hit=1"))
     fresh = ProgramCache(cache_dir=cache_dir)
     assert fresh.lookup("k1") is None
-    assert fresh.misses == 1
+    assert fresh.stats()["misses"] == 1
 
 
 # -------------------------------------------------------- tuning cache

@@ -120,7 +120,7 @@ class TestDiskTier:
         fresh = ProgramCache(cache_dir=d)
         key = entry_file[: -len(".json")]
         assert fresh.lookup(key) is None
-        assert fresh.corrupt == 1 and fresh.misses == 1
+        assert fresh.stats()["corrupt"] == 1 and fresh.stats()["misses"] == 1
         assert not os.path.exists(path), "corrupt entry must be deleted"
 
     def test_schema_mismatch_quarantined(self, tmp_path):
@@ -131,7 +131,7 @@ class TestDiskTier:
             json.dump({"schema": 999, "key": key}, f)
         cache = ProgramCache(cache_dir=d)
         assert cache.lookup(key) is None
-        assert cache.corrupt == 1
+        assert cache.stats()["corrupt"] == 1
 
     def test_disk_lru_eviction(self, tmp_path):
         d = str(tmp_path / "pc")
@@ -150,7 +150,7 @@ class TestDiskTier:
             cache.store(key, entry)
         files = [f for f in os.listdir(d) if f.endswith(".json")]
         assert len(files) == 2
-        assert cache.evictions >= 2
+        assert cache.stats()["evictions"] >= 2
 
 
 class TestMemoryLRU:

@@ -11,14 +11,15 @@ import subprocess
 import sys
 import threading
 
-from repro.runtime.isolation import _unique_bundle_dir, write_crash_bundle
+from repro.runtime.isolation import write_crash_bundle
+from repro.store import bundle_dir
 
 SRC = os.path.realpath(os.path.join(os.path.dirname(__file__), "..", "..", "src"))
 
 
 def test_bundle_dir_name_encodes_pid_and_sequence(tmp_path):
-    first = _unique_bundle_dir(str(tmp_path), "scale")
-    second = _unique_bundle_dir(str(tmp_path), "scale")
+    first = bundle_dir(str(tmp_path), "scale")
+    second = bundle_dir(str(tmp_path), "scale")
     pattern = re.compile(rf"scale_{os.getpid()}_(\d{{6}})$")
     m1, m2 = pattern.search(first), pattern.search(second)
     assert m1 and m2, (first, second)
@@ -36,7 +37,7 @@ def test_simultaneous_crashing_workers_get_distinct_bundles(tmp_path):
     def crashing_worker():
         barrier.wait()  # maximize simultaneity
         for _ in range(10):
-            path = _unique_bundle_dir(str(tmp_path), "scale")
+            path = bundle_dir(str(tmp_path), "scale")
             with lock:
                 dirs.append(path)
 
@@ -57,9 +58,9 @@ def test_two_processes_writing_bundles_never_collide(tmp_path):
     script = f"""
 import sys
 sys.path.insert(0, {SRC!r})
-from repro.runtime.isolation import _unique_bundle_dir
+from repro.store import bundle_dir
 for _ in range(25):
-    print(_unique_bundle_dir({str(tmp_path)!r}, "scale"))
+    print(bundle_dir({str(tmp_path)!r}, "scale"))
 """
     procs = [
         subprocess.Popen([sys.executable, "-c", script],
@@ -78,13 +79,13 @@ for _ in range(25):
 def test_stale_bundle_name_from_previous_run_is_skipped(tmp_path):
     """A leftover directory with the next name (counter restarted after
     a crash of the *supervisor*) is skipped, not reused."""
-    probe = _unique_bundle_dir(str(tmp_path), "scale")
+    probe = bundle_dir(str(tmp_path), "scale")
     seq = int(probe.rsplit("_", 1)[1])
     squatter = os.path.join(str(tmp_path), f"scale_{os.getpid()}_{seq + 1:06d}")
     os.makedirs(squatter)
     marker = os.path.join(squatter, "marker")
     open(marker, "w").close()
-    nxt = _unique_bundle_dir(str(tmp_path), "scale")
+    nxt = bundle_dir(str(tmp_path), "scale")
     assert nxt != squatter
     assert os.path.exists(marker), "existing bundle left untouched"
 

@@ -12,7 +12,8 @@ import sys
 
 import pytest
 
-from repro.filelock import FileLock, LockTimeout, cache_lock
+from repro.filelock import FileLock, LockTimeout
+from repro.store import Store
 
 #: The repo's src/ directory, independent of pytest's cwd.
 SRC = os.path.realpath(
@@ -78,10 +79,15 @@ def test_filelock_timeout_and_context_manager(tmp_path):
 
 
 def test_cache_lock_helper(tmp_path):
-    lock = cache_lock(str(tmp_path))
-    assert lock.path == os.path.join(str(tmp_path), ".lock")
-    with lock:
-        assert os.path.exists(lock.path)
+    """A store's multi-file operations hold ``<root>/.lock``."""
+    store = Store(str(tmp_path), "t", 1, read_point="t.read", write_point="t.write")
+    path = os.path.join(str(tmp_path), ".lock")
+    with store.locked():
+        assert os.path.exists(path)
+        assert FileLock(path, timeout=0.1).acquire(best_effort=True) is False
+    probe = FileLock(path, timeout=0.1)
+    assert probe.acquire(best_effort=True), "released on exit"
+    probe.release()
 
 
 # ----------------------------------------------------- ProgramCache tier

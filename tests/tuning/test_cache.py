@@ -52,9 +52,9 @@ class TestStore:
         for i, key in enumerate(("a" * 64, "b" * 64)):
             cache.put(key, _entry([]))
             # Distinct, ordered mtimes (same-second writes otherwise tie).
-            os.utime(cache._path(key), (100 + i, 100 + i))
+            os.utime(cache.disk.path(key), (100 + i, 100 + i))
         cache.put("c" * 64, _entry([]))
-        assert cache.evictions == 1
+        assert cache.stats()["evictions"] == 1
         assert cache.get("a" * 64) is None  # stalest entry evicted
         assert cache.get("b" * 64) is not None
         assert cache.get("c" * 64) is not None
@@ -63,7 +63,7 @@ class TestStore:
         cache = TuningCache(str(tmp_path), max_entries=2)
         for i, key in enumerate(("a" * 64, "b" * 64)):
             cache.put(key, _entry([]))
-            os.utime(cache._path(key), (100 + i, 100 + i))
+            os.utime(cache.disk.path(key), (100 + i, 100 + i))
         assert cache.get("a" * 64) is not None  # touch: now the newest
         cache.put("c" * 64, _entry([]))
         assert cache.get("a" * 64) is not None
@@ -74,20 +74,20 @@ class TestCorruptEntries:
     def test_garbage_file_is_a_tolerated_miss(self, tmp_path):
         cache = TuningCache(str(tmp_path))
         key = "d" * 64
-        with open(cache._path(key), "w") as f:
+        with open(cache.disk.path(key), "w") as f:
             f.write("{not json")
         assert cache.get(key) is None
-        assert not os.path.exists(cache._path(key))  # quarantined
-        assert cache.misses == 1
+        assert not os.path.exists(cache.disk.path(key))  # quarantined
+        assert cache.stats()["misses"] == 1
 
     def test_schema_mismatch_is_a_miss(self, tmp_path):
         cache = TuningCache(str(tmp_path))
         key = "e" * 64
         cache.put(key, _entry([]))
-        with open(cache._path(key), "w") as f:
+        with open(cache.disk.path(key), "w") as f:
             f.write('{"schema": 999, "key": "%s", "history": []}' % key)
         assert cache.get(key) is None
-        assert not os.path.exists(cache._path(key))
+        assert not os.path.exists(cache.disk.path(key))
 
 
 class TestInstrumentation:
