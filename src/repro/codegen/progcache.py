@@ -36,7 +36,9 @@ from repro.store import Store, content_key
 #: old entries become unreachable (and age out by LRU) rather than stale.
 #: v2: entry functions grew the ``__guard`` parameter (sanitizer/watchdog).
 #: v4: strided-view, ragged and predicated map lowerings; bulk stream copies.
-CODEGEN_VERSION = 4
+#: v5: structured ``while``/``if`` interstate control flow; slice-tier
+#: reductions broadcast only values that do not span the domain.
+CODEGEN_VERSION = 5
 
 #: Entry file layout version; mismatched files are deleted as misses.
 CACHE_SCHEMA_VERSION = 1

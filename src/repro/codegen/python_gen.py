@@ -22,19 +22,23 @@ representation's inherent parallelism (DESIGN.md §9 has the full ladder):
   indirection) and the only tier under ``sanitize=True``.
 
 The tier each map took is recorded in :attr:`PythonGenerator.lowering`.
+The interstate graph becomes structured ``while``/``if`` code wherever
+its regions have that shape, and a ``__next`` state dispatcher where
+they do not (:class:`_ControlFlow`).
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import itertools
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.codegen.common import CodeBuffer, CodegenError, pycode, subset_to_py_index
 from repro.codegen import pytranslate
-from repro.graph import topological_sort
+from repro.graph import OrderedMultiDiGraph, postdominators, topological_sort
 from repro.instrumentation import (
     InstrumentationType,
     scope_volume_expr,
@@ -56,10 +60,14 @@ from repro.sdfg.nodes import (
     Tasklet,
 )
 from repro.symbolic import Expr, Integer, Symbol
-from repro.symbolic.expr import Add, Mul
+from repro.symbolic.expr import Add, Ge, Gt, Le, Lt, Mul, Not
 from repro.symbolic.sets import linear_coefficient
 
 _EINSUM_LETTERS = "abcdefghijklmnopqrstuvwxyz"
+
+#: Cooperative cancellation: the watchdog can kill a runaway interstate
+#: loop at every iteration.
+_CHECKPOINT = "if __guard is not None: __guard.checkpoint()"
 
 
 class PythonGenerator:
@@ -295,47 +303,90 @@ class PythonGenerator:
         return buf.getvalue()
 
     def _emit_state_machine(self, sdfg, buf: CodeBuffer) -> None:
-        states = sdfg.nodes()
-        index = {id(s): i for i, s in enumerate(states)}
-        rename = self._scalar_rename(sdfg)
-        if len(states) == 1 and not sdfg.edges():
-            self._emit_state_body(sdfg, states[0], buf)
+        if sdfg.start_state is None:
             return
-        buf.line(f"__next = {index[id(sdfg.start_state)]}")
-        with buf.block("while __next >= 0:"):
-            # Cooperative cancellation: the watchdog can kill runaway
-            # interstate loops at every transition.
-            buf.line("if __guard is not None: __guard.checkpoint()")
-            first = True
-            for s in states:
-                kw = "if" if first else "elif"
-                first = False
-                with buf.block(f"{kw} __next == {index[id(s)]}:  # state {s.name}"):
+        rename = self._scalar_rename(sdfg)
+        self._emit_flow(sdfg, _ControlFlow(sdfg).regions(), buf, rename)
+
+    def _emit_flow(self, sdfg, regions, buf: CodeBuffer, rename) -> None:
+        for r in regions:
+            if isinstance(r, _Block):
+                self._emit_state_body(sdfg, r.state, buf)
+                if r.edge is not None:
+                    _emit_assignments(r.edge, buf, rename)
+            elif isinstance(r, _Loop):
+                self._emit_loop(sdfg, r, buf, rename)
+            elif isinstance(r, _Branch):
+                self._emit_branch(sdfg, r, buf, rename)
+            else:
+                self._emit_dispatch(sdfg, r, buf, rename)
+
+    def _emit_loop(self, sdfg, loop: _Loop, buf: CodeBuffer, rename) -> None:
+        """``while <cond>:`` — or, when the guard state has dataflow of its
+        own, ``while True:`` running it before every test.  The exit
+        edge's assignments follow the loop, so the loop variable keeps its
+        exit value."""
+        guard = loop.guard
+        cond = pycode(loop.body_edge.data.condition, rename)
+        bare = (
+            guard.number_of_nodes() == 0
+            and guard.instrument == InstrumentationType.NONE
+        )
+        with buf.block(f"while {cond}:" if bare else "while True:"):
+            buf.line(_CHECKPOINT)
+            if not bare:
+                self._emit_state_body(sdfg, guard, buf)
+                with buf.block(f"if not {cond}:"):
+                    buf.line("break")
+            _emit_assignments(loop.body_edge, buf, rename)
+            self._emit_flow(sdfg, loop.body, buf, rename)
+        _emit_assignments(loop.exit_edge, buf, rename)
+
+    def _emit_branch(self, sdfg, br: _Branch, buf: CodeBuffer, rename) -> None:
+        self._emit_state_body(sdfg, br.state, buf)
+        arms = []
+        for edge, regions in ((br.then_edge, br.then), (br.else_edge, br.orelse)):
+            arm = CodeBuffer()
+            _emit_assignments(edge, arm, rename)
+            self._emit_flow(sdfg, regions, arm, rename)
+            arms.append(arm.getvalue().strip("\n"))
+        then_src, else_src = arms
+        if not then_src and not else_src:
+            return
+        with buf.block(f"if {pycode(br.then_edge.data.condition, rename)}:"):
+            buf.lines(then_src or "pass")
+        if else_src:
+            with buf.block("else:"):
+                buf.lines(else_src)
+
+    def _emit_dispatch(self, sdfg, d: _Dispatch, buf: CodeBuffer, rename) -> None:
+        """The fallback for a region with no structured form: one branch
+        per state selected by ``__next``; an edge to the region's exit
+        leaves the dispatcher, and a state none of whose edges is taken
+        ends the program (the interpreter's semantics)."""
+        index = {s: i for i, s in enumerate(sdfg.nodes())}
+        buf.line(f"__next = {index[d.entry]}")
+        with buf.block("while True:"):
+            buf.line(_CHECKPOINT)
+            for k, s in enumerate(d.states):
+                kw = "elif" if k else "if"
+                with buf.block(f"{kw} __next == {index[s]}:  # state {s.name}"):
                     self._emit_state_body(sdfg, s, buf)
-                    out_edges = sdfg.out_edges(s)
-                    emitted_any = False
-                    for e in out_edges:
-                        cond = e.data.condition
-                        assigns = e.data.assignments
-                        assign_src = ""
-                        if assigns:
-                            keys = list(assigns)
-                            lhs = ", ".join(keys)
-                            rhs = ", ".join(
-                                pycode(assigns[k], rename) for k in keys
-                            )
-                            assign_src = f"{lhs} = {rhs}; "
+                    for e in sdfg.out_edges(s):
+                        jump = (
+                            "break"
+                            if e.dst is d.exit
+                            else f"__next = {index[e.dst]}; continue"
+                        )
                         if e.data.is_unconditional():
-                            buf.line(f"{assign_src}__next = {index[id(e.dst)]}")
-                            buf.line("continue")
-                            emitted_any = True
+                            _emit_assignments(e, buf, rename)
+                            buf.line(jump)
                             break
-                        with buf.block(f"if {pycode(cond, rename)}:"):
-                            buf.line(f"{assign_src}__next = {index[id(e.dst)]}")
-                            buf.line("continue")
-                        emitted_any = True
-                    buf.line("__next = -1")
-        buf.line("pass")
+                        with buf.block(f"if {pycode(e.data.condition, rename)}:"):
+                            _emit_assignments(e, buf, rename)
+                            buf.line(jump)
+                    else:
+                        buf.line("return None")
 
     # ------------------------------------------------- instrumentation helpers
     def _instr_expr_src(self, expr) -> str:
@@ -373,9 +424,7 @@ class PythonGenerator:
         instrumented = itype != InstrumentationType.NONE
         if instrumented:
             self._emit_instr_enter(buf, "state", state.name, itype)
-        if state.number_of_nodes() == 0:
-            buf.line("pass")
-        else:
+        if state.number_of_nodes():
             order = topological_sort(state)
             scope_dict = state.scope_dict()
             top = [n for n in order if scope_dict.get(n) is None]
@@ -1197,7 +1246,7 @@ class PythonGenerator:
         other memlet join ``gathers`` and it indexes through their arrays."""
         sl = _slice_index(analysis, pranges)
         if sl is None:
-            gathers.update(d[1] for d in analysis if d[0] == "param")
+            gathers.update(_memlet_params(analysis))
             bcast = {p: f"__bix_{p}" for p in mparams}
             return self._bcast_index_expr(memlet, analysis, bcast), False
         idx, axes = sl
@@ -1238,7 +1287,7 @@ class PythonGenerator:
                     f"{_memlet_str(mem)} is not dynamic"
                 )
             a = analyses[id(mem)] = self._affine_point(mem, mparams)
-            used = {d[1] for d in a if d[0] == "param"}
+            used = _memlet_params(a)
             if isinstance(sdfg.arrays[mem.data], Stream):
                 if mem.wcr is not None or used:
                     raise _Reject(
@@ -1306,15 +1355,28 @@ class PythonGenerator:
                 stmts[i] = (tgt, f"{expr}.copy()")
             else:
                 aliases.add(tgt)
+        # The parameters whose axis each value spans at full extent, for
+        # outputs reduced over parameters their subset omits: a load spans
+        # its memlet's parameters, an index array its own, an elementwise
+        # expression the union of its operands'.
+        spans: Dict[str, Set[str]] = {}
+        if any(_memlet_params(analyses[id(e.data)]) != set(mparams) for e in out_edges):
+            spans = {f"__bix_{p}": {p} for p in mparams}
+            for e in in_edges:
+                spans[f"__in_{e.dst_conn}"] = _memlet_params(analyses[id(e.data)])
+            for tgt, expr in stmts:
+                names = pytranslate.loaded_names(ast.parse(expr))
+                spans[tgt] = set().union(*(spans.get(n, ()) for n in names))
         stores = CodeBuffer()
         for e in out_edges:
             mask = None
             if e.src_conn in conditional:
                 taken = conditional[e.src_conn]
                 mask = pytranslate.MASK if taken else pytranslate.NOT_MASK
+            val = out_rename[e.src_conn]
             self._emit_domain_store(
-                stores, sdfg, e.data, analyses[id(e.data)], out_rename[e.src_conn],
-                mask, mparams, pranges, gathers,
+                stores, sdfg, e.data, analyses[id(e.data)], val, mask,
+                mparams, pranges, gathers, spans.get(val, set()) >= set(mparams),
             )
 
         buf.line(f"# vectorized map {entry.map.label}")
@@ -1337,14 +1399,17 @@ class PythonGenerator:
 
     def _emit_domain_store(
         self, buf, sdfg, mem: Memlet, analysis, val: str, mask: Optional[str],
-        mparams, pranges, gathers: Set[str],
+        mparams, pranges, gathers: Set[str], spanning: bool,
     ) -> None:
         """Store one output of a whole-domain evaluation: reduce over the
         parameters the subset omits, then write (or accumulate) through a
         strided view taken in map-parameter axis order — under ``mask``
-        when only one branch assigned the value."""
+        when only one branch assigned the value.  ``spanning`` says that
+        ``val`` already has the domain's full shape; otherwise (constants,
+        values over some of the parameters) it is broadcast to the domain
+        before a reduction, which then counts every iteration."""
         shape = _domain_shape(mparams)
-        used = [d[1] for d in analysis if d[0] == "param"]
+        used = _memlet_params(analysis)
         remaining = [p for p in mparams if p in used]
         if isinstance(sdfg.arrays[mem.data], Stream):
             vals = (
@@ -1354,29 +1419,30 @@ class PythonGenerator:
             )
             buf.line(f"{self._queue_expr(mem)}.push_many({vals})")
             return
-        ufunc = self._UFUNC[mem.reduction_type()] if mem.wcr is not None else None
+        rtype = mem.reduction_type() if mem.wcr is not None else None
+        ufunc = self._UFUNC[rtype] if rtype is not None else None
         sl = _slice_index(analysis, pranges)
         if mask and not used:
             # Reduce over the selected lanes only; none selected, no write.
             sel, tgt = self._tmp("sel"), f"{mem.data}[{sl[0]}]"
             buf.line(f"{sel} = {_selected_lanes(val, mask, shape)}")
-            buf.line(f"if {sel}.size: {tgt} = {ufunc}({tgt}, {ufunc}.reduce({sel}))")
+            acc = _accumulate(tgt, f"{ufunc}.reduce({sel})", rtype)
+            buf.line(f"if {sel}.size: {tgt} = {acc}")
             return
         if len(remaining) < len(mparams):
             axes = ", ".join(str(i) for i, p in enumerate(mparams) if p not in used)
             red = self._tmp("red")
-            buf.line(
-                f"{red} = {ufunc}.reduce(np.broadcast_to({val}, {shape}), "
-                f"axis=({axes},))"
-            )
+            full = val if spanning else f"np.broadcast_to({val}, {shape})"
+            buf.line(f"{red} = {ufunc}.reduce({full}, axis=({axes},))")
             val = red
         if sl is None:
             gathers.update(used)
             tgt = f"{mem.data}[{self._bcast_store_index(analysis, remaining)}]"
-        else:
-            tgt = f"{mem.data}[{sl[0]}]"
-        if sl is None or not used:  # index arrays, or one element
             buf.line(f"{tgt} = {ufunc}({tgt}, {val})" if ufunc else f"{tgt} = {val}")
+            return
+        tgt = f"{mem.data}[{sl[0]}]"
+        if not used:  # one element, reduced over the whole domain
+            buf.line(f"{tgt} = {_accumulate(tgt, val, rtype)}")
             return
         suffix = "".join(_axes_suffix(sl[1], remaining))
         if ufunc or mask:
@@ -1645,7 +1711,7 @@ class PythonGenerator:
                         f"input {_memlet_str(mem)} is neither an affine point "
                         "nor a loop-invariant view"
                     )
-                used_flat.update(d[1] for d in a if d[0] == "param")
+                used_flat.update(_memlet_params(a))
                 body.line(f"{var} = {self._bcast_index_expr(mem, a, findex)}")
             if not pytranslate.is_vectorizable_tasklet(
                 node.code, views=views, allow_branch=False
@@ -1675,7 +1741,7 @@ class PythonGenerator:
                         "into an array"
                     )
                 a = self._affine_point(mem, flat)
-                used_flat.update(d[1] for d in a if d[0] == "param")
+                used_flat.update(_memlet_params(a))
                 wcr_data.add(mem.data)
                 idx = ", ".join(_index_terms(a, findex))
                 body.line(
@@ -1736,6 +1802,305 @@ class _Reject(Exception):
     first precondition that failed; it becomes the census ``reason``."""
 
 
+# ------------------------------------------------------------- control flow
+class _Block(NamedTuple):
+    """One state, then the edge leaving it (None: the program ends)."""
+
+    state: object
+    edge: object
+
+
+class _Loop(NamedTuple):
+    """``guard`` tests ``body_edge``'s condition: ``body`` runs back to
+    ``guard`` while it holds, ``exit_edge`` (its complement) leaves."""
+
+    guard: object
+    body_edge: object
+    exit_edge: object
+    body: list
+
+
+class _Branch(NamedTuple):
+    """``if``/``else`` on ``state``'s two complementary edges; both arms
+    run to the same join state."""
+
+    state: object
+    then_edge: object
+    else_edge: object
+    then: list
+    orelse: list
+
+
+class _Dispatch(NamedTuple):
+    """The fallback: ``states``, entered at ``entry``, under the ``__next``
+    dispatcher until an edge reaches ``exit`` (None: the program ends)."""
+
+    states: list
+    entry: object
+    exit: object
+
+
+class _Unstructured(Exception):
+    """A region has no ``while``/``if`` form."""
+
+
+#: Orderings whose negation is *not* exhaustive on NaN operands.
+_ORDERINGS = (Lt, Le, Gt, Ge)
+
+
+class _ControlFlow:
+    """Recovers structured regions from an SDFG's interstate graph, the way
+    the paper's code generator detects loops and branches (§4.3) and
+    falls back to goto-style transitions only where it must.
+
+    * straight-line chains: a state and its single unconditional edge;
+    * natural loops whose head (the guard) has two complementary
+      out-edges, one into the loop and one out of it, and whose body
+      leaves only back to the guard — what ``SDFG.add_loop`` and the
+      frontend's ``range``/``while`` loops build;
+    * if/else diamonds: two complementary edges whose arms meet again at
+      the branch state's immediate post-dominator (the frontend's ``if``).
+
+    Edges are *complementary* when one condition is the negation of the
+    other and exactly one of them holds for every input; ``a < b`` and
+    ``a >= b`` are both false on NaN, so such a pair only qualifies over
+    names that cannot hold NaN.  Any other region — a loop with a second
+    exit, an irreducible graph, an edge set that is not exhaustive —
+    becomes a :class:`_Dispatch` over the smallest enclosing region with a
+    single entry and a single exit, up to the whole graph.
+    """
+
+    def __init__(self, sdfg):
+        self.sdfg = sdfg
+        #: States already placed in a region; a second visit means the
+        #: region does not nest.
+        self.seen: Set = set()
+
+    def regions(self) -> list:
+        # Never raises: at worst, every live state under one dispatcher.
+        return self._sequence(self.sdfg.start_state, None)
+
+    # ---------------------------------------------------------- analysis
+    @functools.cached_property
+    def live(self) -> Set:
+        return self._reach(self.sdfg.start_state, ())
+
+    @functools.cached_property
+    def nan_free(self) -> Set[str]:
+        return _nan_free_names(self.sdfg)
+
+    def _reach(self, s, barrier) -> Set:
+        """States reachable from ``s`` (included) without entering one of
+        ``barrier``."""
+        out = {s}
+        work = [s]
+        while work:
+            for e in self.sdfg.out_edges(work.pop()):
+                if e.dst not in out and e.dst not in barrier:
+                    out.add(e.dst)
+                    work.append(e.dst)
+        return out
+
+    @functools.cached_property
+    def ipdom(self) -> Dict:
+        """Immediate post-dominator of every state from which a terminal
+        state is reachable (None: the program's end).  A state whose edges
+        may all fail also ends the program, but that exit is left out:
+        the dispatcher handles it in place."""
+        graph = OrderedMultiDiGraph()
+        graph.add_node(_END)
+        for e in self.sdfg.edges():
+            graph.add_edge(e.src, e.dst, None)
+        for s in self.sdfg.nodes():
+            if not self.sdfg.out_edges(s):
+                graph.add_edge(s, _END, None)
+        pdom = postdominators(graph, _END)
+        ipdom = {}
+        for n, doms in pdom.items():
+            if n is not _END:
+                strict = doms - {n}
+                # The nearest is the one post-dominated by all the others.
+                near = next(d for d in strict if pdom[d] == strict)
+                ipdom[n] = None if near is _END else near
+        return ipdom
+
+    def _complementary(self, edges) -> bool:
+        if len(edges) != 2:
+            return False
+        a, b = (e.data.condition for e in edges)
+        if Not.make(a) != b and Not.make(b) != a:
+            return False
+        if isinstance(a, _ORDERINGS) and isinstance(b, _ORDERINGS):
+            return all(s.name in self.nan_free for s in a.free_symbols)
+        return True
+
+    # --------------------------------------------------------- structure
+    def _sequence(self, s, stop) -> list:
+        """Regions from ``s`` until control reaches ``stop``.  A state that
+        heads no structured region heads a dispatched one; when no region
+        entered there is closed, the dispatcher starts at an earlier head
+        of this sequence instead (and covers the state that failed)."""
+        out: list = []
+        heads: list = []  # (head state, states placed before it) per region
+        while s is not None and s is not stop:
+            heads.append((s, set(self.seen)))
+            try:
+                region, s = self._region(s, stop)
+            except _Unstructured:
+                failed = s
+                while True:
+                    head, placed = heads[-1]
+                    self.seen = set(placed)
+                    try:
+                        region, s = self._dispatch(head, stop, failed)
+                        break
+                    except _Unstructured:
+                        heads.pop()
+                        if not heads:
+                            raise
+                del out[len(heads) - 1:]
+            out.append(region)
+        return out
+
+    def _region(self, s, stop):
+        """The structured region headed by ``s`` and the state after it."""
+        if s in self.seen:
+            raise _Unstructured(s)
+        self.seen.add(s)
+        edges = self.sdfg.out_edges(s)
+        body = self._natural_loop(s, stop)
+        if body is not None:
+            inside = body | {s}
+            if not self._complementary(edges):
+                raise _Unstructured(s)
+            enter, leave = edges if edges[0].dst in inside else edges[::-1]
+            if enter.dst not in inside or leave.dst in inside or any(
+                e.dst not in inside for n in body for e in self.sdfg.out_edges(n)
+            ):
+                raise _Unstructured(s)
+            return _Loop(s, enter, leave, self._sequence(enter.dst, s)), leave.dst
+        if not edges:
+            if stop is not None:
+                raise _Unstructured(s)
+            return _Block(s, None), None
+        if len(edges) == 1 and edges[0].data.is_unconditional():
+            return _Block(s, edges[0]), edges[0].dst
+        join = self.ipdom.get(s, _END)
+        if not self._complementary(edges) or join is _END or (
+            join is not stop and join not in self._reach(s, (stop,))
+        ):
+            raise _Unstructured(s)
+        then, orelse = edges
+        return _Branch(
+            s, then, orelse,
+            self._sequence(then.dst, join), self._sequence(orelse.dst, join),
+        ), join
+
+    def _natural_loop(self, s, stop) -> Optional[Set]:
+        """The states of the loop ``s`` heads (without ``s``), or None when
+        no edge returns to ``s`` inside the current region."""
+        preds = self.sdfg.predecessors(s)
+        if all(p in self.seen and p is not s for p in preds):
+            return None  # entered only from placed states: straight-line
+        ahead = self._reach(s, (stop,))
+        latches = [p for p in preds if p in ahead]
+        if not latches:
+            return None
+        body: Set = set()
+        work = [p for p in latches if p is not s]
+        while work:
+            n = work.pop()
+            if n not in body:
+                body.add(n)
+                work.extend(
+                    p for p in self.sdfg.predecessors(n)
+                    if p is not s and p in self.live
+                )
+        if not body <= ahead:
+            raise _Unstructured(s)  # entered other than through ``s``
+        return body
+
+    def _dispatch(self, s, stop, cover):
+        """The smallest region containing ``cover``, entered only at ``s``
+        and left only to one post-dominator of ``s`` (at most ``stop``), as
+        a dispatcher."""
+        exits = []
+        x = self.ipdom.get(s, stop)
+        while x is not stop and x is not None:
+            exits.append(x)
+            x = self.ipdom.get(x, stop)
+        exits.append(stop)
+        for x in exits:
+            region = self._reach(s, (x,))
+            if cover not in region or region & self.seen or (
+                stop is not None and stop in region
+            ):
+                continue
+            if self._closed(region, s, x, stop):
+                self.seen |= region
+                states = [n for n in self.sdfg.nodes() if n in region]
+                return _Dispatch(states, s, x), x
+        raise _Unstructured(s)
+
+    def _closed(self, region, s, x, stop) -> bool:
+        """Control enters ``region`` only at ``s`` — and, once it has left,
+        not again short of ``stop`` — and leaves it only to ``x``."""
+        again = None
+        for n in region:
+            for e in self.sdfg.in_edges(n):
+                if e.src in region or e.src not in self.live:
+                    continue
+                if n is not s:
+                    return False
+                again = again or self._reach(s, (stop,))
+                if e.src in again:
+                    return False
+            if any(e.dst not in region and e.dst is not x
+                   for e in self.sdfg.out_edges(n)):
+                return False
+        return True
+
+
+#: The program's end, as a node of the reversed interstate graph.
+_END = object()
+
+
+def _nan_free_names(sdfg) -> Set[str]:
+    """Names whose value cannot be NaN: integer/boolean symbols, containers
+    and constants, and interstate symbols assigned only from such names."""
+    free = {n for n, t in sdfg.symbols.items() if t.nptype.kind in "biu"}
+    free |= {n for n, d in sdfg.arrays.items() if d.dtype.nptype.kind in "biu"}
+    free |= {
+        n for n, v in sdfg.constants.items()
+        if isinstance(v, (int, np.integer))
+    }
+    assigned: Dict[str, List[Expr]] = {}
+    for e in sdfg.edges():
+        for name, value in e.data.assignments.items():
+            assigned.setdefault(name, []).append(value)
+    free -= set(assigned)
+    pending = set(assigned)
+    while True:
+        bad = {
+            n for n in pending
+            if any(s.name not in free | pending
+                   for v in assigned[n] for s in v.free_symbols)
+        }
+        if not bad:
+            return free | pending
+        pending -= bad
+
+
+def _emit_assignments(edge, buf: CodeBuffer, rename) -> None:
+    """An interstate edge's assignments as one tuple assignment: every
+    right-hand side reads the old bindings, as in the interpreter."""
+    assigns = edge.data.assignments
+    if assigns:
+        lhs = ", ".join(assigns)
+        rhs = ", ".join(pycode(v, rename) for v in assigns.values())
+        buf.line(f"{lhs} = {rhs}")
+
+
 def _memlet_str(memlet: Memlet) -> str:
     return f"{memlet.data}[{memlet.subset}]"
 
@@ -1751,6 +2116,23 @@ def _selected_lanes(val: str, mask: str, shape: str) -> str:
         f"np.compress(np.broadcast_to({mask}, {shape}).ravel(), "
         f"np.broadcast_to({val}, {shape}))"
     )
+
+
+def _memlet_params(analysis) -> Set[str]:
+    """The map parameters an analysed memlet's subset depends on."""
+    return {d[1] for d in analysis if d[0] == "param"}
+
+
+def _accumulate(tgt: str, val: str, rtype) -> str:
+    """``tgt`` combined with ``val`` under a recognized WCR.  On one
+    element, sum and product are plain scalar arithmetic (the same IEEE
+    operation as the ufunc, without its call overhead); min and max keep
+    the ufunc for its NaN propagation."""
+    if rtype == ReductionType.Sum:
+        return f"{tgt} + {val}"
+    if rtype == ReductionType.Product:
+        return f"{tgt} * {val}"
+    return f"{PythonGenerator._UFUNC[rtype]}({tgt}, {val})"
 
 
 def _params_read(code: str, rename: Dict[str, str], index: Dict[str, str]) -> Set[str]:

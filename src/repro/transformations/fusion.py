@@ -7,7 +7,11 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.codegen.python_gen import _rename_identifiers
+from repro.codegen.python_gen import (
+    _analyze_subset,
+    _memlet_params,
+    _rename_identifiers,
+)
 from repro.sdfg.dtypes import ReductionType, detect_reduction_type
 from repro.sdfg.memlet import Memlet
 from repro.sdfg.nodes import (
@@ -35,6 +39,34 @@ def _occurrence_count(sdfg, data: str) -> int:
         for n in st.nodes()
         if isinstance(n, AccessNode) and n.data == data
     )
+
+
+def _scope_accesses(state, entry):
+    """What one iteration of ``entry``'s map touches: the memlets inside
+    its scope by container, and the containers among them it writes."""
+    nodes = state.scope_subgraph(entry, include_scope_nodes=False)
+    nodes += [entry, state.exit_node(entry)]
+    inside = set(nodes)
+    memlets: Dict[str, List[Memlet]] = {}
+    written = set()
+    for node in nodes:
+        for e in state.out_edges(node):
+            if e.dst not in inside or e.data.is_empty():
+                continue
+            memlets.setdefault(e.data.data, []).append(e.data)
+            if isinstance(e.dst, (ExitNode, AccessNode)):
+                written.add(e.data.data)
+    return memlets, written
+
+
+def _one_point_per_iteration(memlets: List[Memlet], params) -> bool:
+    """All of ``memlets`` name the same element, a different one in every
+    iteration of a map over ``params``."""
+    first = memlets[0]
+    if any(m.subset != first.subset for m in memlets):
+        return False
+    analysis = _analyze_subset(first, params)
+    return analysis is not None and _memlet_params(analysis) == set(params)
 
 
 @register_transformation
@@ -88,6 +120,17 @@ class MapFusion(Transformation):
         sd = state.scope_dict()
         for n, s in sd.items():
             if s is entry2 and isinstance(n, MapEntry):
+                return False
+        # Fusion interleaves the two maps' iterations.  Any other container
+        # one map writes and the other touches must therefore be the same
+        # element in both, and a different one in every iteration.
+        first, w1 = _scope_accesses(state, state.entry_node_of(exit1))
+        second, w2 = _scope_accesses(state, entry2)
+        for data in (w1 & set(second)) | (w2 & set(first)):
+            if data == arr.data:
+                continue
+            renamed = [m.subs(rename) for m in second[data]]
+            if not _one_point_per_iteration(first[data] + renamed, m1.params):
                 return False
         return True
 

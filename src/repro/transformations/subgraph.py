@@ -27,7 +27,7 @@ from repro.transformations.base import (
     path_graph,
     register_transformation,
 )
-from repro.transformations.fusion import _occurrence_count
+from repro.transformations.fusion import _occurrence_count, _scope_accesses
 
 
 def _identifier_used(code: str, name: str) -> bool:
@@ -227,6 +227,15 @@ class OnTheFlyMapFusion(Transformation):
             outer = state.in_edges_by_connector(entry1, "IN_" + e.src_conn[4:])
             if len(outer) != 1 or not isinstance(outer[0].src, AccessNode):
                 return False
+        # Recomputing a producer element reads its inputs after consumer
+        # iterations have run: none of them may be written there.
+        _, written = _scope_accesses(state, entry2)
+        if any(
+            e.data.data in written
+            for e in state.in_edges(t1)
+            if not e.data.is_empty()
+        ):
+            return False
         # Consumer scope must be flat and every read of arr a point read
         # into a tasklet.
         for n, s in sd.items():

@@ -231,6 +231,75 @@ def test_elementwise_wcr_casts_like_assignment():
     assert np.array_equal(cg["C"], it["C"])
 
 
+#: WCR-sum maps over ``(i, j)`` whose value does not span every parameter:
+#: each iteration adds it once, so the reduction must see it repeated.
+PARTIAL_VALUES = {
+    "constant": ({}, "o = 1.0", Memlet(data="s", subset="0", wcr="sum"),
+                 {"s": ((1,), F64)}, {"s": np.full(1, 0.25)}),
+    "row": ({"a": Memlet.simple("A", "i")}, "o = a",
+            Memlet(data="s", subset="i", wcr="sum"),
+            {"A": (("N",), F64), "s": (("N",), F64)},
+            {"A": np.random.rand(5), "s": np.full(5, 0.25)}),
+}
+
+
+@pytest.mark.parametrize("m", [0, 1, 6])
+@pytest.mark.parametrize("case", sorted(PARTIAL_VALUES))
+def test_reduction_broadcasts_a_value_that_does_not_span_the_domain(case, m):
+    inputs, code, out, arrays, data = PARTIAL_VALUES[case]
+    sdfg = mapped("partial", {"i": "0:N", "j": "0:M"}, inputs, code,
+                  {"o": out}, arrays)
+    kwargs = {**data, "N": 5, "M": m}
+    cg, it, comp = run_both(sdfg, **kwargs)
+    loop = _copy(kwargs)
+    compile_sdfg(sdfg, backend="python", vectorize=False)(**loop)
+    assert_same(cg, it)
+    assert_same(cg, loop)
+    assert tiers(comp) == ["slice"]
+    assert "np.broadcast_to" in comp.source
+
+
+def test_reduction_of_a_spanning_value_skips_the_broadcast():
+    sdfg = mapped(
+        "full", {"i": "0:N", "j": "0:M"},
+        {"a": Memlet.simple("A", "i, j"), "b": Memlet.simple("B", "j")},
+        "o = a * b",
+        {"o": Memlet(data="s", subset="0", wcr="sum")},
+        {"A": (("N", "M"), F64), "B": (("M",), F64), "s": ((1,), F64)},
+    )
+    cg, it, comp = run_both(
+        sdfg, A=np.random.rand(4, 3), B=np.random.rand(3), s=np.ones(1)
+    )
+    assert_same(cg, it)
+    assert "np.broadcast_to" not in comp.source
+    assert "s[0] = s[0] + __red" in comp.source
+
+
+@pytest.mark.parametrize("wcr", ["sum", "product"])
+@pytest.mark.parametrize("dtype", [dtypes.float64, dtypes.float32, dtypes.int64])
+def test_one_element_accumulation_is_the_ufunc_bit_for_bit(wcr, dtype):
+    """Scalar ``+``/``*`` on one element is the same operation as the
+    ``np.add``/``np.multiply`` call it replaces, for every target type."""
+    sdfg = mapped(
+        "one", {"i": "0:N"}, {"a": Memlet.simple("A", "i")}, "o = a * 0.75",
+        {"o": Memlet(data="s", subset="0", wcr=wcr)},
+        {"A": (("N",), F64), "s": ((1,), dtype)},
+    )
+    kwargs = {"A": np.random.rand(9) + 0.5, "s": np.full(1, 3, dtype.as_numpy())}
+    got = _copy(kwargs)
+    compile_sdfg(sdfg, backend="python")(**got)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(python_gen, "_accumulate", lambda tgt, val, rtype: (
+            f"{python_gen.PythonGenerator._UFUNC[rtype]}({tgt}, {val})"
+        ))
+        ufunc = compile_sdfg(sdfg, backend="python")
+    assert "np.add(s[0]" in ufunc.source or "np.multiply(s[0]" in ufunc.source
+    want = _copy(kwargs)
+    ufunc(**want)
+    assert got["s"].dtype == want["s"].dtype
+    assert np.array_equal(got["s"], want["s"])
+
+
 def test_reversed_operand_gathers_its_neighbours_still_slice():
     sdfg = mapped(
         "rev", {"i": "0:N"},

@@ -12,13 +12,15 @@ import repro.tuning.cache as tuning_cache
 from repro.codegen.progcache import ProgramCache, ProgramCacheEntry, program_key
 from repro.tuning.cache import TuningCache
 
-# Digests and entry-file hashes recorded before the caches moved onto
-# repro.store: equal values mean caches written by older builds stay warm
-# with no CODEGEN_VERSION or schema bump.
-PROGRAM_KEY = "e1b09a34b819b8ef1bbe0d97a4ced62b745c5b7610c90a3326496b9b65d73193"
-PROGRAM_KEY_VARIANT = "5dc36a45d3b3c519ebdafa773e712de5be97d151620ed282d124e3733926fb35"
+# Digests and entry-file hashes: equal values mean caches written by older
+# builds stay warm with no schema bump.  The program pins were re-recorded
+# at CODEGEN_VERSION 5 (structured interstate control flow), which is part
+# of every program key and entry, so programs generated by version-4 builds
+# are deliberately cold; the tuning pins predate the store.
+PROGRAM_KEY = "7ed6806843b9357ddaa3a04c141f0be311ed91dd803bfc28109ec1af044580e7"
+PROGRAM_KEY_VARIANT = "4f6ebe6b5ceb881098474b8f95f46e84e50ef0de4f6e73615ef5e3b2523748b4"
 TUNING_KEY = "a6e0cfb9b97890493e3b38fe58d9ca424f63b75cd61a759ab119bb44c9250aae"
-PROGRAM_ENTRY_SHA = "6f77400c651bf05e2cb410904d426397e02450a024b64dab1553fed825e78b51"
+PROGRAM_ENTRY_SHA = "1dd869749945de11b45124388277c33e85b53847d26b980faeb68ff1fe30bdaa"
 TUNING_ENTRY_SHA = "471abd604466f76b1cf682b9379a65768e9e5c1768102b8f4ef6eed5d5fd38f3"
 
 

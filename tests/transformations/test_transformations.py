@@ -251,6 +251,56 @@ class TestFusion:
         sdfg = ext.to_sdfg()
         assert enumerate_matches(sdfg, MapFusion) == []
 
+    @pytest.mark.parametrize("name", ["MapFusion", "OnTheFlyMapFusion"])
+    def test_fusion_on_durbin_matches_numpy_or_does_not_apply(self, name):
+        # durbin's ``z[i] = y[i] + alpha*y[k-1-i]`` then ``y[i] = z[i]``:
+        # fused, iteration i overwrites y[i] before iteration k-1-i reads it.
+        from repro.workloads import polybench
+
+        kernel = polybench.get("durbin")
+        sdfg = kernel.make_sdfg()
+        if apply_transformations(sdfg, REGISTRY[name]) == 0:
+            return
+        got, want = kernel.data(), kernel.data()
+        kernel.run_sdfg(got, compiled=sdfg.compile())
+        kernel.ref_numpy(want, kernel.sizes)
+        np.testing.assert_allclose(got["y"], want["y"], rtol=1e-8, atol=1e-8)
+
+    @staticmethod
+    def _in_place_chain(read):
+        """``tmp[i] = A[read] * 2`` then ``A[j] = tmp[j] + 1``."""
+        sdfg = SDFG("inplace")
+        sdfg.add_array("A", ("N",), dtypes.float64)
+        sdfg.add_transient("tmp", ("N",), dtypes.float64)
+        st = sdfg.add_state()
+        st.add_mapped_tasklet(
+            "prod", {"i": "0:N"}, inputs={"a": Memlet.simple("A", read)},
+            code="t = a * 2", outputs={"t": Memlet.simple("tmp", "i")},
+        )
+        tmp = [n for n in st.data_nodes() if n.data == "tmp"][0]
+        st.add_mapped_tasklet(
+            "cons", {"j": "0:N"}, inputs={"t": Memlet.simple("tmp", "j")},
+            code="b = t + 1", outputs={"b": Memlet.simple("A", "j")},
+            input_nodes={"tmp": tmp},
+        )
+        return sdfg
+
+    def test_map_fusion_rules_on_a_container_both_maps_touch(self):
+        # The same element per iteration fuses; another iteration's does not.
+        sdfg = self._in_place_chain("i")
+        assert apply_transformations(sdfg, MapFusion) == 1
+        A = np.random.rand(9)
+        want = A * 2 + 1
+        run(sdfg, A=A)
+        np.testing.assert_allclose(A, want)
+        assert enumerate_matches(self._in_place_chain("N - 1 - i"), MapFusion) == []
+        assert enumerate_matches(self._in_place_chain("0"), MapFusion) == []
+
+    def test_on_the_fly_fusion_rejects_a_consumer_writing_producer_input(self):
+        from repro.transformations import OnTheFlyMapFusion
+
+        assert enumerate_matches(self._in_place_chain("i"), OnTheFlyMapFusion) == []
+
 
 class TestMemory:
     def test_local_storage_fig11b(self):
