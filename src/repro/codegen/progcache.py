@@ -38,7 +38,9 @@ from repro.store import Store, content_key
 #: v4: strided-view, ragged and predicated map lowerings; bulk stream copies.
 #: v5: structured ``while``/``if`` interstate control flow; slice-tier
 #: reductions broadcast only values that do not span the domain.
-CODEGEN_VERSION = 5
+#: v6: every two-operand contraction is one ``@``, marked or not; sums and
+#: products into integer containers of non-integer values take the loop.
+CODEGEN_VERSION = 6
 
 #: Entry file layout version; mismatched files are deleted as misses.
 CACHE_SCHEMA_VERSION = 1

@@ -5,9 +5,10 @@ Every map scope takes the first lowering whose preconditions its memlets
 and tasklet meet, mirroring how the paper's CPU backend exploits the
 representation's inherent parallelism (DESIGN.md §9 has the full ladder):
 
-* **contraction** — maps marked by the ``Vectorization`` transformation
-  whose body is a (scaled) pure product into a sum-WCR output: a single
-  ``np.einsum(..., optimize=True)``, which dispatches to BLAS.
+* **contraction** — a (scaled) product of two strided views summed into
+  one sum-WCR output over exactly one parameter, marked or not: a single
+  ``@`` (``np.matmul``, which dispatches to BLAS), planned from the
+  operands' parameters alone (:func:`_contraction_plan`).
 * **slice / gather** — one elementwise tasklet over point memlets affine
   in the map parameters: the whole domain evaluates at once over strided
   *views* (index arrays only for operands no basic slice can express).
@@ -62,8 +63,6 @@ from repro.sdfg.nodes import (
 from repro.symbolic import Expr, Integer, Symbol
 from repro.symbolic.expr import Add, Ge, Gt, Le, Lt, Mul, Not
 from repro.symbolic.sets import linear_coefficient
-
-_EINSUM_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 #: Cooperative cancellation: the watchdog can kill a runaway interstate
 #: loop at every iteration.
@@ -1259,8 +1258,8 @@ class PythonGenerator:
         return src, bool(axes) and not copy
 
     def _lower_tasklet_map(self, sdfg, state, entry, tasklet: Tasklet, buf) -> str:
-        """Single-tasklet maps: contraction (marked maps), slice/gather,
-        predicated, or — for indexed updates — the WCR scatter."""
+        """Single-tasklet maps: contraction, slice/gather, predicated, or —
+        for indexed updates — the WCR scatter."""
         mparams = entry.map.params
         self._check_tasklet(tasklet, mparams)
         if not pytranslate.is_vectorizable_tasklet(tasklet.code):
@@ -1302,6 +1301,19 @@ class PythonGenerator:
                 continue
             if mem.wcr is not None and mem.reduction_type() not in self._UFUNC:
                 raise _Reject(f"custom WCR on {_memlet_str(mem)} has no ufunc")
+            # The loop casts an integer accumulator after every iteration;
+            # a whole-domain sum or product casts once, so it may only
+            # carry values that need no cast.
+            if (
+                mem.reduction_type() in (ReductionType.Sum, ReductionType.Product)
+                and sdfg.arrays[mem.data].dtype.nptype.kind in "biu"
+                and not _integer_valued(sdfg, tasklet.code, conn, in_edges, mparams)
+            ):
+                raise _Reject(
+                    f"{mem.reduction_type().name.lower()} into integer "
+                    f"{_memlet_str(mem)} of a value that is not integer by "
+                    "construction"
+                )
             if len(used) < len(mparams) and mem.wcr is None:
                 raise _Reject(
                     f"write {_memlet_str(mem)} repeats across iterations "
@@ -1317,11 +1329,7 @@ class PythonGenerator:
                         f"masked store {_memlet_str(mem)} is not a strided view"
                     )
 
-        # Contraction (einsum) tier: transformed maps only — the gate is
-        # the paper's Vectorization step.
-        if entry.map.vectorized and self._try_einsum(
-            entry, tasklet, in_edges, out_edges, analyses, buf
-        ):
+        if self._try_contraction(sdfg, entry, tasklet, in_edges, out_edges, analyses, buf):
             return "contraction"
 
         gathers: Set[str] = set()
@@ -1568,39 +1576,53 @@ class PythonGenerator:
         buf.dedent()
         return "scatter"
 
-    # ---------------------------------------------------------------- einsum
-    def _try_einsum(
-        self, entry, tasklet, in_edges, out_edges, analyses, buf
+    # ----------------------------------------------------------- contraction
+    def _try_contraction(
+        self, sdfg, entry, tasklet, in_edges, out_edges, analyses, buf
     ) -> bool:
-        if len(out_edges) != 1 or len(in_edges) < 2:
+        """A (scaled) product of two strided views summed into one output
+        over exactly one parameter: one ``@`` (``np.matmul``, BLAS for
+        floats) shaped by :func:`_contraction_plan`, under the slice
+        tier's emptiness guard and accumulate.  False, emitting nothing,
+        for any other map — the slice tier takes it unchanged."""
+        if len(out_edges) != 1 or len(in_edges) != 2:
             return False
         out_e = out_edges[0]
         if out_e.data.reduction_type() != ReductionType.Sum:
             return False
+        # ``@`` on booleans is a logical and/or, not a count.
+        if any(sdfg.arrays[e.data.data].dtype.nptype.kind == "b" for e in in_edges):
+            return False
         coef = pytranslate.detect_pure_product(
-            tasklet.code,
-            [e.dst_conn for e in in_edges],
-            out_e.src_conn,
+            tasklet.code, [e.dst_conn for e in in_edges], out_e.src_conn
         )
         if coef is None:
             return False
         mparams = entry.map.params
-        letters = {p: _EINSUM_LETTERS[i] for i, p in enumerate(mparams)}
         pranges = entry.map.param_ranges()
-        # Slice every operand so its axes are exactly its parameters.
-        ops = []
-        for e in in_edges + [out_e]:
-            sl = _slice_index(analyses[id(e.data)], pranges)
-            if sl is None:
-                return False
-            ops.append((f"{e.data.data}[{sl[0]}]", "".join(letters[p] for p in sl[1])))
-        out_expr, out_sub = ops.pop()
-        # Every output letter must appear in inputs; reduction over the rest.
-        spec = ",".join(sub for _, sub in ops) + "->" + out_sub
-        buf.line(f"# contraction lowering (einsum) for map {entry.map.label}")
-        args = ", ".join(expr for expr, _ in ops)
-        scale = "" if coef == 1 else f"{coef!r} * "
-        buf.line(f"{out_expr} += {scale}np.einsum('{spec}', {args}, optimize=True)")
+        views = [_slice_index(analyses[id(e.data)], pranges) for e in in_edges + [out_e]]
+        if None in views:
+            return False
+        (x_idx, x_axes), (y_idx, y_axes), (out_idx, out_axes) = views
+        plan = _contraction_plan(x_axes, y_axes, out_axes, mparams)
+        if plan is None:
+            return False
+        x_sfx, y_sfx, result_sfx = plan
+        x, y = (e.data.data for e in in_edges)
+        val = f"({x}[{x_idx}]{x_sfx} @ {y}[{y_idx}]{y_sfx}){result_sfx}"
+        if coef != 1:
+            val = f"{coef!r} * {val}"
+        buf.line(f"# contraction (matmul) for map {entry.map.label}")
+        self._emit_domain_header(buf, mparams, pranges, set())
+        tgt = f"{out_e.data.data}[{out_idx}]"
+        if out_axes:
+            # ``unsafe`` casting is what element assignment does.
+            dst = self._tmp("dst")
+            buf.line(f"{dst} = {tgt}")
+            buf.line(f"np.add({dst}, {val}, out={dst}, casting='unsafe')")
+        else:
+            buf.line(f"{tgt} = {_accumulate(tgt, val, ReductionType.Sum)}")
+        buf.dedent()
         return True
 
     # ------------------------------------------------------------ ragged maps
@@ -2142,6 +2164,54 @@ def _params_read(code: str, rename: Dict[str, str], index: Dict[str, str]) -> Se
     return {p for p, var in index.items() if p in read and rename[p] == var}
 
 
+def _integer_valued(sdfg, code: str, out: str, in_edges, mparams) -> bool:
+    """Whether every value the tasklet assigns to ``out`` is an integer by
+    construction: computed from integer/boolean connectors, parameters,
+    symbols and literals and from locals that are, without ``/``, ``**``
+    or calls.  A branch test only selects, so it may read anything."""
+    conns = {e.dst_conn for e in in_edges}
+    ints = {
+        e.dst_conn for e in in_edges
+        if sdfg.arrays[e.data.data].dtype.nptype.kind in "biu"
+    }
+    ints |= (set(mparams) | _nan_free_names(sdfg)) - conns
+    assigns = []  # (assigned names, the expression assigned)
+    for node in ast.walk(pytranslate.parse_tasklet(code)):
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AugAssign):
+            targets, value = [node.target], node  # which also reads the target
+        else:
+            continue
+        names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        assigns.append((names, value))
+    # Locals start out integer and lose it on any other assignment.
+    local = set().union(*(names for names, _ in assigns))
+    known = ints | local - conns - set(sdfg.symbols) - set(sdfg.constants)
+    changed = True
+    while changed:
+        changed = False
+        for names, value in assigns:
+            if names & known and not _integer_expr(value, known):
+                known -= names
+                changed = True
+    return out in known
+
+
+def _integer_expr(node: ast.AST, known: Set[str]) -> bool:
+    """Whether ``node`` is an integer when the names in ``known`` are."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Constant) and type(n.value) not in (int, bool):
+            return False
+        if isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, (ast.Div, ast.Pow)):
+            return False
+        if isinstance(n, (ast.Call, ast.Attribute, ast.Subscript)):
+            return False
+        if isinstance(n, ast.Name) and n.id not in known:
+            return False
+    return True
+
+
 def _is_sum_of_products(e: Expr) -> bool:
     """Only ``+``/``*`` over integers and symbols: evaluates elementwise
     when the symbols are bound to arrays."""
@@ -2195,6 +2265,45 @@ def _slice_index(analysis, pranges) -> Optional[Tuple[str, List[str]]]:
             parts.append(f"{pycode(lo)}:{pycode(hi)}:{pycode(c * rng.step)}")
         axes.append(p)
     return ", ".join(parts), axes
+
+
+def _contraction_plan(
+    x_axes: Sequence[str], y_axes: Sequence[str], out_axes: Sequence[str], mparams
+) -> Optional[Tuple[str, str, str]]:
+    """How ``out += x * y`` over the map's parameters — each operand given
+    by the parameters its axes run over — is one ``x' @ y'``: the source
+    suffixes viewing ``x`` as ``batch + [m, k]`` and ``y`` as ``batch +
+    [k, n]``, and the one taking the product to ``out``'s axis order.
+
+    ``k`` is the one parameter summed: in both operands, not in ``out``.
+    ``m`` (``n``) is the last parameter only ``x`` (``y``) has; ``batch``
+    is the parameters all three share and the other one-operand ones.
+    An operand lacking an axis gets ``None`` there — or, with no batch,
+    is 1-D, so a dot product is ``x @ y``.  None for any other shape: a
+    parameter twice in one operand, not exactly one summed parameter, a
+    parameter summed in one operand only or in no operand at all."""
+    x, y, out = set(x_axes), set(y_axes), set(out_axes)
+    if len(x) < len(x_axes) or len(y) < len(y_axes) or len(out) < len(out_axes):
+        return None
+    summed = (x & y) - out
+    if len(summed) != 1 or (x | y) - summed != out or x | y != set(mparams):
+        return None
+    x_free = [p for p in x_axes if p not in y]
+    y_free = [p for p in y_axes if p not in x]
+    batch = [p for p in out_axes if p in x and p in y] + x_free[:-1] + y_free[:-1]
+    # A size-1 slot keeps a missing m or n from shifting the batch axes.
+    slot = [None] if batch else []
+    m, n, k = x_free[-1:] or slot, y_free[-1:] or slot, list(summed)
+    product = batch + m + n
+    drop = ""
+    if None in product:
+        drop = "[" + ", ".join("0" if p is None else ":" for p in product) + "]"
+        product = [p for p in product if p is not None]
+    return (
+        "".join(_axes_suffix(x_axes, batch + m + k)),
+        "".join(_axes_suffix(y_axes, batch + k + n)),
+        drop + _axes_suffix(product, out_axes)[0],
+    )
 
 
 def _offset(e: Expr, d: Expr) -> Expr:

@@ -351,7 +351,7 @@ def vectorize_tasklet(
 def detect_pure_product(code: str, inputs: Sequence[str], output: str):
     """The constant ``coef`` when the tasklet computes ``output = coef *
     prod(inputs)`` exactly (1 for a bare product) — the pattern that admits
-    einsum-based contraction lowering — else None."""
+    the ``@`` contraction lowering — else None."""
     try:
         tree = parse_tasklet(code)
     except CodegenError:

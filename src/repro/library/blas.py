@@ -106,8 +106,7 @@ def sbsmm(
 def sbsmm_sdfg(batch: str = "BA", m: int = 4, n: int = 4, k: int = 4):
     """The SBSMM kernel as a data-centric program (specialized SDFG
     implementation of Fig. 18 step ❹): a batch map around a small
-    contraction, vectorization-marked so backends lower it to one
-    batched einsum."""
+    contraction, which the Python backend lowers to one batched ``@``."""
     import repro as rp
     from repro.sdfg import SDFG, Memlet
 

@@ -172,8 +172,8 @@ class Map:
             )
         self.schedule = schedule
         self.unroll = unroll
-        #: Set by the Vectorization transformation: permits backends to use
-        #: stronger lowerings (contraction/einsum, wide vector loads).
+        #: Set by the Vectorization transformation (the paper's Fig. 15
+        #: step); backends choose their lowerings without reading it.
         self.vectorized = vectorized
         #: Instrumentation of the whole scope (shared by entry and exit).
         self.instrument = InstrumentationType.NONE

@@ -286,10 +286,10 @@ class MapTiling(Transformation):
 class Vectorization(Transformation):
     """Marks an innermost map for vector lowering.
 
-    In the paper this alters data accesses to use vector types; in this
-    reproduction's Python backend it unlocks the strongest lowering tier
-    (contraction/einsum and wide NumPy operations), and in the C++/HLS
-    backends it corresponds to vector-extension friendly code.
+    In the paper this alters data accesses to use vector types.  Here the
+    mark is the Fig. 15 step the tuner searches for and it is serialized
+    with the map; no backend reads it.  The Python backend chooses every
+    tier, the ``@`` contraction included, from the map's shape alone.
     """
 
     _entry = PatternNode(MapEntry)
@@ -312,7 +312,7 @@ class Vectorization(Transformation):
         if len(body) != len(tasklets) or len(tasklets) != 1:
             return False
         t = tasklets[0]
-        # Only straight-line bodies can be the contraction the mark unlocks.
+        # Only straight-line bodies: the vector lowerings the mark stands for.
         return t.language == Language.Python and is_vectorizable_tasklet(
             t.code, allow_branch=False
         )

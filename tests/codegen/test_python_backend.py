@@ -160,7 +160,8 @@ class TestEinsumLowering:
         )
         me.map.vectorized = True
         comp = compile_sdfg(sdfg)
-        assert "einsum" in comp.source
+        assert [r["tier"] for r in comp.lowering] == ["contraction"]
+        assert "(A[0:M, 0:K] @ B[0:K, 0:N])" in comp.source
         A, B = np.random.rand(5, 7), np.random.rand(7, 6)
         C = np.zeros((5, 6))
         comp(A=A, B=B, C=C)
@@ -180,7 +181,9 @@ class TestEinsumLowering:
             outputs={"o": Memlet(data="C", subset="i, j", wcr="sum")},
         )
         comp = compile_sdfg(sdfg)
-        assert "einsum" not in comp.source
+        # The shape alone decides: an unmarked product contracts too.
+        assert [r["tier"] for r in comp.lowering] == ["contraction"]
+        assert "einsum" not in comp.source and " @ " in comp.source
         A, B = np.random.rand(4, 3), np.random.rand(3, 5)
         C = np.zeros((4, 5))
         comp(A=A, B=B, C=C)
@@ -190,8 +193,8 @@ class TestEinsumLowering:
     @pytest.mark.parametrize("marked", [True, False])
     def test_scaled_gemm_chain_links(self, marked):
         """Fig. 15's program: every link is ``o = alpha_k * x * y``.  A
-        constant factor still contracts (``alpha * einsum``) once the
-        Vectorization step marks the map; unmarked links never do."""
+        constant factor still contracts (``alpha * (x @ y)``), whether or
+        not the Vectorization step marked the map."""
         from repro.transformations import (
             Vectorization,
             apply_transformations_repeated,
@@ -203,12 +206,8 @@ class TestEinsumLowering:
             assert apply_transformations_repeated(sdfg, Vectorization) == 16
         comp = compile_sdfg(sdfg)
         tiers = {r["map"]: r["tier"] for r in comp.lowering}
-        if marked:
-            assert "1.125 * np.einsum(" in comp.source
-            assert tiers == {"gemm": "contraction", "zero": "slice"}
-        else:
-            assert "einsum" not in comp.source
-            assert tiers == {"gemm": "slice", "zero": "slice"}
+        assert "1.125 * (" in comp.source and "einsum" not in comp.source
+        assert tiers == {"gemm": "contraction", "zero": "slice"}
         data = kernels.gemm_chain_data(12)
         comp(**data)
         np.testing.assert_allclose(

@@ -137,11 +137,12 @@ def test_transposed_store():
 
 def test_transposed_operand_reused_along_a_parameter_is_copied_once():
     """``B[k, j]`` over (i, j, k) is transposed *and* broadcast along i:
-    a strided view would be re-read N times with a long stride."""
+    a strided view would be re-read N times with a long stride.  (A bare
+    product of the two would be a contraction, so the body is not one.)"""
     sdfg = mapped(
         "mm", {"i": "0:N", "j": "0:N", "k": "0:N"},
         {"a": Memlet.simple("A", "i, k"), "b": Memlet.simple("B", "k, j")},
-        "o = a * b", {"o": Memlet(data="C", subset="i, j", wcr="sum")},
+        "o = a - b", {"o": Memlet(data="C", subset="i, j", wcr="sum")},
         {"A": (("N", "N"), F64), "B": (("N", "N"), F64), "C": (("N", "N"), F64)},
     )
     rng = np.random.default_rng(0)
@@ -149,6 +150,7 @@ def test_transposed_operand_reused_along_a_parameter_is_copied_once():
         sdfg, A=rng.random((5, 5)), B=rng.random((5, 5)), C=np.ones((5, 5))
     )
     assert_same(cg, it)
+    assert tiers(comp) == ["slice"]
     assert "__in_a = A[0:N, 0:N][:, None, :]" in comp.source
     assert "__in_b = B[0:N, 0:N].transpose(1, 0).copy()[None, :, :]" in comp.source
 
@@ -279,13 +281,20 @@ def test_reduction_of_a_spanning_value_skips_the_broadcast():
 @pytest.mark.parametrize("dtype", [dtypes.float64, dtypes.float32, dtypes.int64])
 def test_one_element_accumulation_is_the_ufunc_bit_for_bit(wcr, dtype):
     """Scalar ``+``/``*`` on one element is the same operation as the
-    ``np.add``/``np.multiply`` call it replaces, for every target type."""
+    ``np.add``/``np.multiply`` call it replaces, for every target type.
+    (An integer target takes an integer value: a float one is cast after
+    every iteration, which only the loop tier does.)"""
+    integer = dtype == dtypes.int64
     sdfg = mapped(
-        "one", {"i": "0:N"}, {"a": Memlet.simple("A", "i")}, "o = a * 0.75",
+        "one", {"i": "0:N"}, {"a": Memlet.simple("A", "i")},
+        "o = a * 3" if integer else "o = a * 0.75",
         {"o": Memlet(data="s", subset="0", wcr=wcr)},
-        {"A": (("N",), F64), "s": ((1,), dtype)},
+        {"A": (("N",), dtype if integer else F64), "s": ((1,), dtype)},
     )
-    kwargs = {"A": np.random.rand(9) + 0.5, "s": np.full(1, 3, dtype.as_numpy())}
+    kwargs = {
+        "A": np.arange(1, 10) if integer else np.random.rand(9) + 0.5,
+        "s": np.full(1, 3, dtype.as_numpy()),
+    }
     got = _copy(kwargs)
     compile_sdfg(sdfg, backend="python")(**got)
     with pytest.MonkeyPatch.context() as m:

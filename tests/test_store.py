@@ -14,13 +14,13 @@ from repro.tuning.cache import TuningCache
 
 # Digests and entry-file hashes: equal values mean caches written by older
 # builds stay warm with no schema bump.  The program pins were re-recorded
-# at CODEGEN_VERSION 5 (structured interstate control flow), which is part
-# of every program key and entry, so programs generated by version-4 builds
-# are deliberately cold; the tuning pins predate the store.
-PROGRAM_KEY = "7ed6806843b9357ddaa3a04c141f0be311ed91dd803bfc28109ec1af044580e7"
-PROGRAM_KEY_VARIANT = "4f6ebe6b5ceb881098474b8f95f46e84e50ef0de4f6e73615ef5e3b2523748b4"
+# at CODEGEN_VERSION 6 (every two-operand contraction is one ``@``), which
+# is part of every program key and entry, so programs generated by
+# version-5 builds are deliberately cold; the tuning pins predate the store.
+PROGRAM_KEY = "71ca591187e20e72e440ca1f5e6de8b5223a0ada4792d5a190ec7e7410f78db5"
+PROGRAM_KEY_VARIANT = "a1b0e1ef2db4b3c22eaf620d69ee4e921b631adc61094507d8e74262bff400b0"
 TUNING_KEY = "a6e0cfb9b97890493e3b38fe58d9ca424f63b75cd61a759ab119bb44c9250aae"
-PROGRAM_ENTRY_SHA = "1dd869749945de11b45124388277c33e85b53847d26b980faeb68ff1fe30bdaa"
+PROGRAM_ENTRY_SHA = "eb51e8689d6840673b51fff2159bbf5c4d752336028aeb20d5faa9dae1ba2359"
 TUNING_ENTRY_SHA = "471abd604466f76b1cf682b9379a65768e9e5c1768102b8f4ef6eed5d5fd38f3"
 
 

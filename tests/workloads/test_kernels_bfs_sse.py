@@ -38,7 +38,7 @@ class TestFundamentalKernels:
         sdfg = kernels.optimize_matmul(kernels.matmul_sdfg())
         assert "MapReduceFusion" in sdfg.transformation_history
         comp = sdfg.compile()
-        assert "einsum" in comp.source
+        assert "contraction" in {r["tier"] for r in comp.lowering}
         comp(**data)
         np.testing.assert_allclose(data["C"], ref)
 
