@@ -14,6 +14,10 @@ Main entry points::
     report = simulate(sdfg, machine="gpu", symbols={"N": 4096})
     report.time            # seconds
     report.flops, report.bytes_moved
+
+``simulate`` analyses the graph (validate + propagate) once and then
+walks it; ``simulate_analysed`` is the walk alone, for callers that have
+just done that analysis themselves.
 """
 
 from __future__ import annotations
@@ -104,9 +108,15 @@ class SimReport:
 
 
 class PerformanceModel:
+    """The model walk over one SDFG (nested SDFGs get their own model).
+
+    The model reads memlet volumes as they are: it neither validates nor
+    propagates, so ``sdfg`` must already be valid and propagated —
+    :func:`simulate` does that analysis once, on the outermost graph
+    (both passes recurse into nested SDFGs), before it walks.
+    """
+
     def __init__(self, sdfg, symbols: Dict[str, int]):
-        sdfg.validate()
-        sdfg.propagate()
         self.sdfg = sdfg
         self.symbols = dict(symbols)
         for k, v in sdfg.constants.items():
@@ -181,7 +191,7 @@ class PerformanceModel:
                 c.bytes_moved = vol * dt * 2
                 costs.append(c)
             elif isinstance(node, NestedSDFG):
-                inner = PerformanceModel(node.sdfg, self.symbols)
+                inner = PerformanceModel(node.sdfg, self._inner_symbols(node))
                 for st in node.sdfg.nodes():
                     cs, tr = inner.state_costs(st)
                     costs.extend(cs)
@@ -189,6 +199,18 @@ class PerformanceModel:
             elif isinstance(node, AccessNode):
                 transfer += self._copy_transfer_bytes(state, node)
         return costs, transfer
+
+    def _inner_symbols(self, node: NestedSDFG) -> Dict[str, float]:
+        """Bindings inside a nested SDFG: the outer ones, with each
+        ``symbol_mapping`` entry evaluated in the outer bindings (an
+        entry that cannot be evaluated stays unbound)."""
+        inner = dict(self.symbols)
+        for name, expr in node.symbol_mapping.items():
+            try:
+                inner[name] = expr.evaluate(self.symbols)
+            except KeyError:
+                inner.pop(name, None)
+        return inner
 
     def _edge_bytes(self, state, node) -> float:
         total = 0.0
@@ -205,7 +227,8 @@ class PerformanceModel:
         cost.iterations = self._eval(m.num_iterations())
         # Work: sum over tasklets in the scope (nested scopes multiply).
         exit_ = state.exit_node(entry)
-        for node in state.scope_subgraph(entry, include_scope_nodes=False):
+        inside = state.scope_subgraph(entry, include_scope_nodes=False, scope_dict=sd)
+        for node in inside:
             if isinstance(node, Tasklet):
                 iters = self._nested_iterations(state, node, sd, entry)
                 cost.flops += tasklet_flops(node) * iters
@@ -288,7 +311,25 @@ def simulate(
     symbols: Optional[Dict[str, int]] = None,
     naive_fpga: bool = False,
 ) -> SimReport:
-    """Predict the SDFG's execution time on a machine model."""
+    """Predict the SDFG's execution time on a machine model.
+
+    Validates and propagates ``sdfg`` (in place; raises on an invalid
+    graph), then runs the model walk (:func:`simulate_analysed`).
+    """
+    sdfg.validate()
+    sdfg.propagate()
+    return simulate_analysed(sdfg, machine, symbols, naive_fpga)
+
+
+def simulate_analysed(
+    sdfg,
+    machine: Union[str, MachineModel, FPGAModel] = "cpu",
+    symbols: Optional[Dict[str, int]] = None,
+    naive_fpga: bool = False,
+) -> SimReport:
+    """The model walk of :func:`simulate` alone, for a caller that has
+    already validated and propagated ``sdfg`` (the tuner scores the
+    variants its guarded optimizer just analysed this way)."""
     if isinstance(machine, str):
         machine_obj = MACHINES[machine]
         machine_name = machine

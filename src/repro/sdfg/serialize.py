@@ -4,12 +4,14 @@ Serialized SDFGs are what DIODE-style tooling exchanges and what
 "optimization version control" snapshots; the format is a plain
 dictionary so it can be stored, diffed, and inspected.
 
-A *canonical* form (``sdfg_to_json(sdfg, canonical=True)``) additionally
-fixes every source of incidental order — edges sorted by endpoint
-indices and connectors, transitions sorted, dictionary keys sorted at
-dump time — and omits the transformation history, so that two SDFGs
-with identical structure serialize to identical bytes.  That form backs
-:func:`content_hash`, the content address used by the tuning cache.
+A *canonical* form (:func:`canonical_form` of the plain dictionary, or
+``sdfg_to_json(sdfg, canonical=True)``) additionally fixes every source
+of incidental order — edges sorted by endpoint indices and connectors,
+transitions sorted, dictionary keys sorted at dump time — and omits the
+transformation history, so that two SDFGs with identical structure
+serialize to identical bytes.  That form backs :func:`content_hash`, the
+content address used by the tuning cache, and :func:`snapshot_hash`,
+the same address computed from a snapshot already in hand.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ def data_from_json(obj: Dict[str, Any]) -> Data:
     raise ValueError(f"unknown descriptor type {kind!r}")
 
 
-def node_to_json(node: Node, canonical: bool = False) -> Dict[str, Any]:
+def node_to_json(node: Node) -> Dict[str, Any]:
     base = {
         "in_connectors": sorted(node.in_connectors),
         "out_connectors": sorted(node.out_connectors),
@@ -157,7 +159,7 @@ def node_to_json(node: Node, canonical: bool = False) -> Dict[str, Any]:
         return {
             "type": "NestedSDFG",
             "name": node.name,
-            "sdfg": sdfg_to_json(node.sdfg, canonical),
+            "sdfg": sdfg_to_json(node.sdfg),
             "symbol_mapping": {k: str(v) for k, v in node.symbol_mapping.items()},
             **base,
         }
@@ -229,7 +231,7 @@ def node_from_json(obj: Dict[str, Any], scope_cache: Dict[str, Any]) -> Node:
     raise ValueError(f"unknown node type {kind!r}")
 
 
-def state_to_json(state: SDFGState, canonical: bool = False) -> Dict[str, Any]:
+def state_to_json(state: SDFGState) -> Dict[str, Any]:
     nodes = state.nodes()
     index = {id(n): i for i, n in enumerate(nodes)}
     edges = [
@@ -242,20 +244,10 @@ def state_to_json(state: SDFGState, canonical: bool = False) -> Dict[str, Any]:
         }
         for e in state.edges()
     ]
-    if canonical:
-        edges.sort(
-            key=lambda e: (
-                e["src"],
-                e["dst"],
-                e["src_conn"] or "",
-                e["dst_conn"] or "",
-                json.dumps(e["memlet"], sort_keys=True),
-            )
-        )
     return {
         "name": state.name,
         "instrument": state.instrument.name,
-        "nodes": [node_to_json(n, canonical) for n in nodes],
+        "nodes": [node_to_json(n) for n in nodes],
         "edges": edges,
     }
 
@@ -281,24 +273,11 @@ def state_from_json(obj: Dict[str, Any], sdfg) -> SDFGState:
 def sdfg_to_json(sdfg, canonical: bool = False) -> Dict[str, Any]:
     """Serialize an SDFG to a plain dictionary.
 
-    With ``canonical=True`` the result is order-normalized for content
-    hashing: state edges and interstate transitions are sorted, and the
-    (semantically irrelevant) transformation history is omitted, so two
-    structurally identical SDFGs produce identical canonical dumps.
+    With ``canonical=True`` the result is :func:`canonical_form` of the
+    plain dictionary.
     """
     states = sdfg.nodes()
     index = {id(s): i for i, s in enumerate(states)}
-    transitions = [
-        {
-            "src": index[id(e.src)],
-            "dst": index[id(e.dst)],
-            "condition": str(e.data.condition),
-            "assignments": {k: str(v) for k, v in e.data.assignments.items()},
-        }
-        for e in sdfg.edges()
-    ]
-    if canonical:
-        transitions.sort(key=lambda t: (t["src"], t["dst"], t["condition"]))
     out = {
         "name": sdfg.name,
         "instrument": sdfg.instrument.name,
@@ -308,22 +287,75 @@ def sdfg_to_json(sdfg, canonical: bool = False) -> Dict[str, Any]:
         "start_state": (
             index[id(sdfg.start_state)] if sdfg.start_state is not None else None
         ),
-        "states": [state_to_json(s, canonical) for s in states],
-        "transitions": transitions,
+        "states": [state_to_json(s) for s in states],
+        "transitions": [
+            {
+                "src": index[id(e.src)],
+                "dst": index[id(e.dst)],
+                "condition": str(e.data.condition),
+                "assignments": {k: str(v) for k, v in e.data.assignments.items()},
+            }
+            for e in sdfg.edges()
+        ],
+        "transformation_history": list(sdfg.transformation_history),
     }
-    if not canonical:
-        out["transformation_history"] = list(sdfg.transformation_history)
+    return canonical_form(out) if canonical else out
+
+
+def _edge_key(e: Dict[str, Any]):
+    return (
+        e["src"],
+        e["dst"],
+        e["src_conn"] or "",
+        e["dst_conn"] or "",
+        json.dumps(e["memlet"], sort_keys=True),
+    )
+
+
+def canonical_form(obj: Dict[str, Any]) -> Dict[str, Any]:
+    """The order-normalized form of a :func:`sdfg_to_json` dictionary.
+
+    State edges and interstate transitions are sorted, the (semantically
+    irrelevant) transformation history is dropped, and nested SDFGs are
+    normalized recursively, so two structurally identical SDFGs have
+    identical canonical forms.  ``obj`` is not modified; the result
+    shares its unchanged parts.
+    """
+    out = {k: v for k, v in obj.items() if k != "transformation_history"}
+    out["states"] = [
+        {
+            **state,
+            "nodes": [
+                {**n, "sdfg": canonical_form(n["sdfg"])}
+                if n["type"] == "NestedSDFG" else n
+                for n in state["nodes"]
+            ],
+            "edges": sorted(state["edges"], key=_edge_key),
+        }
+        for state in obj["states"]
+    ]
+    out["transitions"] = sorted(
+        obj["transitions"], key=lambda t: (t["src"], t["dst"], t["condition"])
+    )
     return out
+
+
+def _canonical_dump(obj: Dict[str, Any]) -> str:
+    return json.dumps(
+        canonical_form(obj), sort_keys=True, separators=(",", ":"), default=str
+    )
 
 
 def canonical_sdfg_json(sdfg) -> str:
     """The canonical serialized form as one deterministic string."""
-    return json.dumps(
-        sdfg_to_json(sdfg, canonical=True),
-        sort_keys=True,
-        separators=(",", ":"),
-        default=str,
-    )
+    return _canonical_dump(sdfg_to_json(sdfg))
+
+
+def snapshot_hash(obj: Dict[str, Any]) -> str:
+    """:func:`content_hash` of the SDFG a :func:`sdfg_to_json` dictionary
+    describes, without parsing it: a caller that already holds the
+    snapshot (the tuner's search variants) hashes it directly."""
+    return hashlib.sha256(_canonical_dump(obj).encode("utf-8")).hexdigest()
 
 
 def content_hash(sdfg) -> str:
@@ -334,7 +366,7 @@ def content_hash(sdfg) -> str:
     change to dataflow, descriptors, symbols, or instrumentation
     changes the hash.  This is the cache key the tuning subsystem uses.
     """
-    return hashlib.sha256(canonical_sdfg_json(sdfg).encode("utf-8")).hexdigest()
+    return snapshot_hash(sdfg_to_json(sdfg))
 
 
 def restore_sdfg_inplace(sdfg, obj: Dict[str, Any]) -> None:

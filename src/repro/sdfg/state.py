@@ -306,10 +306,13 @@ class SDFGState(OrderedMultiDiGraph[Node, Memlet]):
         return out
 
     def scope_subgraph(
-        self, entry: EntryNode, include_scope_nodes: bool = True
+        self, entry: EntryNode, include_scope_nodes: bool = True, scope_dict=None
     ) -> List[Node]:
-        """All nodes in ``entry``'s scope, nested scopes included."""
-        sd = self.scope_dict()
+        """All nodes in ``entry``'s scope, nested scopes included.
+
+        ``scope_dict`` is this state's :meth:`scope_dict`, when the caller
+        already holds it."""
+        sd = scope_dict if scope_dict is not None else self.scope_dict()
         result: List[Node] = []
         for node in self.nodes():
             anc = sd.get(node)

@@ -129,9 +129,17 @@ def validate_state(
             "V101", "state dataflow graph is cyclic", sdfg=sdfg, state=state, cause=err
         )
 
+    # One scope tree serves the node checks and ❹; a malformed one is
+    # reported once, as V102, in ❹'s place.
+    try:
+        sd = state.scope_dict()
+        scope_error = None
+    except (ValueError, KeyError) as err:
+        sd, scope_error = None, err
+
     # ❷ node-level checks
     for node in state.nodes():
-        _validate_node(sdfg, state, node, ctx)
+        _validate_node(sdfg, state, node, ctx, sd)
 
     # ❸ edge/memlet checks
     for e in state.edges():
@@ -140,11 +148,13 @@ def validate_state(
     # ❹ scope structure (reported on inconsistency) + schedule/storage
     # feasibility (depends on a well-formed scope tree, hence skipped on
     # malformed scopes in collect mode).
-    try:
-        sd = state.scope_dict()
-    except (ValueError, KeyError) as err:
+    if scope_error is not None:
         ctx.error(
-            "V102", f"malformed scopes: {err}", sdfg=sdfg, state=state, cause=err
+            "V102",
+            f"malformed scopes: {scope_error}",
+            sdfg=sdfg,
+            state=state,
+            cause=scope_error,
         )
     else:
         _validate_storage(sdfg, state, sd, ctx)
@@ -165,7 +175,9 @@ def validate_state(
     return ctx.diagnostics
 
 
-def _validate_node(sdfg, state: SDFGState, node: Node, ctx: DiagnosticCollector) -> None:
+def _validate_node(
+    sdfg, state: SDFGState, node: Node, ctx: DiagnosticCollector, scope_dict
+) -> None:
     if isinstance(node, AccessNode):
         if node.data not in sdfg.arrays:
             ctx.error(
@@ -181,11 +193,9 @@ def _validate_node(sdfg, state: SDFGState, node: Node, ctx: DiagnosticCollector)
     if isinstance(node, Tasklet):
         # Tasklets may not reference external memory without memlets: all
         # loaded names must be connectors, scope parameters, or symbols.
-        try:
-            defined = _symbols_defined_at(sdfg, state, node)
-        except (ValueError, KeyError):
-            defined = None  # malformed scopes are reported separately (V102)
-        if defined is not None:
+        # Malformed scopes (no scope_dict) are reported separately (V102).
+        if scope_dict is not None:
+            defined = _symbols_defined_at(sdfg, node, scope_dict)
             for name in node.free_symbols():
                 if name not in defined and name not in sdfg.constants:
                     ctx.error(
@@ -913,13 +923,13 @@ def _innermost_schedule(entry, scope_dict=None) -> Optional[ScheduleType]:
     return None
 
 
-def _symbols_defined_at(sdfg, state: SDFGState, node: Node) -> Set[str]:
-    """Symbols visible to a node: SDFG symbols + enclosing scope params."""
+def _symbols_defined_at(sdfg, node: Node, sd) -> Set[str]:
+    """Symbols visible to a node: SDFG symbols + enclosing scope params
+    (``sd`` is the node's state's ``scope_dict``)."""
     defined = set(sdfg.symbols)
     # Interstate assignments introduce symbols as well.
     for e in sdfg.edges():
         defined.update(e.data.assignments.keys())
-    sd = state.scope_dict()
     entry = sd.get(node)
     while entry is not None:
         if isinstance(entry, MapEntry):

@@ -4,8 +4,11 @@ paper's §4.1/§4.2 workflow).
 ``GuardedOptimizer`` wraps every transformation application in a
 transaction, in the spirit of DIODE's "optimization version control":
 
-1. **snapshot** — serialize the SDFG (JSON round-trip);
-2. **apply** — run the transformation's graph rewrite;
+1. **snapshot** — serialize the SDFG (JSON round-trip) and propagate
+   it for matching; a guard built by :meth:`GuardedOptimizer.from_snapshot`
+   already holds the serialized pre-image of a propagated graph (the
+   auto-tuner's search variants), so it does neither;
+2. **apply** — run the transformation's graph rewrite, then propagate;
 3. **re-validate** — full structural validation of the result;
 4. **differential verification** (optional) — execute the pre- and
    post-transformation SDFGs on small inputs through the interpreter
@@ -140,6 +143,26 @@ class GuardedOptimizer:
         self.seed = seed
         self.report = GuardReport(sdfg=sdfg.name)
         self.recorder = recorder if recorder is not None else InstrumentationRecorder()
+        #: Serialized pre-image of the current graph when it is already
+        #: known (see :meth:`from_snapshot`); the next :meth:`apply` uses
+        #: it instead of taking a snapshot and propagating.
+        self._pre_image: Optional[Dict[str, Any]] = None
+
+    @classmethod
+    def from_snapshot(cls, obj: Dict[str, Any], **kwargs) -> "GuardedOptimizer":
+        """A guard over a fresh SDFG parsed from ``obj`` (a
+        :func:`sdfg_to_json` snapshot of a *propagated* graph).
+
+        Because the graph is parsed from ``obj``, ``obj`` is its exact
+        pre-image: the first :meth:`apply` (and any later one that
+        follows a rollback) rolls back and verifies against ``obj``
+        instead of re-serializing, and skips the pre-match propagate —
+        correct only because ``obj`` was taken after a propagate, which
+        is a fixpoint.  ``kwargs`` are the constructor's.
+        """
+        guard = cls(sdfg_from_json(obj), **kwargs)
+        guard._pre_image = obj
+        return guard
 
     # ------------------------------------------------------------ snapshots
     def snapshot(self) -> Dict[str, Any]:
@@ -173,12 +196,16 @@ class GuardedOptimizer:
             self.recorder.enter("transformation", name)
         try:
             start = time.perf_counter()
-            snap = self.snapshot()
-            timings["snapshot"] = time.perf_counter() - start
+            snap = self._pre_image
+            reused = snap is not None
+            if not reused:
+                snap = self.snapshot()
+                timings["snapshot"] = time.perf_counter() - start
 
             try:
                 t0 = time.perf_counter()
-                self.sdfg.propagate()
+                if not reused:
+                    self.sdfg.propagate()
                 matches = sort_matches(self.sdfg, cls.matches(self.sdfg, strict))
                 inst = matches[match_index] if match_index < len(matches) else None
                 if inst is None:
@@ -232,6 +259,7 @@ class GuardedOptimizer:
                 else:
                     verified = "ok"
 
+            self._pre_image = None  # the graph moved on
             self._record(
                 name,
                 "applied",

@@ -48,6 +48,12 @@ class CostProvider:
         """Cost of one variant (seconds, or model-seconds); lower wins."""
         raise NotImplementedError
 
+    def score_analysed(self, sdfg) -> float:
+        """:meth:`score` of a variant the caller has just validated and
+        propagated (the search's guarded children); a provider that
+        would repeat that analysis overrides this to skip it."""
+        return self.score(sdfg)
+
 
 class MeasuredCost(CostProvider):
     """Score by executing the variant and reading the instrumentation
@@ -182,11 +188,19 @@ class AnalyticCost(CostProvider):
     def score(self, sdfg) -> float:
         from repro.runtime.perfmodel import simulate
 
+        return self._model_time(simulate, sdfg)
+
+    def score_analysed(self, sdfg) -> float:
+        from repro.runtime.perfmodel import simulate_analysed
+
+        return self._model_time(simulate_analysed, sdfg)
+
+    def _model_time(self, sim, sdfg) -> float:
         symbols = dict(self.symbols)
         for s in sorted(set(sdfg.free_symbols()) | set(sdfg.symbols)):
             if s not in symbols and s not in sdfg.constants:
                 symbols[s] = self.symbol_default
-        t = float(simulate(sdfg, self.machine, symbols, self.naive_fpga).time)
+        t = float(sim(sdfg, self.machine, symbols, self.naive_fpga).time)
         if self.cores > 1:
             t = t / self.cores + self.parallel_overhead
         return t

@@ -30,11 +30,11 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.instrumentation import InstrumentationRecorder
-from repro.sdfg.serialize import content_hash, sdfg_from_json, sdfg_to_json
+from repro.sdfg.serialize import sdfg_from_json, sdfg_to_json, snapshot_hash
 from repro.telemetry.sink import active_sink
 from repro.transformations.base import REGISTRY
 from repro.transformations.guard import GuardedOptimizer
-from repro.transformations.optimizer import replay
+from repro.transformations.optimizer import _resolve, replay
 from repro.tuning.cache import TuningCache
 from repro.tuning.cost import CostProvider, resolve_provider
 from repro.tuning.report import TuningReport, history_label
@@ -274,10 +274,20 @@ def tune(
     recorder.enter("tuning", sdfg.name)
     try:
         state = _SearchState(cfg.budget)
+        # Every snapshot the search holds is of a validated, propagated
+        # graph — the root's from here, each child's from its guard — so
+        # guards built from them need no snapshot and no pre-apply
+        # propagate, and the provider need not analyse what it scores.
         root_sdfg = sdfg_from_json(base_json)
-        baseline = provider.score(root_sdfg)
+        root_sdfg.validate()
+        root_sdfg.propagate()
+        root_snapshot = sdfg_to_json(root_sdfg)
+        baseline = provider.score_analysed(root_sdfg)
         root = _Variant(
-            history=[], snapshot=base_json, hash=content_hash(root_sdfg), score=baseline
+            history=[],
+            snapshot=root_snapshot,
+            hash=snapshot_hash(root_snapshot),
+            score=baseline,
         )
         state.seen[root.hash] = baseline
         report.baseline_score = baseline
@@ -407,16 +417,21 @@ def _expand(
     the guarded optimizer so a corrupting transformation surfaces as a
     ``rolled_back`` trace entry instead of a broken graph.
     """
-    from repro.transformations.optimizer import enumerate_matches
-
     parent_label = variant.label()
     children: List[_Variant] = []
-    # Enumeration only reads the graph (after an idempotent propagate), so
-    # one parse of the variant serves every transformation in the pool.
+    # Enumeration only reads the graph, so one parse and one (idempotent)
+    # propagate of the variant serve every transformation in the pool.
     probe = sdfg_from_json(variant.snapshot)
+    try:
+        probe.propagate()
+        analysis_error = None
+    except Exception as err:  # noqa: BLE001 - every enumeration fails
+        analysis_error = err
     for name in cfg.pool():
         try:
-            n_matches = len(enumerate_matches(probe, name))
+            if analysis_error is not None:
+                raise analysis_error
+            n_matches = len(list(_resolve(name).matches(probe)))
         except Exception as err:  # noqa: BLE001 - enumeration itself failed
             report.add(
                 depth, parent_label, name, 0, "rolled_back",
@@ -435,8 +450,8 @@ def _expand(
                     reason=f"budget of {state.budget} evaluations exhausted",
                 )
                 return children
-            work = sdfg_from_json(variant.snapshot)
-            guard = GuardedOptimizer(work, verify=cfg.verify)
+            guard = GuardedOptimizer.from_snapshot(variant.snapshot, verify=cfg.verify)
+            work = guard.sdfg
             stats["candidates"] += 1
             t0 = time.perf_counter()
             applied = guard.apply(name, match_index=index)
@@ -449,7 +464,10 @@ def _expand(
                     attempt.status, reason=attempt.reason,
                 )
                 continue
-            digest = content_hash(work)
+            # The guard validated and propagated the child: one
+            # serialization is its snapshot and its hash input.
+            snapshot = sdfg_to_json(work)
+            digest = snapshot_hash(snapshot)
             if digest in state.seen:
                 report.add(
                     depth, parent_label, name, index, "pruned_duplicate",
@@ -460,7 +478,7 @@ def _expand(
             state.evals += 1
             try:
                 t0 = time.perf_counter()
-                score = provider.score(work)
+                score = provider.score_analysed(work)
                 stats["evaluate_s"] += time.perf_counter() - t0
             except Exception as err:  # noqa: BLE001 - unscorable variant
                 stats["evaluate_s"] += time.perf_counter() - t0
@@ -477,7 +495,7 @@ def _expand(
                 _Variant(
                     history=variant.history
                     + [{"transformation": name, "match": index}],
-                    snapshot=sdfg_to_json(work),
+                    snapshot=snapshot,
                     hash=digest,
                     score=score,
                 )

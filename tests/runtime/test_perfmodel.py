@@ -13,7 +13,7 @@ from repro.runtime.machine import (
 )
 from repro.runtime.perfmodel import PerformanceModel, simulate, tasklet_flops
 from repro.sdfg import SDFG, Memlet, dtypes
-from repro.sdfg.nodes import Tasklet
+from repro.sdfg.nodes import NestedSDFG, Tasklet
 from repro.transformations import (
     FPGATransform,
     GPUTransform,
@@ -144,3 +144,44 @@ class TestSimulation:
         assert rep.breakdown
         assert rep.achieved_flops > 0
         assert 0 < rep.fraction_of_peak(XEON_E5_2650V4) <= 1
+
+
+def _nested_affine(inner_symbol):
+    """``B[i] = A[i] * 2 + 1`` over ``0:N``, as a nested SDFG whose own
+    size symbol is ``inner_symbol``, bound to the outer ``N``."""
+    inner = SDFG("inner")
+    inner.add_array("x", (inner_symbol,), dtypes.float64)
+    inner.add_array("y", (inner_symbol,), dtypes.float64)
+    inner.add_state("body").add_mapped_tasklet(
+        "affine",
+        {"i": f"0:{inner_symbol}"},
+        inputs={"a": Memlet.simple("x", "i")},
+        code="b = a * 2 + 1",
+        outputs={"b": Memlet.simple("y", "i")},
+    )
+    outer = SDFG("outer")
+    outer.add_array("A", ("N",), dtypes.float64)
+    outer.add_array("B", ("N",), dtypes.float64)
+    st = outer.add_state("main")
+    node = st.add_nested_sdfg(inner, ["x"], ["y"], symbol_mapping={inner_symbol: "N"})
+    st.add_edge(st.add_read("A"), node, Memlet.simple("A", "0:N"), None, "x")
+    st.add_edge(node, st.add_write("B"), Memlet.simple("B", "0:N"), "y", None)
+    return outer
+
+
+class TestNestedSymbolMapping:
+    def test_inner_symbol_name_does_not_change_the_prediction(self):
+        """The nested SDFG's sizes come from its ``symbol_mapping``
+        evaluated in the outer bindings, not from outer names that
+        happen to match (an unbound ``M`` used to count as 1)."""
+        n = 1 << 20
+        renamed = simulate(_nested_affine("M"), "cpu", {"N": n})
+        same = simulate(_nested_affine("N"), "cpu", {"N": n})
+        assert renamed == same
+        assert renamed.flops == 2 * n
+
+    def test_unevaluable_mapping_leaves_the_inner_symbol_unbound(self):
+        sdfg = _nested_affine("M")
+        node = next(n for n in sdfg.start_state.nodes() if isinstance(n, NestedSDFG))
+        node.symbol_mapping["M"] = rp.symbol("P")  # not bound outside
+        assert simulate(sdfg, "cpu", {"N": 1 << 20, "M": 7}).flops == 2

@@ -2,11 +2,20 @@
 path: measured tuning finds a matmul variant that beats the naive SDFG,
 and a repeated invocation with the same cache dir short-circuits."""
 
+import difflib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.instrumentation import InstrumentationRecorder
-from repro.sdfg.serialize import content_hash
+from repro.sdfg.serialize import (
+    canonical_sdfg_json,
+    content_hash,
+    sdfg_from_json,
+    sdfg_to_json,
+)
 from repro.transformations import auto_optimize, replay
 from repro.tuning import (
     AnalyticCost,
@@ -15,7 +24,7 @@ from repro.tuning import (
     TuningReport,
     tune,
 )
-from repro.workloads import kernels
+from repro.workloads import kernels, polybench
 
 #: Search pool for matmul-shaped graphs: small, but contains the
 #: known-good chain (fusion + vectorization) and known-bad moves.
@@ -286,3 +295,84 @@ class TestConfig:
         assert "FPGATransform" not in pool
         assert "MapFusion" in pool
         assert pool == sorted(pool)
+
+
+#: The five searches of the ``tune_search`` benchmark (analytic cost on
+#: the cpu model, the benchmark's problem sizes, default search config),
+#: recorded before the search reused one analysis per candidate: every
+#: candidate record ``[depth, parent, transformation, match, status,
+#: score, reason, accepted]``, the winner, the scores, the tuned graph's
+#: hash and the content hash of every graph the cost provider scored.
+TRACES = json.loads(Path(__file__).with_name("search_traces.json").read_text())
+
+
+def _bench_search(key, provider_cls=AnalyticCost):
+    strategy, name = key.split(":")
+    if name == "matmul":
+        sdfg, sizes = kernels.matmul_sdfg(), {s: 64 for s in "MKN"}
+    else:
+        kernel = polybench.get(name)
+        sdfg, sizes = kernel.make_sdfg(), dict(kernel.sizes)
+    provider = provider_cls(machine="cpu", symbols=sizes)
+    return tune(sdfg, cost=provider, strategy=strategy), provider
+
+
+class _CheckedAnalyticCost(AnalyticCost):
+    """The analytic cost, asserting that every graph the search hands to
+    the model walk without re-analysing it is valid and a propagate
+    fixpoint, and recording its content hash."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.hashes = []
+
+    def score(self, sdfg):
+        raise AssertionError("the search scored a graph it had not analysed")
+
+    def score_analysed(self, sdfg):
+        sdfg.validate()
+        before = canonical_sdfg_json(sdfg)
+        again = sdfg_from_json(sdfg_to_json(sdfg))
+        again.propagate()
+        after = canonical_sdfg_json(again)
+        if after != before:
+            diff = difflib.unified_diff(
+                json.dumps(json.loads(before), indent=1).splitlines(),
+                json.dumps(json.loads(after), indent=1).splitlines(),
+                "scored", "propagated", lineterm="", n=2,
+            )
+            pytest.fail(
+                "the model walk got a graph that propagate changes:\n"
+                + "\n".join(list(diff)[:40])
+            )
+        self.hashes.append(content_hash(sdfg))
+        return super().score_analysed(sdfg)
+
+
+class TestSearchTracePins:
+    """The benchmark's searches, candidate by candidate, against the
+    pinned traces: a change to the search's hot path that alters which
+    candidates are tried, how they end or how they score fails here."""
+
+    @pytest.mark.parametrize("key", sorted(TRACES))
+    def test_trace_winner_and_scores_are_pinned(self, key):
+        pin = TRACES[key]
+        result, _ = _bench_search(key)
+        got = [
+            [c.depth, c.parent, c.transformation, c.match, c.status, c.score,
+             c.reason, c.accepted]
+            for c in result.report.candidates
+        ]
+        for i, (have, want) in enumerate(zip(got, pin["candidates"])):
+            assert have == want, f"{key}: candidate {i} differs from the pin"
+        assert len(got) == len(pin["candidates"])
+        assert result.history == pin["winner"]
+        assert result.baseline_score == pin["baseline_score"]
+        assert result.best_score == pin["best_score"]
+        assert content_hash(result.sdfg) == pin["result_hash"]
+
+    @pytest.mark.parametrize("key", sorted(TRACES))
+    def test_model_walk_sees_only_analysed_pinned_variants(self, key):
+        result, provider = _bench_search(key, _CheckedAnalyticCost)
+        assert provider.hashes == TRACES[key]["variant_hashes"]
+        assert result.history == TRACES[key]["winner"]
