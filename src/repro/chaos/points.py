@@ -58,13 +58,8 @@ CATALOG: Dict[str, FaultPoint] = {
     ),
     "isolation.spawn": FaultPoint(
         "runtime", "repro.runtime.isolation",
-        "the per-call isolation subprocess cannot be spawned "
+        "an isolated cpp call cannot reach the harness worker "
         "(raise-io = contained E201 crash, degradable)",
-    ),
-    "isolation.bundle_write": FaultPoint(
-        "runtime", "repro.runtime.isolation",
-        "writing a crash repro bundle fails (the crash must still "
-        "surface)",
     ),
     "watchdog.checkpoint": FaultPoint(
         "runtime", "repro.runtime.watchdog",
@@ -87,7 +82,8 @@ CATALOG: Dict[str, FaultPoint] = {
     ),
     "pool.crash_bundle": FaultPoint(
         "serve", "repro.serve.pool",
-        "writing a worker-death repro bundle fails",
+        "writing a worker-death repro bundle fails (serve and isolated "
+        "cpp calls; the death must still surface)",
     ),
     "daemon.frame_read": FaultPoint(
         "serve", "repro.serve.daemon",

@@ -123,9 +123,10 @@ class CompiledSDFG:
         self.last_findings: Optional[List[Any]] = None
         #: Cached argument-marshaling plan (built on the first call).
         self._marshal_plan = None
-        #: Parallel-tier configuration this artifact was built with, and
-        #: the worker pool it owns (python backend only; see
-        #: :mod:`repro.runtime.parallel`).
+        #: Lowering options this artifact (and any call-time fallback) is
+        #: built with, and the parallel worker pool it owns (python
+        #: backend only; see :mod:`repro.runtime.parallel`).
+        self.vectorize = True
         self.parallel = None
         self._pool = None
 
@@ -221,7 +222,7 @@ class CompiledSDFG:
                 )
                 raise
             except BackendCrashError as err:
-                # The crash was contained by the subprocess harness and
+                # The crash was contained by the isolation harness and
                 # the caller's arrays are intact: retry, then degrade.
                 if policy is None:
                     policy = RetryPolicy.from_env()
@@ -260,15 +261,22 @@ class CompiledSDFG:
                 hop["bundle"] = bundle
             self.degradation.append(hop)
             try:
-                fallback = _compile_backend(self.sdfg, nxt, sanitize=self.sanitize)
+                fallback = _compile_backend(
+                    self.sdfg, nxt, sanitize=self.sanitize,
+                    vectorize=self.vectorize, parallel=self.parallel,
+                )
             except DEGRADABLE_ERRORS as err2:
                 err = err2
                 attempts = 1
                 current = nxt
                 continue
-            self._entry = fallback._entry
-            self.backend = fallback.backend
-            self.source = fallback.source
+            self.close()  # the abandoned backend's parallel pool, if any
+            _adopt_parallel_pool(fallback, self.parallel)
+            self._pool, fallback._pool = fallback._pool, None
+            for attr in ("_entry", "backend", "source", "lowering", "codegen_warnings"):
+                setattr(self, attr, getattr(fallback, attr))
+            if self.compile_report is not None:
+                self.compile_report.lowering = self.lowering
             return True
 
     def __call__(self, **kwargs):
@@ -350,7 +358,7 @@ def compile_sdfg(
     sanitize: Any = None,
     deadline: Optional[float] = None,
     memory_budget: Optional[int] = None,
-    isolate: Optional[bool] = None,
+    isolate: bool = True,
     cache_namespace: Optional[str] = None,
     vectorize: bool = True,
     parallel: Any = None,
@@ -383,8 +391,9 @@ def compile_sdfg(
     * ``deadline`` / ``memory_budget`` — per-call wall-clock and
       transient-memory limits, enforced cooperatively; ``None`` consults
       ``REPRO_DEADLINE`` / ``REPRO_MEMORY_BUDGET``.
-    * ``isolate`` — run cpp artifacts through the crash-containing
-      subprocess harness (default on; ``REPRO_ISOLATE=0`` opts out).
+    * ``isolate`` — run cpp artifacts on the crash-containing harness
+      worker of :mod:`repro.runtime.isolation` (default on; ``False``
+      loads the library into this process).
     * ``cache_namespace`` — tenant namespace mixed into the program
       cache variant key, so one tenant's cached programs never hit for
       (or are poisoned by) another tenant's identically-shaped graph
@@ -406,7 +415,6 @@ def compile_sdfg(
     or watchdog kills) are skipped with a recorded hop.
     """
     from repro.codegen.progcache import program_key, resolve_cache
-    from repro.runtime.isolation import isolate_from_env
     from repro.runtime.sanitizer import sanitize_from_env
     from repro.runtime.watchdog import (
         BREAKERS,
@@ -427,8 +435,6 @@ def compile_sdfg(
         deadline = deadline_from_env()
     if memory_budget is None:
         memory_budget = memory_budget_from_env()
-    if isolate is None:
-        isolate = isolate_from_env()
     from repro.runtime.parallel import ParallelConfig, parallel_from_env
 
     if parallel is None:
@@ -563,21 +569,27 @@ def compile_sdfg(
     compiled.sanitize = sanitize
     compiled.deadline = deadline
     compiled.memory_budget = memory_budget
+    compiled.vectorize = vectorize
     compiled.parallel = effective_parallel
-    if effective_parallel is not None and compiled.backend == "python":
-        from repro.runtime.parallel import MapWorkerPool
-
-        chunks = getattr(getattr(compiled, "_py_main", None), "_parallel_chunks", None)
-        if chunks:
-            pool = MapWorkerPool(effective_parallel)
-            pool.register_functions(chunks)
-            compiled.attach_pool(pool)
+    _adopt_parallel_pool(compiled, effective_parallel)
     compiled.compile_report = crec.report(sdfg.name, backend=f"compile[{backend}]")
     compiled.compile_report.lowering = compiled.lowering
     if recorder is not None:
         for node in crec.root.children.values():
             recorder.absorb(node)
     return compiled
+
+
+def _adopt_parallel_pool(compiled: CompiledSDFG, parallel) -> None:
+    """Give a python artifact built for the parallel tier its worker
+    pool (a no-op for other backends and for fully serial programs)."""
+    chunks = getattr(getattr(compiled, "_py_main", None), "_parallel_chunks", None)
+    if parallel is not None and chunks:
+        from repro.runtime.parallel import MapWorkerPool
+
+        pool = MapWorkerPool(parallel)
+        pool.register_functions(chunks)
+        compiled.attach_pool(pool)
 
 
 def _emit_symcache_events(crec, before, after) -> None:

@@ -9,13 +9,15 @@ and tasklets converted through :mod:`repro.codegen.py2cpp`.
 
 When a host compiler is available, :func:`compile_cpp` builds a shared
 object and returns a :class:`~repro.codegen.compiler.CompiledSDFG` whose
-entry point calls into it through ``ctypes``.
+entry point calls into it through ``ctypes`` — in this process, or on
+the crash-isolation harness worker.
 """
 
 from __future__ import annotations
 
 import ctypes
 import itertools
+import json
 import os
 import subprocess
 import tempfile
@@ -579,6 +581,20 @@ def find_host_compiler() -> Optional[str]:
     return None
 
 
+def load_entry(lib_path: str, name: str):
+    """dlopen ``lib_path`` and return its generated entry point ``name``."""
+    fn = getattr(ctypes.CDLL(lib_path), name)
+    fn.restype = None
+    return fn
+
+
+def call_entry(fn, arrays, symbols) -> None:
+    """Call a generated entry point: C-contiguous arrays, then symbol
+    values, each in sorted-name order (see :func:`compile_cpp`)."""
+    fn(*[a.ctypes.data_as(ctypes.POINTER(_CTYPE_MAP[str(a.dtype)])) for a in arrays],
+       *[ctypes.c_longlong(int(s)) for s in symbols])
+
+
 def compile_cpp(
     sdfg,
     flags: Sequence[str] = ("-O3", "-march=native", "-fopenmp"),
@@ -587,9 +603,10 @@ def compile_cpp(
     """Compile the generated C++ with the host compiler and wrap via ctypes.
 
     With ``isolated=True`` the shared object is never ``dlopen``-ed into
-    this process; each call runs through the subprocess harness in
-    :mod:`repro.runtime.isolation`, so segfaults/aborts in the artifact
-    are contained and surface as :class:`BackendCrashError`.
+    this process; each call runs on the persistent harness worker of
+    :mod:`repro.runtime.isolation` (which loads the library once), so
+    segfaults/aborts in the artifact are contained and surface as
+    :class:`BackendCrashError`.
     """
     from repro.codegen.compiler import CompiledSDFG
 
@@ -616,6 +633,7 @@ def compile_cpp(
             code="CG102",
             sdfg=sdfg,
         )
+    # The entry point's argument order (arrays, then symbols).
     arg_arrays = sorted(sdfg.arglist())
     syms_order = sorted(
         set(sdfg.free_symbols()) | set(sdfg.symbols) - set(sdfg.constants)
@@ -623,44 +641,42 @@ def compile_cpp(
 
     if isolated:
         from repro.runtime.isolation import run_isolated
+        from repro.sdfg.serialize import sdfg_to_json
 
         # The artifact is untrusted native code: never dlopen it here.
-        # Each call round-trips the arrays through a child process that
-        # is allowed to die.
+        # Each call runs on the harness worker, which is allowed to die.
+        sdfg_json = json.dumps(sdfg_to_json(sdfg, canonical=True),
+                               indent=2, sort_keys=True)
+
         def entry(arrays, symbols, instr=None, guard=None):
             timeout = None
             if guard is not None and guard.watchdog is not None:
                 timeout = guard.watchdog.remaining()
             run_isolated(
-                sdfg, lib_path, arg_arrays, syms_order, arrays, symbols,
+                sdfg.name, lib_path, sdfg_json,
+                {a: arrays[a] for a in arg_arrays},
+                {s: symbols[s] for s in syms_order},
                 timeout=timeout,
             )
 
         return CompiledSDFG(sdfg, entry, source, "cpp")
 
     try:
-        lib = ctypes.CDLL(lib_path)
-        fn = getattr(lib, sdfg.name)
+        fn = load_entry(lib_path, sdfg.name)
     except (OSError, AttributeError) as err:
         raise CodegenError(
             f"compiled library {lib_path!r} could not be loaded: {err}",
             code="CG103",
             sdfg=sdfg,
         ) from err
-    fn.restype = None
 
     # ``instr``/``guard`` are accepted for signature parity with the
     # other backends; the in-process C++ path honors neither.
     def entry(arrays, symbols, instr=None, guard=None):
-        cargs = []
         for a in arg_arrays:
-            arr = np.ascontiguousarray(arrays[a])
-            if arr is not arrays[a]:
+            if np.ascontiguousarray(arrays[a]) is not arrays[a]:
                 raise CodegenError(f"argument {a!r} must be C-contiguous")
-            ct = _CTYPE_MAP[str(arr.dtype)]
-            cargs.append(arr.ctypes.data_as(ctypes.POINTER(ct)))
-        for s in syms_order:
-            cargs.append(ctypes.c_longlong(symbols[s]))
-        fn(*cargs)
+        call_entry(fn, [arrays[a] for a in arg_arrays],
+                   [symbols[s] for s in syms_order])
 
     return CompiledSDFG(sdfg, entry, source, "cpp")

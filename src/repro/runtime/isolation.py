@@ -3,51 +3,46 @@
 A generated-and-compiled shared object is untrusted native code: a
 codegen bug (or hostile ``code_global``) can segfault, abort, or spin —
 and a ``ctypes`` call into it takes the host Python process down with
-it.  On the "serving heavy traffic" path that is unacceptable, so the
-cpp backend executes through a *subprocess harness*:
+it.  So an isolated cpp call never loads the artifact here; it is a
+client of the serve pool's supervisor (:mod:`repro.serve.pool`):
 
-* the parent serializes the call's arrays and a small argument manifest
-  into a scratch directory and spawns ``python -m
-  repro.runtime.isolation <workdir>``;
-* the child loads the shared object, runs the entry point, and writes
-  the (in-place mutated) arrays back out;
-* if the child dies on a signal or non-zero exit, the parent captures a
-  *minimized repro bundle* — canonical SDFG JSON, the argument manifest
-  (shapes/dtypes/symbol values, no array payloads), and the child's
-  stderr — under ``REPRO_CRASH_DIR`` (default ``.repro_crashes``) and
-  raises :class:`BackendCrashError` (code ``E201``), which the compiler
-  turns into a degradation hop to the python backend;
-* if the child outlives the watchdog deadline it is killed and the
-  parent raises a ``R805`` :class:`~repro.runtime.watchdog.WatchdogViolation`.
+* the *harness* is a lazily started, process-wide ``WorkerPool(size=1)``
+  whose persistent worker dlopens each library once;
+* the call's arrays travel to the worker and back through
+  ``inputs.npz`` / ``outputs.npz`` in a scratch directory;
+* a worker death is the pool's ``E201`` — it writes the minimized repro
+  bundle under ``REPRO_CRASH_DIR`` and respawns the worker — and becomes
+  :class:`BackendCrashError`, which the compiler retries and then
+  degrades to the python backend;
+* a worker killed at the watchdog deadline (the pool's ``R805``) becomes
+  a deadline :class:`~repro.runtime.watchdog.WatchdogViolation`.
 
-Isolation is on by default for the cpp backend and can be switched off
-with ``REPRO_ISOLATE=0`` (e.g. for benchmarking, where the ~10ms
-process spawn and array round-trip matter).
+The pool never replays a call (``retries=0``): the compiler's
+``RetryPolicy`` is the one retry loop.
 """
 
 from __future__ import annotations
 
-import json
+import atexit
+import math
 import os
 import shutil
-import subprocess
-import sys
 import tempfile
-from typing import Dict, List, Optional
+import threading
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.chaos import faultpoint
 from repro.diagnostics import DiagnosticError, Severity, make_diagnostic
-from repro.store import write_bundle
 
 
 class BackendCrashError(DiagnosticError):
     """The isolated backend process died (code ``E201``).
 
     The crash was *contained*: the host process and the caller's arrays
-    are intact (the child worked on copies), so the call is safe to
-    retry or degrade.  ``bundle`` points at the repro bundle, if one was
+    are intact (the worker ran on copies), so the call is safe to retry
+    or degrade.  ``bundle`` points at the repro bundle, if one was
     written.
     """
 
@@ -63,13 +58,6 @@ class BackendCrashError(DiagnosticError):
         self.returncode = returncode
         #: Inputs were not mutated; a retry is semantically safe.
         self.retryable = True
-
-
-def isolate_from_env() -> bool:
-    """``REPRO_ISOLATE`` knob; isolation defaults to on."""
-    return os.environ.get("REPRO_ISOLATE", "1").strip().lower() not in (
-        "0", "false", "off", "no",
-    )
 
 
 def crash_dir() -> str:
@@ -89,158 +77,102 @@ def crash_keep() -> int:
         return DEFAULT_CRASH_KEEP
 
 
-def write_crash_bundle(sdfg, manifest: Dict, stderr: str) -> Optional[str]:
-    """Persist a minimized repro bundle; returns its path (None if the
-    bundle itself could not be written — never masks the crash)."""
-    from repro.sdfg.serialize import sdfg_to_json
-
-    return write_bundle(
-        crash_dir(),
-        str(manifest.get("sdfg") or "sdfg"),
-        manifest={k: v for k, v in manifest.items() if k != "lib"},
-        files={
-            "sdfg.json": sdfg_to_json(sdfg, canonical=True),
-            "stderr.txt": stderr or "",
-        },
-        keep=crash_keep(),
-        point="isolation.bundle_write",
-        sdfg=manifest.get("sdfg"),
-    )
+#: (owning pid, pool) of the harness; None until the first isolated call.
+_HARNESS: Optional[Tuple[int, Any]] = None
+_HARNESS_LOCK = threading.Lock()
 
 
-def _repo_pythonpath() -> str:
-    import repro
+def harness():
+    """The process-wide harness pool, created on first use — and again
+    in a forked child, which must not share its parent's pipes."""
+    global _HARNESS
+    with _HARNESS_LOCK:
+        if _HARNESS is None or _HARNESS[0] != os.getpid():
+            from repro.runtime.watchdog import RetryPolicy
+            from repro.serve.pool import WorkerPool
 
-    src_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    existing = os.environ.get("PYTHONPATH", "")
-    return src_root + (os.pathsep + existing if existing else "")
+            # run_isolated keeps queueing past each 1 s acquire timeout.
+            _HARNESS = (os.getpid(), WorkerPool(
+                size=1, retry=RetryPolicy(retries=0), acquire_timeout=1.0))
+        return _HARNESS[1]
+
+
+def close_harness() -> None:
+    """Stop this process's harness worker (run at interpreter exit)."""
+    global _HARNESS
+    with _HARNESS_LOCK:
+        owned, _HARNESS = _HARNESS, None
+    if owned is not None and owned[0] == os.getpid():
+        owned[1].close()
+
+
+atexit.register(close_harness)
 
 
 def run_isolated(
-    sdfg,
+    name: str,
     lib_path: str,
-    arg_arrays: List[str],
-    syms_order: List[str],
+    sdfg_json: str,
     arrays: Dict[str, np.ndarray],
     symbols: Dict[str, int],
     timeout: Optional[float] = None,
 ) -> None:
-    """Execute one call of a compiled artifact in a child process.
-
-    Mutates ``arrays`` in place on success, mirroring the direct ctypes
-    path.  Raises :class:`BackendCrashError` on a contained crash and
-    ``WatchdogViolation`` on a deadline kill.
-    """
+    """Run entry point ``name`` of library ``lib_path`` on the harness
+    worker, mutating ``arrays`` in place like the direct ctypes path.
+    ``sdfg_json`` is the canonical SDFG for the crash bundle;
+    ``timeout=None`` means no deadline.  Raises
+    :class:`BackendCrashError` on a contained crash and
+    ``WatchdogViolation`` on a deadline kill."""
     from repro.runtime.watchdog import WatchdogViolation
+    from repro.serve.pool import WorkerDeath
 
-    workdir = tempfile.mkdtemp(prefix=f"repro_iso_{sdfg.name}_")
+    workdir = tempfile.mkdtemp(prefix=f"repro_iso_{name}_")
     try:
-        np.savez(
-            os.path.join(workdir, "inputs.npz"),
-            **{a: np.ascontiguousarray(arrays[a]) for a in arg_arrays},
-        )
-        manifest = {
-            "sdfg": sdfg.name,
-            "entry": sdfg.name,
+        np.savez(os.path.join(workdir, "inputs.npz"), **arrays)
+        job = {
+            "op": "isolated_call",
+            "backend": "cpp",
+            "program": name,
             "lib": lib_path,
-            "arrays": [
-                {
-                    "name": a,
-                    "dtype": str(arrays[a].dtype),
-                    "shape": list(arrays[a].shape),
-                }
-                for a in arg_arrays
-            ],
-            "symbols": {s: int(symbols[s]) for s in syms_order},
-            "symbol_order": list(syms_order),
+            "workdir": workdir,
+            "sdfg": sdfg_json,
+            "arrays": {
+                a: {"dtype": str(arr.dtype), "shape": list(arr.shape)}
+                for a, arr in arrays.items()
+            },
+            "symbols": {s: int(v) for s, v in symbols.items()},
         }
-        with open(os.path.join(workdir, "manifest.json"), "w") as f:
-            json.dump(manifest, f, indent=2, sort_keys=True)
-
-        env = os.environ.copy()
-        env["PYTHONPATH"] = _repo_pythonpath()
-        cmd = [sys.executable, "-m", "repro.runtime.isolation", workdir]
         try:
-            faultpoint("isolation.spawn", sdfg=sdfg.name)
-            proc = subprocess.run(
-                cmd, capture_output=True, text=True, timeout=timeout, env=env
-            )
-        except OSError as err:
-            # Spawn failure (fork/exec denied, fd exhaustion): the call
-            # never ran, arrays are untouched — a contained crash, not a
-            # host-process error.
+            faultpoint("isolation.spawn", sdfg=name)
+            pool = harness()
+            while True:
+                pool.start()  # refill after a failed respawn
+                resp = pool.submit(job, math.inf if timeout is None else timeout)
+                if resp["status"] != "rejected":  # else: worker still busy
+                    break
+        except (OSError, WorkerDeath) as err:
+            # The call never ran and the arrays are untouched: a
+            # contained crash, not a host-process error.
             raise BackendCrashError(
-                f"isolated cpp backend could not be spawned: {err}",
-                sdfg=sdfg.name,
+                f"isolated cpp call could not be dispatched: {err}", sdfg=name
             ) from err
-        except subprocess.TimeoutExpired as err:
-            stderr = err.stderr
-            if isinstance(stderr, bytes):
-                stderr = stderr.decode(errors="replace")
+        if resp["status"] == "ok":
+            with np.load(os.path.join(workdir, "outputs.npz")) as out:
+                for a, arr in arrays.items():
+                    np.copyto(arr, out[a])
+            return
+        if resp["code"] == "R805":
             raise WatchdogViolation(
                 f"isolated cpp execution exceeded deadline of {timeout:g}s "
                 "and was killed",
-                sdfg=sdfg.name,
+                sdfg=name,
                 kind="deadline",
-            ) from err
-        if proc.returncode != 0:
-            bundle = write_crash_bundle(
-                sdfg, manifest, (proc.stderr or "") + (proc.stdout or "")
             )
-            detail = (
-                f"killed by signal {-proc.returncode}"
-                if proc.returncode < 0
-                else f"exit status {proc.returncode}"
-            )
-            raise BackendCrashError(
-                f"isolated cpp backend crashed ({detail})"
-                + (f"; repro bundle at {bundle}" if bundle else ""),
-                sdfg=sdfg.name,
-                bundle=bundle,
-                returncode=proc.returncode,
-            )
-        with np.load(os.path.join(workdir, "outputs.npz")) as out:
-            for a in arg_arrays:
-                np.copyto(arrays[a], out[a])
+        raise BackendCrashError(
+            f"isolated cpp call failed: {resp['message']}",
+            sdfg=name,
+            bundle=resp.get("bundle"),
+            returncode=resp.get("returncode"),
+        )
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
-
-
-# =====================================================================
-# Child side: ``python -m repro.runtime.isolation <workdir>``
-# =====================================================================
-
-
-def _child_main(workdir: str) -> int:
-    import ctypes
-
-    from repro.codegen.cpp_gen import _CTYPE_MAP
-
-    with open(os.path.join(workdir, "manifest.json")) as f:
-        manifest = json.load(f)
-    with np.load(os.path.join(workdir, "inputs.npz")) as data:
-        arrays = {
-            spec["name"]: np.ascontiguousarray(
-                data[spec["name"]].astype(spec["dtype"], copy=False)
-            )
-            for spec in manifest["arrays"]
-        }
-    lib = ctypes.CDLL(manifest["lib"])
-    fn = getattr(lib, manifest["entry"])
-    fn.restype = None
-    cargs = []
-    for spec in manifest["arrays"]:
-        ct = _CTYPE_MAP[spec["dtype"]]
-        cargs.append(arrays[spec["name"]].ctypes.data_as(ctypes.POINTER(ct)))
-    for s in manifest["symbol_order"]:
-        cargs.append(ctypes.c_longlong(manifest["symbols"][s]))
-    fn(*cargs)
-    np.savez(os.path.join(workdir, "outputs.npz"), **arrays)
-    return 0
-
-
-if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        print("usage: python -m repro.runtime.isolation <workdir>", file=sys.stderr)
-        raise SystemExit(2)
-    raise SystemExit(_child_main(sys.argv[1]))

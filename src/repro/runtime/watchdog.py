@@ -15,7 +15,7 @@ module provides the three policies:
   ``R805`` diagnostic.
 * :class:`RetryPolicy` — bounded retries with exponential backoff for
   failures that are known not to have corrupted the inputs (crashes
-  contained by the subprocess harness, see
+  contained by the isolation harness, see
   :mod:`repro.runtime.isolation`).
 * :class:`CircuitBreakerRegistry` — per-backend failure counting.  A
   backend that crashes or times out repeatedly is *opened*:

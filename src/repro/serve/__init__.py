@@ -10,13 +10,12 @@ component:
   socket, arrays as base64-encoded buffers, structured diagnostic codes
   on every error (``E202``/``E203``/``R806``–``R808``).
 * :mod:`repro.serve.worker` — the persistent worker process: compiles
-  and executes SDFGs in-process (it *is* the crash-isolation boundary,
-  generalizing the spawn-per-call harness of
-  :mod:`repro.runtime.isolation` to a warm pool), keeping per-tenant
-  program caches hot across requests.
+  and executes SDFGs in-process (it *is* the crash-isolation boundary),
+  keeping per-tenant program caches hot across requests.
 * :mod:`repro.serve.pool` — the supervisor: spawn/health-check/recycle
   workers, contain SIGSEGV/OOM death, respawn and replay the victim
-  request with jittered backoff.
+  request with jittered backoff.  :mod:`repro.runtime.isolation` runs
+  isolated cpp calls through a one-worker pool of its own.
 * :mod:`repro.serve.admission` — per-tenant admission control: max
   in-flight, rolling deadline budgets, circuit breakers with
   single-probe half-open semantics, and load shedding that degrades

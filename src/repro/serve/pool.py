@@ -1,11 +1,11 @@
-"""Crash-isolated warm worker pool (the service's supervisor).
+"""Crash-isolated warm worker pool (the one out-of-process supervisor).
 
-PR 5's :mod:`repro.runtime.isolation` contains crashes by spawning one
-subprocess *per call* — correct, but ~10ms of spawn plus a full
-cold-compile per request.  The pool generalizes that model: a fixed set
-of **persistent** workers (:mod:`repro.serve.worker`) each own warm
-compiled programs, and the supervisor in this module owns their
-lifecycle:
+A fixed set of **persistent** workers (:mod:`repro.serve.worker`) each
+own warm compiled programs (or, for the isolated cpp harness of
+:mod:`repro.runtime.isolation`, loaded libraries), and the supervisor in
+this module owns their lifecycle.  Served requests and isolated cpp
+calls share it: one worker spawn site, one deadline-kill path, one
+stderr capture and one crash-bundle writer:
 
 * **health checks** — a ready handshake at spawn, on-demand pings;
 * **recycling** — a worker is gracefully retired after ``recycle_after``
@@ -43,7 +43,7 @@ from queue import Empty, Queue
 from typing import Any, Dict, List, Optional
 
 from repro.chaos import ChaosFault, faultpoint
-from repro.runtime.isolation import _repo_pythonpath, crash_dir, crash_keep
+from repro.runtime.isolation import crash_dir, crash_keep
 from repro.runtime.watchdog import RetryPolicy
 from repro.serve import protocol
 from repro.store import write_bundle
@@ -60,11 +60,10 @@ class WorkerDeath(Exception):
     """The worker process died mid-request (contained; retryable)."""
 
     def __init__(self, message: str, returncode: Optional[int] = None,
-                 stderr_tail: str = "", bundle: Optional[str] = None):
+                 stderr_tail: str = ""):
         super().__init__(message)
         self.returncode = returncode
         self.stderr_tail = stderr_tail
-        self.bundle = bundle
 
 
 class WorkerTimeout(Exception):
@@ -91,12 +90,13 @@ class WorkerHandle:
         cmd = [sys.executable, "-m", "repro.serve.worker"]
         if cache_root:
             cmd += ["--cache-root", cache_root]
+        import repro
+
+        src_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
         env = os.environ.copy()
-        env["PYTHONPATH"] = _repo_pythonpath()
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src_root, env.get("PYTHONPATH")]))
         env["PYTHONUNBUFFERED"] = "1"
-        # The worker is the isolation boundary: no nested per-call
-        # subprocess harness inside it.
-        env["REPRO_ISOLATE"] = "0"
         if sink is not None:
             # Workers collect into their own process-local ring and
             # attach the delta to each response, so the fleet sink sees
@@ -106,14 +106,18 @@ class WorkerHandle:
             env["REPRO_SERVE_FAULT_INJECTION"] = "1"
         else:
             env.pop("REPRO_SERVE_FAULT_INJECTION", None)
-        self.proc = subprocess.Popen(
-            cmd,
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=self._stderr_file,
-            bufsize=0,
-            env=env,
-        )
+        try:
+            self.proc = subprocess.Popen(
+                cmd,
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                stderr=self._stderr_file,
+                bufsize=0,
+                env=env,
+            )
+        except OSError as err:  # fork/exec denied, fd exhaustion
+            self._cleanup_stderr()
+            raise WorkerDeath(f"{self.name} could not be spawned: {err}") from err
         try:
             # `kill` here SIGKILLs the fresh child (spawn-then-die);
             # `raise`/`raise-io` model fork/exec level failures.  Either
@@ -320,6 +324,35 @@ class WorkerHandle:
             pass
 
 
+def write_crash_bundle(job: Dict[str, Any], death: WorkerDeath) -> Optional[str]:
+    """Minimized repro bundle for a worker death (no array payloads, no
+    host paths), named after the job's tenant, else its program.
+    raise-io/enospc at ``pool.crash_bundle`` loses the bundle, but the
+    death is still surfaced to the caller (E201 without a bundle path)."""
+    files: Dict[str, Any] = {"stderr.txt": death.stderr_tail or ""}
+    if job.get("sdfg") is not None:
+        files["sdfg.json"] = job["sdfg"]
+    tenant = job.get("tenant")
+    stem = f"serve_{tenant}" if tenant else str(job.get("program") or "serve")
+    manifest = {
+        "op": job.get("op"),
+        "tenant": tenant,
+        "backend": job.get("backend", "python"),
+        "program": job.get("program"),
+        "returncode": death.returncode,
+        "arrays": {
+            name: {"dtype": spec.get("dtype"), "shape": spec.get("shape")}
+            for name, spec in (job.get("arrays") or {}).items()
+            if isinstance(spec, dict)
+        },
+        "symbols": job.get("symbols") or {},
+    }
+    return write_bundle(
+        crash_dir(), stem, manifest=manifest, files=files, keep=crash_keep(),
+        point="pool.crash_bundle", tenant=tenant,
+    )
+
+
 class WorkerPool:
     """Fixed-size pool of :class:`WorkerHandle` with supervised dispatch."""
 
@@ -359,13 +392,14 @@ class WorkerPool:
 
     # ---------------------------------------------------------- lifecycle
     def start(self) -> "WorkerPool":
+        """Spawn workers until the pool is full (spawns under way count)."""
         # Tolerate a bounded number of failed spawns (chaos-killed or
         # genuinely flaky children) so one bad handshake cannot keep the
         # whole service from booting.
         failures = 0
         while True:
             with self._lock:
-                if len(self._workers) >= self.size:
+                if self._closed or len(self._workers) + self._spawning >= self.size:
                     return self
             try:
                 self._add_worker()
@@ -464,17 +498,12 @@ class WorkerPool:
         # Heal the pool: failed respawns (in _retire, or chaos-killed
         # replacements) silently shrink it; top back up to size so a
         # fault storm cannot permanently reduce capacity.
-        while True:
-            with self._lock:
-                deficit = self.size - len(self._workers) - self._spawning
-            if deficit <= 0 or self._closed:
-                break
-            try:
-                self._add_worker()
-                replaced += 1
-            except WorkerDeath:
-                break  # still failing; the next health tick retries
-        return replaced
+        spawned = self.stats_counters["spawned"]
+        try:
+            self.start()
+        except WorkerDeath:
+            pass  # still failing; the next health tick retries
+        return replaced + self.stats_counters["spawned"] - spawned
 
     # ----------------------------------------------------------- dispatch
     def _checkout(self) -> Optional[WorkerHandle]:
@@ -503,32 +532,6 @@ class WorkerPool:
             self._retire(handle, kill=False, counter="recycled")
         else:
             self._idle.put(handle)
-
-    def _write_crash_bundle(self, job: Dict[str, Any], death: WorkerDeath) -> Optional[str]:
-        """Minimized repro bundle for a worker death (no array payloads).
-        raise-io/enospc at ``pool.crash_bundle`` loses the bundle, but the
-        death is still surfaced to the caller (E201 without a bundle path)."""
-        files: Dict[str, Any] = {"stderr.txt": death.stderr_tail or ""}
-        if job.get("sdfg") is not None:
-            files["sdfg.json"] = job["sdfg"]
-        manifest = {
-            "op": job.get("op"),
-            "tenant": job.get("tenant"),
-            "backend": job.get("backend", "python"),
-            "program": job.get("program"),
-            "returncode": death.returncode,
-            "arrays": {
-                name: {"dtype": spec.get("dtype"), "shape": spec.get("shape")}
-                for name, spec in (job.get("arrays") or {}).items()
-                if isinstance(spec, dict)
-            },
-            "symbols": job.get("symbols") or {},
-        }
-        return write_bundle(
-            crash_dir(), f"serve_{job.get('tenant') or 'tenant'}",
-            manifest=manifest, files=files, keep=crash_keep(),
-            point="pool.crash_bundle", tenant=job.get("tenant"),
-        )
 
     def submit(self, job: Dict[str, Any], timeout: Optional[float] = None) -> Dict[str, Any]:
         """Dispatch one job; always returns a protocol response payload.
@@ -575,7 +578,7 @@ class WorkerPool:
                 with self._lock:
                     self.stats_counters["deaths"] += 1
                 self._publish_worker_event(handle, "death")
-                last_bundle = self._write_crash_bundle(job, death) or last_bundle
+                last_bundle = write_crash_bundle(job, death) or last_bundle
                 self._retire(handle, kill=True)
                 if attempt < self.retry.retries:
                     time.sleep(self.retry.delay(attempt))

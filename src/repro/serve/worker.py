@@ -2,14 +2,13 @@
 
 One worker is one long-lived process owning the *unsafe* half of the
 service: it validates, compiles, and executes tenant SDFGs **in
-process** — it is the crash-isolation boundary, generalizing the
-spawn-per-call harness of :mod:`repro.runtime.isolation` into a warm
-pool member.  If generated code segfaults, the worker dies and the pool
-supervisor (:mod:`repro.serve.pool`) respawns it and replays the
-request; the daemon never executes tenant code itself.
+process** — it is the crash-isolation boundary.  If generated code
+segfaults, the worker dies and the pool supervisor
+(:mod:`repro.serve.pool`) respawns it and replays the request; the
+daemon never executes tenant code itself.  Its supervisor-only
+``isolated_call`` op serves :mod:`repro.runtime.isolation`'s harness.
 
-Because the worker survives across requests it keeps state the
-spawn-per-call harness could not:
+Because the worker survives across requests it keeps warm state:
 
 * an LRU of fully-built :class:`~repro.codegen.compiler.CompiledSDFG`
   artifacts keyed by ``(content_hash, backend, tenant, sanitize)`` — a
@@ -17,7 +16,8 @@ spawn-per-call harness could not:
   (the marshaling plan lives on the artifact);
 * per-tenant :class:`~repro.codegen.progcache.ProgramCache` tiers
   (disk-backed under ``--cache-root``) so a recycled worker's
-  replacement warms up from disk instead of from scratch.
+  replacement warms up from disk instead of from scratch;
+* the C++ libraries ``isolated_call`` has dlopened.
 
 Protocol: JSON lines on stdin/stdout (see :mod:`repro.serve.protocol`).
 The worker re-points ``sys.stdout`` at stderr right after startup so a
@@ -81,6 +81,8 @@ class WorkerRuntime:
         #: (content_hash, backend, tenant, sanitize) -> CompiledSDFG
         self._programs: "OrderedDict[tuple, Any]" = OrderedDict()
         self._mem_caches: Dict[str, Any] = {}
+        #: (library, entry) -> loaded entry point; lives until recycling
+        self._libraries: Dict[tuple, Any] = {}
         self.served = 0
         self.started = time.monotonic()
         #: Drain cursor into this process's telemetry sink (the delta
@@ -147,12 +149,15 @@ class WorkerRuntime:
             )
         if op == "shutdown":
             return protocol.ok_response(op="shutdown")
-        if op in ("compile", "execute"):
+        if op in ("compile", "execute", "isolated_call"):
             injected = self._maybe_inject_fault(job)
             if injected is not None:
                 return injected
             try:
-                response = self._compile_or_execute(job)
+                if op == "isolated_call":
+                    response = self._isolated_call(job)
+                else:
+                    response = self._compile_or_execute(job)
             except DiagnosticError as err:
                 response = protocol.error_response(
                     err.code, str(err), op=op, served=self.served, rss_kb=_rss_kb()
@@ -186,6 +191,29 @@ class WorkerRuntime:
         if dropped:
             response["telemetry_dropped"] = dropped
         return response
+
+    def _isolated_call(self, job: Dict[str, Any]) -> Dict[str, Any]:
+        """One call of a compiled C++ library for
+        :func:`repro.runtime.isolation.run_isolated`: arrays in and out
+        through ``.npz`` files in the job's ``workdir``.  Supervisor-only
+        (not in ``protocol.OPS``; daemon jobs are built field by field),
+        so no tenant can make a worker dlopen a path it chose."""
+        import numpy as np
+
+        from repro.codegen.cpp_gen import call_entry, load_entry
+
+        workdir = job["workdir"]
+        with np.load(os.path.join(workdir, "inputs.npz")) as data:
+            arrays = {name: np.ascontiguousarray(data[name])
+                      for name in sorted(job["arrays"])}
+        key = (job["lib"], job["program"])
+        if key not in self._libraries:
+            self._libraries[key] = load_entry(*key)
+        call_entry(self._libraries[key], arrays.values(),
+                   [v for _, v in sorted(job["symbols"].items())])
+        np.savez(os.path.join(workdir, "outputs.npz"), **arrays)
+        self.served += 1
+        return protocol.ok_response(op="isolated_call", served=self.served)
 
     def _compile_or_execute(self, job: Dict[str, Any]) -> Dict[str, Any]:
         from repro.codegen.compiler import compile_sdfg

@@ -2,7 +2,7 @@
 
 Generated programs (:mod:`repro.codegen.progcache`), tuning winners
 (:mod:`repro.tuning.cache`) and crash repro bundles
-(:mod:`repro.runtime.isolation`, :mod:`repro.serve.pool`) are written,
+(:mod:`repro.serve.pool`) are written,
 recognised as sound, aged out and swept (:mod:`repro.serve.fsck`) here
 and nowhere else; DESIGN.md §16 "On-disk store" describes the format.
 Fault-point names are passed in by the callers, so each one stays

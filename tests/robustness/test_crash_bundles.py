@@ -11,7 +11,7 @@ import subprocess
 import sys
 import threading
 
-from repro.runtime.isolation import write_crash_bundle
+from repro.serve.pool import WorkerDeath, write_crash_bundle
 from repro.store import bundle_dir
 
 SRC = os.path.realpath(os.path.join(os.path.dirname(__file__), "..", "..", "src"))
@@ -111,8 +111,9 @@ def test_write_crash_bundle_concurrent_same_sdfg(tmp_path, monkeypatch):
         barrier.wait()
         for _ in range(3):
             b = write_crash_bundle(
-                make_sdfg(), {"sdfg": "same_name", "symbols": {"N": 4},
-                              "arrays": []}, stderr="boom"
+                {"program": "same_name", "sdfg": make_sdfg().to_json(),
+                 "symbols": {"N": 4}, "arrays": {}},
+                WorkerDeath("boom", stderr_tail="boom"),
             )
             with lock:
                 bundles.append(b)

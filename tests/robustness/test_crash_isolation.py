@@ -54,7 +54,6 @@ def scale_sdfg(code_global: str = ""):
 
 @pytest.fixture
 def crash_env(monkeypatch, tmp_path):
-    monkeypatch.setenv("REPRO_ISOLATE", "1")
     monkeypatch.setenv("REPRO_CRASH_DIR", str(tmp_path / "crashes"))
     monkeypatch.setenv("REPRO_RETRIES", "1")
     monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0.001")
@@ -91,8 +90,8 @@ def test_segfault_contained_bundle_written_results_from_python(crash_env):
         manifest = json.load(f)
     assert "lib" not in manifest, "bundle must be machine-independent"
     assert manifest["symbols"] == {"N": 8}
-    assert [a["name"] for a in manifest["arrays"]] == ["A"]
-    assert manifest["arrays"][0]["shape"] == [8]
+    assert list(manifest["arrays"]) == ["A"]
+    assert manifest["arrays"]["A"]["shape"] == [8]
 
 
 def test_crash_feeds_circuit_breaker(crash_env):
@@ -141,9 +140,8 @@ def test_clean_cpp_run_through_harness(crash_env):
     assert BREAKERS.failures("cpp") == 0, "success closes the strike count"
 
 
-def test_isolation_off_runs_in_process(monkeypatch):
-    monkeypatch.setenv("REPRO_ISOLATE", "0")
-    compiled = compile_sdfg(scale_sdfg(), backend="cpp")
+def test_isolation_off_runs_in_process():
+    compiled = compile_sdfg(scale_sdfg(), backend="cpp", isolate=False)
     assert compiled.backend == "cpp"
     A = np.random.rand(8)
     ref = A * 2
@@ -169,3 +167,42 @@ def test_crash_error_reports_signal_and_is_retryable(crash_env):
     assert err.returncode is not None and err.returncode < 0
     assert err.bundle and os.path.isdir(err.bundle)
     np.testing.assert_array_equal(A, before), "caller arrays untouched"
+
+
+# ------------------------------------------------------------ fault points
+def test_spawn_fault_is_a_contained_crash(crash_env):
+    """`isolation.spawn:raise-io`: the call never reaches the harness
+    worker; it is a contained E201 that degrades to a correct python
+    result."""
+    from repro.chaos import FaultPlan, install_plan
+
+    compiled = compile_sdfg(scale_sdfg(), backend="cpp")
+    install_plan(FaultPlan.parse("isolation.spawn:raise-io@p=1"))
+    A = np.random.rand(8)
+    ref = A * 2
+    compiled(A=A, N=8)
+    np.testing.assert_allclose(A, ref)
+    assert compiled.backend == "python"
+    hop = compiled.degradation[-1]
+    assert hop["from"] == "cpp" and hop["to"] == "python"
+    assert hop["code"] == "E201" and hop["error"] == "BackendCrashError"
+    assert hop["attempts"] == 2
+
+
+def test_lost_crash_bundle_still_surfaces_the_crash(crash_env):
+    """`pool.crash_bundle:enospc` during a genuine SIGSEGV: the bundle is
+    lost, but the death still surfaces as E201 (no bundle on the hop)
+    and the call degrades."""
+    from repro.chaos import FaultPlan, install_plan
+
+    compiled = compile_sdfg(scale_sdfg(SEGFAULT_GLOBAL), backend="cpp")
+    install_plan(FaultPlan.parse("pool.crash_bundle:enospc@p=1"))
+    A = np.random.rand(8)
+    ref = A * 2
+    compiled(A=A, N=8)
+    np.testing.assert_allclose(A, ref)
+    assert compiled.backend == "python"
+    hop = compiled.degradation[-1]
+    assert hop["code"] == "E201" and "signal" in hop["message"]
+    assert "bundle" not in hop
+    assert not os.path.exists(crash_env) or not os.listdir(crash_env)

@@ -74,10 +74,9 @@ def test_compile_error_degrades():
     run_and_check(compiled)
 
 
-def test_ctypes_load_failure_degrades(monkeypatch):
+def test_ctypes_load_failure_degrades():
     # In-process loading only happens with crash isolation off (the
     # isolated harness dlopens in the child instead).
-    monkeypatch.setenv("REPRO_ISOLATE", "0")
     sdfg = scale_sdfg()
     if cpp_gen.find_host_compiler() is None:
         pytest.skip("no host compiler; covered by missing-compiler test")
@@ -86,7 +85,7 @@ def test_ctypes_load_failure_degrades(monkeypatch):
         raise OSError(f"{path}: invalid ELF header")
 
     with unittest.mock.patch.object(cpp_gen.ctypes, "CDLL", bad_cdll):
-        compiled = compile_sdfg(sdfg, backend="cpp")
+        compiled = compile_sdfg(sdfg, backend="cpp", isolate=False)
     assert compiled.backend == "python"
     assert compiled.degradation[0]["code"] == "CG103"
     run_and_check(compiled)
@@ -159,3 +158,33 @@ def test_invalid_sdfg_is_not_masked_by_fallback():
     st.add_access("ghost")
     with pytest.raises(InvalidSDFGError):
         compile_sdfg(sdfg, backend="cpp")
+
+
+def test_call_time_degradation_keeps_the_artifacts_options(monkeypatch):
+    """A contained cpp crash at call time rebuilds the python fallback
+    with the artifact's own lowering options (here: no vectorized tier),
+    and the fallback's census replaces the cpp artifact's empty one."""
+    from repro.codegen.compiler import CompiledSDFG
+    from repro.runtime.isolation import BackendCrashError
+
+    monkeypatch.setenv("REPRO_RETRIES", "0")
+
+    def crashing_cpp(sdfg, isolated=False):
+        def entry(arrays, symbols, instr=None, guard=None):
+            raise BackendCrashError("injected crash", sdfg=sdfg.name)
+
+        return CompiledSDFG(sdfg, entry, "// no source", "cpp")
+
+    monkeypatch.setattr(cpp_gen, "compile_cpp", crashing_cpp)
+    compiled = compile_sdfg(scale_sdfg(), backend="cpp", vectorize=False)
+    assert compiled.backend == "cpp" and compiled.lowering == []
+    run_and_check(compiled)
+    assert compiled.backend == "python"
+    assert compiled.degradation[-1]["code"] == "E201"
+
+    reference = compile_sdfg(scale_sdfg(), backend="python", vectorize=False)
+    assert compiled.source == reference.source
+    assert [row["tier"] for row in compiled.lowering] == ["loop"]
+    assert compiled.lowering == reference.lowering
+    assert compiled.compile_report["lowering"] == compiled.lowering
+    assert compiled.codegen_warnings == reference.codegen_warnings

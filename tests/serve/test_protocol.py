@@ -141,3 +141,37 @@ def test_response_shapes():
     assert err["status"] == "error" and err["code"] == "E201"
     rej = protocol.rejected_response("R807", "open", retry_after=1.25)
     assert rej["status"] == "rejected" and rej["retry_after"] == 1.25
+
+
+# -------------------------------------------------- supervisor-only ops
+def test_isolation_harness_op_is_not_a_client_op():
+    """A tenant must never make a worker dlopen a path it chose: the
+    harness op is rejected at the protocol gate..."""
+    assert "isolated_call" not in protocol.OPS
+    with pytest.raises(ProtocolError) as exc:
+        protocol.validate_request({"op": "isolated_call", "lib": "/tmp/evil.so",
+                                   "program": "main", "workdir": "/tmp"})
+    assert exc.value.code == "E202"
+
+
+def test_daemon_built_jobs_never_carry_a_library_path():
+    """...and a valid request smuggling the harness fields reaches the
+    pool without them: the daemon builds each job field by field."""
+    from repro.serve.daemon import SDFGServer, ServeConfig
+
+    server = SDFGServer(ServeConfig(workers=1, telemetry=False))
+    submitted = []
+
+    class RecordingPool:
+        def submit(self, job):
+            submitted.append(job)
+            return protocol.ok_response()
+
+    server.pool = RecordingPool()
+    request = protocol.validate_request(
+        _req(lib="/tmp/evil.so", workdir="/tmp", program="main")
+    )
+    assert server._serve_job(request)["status"] == "ok"
+    (job,) = submitted
+    assert job["op"] == "execute"
+    assert "lib" not in job and "workdir" not in job
