@@ -8,8 +8,10 @@ client of the serve pool's supervisor (:mod:`repro.serve.pool`):
 
 * the *harness* is a lazily started, process-wide ``WorkerPool(size=1)``
   whose persistent worker dlopens each library once;
-* the call's arrays travel to the worker and back through
-  ``inputs.npz`` / ``outputs.npz`` in a scratch directory;
+* the call's arrays travel to the worker and back as raw bytes in the
+  job and response frames (:mod:`repro.serve.protocol`; no file is
+  written, and no frame size limit applies: the arrays are the
+  caller's own), and the results are copied into the caller's arrays;
 * a worker death is the pool's ``E201`` — it writes the minimized repro
   bundle under ``REPRO_CRASH_DIR`` and respawns the worker — and becomes
   :class:`BackendCrashError`, which the compiler retries and then
@@ -26,8 +28,6 @@ from __future__ import annotations
 import atexit
 import math
 import os
-import shutil
-import tempfile
 import threading
 from typing import Any, Dict, Optional, Tuple
 
@@ -124,55 +124,46 @@ def run_isolated(
     :class:`BackendCrashError` on a contained crash and
     ``WatchdogViolation`` on a deadline kill."""
     from repro.runtime.watchdog import WatchdogViolation
+    from repro.serve import protocol
     from repro.serve.pool import WorkerDeath
 
-    workdir = tempfile.mkdtemp(prefix=f"repro_iso_{name}_")
+    job = {
+        "op": "isolated_call",
+        "backend": "cpp",
+        "program": name,
+        "lib": lib_path,
+        "sdfg": sdfg_json,
+        "arrays": protocol.encode_arrays(arrays),
+        "symbols": {s: int(v) for s, v in symbols.items()},
+    }
     try:
-        np.savez(os.path.join(workdir, "inputs.npz"), **arrays)
-        job = {
-            "op": "isolated_call",
-            "backend": "cpp",
-            "program": name,
-            "lib": lib_path,
-            "workdir": workdir,
-            "sdfg": sdfg_json,
-            "arrays": {
-                a: {"dtype": str(arr.dtype), "shape": list(arr.shape)}
-                for a, arr in arrays.items()
-            },
-            "symbols": {s: int(v) for s, v in symbols.items()},
-        }
-        try:
-            faultpoint("isolation.spawn", sdfg=name)
-            pool = harness()
-            while True:
-                pool.start()  # refill after a failed respawn
-                resp = pool.submit(job, math.inf if timeout is None else timeout)
-                if resp["status"] != "rejected":  # else: worker still busy
-                    break
-        except (OSError, WorkerDeath) as err:
-            # The call never ran and the arrays are untouched: a
-            # contained crash, not a host-process error.
-            raise BackendCrashError(
-                f"isolated cpp call could not be dispatched: {err}", sdfg=name
-            ) from err
-        if resp["status"] == "ok":
-            with np.load(os.path.join(workdir, "outputs.npz")) as out:
-                for a, arr in arrays.items():
-                    np.copyto(arr, out[a])
-            return
-        if resp["code"] == "R805":
-            raise WatchdogViolation(
-                f"isolated cpp execution exceeded deadline of {timeout:g}s "
-                "and was killed",
-                sdfg=name,
-                kind="deadline",
-            )
+        faultpoint("isolation.spawn", sdfg=name)
+        pool = harness()
+        while True:
+            pool.start()  # refill after a failed respawn
+            resp = pool.submit(job, math.inf if timeout is None else timeout)
+            if resp["status"] != "rejected":  # else: worker still busy
+                break
+    except (OSError, WorkerDeath) as err:
+        # The call never ran and the arrays are untouched: a
+        # contained crash, not a host-process error.
         raise BackendCrashError(
-            f"isolated cpp call failed: {resp['message']}",
+            f"isolated cpp call could not be dispatched: {err}", sdfg=name
+        ) from err
+    if resp["status"] == "ok":
+        for a, out in protocol.decode_arrays(resp["arrays"]).items():
+            np.copyto(arrays[a], out)
+        return
+    if resp["code"] == "R805":
+        raise WatchdogViolation(
+            f"isolated cpp execution exceeded deadline of {timeout:g}s "
+            "and was killed",
             sdfg=name,
-            bundle=resp.get("bundle"),
-            returncode=resp.get("returncode"),
+            kind="deadline",
         )
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)
+    raise BackendCrashError(
+        f"isolated cpp call failed: {resp['message']}",
+        sdfg=name,
+        bundle=resp.get("bundle"),
+        returncode=resp.get("returncode"),
+    )

@@ -6,9 +6,9 @@ survives hostile inputs, crashing generated code, and concurrent load.
 This package turns every prior subsystem into a supervised service
 component:
 
-* :mod:`repro.serve.protocol` — newline-delimited JSON over a local
-  socket, arrays as base64-encoded buffers, structured diagnostic codes
-  on every error (``E202``/``E203``/``R806``–``R808``).
+* :mod:`repro.serve.protocol` — one frame for every hop: a JSON header
+  line, then the arrays' raw bytes; structured diagnostic codes on
+  every error (``E202``/``E203``/``R806``–``R808``).
 * :mod:`repro.serve.worker` — the persistent worker process: compiles
   and executes SDFGs in-process (it *is* the crash-isolation boundary),
   keeping per-tenant program caches hot across requests.

@@ -8,7 +8,11 @@ Usage::
         a[:] = out["arrays"]["A"]            # results travel by value
 
 The client is deliberately thin: one socket, one request in flight,
-structured responses passed through verbatim.  The only smarts it has is
+structured responses passed through verbatim.  Arrays travel as raw
+bytes after each message's JSON header line
+(:mod:`repro.serve.protocol`): sending reads them straight out of the
+caller's arrays, and a decoded result is a writable view of the
+received buffer.  The only smarts it has is
 the ``E203`` dance — if an execute-by-key lands on a worker that does
 not hold the program (fresh respawn, recycled worker), the client
 transparently resends the request with the full SDFG body attached.
@@ -91,15 +95,18 @@ class ServeClient:
         except TimeoutError as err:
             raise ServeTimeout("connect", timeout) from err
         self._sock.settimeout(read_timeout)
-        self._stream = self._sock.makefile("rw", encoding="utf-8", newline="\n")
+        if tcp is not None:
+            # Header and array bytes are separate writes; no Nagle stall.
+            self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._stream = self._sock.makefile("rwb")
 
     # ------------------------------------------------------------ plumbing
     def request(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         """Send one raw request and block for its response."""
         if self._broken:
             raise ConnectionError(
-                "connection unusable after a client-side timeout (E205); "
-                "open a new ServeClient"
+                "connection unusable after a client-side timeout (E205) or "
+                "a malformed response frame; open a new ServeClient"
             )
         payload = dict(payload)
         payload.setdefault("v", protocol.PROTOCOL_VERSION)
@@ -113,6 +120,9 @@ class ServeClient:
             # connection is done.
             self._broken = True
             raise ServeTimeout("read", self.read_timeout) from err
+        except protocol.FrameError:
+            self._broken = True  # out of step with the server's frames
+            raise
         if response is None:
             raise ConnectionError("server closed the connection")
         return response

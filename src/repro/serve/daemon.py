@@ -1,6 +1,7 @@
 """The long-lived compile-and-execute daemon (``python -m repro.serve``).
 
-Accepts newline-JSON requests from many concurrent clients over a local
+Accepts framed requests (:mod:`repro.serve.protocol`: a JSON header
+line, raw array bytes after it) from many concurrent clients over a local
 socket (Unix domain by default, TCP on request), authenticates nothing —
 it is a *local* service — but trusts nobody: every request passes
 admission control before it may touch a worker, every worker is
@@ -12,6 +13,7 @@ Failure matrix (see DESIGN §11 for the full table):
 event                   code           client-visible outcome
 =====================  =============  ===================================
 malformed request       ``E202``       ``status=error`` immediately
+bad array spec          ``E202``       ``status=error``, connection closed
 unknown program key     ``E203``       ``status=error``; resend with sdfg
 worker SIGSEGV/OOM      ``E201``       replayed; ``error`` after retries
 deadline (cooperative)  ``R805``       ``status=error``, worker survives
@@ -316,7 +318,11 @@ class SDFGServer:
     # -------------------------------------------------------- connections
     def _handle_connection(self, conn: socket.socket) -> None:
         conn.settimeout(None)
-        stream = conn.makefile("rw", encoding="utf-8", newline="\n")
+        if conn.family != socket.AF_UNIX:
+            # A frame is a header write then array writes: do not let
+            # Nagle hold the tail back waiting for the header's ACK.
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        stream = conn.makefile("rwb")
         try:
             while not self._stop.is_set():
                 try:
@@ -326,6 +332,8 @@ class SDFGServer:
                     protocol.send_message(
                         stream, protocol.error_response(err.code, str(err))
                     )
+                    if isinstance(err, protocol.FrameError):
+                        return  # an untrusted trailer cannot be skipped
                     continue
                 except ChaosFault as err:
                     # The read path itself failed; the frame (if any) is

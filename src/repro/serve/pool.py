@@ -5,7 +5,12 @@ own warm compiled programs (or, for the isolated cpp harness of
 :mod:`repro.runtime.isolation`, loaded libraries), and the supervisor in
 this module owns their lifecycle.  Served requests and isolated cpp
 calls share it: one worker spawn site, one deadline-kill path, one
-stderr capture and one crash-bundle writer:
+stderr capture and one crash-bundle writer.  Jobs and responses cross
+the worker's stdin/stdout pipes as :mod:`repro.serve.protocol` frames
+(a JSON header line, raw array bytes after it); the supervisor writes
+them and splits them with protocol's functions and never parses the
+format itself, so a daemon forwards a client's array bytes to a worker
+without building an ndarray.
 
 * **health checks** — a ready handshake at spawn, on-demand pings;
 * **recycling** — a worker is gracefully retired after ``recycle_after``
@@ -30,7 +35,6 @@ thread down with it.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import select
@@ -142,31 +146,23 @@ class WorkerHandle:
         self.pid = ready.get("pid", self.proc.pid)
 
     # ------------------------------------------------------------ streams
-    def _read_message(self, deadline: Optional[float]) -> Dict[str, Any]:
-        """Read one protocol line with a wall-clock deadline."""
+    def _read_message(self, deadline: Optional[float],
+                      limit: Optional[float] = None) -> Dict[str, Any]:
+        """Read one protocol frame with a wall-clock deadline."""
         fd = self.proc.stdout.fileno()
         while True:
-            nl = self._rbuf.find(b"\n")
-            if nl >= 0:
-                line = bytes(self._rbuf[:nl])
-                del self._rbuf[: nl + 1]
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as err:
-                    raise WorkerDeath(
-                        f"{self.name} wrote junk on its protocol stream: {err}",
-                        returncode=self.proc.poll(),
-                        stderr_tail=self.stderr_tail(),
-                    ) from err
-                return obj
-            if len(self._rbuf) > protocol.MAX_MESSAGE_BYTES:
+            try:
+                framed = protocol.split_frame(self._rbuf, limit)
+            except protocol.ProtocolError as err:
                 raise WorkerDeath(
-                    f"{self.name} response exceeds the message size limit",
+                    f"{self.name} wrote junk on its protocol stream: {err}",
                     returncode=self.proc.poll(),
                     stderr_tail=self.stderr_tail(),
-                )
+                ) from err
+            if framed is not None:
+                message, consumed = framed
+                del self._rbuf[:consumed]
+                return message
             remaining = None if deadline is None else deadline - time.monotonic()
             if remaining is not None and remaining <= 0:
                 raise WorkerTimeout(f"{self.name} exceeded the request backstop")
@@ -186,18 +182,20 @@ class WorkerHandle:
 
     def request(self, job: Dict[str, Any], timeout: Optional[float]) -> Dict[str, Any]:
         """Send one job and await its response."""
-        line = json.dumps(job, separators=(",", ":"), sort_keys=True) + "\n"
+        limit = protocol.frame_limit(job.get("op"))
         try:
-            self.proc.stdin.write(line.encode("utf-8"))
-            self.proc.stdin.flush()
-        except (BrokenPipeError, OSError) as err:
+            protocol.send_message(self.proc.stdin, job, limit)
+        except protocol.ProtocolError as err:
+            # Refused before a byte was written: the worker is untouched.
+            return protocol.error_response(err.code, str(err))
+        except OSError as err:
             raise WorkerDeath(
                 f"{self.name} died before accepting the request",
                 returncode=self._exit_code(),
                 stderr_tail=self.stderr_tail(),
             ) from err
         deadline = None if timeout is None else time.monotonic() + timeout
-        resp = self._read_message(deadline)
+        resp = self._read_message(deadline, limit)
         self.served = int(resp.get("served", self.served) or self.served)
         if resp.get("rss_kb") is not None:
             self.rss_kb = int(resp["rss_kb"])
@@ -267,7 +265,7 @@ class WorkerHandle:
                     self.kill()
             else:
                 self.kill()
-        self._cleanup_stderr()
+        self._release()
 
     def _write_shutdown_op(self, grace: float) -> bool:
         """Best-effort bounded write of the shutdown op + stdin close."""
@@ -303,7 +301,7 @@ class WorkerHandle:
             self.proc.wait(timeout=5.0)
         except (OSError, subprocess.TimeoutExpired):
             pass
-        self._cleanup_stderr()
+        self._release()
 
     def stderr_tail(self, limit: int = 8192) -> str:
         try:
@@ -315,6 +313,16 @@ class WorkerHandle:
                 return f.read().decode(errors="replace")
         except OSError:
             return ""
+
+    def _release(self) -> None:
+        """Close the protocol pipes (left to GC they warn, one
+        ``ResourceWarning`` per worker) and remove the stderr capture."""
+        for pipe in (self.proc.stdin, self.proc.stdout):
+            try:
+                pipe.close()
+            except (OSError, ValueError):
+                pass
+        self._cleanup_stderr()
 
     def _cleanup_stderr(self) -> None:
         try:

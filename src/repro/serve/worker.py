@@ -19,9 +19,13 @@ Because the worker survives across requests it keeps warm state:
   replacement warms up from disk instead of from scratch;
 * the C++ libraries ``isolated_call`` has dlopened.
 
-Protocol: JSON lines on stdin/stdout (see :mod:`repro.serve.protocol`).
-The worker re-points ``sys.stdout`` at stderr right after startup so a
-stray ``print`` in tasklet code can never corrupt the protocol stream.
+Protocol: frames on binary stdin/stdout (see :mod:`repro.serve.protocol`):
+a JSON header line, then the arrays' raw bytes.  A job's arrays are
+decoded once as writable views of the buffer their bytes were read
+into, the program runs on them in place, and the response sends views
+of the same arrays back.  The worker re-points ``sys.stdout`` at stderr
+right after startup so a stray ``print`` in tasklet code can never
+corrupt the protocol stream.
 
 Fault injection (``inject_fault`` request field) is honored only when
 the supervisor sets ``REPRO_SERVE_FAULT_INJECTION=1`` — it exists so the
@@ -31,12 +35,13 @@ deaths (``SIGSEGV``) and hangs without depending on a host C++ compiler.
 
 from __future__ import annotations
 
+import math
 import os
 import signal
 import sys
 import time
 from collections import OrderedDict
-from typing import Any, Dict, Optional, TextIO
+from typing import Any, BinaryIO, Dict, Optional
 
 from repro.chaos import ChaosFault, faultpoint
 from repro.diagnostics import DiagnosticError
@@ -194,26 +199,22 @@ class WorkerRuntime:
 
     def _isolated_call(self, job: Dict[str, Any]) -> Dict[str, Any]:
         """One call of a compiled C++ library for
-        :func:`repro.runtime.isolation.run_isolated`: arrays in and out
-        through ``.npz`` files in the job's ``workdir``.  Supervisor-only
-        (not in ``protocol.OPS``; daemon jobs are built field by field),
-        so no tenant can make a worker dlopen a path it chose."""
-        import numpy as np
-
+        :func:`repro.runtime.isolation.run_isolated`: the job's arrays
+        are decoded, passed to the entry point in sorted-name order and
+        sent back in the response.  Supervisor-only (not in
+        ``protocol.OPS``; daemon jobs are built field by field), so no
+        tenant can make a worker dlopen a path it chose."""
         from repro.codegen.cpp_gen import call_entry, load_entry
 
-        workdir = job["workdir"]
-        with np.load(os.path.join(workdir, "inputs.npz")) as data:
-            arrays = {name: np.ascontiguousarray(data[name])
-                      for name in sorted(job["arrays"])}
+        arrays = protocol.decode_arrays(job["arrays"])
         key = (job["lib"], job["program"])
         if key not in self._libraries:
             self._libraries[key] = load_entry(*key)
-        call_entry(self._libraries[key], arrays.values(),
+        call_entry(self._libraries[key], [arrays[name] for name in sorted(arrays)],
                    [v for _, v in sorted(job["symbols"].items())])
-        np.savez(os.path.join(workdir, "outputs.npz"), **arrays)
         self.served += 1
-        return protocol.ok_response(op="isolated_call", served=self.served)
+        return protocol.ok_response(op="isolated_call", served=self.served,
+                                    arrays=protocol.encode_arrays(arrays))
 
     def _compile_or_execute(self, job: Dict[str, Any]) -> Dict[str, Any]:
         from repro.codegen.compiler import compile_sdfg
@@ -342,7 +343,7 @@ class WorkerRuntime:
 # =====================================================================
 
 
-def send_response(proto_out: TextIO, job: Dict[str, Any],
+def send_response(proto_out: BinaryIO, job: Dict[str, Any],
                   response: Dict[str, Any]) -> None:
     """Send one response, never letting an oversized payload kill us.
 
@@ -359,7 +360,8 @@ def send_response(proto_out: TextIO, job: Dict[str, Any],
     # raise rules here propagate rather than answering structurally.
     faultpoint("worker.response_write", op=job.get("op"))
     try:
-        protocol.send_message(proto_out, response)
+        protocol.send_message(proto_out, response,
+                              protocol.frame_limit(job.get("op")))
     except protocol.ProtocolError as err:
         fallback = protocol.error_response(
             "E204",
@@ -374,9 +376,9 @@ def send_response(proto_out: TextIO, job: Dict[str, Any],
         protocol.send_message(proto_out, fallback)
 
 
-def _protect_protocol_stream() -> TextIO:
+def _protect_protocol_stream() -> BinaryIO:
     """Claim fd 1 for the protocol; stray prints go to stderr."""
-    proto = os.fdopen(os.dup(1), "w", encoding="utf-8", newline="\n")
+    proto = os.fdopen(os.dup(1), "wb")
     os.dup2(2, 1)
     sys.stdout = sys.stderr
     return proto
@@ -397,14 +399,17 @@ def main(argv=None) -> int:
     runtime = WorkerRuntime(cache_root=args.cache_root)
     protocol.send_message(proto_out, {"ready": True, "pid": os.getpid()})
 
-    stdin = sys.stdin
+    stdin = sys.stdin.buffer
     while True:
         try:
-            job = protocol.recv_message(stdin)
+            # The supervisor checked the job against its op's limit.
+            job = protocol.recv_message(stdin, math.inf)
         except protocol.ProtocolError as err:
             protocol.send_message(
                 proto_out, protocol.error_response(err.code, str(err))
             )
+            if isinstance(err, protocol.FrameError):
+                return 1  # out of step with the supervisor: retire
             continue
         if job is None:  # supervisor closed our stdin: clean retirement
             return 0

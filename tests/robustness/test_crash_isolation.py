@@ -140,6 +140,59 @@ def test_clean_cpp_run_through_harness(crash_env):
     assert BREAKERS.failures("cpp") == 0, "success closes the strike count"
 
 
+def mixed_sdfg():
+    """Two arrays of different dtypes, both read and written."""
+    sdfg = SDFG("mixed")
+    sdfg.add_array("A", ("N",), dtypes.float64)
+    sdfg.add_array("B", ("N",), dtypes.int32)
+    sdfg.add_state().add_mapped_tasklet(
+        "m",
+        {"i": "0:N"},
+        inputs={"a": Memlet.simple("A", "i"), "b": Memlet.simple("B", "i")},
+        code="a_out = a * 2 + b\nb_out = b + 1",
+        outputs={"a_out": Memlet.simple("A", "i"),
+                 "b_out": Memlet.simple("B", "i")},
+    )
+    return sdfg
+
+
+def test_harness_matches_in_process_call_and_mutates_in_place(crash_env):
+    """Arrays cross to the harness worker and back in the call's frames:
+    mixed dtypes, a strided input, results written into the caller's
+    own arrays (the strided view's gaps untouched)."""
+    big = np.random.default_rng(3).standard_normal(16)
+    B = np.arange(8, dtype=np.int32)
+    A_ref, B_ref = np.ascontiguousarray(big[::2]), B.copy()
+    compile_sdfg(mixed_sdfg(), backend="cpp", isolate=False)(A=A_ref, B=B_ref, N=8)
+
+    before = big.copy()
+    A = big[::2]
+    compiled = compile_sdfg(mixed_sdfg(), backend="cpp")
+    compiled(A=A, B=B, N=8)
+    assert compiled.backend == "cpp" and compiled.degradation == []
+    np.testing.assert_array_equal(big[::2], A_ref)
+    np.testing.assert_array_equal(B, B_ref)
+    np.testing.assert_array_equal(big[1::2], before[1::2])
+    np.testing.assert_array_equal(A_ref, before[::2] * 2 + np.arange(8))
+
+
+def test_harness_frames_have_no_size_limit(crash_env, monkeypatch):
+    """The frame limit guards the daemon against tenants; the harness
+    carries the caller's own arrays, so a call whose arrays exceed it
+    still runs on cpp, and nothing counts as a crash."""
+    from repro.serve import protocol
+
+    monkeypatch.setattr(protocol, "MAX_MESSAGE_BYTES", 256 * 1024)
+    n = 65536  # 512 KB of float64
+    compiled = compile_sdfg(scale_sdfg(), backend="cpp")
+    A = np.random.rand(n)
+    ref = A * 2
+    compiled(A=A, N=n)
+    np.testing.assert_array_equal(A, ref)
+    assert compiled.backend == "cpp" and compiled.degradation == []
+    assert BREAKERS.failures("cpp") == 0
+
+
 def test_isolation_off_runs_in_process():
     compiled = compile_sdfg(scale_sdfg(), backend="cpp", isolate=False)
     assert compiled.backend == "cpp"

@@ -80,13 +80,63 @@ def test_malformed_requests_get_e202_connection_survives(server):
         resp = c.request({"op": "execute"})  # no sdfg/program
         assert resp["code"] == "E202"
         # Raw junk on the wire: the daemon answers and keeps the line open.
-        c._stream.write("this is not json\n")
+        c._stream.write(b"this is not json\n")
         c._stream.flush()
         import repro.serve.protocol as protocol
 
         resp = protocol.recv_message(c._stream)
         assert resp["code"] == "E202"
         assert c.ping()["status"] == "ok", "connection still usable"
+
+
+@pytest.mark.parametrize("spec,trailer", [
+    # An int64 product of this shape wraps to 0; an uncaught ValueError
+    # in the reader would drop the connection without an answer.
+    ({"dtype": "float64", "shape": [2**32, 2**32], "nbytes": 0}, b""),
+    ({"dtype": "object", "shape": [1], "nbytes": 8}, bytes(8)),
+])
+def test_bad_array_spec_gets_e202_then_the_connection_closes(server, spec, trailer):
+    header = {"op": "execute", "v": 2, "program": "0" * 64, "arrays": {"A": spec}}
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+        sock.settimeout(30)
+        sock.connect(server.config.socket_path)
+        sock.sendall(json.dumps(header).encode() + b"\n" + trailer)
+        with sock.makefile("rb") as stream:
+            resp = json.loads(stream.readline())
+            assert resp["status"] == "error" and resp["code"] == "E202"
+            assert "bad spec" in resp["message"]
+            assert stream.read() == b"", "the daemon closed the connection"
+    with client(server) as c:
+        assert c.ping()["status"] == "ok", "the daemon itself is fine"
+
+
+def test_v1_base64_request_gets_version_mismatch_connection_survives(server):
+    import base64
+
+    request = {"op": "execute", "v": 1, "tenant": "old", "program": "0" * 64,
+               "symbols": {"N": 8},
+               "arrays": {"A": {"dtype": "float64", "shape": [8],
+                                "data": base64.b64encode(bytes(64)).decode()}}}
+    with client(server) as c:
+        c._stream.write(json.dumps(request).encode() + b"\n")
+        c._stream.flush()
+        import repro.serve.protocol as protocol
+
+        resp = protocol.recv_message(c._stream)
+        assert resp["code"] == "E202" and "version mismatch" in resp["message"]
+        assert c.ping()["status"] == "ok", "connection still usable"
+
+
+def test_eight_megabyte_array_round_trips_bit_identically(server):
+    """Larger than a pipe buffer both ways: client -> daemon -> worker
+    and back, through the pool's incremental frame splitter."""
+    a = np.random.default_rng(8).standard_normal(1 << 20)
+    with client(server, tenant="big") as c:
+        out = c.execute(scale_sdfg(2.0), arrays={"A": a}, symbols={"N": a.size})
+    result = out["arrays"]["A"]
+    assert result.dtype == a.dtype and result.shape == a.shape
+    assert result.tobytes() == (a * 2.0).tobytes()
+    assert not np.shares_memory(result, a)
 
 
 def test_strict_client_raises_serve_error(server):

@@ -188,6 +188,25 @@ def test_oversized_response_yields_error_not_worker_death(monkeypatch):
     assert json.loads(out.getvalue())["status"] == "ok"
 
 
+def test_close_releases_every_worker_pipe(monkeypatch):
+    """Regression: close() left each worker's stdout pipe to the garbage
+    collector, one ``ResourceWarning: unclosed file`` per worker."""
+    import gc
+    import sys
+    import warnings
+
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        pool = WorkerPool(size=2).start()
+        assert pool.submit({"op": "ping"})["status"] == "ok"
+        pool.close()
+        del pool
+        gc.collect()
+    assert not unraisable, [str(u.exc_value) for u in unraisable]
+
+
 def test_health_check_replaces_dead_idle_workers():
     with WorkerPool(size=2) as pool:
         victim = pool._workers[0]

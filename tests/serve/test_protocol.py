@@ -2,9 +2,12 @@
 
 import io
 import json
+import socket
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serve import protocol
 from repro.serve.protocol import ProtocolError
@@ -56,6 +59,37 @@ def test_junk_array_payloads_rejected():
             protocol.decode_array(junk)
 
 
+def test_wrapping_shape_is_rejected_not_a_value_error():
+    # 2**32 x 2**32 elements wrap an int64 product to 0, so an empty
+    # buffer used to pass the size check and crash the reshape.
+    for data in (b"", ""):
+        with pytest.raises(ProtocolError):
+            protocol.decode_array(
+                {"dtype": "float64", "shape": [2**32, 2**32], "data": data})
+
+
+def test_non_numeric_dtype_is_rejected_not_a_value_error():
+    for data in (bytes(8), "AAAAAAAAAAA="):
+        with pytest.raises(ProtocolError, match="unsupported array dtype"):
+            protocol.decode_array({"dtype": "object", "shape": [1], "data": data})
+    with pytest.raises(ProtocolError):
+        protocol.encode_array(np.array([None, 1], dtype=object))
+
+
+def test_encode_views_and_decode_never_aliases_the_sender():
+    arr = np.arange(6, dtype=np.float64)
+    payload = protocol.encode_array(arr)
+    assert payload["data"].readonly
+    assert np.shares_memory(np.frombuffer(payload["data"], np.uint8), arr), \
+        "a contiguous array is sent without a copy"
+    out = protocol.decode_array(payload)
+    assert out.flags.writeable and not np.shares_memory(out, arr)
+    received = dict(payload, data=memoryview(bytearray(payload["data"])))
+    assert np.shares_memory(protocol.decode_array(received),
+                            np.frombuffer(received["data"], np.uint8)), \
+        "a received (writable) buffer is decoded in place"
+
+
 def test_symbols_must_be_integers():
     assert protocol.decode_symbols(None) == {}
     assert protocol.decode_symbols({"N": 8, "M": "9"}) == {"N": 8, "M": 9}
@@ -67,7 +101,7 @@ def test_symbols_must_be_integers():
 
 # --------------------------------------------------------------- framing
 def test_send_recv_round_trip():
-    buf = io.StringIO()
+    buf = io.BytesIO()
     protocol.send_message(buf, {"op": "ping", "id": 7})
     buf.seek(0)
     assert protocol.recv_message(buf) == {"op": "ping", "id": 7}
@@ -75,17 +109,245 @@ def test_send_recv_round_trip():
 
 
 def test_recv_rejects_non_json_and_non_objects():
-    for line in ("not json\n", "[1,2,3]\n", '"str"\n'):
+    for line in (b"not json\n", b"[1,2,3]\n", b'"str"\n'):
         with pytest.raises(ProtocolError):
-            protocol.recv_message(io.StringIO(line))
+            protocol.recv_message(io.BytesIO(line))
 
 
 def test_messages_are_single_lines():
-    buf = io.StringIO()
+    buf = io.BytesIO()
     protocol.send_message(buf, {"text": "with\nnewline"})
     raw = buf.getvalue()
-    assert raw.count("\n") == 1 and raw.endswith("\n")
+    assert raw.count(b"\n") == 1 and raw.endswith(b"\n")
     assert json.loads(raw) == {"text": "with\nnewline"}
+
+
+def _frame(obj) -> bytes:
+    buf = io.BytesIO()
+    protocol.send_message(buf, obj)
+    return buf.getvalue()
+
+
+def test_frame_layout_is_header_line_then_sorted_array_bytes():
+    a = np.arange(3, dtype=np.int32)
+    b = np.array([[1.5], [2.5]])
+    header, _, trailer = _frame(
+        {"op": "execute", "arrays": protocol.encode_arrays({"b": b.T, "a": a})}
+    ).partition(b"\n")
+    assert json.loads(header) == {"op": "execute", "arrays": {
+        "a": {"dtype": a.dtype.str, "shape": [3], "nbytes": 12},
+        "b": {"dtype": b.dtype.str, "shape": [1, 2], "nbytes": 16},
+    }}
+    assert trailer == a.tobytes() + b.T.tobytes()
+
+
+WIRE_DTYPES = ("bool", "int8", "int32", "int64", "uint16", "float32",
+               "float64", "complex128")
+
+
+@st.composite
+def wire_arrays(draw):
+    """1-4 arrays: every wire dtype, 0-d and zero-size shapes, and C,
+    Fortran and strided layouts."""
+    arrays = {}
+    for i in range(draw(st.integers(1, 4))):
+        dtype = np.dtype(draw(st.sampled_from(WIRE_DTYPES)))
+        shape = tuple(draw(st.lists(st.integers(0, 4), max_size=3)))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        if dtype.kind == "b":
+            arr = np.asarray(rng.random(shape) < 0.5)
+        elif dtype.kind in "iu":
+            info = np.iinfo(dtype)
+            arr = np.asarray(rng.integers(info.min, info.max, size=shape,
+                                          dtype=dtype, endpoint=True))
+        else:
+            arr = np.asarray(rng.standard_normal(shape)
+                             + (1j * rng.standard_normal(shape)
+                                if dtype.kind == "c" else 0)).astype(dtype)
+        layout = draw(st.sampled_from(("C", "F", "strided")))
+        if layout == "F":
+            arr = np.asfortranarray(arr)
+        elif layout == "strided" and arr.ndim:
+            big = np.zeros(arr.shape[:-1] + (2 * arr.shape[-1] + 1,), dtype)
+            big[..., 1::2] = arr
+            arr = big[..., 1::2]
+        arrays[f"a{i}"] = arr
+    return arrays
+
+
+def _through_socketpair(obj):
+    left, right = socket.socketpair()
+    with left, right, left.makefile("wb") as out, right.makefile("rb") as inp:
+        protocol.send_message(out, obj)
+        return protocol.recv_message(inp)
+
+
+def _through_bytesio(obj):
+    buf = io.BytesIO(_frame(obj))
+    return protocol.recv_message(buf)
+
+
+@pytest.mark.parametrize("transport", [_through_bytesio, _through_socketpair])
+@settings(max_examples=60, deadline=None)
+@given(arrays=wire_arrays())
+def test_arrays_round_trip_bit_identical(transport, arrays):
+    message = transport({"op": "execute", "id": 1,
+                         "arrays": protocol.encode_arrays(arrays)})
+    assert message["id"] == 1
+    out = protocol.decode_arrays(message["arrays"])
+    assert sorted(out) == sorted(arrays)
+    for name, arr in arrays.items():
+        got = out[name]
+        assert got.dtype == arr.dtype and got.shape == arr.shape
+        assert got.tobytes() == arr.tobytes(), name
+        assert got.flags.writeable
+        assert not np.shares_memory(got, arr)
+        assert not any(np.shares_memory(got, other)
+                       for key, other in out.items() if key != name)
+
+
+def test_split_frame_waits_for_the_whole_frame():
+    frame = _frame({"op": "execute",
+                    "arrays": protocol.encode_arrays({"A": np.arange(9.0),
+                                                      "B": np.ones(2, np.int8)})})
+    buf = bytearray(b"\n")  # a leading blank line is skipped, not a message
+    for i in range(0, len(frame) - 1, 7):
+        buf.extend(frame[i:min(i + 7, len(frame) - 1)])
+        assert protocol.split_frame(buf) is None
+    buf.extend(frame[-1:] + b'{"op":"ping"}\n')
+    message, consumed = protocol.split_frame(buf)
+    assert consumed == len(frame) + 1
+    out = protocol.decode_arrays(message["arrays"])
+    np.testing.assert_array_equal(out["A"], np.arange(9.0))
+    del buf[:consumed]  # the message does not pin the caller's buffer
+    assert protocol.split_frame(buf) == ({"op": "ping"}, 14)
+
+
+def test_truncated_trailer_is_a_clean_frame_error():
+    frame = _frame({"arrays": protocol.encode_arrays({"A": np.arange(8.0)})})
+    with pytest.raises(protocol.FrameError, match="truncated"):
+        protocol.recv_message(io.BytesIO(frame[:-5]))
+    assert protocol.split_frame(bytearray(frame[:-5])) is None, "just incomplete"
+
+
+class HeaderOnlyStream(io.BytesIO):
+    """A stream that fails any read past its header line."""
+
+    def read(self, *args):
+        raise AssertionError("read past the header line")
+
+    readinto = read1 = readinto1 = read
+
+
+def _spec_header(spec, v=protocol.PROTOCOL_VERSION) -> bytes:
+    return json.dumps({"op": "execute", "v": v, "program": "0" * 64,
+                       "arrays": {"A": spec}}).encode() + b"\n"
+
+
+def test_oversized_declaration_rejected_before_reading_the_trailer(monkeypatch):
+    huge = {"dtype": "float64", "shape": [protocol.MAX_MESSAGE_BYTES // 8],
+            "nbytes": protocol.MAX_MESSAGE_BYTES}
+    with pytest.raises(protocol.FrameError, match="limit"):
+        protocol.recv_message(HeaderOnlyStream(_spec_header(huge)))
+    with pytest.raises(protocol.FrameError, match="limit"):
+        protocol.split_frame(bytearray(_spec_header(huge)))
+    # The cap counts header + newline + trailer, exactly.
+    spec = {"dtype": "float64", "shape": [8], "nbytes": 64}
+    header = _spec_header(spec)
+    monkeypatch.setattr(protocol, "MAX_MESSAGE_BYTES", len(header) + 64)
+    message = protocol.recv_message(io.BytesIO(header + bytes(64)))
+    assert protocol.decode_arrays(message["arrays"])["A"].shape == (8,)
+    monkeypatch.setattr(protocol, "MAX_MESSAGE_BYTES", len(header) + 63)
+    with pytest.raises(protocol.FrameError):
+        protocol.recv_message(HeaderOnlyStream(header))
+    with pytest.raises(ProtocolError, match="exceeds limit"):
+        _frame({"op": "execute",
+                "arrays": protocol.encode_arrays({"A": np.zeros(64)})})
+
+
+def test_stalled_large_declaration_costs_only_what_arrived():
+    """A header may declare a frame near the limit and then send nothing:
+    the reader's buffer grows only as trailer bytes arrive."""
+    import tracemalloc
+
+    n = (protocol.MAX_MESSAGE_BYTES - 4096) // 8
+    header = _spec_header({"dtype": "float64", "shape": [n], "nbytes": 8 * n})
+    tracemalloc.start()
+    try:
+        with pytest.raises(protocol.FrameError, match="truncated"):
+            protocol.recv_message(io.BytesIO(header + bytes(1000)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * protocol.READ_STEP
+
+
+def test_isolated_call_frames_have_no_size_limit(monkeypatch):
+    """The limit is for frames a tenant controls; the supervisor-only
+    harness op carries the caller's own arrays, of any size."""
+    from repro.serve import worker as worker_mod
+
+    assert protocol.frame_limit("execute") == protocol.MAX_MESSAGE_BYTES
+    monkeypatch.setattr(protocol, "MAX_MESSAGE_BYTES", 4096)
+    A = np.arange(1024.0)  # 8 KB
+    response = protocol.ok_response(arrays=protocol.encode_arrays({"A": A}))
+    out = io.BytesIO()
+    worker_mod.send_response(out, {"op": "isolated_call"}, response)
+    frame = out.getvalue()
+    with pytest.raises(protocol.FrameError, match="limit"):
+        protocol.split_frame(bytearray(frame))
+    message, consumed = protocol.split_frame(
+        bytearray(frame), protocol.frame_limit("isolated_call"))
+    assert consumed == len(frame)
+    np.testing.assert_array_equal(protocol.decode_arrays(message["arrays"])["A"], A)
+    out = io.BytesIO()
+    worker_mod.send_response(out, {"op": "execute"}, response)
+    assert b'"code":"E204"' in out.getvalue(), "served responses stay capped"
+
+
+@pytest.mark.parametrize("spec", [
+    {"dtype": "object", "shape": [1], "nbytes": 8},
+    {"dtype": "<U4", "shape": [1], "nbytes": 16},
+    {"dtype": "nope", "shape": [1], "nbytes": 8},
+    {"dtype": "float64", "shape": [-8], "nbytes": -64},
+    {"dtype": "float64", "shape": [2.5], "nbytes": 16},
+    {"dtype": "float64", "shape": [True], "nbytes": 8},
+    {"dtype": "float64", "shape": "8", "nbytes": 64},
+    {"dtype": "float64", "shape": [8], "nbytes": 63},
+    {"dtype": "float64", "shape": [8], "nbytes": "64"},
+    {"dtype": "float64", "shape": [8]},
+    {"dtype": "float64", "shape": [2**32, 2**32], "nbytes": 0},
+    42,
+])
+def test_bad_specs_are_frame_errors_before_any_allocation(spec):
+    with pytest.raises(protocol.FrameError) as exc:
+        protocol.recv_message(HeaderOnlyStream(_spec_header(spec)))
+    assert exc.value.code == "E202"
+    with pytest.raises(protocol.FrameError):
+        protocol.split_frame(bytearray(_spec_header(spec)))
+
+
+def test_junk_header_is_recoverable_and_the_stream_goes_on():
+    good = _frame({"op": "execute",
+                   "arrays": protocol.encode_arrays({"A": np.arange(3.0)})})
+    stream = io.BytesIO(b"not json\n" + good)
+    with pytest.raises(ProtocolError) as exc:
+        protocol.recv_message(stream)
+    assert not isinstance(exc.value, protocol.FrameError)
+    message = protocol.recv_message(stream)
+    np.testing.assert_array_equal(
+        protocol.decode_arrays(message["arrays"])["A"], np.arange(3.0))
+
+
+def test_old_version_header_declares_no_trailer():
+    """A v1 request carried its arrays as base64 inside the line: it is
+    read whole (no trailer) and then refused by version."""
+    v1 = _spec_header({"dtype": "float64", "shape": [1], "data": "AAAAAAAAAAA="}, v=1)
+    stream = io.BytesIO(v1 + b'{"op":"ping"}\n')
+    request = protocol.recv_message(stream)
+    with pytest.raises(ProtocolError, match="version mismatch"):
+        protocol.validate_request(request)
+    assert protocol.recv_message(stream) == {"op": "ping"}
 
 
 # ------------------------------------------------------------ validation
