@@ -33,12 +33,8 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.chaos import faultpoint
 from repro.codegen.common import CodegenError
-from repro.instrumentation import (
-    InstrumentationRecorder,
-    InstrumentationType,
-    has_instrumentation,
-    profiling_enabled,
-)
+from repro.codegen.options import CompileOptions, resolve_options
+from repro.instrumentation import InstrumentationRecorder, recording_plan
 
 #: Next backend to try when one fails; the interpreter is the terminal
 #: fallback (it executes the IR directly and cannot itself "miscompile").
@@ -78,8 +74,29 @@ def _classify_hop_code(err: BaseException) -> Optional[str]:
     return None
 
 
+def _hop(frm: str, to: Optional[str], err: BaseException, **extra) -> Dict[str, Any]:
+    """One degradation record: the backend ``frm`` gave way to ``to``
+    (None: nothing replaced it) because of ``err``."""
+    message = str(err)
+    hop = {
+        "from": frm,
+        "to": to,
+        "error": type(err).__name__,
+        "code": _classify_hop_code(err),
+        "reason": message.splitlines()[0] if message else "",
+        "message": message,
+    }
+    hop.update(extra)
+    return hop
+
+
 class CompiledSDFG:
-    """A callable compiled SDFG (the paper's 'compiled library')."""
+    """A callable compiled SDFG (the paper's 'compiled library').
+
+    Every backend's entry takes ``(arrays, symbols, instr, guard)``, and
+    what a call records is fixed when the artifact is built, so a warm
+    call reads no environment variable and walks no graph.
+    """
 
     def __init__(self, sdfg, entry: Callable, source: str, backend: str):
         self.sdfg = sdfg
@@ -96,7 +113,8 @@ class CompiledSDFG:
         self.degradation: List[Dict[str, Optional[str]]] = []
         self.last_runtime: Optional[float] = None
         #: Report of the most recent instrumented execution (None when
-        #: the SDFG carries no instrumentation and REPRO_PROFILE is off).
+        #: the SDFG carried no instrumentation and REPRO_PROFILE was off
+        #: when the artifact was built).
         self.last_report = None
         #: Report of the compilation pipeline itself (phase timings).
         self.compile_report = None
@@ -111,11 +129,12 @@ class CompiledSDFG:
         #: ``{map, state, tier, reason}`` row per scope; also served as
         #: ``compile_report["lowering"]``.
         self.lowering: List[Dict[str, Optional[str]]] = []
-        #: Sanitizer mode this artifact was built with (None, ``"raise"``,
-        #: or ``"collect"``); set by ``compile_sdfg``.
-        self.sanitize: Optional[str] = None
+        #: The resolved compile options this artifact (and any call-time
+        #: fallback) is built with; set by ``compile_sdfg``.
+        self.options = CompileOptions(backend=backend)
         #: Watchdog policy: per-call wall-clock deadline (seconds) and
-        #: transient-memory budget (bytes); set by ``compile_sdfg``.
+        #: transient-memory budget (bytes), seeded from ``options`` (the
+        #: serve worker sets them per request).
         self.deadline: Optional[float] = None
         self.memory_budget: Optional[int] = None
         #: Sanitizer findings of the most recent call (collect mode), or
@@ -123,23 +142,20 @@ class CompiledSDFG:
         self.last_findings: Optional[List[Any]] = None
         #: Cached argument-marshaling plan (built on the first call).
         self._marshal_plan = None
-        #: Lowering options this artifact (and any call-time fallback) is
-        #: built with, and the parallel worker pool it owns (python
-        #: backend only; see :mod:`repro.runtime.parallel`).
-        self.vectorize = True
-        self.parallel = None
+        #: The parallel worker pool the python entry was built with (see
+        #: :mod:`repro.runtime.parallel`); :meth:`close` tears it down.
         self._pool = None
+        #: Whether calls record, and the whole-SDFG timer's type name.
+        self._records = False
+        self._timer: Optional[str] = None
 
-    def attach_pool(self, pool) -> None:
-        """Adopt a worker pool: the entry closure receives it on every
-        call and :meth:`close` tears it down with the artifact."""
-        self._pool = pool
-        inner = self._entry
-
-        def entry(arrays, symbols, instr=None, guard=None):
-            return inner(arrays, symbols, instr, guard, pool)
-
-        self._entry = entry
+    def _adopt_options(self, options: CompileOptions) -> None:
+        """Fix what every call does: the options, the watchdog policy and
+        the recording decision (``recording_plan``)."""
+        self.options = options
+        self.deadline = options.deadline
+        self.memory_budget = options.memory_budget
+        self._records, self._timer = recording_plan(self.sdfg, options.profile)
 
     def close(self) -> None:
         """Release owned resources (the parallel worker pool).  Safe to
@@ -158,42 +174,35 @@ class CompiledSDFG:
     def _make_guard(self):
         """Build the per-call GuardContext, or None when neither the
         sanitizer nor the watchdog is armed."""
-        if self.sanitize is None and self.deadline is None and self.memory_budget is None:
+        sanitize = self.options.sanitize
+        if sanitize is None and self.deadline is None and self.memory_budget is None:
             return None
         from repro.runtime.sanitizer import GuardContext, Sanitizer
         from repro.runtime.watchdog import Watchdog
 
-        san = Sanitizer(self.sanitize) if self.sanitize else None
+        san = Sanitizer(sanitize) if sanitize else None
         dog = None
         if self.deadline is not None or self.memory_budget is not None:
             dog = Watchdog(self.deadline, self.memory_budget, self.sdfg.name)
         return GuardContext(san, dog)
 
     def _call_entry(self, arrays, symbols, recorder, guard):
-        """One attempt of the entry function, with instrumentation
-        scoping (the backend-retry policy lives in :meth:`_invoke`)."""
+        """One attempt of the entry function, inside the whole-SDFG timer
+        when the artifact has one (the retry policy lives in
+        :meth:`_invoke`)."""
         if guard is not None and guard.watchdog is not None:
             guard.watchdog.arm()
             # Entry checkpoint: fully vectorized programs have no loop
             # checkpoints, and an already-expired deadline fails fast.
             guard.watchdog.checkpoint()
-        if recorder is None:
-            if guard is None:
-                return self._entry(arrays, symbols, None)
-            return self._entry(arrays, symbols, None, guard)
-        itype = self.sdfg.instrument
-        if itype != InstrumentationType.NONE or profiling_enabled():
-            name = itype.name if itype != InstrumentationType.NONE else "TIMER"
-            recorder.enter("sdfg", self.sdfg.name, name)
-            try:
-                if guard is None:
-                    return self._entry(arrays, symbols, recorder)
-                return self._entry(arrays, symbols, recorder, guard)
-            finally:
+        timer = self._timer  # set only on recording artifacts
+        if timer is not None:
+            recorder.enter("sdfg", self.sdfg.name, timer)
+        try:
+            return self._entry(arrays, symbols, recorder, guard)
+        finally:
+            if timer is not None:
                 recorder.exit()
-        if guard is None:
-            return self._entry(arrays, symbols, recorder)
-        return self._entry(arrays, symbols, recorder, guard)
 
     def _invoke(self, arrays, symbols, recorder, guard):
         """Run the entry with crash containment: contained backend
@@ -210,16 +219,10 @@ class CompiledSDFG:
                 result = self._call_entry(arrays, symbols, recorder, guard)
             except WatchdogViolation as err:
                 BREAKERS.record_failure(self.backend, code="R805")
-                self.degradation.append(
-                    {
-                        "from": self.backend,
-                        "to": None,
-                        "error": type(err).__name__,
-                        "code": "R805",
-                        "reason": err.diagnostic.message.splitlines()[0],
-                        "message": str(err),
-                    }
-                )
+                self.degradation.append(_hop(
+                    self.backend, None, err, code="R805",
+                    reason=err.diagnostic.message.splitlines()[0],
+                ))
                 raise
             except BackendCrashError as err:
                 # The crash was contained by the isolation harness and
@@ -247,34 +250,23 @@ class CompiledSDFG:
             nxt = DEGRADATION_CHAIN.get(current)
             if nxt is None:
                 return False
-            hop = {
-                "from": current,
-                "to": nxt,
-                "error": type(err).__name__,
-                "code": _classify_hop_code(err),
-                "reason": str(err).splitlines()[0],
-                "message": str(err),
-                "attempts": attempts,
-            }
+            hop = _hop(current, nxt, err, attempts=attempts)
             bundle = getattr(err, "bundle", None)
             if bundle:
                 hop["bundle"] = bundle
             self.degradation.append(hop)
             try:
-                fallback = _compile_backend(
-                    self.sdfg, nxt, sanitize=self.sanitize,
-                    vectorize=self.vectorize, parallel=self.parallel,
-                )
+                fallback = _compile_backend(self.sdfg, nxt, self.options)
             except DEGRADABLE_ERRORS as err2:
                 err = err2
                 attempts = 1
                 current = nxt
                 continue
             self.close()  # the abandoned backend's parallel pool, if any
-            _adopt_parallel_pool(fallback, self.parallel)
-            self._pool, fallback._pool = fallback._pool, None
-            for attr in ("_entry", "backend", "source", "lowering", "codegen_warnings"):
+            for attr in ("_entry", "_pool", "backend", "source", "lowering",
+                         "codegen_warnings"):
                 setattr(self, attr, getattr(fallback, attr))
+            fallback._pool = None  # owned by this artifact now
             if self.compile_report is not None:
                 self.compile_report.lowering = self.lowering
             return True
@@ -294,10 +286,10 @@ class CompiledSDFG:
         else:
             arrays, symbols = marshaled
         guard = self._make_guard()
-        recorder = None
         # A guarded run always records, so sanitizer/watchdog summaries
         # (check counts, overhead) land on ``last_report``.
-        if has_instrumentation(self.sdfg) or profiling_enabled() or guard is not None:
+        recorder = None
+        if self._records or guard is not None:
             recorder = InstrumentationRecorder()
         if guard is not None and guard.sanitizer is not None:
             self.last_findings = []
@@ -413,52 +405,30 @@ def compile_sdfg(
 
     Backends whose circuit breaker is open (repeated call-time crashes
     or watchdog kills) are skipped with a recorded hop.
+
+    Every knob and ``REPRO_PROFILE`` are resolved once, by
+    :func:`~repro.codegen.options.resolve_options`, into the artifact's
+    ``options``.
     """
-    from repro.codegen.progcache import program_key, resolve_cache
-    from repro.runtime.sanitizer import sanitize_from_env
-    from repro.runtime.watchdog import (
-        BREAKERS,
-        deadline_from_env,
-        memory_budget_from_env,
+    options = resolve_options(
+        backend, validate, fallback, cache, sanitize, deadline, memory_budget,
+        isolate, cache_namespace, vectorize, parallel,
     )
+    return compile_with(sdfg, options, recorder)
+
+
+def compile_with(
+    sdfg, options: CompileOptions, recorder: Optional[InstrumentationRecorder] = None
+) -> CompiledSDFG:
+    """:func:`compile_sdfg` on already-resolved options (the serve worker
+    resolves first, to key its artifacts on the record)."""
+    from repro.codegen.progcache import program_key
+    from repro.runtime.watchdog import BREAKERS
     from repro.symbolic import memo as _symmemo
 
-    if sanitize is None:
-        sanitize = sanitize_from_env()
-    elif sanitize is True:
-        sanitize = "raise"
-    elif sanitize is False:
-        sanitize = None
-    if sanitize not in (None, "raise", "collect"):
-        raise ValueError(f"unknown sanitize mode {sanitize!r}")
-    if deadline is None:
-        deadline = deadline_from_env()
-    if memory_budget is None:
-        memory_budget = memory_budget_from_env()
-    from repro.runtime.parallel import ParallelConfig, parallel_from_env
-
-    if parallel is None:
-        parallel = parallel_from_env()
-    else:
-        parallel = ParallelConfig.parse(parallel)
-    # The sanitizer instruments the serial path: the generator degrades
-    # the request (reporting W702), so the cache key must not fork and
-    # no pool is built — but the generator still sees the request.
-    effective_parallel = None if sanitize else parallel
-    variant_parts = []
-    if cache_namespace:
-        from repro.codegen.progcache import safe_namespace
-
-        variant_parts.append(f"ns={safe_namespace(cache_namespace)}")
-    if sanitize:
-        variant_parts.append("sanitize")
-    if not vectorize:
-        variant_parts.append("novec")
-    if effective_parallel is not None:
-        variant_parts.append(f"par={effective_parallel.key_fragment()}")
-    variant = ":".join(variant_parts)
-
-    store = resolve_cache(cache)
+    backend = options.backend
+    store = options.cache
+    variant = options.variant
     crec = InstrumentationRecorder()
     crec.enter("compile", sdfg.name)
     sym_before = _symmemo.snapshot()
@@ -476,7 +446,9 @@ def compile_sdfg(
             )
             if cached is not None:
                 t0 = time.perf_counter()
-                compiled = _rebuild_from_cache(sdfg, cached[0], cached[1], store, key_pre)
+                compiled = _rebuild_from_cache(
+                    sdfg, cached[0], cached[1], store, key_pre, options
+                )
                 crec.event(
                     "phase", "progcache[hit]", duration=time.perf_counter() - t0
                 )
@@ -485,7 +457,7 @@ def compile_sdfg(
 
         if compiled is None:
             t0 = time.perf_counter()
-            if validate:
+            if options.validate:
                 sdfg.validate()
             crec.event("phase", "validate", duration=time.perf_counter() - t0)
             t0 = time.perf_counter()
@@ -496,7 +468,7 @@ def compile_sdfg(
             current = backend
             while True:
                 nxt_open = DEGRADATION_CHAIN.get(current)
-                if fallback and nxt_open is not None and BREAKERS.is_open(current):
+                if options.fallback and nxt_open is not None and BREAKERS.is_open(current):
                     n = BREAKERS.failures(current)
                     hops.append(
                         {
@@ -514,14 +486,7 @@ def compile_sdfg(
                     continue
                 t0 = time.perf_counter()
                 try:
-                    compiled = _compile_backend(
-                        sdfg,
-                        current,
-                        sanitize=sanitize,
-                        isolate=isolate,
-                        vectorize=vectorize,
-                        parallel=parallel,
-                    )
+                    compiled = _compile_backend(sdfg, current, options)
                 except DEGRADABLE_ERRORS as err:
                     crec.event(
                         "phase",
@@ -529,19 +494,9 @@ def compile_sdfg(
                         duration=time.perf_counter() - t0,
                     )
                     nxt = DEGRADATION_CHAIN.get(current)
-                    if nxt is None or not fallback:
+                    if nxt is None or not options.fallback:
                         raise
-                    message = str(err)
-                    hops.append(
-                        {
-                            "from": current,
-                            "to": nxt,
-                            "error": type(err).__name__,
-                            "code": _classify_hop_code(err),
-                            "reason": message.splitlines()[0] if message else "",
-                            "message": message,
-                        }
-                    )
+                    hops.append(_hop(current, nxt, err))
                     current = nxt
                     continue
                 crec.event(
@@ -566,30 +521,13 @@ def compile_sdfg(
         _emit_symcache_events(crec, sym_before, _symmemo.snapshot())
     finally:
         crec.exit()
-    compiled.sanitize = sanitize
-    compiled.deadline = deadline
-    compiled.memory_budget = memory_budget
-    compiled.vectorize = vectorize
-    compiled.parallel = effective_parallel
-    _adopt_parallel_pool(compiled, effective_parallel)
+    compiled._adopt_options(options)
     compiled.compile_report = crec.report(sdfg.name, backend=f"compile[{backend}]")
     compiled.compile_report.lowering = compiled.lowering
     if recorder is not None:
         for node in crec.root.children.values():
             recorder.absorb(node)
     return compiled
-
-
-def _adopt_parallel_pool(compiled: CompiledSDFG, parallel) -> None:
-    """Give a python artifact built for the parallel tier its worker
-    pool (a no-op for other backends and for fully serial programs)."""
-    chunks = getattr(getattr(compiled, "_py_main", None), "_parallel_chunks", None)
-    if parallel is not None and chunks:
-        from repro.runtime.parallel import MapWorkerPool
-
-        pool = MapWorkerPool(parallel)
-        pool.register_functions(chunks)
-        compiled.attach_pool(pool)
 
 
 def _emit_symcache_events(crec, before, after) -> None:
@@ -612,7 +550,7 @@ def _emit_symcache_events(crec, before, after) -> None:
                              fields={"event": "miss", "n": m1 - m0})
 
 
-def _rebuild_from_cache(sdfg, entry_rec, main, store, key) -> CompiledSDFG:
+def _rebuild_from_cache(sdfg, entry_rec, main, store, key, options) -> CompiledSDFG:
     """Rebuild a CompiledSDFG from a cache entry.  Memory-tier hits reuse
     the already-``exec``'d callable; disk hits ``exec`` once and promote."""
     from repro.diagnostics import Diagnostic
@@ -620,16 +558,12 @@ def _rebuild_from_cache(sdfg, entry_rec, main, store, key) -> CompiledSDFG:
     if main is None:
         main = _exec_python_source(entry_rec.source, entry_rec.sdfg_name)
         store.attach_callable(key, main)
-    compiled = CompiledSDFG(
-        sdfg,
-        _python_entry(main, entry_rec.arg_arrays, entry_rec.symbol_order),
-        entry_rec.source,
-        "python",
+    compiled = _python_artifact(
+        sdfg, main, entry_rec.source, entry_rec.arg_arrays,
+        entry_rec.symbol_order, options,
     )
     compiled.cache_hit = True
     compiled.cache_key = key
-    compiled._py_main = main
-    compiled._py_orders = (entry_rec.arg_arrays, entry_rec.symbol_order)
     warnings = []
     for w in entry_rec.warnings:
         try:
@@ -676,35 +610,26 @@ def _store_in_cache(sdfg, compiled, store, key_pre, backend, variant="") -> None
         store.store(key_post, entry, main)
 
 
-def _compile_backend(
-    sdfg,
-    backend: str,
-    sanitize: Optional[str] = None,
-    isolate: bool = False,
-    vectorize: bool = True,
-    parallel=None,
-) -> CompiledSDFG:
+def _compile_backend(sdfg, backend: str, options: CompileOptions) -> CompiledSDFG:
     # `raise-io` here is a degradable failure (OSError is in
     # DEGRADABLE_ERRORS): the compile hops down the backend chain
     # exactly as a real codegen I/O failure would.
     faultpoint("compiler.codegen", backend=backend, sdfg=sdfg.name)
     if backend == "python":
-        return _compile_python(
-            sdfg, sanitize=bool(sanitize), vectorize=vectorize, parallel=parallel
-        )
+        return _compile_python(sdfg, options)
     if backend == "interpreter":
         return _interpreter_fallback(sdfg)
     if backend == "cpp":
         from repro.codegen.cpp_gen import compile_cpp
 
-        if sanitize:
+        if options.sanitize:
             raise CodegenError(
                 "the dynamic memlet sanitizer requires the python or "
                 "interpreter backend",
                 code="CG000",
                 sdfg=sdfg,
             )
-        return compile_cpp(sdfg, isolated=isolate)
+        return compile_cpp(sdfg, isolated=options.isolate)
     raise ValueError(f"backend {backend!r} is not executable; use generate_code")
 
 
@@ -720,57 +645,50 @@ def _exec_python_source(source: str, name: str) -> Callable:
     return main
 
 
-def _python_entry(main: Callable, arg_arrays, syms_order) -> Callable:
-    def entry(arrays: Dict[str, Any], symbols: Dict[str, int], instr=None,
-              guard=None, pool=None):
+def _python_artifact(sdfg, main: Callable, source: str, arg_arrays, syms_order,
+                     options: CompileOptions) -> CompiledSDFG:
+    """Wrap a module entry; a program built for the parallel tier gets
+    its worker pool here, and the entry closes over it."""
+    pool = None
+    if options.pool_parallel is not None and main._parallel_chunks:
+        from repro.runtime.parallel import MapWorkerPool
+
+        pool = MapWorkerPool(options.pool_parallel)
+        pool.register_functions(main._parallel_chunks)
+
+    def entry(arrays: Dict[str, Any], symbols: Dict[str, int], instr=None, guard=None):
         args = [arrays[a] for a in arg_arrays]
         args += [symbols[s] for s in syms_order]
         return main(*args, __instr=instr, __guard=guard, __pool=pool)
 
-    return entry
-
-
-def _compile_python(
-    sdfg, sanitize: bool = False, vectorize: bool = True, parallel=None
-) -> CompiledSDFG:
-    from repro.codegen.python_gen import PythonGenerator
-
-    gen = PythonGenerator(sdfg, vectorize=vectorize, sanitize=sanitize,
-                          parallel=parallel)
-    source = gen.generate()
-    main = _exec_python_source(source, sdfg.name)
-
-    arg_arrays = sorted(sdfg.arglist())
-    syms_order = sorted(
-        set(sdfg.free_symbols()) | set(sdfg.symbols) - set(sdfg.constants)
-    )
-
-    compiled = CompiledSDFG(sdfg, _python_entry(main, arg_arrays, syms_order), source, "python")
-    compiled.codegen_warnings = list(getattr(gen, "diagnostics", []))
-    compiled.lowering = gen.lowering
+    compiled = CompiledSDFG(sdfg, entry, source, "python")
+    compiled._pool = pool
     # Kept for the program cache: the raw module entry plus argument order.
     compiled._py_main = main
     compiled._py_orders = (arg_arrays, syms_order)
     return compiled
 
 
+def _compile_python(sdfg, options: CompileOptions) -> CompiledSDFG:
+    from repro.codegen.python_gen import PythonGenerator
+
+    gen = PythonGenerator(sdfg, vectorize=options.vectorize,
+                          sanitize=bool(options.sanitize), parallel=options.parallel)
+    source = gen.generate()
+    main = _exec_python_source(source, sdfg.name)
+    syms_order = sorted(
+        set(sdfg.free_symbols()) | set(sdfg.symbols) - set(sdfg.constants)
+    )
+    compiled = _python_artifact(
+        sdfg, main, source, sorted(sdfg.arglist()), syms_order, options
+    )
+    compiled.codegen_warnings = list(getattr(gen, "diagnostics", []))
+    compiled.lowering = gen.lowering
+    return compiled
+
+
 def _interpreter_fallback(sdfg) -> CompiledSDFG:
     from repro.runtime.interpreter import SDFGInterpreter
 
-    interp = SDFGInterpreter(sdfg, validate=False)
-
-    def entry(arrays: Dict[str, Any], symbols: Dict[str, int], instr=None, guard=None):
-        interp.recorder = instr
-        interp.guard = guard
-        try:
-            mem = interp._allocate(arrays, symbols)
-            sym = dict(symbols)
-            for k, v in sdfg.constants.items():
-                sym.setdefault(k, v)
-            interp._run_state_machine(sdfg, mem, sym)
-        finally:
-            interp.recorder = None
-            interp.guard = None
-        return None
-
+    entry = SDFGInterpreter(sdfg, validate=False).run
     return CompiledSDFG(sdfg, entry, "# interpreter fallback (no source)", "interpreter")

@@ -1,0 +1,132 @@
+"""Compile options: every ``compile_sdfg`` knob resolved once.
+
+:func:`resolve_options` is the only reader of the seven compile-time
+variables (``REPRO_CACHE``, ``REPRO_CACHE_DIR``, ``REPRO_SANITIZE``,
+``REPRO_DEADLINE``, ``REPRO_MEMORY_BUDGET``, ``REPRO_PARALLEL``,
+``REPRO_PROFILE``); the artifact keeps its frozen record (DESIGN §9,
+"Call path").
+"""
+
+from __future__ import annotations
+
+import os
+from dataclasses import dataclass
+from typing import Any, Optional
+
+_ON = ("1", "true", "on", "yes")
+_OFF = ("", "0", "false", "off", "no")
+
+
+def parse_flag(name: str, raw: Optional[str]) -> bool:
+    """The one spelling rule of every boolean ``REPRO_*`` flag:
+    case-insensitive and stripped, ``1``/``true``/``on``/``yes`` mean on,
+    unset/``0``/``false``/``off``/``no`` mean off, and anything else is a
+    ``ValueError`` naming the variable."""
+    text = (raw or "").strip().lower()
+    if text in _ON:
+        return True
+    if text in _OFF:
+        return False
+    raise ValueError(
+        f"{name}={raw!r} is not a boolean; use 1/true/on/yes or 0/false/off/no"
+    )
+
+
+@dataclass(frozen=True)
+class CompileOptions:
+    """The resolved knobs one artifact is built with (see
+    :func:`~repro.codegen.compiler.compile_sdfg` for their meaning)."""
+
+    backend: str = "python"
+    validate: bool = True
+    fallback: bool = True
+    cache: Any = None  # a ProgramCache, or None when caching is off
+    sanitize: Optional[str] = None  # None, "raise" or "collect"
+    deadline: Optional[float] = None
+    memory_budget: Optional[int] = None
+    isolate: bool = True
+    cache_namespace: Optional[str] = None
+    vectorize: bool = True
+    parallel: Any = None  # as requested: the generator reports W702 under sanitize
+    profile: bool = False  # REPRO_PROFILE: time every top-level call
+
+    @property
+    def pool_parallel(self):
+        """The parallel config a worker pool is built for: none under the
+        sanitizer, which instruments the serial path."""
+        return None if self.sanitize else self.parallel
+
+    @property
+    def variant(self) -> str:
+        """The program-cache variant key (empty for the defaults)."""
+        parts = []
+        if self.cache_namespace:
+            from repro.codegen.progcache import safe_namespace
+
+            parts.append(f"ns={safe_namespace(self.cache_namespace)}")
+        if self.sanitize:
+            parts.append("sanitize")
+        if not self.vectorize:
+            parts.append("novec")
+        if self.pool_parallel is not None:
+            parts.append(f"par={self.pool_parallel.key_fragment()}")
+        return ":".join(parts)
+
+
+def resolve_options(backend="python", validate=True, fallback=True, cache=None,
+                    sanitize=None, deadline=None, memory_budget=None, isolate=True,
+                    cache_namespace=None, vectorize=True, parallel=None) -> CompileOptions:
+    """Resolve ``compile_sdfg``'s keyword arguments (same names and
+    defaults) and their environment fallbacks into one record."""
+    from repro.codegen import progcache
+    from repro.runtime.parallel import ParallelConfig
+    from repro.runtime.watchdog import _env_float
+
+    env = os.environ
+    if cache is None:
+        cache = env.get("REPRO_CACHE", "").strip().lower() or (
+            "disk" if env.get("REPRO_CACHE_DIR") else "off"
+        )
+    if cache == "off":
+        cache = None
+    elif cache == "memory":
+        cache = progcache.shared_cache()
+    elif cache == "disk":
+        cache = progcache._disk_cache(env.get("REPRO_CACHE_DIR") or os.path.join(
+            os.path.expanduser("~"), ".cache", "repro", "progcache"))
+    elif not isinstance(cache, progcache.ProgramCache):
+        raise ValueError(
+            f"unknown program cache mode {cache!r}; expected 'disk', 'memory', "
+            "'off', or a ProgramCache instance"
+        )
+
+    if sanitize is None:
+        raw = env.get("REPRO_SANITIZE", "")
+        mode = raw.strip().lower()
+        sanitize = mode if mode in ("raise", "collect") else parse_flag("REPRO_SANITIZE", raw)
+    if sanitize is True:
+        sanitize = "raise"
+    elif sanitize is False:
+        sanitize = None
+    if sanitize not in (None, "raise", "collect"):
+        raise ValueError(f"unknown sanitize mode {sanitize!r}")
+
+    if deadline is None:
+        deadline = _env_float("REPRO_DEADLINE")
+    if memory_budget is None:
+        budget = _env_float("REPRO_MEMORY_BUDGET")
+        memory_budget = int(budget) if budget is not None else None
+
+    if parallel is None:
+        raw = env.get("REPRO_PARALLEL", "")
+        try:
+            parallel = ParallelConfig.parse(raw)
+        except ValueError:
+            parallel = ParallelConfig.parse(parse_flag("REPRO_PARALLEL", raw))
+    else:
+        parallel = ParallelConfig.parse(parallel)
+
+    profile = parse_flag("REPRO_PROFILE", env.get("REPRO_PROFILE"))
+    return CompileOptions(backend, validate, fallback, cache, sanitize, deadline,
+                          memory_budget, isolate, cache_namespace, vectorize,
+                          parallel, profile)

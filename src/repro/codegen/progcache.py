@@ -229,12 +229,6 @@ def _disk_cache(cache_dir: str) -> ProgramCache:
     return cache
 
 
-def default_cache_dir() -> str:
-    return os.environ.get("REPRO_CACHE_DIR") or os.path.join(
-        os.path.expanduser("~"), ".cache", "repro", "progcache"
-    )
-
-
 def safe_namespace(namespace: str) -> str:
     """Filesystem- and key-safe form of a tenant namespace.
 
@@ -279,25 +273,9 @@ def resolve_cache(cache: Any) -> Optional[ProgramCache]:
 
     Accepts ``None`` (consult ``REPRO_CACHE`` / ``REPRO_CACHE_DIR``; off
     when neither is set), ``"off"``, ``"memory"``, ``"disk"``, or a
-    :class:`ProgramCache` instance.
+    :class:`ProgramCache` instance; resolved by
+    :func:`repro.codegen.options.resolve_options`.
     """
-    if isinstance(cache, ProgramCache):
-        return cache
-    if cache is None:
-        env = os.environ.get("REPRO_CACHE", "").strip().lower()
-        if env:
-            cache = env
-        elif os.environ.get("REPRO_CACHE_DIR"):
-            cache = "disk"
-        else:
-            return None
-    if cache == "off":
-        return None
-    if cache == "memory":
-        return shared_cache()
-    if cache == "disk":
-        return _disk_cache(default_cache_dir())
-    raise ValueError(
-        f"unknown program cache mode {cache!r}; expected 'disk', 'memory', "
-        "'off', or a ProgramCache instance"
-    )
+    from repro.codegen.options import resolve_options
+
+    return resolve_options(cache=cache, sanitize=False, parallel=False).cache

@@ -13,13 +13,13 @@ package provides:
   with a hot-spot renderer and a pre/post-optimization differ
   (``python -m repro.report``).
 
-Set ``REPRO_PROFILE=1`` to time every top-level SDFG execution even
-when nothing is explicitly instrumented.
+Set ``REPRO_PROFILE=1`` before compiling to time every top-level SDFG
+execution even when nothing is explicitly instrumented.
 """
 
 from __future__ import annotations
 
-import os
+from typing import Optional, Tuple
 
 from repro.instrumentation.recorder import EventNode, InstrumentationRecorder, KINDS
 from repro.instrumentation.report import (
@@ -49,13 +49,21 @@ __all__ = [
     "tasklet_volume_expr",
     "has_instrumentation",
     "instrument_map_scopes",
-    "profiling_enabled",
+    "recording_plan",
 ]
 
 
-def profiling_enabled() -> bool:
-    """True when ``REPRO_PROFILE`` requests whole-SDFG timing by default."""
-    return os.environ.get("REPRO_PROFILE", "") not in ("", "0", "false", "off")
+def recording_plan(sdfg, profile: bool) -> Tuple[bool, Optional[str]]:
+    """Whether runs of ``sdfg`` record events, and the type name of the
+    whole-SDFG timer (None for none): the SDFG's own tag, else ``TIMER``
+    when ``profile`` (``REPRO_PROFILE``) asks for it.  Artifacts decide
+    this once, so a warm call neither walks the graph nor reads the
+    environment."""
+    itype = sdfg.instrument
+    timer = itype.name if itype != InstrumentationType.NONE else None
+    if timer is None and profile:
+        timer = "TIMER"
+    return timer is not None or has_instrumentation(sdfg), timer
 
 
 def has_instrumentation(sdfg) -> bool:

@@ -20,7 +20,6 @@ from repro.runtime.sanitizer import (
     GuardedView,
     Sanitizer,
     SanitizerError,
-    sanitize_from_env,
 )
 from repro.runtime.streams import StreamArray, StreamError, StreamQueue
 from repro.runtime.watchdog import (
@@ -46,6 +45,5 @@ __all__ = [
     "WatchdogViolation",
     "infer_symbols",
     "reset_breakers",
-    "sanitize_from_env",
     "validate_arguments",
 ]

@@ -23,8 +23,7 @@ from repro.graph import topological_sort
 from repro.instrumentation import (
     InstrumentationRecorder,
     InstrumentationType,
-    has_instrumentation,
-    profiling_enabled,
+    recording_plan,
     scope_volume_expr,
     state_volume_expr,
     tasklet_volume_expr,
@@ -77,38 +76,44 @@ class SDFGInterpreter:
         self.guard = None
         #: Report of the most recent standalone ``__call__``.
         self.last_report = None
+        #: ``recording_plan`` of standalone calls, fixed on the first one.
+        self._plan: Optional[Tuple[bool, Optional[str]]] = None
 
     # ------------------------------------------------------------------ entry
     def __call__(self, **kwargs):
         arrays, symbols = split_arguments(self.sdfg, kwargs)
-        mem = self._allocate(arrays, symbols)
-        sym: Dict[str, Any] = dict(symbols)
-        for k, v in self.sdfg.constants.items():
-            sym.setdefault(k, v)
-        own_recorder = self.recorder is None and (
-            has_instrumentation(self.sdfg) or profiling_enabled()
-        )
-        if not own_recorder:
-            self._run_state_machine(self.sdfg, mem, sym)
-            return None
-        self.recorder = InstrumentationRecorder()
+        if self._plan is None:
+            from repro.codegen.options import resolve_options
+
+            profile = resolve_options(cache="off", sanitize=False, parallel=False).profile
+            self._plan = recording_plan(self.sdfg, profile)
+        records, timer = self._plan
+        if self.recorder is not None or not records:
+            return self.run(arrays, symbols, self.recorder, self.guard)
+        recorder = InstrumentationRecorder()
+        if timer is not None:
+            recorder.enter("sdfg", self.sdfg.name, timer)
         try:
-            itype = self.sdfg.instrument
-            if itype != InstrumentationType.NONE or profiling_enabled():
-                name = itype.name if itype != InstrumentationType.NONE else "TIMER"
-                self.recorder.enter("sdfg", self.sdfg.name, name)
-                try:
-                    self._run_state_machine(self.sdfg, mem, sym)
-                finally:
-                    self.recorder.exit()
-            else:
-                self._run_state_machine(self.sdfg, mem, sym)
-            self.last_report = self.recorder.report(
-                self.sdfg.name, backend="interpreter"
-            )
+            self.run(arrays, symbols, recorder, self.guard)
         finally:
-            self.recorder = None
+            if timer is not None:
+                recorder.exit()
+        self.last_report = recorder.report(self.sdfg.name, backend="interpreter")
         return None
+
+    def run(self, arrays, symbols, instr=None, guard=None) -> None:
+        """One execution on marshaled arguments, reporting into ``instr``
+        under ``guard``: the entry of compiled interpreter artifacts."""
+        saved = self.recorder, self.guard
+        self.recorder, self.guard = instr, guard
+        try:
+            mem = self._allocate(arrays, symbols)
+            sym: Dict[str, Any] = dict(symbols)
+            for k, v in self.sdfg.constants.items():
+                sym.setdefault(k, v)
+            self._run_state_machine(self.sdfg, mem, sym)
+        finally:
+            self.recorder, self.guard = saved
 
     def run_on(self, mem: Dict[str, Any], sym: Dict[str, Any]) -> None:
         """Run on pre-bound memory (used for nested SDFGs)."""

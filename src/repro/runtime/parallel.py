@@ -51,7 +51,6 @@ __all__ = [
     "ParallelConfig",
     "MapWorkerPool",
     "ParallelRun",
-    "parallel_from_env",
     "live_pool_rss_kb",
     "live_pool_count",
     "live_worker_pids",
@@ -158,13 +157,11 @@ class ParallelConfig:
             and self.key_fragment() == other.key_fragment()
         )
 
+    def __hash__(self) -> int:
+        return hash(self.key_fragment())
+
     def __repr__(self) -> str:
         return f"ParallelConfig({self.key_fragment()})"
-
-
-def parallel_from_env() -> Optional[ParallelConfig]:
-    """Resolve the ``REPRO_PARALLEL`` environment knob."""
-    return ParallelConfig.parse(os.environ.get("REPRO_PARALLEL", ""))
 
 
 # =====================================================================

@@ -4,9 +4,9 @@ Static validation (``V306`` bounds checks, the ``W501`` write-conflict
 detector) is limited by what the symbolic layer can decide — containment
 of *indirect* accesses like ``x[A_col[j]]`` is undecidable before
 running.  The sanitizer is the dynamic complement: when enabled
-(``compile_sdfg(..., sanitize=True)`` or ``REPRO_SANITIZE=1``), the
-Python code generator and the reference interpreter route every memlet
-access through a :class:`GuardContext`, which checks
+(``compile_sdfg(..., sanitize=True)`` or ``REPRO_SANITIZE=1`` when
+compiling), the Python code generator and the reference interpreter
+route every memlet access through a :class:`GuardContext`, which checks
 
 * ``R801`` — out-of-bounds reads/writes, including indirect subscripts
   inside tasklet code (loaded array views are wrapped in
@@ -33,7 +33,6 @@ kernels under the sanitizer and checks agreement with unsanitized runs;
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -56,17 +55,6 @@ class SanitizerError(DiagnosticError):
     def __init__(self, diagnostic: Diagnostic, index: Optional[tuple] = None):
         super().__init__(diagnostic)
         self.index = index
-
-
-def sanitize_from_env() -> Optional[str]:
-    """Resolve ``REPRO_SANITIZE``: ``1``/``raise`` → raise mode,
-    ``collect`` → collect mode, anything else/unset → off (None)."""
-    raw = os.environ.get("REPRO_SANITIZE", "").strip().lower()
-    if raw in ("1", "true", "on", "raise"):
-        return "raise"
-    if raw == "collect":
-        return "collect"
-    return None
 
 
 def _idx_tuple(idx: Any) -> tuple:

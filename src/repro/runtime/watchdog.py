@@ -22,10 +22,11 @@ module provides the three policies:
   ``compile_sdfg`` skips it with a recorded degradation hop instead of
   trying (and failing) again, until the cooldown elapses.
 
-Knobs: ``REPRO_DEADLINE`` (seconds), ``REPRO_MEMORY_BUDGET`` (bytes),
-``REPRO_RETRIES``, ``REPRO_RETRY_BACKOFF`` (seconds),
+Knobs: ``REPRO_RETRIES``, ``REPRO_RETRY_BACKOFF`` (seconds),
 ``REPRO_RETRY_JITTER`` (fraction), ``REPRO_BREAKER_THRESHOLD``,
-``REPRO_BREAKER_COOLDOWN`` (seconds).
+``REPRO_BREAKER_COOLDOWN`` (seconds), read at call time.  The deadline
+and memory budget (``REPRO_DEADLINE``, ``REPRO_MEMORY_BUDGET``) are
+compile knobs, resolved by :mod:`repro.codegen.options`.
 """
 
 from __future__ import annotations
@@ -65,17 +66,6 @@ def _env_float(name: str) -> Optional[float]:
         return float(raw)
     except ValueError:
         return None
-
-
-def deadline_from_env() -> Optional[float]:
-    """Wall-clock deadline in seconds from ``REPRO_DEADLINE`` (None = off)."""
-    return _env_float("REPRO_DEADLINE")
-
-
-def memory_budget_from_env() -> Optional[int]:
-    """Transient-memory budget in bytes from ``REPRO_MEMORY_BUDGET``."""
-    val = _env_float("REPRO_MEMORY_BUDGET")
-    return int(val) if val is not None else None
 
 
 class Watchdog:

@@ -24,9 +24,9 @@ lock, no sockets, no workers, no compilation — the 429 path.
 
 :class:`LoadShedder` handles overload that admission lets through:
 rather than hard-failing a healthy tenant because the pool is busy, it
-degrades request *quality* in documented steps (shed sanitizer and
-instrumentation overhead first, then force the cheaper backend tiers
-down the cpp → python → interpreter chain), attaching a ``W801``
+degrades request *quality* in documented steps (shed the sanitizer's
+overhead first, then force the cheaper backend tiers down the
+cpp → python → interpreter chain), attaching a ``W801``
 diagnostic so clients can see what they lost.
 """
 
@@ -322,7 +322,7 @@ class AdmissionController:
 #: description)``.  Level 0 is full service.
 SHED_LEVELS = (
     "full service",
-    "sanitizer and instrumentation shed",
+    "sanitizer shed",
     "backend forced to python (no native compile)",
     "backend forced to interpreter",
 )
@@ -334,8 +334,8 @@ class LoadShedder:
     The level is a pure function of instantaneous pressure (in-flight
     requests vs. pool capacity), so it recovers the moment load drops:
 
-    * level 1 — pressure > 1x capacity: drop ``sanitize`` and profiling
-      from requests (the guards cost integer-factor overhead);
+    * level 1 — pressure > 1x capacity: drop ``sanitize`` from requests
+      (the guards cost integer-factor overhead);
     * level 2 — pressure > 2x capacity: force the ``python`` backend so
       no request pays a native cold compile;
     * level 3 — pressure > 3x capacity: force the ``interpreter`` tier —
@@ -381,9 +381,6 @@ class LoadShedder:
             if job.get("sanitize"):
                 job["sanitize"] = None
                 shed.append("sanitize")
-            if job.get("profile"):
-                job["profile"] = False
-                shed.append("profile")
         if level >= 2 and job.get("backend", "python") == "cpp":
             job["backend"] = "python"
             shed.append("backend:cpp->python")

@@ -94,6 +94,8 @@ class WorkerHandle:
         cmd = [sys.executable, "-m", "repro.serve.worker"]
         if cache_root:
             cmd += ["--cache-root", cache_root]
+        if fault_injection:
+            cmd.append("--fault-injection")
         import repro
 
         src_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -106,10 +108,6 @@ class WorkerHandle:
             # attach the delta to each response, so the fleet sink sees
             # worker-side kernel timings and cache traffic.
             env["REPRO_TELEMETRY"] = "1"
-        if fault_injection:
-            env["REPRO_SERVE_FAULT_INJECTION"] = "1"
-        else:
-            env.pop("REPRO_SERVE_FAULT_INJECTION", None)
         try:
             self.proc = subprocess.Popen(
                 cmd,

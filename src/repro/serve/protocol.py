@@ -55,7 +55,6 @@ status     meaning
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from typing import Any, Dict, IO, List, Optional, Tuple
@@ -225,20 +224,14 @@ def _frame_parts(obj: Dict[str, Any], limit: float) -> List[Any]:
 
 def send_message(stream: IO, obj: Dict[str, Any],
                  limit: Optional[float] = None) -> None:
-    """Write one frame and flush; nothing is written if the message is
-    malformed or over ``limit`` bytes (default :data:`MAX_MESSAGE_BYTES`;
-    ``ProtocolError``).  Text streams (logs, tests) take array-less
-    messages only."""
+    """Write one frame to a binary stream and flush; nothing is written
+    if the message is malformed or over ``limit`` bytes (default
+    :data:`MAX_MESSAGE_BYTES`; ``ProtocolError``)."""
     parts = _frame_parts(obj, MAX_MESSAGE_BYTES if limit is None else limit)
-    if isinstance(stream, io.TextIOBase):
-        if len(parts) > 1:
-            raise ProtocolError("array bytes need a binary stream")
-        stream.write(parts[0].decode())
-    else:
-        for part in parts:
-            view = memoryview(part)
-            while view:  # a raw pipe may take part of a write
-                view = view[stream.write(view):]
+    for part in parts:
+        view = memoryview(part)
+        while view:  # a raw pipe may take part of a write
+            view = view[stream.write(view):]
     stream.flush()
 
 

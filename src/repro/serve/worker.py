@@ -11,9 +11,11 @@ daemon never executes tenant code itself.  Its supervisor-only
 Because the worker survives across requests it keeps warm state:
 
 * an LRU of fully-built :class:`~repro.codegen.compiler.CompiledSDFG`
-  artifacts keyed by ``(content_hash, backend, tenant, sanitize)`` — a
-  warm execute skips compile *and* ``exec`` *and* argument re-validation
-  (the marshaling plan lives on the artifact);
+  artifacts keyed by the content hash and the request's
+  :class:`~repro.codegen.options.CompileOptions` (resolved once per
+  tenant and request fields) — a warm execute skips compile *and*
+  ``exec`` *and* argument re-validation (the marshaling plan lives on
+  the artifact);
 * per-tenant :class:`~repro.codegen.progcache.ProgramCache` tiers
   (disk-backed under ``--cache-root``) so a recycled worker's
   replacement warms up from disk instead of from scratch;
@@ -28,9 +30,10 @@ right after startup so a stray ``print`` in tasklet code can never
 corrupt the protocol stream.
 
 Fault injection (``inject_fault`` request field) is honored only when
-the supervisor sets ``REPRO_SERVE_FAULT_INJECTION=1`` — it exists so the
-fault-tolerance suite and the CI load test can force genuine worker
-deaths (``SIGSEGV``) and hangs without depending on a host C++ compiler.
+the supervisor starts the worker with ``--fault-injection`` — it exists
+so the fault-tolerance suite and the CI load test can force genuine
+worker deaths (``SIGSEGV``) and hangs without depending on a host C++
+compiler.
 """
 
 from __future__ import annotations
@@ -72,19 +75,18 @@ def _rss_kb() -> Optional[int]:
     return rss + live_pool_rss_kb()
 
 
-def fault_injection_enabled() -> bool:
-    return os.environ.get("REPRO_SERVE_FAULT_INJECTION", "").strip().lower() in (
-        "1", "true", "on", "yes",
-    )
-
-
 class WorkerRuntime:
     """Request dispatcher holding the warm state of one worker."""
 
-    def __init__(self, cache_root: Optional[str] = None):
+    def __init__(self, cache_root: Optional[str] = None,
+                 fault_injection: bool = False):
         self.cache_root = cache_root
-        #: (content_hash, backend, tenant, sanitize) -> CompiledSDFG
+        self.fault_injection = fault_injection
+        #: (content_hash, CompileOptions) -> CompiledSDFG
         self._programs: "OrderedDict[tuple, Any]" = OrderedDict()
+        #: (tenant, backend, sanitize, parallel) request fields -> their
+        #: resolved CompileOptions, so a warm request reads no environment
+        self._options: Dict[tuple, Any] = {}
         self._mem_caches: Dict[str, Any] = {}
         #: (library, entry) -> loaded entry point; lives until recycling
         self._libraries: Dict[tuple, Any] = {}
@@ -119,16 +121,15 @@ class WorkerRuntime:
                 pass
 
     # ---------------------------------------------------------- faults
-    @staticmethod
-    def _maybe_inject_fault(job: Dict[str, Any]) -> Optional[Dict[str, Any]]:
+    def _maybe_inject_fault(self, job: Dict[str, Any]) -> Optional[Dict[str, Any]]:
         fault = job.get("inject_fault")
         if not fault:
             return None
-        if not fault_injection_enabled():
+        if not self.fault_injection:
             return protocol.error_response(
                 "E202",
-                "fault injection requested but REPRO_SERVE_FAULT_INJECTION "
-                "is not set on this worker",
+                "fault injection requested but this worker was not started "
+                "with --fault-injection",
             )
         if fault == "segv":
             # A genuine fatal signal: the same death mode as a wild
@@ -217,18 +218,26 @@ class WorkerRuntime:
                                     arrays=protocol.encode_arrays(arrays))
 
     def _compile_or_execute(self, job: Dict[str, Any]) -> Dict[str, Any]:
-        from repro.codegen.compiler import compile_sdfg
+        from repro.codegen.compiler import compile_with
+        from repro.codegen.options import resolve_options
         from repro.sdfg.serialize import content_hash, sdfg_from_json
 
         op = job["op"]
         tenant = str(job.get("tenant", "default"))
-        backend = job.get("backend", "python")
-        sanitize = job.get("sanitize") or None
-        if sanitize is True:
-            sanitize = "raise"
-        from repro.runtime.parallel import ParallelConfig
-
-        parallel = ParallelConfig.parse(job.get("parallel"))
+        fields = (tenant, job.get("backend", "python"), job.get("sanitize"),
+                  repr(job.get("parallel")))
+        options = self._options.get(fields)
+        if options is None:
+            # An absent field falls back to this worker's environment, an
+            # explicit one (including an explicit "off") wins.
+            options = self._options[fields] = resolve_options(
+                backend=fields[1],
+                cache=self._tenant_cache(tenant),
+                sanitize=fields[2],
+                isolate=False,  # this worker IS the isolation boundary
+                cache_namespace=tenant,
+                parallel=job.get("parallel"),
+            )
 
         sdfg_json = job.get("sdfg")
         program = job.get("program")
@@ -239,13 +248,7 @@ class WorkerRuntime:
         if program is None:
             sdfg = sdfg_from_json(sdfg_json)
             program = content_hash(sdfg)
-        key = (
-            program,
-            backend,
-            tenant,
-            sanitize or "",
-            parallel.key_fragment() if parallel is not None else "",
-        )
+        key = (program, options)
 
         compiled = self._programs.get(key)
         warm = compiled is not None
@@ -267,17 +270,7 @@ class WorkerRuntime:
                 )
             if sdfg is None:
                 sdfg = sdfg_from_json(sdfg_json)
-            compiled = compile_sdfg(
-                sdfg,
-                backend=backend,
-                cache=self._tenant_cache(tenant),
-                sanitize=sanitize,
-                isolate=False,  # this worker IS the isolation boundary
-                cache_namespace=tenant,
-                # An explicit request field wins (including an explicit
-                # "off"); absent, the worker's REPRO_PARALLEL applies.
-                parallel=(parallel or False) if "parallel" in job else None,
-            )
+            compiled = compile_with(sdfg, options)
             self._remember(key, compiled)
 
         self.served += 1
@@ -299,7 +292,6 @@ class WorkerRuntime:
         compiled.deadline = float(deadline) if deadline else None
         budget = job.get("memory_budget")
         compiled.memory_budget = int(budget) if budget else None
-        compiled.sanitize = sanitize
 
         start = time.perf_counter()
         compiled(**arrays, **symbols)
@@ -393,10 +385,13 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--cache-root", default=None,
                         help="root directory for per-tenant disk program caches")
+    parser.add_argument("--fault-injection", action="store_true",
+                        help="honor the inject_fault request field (tests)")
     args = parser.parse_args(argv)
 
     proto_out = _protect_protocol_stream()
-    runtime = WorkerRuntime(cache_root=args.cache_root)
+    runtime = WorkerRuntime(cache_root=args.cache_root,
+                            fault_injection=args.fault_injection)
     protocol.send_message(proto_out, {"ready": True, "pid": os.getpid()})
 
     stdin = sys.stdin.buffer

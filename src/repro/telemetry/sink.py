@@ -148,9 +148,9 @@ _ACTIVE_LOCK = threading.Lock()
 
 def telemetry_enabled() -> bool:
     """True when ``REPRO_TELEMETRY`` asks for implicit collection."""
-    return os.environ.get("REPRO_TELEMETRY", "").strip().lower() in (
-        "1", "true", "on", "yes",
-    )
+    from repro.codegen.options import parse_flag
+
+    return parse_flag("REPRO_TELEMETRY", os.environ.get("REPRO_TELEMETRY"))
 
 
 def active_sink() -> Optional[TelemetrySink]:

@@ -171,10 +171,10 @@ def test_oversized_response_yields_error_not_worker_death(monkeypatch):
     from repro.serve import worker as worker_mod
 
     monkeypatch.setattr(protocol, "MAX_MESSAGE_BYTES", 2048)
-    out = io.StringIO()
+    out = io.BytesIO()
     job = {"op": "execute", "id": 7}
     worker_mod.send_response(out, job, protocol.ok_response(payload="x" * 8192))
-    lines = [line for line in out.getvalue().splitlines() if line]
+    lines = [line for line in out.getvalue().decode().splitlines() if line]
     assert len(lines) == 1, "exactly one (fallback) response on the stream"
     resp = json.loads(lines[0])
     assert resp["status"] == "error"
@@ -183,9 +183,9 @@ def test_oversized_response_yields_error_not_worker_death(monkeypatch):
     assert "frame limit" in resp["message"]
 
     # Small responses pass through untouched.
-    out = io.StringIO()
+    out = io.BytesIO()
     worker_mod.send_response(out, job, protocol.ok_response(op="execute"))
-    assert json.loads(out.getvalue())["status"] == "ok"
+    assert json.loads(out.getvalue().decode())["status"] == "ok"
 
 
 def test_close_releases_every_worker_pipe(monkeypatch):
