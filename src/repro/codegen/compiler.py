@@ -145,8 +145,10 @@ class CompiledSDFG:
         #: The parallel worker pool the python entry was built with (see
         #: :mod:`repro.runtime.parallel`); :meth:`close` tears it down.
         self._pool = None
-        #: Whether calls record, and the whole-SDFG timer's type name.
-        self._records = False
+        #: Whether calls record (``REPRO_PROFILE`` or an instrumented
+        #: graph; a guarded call records too, for its summaries), and the
+        #: whole-SDFG timer's type name.
+        self.records = False
         self._timer: Optional[str] = None
 
     def _adopt_options(self, options: CompileOptions) -> None:
@@ -155,7 +157,7 @@ class CompiledSDFG:
         self.options = options
         self.deadline = options.deadline
         self.memory_budget = options.memory_budget
-        self._records, self._timer = recording_plan(self.sdfg, options.profile)
+        self.records, self._timer = recording_plan(self.sdfg, options.profile)
 
     def close(self) -> None:
         """Release owned resources (the parallel worker pool).  Safe to
@@ -289,7 +291,7 @@ class CompiledSDFG:
         # A guarded run always records, so sanitizer/watchdog summaries
         # (check counts, overhead) land on ``last_report``.
         recorder = None
-        if self._records or guard is not None:
+        if self.records or guard is not None:
             recorder = InstrumentationRecorder()
         if guard is not None and guard.sanitizer is not None:
             self.last_findings = []

@@ -8,9 +8,11 @@ calls share it: one worker spawn site, one deadline-kill path, one
 stderr capture and one crash-bundle writer.  Jobs and responses cross
 the worker's stdin/stdout pipes as :mod:`repro.serve.protocol` frames
 (a JSON header line, raw array bytes after it); the supervisor writes
-them and splits them with protocol's functions and never parses the
-format itself, so a daemon forwards a client's array bytes to a worker
-without building an ndarray.
+them with ``protocol.send_message`` and reads them with
+``protocol.recv_message`` over a buffered reader of the worker's stdout
+that enforces the request deadline, and never parses the format itself,
+so a daemon forwards a client's array bytes to a worker without building
+an ndarray.
 
 * **health checks** — a ready handshake at spawn, on-demand pings;
 * **recycling** — a worker is gracefully retired after ``recycle_after``
@@ -35,6 +37,7 @@ thread down with it.
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import select
@@ -74,6 +77,35 @@ class WorkerTimeout(Exception):
     """The worker blew the wall-clock backstop (killed; not retryable)."""
 
 
+class _DeadlinePipe(io.RawIOBase):
+    """A worker's stdout as a raw stream under the current request's
+    deadline: each read first waits in ``select`` and raises
+    :class:`WorkerTimeout` once ``deadline`` passes, ``EOFError`` at EOF.
+    It does not own the fd (``proc.stdout`` does)."""
+
+    def __init__(self, fd: int, worker: str):
+        self.fd = fd
+        self.worker = worker
+        self.deadline: Optional[float] = None
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        while True:
+            remaining = None
+            if self.deadline is not None:
+                remaining = self.deadline - time.monotonic()
+                if remaining <= 0:
+                    raise WorkerTimeout(f"{self.worker} exceeded the request backstop")
+            if select.select([self.fd], [], [], remaining)[0]:
+                break
+        got = os.readv(self.fd, [buf])
+        if not got:
+            raise EOFError
+        return got
+
+
 class WorkerHandle:
     """One supervised worker subprocess and its protocol streams."""
 
@@ -87,7 +119,6 @@ class WorkerHandle:
         self.served = 0
         self.rss_kb: Optional[int] = None
         self.sink = sink
-        self._rbuf = bytearray()
         self._stderr_file = tempfile.NamedTemporaryFile(
             mode="w+b", prefix="repro_worker_", suffix=".stderr", delete=False
         )
@@ -120,6 +151,8 @@ class WorkerHandle:
         except OSError as err:  # fork/exec denied, fd exhaustion
             self._cleanup_stderr()
             raise WorkerDeath(f"{self.name} could not be spawned: {err}") from err
+        self._pipe = _DeadlinePipe(self.proc.stdout.fileno(), self.name)
+        self._reader = io.BufferedReader(self._pipe, 1 << 16)
         try:
             # `kill` here SIGKILLs the fresh child (spawn-then-die);
             # `raise`/`raise-io` model fork/exec level failures.  Either
@@ -147,40 +180,33 @@ class WorkerHandle:
     def _read_message(self, deadline: Optional[float],
                       limit: Optional[float] = None) -> Dict[str, Any]:
         """Read one protocol frame with a wall-clock deadline."""
-        fd = self.proc.stdout.fileno()
-        while True:
-            try:
-                framed = protocol.split_frame(self._rbuf, limit)
-            except protocol.ProtocolError as err:
-                raise WorkerDeath(
-                    f"{self.name} wrote junk on its protocol stream: {err}",
-                    returncode=self.proc.poll(),
-                    stderr_tail=self.stderr_tail(),
-                ) from err
-            if framed is not None:
-                message, consumed = framed
-                del self._rbuf[:consumed]
-                return message
-            remaining = None if deadline is None else deadline - time.monotonic()
-            if remaining is not None and remaining <= 0:
-                raise WorkerTimeout(f"{self.name} exceeded the request backstop")
-            readable, _, _ = select.select(
-                [fd], [], [], min(remaining, 1.0) if remaining is not None else 1.0
+        self._pipe.deadline = deadline
+        try:
+            message = protocol.recv_message(self._reader, limit)
+        except EOFError:
+            message = None
+        except protocol.ProtocolError as err:
+            raise WorkerDeath(
+                f"{self.name} wrote junk on its protocol stream: {err}",
+                returncode=self.proc.poll(),
+                stderr_tail=self.stderr_tail(),
+            ) from err
+        if message is None:
+            raise WorkerDeath(
+                f"{self.name} died (EOF on protocol stream)",
+                returncode=self._exit_code(),
+                stderr_tail=self.stderr_tail(),
             )
-            if not readable:
-                continue
-            chunk = os.read(fd, 1 << 16)
-            if not chunk:
-                raise WorkerDeath(
-                    f"{self.name} died (EOF on protocol stream)",
-                    returncode=self._exit_code(),
-                    stderr_tail=self.stderr_tail(),
-                )
-            self._rbuf.extend(chunk)
+        return message
 
     def request(self, job: Dict[str, Any], timeout: Optional[float]) -> Dict[str, Any]:
         """Send one job and await its response."""
-        limit = protocol.frame_limit(job.get("op"))
+        op = job.get("op")
+        limit = protocol.frame_limit(op)
+        if op == "isolated_call":
+            # The harness worker never reads the SDFG; the caller's job
+            # keeps it for the crash bundle.
+            job = {k: v for k, v in job.items() if k != "sdfg"}
         try:
             protocol.send_message(self.proc.stdin, job, limit)
         except protocol.ProtocolError as err:
@@ -192,7 +218,9 @@ class WorkerHandle:
                 returncode=self._exit_code(),
                 stderr_tail=self.stderr_tail(),
             ) from err
-        deadline = None if timeout is None else time.monotonic() + timeout
+        deadline = None
+        if timeout is not None and math.isfinite(timeout):
+            deadline = time.monotonic() + timeout
         resp = self._read_message(deadline, limit)
         self.served = int(resp.get("served", self.served) or self.served)
         if resp.get("rss_kb") is not None:
@@ -247,51 +275,21 @@ class WorkerHandle:
         return self.proc.poll() is None
 
     def stop(self, grace: float = 2.0) -> None:
-        """Graceful retirement: shutdown op, then EOF, then SIGKILL.
-
-        The shutdown write itself is bounded: a wedged worker that has
-        stopped draining its stdin would otherwise block *this* thread
-        on a full pipe — the retirement deadline must cover the write,
-        not just the wait.  The write goes through a non-blocking fd; if
-        it cannot complete within ``grace`` the worker is killed.
-        """
+        """Graceful retirement: EOF on the worker's stdin (it exits once
+        the jobs already sent are answered), then SIGKILL after
+        ``grace``.  Closing the pipe never blocks, so a wedged worker
+        that stopped draining its stdin cannot hold this thread past
+        the grace."""
         if self.alive():
-            if self._write_shutdown_op(grace):
-                try:
-                    self.proc.wait(timeout=grace)
-                except subprocess.TimeoutExpired:
-                    self.kill()
-            else:
-                self.kill()
-        self._release()
-
-    def _write_shutdown_op(self, grace: float) -> bool:
-        """Best-effort bounded write of the shutdown op + stdin close."""
-        payload = b'{"op":"shutdown"}\n'
-        deadline = time.monotonic() + max(0.0, grace)
-        try:
-            fd = self.proc.stdin.fileno()
-            os.set_blocking(fd, False)
-            view = memoryview(payload)
-            while view:
-                try:
-                    written = os.write(fd, view)
-                    view = view[written:]
-                except BlockingIOError:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        return False
-                    select.select([], [fd], [], min(remaining, 0.1))
-                except (BrokenPipeError, OSError):
-                    break  # already dead or closing; EOF still follows
-            self.proc.stdin.close()
-            return True
-        except (ValueError, OSError):
             try:
                 self.proc.stdin.close()
-            except (ValueError, OSError):
+            except OSError:
                 pass
-            return True
+            try:
+                self.proc.wait(timeout=grace)
+            except subprocess.TimeoutExpired:
+                self.kill()
+        self._release()
 
     def kill(self) -> None:
         try:
@@ -313,9 +311,10 @@ class WorkerHandle:
             return ""
 
     def _release(self) -> None:
-        """Close the protocol pipes (left to GC they warn, one
-        ``ResourceWarning`` per worker) and remove the stderr capture."""
-        for pipe in (self.proc.stdin, self.proc.stdout):
+        """Close the protocol pipes and their reader (left to GC they
+        warn, one ``ResourceWarning`` per worker) and remove the stderr
+        capture."""
+        for pipe in (self._reader, self.proc.stdin, self.proc.stdout):
             try:
                 pipe.close()
             except (OSError, ValueError):

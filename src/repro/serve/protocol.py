@@ -235,10 +235,6 @@ def send_message(stream: IO, obj: Dict[str, Any],
     stream.flush()
 
 
-def _oversized() -> FrameError:
-    return FrameError(f"incoming header line exceeds limit of {MAX_MESSAGE_BYTES} bytes")
-
-
 def _read_header(line: bytes, limit: Optional[float]
                  ) -> Tuple[Dict[str, Any], List[Tuple[str, int]]]:
     """Parse one header line and size its trailer: the header and the
@@ -246,7 +242,8 @@ def _read_header(line: bytes, limit: Optional[float]
     JSON is a ``ProtocolError``; a spec the reader cannot trust (so the
     trailer's length is unknown) is a :class:`FrameError`."""
     if len(line) > MAX_MESSAGE_BYTES:
-        raise _oversized()
+        raise FrameError(
+            f"incoming header line exceeds limit of {MAX_MESSAGE_BYTES} bytes")
     if limit is None:
         limit = MAX_MESSAGE_BYTES
     try:
@@ -286,23 +283,14 @@ def _read_header(line: bytes, limit: Optional[float]
     return header, sizes
 
 
-def _attach(header: Dict[str, Any], sizes: List[Tuple[str, int]],
-            trailer: bytearray) -> Dict[str, Any]:
-    """Point each array spec's ``data`` at its slice of ``trailer``."""
-    view = memoryview(trailer)
-    offset = 0
-    for name, nbytes in sizes:
-        header["arrays"][name]["data"] = view[offset:offset + nbytes]
-        offset += nbytes
-    return header
-
-
 def recv_message(stream: IO[bytes],
                  limit: Optional[float] = None) -> Optional[Dict[str, Any]]:
     """Read one frame of at most ``limit`` bytes (default
     :data:`MAX_MESSAGE_BYTES`) from a binary stream; None on clean EOF.
     Raises ``ProtocolError`` on a junk header (the stream may go on) and
-    :class:`FrameError` on a bad spec or a truncated trailer (it may not)."""
+    :class:`FrameError` on a bad spec or a truncated trailer (it may not).
+    The header is parsed once and the trailer is read straight into the
+    one buffer its arrays' ``data`` slices view."""
     line = stream.readline(MAX_MESSAGE_BYTES + 1)
     if not line.strip():
         return None
@@ -323,34 +311,12 @@ def recv_message(stream: IO[bytes],
                 "short of the declared arrays"
             )
         filled += got
-    return _attach(header, sizes, trailer)
-
-
-def split_frame(buf: bytearray, limit: Optional[float] = None
-                ) -> Optional[Tuple[Dict[str, Any], int]]:
-    """Incremental reader for a caller that does its own I/O: the first
-    message in ``buf`` and the number of bytes it spans (blank lines
-    before it included), or None while it is incomplete.  Raises like
-    :func:`recv_message`.  The message never views ``buf``, so the
-    caller may delete the consumed bytes."""
-    start = 0
-    while True:
-        nl = buf.find(b"\n", start)
-        if nl < 0:
-            if len(buf) - start > MAX_MESSAGE_BYTES:
-                raise _oversized()
-            return None
-        line = buf[start:nl + 1]
-        if line.strip():
-            break
-        start = nl + 1
-    header, sizes = _read_header(line, limit)
-    end = nl + 1 + sum(n for _, n in sizes)
-    if len(buf) < end:
-        return None
-    if sizes:
-        _attach(header, sizes, buf[nl + 1:end])
-    return header, end
+    view = memoryview(trailer)
+    offset = 0
+    for name, nbytes in sizes:
+        header["arrays"][name]["data"] = view[offset:offset + nbytes]
+        offset += nbytes
+    return header
 
 
 # -------------------------------------------------------------- payloads

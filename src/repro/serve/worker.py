@@ -153,8 +153,6 @@ class WorkerRuntime:
                 pools=live_pool_count(),
                 pool_workers=len(live_worker_pids()),
             )
-        if op == "shutdown":
-            return protocol.ok_response(op="shutdown")
         if op in ("compile", "execute", "isolated_call"):
             injected = self._maybe_inject_fault(job)
             if injected is not None:
@@ -305,8 +303,10 @@ class WorkerRuntime:
                         "tenant": tenant},
             )
             # Exemplar trace: ship the full instrumentation tree so the
-            # aggregator can retain the slowest request per window.
-            report = getattr(compiled, "last_report", None)
+            # aggregator can retain the slowest request per window.  Only
+            # a profiled artifact's report is one: a deadline alone also
+            # records, but only the watchdog's counters.
+            report = compiled.last_report if compiled.records else None
             if report is not None and not report.is_empty():
                 sink.publish(
                     "trace", kernel or str(program)[:16], runtime,
@@ -422,10 +422,7 @@ def main(argv=None) -> int:
                 ),
             )
             continue
-        response = runtime.handle(job)
-        send_response(proto_out, job, response)
-        if job.get("op") == "shutdown":
-            return 0
+        send_response(proto_out, job, runtime.handle(job))
 
 
 if __name__ == "__main__":

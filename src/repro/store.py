@@ -92,6 +92,12 @@ class Store:
         self.on_count = on_count
         self.counts: Counter = Counter()
         self._count_lock = threading.Lock()
+        #: Entries seen by the last scan plus keys published since (None
+        #: before the first scan).  ``_entry_lock`` spans a scan from its
+        #: listing to its new count, so no thread's publication is lost:
+        #: the count may exceed the directory's, never fall short of it.
+        self._entry_count: Optional[int] = None
+        self._entry_lock = threading.Lock()
         if root:
             os.makedirs(root, exist_ok=True)
 
@@ -144,7 +150,8 @@ class Store:
             self.count("corrupt")
             self.count("miss")
             with self.locked():
-                _remove(path)
+                if _remove(path):
+                    self._add_entries(-1)
             return None
         self.count("hit")
         try:
@@ -155,9 +162,10 @@ class Store:
 
     def put(self, key: str, record: Dict[str, Any]) -> bool:
         """Publish ``record`` (plus ``key`` and ``schema``) atomically,
-        then evict LRU overflow.  A failed write (disk full, torn
-        directory) publishes nothing, leaves no staging file and returns
-        False: an entry is only ever a shortcut."""
+        then evict LRU overflow once the entry count passes the cap.  A
+        failed write (disk full, torn directory) publishes nothing,
+        leaves no staging file and returns False: an entry is only ever
+        a shortcut."""
         if self.root is None:
             return False
         path = self.path(key)
@@ -172,12 +180,23 @@ class Store:
             data = faultpoint(self.write_point, payload=data)
             with open(tmp, "w") as f:
                 f.write(data)
+            new = not os.path.exists(path)
             os.replace(tmp, path)
         except OSError:
             _remove(tmp)
             return False
-        self.evict()
+        count = self._add_entries(new)
+        if count is None or count > self.max_entries:
+            self.evict()
         return True
+
+    def _add_entries(self, n: int) -> Optional[int]:
+        """Adjust the known entry count by ``n``; returns the new count
+        (None until a scan has taken one)."""
+        with self._entry_lock:
+            if self._entry_count is not None:
+                self._entry_count += n
+            return self._entry_count
 
     def _entries(self) -> List[Tuple[float, str]]:
         """``(mtime, path)`` per entry; staging files and the lock do not
@@ -197,11 +216,21 @@ class Store:
         return out
 
     def evict(self) -> None:
-        with self.locked():
+        """Scan the directory and recount it.  Over the cap, delete the
+        oldest entries down to ``max_entries - max_entries // 16``: the
+        headroom keeps the next puts from scanning again (caps under 16
+        stay exact)."""
+        with self.locked(), self._entry_lock:
             entries = sorted(self._entries())  # oldest mtime first
-            for _, path in entries[: max(0, len(entries) - self.max_entries)]:
+            excess = len(entries) - self.max_entries
+            if excess > 0:
+                excess += self.max_entries // 16
+            removed = 0
+            for _, path in entries[: max(0, excess)]:
                 if _remove(path):
+                    removed += 1
                     self.count("evict")
+            self._entry_count = len(entries) - removed
 
     def invalidate_where(self, pred: Callable[[Dict[str, Any]], bool]) -> int:
         """Delete every readable entry ``pred`` selects; returns how many."""
@@ -216,6 +245,7 @@ class Store:
                 if isinstance(obj, dict) and pred(obj) and _remove(path):
                     removed += 1
                     self.count("invalidate")
+            self._add_entries(-removed)
         return removed
 
 

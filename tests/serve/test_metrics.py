@@ -79,6 +79,20 @@ def test_metrics_reports_worker_kernels_and_tenants(server):
     assert stats["telemetry"]["published"] > 0
 
 
+def test_unprofiled_requests_ship_no_exemplar(tmp_path, monkeypatch):
+    """Every served call runs under a deadline, so it records the
+    watchdog's counters; only a profiled artifact's report is an
+    exemplar trace."""
+    monkeypatch.setenv("REPRO_CRASH_DIR", str(tmp_path / "crashes"))
+    monkeypatch.delenv("REPRO_PROFILE", raising=False)
+    with SDFGServer(make_config(tmp_path)) as server:
+        drive_traffic(server, n=3)
+        with ServeClient(socket_path=server.config.socket_path) as c:
+            snap = c.metrics()["metrics"]
+    assert snap["kernels"]["metrics_kernel"]["count"] == 3
+    assert snap["exemplar"] is None
+
+
 def test_metrics_snapshot_renders_and_fetches(server):
     drive_traffic(server, n=3)
     snap = fetch_snapshot(server.config.socket_path)

@@ -46,6 +46,26 @@ def test_pool_serves_and_reuses_warm_workers():
         assert second["served"] == 2
 
 
+def test_large_response_header_is_parsed_once(monkeypatch):
+    """A 1 MB response arrives over many pipe reads; the supervisor
+    parses its header once and reads the trailer into one buffer."""
+    n = 1 << 17
+    parsed = []
+    read_header = protocol._read_header
+
+    def counting(line, limit):
+        parsed.append(len(line))
+        return read_header(line, limit)
+
+    with WorkerPool(size=1) as pool:
+        monkeypatch.setattr(protocol, "_read_header", counting)
+        resp = pool.submit(scale_job(n=n))
+    assert resp["status"] == "ok", resp
+    assert len(parsed) == 1
+    np.testing.assert_allclose(protocol.decode_arrays(resp["arrays"])["A"],
+                               np.arange(n) * 2.0)
+
+
 def test_recycle_after_request_count():
     with WorkerPool(size=1, recycle_after=3) as pool:
         for _ in range(3):

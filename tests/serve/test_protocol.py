@@ -2,7 +2,11 @@
 
 import io
 import json
+import math
+import os
 import socket
+import time
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -206,28 +210,74 @@ def test_arrays_round_trip_bit_identical(transport, arrays):
                        for key, other in out.items() if key != name)
 
 
-def test_split_frame_waits_for_the_whole_frame():
+class TrickleStream(io.RawIOBase):
+    """A raw stream that hands out at most ``step`` bytes per read."""
+
+    def __init__(self, data: bytes, step: int = 7):
+        self.data = memoryview(data)
+        self.step = step
+        self.reads = 0
+
+    def readable(self):
+        return True
+
+    def readinto(self, buf):
+        n = min(len(buf), self.step, len(self.data))
+        buf[:n] = self.data[:n]
+        self.data = self.data[n:]
+        self.reads += 1
+        return n
+
+
+@contextmanager
+def worker_pipe(data: bytes, eof: bool = False):
+    """``data`` waiting on a pipe whose writer stays open (or, with
+    ``eof``, has closed), read the way the pool reads a worker: through
+    a buffered reader under a 1 s deadline."""
+    from repro.serve.pool import _DeadlinePipe
+
+    r, w = os.pipe()
+    try:
+        os.write(w, data)
+        if eof:
+            os.close(w)
+            w = None
+        pipe = _DeadlinePipe(r, "worker-test")
+        pipe.deadline = time.monotonic() + 1.0
+        with io.BufferedReader(pipe) as reader:
+            yield reader
+    finally:
+        os.close(r)
+        if w is not None:
+            os.close(w)
+
+
+def test_recv_waits_for_the_whole_frame():
     frame = _frame({"op": "execute",
                     "arrays": protocol.encode_arrays({"A": np.arange(9.0),
                                                       "B": np.ones(2, np.int8)})})
-    buf = bytearray(b"\n")  # a leading blank line is skipped, not a message
-    for i in range(0, len(frame) - 1, 7):
-        buf.extend(frame[i:min(i + 7, len(frame) - 1)])
-        assert protocol.split_frame(buf) is None
-    buf.extend(frame[-1:] + b'{"op":"ping"}\n')
-    message, consumed = protocol.split_frame(buf)
-    assert consumed == len(frame) + 1
+    raw = TrickleStream(frame + b'{"op":"ping"}\n')
+    stream = io.BufferedReader(raw)
+    message = protocol.recv_message(stream)
+    assert raw.reads >= len(frame) // 7, "the frame arrived 7 bytes at a time"
     out = protocol.decode_arrays(message["arrays"])
     np.testing.assert_array_equal(out["A"], np.arange(9.0))
-    del buf[:consumed]  # the message does not pin the caller's buffer
-    assert protocol.split_frame(buf) == ({"op": "ping"}, 14)
+    np.testing.assert_array_equal(out["B"], np.ones(2, np.int8))
+    assert protocol.recv_message(stream) == {"op": "ping"}
 
 
 def test_truncated_trailer_is_a_clean_frame_error():
+    from repro.serve.pool import WorkerTimeout
+
     frame = _frame({"arrays": protocol.encode_arrays({"A": np.arange(8.0)})})
     with pytest.raises(protocol.FrameError, match="truncated"):
         protocol.recv_message(io.BytesIO(frame[:-5]))
-    assert protocol.split_frame(bytearray(frame[:-5])) is None, "just incomplete"
+    # On a live worker pipe the rest is just not here yet: the pool's
+    # reader waits for it until the deadline; a closed pipe is EOF.
+    with worker_pipe(frame[:-5]) as reader, pytest.raises(WorkerTimeout):
+        protocol.recv_message(reader)
+    with worker_pipe(frame[:-5], eof=True) as reader, pytest.raises(EOFError):
+        protocol.recv_message(reader)
 
 
 class HeaderOnlyStream(io.BytesIO):
@@ -249,8 +299,10 @@ def test_oversized_declaration_rejected_before_reading_the_trailer(monkeypatch):
             "nbytes": protocol.MAX_MESSAGE_BYTES}
     with pytest.raises(protocol.FrameError, match="limit"):
         protocol.recv_message(HeaderOnlyStream(_spec_header(huge)))
-    with pytest.raises(protocol.FrameError, match="limit"):
-        protocol.split_frame(bytearray(_spec_header(huge)))
+    # The pool's reader refuses it at once, not after waiting for bytes.
+    with worker_pipe(_spec_header(huge)) as reader, \
+            pytest.raises(protocol.FrameError, match="limit"):
+        protocol.recv_message(reader)
     # The cap counts header + newline + trailer, exactly.
     spec = {"dtype": "float64", "shape": [8], "nbytes": 64}
     header = _spec_header(spec)
@@ -295,10 +347,10 @@ def test_isolated_call_frames_have_no_size_limit(monkeypatch):
     worker_mod.send_response(out, {"op": "isolated_call"}, response)
     frame = out.getvalue()
     with pytest.raises(protocol.FrameError, match="limit"):
-        protocol.split_frame(bytearray(frame))
-    message, consumed = protocol.split_frame(
-        bytearray(frame), protocol.frame_limit("isolated_call"))
-    assert consumed == len(frame)
+        protocol.recv_message(io.BytesIO(frame))
+    stream = io.BytesIO(frame)
+    message = protocol.recv_message(stream, protocol.frame_limit("isolated_call"))
+    assert stream.read() == b"", "the whole frame was read"
     np.testing.assert_array_equal(protocol.decode_arrays(message["arrays"])["A"], A)
     out = io.BytesIO()
     worker_mod.send_response(out, {"op": "execute"}, response)
@@ -323,8 +375,11 @@ def test_bad_specs_are_frame_errors_before_any_allocation(spec):
     with pytest.raises(protocol.FrameError) as exc:
         protocol.recv_message(HeaderOnlyStream(_spec_header(spec)))
     assert exc.value.code == "E202"
-    with pytest.raises(protocol.FrameError):
-        protocol.split_frame(bytearray(_spec_header(spec)))
+    # Uncapped (a worker reading its jobs) and on a pipe that never
+    # sends a trailer, a bad spec is still refused at once.
+    with worker_pipe(_spec_header(spec)) as reader, \
+            pytest.raises(protocol.FrameError):
+        protocol.recv_message(reader, math.inf)
 
 
 def test_junk_header_is_recoverable_and_the_stream_goes_on():

@@ -10,6 +10,7 @@ import threading
 
 import repro.tuning.cache as tuning_cache
 from repro.codegen.progcache import ProgramCache, ProgramCacheEntry, program_key
+from repro.store import Store
 from repro.tuning.cache import TuningCache
 
 # Digests and entry-file hashes: equal values mean caches written by older
@@ -67,6 +68,104 @@ def test_entry_files_are_pinned(tmp_path):
     hit = ProgramCache(program_dir).lookup(PROGRAM_KEY)
     assert hit is not None and hit[0].sdfg_name == "pinned"
     assert TuningCache(str(tmp_path / "tuning")).get(key)["score"] == 0.5
+
+
+def test_puts_scan_the_directory_only_past_the_cap(tmp_path, monkeypatch):
+    """A put lists the directory only when its known entry count passes
+    the cap, and an evicting scan leaves ``max_entries // 16`` headroom."""
+    scans = [0]
+    entries = Store._entries
+
+    def counting(self):
+        scans[0] += 1
+        return entries(self)
+
+    monkeypatch.setattr(Store, "_entries", counting)
+    root = tmp_path / "store"
+    store = Store(str(root), "t", 1, read_point="t.read", write_point="t.write",
+                  max_entries=256)
+    keys = [f"{i:064x}" for i in range(856)]
+    for key in keys[:200]:
+        store.put(key, {})
+    assert scans[0] == 1, "200 new keys under the cap: only the first put scans"
+    for key in keys[200:256]:
+        store.put(key, {})
+    assert scans[0] == 1
+
+    for key in keys[256:]:  # 600 new keys at the cap
+        store.put(key, {})
+    assert 1 <= scans[0] - 1 <= 600 // 16 + 1
+    on_disk = len([n for n in os.listdir(root) if n.endswith(".json")])
+    assert 256 - 256 // 16 <= on_disk <= 256
+    assert store.counts["evict"] == 856 - on_disk
+
+    before = scans[0]
+    for key in keys[-100:]:  # overwrites of resident keys
+        store.put(key, {"again": True})
+    assert scans[0] == before, "an overwrite never scans"
+
+
+def test_threads_sharing_a_store_lose_no_entry_count(tmp_path):
+    """Threads publishing new keys and overwriting old ones through one
+    store never leave its entry count short of the directory's (a put
+    racing the first scans may be counted twice, which only brings the
+    next scan forward)."""
+    root = tmp_path / "store"
+    store = Store(str(root), "t", 1, read_point="t.read", write_point="t.write",
+                  max_entries=4096)
+    barrier = threading.Barrier(8)
+
+    def write(n):
+        barrier.wait()
+        for i in range(60):
+            store.put(f"{n:032x}{i % 40:032x}", {"i": i})
+
+    threads = [threading.Thread(target=write, args=(n,)) for n in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    on_disk = len([n for n in os.listdir(root) if n.endswith(".json")])
+    assert on_disk == 8 * 40
+    assert on_disk <= store._entry_count <= on_disk + 8 * 8
+
+
+def test_a_put_racing_a_scan_is_not_lost(tmp_path, monkeypatch):
+    """A key published after a scan listed the directory, but before the
+    scan set its count, must still be counted."""
+    store = Store(str(tmp_path / "store"), "t", 1, read_point="t.read",
+                  write_point="t.write", max_entries=8)
+    store.put("a" * 64, {})  # the first put scans: count 1
+    listed, published = threading.Event(), threading.Event()
+    entries = Store._entries
+
+    def listing_then_pause(self):
+        out = entries(self)
+        listed.set()
+        published.wait(timeout=0.3)  # a put may land here unless it waits
+        return out
+
+    monkeypatch.setattr(Store, "_entries", listing_then_pause)
+    scan = threading.Thread(target=store.evict)
+    scan.start()
+    assert listed.wait(timeout=30)
+
+    def put():
+        store.put("b" * 64, {})
+        published.set()
+
+    writer = threading.Thread(target=put)
+    writer.start()
+    for t in (scan, writer):
+        t.join(timeout=30)
+    assert not scan.is_alive() and not writer.is_alive()
+    assert store._entry_count == 2
 
 
 def test_same_process_writers_never_publish_torn_entries(tmp_path):
