@@ -7,7 +7,8 @@ it.  So an isolated cpp call never loads the artifact here; it is a
 client of the serve pool's supervisor (:mod:`repro.serve.pool`):
 
 * the *harness* is a lazily started, process-wide ``WorkerPool(size=1)``
-  whose persistent worker dlopens each library once;
+  whose persistent worker dlopens each library once and is never
+  recycled by request count;
 * the call's arrays travel to the worker and back as raw bytes in the
   job and response frames (:mod:`repro.serve.protocol`; no file is
   written, and no frame size limit applies: the arrays are the
@@ -28,6 +29,7 @@ from __future__ import annotations
 import atexit
 import math
 import os
+import sys
 import threading
 from typing import Any, Dict, Optional, Tuple
 
@@ -92,8 +94,11 @@ def harness():
             from repro.serve.pool import WorkerPool
 
             # run_isolated keeps queueing past each 1 s acquire timeout.
+            # No recycling by count: a respawn costs far more than the
+            # calls it would follow, and only a crash replaces the worker.
             _HARNESS = (os.getpid(), WorkerPool(
-                size=1, retry=RetryPolicy(retries=0), acquire_timeout=1.0))
+                size=1, retry=RetryPolicy(retries=0), acquire_timeout=1.0,
+                recycle_after=sys.maxsize))
         return _HARNESS[1]
 
 

@@ -1,23 +1,25 @@
-"""Multicore execution pool for the parallel map tier (ROADMAP item 3).
+"""Multicore execution pool for the parallel map tier (DESIGN §14).
 
 The generated-Python backend's ``parallel=`` tier chunks the iteration
 domain of proof-carrying conflict-free maps (see
 :func:`repro.sdfg.validation.analyze_map_parallelism`) across a
-persistent worker pool owned by the :class:`~repro.codegen.compiler.
-CompiledSDFG` that the lowering belongs to.  Two worker tiers:
+persistent pool owned by the :class:`~repro.codegen.compiler.
+CompiledSDFG` that the lowering belongs to.  Both worker tiers are
+standard :mod:`concurrent.futures` executors behind one
+submit-and-collect loop:
 
-* **thread** — a persistent :class:`~concurrent.futures.
-  ThreadPoolExecutor`.  Right for NumPy/ufunc-dominated chunk bodies:
-  the ufunc inner loops release the GIL, so chunks genuinely overlap.
-  Disjoint output writes land directly in the caller's arrays (shared
-  address space, no copy-back).
-* **fork** — persistent fork()ed worker processes, for pure-Python loop
-  bodies the GIL would serialize.  Workers inherit the generated module
-  through fork (chunk functions are registered *before* the first
-  fork), receive ``(fn, lo, hi, args)`` tasks over pipes, and send the
-  chunk's written output slices / WCR partial accumulators back; the
-  parent copies disjoint slices home and merges WCR partials at the
-  barrier.
+* **thread** — a :class:`~concurrent.futures.ThreadPoolExecutor`.
+  Right for NumPy/ufunc-dominated chunk bodies: the ufunc inner loops
+  release the GIL, so chunks genuinely overlap.  Disjoint output writes
+  land directly in the caller's arrays (shared address space, no
+  copy-back).
+* **fork** — a fork-context :class:`~concurrent.futures.
+  ProcessPoolExecutor`, for pure-Python loop bodies the GIL would
+  serialize.  Its workers inherit the pool's chunk-function registry
+  when they are forked, so a task names its chunk function instead of
+  pickling it; the chunk's written output slices / WCR partials come
+  back as the task's result, and the parent copies disjoint slices home
+  and merges WCR partials at the barrier.
 
 Both tiers share one calling convention: a chunk function receives the
 half-open chunk ``[lo, hi)`` of the chunked parameter plus the
@@ -26,26 +28,31 @@ returns ``(copyback_views, wcr_partials)``.  The pool returns the
 per-chunk results *in chunk order*, so WCR merges are deterministic for
 a given chunk count.
 
+Nothing here supervises processes.  An executor that cannot be created,
+or a fork worker that dies (``BrokenProcessPool``), turns the run into
+an inline run of every chunk — no pooled chunk has written the caller's
+arrays by then — and the next run starts a fresh executor.  The one
+crash boundary (fresh interpreter, deadlines, crash bundles) is
+:mod:`repro.serve.pool`.
+
 Pools start lazily on the first parallel map execution and are torn
 down by :meth:`MapWorkerPool.close` — called from
 ``CompiledSDFG.close()``/``__del__`` and when the serve worker's
 artifact LRU evicts the owning program — plus an ``atexit`` sweep over
 the live-pool registry.  :func:`live_pool_rss_kb` lets the serve
-layer's RSS recycling budget account for nested fork workers.
+layer's RSS recycling budget account for fork workers.
 """
 
 from __future__ import annotations
 
 import atexit
 import os
-import pickle
-import struct
 import threading
 import time
 import weakref
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.chaos import faultpoint
+from repro.chaos import ChaosFault, faultpoint
 
 __all__ = [
     "ParallelConfig",
@@ -188,11 +195,17 @@ def live_pool_count() -> int:
 
 
 def live_worker_pids() -> List[int]:
-    """PIDs of all fork workers currently alive under this process."""
-    pids: List[int] = []
-    for pool in live_pools():
-        pids.extend(pool.worker_pids())
-    return pids
+    """PIDs of all fork workers currently alive under this process.
+
+    ``[]`` at once when no live pool holds a fork executor; otherwise
+    the pids of this process's live :mod:`multiprocessing` children,
+    which are those executors' workers.
+    """
+    if not any("fork" in pool._executors for pool in live_pools()):
+        return []
+    import multiprocessing
+
+    return [proc.pid for proc in multiprocessing.active_children()]
 
 
 def _proc_rss_kb(pid: int) -> int:
@@ -226,117 +239,28 @@ atexit.register(shutdown_all_pools)
 
 
 # =====================================================================
-# Fork worker protocol
+# Chunk execution (runs on a pool thread or in a fork worker)
 # =====================================================================
 
-_LEN = struct.Struct("!Q")
+#: In a fork worker: the owning pool's chunk functions, by name.
+_CHUNKS: Dict[str, Callable] = {}
 
 
-def _send_obj(fd: int, obj: Any) -> None:
-    blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    os.write(fd, _LEN.pack(len(blob)))
-    view = memoryview(blob)
-    while view:
-        n = os.write(fd, view)
-        view = view[n:]
+def _adopt_chunks(registry: Dict[str, Callable]) -> None:
+    """Fork-worker initializer.  ``registry`` is the pool's own dict,
+    inherited through fork rather than pickled."""
+    global _CHUNKS
+    _CHUNKS = registry
 
 
-def _recv_exact(fd: int, n: int) -> Optional[bytes]:
-    buf = bytearray()
-    while len(buf) < n:
-        chunk = os.read(fd, n - len(buf))
-        if not chunk:
-            return None
-        buf.extend(chunk)
-    return bytes(buf)
-
-
-def _recv_obj(fd: int) -> Optional[Any]:
-    head = _recv_exact(fd, _LEN.size)
-    if head is None:
-        return None
-    body = _recv_exact(fd, _LEN.unpack(head)[0])
-    if body is None:
-        return None
-    return pickle.loads(body)
-
-
-class _ForkWorker:
-    """One persistent forked worker process.
-
-    The child inherits the parent's memory image — including the
-    generated module and the pool's function registry — at fork time,
-    so tasks can reference chunk functions by name instead of pickling
-    them.  Input arrays ship pickled over the request pipe; the chunk's
-    return value (written output slices + WCR partials) ships back the
-    same way.
-    """
-
-    def __init__(self, registry: Dict[str, Callable]):
-        req_r, req_w = os.pipe()
-        resp_r, resp_w = os.pipe()
-        pid = os.fork()
-        if pid == 0:  # child
-            os.close(req_w)
-            os.close(resp_r)
-            try:
-                self._child_loop(registry, req_r, resp_w)
-            finally:
-                os._exit(0)
-        os.close(req_r)
-        os.close(resp_w)
-        self.pid = pid
-        self._req_w = req_w
-        self._resp_r = resp_r
-        self.alive = True
-
-    @staticmethod
-    def _child_loop(registry: Dict[str, Callable], req_r: int, resp_w: int) -> None:
-        while True:
-            task = _recv_obj(req_r)
-            if task is None or task[0] == "stop":
-                return
-            _, fn_name, lo, hi, args = task
-            t0 = time.perf_counter()
-            try:
-                fn = registry[fn_name]
-                ret = fn(lo, hi, *args)
-                _send_obj(resp_w, ("ok", ret, time.perf_counter() - t0))
-            except BaseException as err:  # noqa: BLE001 — shipped to parent
-                try:
-                    _send_obj(resp_w, ("err", f"{type(err).__name__}: {err}", 0.0))
-                except BaseException:
-                    return
-
-    def submit(self, fn_name: str, lo: int, hi: int, args: tuple) -> None:
-        _send_obj(self._req_w, ("run", fn_name, lo, hi, args))
-
-    def recv(self) -> Optional[Tuple[str, Any, float]]:
-        return _recv_obj(self._resp_r)
-
-    def stop(self, kill: bool = False) -> None:
-        if not self.alive:
-            return
-        self.alive = False
-        try:
-            if not kill:
-                _send_obj(self._req_w, ("stop",))
-        except OSError:
-            kill = True
-        for fd in (self._req_w, self._resp_r):
-            try:
-                os.close(fd)
-            except OSError:
-                pass
-        if kill:
-            try:
-                os.kill(self.pid, 9)
-            except OSError:
-                pass
-        try:
-            os.waitpid(self.pid, 0)
-        except ChildProcessError:
-            pass
+def _timed_chunk(fn, lo: int, hi: int, args: tuple) -> Tuple[Any, float]:
+    """Run one chunk and time it.  ``fn`` is the chunk function on a
+    thread and its registered name in a fork worker."""
+    if isinstance(fn, str):
+        fn = _CHUNKS[fn]
+    t0 = time.perf_counter()
+    ret = fn(lo, hi, *args)
+    return ret, time.perf_counter() - t0
 
 
 # =====================================================================
@@ -350,7 +274,7 @@ class ParallelRun:
     ``parts`` is ``[(lo, hi, ret), ...]`` in chunk order; ``copyback``
     tells the generated merge code whether disjoint output slices must
     be copied home (fork tier) or already landed in place (thread tier
-    and the inline single-chunk path).
+    and the inline path).
     """
 
     __slots__ = ("parts", "copyback", "tier", "wall")
@@ -362,12 +286,17 @@ class ParallelRun:
         self.wall = wall
 
 
+class _PoolUnavailable(RuntimeError):
+    """Internal: the tier's executor could not run the chunks; rerun
+    inline."""
+
+
 class MapWorkerPool:
     """Persistent worker pool executing chunked map lowerings.
 
-    One pool per :class:`CompiledSDFG`; both tiers start lazily on
-    first use, so a compiled program that never runs a parallel map
-    never spawns a thread or a process.
+    One pool per :class:`CompiledSDFG`; each tier's executor starts
+    lazily on first use, so a compiled program that never runs a
+    parallel map never spawns a thread or a process.
     """
 
     def __init__(self, config: ParallelConfig, name: str = "sdfg"):
@@ -375,10 +304,11 @@ class MapWorkerPool:
         self.name = name
         self.closed = False
         self._lock = threading.RLock()
-        self._executor = None
-        self._fork_workers: List[_ForkWorker] = []
+        #: Live executors by tier ("thread", "fork").
+        self._executors: Dict[str, Any] = {}
         self._fn_registry: Dict[str, Callable] = {}
         #: Monotonic counters surfaced through telemetry and tests.
+        #: ``fork_respawns`` counts fork workers started.
         self.stats: Dict[str, int] = {
             "runs": 0,
             "chunks": 0,
@@ -395,25 +325,15 @@ class MapWorkerPool:
     def register_functions(self, fns: Dict[str, Callable]) -> None:
         """Register the generated module's chunk functions.
 
-        Must happen before the first fork so children inherit the
-        registry contents; the registry dict itself is shared by
-        reference with already-forked children only through fork-time
-        inheritance, hence re-registration after a fork triggers a
-        worker respawn on next use.
+        Fork workers see the registry as it was when they were forked,
+        so registering a new name retires the fork executor; the next
+        fork run starts a fresh one.
         """
         with self._lock:
             missing = [k for k in fns if k not in self._fn_registry]
             self._fn_registry.update(fns)
-            if missing and self._fork_workers:
-                # Children predate these functions: retire them.
-                self._teardown_forks()
-
-    def worker_pids(self) -> List[int]:
-        with self._lock:
-            return [w.pid for w in self._fork_workers if w.alive]
-
-    def rss_kb(self) -> int:
-        return sum(_proc_rss_kb(pid) for pid in self.worker_pids())
+            if missing:
+                self._drop_executor("fork")
 
     # ----------------------------------------------------------- partition
     def partition(self, start: int, stop: int, step: int) -> List[Tuple[int, int]]:
@@ -452,10 +372,10 @@ class MapWorkerPool:
         tier: str = "thread",
     ) -> ParallelRun:
         """Execute ``fn`` over the chunked domain; returns chunk results
-        in order.  Falls back to inline execution when the pool is
-        closed, the domain yields a single chunk, or the fork tier
-        fails mid-run (fork chunks never mutate parent state, so a
-        wholesale inline re-run is safe)."""
+        in order.  Runs inline when the pool is closed or the domain
+        yields a single chunk, and falls back to inline (counted in
+        ``stats["fallbacks"]``) when the tier's executor cannot be
+        created or a fork worker dies."""
         chunks = self.partition(start, stop, step)
         t0 = time.perf_counter()
         self.stats["runs"] += 1
@@ -469,22 +389,18 @@ class MapWorkerPool:
             tier = self.config.tier
         busy = 0.0
         if self.closed or len(chunks) <= 1 or self.config.workers <= 1:
-            parts = [(lo, hi, fn(lo, hi, *args)) for lo, hi in chunks]
             self.stats["inline_runs"] += 1
-            run = ParallelRun(parts, False, "inline", time.perf_counter() - t0)
-        elif tier == "fork":
-            try:
-                parts, busy = self._run_fork(fn, chunks, args)
-                self.stats["fork_runs"] += 1
-                run = ParallelRun(parts, True, "fork", time.perf_counter() - t0)
-            except _ForkTierBroken:
-                self.stats["fallbacks"] += 1
-                parts = [(lo, hi, fn(lo, hi, *args)) for lo, hi in chunks]
-                run = ParallelRun(parts, False, "inline", time.perf_counter() - t0)
+            tier = "inline"
         else:
-            parts, busy = self._run_threads(fn, chunks, args)
-            self.stats["thread_runs"] += 1
-            run = ParallelRun(parts, False, "thread", time.perf_counter() - t0)
+            try:
+                parts, busy = self._run_pooled(tier, fn, chunks, tuple(args))
+                self.stats[f"{tier}_runs"] += 1
+            except _PoolUnavailable:
+                self.stats["fallbacks"] += 1
+                tier = "inline"
+        if tier == "inline":
+            parts = [(lo, hi, fn(lo, hi, *args)) for lo, hi in chunks]
+        run = ParallelRun(parts, tier == "fork", tier, time.perf_counter() - t0)
         self._pending_event = {
             "label": label,
             "tier": run.tier,
@@ -523,96 +439,70 @@ class MapWorkerPool:
         except Exception:
             pass
 
-    # --------------------------------------------------------------- tiers
-    def _ensure_executor(self):
-        from concurrent.futures import ThreadPoolExecutor
-
+    # ----------------------------------------------------------- executors
+    def _executor(self, tier: str):
+        """The tier's executor, created on first use."""
         with self._lock:
-            if self._executor is None:
-                faultpoint("parallel.pool_spawn", tier="thread",
-                           pool=self.name)
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self.config.workers,
-                    thread_name_prefix=f"pmap-{self.name}",
-                )
-            return self._executor
+            executor = self._executors.get(tier)
+            if executor is None:
+                import multiprocessing
+                from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
-    def _run_threads(self, fn, chunks, args):
-        executor = self._ensure_executor()
-        busy = [0.0] * len(chunks)
-
-        def timed(i, lo, hi):
-            t0 = time.perf_counter()
-            ret = fn(lo, hi, *args)
-            busy[i] = time.perf_counter() - t0
-            return ret
-
-        futures = [
-            executor.submit(timed, i, lo, hi) for i, (lo, hi) in enumerate(chunks)
-        ]
-        parts = [
-            (lo, hi, fut.result()) for (lo, hi), fut in zip(chunks, futures)
-        ]
-        return parts, sum(busy)
-
-    def _ensure_forks(self) -> List[_ForkWorker]:
-        with self._lock:
-            dead = [w for w in self._fork_workers if not w.alive]
-            if dead:
-                self._fork_workers = [w for w in self._fork_workers if w.alive]
-            while len(self._fork_workers) < self.config.workers:
-                faultpoint("parallel.pool_spawn", tier="fork",
-                           pool=self.name)
-                self._fork_workers.append(_ForkWorker(self._fn_registry))
-                self.stats["fork_respawns"] += 1
-            return list(self._fork_workers)
-
-    def _run_fork(self, fn, chunks, args):
-        fn_name = getattr(fn, "__name__", None)
-        if fn_name is None or fn_name not in self._fn_registry:
-            raise _ForkTierBroken("chunk function not registered")
-        workers = self._ensure_forks()
-        results: Dict[int, Any] = {}
-        busy = 0.0
-        pending = list(enumerate(chunks))
-        inflight: Dict[int, Tuple[_ForkWorker, int]] = {}
-        try:
-            while pending or inflight:
-                while pending and len(inflight) < len(workers):
-                    widx = next(
-                        i for i, w in enumerate(workers)
-                        if i not in {wi for wi, _ in inflight.values()} and w.alive
+                faultpoint("parallel.pool_spawn", tier=tier, pool=self.name)
+                if tier == "fork":
+                    executor = ProcessPoolExecutor(
+                        max_workers=self.config.workers,
+                        mp_context=multiprocessing.get_context("fork"),
+                        initializer=_adopt_chunks,
+                        initargs=(self._fn_registry,),
                     )
-                    ci, (lo, hi) = pending.pop(0)
-                    workers[widx].submit(fn_name, int(lo), int(hi), tuple(args))
-                    inflight[ci] = (widx, ci)
-                # Synchronous farm: collect one result per loop turn.
-                ci, (widx, _) = next(iter(inflight.items()))
-                resp = workers[widx].recv()
-                del inflight[ci]
-                if resp is None:  # worker died (EOF)
-                    workers[widx].stop(kill=True)
-                    raise _ForkTierBroken("fork worker died")
-                status, payload, elapsed = resp
-                if status != "ok":
-                    raise RuntimeError(f"parallel chunk failed in fork worker: {payload}")
-                busy += elapsed
-                results[ci] = payload
-        except _ForkTierBroken:
-            self._teardown_forks()
-            raise
-        parts = [
-            (lo, hi, results[i]) for i, (lo, hi) in enumerate(chunks)
-        ]
-        return parts, busy
+                    self.stats["fork_respawns"] += self.config.workers
+                else:
+                    executor = ThreadPoolExecutor(
+                        max_workers=self.config.workers,
+                        thread_name_prefix=f"pmap-{self.name}",
+                    )
+                self._executors[tier] = executor
+            return executor
+
+    def _run_pooled(self, tier: str, fn: Callable, chunks, args: tuple):
+        """Submit every chunk to the tier's executor and collect the
+        results in chunk order; returns ``(parts, busy_seconds)``.
+        Raises :class:`_PoolUnavailable` when the executor cannot be
+        created or breaks (a fork worker died)."""
+        from concurrent.futures import BrokenExecutor
+
+        task: Any = fn
+        if tier == "fork":
+            task = getattr(fn, "__name__", None)
+            if task not in self._fn_registry:
+                raise _PoolUnavailable("chunk function not registered")
+        try:
+            executor = self._executor(tier)
+            futures = [
+                executor.submit(_timed_chunk, task, lo, hi, args)
+                for lo, hi in chunks
+            ]
+        except (ChaosFault, OSError, BrokenExecutor) as err:
+            self._drop_executor(tier)
+            raise _PoolUnavailable(f"{tier} pool cannot start: {err}") from err
+        try:
+            results = [future.result() for future in futures]
+        except BrokenExecutor as err:
+            self._drop_executor(tier)
+            raise _PoolUnavailable(f"{tier} worker died: {err}") from err
+        parts = [(lo, hi, ret) for (lo, hi), (ret, _) in zip(chunks, results)]
+        return parts, sum(busy for _, busy in results)
+
+    def _drop_executor(self, tier: str) -> None:
+        with self._lock:
+            executor = self._executors.pop(tier, None)
+        if executor is not None:
+            # Wait for fork workers so none outlives the pool; a thread
+            # pool may be dropped from one of its own threads.
+            executor.shutdown(wait=(tier == "fork"), cancel_futures=True)
 
     # ------------------------------------------------------------ teardown
-    def _teardown_forks(self) -> None:
-        with self._lock:
-            workers, self._fork_workers = self._fork_workers, []
-        for w in workers:
-            w.stop()
-
     def close(self) -> None:
         """Tear down both tiers.  Idempotent; a closed pool still
         executes (inline), so late calls through a cached entry stay
@@ -621,17 +511,11 @@ class MapWorkerPool:
             if self.closed:
                 return
             self.closed = True
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
-        self._teardown_forks()
+        for tier in ("thread", "fork"):
+            self._drop_executor(tier)
 
     def __del__(self):  # pragma: no cover - GC timing dependent
         try:
             self.close()
         except Exception:
             pass
-
-
-class _ForkTierBroken(RuntimeError):
-    """Internal: the fork tier is unusable; rerun inline."""

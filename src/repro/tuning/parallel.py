@@ -9,10 +9,13 @@ The pipeline (``tune(strategy="cutout", jobs=N)``):
 2. **group** — cutouts are deduplicated by normalized content hash, so a
    kernel appearing k times in the program is tuned once, not k times;
 3. **tune** — one greedy/beam search per unique cutout, fanned across a
-   ``multiprocessing`` pool; workers share the flock-guarded
-   :class:`~repro.tuning.cache.TuningCache` and (through the disk tier)
-   the :class:`~repro.codegen.progcache.ProgramCache`, so a re-run of
-   the same program is a pure cache hit without any search;
+   fork-context :class:`~concurrent.futures.ProcessPoolExecutor`; workers
+   share the flock-guarded :class:`~repro.tuning.cache.TuningCache` and
+   (through the disk tier) the :class:`~repro.codegen.progcache.
+   ProgramCache`, so a re-run of the same program is a pure cache hit
+   without any search.  Every outcome is data: a search that raises, or
+   a cutout lost with a dead worker (``BrokenProcessPool``), is an
+   ``error`` outcome whose region stays untuned;
 4. **stitch** — each group's winning ``(transformation, match-index)``
    history is replayed onto every member's parent state.  Extraction is
    node-order preserving and match enumeration is deterministic, so the
@@ -29,7 +32,6 @@ The pipeline (``tune(strategy="cutout", jobs=N)``):
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -150,18 +152,46 @@ def _tune_one_cutout(payload: Dict[str, Any], provider: CostProvider) -> Dict[st
     }
 
 
-def _tune_cutout_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Pool entry point: never raises (errors come back as data)."""
+def _error_outcome(payload: Dict[str, Any], err: BaseException) -> Dict[str, Any]:
+    return {
+        "group": payload["group"],
+        "label": payload["label"],
+        "error": f"{type(err).__name__}: {err}",
+        "wall": 0.0,
+    }
+
+
+def _tune_cutout_worker(
+    payload: Dict[str, Any], provider: Optional[CostProvider] = None
+) -> Dict[str, Any]:
+    """Tune one cutout without raising (errors come back as data).  Pool
+    workers rebuild the provider from the payload's spec."""
     try:
-        provider = _spec_provider(payload["provider"], payload["progcache_dir"])
+        if provider is None:
+            provider = _spec_provider(payload["provider"], payload["progcache_dir"])
         return _tune_one_cutout(payload, provider)
     except Exception as err:  # noqa: BLE001 - worker failures are outcomes
-        return {
-            "group": payload.get("group"),
-            "label": payload.get("label"),
-            "error": f"{type(err).__name__}: {err}",
-            "wall": 0.0,
-        }
+        return _error_outcome(payload, err)
+
+
+def _fan_out(payloads: List[Dict[str, Any]], workers: int) -> List[Dict[str, Any]]:
+    """Tune the payloads on a process pool, one outcome per payload in
+    order; a payload lost with a dead worker is an error outcome."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    ctx = multiprocessing.get_context(
+        "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+    )
+    outcomes = []
+    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+        futures = [pool.submit(_tune_cutout_worker, p) for p in payloads]
+        for payload, future in zip(payloads, futures):
+            try:
+                outcomes.append(future.result())
+            except Exception as err:  # noqa: BLE001 - e.g. BrokenProcessPool
+                outcomes.append(_error_outcome(payload, err))
+    return outcomes
 
 
 # =====================================================================
@@ -319,28 +349,12 @@ def tune_cutouts(
     # ------------------------------------------------------------- tune
     if spec is None or jobs == 1 or len(payloads) <= 1:
         # In-process: custom (unpicklable) providers tune here too.
-        outcomes = []
-        for payload in payloads:
-            if spec is None:
-                try:
-                    outcomes.append(_tune_one_cutout(payload, provider))
-                except Exception as err:  # noqa: BLE001
-                    outcomes.append(
-                        {
-                            "group": payload["group"],
-                            "label": payload["label"],
-                            "error": f"{type(err).__name__}: {err}",
-                            "wall": 0.0,
-                        }
-                    )
-            else:
-                outcomes.append(_tune_cutout_worker(payload))
+        outcomes = [
+            _tune_cutout_worker(p, provider if spec is None else None)
+            for p in payloads
+        ]
     else:
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-        )
-        with ctx.Pool(processes=min(jobs, len(payloads))) as pool:
-            outcomes = pool.map(_tune_cutout_worker, payloads)
+        outcomes = _fan_out(payloads, min(jobs, len(payloads)))
 
     pool_wall = time.perf_counter() - t_start
     by_group = {o["group"]: o for o in outcomes}

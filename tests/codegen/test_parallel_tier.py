@@ -8,14 +8,20 @@ at the barrier — and conflict-free/integer-WCR kernels must be
 *bitwise* identical between 1 worker and N workers.
 """
 
+import multiprocessing
+import os
+import signal
+
 import numpy as np
 import pytest
 
 from repro.codegen.compiler import compile_sdfg
+from repro.chaos import uninstall_engine
 from repro.runtime.parallel import (
     MapWorkerPool,
     ParallelConfig,
     live_pool_count,
+    live_worker_pids,
 )
 from repro.workloads import kernels
 
@@ -301,6 +307,92 @@ class TestPoolLifecycle:
 
 
 # =====================================================================
+# Fallbacks: a pool that cannot start, a fork worker that dies
+# =====================================================================
+
+
+@pytest.fixture
+def faults(monkeypatch):
+    """Install a ``REPRO_FAULTS`` plan for one test."""
+    def install(spec):
+        monkeypatch.setenv("REPRO_FAULTS", spec)
+        uninstall_engine()
+
+    yield install
+    uninstall_engine()
+
+
+def _matmul_case():
+    data = kernels.matmul_data(24)
+    return kernels.matmul_sdfg(), data, {}, {"C": kernels.matmul_reference(data)}
+
+
+def _syrk_case():
+    from repro.workloads.polybench import get
+
+    kernel = get("syrk")
+    sizes = dict(kernel.sizes)
+    data = kernel.make_data(sizes)
+    ref = {k: v.copy() for k, v in data.items()}
+    kernel.ref_numpy(ref, sizes)
+    symbols = {s: sizes[s] for s in kernel.extra_symbols}
+    return kernel.make_sdfg(), data, symbols, {o: ref[o] for o in kernel.outputs}
+
+
+class TestPoolFallbacks:
+    @pytest.mark.parametrize("action", ["raise", "raise-io"])
+    @pytest.mark.parametrize(
+        "case, spec", [(_matmul_case, "thread:2"), (_syrk_case, "fork:2")],
+        ids=["thread-matmul", "fork-syrk"],
+    )
+    def test_pool_spawn_failure_runs_inline(self, faults, case, spec, action):
+        sdfg, data, symbols, expected = case()
+        c = compile_sdfg(sdfg, backend="python", parallel=spec)
+        faults(f"parallel.pool_spawn:{action}")
+        try:
+            c(**data, **symbols)
+            stats = dict(c._pool.stats)
+        finally:
+            c.close()
+        assert stats["runs"] == 1
+        assert stats["fallbacks"] == 1
+        assert stats["thread_runs"] == stats["fork_runs"] == 0
+        for name, ref in expected.items():
+            np.testing.assert_allclose(data[name], ref, rtol=1e-8, atol=1e-10)
+
+    def test_killed_fork_worker_reruns_inline_then_forks_fresh(self, tmp_path):
+        marker = tmp_path / "kill-one-worker"
+        marker.touch()
+        others = set(live_worker_pids())
+        pool = MapWorkerPool(ParallelConfig(workers=2, tier="fork"))
+        pool.register_functions({"_chunk_dies_once": _chunk_dies_once})
+        expected = np.arange(16) * 2.0
+        try:
+            out = np.zeros(16)
+            run = pool.run(_chunk_dies_once, 0, 16, 1, (out, str(marker)),
+                           tier="fork")
+            assert run.tier == "inline" and not marker.exists()
+            np.testing.assert_allclose(out, expected, rtol=1e-8)
+            assert pool.stats["fallbacks"] == 1
+            assert pool.stats["fork_respawns"] == 2
+            assert set(live_worker_pids()) == others  # broken pool reaped
+
+            out = np.zeros(16)
+            run = pool.run(_chunk_dies_once, 0, 16, 1, (out, str(marker)),
+                           tier="fork")
+            assert run.tier == "fork" and run.copyback
+            for lo, hi, ret in run.parts:
+                out[lo:hi] = ret[0][0]
+            np.testing.assert_allclose(out, expected, rtol=1e-8)
+            assert pool.stats["fork_runs"] == 1
+            assert pool.stats["fork_respawns"] == 4
+            assert len(set(live_worker_pids()) - others) == 2
+        finally:
+            pool.close()
+        assert set(live_worker_pids()) == others
+
+
+# =====================================================================
 # Pool unit behavior
 # =====================================================================
 
@@ -342,3 +434,17 @@ class TestMapWorkerPool:
 def _double_chunk(lo, hi, arr):
     arr[lo:hi] *= 2.0
     return ((), ())
+
+
+def _chunk_dies_once(lo, hi, out, marker):
+    """Doubles ``[lo, hi)`` into ``out``; in a fork worker, the first
+    chunk to claim ``marker`` SIGKILLs its own process instead."""
+    if multiprocessing.parent_process() is not None:
+        try:
+            os.unlink(marker)
+        except FileNotFoundError:
+            pass
+        else:
+            os.kill(os.getpid(), signal.SIGKILL)
+    out[lo:hi] = np.arange(lo, hi) * 2.0
+    return ((out[lo:hi],), ())

@@ -59,6 +59,19 @@ def test_fifty_calls_over_three_artifacts_share_one_worker(fresh_harness):
     assert _fd_count() == fds
 
 
+def test_harness_worker_is_not_recycled_by_call_count(fresh_harness):
+    """The serve pool retires a worker after 200 requests; the harness
+    keeps its one worker, so call 201 does not pay for a respawn."""
+    compiled = compile_sdfg(scale_sdfg(), backend="cpp")
+    A = np.ones(8)
+    for _ in range(201):
+        compiled(A=A, N=8)
+    assert compiled.backend == "cpp"
+    stats = isolation.harness().stats()
+    assert stats["spawned"] == 1
+    assert stats["recycled"] == 0
+
+
 def test_one_crash_respawns_exactly_one_worker(fresh_harness):
     compiled = compile_sdfg(scale_sdfg(SEGFAULT_GLOBAL), backend="cpp")
     compiled(A=np.random.rand(8), N=8)

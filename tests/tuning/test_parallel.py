@@ -4,6 +4,9 @@ differential verification, cache behaviour, and the CLI surface."""
 import copy
 import json
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from repro.workloads import kernels
 
 LINKS = 3
 SIZE = 8
+SRC = os.path.realpath(os.path.join(os.path.dirname(__file__), "..", "..", "src"))
 
 
 def _chain():
@@ -132,6 +136,49 @@ class TestTuneCutouts:
             and label not in ("cutout:dedup", "cutout:pool")
         ]
         assert len(per_cutout) == LINKS + 1  # one event per unique group
+
+
+    def test_dead_worker_loses_its_cutout_not_the_call(self):
+        """A worker SIGKILLed inside a cutout search: the call returns,
+        the lost cutout is an error outcome, and its region stays
+        untuned (the result still matches the reference)."""
+        script = textwrap.dedent(f"""
+            import json, os, signal
+            import numpy as np
+            from repro.tuning import parallel
+            from repro.workloads import kernels
+
+            parent, real = os.getpid(), parallel._tune_one_cutout
+
+            def dies_on_mm1(payload, provider):
+                if payload["label"] == "mm1" and os.getpid() != parent:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return real(payload, provider)
+
+            parallel._tune_one_cutout = dies_on_mm1
+            result = parallel.tune_cutouts(
+                kernels.gemm_chain_sdfg({LINKS}), cost="analytic", jobs=2)
+            data = kernels.gemm_chain_data({SIZE})
+            ref = kernels.gemm_chain_reference(data, {LINKS})
+            result.sdfg.compile()(**data, N={SIZE})
+            print(json.dumps({{
+                "per_cutout": result.report.cutouts["per_cutout"],
+                "error": float(np.max(np.abs(data["C"] - ref))
+                               / max(1.0, float(np.max(np.abs(ref))))),
+            }}))
+        """)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            timeout=60, env=dict(os.environ, PYTHONPATH=SRC),
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout.splitlines()[-1])
+        records = {r["label"]: r for r in out["per_cutout"]}
+        assert "BrokenProcessPool" in records["mm1"]["error"]
+        for record in records.values():
+            if "error" in record:
+                assert record["stitched"] == []
+        assert out["error"] <= 1e-8
 
 
 # ----------------------------------------------- per-transformation stats
