@@ -7,8 +7,9 @@ it.  So an isolated cpp call never loads the artifact here; it is a
 client of the serve pool's supervisor (:mod:`repro.serve.pool`):
 
 * the *harness* is a lazily started, process-wide ``WorkerPool(size=1)``
-  whose persistent worker dlopens each library once and is never
-  recycled by request count;
+  whose persistent worker dlopens each library once and is recycled
+  only once its peak RSS passes :data:`HARNESS_MEMORY_BUDGET_KB`
+  (never by request count);
 * the call's arrays travel to the worker and back as raw bytes in the
   job and response frames (:mod:`repro.serve.protocol`; no file is
   written, and no frame size limit applies: the arrays are the
@@ -79,6 +80,11 @@ def crash_keep() -> int:
         return DEFAULT_CRASH_KEEP
 
 
+#: Peak RSS (KiB) past which the harness worker is retired after its
+#: call.  The worker keeps every library it has loaded, so this, not a
+#: request count, bounds its growth.
+HARNESS_MEMORY_BUDGET_KB = 1 << 20
+
 #: (owning pid, pool) of the harness; None until the first isolated call.
 _HARNESS: Optional[Tuple[int, Any]] = None
 _HARNESS_LOCK = threading.Lock()
@@ -95,10 +101,11 @@ def harness():
 
             # run_isolated keeps queueing past each 1 s acquire timeout.
             # No recycling by count: a respawn costs far more than the
-            # calls it would follow, and only a crash replaces the worker.
+            # calls it would follow.
             _HARNESS = (os.getpid(), WorkerPool(
                 size=1, retry=RetryPolicy(retries=0), acquire_timeout=1.0,
-                recycle_after=sys.maxsize))
+                recycle_after=sys.maxsize,
+                memory_budget_kb=HARNESS_MEMORY_BUDGET_KB))
         return _HARNESS[1]
 
 

@@ -31,7 +31,8 @@ a given chunk count.
 Nothing here supervises processes.  An executor that cannot be created,
 or a fork worker that dies (``BrokenProcessPool``), turns the run into
 an inline run of every chunk — no pooled chunk has written the caller's
-arrays by then — and the next run starts a fresh executor.  The one
+arrays by then — and the next run starts a fresh executor.  Fork
+workers exit when their parent dies (:func:`exit_with_parent`).  The one
 crash boundary (fresh interpreter, deadlines, crash bundles) is
 :mod:`repro.serve.pool`.
 
@@ -61,6 +62,7 @@ __all__ = [
     "live_pool_rss_kb",
     "live_pool_count",
     "live_worker_pids",
+    "exit_with_parent",
     "shutdown_all_pools",
 ]
 
@@ -195,17 +197,14 @@ def live_pool_count() -> int:
 
 
 def live_worker_pids() -> List[int]:
-    """PIDs of all fork workers currently alive under this process.
-
-    ``[]`` at once when no live pool holds a fork executor; otherwise
-    the pids of this process's live :mod:`multiprocessing` children,
-    which are those executors' workers.
-    """
-    if not any("fork" in pool._executors for pool in live_pools()):
-        return []
-    import multiprocessing
-
-    return [proc.pid for proc in multiprocessing.active_children()]
+    """PIDs of all fork workers currently alive under this process
+    (``[]`` at once when no live pool has started any)."""
+    return [
+        proc.pid
+        for pool in live_pools()
+        for proc in pool._fork_workers
+        if proc.is_alive()
+    ]
 
 
 def _proc_rss_kb(pid: int) -> int:
@@ -246,11 +245,49 @@ atexit.register(shutdown_all_pools)
 _CHUNKS: Dict[str, Callable] = {}
 
 
+def exit_with_parent() -> None:
+    """Worker initializer: exit when the parent process dies.
+
+    An executor's workers block reading a task queue whose write end
+    they inherited, so they never see EOF when the parent is killed;
+    left alone they would outlive it and hold its pipes open.  A daemon
+    thread waits on the parent's sentinel instead.
+    """
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    sentinel = multiprocessing.parent_process().sentinel
+
+    def watch() -> None:
+        wait([sentinel])
+        os._exit(1)
+
+    threading.Thread(target=watch, name="exit-with-parent", daemon=True).start()
+
+
 def _adopt_chunks(registry: Dict[str, Callable]) -> None:
     """Fork-worker initializer.  ``registry`` is the pool's own dict,
     inherited through fork rather than pickled."""
     global _CHUNKS
     _CHUNKS = registry
+    exit_with_parent()
+
+
+def _worker_context():
+    """A fork context that keeps the processes started through it, so a
+    pool can name its own workers."""
+    import multiprocessing
+
+    class WorkerContext(type(multiprocessing.get_context("fork"))):
+        def __init__(self):
+            self.workers: List[Any] = []
+
+        def Process(self, *args, **kwargs):
+            proc = super().Process(*args, **kwargs)
+            self.workers.append(proc)
+            return proc
+
+    return WorkerContext()
 
 
 def _timed_chunk(fn, lo: int, hi: int, args: tuple) -> Tuple[Any, float]:
@@ -307,6 +344,8 @@ class MapWorkerPool:
         #: Live executors by tier ("thread", "fork").
         self._executors: Dict[str, Any] = {}
         self._fn_registry: Dict[str, Callable] = {}
+        #: Processes of the live fork executor, as it started them.
+        self._fork_workers: List[Any] = []
         #: Monotonic counters surfaced through telemetry and tests.
         #: ``fork_respawns`` counts fork workers started.
         self.stats: Dict[str, int] = {
@@ -445,17 +484,18 @@ class MapWorkerPool:
         with self._lock:
             executor = self._executors.get(tier)
             if executor is None:
-                import multiprocessing
                 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
                 faultpoint("parallel.pool_spawn", tier=tier, pool=self.name)
                 if tier == "fork":
+                    context = _worker_context()
                     executor = ProcessPoolExecutor(
                         max_workers=self.config.workers,
-                        mp_context=multiprocessing.get_context("fork"),
+                        mp_context=context,
                         initializer=_adopt_chunks,
                         initargs=(self._fn_registry,),
                     )
+                    self._fork_workers = context.workers
                     self.stats["fork_respawns"] += self.config.workers
                 else:
                     executor = ThreadPoolExecutor(

@@ -213,6 +213,7 @@ class WorkerRuntime:
                    [v for _, v in sorted(job["symbols"].items())])
         self.served += 1
         return protocol.ok_response(op="isolated_call", served=self.served,
+                                    rss_kb=_rss_kb(),
                                     arrays=protocol.encode_arrays(arrays))
 
     def _compile_or_execute(self, job: Dict[str, Any]) -> Dict[str, Any]:

@@ -180,11 +180,15 @@ def _fan_out(payloads: List[Dict[str, Any]], workers: int) -> List[Dict[str, Any
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
+    from repro.runtime.parallel import exit_with_parent
+
     ctx = multiprocessing.get_context(
         "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
     )
     outcomes = []
-    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+    with ProcessPoolExecutor(
+        max_workers=workers, mp_context=ctx, initializer=exit_with_parent
+    ) as pool:
         futures = [pool.submit(_tune_cutout_worker, p) for p in payloads]
         for payload, future in zip(payloads, futures):
             try:

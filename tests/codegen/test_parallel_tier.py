@@ -11,6 +11,10 @@ at the barrier — and conflict-free/integer-WCR kernels must be
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
+import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -26,6 +30,7 @@ from repro.runtime.parallel import (
 from repro.workloads import kernels
 
 TIERS = ("auto", "thread", "fork")
+SRC = os.path.realpath(os.path.join(os.path.dirname(__file__), "..", "..", "src"))
 
 
 def _compile_parallel(sdfg, tier="auto", workers=3, **kw):
@@ -362,21 +367,11 @@ class TestPoolFallbacks:
 
     def test_killed_fork_worker_reruns_inline_then_forks_fresh(self, tmp_path):
         marker = tmp_path / "kill-one-worker"
-        marker.touch()
-        others = set(live_worker_pids())
         pool = MapWorkerPool(ParallelConfig(workers=2, tier="fork"))
         pool.register_functions({"_chunk_dies_once": _chunk_dies_once})
         expected = np.arange(16) * 2.0
-        try:
-            out = np.zeros(16)
-            run = pool.run(_chunk_dies_once, 0, 16, 1, (out, str(marker)),
-                           tier="fork")
-            assert run.tier == "inline" and not marker.exists()
-            np.testing.assert_allclose(out, expected, rtol=1e-8)
-            assert pool.stats["fallbacks"] == 1
-            assert pool.stats["fork_respawns"] == 2
-            assert set(live_worker_pids()) == others  # broken pool reaped
 
+        def fork_run():
             out = np.zeros(16)
             run = pool.run(_chunk_dies_once, 0, 16, 1, (out, str(marker)),
                            tier="fork")
@@ -384,12 +379,67 @@ class TestPoolFallbacks:
             for lo, hi, ret in run.parts:
                 out[lo:hi] = ret[0][0]
             np.testing.assert_allclose(out, expected, rtol=1e-8)
-            assert pool.stats["fork_runs"] == 1
+            return live_worker_pids()
+
+        try:
+            first = fork_run()
+            assert len(first) == 2 and pool.stats["fork_respawns"] == 2
+
+            marker.touch()
+            out = np.zeros(16)
+            run = pool.run(_chunk_dies_once, 0, 16, 1, (out, str(marker)),
+                           tier="fork")
+            assert run.tier == "inline" and not marker.exists()
+            np.testing.assert_allclose(out, expected, rtol=1e-8)
+            assert pool.stats["fallbacks"] == 1
+            for pid in first:  # the broken executor's workers are reaped
+                with pytest.raises(ProcessLookupError):
+                    os.kill(pid, 0)
+
+            fresh = fork_run()
+            assert len(fresh) == 2 and not set(fresh) & set(first)
+            assert pool.stats["fork_runs"] == 2
             assert pool.stats["fork_respawns"] == 4
-            assert len(set(live_worker_pids()) - others) == 2
         finally:
             pool.close()
-        assert set(live_worker_pids()) == others
+        for pid in fresh:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    def test_fork_workers_exit_with_their_parent(self):
+        """A process SIGKILLed while it holds a live fork pool leaves no
+        fork worker behind (they would hold its pipes open)."""
+        script = textwrap.dedent("""
+            import time
+            from repro.codegen.compiler import compile_sdfg
+            from repro.runtime.parallel import live_worker_pids
+            from repro.workloads.polybench import get
+
+            kernel = get("syrk")
+            sizes = dict(kernel.sizes)
+            c = compile_sdfg(kernel.make_sdfg(), backend="python",
+                             parallel="fork:2")
+            c(**kernel.make_data(sizes),
+              **{s: sizes[s] for s in kernel.extra_symbols})
+            assert c._pool.stats["fork_runs"] >= 1
+            print(*live_worker_pids(), flush=True)
+            time.sleep(60)
+        """)
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=SRC),
+        )
+        try:
+            pids = [int(p) for p in proc.stdout.readline().split()]
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+        assert len(pids) == 2
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline and not all(map(_gone, pids)):
+            time.sleep(0.05)
+        assert all(map(_gone, pids)), "fork workers outlived their parent"
 
 
 # =====================================================================
@@ -448,3 +498,12 @@ def _chunk_dies_once(lo, hi, out, marker):
             os.kill(os.getpid(), signal.SIGKILL)
     out[lo:hi] = np.arange(lo, hi) * 2.0
     return ((out[lo:hi],), ())
+
+
+def _gone(pid):
+    """``pid`` has exited (an unreaped orphan counts: it is a zombie)."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rpartition(")")[2].split()[0] == "Z"
+    except FileNotFoundError:
+        return True

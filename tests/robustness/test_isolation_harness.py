@@ -72,6 +72,21 @@ def test_harness_worker_is_not_recycled_by_call_count(fresh_harness):
     assert stats["recycled"] == 0
 
 
+def test_harness_worker_is_recycled_past_its_memory_budget(
+        fresh_harness, monkeypatch):
+    """The worker keeps every library it loads; its peak RSS, not a call
+    count, bounds that growth."""
+    monkeypatch.setattr(isolation, "HARNESS_MEMORY_BUDGET_KB", 1)
+    compiled = compile_sdfg(scale_sdfg(), backend="cpp")
+    A = np.ones(8)
+    for _ in range(2):
+        compiled(A=A, N=8)
+    np.testing.assert_allclose(A, np.full(8, 4.0))
+    stats = isolation.harness().stats()
+    assert stats["recycled"] == 2
+    assert stats["deaths"] == 0
+
+
 def test_one_crash_respawns_exactly_one_worker(fresh_harness):
     compiled = compile_sdfg(scale_sdfg(SEGFAULT_GLOBAL), backend="cpp")
     compiled(A=np.random.rand(8), N=8)

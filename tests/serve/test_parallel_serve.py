@@ -2,11 +2,15 @@
 passthrough, per-artifact pool ownership, LRU-eviction teardown, and —
 the CI gate — no worker-pool leak across 50 requests."""
 
+import time
+
 import numpy as np
 import pytest
 
 from repro.runtime.parallel import live_pool_count, live_worker_pids
+from repro.runtime.watchdog import RetryPolicy
 from repro.serve import protocol
+from repro.serve.pool import WorkerPool
 from repro.serve.worker import WorkerRuntime
 from repro.workloads import kernels
 
@@ -21,6 +25,20 @@ def _matmul_job(n=24, **extra):
     }
     job.update(extra)
     return job, data
+
+
+def _spmv_job(**extra):
+    """A fork-tier request: spmv's loop body takes the fork tier."""
+    data, csr = kernels.spmv_data(32, 4)
+    job = {
+        "op": "execute",
+        "sdfg": kernels.spmv_sdfg().to_json(),
+        "arrays": protocol.encode_arrays(data),
+        "symbols": {"H": 32, "W": 32, "nnz": csr.nnz},
+        "parallel": "fork:2",
+    }
+    job.update(extra)
+    return job
 
 
 class TestParallelRequests:
@@ -93,18 +111,12 @@ class TestPoolLeakGate:
         """Fork-tier requests (spmv) must not leave orphan children
         after their artifacts are torn down."""
         rt = WorkerRuntime()
-        data, csr = kernels.spmv_data(32, 4)
-        job = {
-            "op": "execute",
-            "sdfg": kernels.spmv_sdfg().to_json(),
-            "arrays": protocol.encode_arrays(data),
-            "symbols": {"H": 32, "W": 32, "nnz": csr.nnz},
-            "parallel": "fork:2",
-        }
+        job = _spmv_job()
         for _ in range(5):
             r = rt.handle(dict(job))
             assert r["status"] == "ok"
         pids_live = set(live_worker_pids())
+        assert len(pids_live) == 2
         # Tear every artifact down the way recycling would.
         for compiled in rt._programs.values():
             compiled.close()
@@ -114,3 +126,21 @@ class TestPoolLeakGate:
         for pid in pids_live:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
+
+    def test_worker_crash_after_fork_request_is_a_prompt_death(
+            self, monkeypatch, tmp_path):
+        """A serve worker that dies while it owns fork workers is
+        reported as a death at once, not as a timeout at the deadline:
+        its fork workers exit with it and release its response pipe."""
+        monkeypatch.setenv("REPRO_CRASH_DIR", str(tmp_path))
+        with WorkerPool(size=1, fault_injection=True,
+                        retry=RetryPolicy(retries=0)) as pool:
+            ok = pool.submit(_spmv_job())
+            assert ok["status"] == "ok", ok
+            assert pool.submit({"op": "ping"})["pool_workers"] == 2
+            t0 = time.monotonic()
+            resp = pool.submit(_spmv_job(inject_fault="segv"), timeout=60.0)
+            elapsed = time.monotonic() - t0
+        assert resp["status"] == "error"
+        assert resp["code"] == "E201", resp
+        assert elapsed < 10.0

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from repro.tuning import (
     tune_cutouts,
 )
 from repro.workloads import kernels
+from tests.codegen.test_parallel_tier import _gone
 
 LINKS = 3
 SIZE = 8
@@ -179,6 +181,40 @@ class TestTuneCutouts:
             if "error" in record:
                 assert record["stitched"] == []
         assert out["error"] <= 1e-8
+
+    def test_cutout_workers_exit_with_their_parent(self, tmp_path):
+        """A process SIGKILLed mid-fan-out leaves no cutout worker
+        behind."""
+        pid_dir = tmp_path / "pids"
+        pid_dir.mkdir()
+        script = textwrap.dedent(f"""
+            import os, time
+            from repro.tuning import parallel
+            from repro.workloads import kernels
+
+            def hangs(payload, provider):
+                open(os.path.join({str(pid_dir)!r}, str(os.getpid())), "w").close()
+                time.sleep(60)
+
+            parallel._tune_one_cutout = hangs
+            parallel.tune_cutouts(
+                kernels.gemm_chain_sdfg({LINKS}), cost="analytic", jobs=2)
+        """)
+        proc = subprocess.Popen([sys.executable, "-c", script],
+                                env=dict(os.environ, PYTHONPATH=SRC))
+        try:
+            deadline = time.monotonic() + 30.0
+            while len(os.listdir(pid_dir)) < 2 and time.monotonic() < deadline:
+                time.sleep(0.05)
+        finally:
+            proc.kill()
+            proc.wait()
+        pids = [int(name) for name in os.listdir(pid_dir)]
+        assert len(pids) == 2
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline and not all(map(_gone, pids)):
+            time.sleep(0.05)
+        assert all(map(_gone, pids)), "cutout workers outlived their parent"
 
 
 # ----------------------------------------------- per-transformation stats
