@@ -267,7 +267,7 @@ def exit_with_parent() -> None:
 
 def _adopt_chunks(registry: Dict[str, Callable]) -> None:
     """Fork-worker initializer.  ``registry`` is the pool's own dict,
-    inherited through fork rather than pickled."""
+    inherited through fork, not serialized."""
     global _CHUNKS
     _CHUNKS = registry
     exit_with_parent()
