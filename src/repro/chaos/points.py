@@ -68,7 +68,7 @@ CATALOG: Dict[str, FaultPoint] = {
     ),
     "parallel.pool_spawn": FaultPoint(
         "runtime", "repro.runtime.parallel",
-        "the parallel tier's thread/fork pool cannot be created",
+        "the parallel tier's thread pool cannot be created",
     ),
     # --- serve -------------------------------------------------------
     "pool.worker_spawn": FaultPoint(

@@ -404,6 +404,7 @@ def compile_sdfg(
       The returned
       artifact owns the worker pool; ``compiled.close()`` tears it
       down.  Ignored (with a W702 diagnostic) under ``sanitize``.
+      Loop-bodied maps run in parallel on ``backend="cpp"`` (OpenMP).
 
     Backends whose circuit breaker is open (repeated call-time crashes
     or watchdog kills) are skipped with a recorded hop.
@@ -640,11 +641,7 @@ def _exec_python_source(source: str, name: str) -> Callable:
     namespace: Dict[str, Any] = {}
     code = compile(source, f"<sdfg {name}>", "exec")
     exec(code, namespace)
-    main = namespace["main"]
-    # Parallel chunk functions ride on the entry so cache rebuilds (which
-    # only keep ``main``) can still register them with a fresh pool.
-    main._parallel_chunks = namespace.get("_PARALLEL_CHUNKS", {})
-    return main
+    return namespace["main"]
 
 
 def _python_artifact(sdfg, main: Callable, source: str, arg_arrays, syms_order,
@@ -652,11 +649,10 @@ def _python_artifact(sdfg, main: Callable, source: str, arg_arrays, syms_order,
     """Wrap a module entry; a program built for the parallel tier gets
     its worker pool here, and the entry closes over it."""
     pool = None
-    if options.pool_parallel is not None and main._parallel_chunks:
+    if options.pool_parallel is not None:
         from repro.runtime.parallel import MapWorkerPool
 
         pool = MapWorkerPool(options.pool_parallel)
-        pool.register_functions(main._parallel_chunks)
 
     def entry(arrays: Dict[str, Any], symbols: Dict[str, int], instr=None, guard=None):
         args = [arrays[a] for a in arg_arrays]

@@ -118,11 +118,10 @@ def resolve_options(backend="python", validate=True, fallback=True, cache=None,
         memory_budget = int(budget) if budget is not None else None
 
     if parallel is None:
-        raw = env.get("REPRO_PARALLEL", "")
         try:
-            parallel = ParallelConfig.parse(raw)
-        except ValueError:
-            parallel = ParallelConfig.parse(parse_flag("REPRO_PARALLEL", raw))
+            parallel = ParallelConfig.parse(env.get("REPRO_PARALLEL", ""))
+        except ValueError as err:
+            raise ValueError(f"REPRO_PARALLEL: {err}") from None
     else:
         parallel = ParallelConfig.parse(parallel)
 

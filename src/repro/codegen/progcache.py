@@ -40,7 +40,9 @@ from repro.store import Store, content_key
 #: reductions broadcast only values that do not span the domain.
 #: v6: every two-operand contraction is one ``@``, marked or not; sums and
 #: products into integer containers of non-integer values take the loop.
-CODEGEN_VERSION = 6
+#: v7: one thread tier: chunk functions return only their WCR partials, and
+#: the parallel variant key names the worker count alone.
+CODEGEN_VERSION = 7
 
 #: Entry file layout version; mismatched files are deleted as misses.
 CACHE_SCHEMA_VERSION = 1

@@ -121,8 +121,8 @@ class PythonGenerator:
         self._nested_names: Dict[int, str] = {}
         self._need_custom_reduce = False
         self._current_fn = "main"
-        #: Names of emitted chunk functions (fork-tier registration).
-        self.parallel_chunks: List[str] = []
+        #: A chunk function privatizes a WCR output (emit the identities).
+        self._need_wcr_identity = False
         self._lowering: Dict[int, Dict[str, Optional[str]]] = {}
 
     # ------------------------------------------------------------------ API
@@ -162,7 +162,7 @@ class PythonGenerator:
         for wcr, name in self.wcr_ids.items():
             buf.line(f"{name} = {wcr}")
         buf.line()
-        if self.parallel_chunks:
+        if self._need_wcr_identity:
             # Identity element per recognized reduction, shaped like the
             # output: chunk workers accumulate into private copies that
             # merge into the caller's array at the barrier.
@@ -180,13 +180,6 @@ class PythonGenerator:
             buf.line()
         for fn in self._functions:
             buf.lines(fn)
-            buf.line()
-        if self.parallel_chunks:
-            buf.line(
-                "_PARALLEL_CHUNKS = {"
-                + ", ".join(f"{n!r}: {n}" for n in self.parallel_chunks)
-                + "}"
-            )
             buf.line()
         buf.lines(main)
         return buf.getvalue()
@@ -564,9 +557,9 @@ class PythonGenerator:
         self, sdfg, state, entry, body, order, scope_dict, verdict, args
     ):
         """Emit the module-level chunk function executing one ``[lo, hi)``
-        slice of the chunked parameter's domain.  Returns ``(fn_name,
-        vectorized)`` where ``vectorized`` tells whether the body took a
-        whole-domain NumPy path (thread-tier friendly) or the loop path."""
+        slice of the chunked parameter's domain; returns its name.  The
+        function writes direct outputs in place and returns its private
+        WCR partials."""
         containers, conns, syms = args
         fname = f"_pchunk_{next(self._fn_counter)}"
         m = entry.map
@@ -587,9 +580,10 @@ class PythonGenerator:
         for data in sorted(verdict.wcr_merge):
             rtype = verdict.wcr_merge[data]
             buf.line(f"{data} = _wcr_identity_like({data}, {rtype.name!r})")
+            self._need_wcr_identity = True
         # Interior scratch transients are function-level allocations the
-        # chunks would otherwise share — thread-tier chunks must each
-        # work on a private copy.
+        # chunks would otherwise share — each chunk must work on a
+        # private copy.
         scratch = {
             node.data
             for node in self._scope_subtree(state, entry, scope_dict)
@@ -608,54 +602,19 @@ class PythonGenerator:
         chunked[pidx] = SymRange(Symbol("__lo"), Symbol("__hi"), rng.step)
         m.range = Subset(chunked)
         try:
-            vectorized = self._try_vectorized_map(
+            if not self._try_vectorized_map(
                 sdfg, state, entry, body, buf, order, scope_dict
-            )
-            if not vectorized:
+            ):
                 self._emit_map_serial(
                     sdfg, state, entry, body, buf, order, scope_dict, params=()
                 )
-            outs = ", ".join(
-                f"{data}[{self._chunk_view_index(verdict, data)}]"
-                for data in sorted(verdict.fork_dims)
-            )
-            if outs:
-                outs += ","
             wcrs = ", ".join(sorted(verdict.wcr_merge))
-            if wcrs:
-                wcrs += ","
-            buf.line(f"return (({outs}), ({wcrs}))")
+            buf.line(f"return ({wcrs}{',' if wcrs else ''})")
         finally:
             m.range = saved
         buf.dedent()
         self._functions.append(buf.getvalue())
-        self.parallel_chunks.append(fname)
-        return fname, vectorized
-
-    def _chunk_view_index(self, verdict, data: str) -> str:
-        """Index selecting one chunk's written region of a direct output:
-        ``[c*__lo+d : c*__hi+d]`` on the proven dimension, the memlet's
-        own (parameter-free) extents elsewhere.  The same source text is
-        emitted in the chunk function (the returned view) and the merge
-        loop (the copy-back destination), so both sides always agree."""
-        k, c, offset, other_ranges = verdict.fork_dims[data]
-
-        def bound(var: str) -> str:
-            term = var if c == 1 else f"{c} * {var}"
-            if offset != Integer(0):
-                term = f"{term} + ({pycode(offset)})"
-            return term
-
-        parts = []
-        for j, r in enumerate(other_ranges):
-            if j == k:
-                parts.append(f"{bound('__lo')}:{bound('__hi')}")
-            elif r.is_point():
-                parts.append(f"{pycode(r.start)}:{pycode(r.start)} + 1")
-            else:
-                step = "" if r.step == Integer(1) else f":{pycode(r.step)}"
-                parts.append(f"{pycode(r.start)}:{pycode(r.end)}{step}")
-        return ", ".join(parts)
+        return fname
 
     def _try_parallel_map(
         self, sdfg, state, entry, body, buf, order, scope_dict, params
@@ -684,60 +643,31 @@ class PythonGenerator:
             return False
 
         args = self._parallel_chunk_args(sdfg, state, entry, scope_dict)
-        fname, vectorized = self._emit_parallel_chunk_fn(
+        fname = self._emit_parallel_chunk_fn(
             sdfg, state, entry, body, order, scope_dict, verdict, args
         )
-        # Tier choice: NumPy-dominated chunk bodies release the GIL, so
-        # threads overlap and write shared outputs in place; loop bodies
-        # need fork workers (own interpreter) with slice copy-back.
-        tier = self.parallel.tier
-        if tier == "auto":
-            tier = "thread" if vectorized else ("fork" if verdict.fork_ok else "thread")
-        if tier == "fork" and not verdict.fork_ok:
-            self.diagnostics.append(
-                make_diagnostic(
-                    "W703",
-                    f"map {entry.map.label!r}: fork-tier copy-back is not "
-                    "provably rectangular; degrading to the thread tier",
-                    Severity.WARNING,
-                    sdfg=sdfg,
-                    state=state,
-                    node=entry,
-                )
-            )
-            tier = "thread"
-
         containers, conns, syms = args
         m = entry.map
         rng = m.range.ranges[m.params.index(verdict.param)]
         label = m.label
-        call_args = containers + conns + list(syms)
-        if tier == "thread":
-            # Thread workers share the address space: pass the watchdog
-            # guard through so checkpoints keep firing inside chunks.
-            call_args = call_args + ["None", "__guard"]
-        args_src = ", ".join(call_args) + ("," if call_args else "")
-        buf.line(f"# parallel map {label}: chunked over {verdict.param} [{tier} tier]")
+        # Pool threads share the address space: pass the watchdog guard
+        # through so checkpoints keep firing inside chunks.
+        call_args = containers + conns + list(syms) + ["None", "__guard"]
+        args_src = ", ".join(call_args) + ","
+        buf.line(f"# parallel map {label}: chunked over {verdict.param}")
         with buf.block("if __pool is not None:"):
             buf.line(
                 f"__pres = __pool.run({fname}, {pycode(rng.start)}, "
                 f"{pycode(rng.end)}, {pycode(rng.step)}, ({args_src}), "
-                f"label={label!r}, tier={tier!r})"
+                f"label={label!r})"
             )
             buf.line("__tm = time.perf_counter()")
-            direct_order = sorted(verdict.fork_dims)
             wcr_order = sorted(verdict.wcr_merge)
-            with buf.block("for __lo, __hi, __pret in __pres.parts:"):
-                if direct_order:
-                    with buf.block("if __pres.copyback:"):
-                        for i, data in enumerate(direct_order):
-                            idx = self._chunk_view_index(verdict, data)
-                            buf.line(f"{data}[{idx}] = __pret[0][{i}]")
-                for i, data in enumerate(wcr_order):
-                    ufunc = self._UFUNC[verdict.wcr_merge[data]]
-                    buf.line(f"{ufunc}({data}, __pret[1][{i}], out={data})")
-                if not direct_order and not wcr_order:
-                    buf.line("pass")
+            if wcr_order:
+                with buf.block("for __pret in __pres:"):
+                    for i, data in enumerate(wcr_order):
+                        ufunc = self._UFUNC[verdict.wcr_merge[data]]
+                        buf.line(f"{ufunc}({data}, __pret[{i}], out={data})")
             buf.line(f"__pool.note_merge({label!r}, time.perf_counter() - __tm)")
         with buf.block("else:"):
             self._emit_map_serial(

@@ -574,19 +574,12 @@ class MapParallelism:
     write conflict.  ``wcr_merge`` lists outputs that must be privatized
     per worker and merged with their reduction operator at the barrier;
     ``direct`` lists outputs whose footprints are disjoint along
-    ``param`` and may be written in place.  ``fork_ok`` additionally
-    certifies every direct output's chunk footprint is a contiguous
-    slice ``[c*lo+d : c*hi+d)`` along ``fork_dims[data]`` — the
-    copy-back contract of the fork tier (copy-on-write children return
-    written slices to the parent).  Ineligible maps carry human-readable
-    ``reasons`` that surface as the W703 diagnostic when the parallel
-    tier degrades to serial.
+    ``param`` and may be written in place.  Ineligible maps carry
+    human-readable ``reasons`` that surface as the W703 diagnostic when
+    the parallel tier degrades to serial.
     """
 
-    __slots__ = (
-        "eligible", "param", "reasons", "wcr_merge", "direct",
-        "fork_ok", "fork_dims",
-    )
+    __slots__ = ("eligible", "param", "reasons", "wcr_merge", "direct")
 
     def __init__(self):
         self.eligible = False
@@ -596,9 +589,6 @@ class MapParallelism:
         self.wcr_merge = {}
         #: data names written disjointly along the chunked param
         self.direct: Set[str] = set()
-        self.fork_ok = False
-        #: data name -> (dim index, coeff c, offset expr d) for copy-back
-        self.fork_dims = {}
 
 
 #: Reduction types the parallel tier knows how to privatize and merge.
@@ -622,12 +612,13 @@ def _scope_params(state, entry) -> Set[str]:
 
 
 def _scatter_reduction(sdfg, state, write_edge, entry):
-    """Reduction type of an indirect-update (histogram-shaped) write, or
-    None when the write does not match the scatter pattern.
+    """``(reduction type, view edge)`` of an indirect-update
+    (histogram-shaped) write, or None when the write does not match the
+    scatter pattern.
 
     The origin tasklet must mutate a loop-invariant read view of the
-    written container with one of the recognized update operators; the
-    dynamic out-memlet then only *declares* the write."""
+    written container (the view edge) with one of the recognized update
+    operators; the dynamic out-memlet then only *declares* the write."""
     from repro.codegen import pytranslate
 
     mem = write_edge.data
@@ -656,13 +647,56 @@ def _scatter_reduction(sdfg, state, write_edge, entry):
     )
     if det is None:
         return None
-    op = det[0]
-    return {
+    rtype = {
         "sum": ReductionType.Sum,
         "product": ReductionType.Product,
         "min": ReductionType.Min,
         "max": ReductionType.Max,
-    }.get(op)
+    }.get(det[0])
+    return None if rtype is None else (rtype, view_edges[0])
+
+
+def _consumer_edges(state, edge) -> List:
+    """The edges that finally deliver ``edge``'s data: its relay chain
+    followed forward through scope connectors, every branch of a
+    fan-out included."""
+    dst = edge.dst
+    if not isinstance(dst, (EntryNode, ExitNode)) or not (
+        edge.dst_conn or ""
+    ).startswith("IN_"):
+        return [edge]
+    out_conn = "OUT_" + edge.dst_conn[len("IN_"):]
+    return [
+        leaf
+        for e in state.out_edges(dst) if e.src_conn == out_conn
+        for leaf in _consumer_edges(state, e)
+    ]
+
+
+def _chunk_local_read(read, write, k, scope_params) -> bool:
+    """Whether no chunk reads through ``read`` an element another chunk
+    writes through ``write``, which the proof has shown disjoint across
+    iterations along dimension ``k``.  True when the read takes the same
+    range along ``k`` (it stays in its own iteration's footprint), or
+    when, in some dimension free of scope parameters, the two ranges are
+    provably apart."""
+    from repro.symbolic import sympify
+    from repro.symbolic.sets import Subset, decide_nonnegative
+
+    if read is None or len(read.ranges) != len(write.ranges):
+        return False
+    if read.ranges[k] == write.ranges[k]:
+        return True
+    for r, w in zip(read.ranges, write.ranges):
+        if {s.name for s in r.free_symbols | w.free_symbols} & scope_params:
+            continue
+        if r.is_point() and w.is_point():
+            gap = sympify(r.start - w.start)
+            if decide_nonnegative(gap * gap - 1) is True:
+                return True
+        elif Subset([r]).intersects(Subset([w])) is False:
+            return True
+    return False
 
 
 def analyze_map_parallelism(sdfg, state, entry) -> MapParallelism:
@@ -738,6 +772,7 @@ def analyze_map_parallelism(sdfg, state, entry) -> MapParallelism:
     # ---- param-independent refusals (poison every candidate param)
     wcr_merge = {}
     plain_writes = []
+    view_edges = set()
     for e in writes:
         mem = e.data
         if mem.data not in sdfg.arrays:
@@ -768,13 +803,15 @@ def analyze_map_parallelism(sdfg, state, entry) -> MapParallelism:
             # (``view[idx] += val``).  Collisions resolve through the
             # operator, so privatize-and-merge is exact — the same proof
             # the ``np.<ufunc>.at`` scatter tier relies on.
-            rtype = _scatter_reduction(sdfg, state, e, entry)
-            if rtype is None:
+            scatter = _scatter_reduction(sdfg, state, e, entry)
+            if scatter is None:
                 verdict.reasons.append(
                     f"data-dependent (dynamic) write to {mem.data!r} is not "
                     "a recognized indexed-update pattern"
                 )
                 return verdict
+            rtype, view_edge = scatter
+            view_edges.add(view_edge)
             prev = wcr_merge.get(mem.data)
             if prev is not None and prev != rtype:
                 verdict.reasons.append(
@@ -794,6 +831,18 @@ def analyze_map_parallelism(sdfg, state, entry) -> MapParallelism:
         )
         return verdict
 
+    # A chunk accumulates into a private identity-filled copy of each
+    # WCR/scatter target, so a read of the target would see the copy,
+    # not the values; only the view an indexed update mutates is exempt.
+    reads = [e for e in state.out_edges(entry) if not e.data.is_empty()]
+    for e in reads:
+        if e.data.data in wcr_merge and not set(_consumer_edges(state, e)) <= view_edges:
+            verdict.reasons.append(
+                f"map reads {e.data.data!r}, which it accumulates into "
+                "through a per-chunk private copy"
+            )
+            return verdict
+
     # ---- per-param disjointness proof; first parameter that works wins
     for param, rng in zip(m.params, m.range.ranges):
         reasons: List[str] = []
@@ -809,8 +858,7 @@ def analyze_map_parallelism(sdfg, state, entry) -> MapParallelism:
         psym = Symbol(param)
         other_params = {q for q in all_params if q != param}
         direct: Set[str] = set()
-        fork_dims = {}
-        fork_ok = True
+        chunk_dims = []
         for mem in plain_writes:
             dep_dims = [
                 k for k, r in enumerate(mem.subset.ranges)
@@ -875,21 +923,24 @@ def analyze_map_parallelism(sdfg, state, entry) -> MapParallelism:
                     f"stride {c}*{step} may be smaller than extent {span}"
                 )
                 break
-            # Fork copy-back: the chunk footprint [c*lo+d, c*hi+d) must
-            # be gapless (stride exactly covers the extent) and every
-            # other dimension parameter-free.  A container written by
-            # more than one memlet has no single copy-back slice.
-            rect = (span == sympify(c * step)) and not any(
-                {s.name for s in rr.free_symbols} & all_params
-                for j, rr in enumerate(mem.subset.ranges) if j != k
-            )
-            if mem.data in direct or not rect:
-                fork_ok = False
-                fork_dims.pop(mem.data, None)
-            else:
-                fork_dims[mem.data] = (k, c, offset, tuple(mem.subset.ranges))
             direct.add(mem.data)
+            chunk_dims.append((mem, k))
         else:
+            # Direct outputs are written in place while other chunks
+            # run: every read of one must stay clear of the elements
+            # other chunks write.
+            clash = next((
+                (e.data, mem) for e in reads for mem, k in chunk_dims
+                if mem.data == e.data.data
+                and not _chunk_local_read(e.data.subset, mem.subset, k, all_params)
+            ), None)
+            if clash is not None:
+                read, mem = clash
+                verdict.reasons.append(
+                    f"map reads {mem.data!r}[{read.subset}], which other "
+                    f"chunks may write through [{mem.subset}]"
+                )
+                continue
             # WCR footprints need no disjointness, but the offsets must
             # not reference the chunked parameter's *siblings* in a way
             # we cannot privatize — full privatization makes any WCR
@@ -898,8 +949,6 @@ def analyze_map_parallelism(sdfg, state, entry) -> MapParallelism:
             verdict.param = param
             verdict.wcr_merge = dict(wcr_merge)
             verdict.direct = direct
-            verdict.fork_ok = bool(fork_ok) and set(fork_dims) == direct
-            verdict.fork_dims = fork_dims if verdict.fork_ok else {}
             verdict.reasons = []
             return verdict
         verdict.reasons.extend(reasons)

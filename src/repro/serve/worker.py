@@ -61,18 +61,12 @@ MAX_PROGRAMS = 32
 
 
 def _rss_kb() -> Optional[int]:
-    """Peak resident set size in KiB (None where unavailable), including
-    any live parallel-tier fork workers this process spawned — they are
-    separate processes the supervisor's recycling budget would otherwise
-    never see."""
+    """Peak resident set size in KiB (None where unavailable)."""
     if resource is None:
         return None
     usage = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     # Linux reports KiB, macOS bytes.
-    rss = int(usage // 1024) if sys.platform == "darwin" else int(usage)
-    from repro.runtime.parallel import live_pool_rss_kb
-
-    return rss + live_pool_rss_kb()
+    return int(usage // 1024) if sys.platform == "darwin" else int(usage)
 
 
 class WorkerRuntime:
@@ -114,7 +108,7 @@ class WorkerRuntime:
             _, evicted = self._programs.popitem(last=False)
             # The artifact may own a parallel worker pool; eviction is
             # the end of its life here, so tear the pool down instead of
-            # leaking threads/fork children until GC gets around to it.
+            # leaking its threads until GC gets around to it.
             try:
                 evicted.close()
             except Exception:  # noqa: BLE001 - eviction must not fail a request
@@ -145,13 +139,12 @@ class WorkerRuntime:
     def handle(self, job: Dict[str, Any]) -> Dict[str, Any]:
         op = job.get("op")
         if op == "ping":
-            from repro.runtime.parallel import live_pool_count, live_worker_pids
+            from repro.runtime.parallel import live_pool_count
 
             return protocol.ok_response(
                 op="pong", served=self.served, rss_kb=_rss_kb(),
                 uptime=round(time.monotonic() - self.started, 6),
                 pools=live_pool_count(),
-                pool_workers=len(live_worker_pids()),
             )
         if op in ("compile", "execute", "isolated_call"):
             injected = self._maybe_inject_fault(job)

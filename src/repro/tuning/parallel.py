@@ -174,13 +174,32 @@ def _tune_cutout_worker(
         return _error_outcome(payload, err)
 
 
+def exit_with_parent() -> None:
+    """Worker initializer: exit when the parent process dies.
+
+    An executor's workers block reading a task queue whose write end
+    they inherited, so they never see EOF when the parent is killed;
+    left alone they would outlive it and hold its pipes open.  A daemon
+    thread waits on the parent's sentinel instead.
+    """
+    import multiprocessing
+    import threading
+    from multiprocessing.connection import wait
+
+    sentinel = multiprocessing.parent_process().sentinel
+
+    def watch() -> None:
+        wait([sentinel])
+        os._exit(1)
+
+    threading.Thread(target=watch, name="exit-with-parent", daemon=True).start()
+
+
 def _fan_out(payloads: List[Dict[str, Any]], workers: int) -> List[Dict[str, Any]]:
     """Tune the payloads on a process pool, one outcome per payload in
     order; a payload lost with a dead worker is an error outcome."""
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
-
-    from repro.runtime.parallel import exit_with_parent
 
     ctx = multiprocessing.get_context(
         "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"

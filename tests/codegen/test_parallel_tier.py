@@ -8,38 +8,28 @@ at the barrier — and conflict-free/integer-WCR kernels must be
 *bitwise* identical between 1 worker and N workers.
 """
 
-import multiprocessing
-import os
-import signal
-import subprocess
-import sys
-import textwrap
 import time
 
 import numpy as np
 import pytest
 
 from repro.codegen.compiler import compile_sdfg
+from repro.codegen.options import resolve_options
 from repro.chaos import uninstall_engine
 from repro.runtime.parallel import (
+    MIN_CHUNK,
     MapWorkerPool,
     ParallelConfig,
     live_pool_count,
-    live_worker_pids,
 )
 from repro.workloads import kernels
 
-TIERS = ("auto", "thread", "fork")
-SRC = os.path.realpath(os.path.join(os.path.dirname(__file__), "..", "..", "src"))
+#: Spellings of the one thread tier.
+TIERS = ("auto", "thread")
 
 
 def _compile_parallel(sdfg, tier="auto", workers=3, **kw):
-    return compile_sdfg(
-        sdfg,
-        backend="python",
-        parallel=ParallelConfig(workers=workers, tier=tier),
-        **kw,
-    )
+    return compile_sdfg(sdfg, backend="python", parallel=f"{tier}:{workers}", **kw)
 
 
 # =====================================================================
@@ -308,11 +298,11 @@ class TestPoolLifecycle:
         assert parallel, "expected parallel:* telemetry events"
         ev = parallel[0]
         assert ev.fields.get("chunks", 0) >= 2
-        assert ev.fields.get("tier") in ("thread", "fork", "inline")
+        assert ev.fields.get("tier") in ("thread", "inline")
 
 
 # =====================================================================
-# Fallbacks: a pool that cannot start, a fork worker that dies
+# Fallbacks: a pool that cannot start
 # =====================================================================
 
 
@@ -332,23 +322,10 @@ def _matmul_case():
     return kernels.matmul_sdfg(), data, {}, {"C": kernels.matmul_reference(data)}
 
 
-def _syrk_case():
-    from repro.workloads.polybench import get
-
-    kernel = get("syrk")
-    sizes = dict(kernel.sizes)
-    data = kernel.make_data(sizes)
-    ref = {k: v.copy() for k, v in data.items()}
-    kernel.ref_numpy(ref, sizes)
-    symbols = {s: sizes[s] for s in kernel.extra_symbols}
-    return kernel.make_sdfg(), data, symbols, {o: ref[o] for o in kernel.outputs}
-
-
 class TestPoolFallbacks:
     @pytest.mark.parametrize("action", ["raise", "raise-io"])
     @pytest.mark.parametrize(
-        "case, spec", [(_matmul_case, "thread:2"), (_syrk_case, "fork:2")],
-        ids=["thread-matmul", "fork-syrk"],
+        "case, spec", [(_matmul_case, "thread:2")], ids=["thread-matmul"],
     )
     def test_pool_spawn_failure_runs_inline(self, faults, case, spec, action):
         sdfg, data, symbols, expected = case()
@@ -361,85 +338,9 @@ class TestPoolFallbacks:
             c.close()
         assert stats["runs"] == 1
         assert stats["fallbacks"] == 1
-        assert stats["thread_runs"] == stats["fork_runs"] == 0
+        assert stats["thread_runs"] == 0
         for name, ref in expected.items():
             np.testing.assert_allclose(data[name], ref, rtol=1e-8, atol=1e-10)
-
-    def test_killed_fork_worker_reruns_inline_then_forks_fresh(self, tmp_path):
-        marker = tmp_path / "kill-one-worker"
-        pool = MapWorkerPool(ParallelConfig(workers=2, tier="fork"))
-        pool.register_functions({"_chunk_dies_once": _chunk_dies_once})
-        expected = np.arange(16) * 2.0
-
-        def fork_run():
-            out = np.zeros(16)
-            run = pool.run(_chunk_dies_once, 0, 16, 1, (out, str(marker)),
-                           tier="fork")
-            assert run.tier == "fork" and run.copyback
-            for lo, hi, ret in run.parts:
-                out[lo:hi] = ret[0][0]
-            np.testing.assert_allclose(out, expected, rtol=1e-8)
-            return live_worker_pids()
-
-        try:
-            first = fork_run()
-            assert len(first) == 2 and pool.stats["fork_respawns"] == 2
-
-            marker.touch()
-            out = np.zeros(16)
-            run = pool.run(_chunk_dies_once, 0, 16, 1, (out, str(marker)),
-                           tier="fork")
-            assert run.tier == "inline" and not marker.exists()
-            np.testing.assert_allclose(out, expected, rtol=1e-8)
-            assert pool.stats["fallbacks"] == 1
-            for pid in first:  # the broken executor's workers are reaped
-                with pytest.raises(ProcessLookupError):
-                    os.kill(pid, 0)
-
-            fresh = fork_run()
-            assert len(fresh) == 2 and not set(fresh) & set(first)
-            assert pool.stats["fork_runs"] == 2
-            assert pool.stats["fork_respawns"] == 4
-        finally:
-            pool.close()
-        for pid in fresh:
-            with pytest.raises(ProcessLookupError):
-                os.kill(pid, 0)
-
-    def test_fork_workers_exit_with_their_parent(self):
-        """A process SIGKILLed while it holds a live fork pool leaves no
-        fork worker behind (they would hold its pipes open)."""
-        script = textwrap.dedent("""
-            import time
-            from repro.codegen.compiler import compile_sdfg
-            from repro.runtime.parallel import live_worker_pids
-            from repro.workloads.polybench import get
-
-            kernel = get("syrk")
-            sizes = dict(kernel.sizes)
-            c = compile_sdfg(kernel.make_sdfg(), backend="python",
-                             parallel="fork:2")
-            c(**kernel.make_data(sizes),
-              **{s: sizes[s] for s in kernel.extra_symbols})
-            assert c._pool.stats["fork_runs"] >= 1
-            print(*live_worker_pids(), flush=True)
-            time.sleep(60)
-        """)
-        proc = subprocess.Popen(
-            [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
-            env=dict(os.environ, PYTHONPATH=SRC),
-        )
-        try:
-            pids = [int(p) for p in proc.stdout.readline().split()]
-        finally:
-            proc.kill()
-            proc.wait()
-            proc.stdout.close()
-        assert len(pids) == 2
-        deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline and not all(map(_gone, pids)):
-            time.sleep(0.05)
-        assert all(map(_gone, pids)), "fork workers outlived their parent"
 
 
 # =====================================================================
@@ -459,51 +360,89 @@ class TestMapWorkerPool:
                 assert (lo2 - start) % step == 0
         pool.close()
 
-    def test_forced_fork_never_escalates_thread_only_chunks(self):
-        """A chunk emitted for the thread tier mutates shared arrays in
-        place; a fork-forcing pool config must keep it on threads."""
-        data = kernels.matmul_data(24)
-        ref = kernels.matmul_reference(data)
-        c = _compile_parallel(kernels.matmul_sdfg(), "fork")
-        try:
-            c(**data)
-            assert c._pool.stats["fork_runs"] == 0
-            assert c._pool.stats["thread_runs"] >= 1
-        finally:
-            c.close()
-        np.testing.assert_allclose(data["C"], ref, rtol=1e-8, atol=1e-10)
-
     def test_single_chunk_runs_inline(self):
-        pool = MapWorkerPool(ParallelConfig(workers=4, min_chunk=1000))
-        res = pool.run(_double_chunk, 0, 10, 1, (np.arange(10.0),))
-        assert res.tier == "inline"
+        pool = MapWorkerPool(ParallelConfig(workers=4))
+        arr = np.arange(float(MIN_CHUNK))
+        assert pool.run(_double_chunk, 0, MIN_CHUNK, 1, (arr,)) == [()]
         assert pool.stats["inline_runs"] == 1
+        np.testing.assert_array_equal(arr, np.arange(float(MIN_CHUNK)) * 2.0)
         pool.close()
+
+
+    def test_a_failing_chunk_raises_after_every_chunk_finished(self):
+        def chunk(lo, hi, out):
+            if lo == 0:
+                raise ValueError("boom")
+            time.sleep(0.05)
+            out[lo:hi] = 1.0
+            return ()
+
+        pool = MapWorkerPool(ParallelConfig(workers=2))
+        out = np.zeros(4)
+        try:
+            with pytest.raises(ValueError, match="boom"):
+                pool.run(chunk, 0, 4, 1, (out,))
+        finally:
+            pool.close()
+        assert out.tolist() == [0.0, 0.0, 1.0, 1.0]
 
 
 def _double_chunk(lo, hi, arr):
     arr[lo:hi] *= 2.0
-    return ((), ())
+    return ()
 
 
-def _chunk_dies_once(lo, hi, out, marker):
-    """Doubles ``[lo, hi)`` into ``out``; in a fork worker, the first
-    chunk to claim ``marker`` SIGKILLs its own process instead."""
-    if multiprocessing.parent_process() is not None:
-        try:
-            os.unlink(marker)
-        except FileNotFoundError:
-            pass
-        else:
-            os.kill(os.getpid(), signal.SIGKILL)
-    out[lo:hi] = np.arange(lo, hi) * 2.0
-    return ((out[lo:hi],), ())
+# =====================================================================
+# The gate: reads of written containers
+# =====================================================================
 
 
-def _gone(pid):
-    """``pid`` has exited (an unreaped orphan counts: it is a zombie)."""
-    try:
-        with open(f"/proc/{pid}/stat") as f:
-            return f.read().rpartition(")")[2].split()[0] == "Z"
-    except FileNotFoundError:
-        return True
+def _w703(sdfg):
+    c = compile_sdfg(sdfg, backend="python", parallel=2, cache="off")
+    c.close()
+    return [w.message for w in c.codegen_warnings if w.code == "W703"]
+
+
+class TestReadGate:
+    def test_own_row_and_other_plane_reads_stay_parallel(self):
+        """jacobi-2d reads plane ``t % 2`` and writes ``(t + 1) % 2``;
+        adi's sweeps read their own row.  Neither touches another
+        chunk's writes."""
+        from repro.workloads.polybench import get
+
+        for sdfg in (kernels.jacobi2d_sdfg(), get("adi").make_sdfg()):
+            assert not [m for m in _w703(sdfg) if "other chunks" in m]
+
+    def test_read_of_another_chunks_row_is_refused(self):
+        from repro.workloads.polybench import get
+
+        messages = _w703(get("floyd-warshall").make_sdfg())
+        assert any("map reads 'paths'[k, j], which other chunks may write"
+                   in m for m in messages), messages
+
+
+# =====================================================================
+# The one tier: worker count only, the old fork tier rejected
+# =====================================================================
+
+
+class TestParallelSpec:
+    @pytest.mark.parametrize("spec", [3, "3", "thread:3", "auto:3",
+                                      {"workers": 3, "tier": "auto"}])
+    def test_every_spelling_is_a_worker_count(self, spec):
+        assert ParallelConfig.parse(spec) == ParallelConfig(workers=3)
+        assert ParallelConfig.parse(spec).key_fragment() == "w3"
+
+    def test_compile_rejects_fork_naming_cpp(self):
+        with pytest.raises(ValueError, match="cpp"):
+            compile_sdfg(kernels.matmul_sdfg(), backend="python", parallel="fork:2")
+
+    def test_env_rejects_fork_naming_cpp(self, monkeypatch):
+        monkeypatch.setenv("REPRO_PARALLEL", "fork:2")
+        with pytest.raises(ValueError, match="REPRO_PARALLEL.*cpp"):
+            resolve_options()
+
+    def test_dict_rejects_fork_naming_cpp(self):
+        with pytest.raises(ValueError, match="cpp"):
+            compile_sdfg(kernels.matmul_sdfg(), backend="python",
+                         parallel={"tier": "fork"})

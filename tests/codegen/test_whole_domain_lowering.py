@@ -732,7 +732,7 @@ def test_parallel_tier_is_worker_count_invariant(name):
     for workers in (1, 2, 5):
         comp = compile_sdfg(
             make(), backend="python",
-            parallel=ParallelConfig(workers=workers, tier="thread"),
+            parallel=ParallelConfig(workers=workers),
         )
         try:
             assert comp._pool is not None

@@ -2,13 +2,12 @@
 passthrough, per-artifact pool ownership, LRU-eviction teardown, and —
 the CI gate — no worker-pool leak across 50 requests."""
 
+import threading
 import time
 
 import numpy as np
-import pytest
 
-from repro.runtime.parallel import live_pool_count, live_worker_pids
-from repro.runtime.watchdog import RetryPolicy
+from repro.runtime.parallel import live_pool_count
 from repro.serve import protocol
 from repro.serve.pool import WorkerPool
 from repro.serve.worker import WorkerRuntime
@@ -27,18 +26,8 @@ def _matmul_job(n=24, **extra):
     return job, data
 
 
-def _spmv_job(**extra):
-    """A fork-tier request: spmv's loop body takes the fork tier."""
-    data, csr = kernels.spmv_data(32, 4)
-    job = {
-        "op": "execute",
-        "sdfg": kernels.spmv_sdfg().to_json(),
-        "arrays": protocol.encode_arrays(data),
-        "symbols": {"H": 32, "W": 32, "nnz": csr.nnz},
-        "parallel": "fork:2",
-    }
-    job.update(extra)
-    return job
+def _pool_threads():
+    return {t for t in threading.enumerate() if t.name.startswith("pmap-")}
 
 
 class TestParallelRequests:
@@ -75,8 +64,18 @@ class TestParallelRequests:
         rt.handle(dict(job))
         ping = rt.handle({"op": "ping"})
         assert ping["pools"] >= 1
-        assert "pool_workers" in ping
         assert ping["rss_kb"] is None or ping["rss_kb"] > 0
+
+    def test_fork_spec_is_a_request_error(self):
+        """The removed fork tier is the caller's mistake (E202, naming
+        cpp), and the worker goes on serving."""
+        job, _ = _matmul_job(parallel="fork:2")
+        with WorkerPool(size=1) as pool:
+            resp = pool.submit(job)
+            ping = pool.submit({"op": "ping"})
+        assert resp["status"] == "error" and resp["code"] == "E202", resp
+        assert "cpp" in resp["message"]
+        assert ping["status"] == "ok" and ping["op"] == "pong"
 
 
 class TestPoolLeakGate:
@@ -107,40 +106,21 @@ class TestPoolLeakGate:
         assert len(rt._programs) == worker_mod.MAX_PROGRAMS
         assert live_pool_count() - before <= worker_mod.MAX_PROGRAMS
 
-    def test_no_fork_worker_processes_leak(self):
-        """Fork-tier requests (spmv) must not leave orphan children
-        after their artifacts are torn down."""
+    def test_no_pool_threads_leak(self):
+        """Over 50 served requests (LRU evictions included) and a final
+        close of every artifact, no pool thread outlives its pool."""
+        before = _pool_threads()
+        baseline = live_pool_count()
         rt = WorkerRuntime()
-        job = _spmv_job()
-        for _ in range(5):
-            r = rt.handle(dict(job))
+        job, _ = _matmul_job(parallel=2)
+        for i in range(50):
+            r = rt.handle(dict(job, tenant=f"t{i}"))
             assert r["status"] == "ok"
-        pids_live = set(live_worker_pids())
-        assert len(pids_live) == 2
-        # Tear every artifact down the way recycling would.
+        assert _pool_threads() - before
         for compiled in rt._programs.values():
             compiled.close()
-        assert live_worker_pids() == []
-        import os
-
-        for pid in pids_live:
-            with pytest.raises(ProcessLookupError):
-                os.kill(pid, 0)
-
-    def test_worker_crash_after_fork_request_is_a_prompt_death(
-            self, monkeypatch, tmp_path):
-        """A serve worker that dies while it owns fork workers is
-        reported as a death at once, not as a timeout at the deadline:
-        its fork workers exit with it and release its response pipe."""
-        monkeypatch.setenv("REPRO_CRASH_DIR", str(tmp_path))
-        with WorkerPool(size=1, fault_injection=True,
-                        retry=RetryPolicy(retries=0)) as pool:
-            ok = pool.submit(_spmv_job())
-            assert ok["status"] == "ok", ok
-            assert pool.submit({"op": "ping"})["pool_workers"] == 2
-            t0 = time.monotonic()
-            resp = pool.submit(_spmv_job(inject_fault="segv"), timeout=60.0)
-            elapsed = time.monotonic() - t0
-        assert resp["status"] == "error"
-        assert resp["code"] == "E201", resp
-        assert elapsed < 10.0
+        assert live_pool_count() == baseline
+        deadline = time.monotonic() + 5.0
+        while _pool_threads() - before and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert not _pool_threads() - before

@@ -17,11 +17,12 @@ from repro.tuning.cache import TuningCache
 # builds stay warm with no schema bump.  The program pins were re-recorded
 # at CODEGEN_VERSION 6 (every two-operand contraction is one ``@``), which
 # is part of every program key and entry, so programs generated by
-# version-5 builds are deliberately cold; the tuning pins predate the store.
-PROGRAM_KEY = "71ca591187e20e72e440ca1f5e6de8b5223a0ada4792d5a190ec7e7410f78db5"
-PROGRAM_KEY_VARIANT = "a1b0e1ef2db4b3c22eaf620d69ee4e921b631adc61094507d8e74262bff400b0"
+# version-5 builds are deliberately cold; re-recorded again at version 7
+# (one thread tier).  The tuning pins predate the store.
+PROGRAM_KEY = "7ed41d250acbef98c0bb05f73bcd58f5bc3673fed10c7570e8200d33b667aba2"
+PROGRAM_KEY_VARIANT = "3297f979a3f3a6ff46f9c35cd489ded22b350ee00b2a2fa0ebb38cfba818fe3b"
 TUNING_KEY = "a6e0cfb9b97890493e3b38fe58d9ca424f63b75cd61a759ab119bb44c9250aae"
-PROGRAM_ENTRY_SHA = "eb51e8689d6840673b51fff2159bbf5c4d752336028aeb20d5faa9dae1ba2359"
+PROGRAM_ENTRY_SHA = "97ad18ad2c5da21fa64df40a58be25ebb50fcdc25a66e6f265c885822163b8b3"
 TUNING_ENTRY_SHA = "471abd604466f76b1cf682b9379a65768e9e5c1768102b8f4ef6eed5d5fd38f3"
 
 

@@ -23,11 +23,19 @@ from repro.tuning import (
     tune_cutouts,
 )
 from repro.workloads import kernels
-from tests.codegen.test_parallel_tier import _gone
 
 LINKS = 3
 SIZE = 8
 SRC = os.path.realpath(os.path.join(os.path.dirname(__file__), "..", "..", "src"))
+
+
+def _gone(pid):
+    """``pid`` has exited (an unreaped orphan counts: it is a zombie)."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rpartition(")")[2].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
 
 
 def _chain():
