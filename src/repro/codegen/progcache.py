@@ -42,7 +42,8 @@ from repro.store import Store, content_key
 #: products into integer containers of non-integer values take the loop.
 #: v7: one thread tier: chunk functions return only their WCR partials, and
 #: the parallel variant key names the worker count alone.
-CODEGEN_VERSION = 7
+#: v8: only NumPy-tier maps get chunk functions, behind the work floor.
+CODEGEN_VERSION = 8
 
 #: Entry file layout version; mismatched files are deleted as misses.
 CACHE_SCHEMA_VERSION = 1

@@ -64,6 +64,13 @@ from repro.symbolic import Expr, Integer, Symbol
 from repro.symbolic.expr import Add, Ge, Gt, Le, Lt, Mul, Not
 from repro.symbolic.sets import linear_coefficient
 
+#: Lowering tiers the parallel tier does not chunk, and why.  Every other
+#: tier is NumPy array work that releases the GIL.
+_UNCHUNKED_TIERS = {
+    "loop": "a pure-Python body holds the GIL, so threads cannot overlap it",
+    "contraction": "one BLAS call, which is threaded already",
+}
+
 #: Cooperative cancellation: the watchdog can kill a runaway interstate
 #: loop at every iteration.
 _CHECKPOINT = "if __guard is not None: __guard.checkpoint()"
@@ -557,7 +564,8 @@ class PythonGenerator:
         self, sdfg, state, entry, body, order, scope_dict, verdict, args
     ):
         """Emit the module-level chunk function executing one ``[lo, hi)``
-        slice of the chunked parameter's domain; returns its name.  The
+        slice of the chunked parameter's domain; returns its name, or
+        None when the chunked body does not lower to a NumPy tier.  The
         function writes direct outputs in place and returns its private
         WCR partials."""
         containers, conns, syms = args
@@ -580,21 +588,6 @@ class PythonGenerator:
         for data in sorted(verdict.wcr_merge):
             rtype = verdict.wcr_merge[data]
             buf.line(f"{data} = _wcr_identity_like({data}, {rtype.name!r})")
-            self._need_wcr_identity = True
-        # Interior scratch transients are function-level allocations the
-        # chunks would otherwise share — each chunk must work on a
-        # private copy.
-        scratch = {
-            node.data
-            for node in self._scope_subtree(state, entry, scope_dict)
-            if isinstance(node, AccessNode)
-            and state.in_edges(node)
-            and sdfg.arrays.get(node.data) is not None
-            and sdfg.arrays[node.data].transient
-        }
-        for data in sorted(scratch - set(verdict.wcr_merge) - verdict.direct):
-            if data in containers:
-                buf.line(f"{data} = {data}.copy()")
         from repro.symbolic.sets import Range as SymRange, Subset
 
         saved = m.range
@@ -602,16 +595,15 @@ class PythonGenerator:
         chunked[pidx] = SymRange(Symbol("__lo"), Symbol("__hi"), rng.step)
         m.range = Subset(chunked)
         try:
-            if not self._try_vectorized_map(
-                sdfg, state, entry, body, buf, order, scope_dict
-            ):
-                self._emit_map_serial(
-                    sdfg, state, entry, body, buf, order, scope_dict, params=()
-                )
-            wcrs = ", ".join(sorted(verdict.wcr_merge))
-            buf.line(f"return ({wcrs}{',' if wcrs else ''})")
+            self._lower_whole_domain(sdfg, state, entry, body, buf, order, scope_dict)
+        except (_Reject, CodegenError):
+            return None
         finally:
             m.range = saved
+        if verdict.wcr_merge:
+            self._need_wcr_identity = True
+        wcrs = ", ".join(sorted(verdict.wcr_merge))
+        buf.line(f"return ({wcrs}{',' if wcrs else ''})")
         buf.dedent()
         self._functions.append(buf.getvalue())
         return fname
@@ -619,33 +611,41 @@ class PythonGenerator:
     def _try_parallel_map(
         self, sdfg, state, entry, body, buf, order, scope_dict, params
     ) -> bool:
-        """Emit the chunked multicore lowering when the map carries a
-        disjointness proof; returns False (and records a W703 diagnostic)
-        when it does not, so the caller falls back to the serial tiers."""
+        """Emit a map that carries a disjointness proof: its serial
+        lowering, inside a chunked multicore branch when that lowering
+        took a NumPy tier that releases the GIL and is not threaded
+        already (a W703 names the tier otherwise).  Returns False, so
+        the caller emits the serial tiers, when the parallel tier is off,
+        the map is nested, or the proof fails (with a W703)."""
         if self.parallel is None or params:
             return False
-        from repro.diagnostics import Severity, make_diagnostic
         from repro.sdfg.validation import analyze_map_parallelism
 
         verdict = analyze_map_parallelism(sdfg, state, entry)
         if not verdict.eligible:
-            self.diagnostics.append(
-                make_diagnostic(
-                    "W703",
-                    f"map {entry.map.label!r} is not provably parallelizable; "
-                    f"lowering serially: {'; '.join(verdict.reasons)}",
-                    Severity.WARNING,
-                    sdfg=sdfg,
-                    state=state,
-                    node=entry,
-                )
+            return self._keep_serial(
+                sdfg, state, entry, "is not provably parallelizable; lowering "
+                f"serially: {'; '.join(verdict.reasons)}",
             )
-            return False
-
-        args = self._parallel_chunk_args(sdfg, state, entry, scope_dict)
-        fname = self._emit_parallel_chunk_fn(
-            sdfg, state, entry, body, order, scope_dict, verdict, args
+        serial = CodeBuffer()
+        self._emit_map_serial(
+            sdfg, state, entry, body, serial, order, scope_dict, params
         )
+        tier = self._lowering[id(entry)]["tier"]
+        fname = None
+        if tier not in _UNCHUNKED_TIERS:
+            args = self._parallel_chunk_args(sdfg, state, entry, scope_dict)
+            fname = self._emit_parallel_chunk_fn(
+                sdfg, state, entry, body, order, scope_dict, verdict, args
+            )
+        if fname is None:
+            why = _UNCHUNKED_TIERS.get(tier, "its chunks do not vectorize")
+            self._keep_serial(
+                sdfg, state, entry,
+                f"lowers to the {tier!r} tier ({why}); lowering serially",
+            )
+            buf.lines(serial.getvalue())
+            return True
         containers, conns, syms = args
         m = entry.map
         rng = m.range.ranges[m.params.index(verdict.param)]
@@ -654,8 +654,9 @@ class PythonGenerator:
         # through so checkpoints keep firing inside chunks.
         call_args = containers + conns + list(syms) + ["None", "__guard"]
         args_src = ", ".join(call_args) + ","
+        points = pycode(m.num_iterations())
         buf.line(f"# parallel map {label}: chunked over {verdict.param}")
-        with buf.block("if __pool is not None:"):
+        with buf.block(f"if __pool is not None and __pool.accepts({points}):"):
             buf.line(
                 f"__pres = __pool.run({fname}, {pycode(rng.start)}, "
                 f"{pycode(rng.end)}, {pycode(rng.step)}, ({args_src}), "
@@ -670,10 +671,24 @@ class PythonGenerator:
                         buf.line(f"{ufunc}({data}, __pret[{i}], out={data})")
             buf.line(f"__pool.note_merge({label!r}, time.perf_counter() - __tm)")
         with buf.block("else:"):
-            self._emit_map_serial(
-                sdfg, state, entry, body, buf, order, scope_dict, params
-            )
+            buf.lines(serial.getvalue())
         return True
+
+    def _keep_serial(self, sdfg, state, entry, reason: str) -> bool:
+        """Record the W703 that says why a map is not chunked."""
+        from repro.diagnostics import Severity, make_diagnostic
+
+        self.diagnostics.append(
+            make_diagnostic(
+                "W703",
+                f"map {entry.map.label!r} {reason}",
+                Severity.WARNING,
+                sdfg=sdfg,
+                state=state,
+                node=entry,
+            )
+        )
+        return False
 
     def _emit_consume(self, sdfg, state, entry, body, buf, order, scope_dict, params):
         consume = entry.consume

@@ -75,7 +75,7 @@ CODES: Dict[str, str] = {
     # --- codegen performance degradations (W7xx, warnings)
     "W701": "custom WCR reduction lowered through the scalar loop path",
     "W702": "fast lowering tier disabled by the sanitizer",
-    "W703": "map not provably parallelizable; degraded from the parallel tier",
+    "W703": "map kept serial by the parallel tier (no disjointness proof, or a loop or contraction body)",
     # --- code generation (CGxxx)
     "CG001": "expression not renderable as Python",
     "CG002": "expression not renderable as C++",

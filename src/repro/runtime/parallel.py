@@ -6,10 +6,12 @@ domain of proof-carrying conflict-free maps (see
 :class:`~concurrent.futures.ThreadPoolExecutor` owned by the
 :class:`~repro.codegen.compiler.CompiledSDFG` that the lowering belongs
 to.  NumPy's ufunc inner loops release the GIL, so chunks of vectorized
-bodies genuinely overlap.  Maps with pure-Python loop bodies gain
-nothing from threads; the cpp backend runs them in parallel, as the
-paper does, through the ``#pragma omp parallel for`` its generated C++
-carries.
+bodies genuinely overlap; the generator chunks no other map.  Maps with
+pure-Python loop bodies gain nothing from threads; the cpp backend runs
+them in parallel, as the paper does, through the ``#pragma omp parallel
+for`` its generated C++ carries.
+Each run of a chunkable map asks :meth:`MapWorkerPool.accepts` whether
+it carries :data:`WORK_FLOOR` points per worker; if not, it runs serially.
 
 A chunk function receives the half-open chunk ``[lo, hi)`` of the
 chunked parameter plus the containers/symbols it needs, writes its
@@ -48,11 +50,11 @@ __all__ = [
     "shutdown_all_pools",
 ]
 
-#: Chunks per worker: more trades scheduling slack against merge work.
-CHUNKS_PER_WORKER = 1
-#: Smallest chunk the partitioner cuts, in iterations of the chunked
-#: parameter: smaller domains do not amortize a dispatch.
-MIN_CHUNK = 2
+#: Domain points per worker below which a map runs its serial lowering:
+#: smaller chunks do not pay for a dispatch and a merge.  Calibrated on a
+#: slice-tier map at two workers against serial (DESIGN §14); a pool
+#: reads it when it is built.
+WORK_FLOOR = 131072
 
 
 # =====================================================================
@@ -62,15 +64,16 @@ MIN_CHUNK = 2
 
 class ParallelConfig:
     """The parallel tier's one knob: ``workers``, the number of pool
-    threads (0 or less means all cores).  It is measured by
-    :class:`repro.tuning.cost.MeasuredCost` and surfaces in the program
-    cache's variant key."""
+    threads (None means all cores).  It surfaces in the program cache's
+    variant key."""
 
     __slots__ = ("workers",)
 
-    def __init__(self, workers: int = 0):
-        if workers <= 0:
+    def __init__(self, workers: Optional[int] = None):
+        if workers is None:
             workers = os.cpu_count() or 1
+        if int(workers) < 1:
+            raise ValueError(f"a pool needs at least one worker, not {workers}")
         self.workers = int(workers)
 
     # ------------------------------------------------------------- identity
@@ -82,11 +85,12 @@ class ParallelConfig:
     def parse(spec: Any) -> Optional["ParallelConfig"]:
         """Coerce a user-facing ``parallel=`` value into a config.
 
-        Accepted: ``None``/``False``/``0`` and the off spellings of a
-        flag (disabled), ``True`` and the on spellings (all cores), an
-        int worker count, a config instance, a dict ``{"workers": N}``,
-        or a string ``"[tier:]workers"`` (``"4"``, ``"thread:4"``,
-        ``"auto"``).  ``thread`` and ``auto`` name the one tier.
+        Accepted: ``None``/``False`` and the off spellings of a flag
+        (disabled), ``True`` and the on spellings (all cores), an int
+        worker count, a config instance, a dict ``{"workers": N}``, or a
+        string ``"[tier:]workers"`` (``"4"``, ``"thread:4"``, ``"auto"``).
+        ``thread`` and ``auto`` name the one tier.  A count of 0 is off
+        in every spelling; a missing count means all cores.
         """
         if spec is None or spec is False:
             return None
@@ -95,7 +99,7 @@ class ParallelConfig:
         if spec is True:
             return ParallelConfig()
         if isinstance(spec, int):
-            return ParallelConfig(workers=spec) if spec > 0 else None
+            return _from_count(spec)
         if isinstance(spec, dict):
             unknown = set(spec) - {"workers", "tier"}
             if unknown:
@@ -103,10 +107,10 @@ class ParallelConfig:
                     f"unknown parallel field(s) {sorted(unknown)}; use 'workers'"
                 )
             _check_tier(spec.get("tier", "thread"))
-            return ParallelConfig(workers=int(spec.get("workers", 0)))
+            return _from_count(spec.get("workers"))
         if isinstance(spec, str):
             text = spec.strip().lower()
-            if text in ("", "0", "off", "false", "no", "none"):
+            if text in ("", "off", "false", "no", "none"):
                 return None
             if text in ("true", "on", "yes"):
                 return ParallelConfig()
@@ -117,7 +121,7 @@ class ParallelConfig:
             if count in ("", "auto"):
                 return ParallelConfig()
             if count.isdigit():
-                return ParallelConfig(workers=int(count))
+                return _from_count(count)
         raise ValueError(f"cannot interpret parallel spec {spec!r}")
 
     def __eq__(self, other: object) -> bool:
@@ -128,6 +132,14 @@ class ParallelConfig:
 
     def __repr__(self) -> str:
         return f"ParallelConfig(workers={self.workers})"
+
+
+def _from_count(count: Any) -> Optional[ParallelConfig]:
+    """All cores for a missing count; off for a count of 0 or less."""
+    if count is None:
+        return ParallelConfig()
+    count = int(count)
+    return ParallelConfig(workers=count) if count > 0 else None
 
 
 def _check_tier(tier: Any) -> None:
@@ -188,9 +200,14 @@ class MapWorkerPool:
         self.config = config
         self.name = name
         self.closed = False
+        #: Smallest map, in points, that :meth:`accepts` chunks.
+        workers = config.workers
+        self._floor = WORK_FLOOR * workers if workers > 1 else float("inf")
         self._lock = threading.Lock()
         self._executor = None
-        #: Monotonic counters surfaced through telemetry and tests.
+        #: Monotonic counters surfaced through telemetry and tests:
+        #: ``runs`` counts chunked runs; ``inline_runs`` counts maps run
+        #: without threads (refused by :meth:`accepts`, or one chunk).
         self.stats: Dict[str, int] = {
             "runs": 0,
             "chunks": 0,
@@ -213,8 +230,7 @@ class MapWorkerPool:
         n = len(range(start, stop, step))
         if n == 0:
             return []
-        chunks = min(self.config.workers * CHUNKS_PER_WORKER, max(1, n // MIN_CHUNK))
-        chunks = max(1, min(chunks, n))
+        chunks = min(self.config.workers, n)
         out: List[Tuple[int, int]] = []
         base, extra = divmod(n, chunks)
         idx = 0
@@ -225,6 +241,17 @@ class MapWorkerPool:
         return out
 
     # ----------------------------------------------------------------- run
+    def accepts(self, points: int) -> bool:
+        """Whether a map of ``points`` domain points runs chunked on this
+        pool.  A closed pool, a one-worker pool and a map under
+        :data:`WORK_FLOOR` points per worker do not take it: the
+        generated code runs the serial lowering instead, counted in
+        ``stats["inline_runs"]``."""
+        if points < self._floor:
+            self.stats["inline_runs"] += 1
+            return False
+        return True
+
     def run(
         self,
         fn: Callable,
@@ -235,10 +262,9 @@ class MapWorkerPool:
         label: str = "map",
     ) -> List[Any]:
         """Execute ``fn`` over the chunked domain; returns the chunk
-        results in chunk order.  Runs inline when the pool is closed or
-        the domain yields a single chunk, and falls back to inline
-        (counted in ``stats["fallbacks"]``) when the executor cannot be
-        created."""
+        results in chunk order.  Runs inline when the domain yields a
+        single chunk, and falls back to inline (counted in
+        ``stats["fallbacks"]``) when the executor cannot be created."""
         chunks = self.partition(start, stop, step)
         t0 = time.perf_counter()
         self.stats["runs"] += 1
@@ -247,7 +273,7 @@ class MapWorkerPool:
         busy = 0.0
         parts = None
         tier = "inline"
-        if self.closed or len(chunks) <= 1 or self.config.workers <= 1:
+        if len(chunks) <= 1:
             self.stats["inline_runs"] += 1
         else:
             executor = self._start_executor()
@@ -312,8 +338,10 @@ class MapWorkerPool:
     # ------------------------------------------------------------ executor
     def _start_executor(self):
         """The executor, created on first use; None when it cannot be
-        created."""
+        created or the pool is closed."""
         with self._lock:
+            if self.closed:
+                return None
             if self._executor is None:
                 from concurrent.futures import ThreadPoolExecutor
 
@@ -329,11 +357,12 @@ class MapWorkerPool:
 
     # ------------------------------------------------------------ teardown
     def close(self) -> None:
-        """Tear the executor down.  Idempotent; a closed pool still
-        executes (inline), so late calls through a cached entry stay
-        correct."""
+        """Tear the executor down.  Idempotent; a closed pool accepts no
+        map, so late calls through a cached entry run the serial
+        lowering and stay correct."""
         with self._lock:
             self.closed = True
+            self._floor = float("inf")
             executor, self._executor = self._executor, None
         if executor is not None:
             # A pool may be dropped from one of its own threads (GC).

@@ -253,20 +253,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "(default: benchmarks/baselines)",
     )
     parser.add_argument(
-        "--tiers",
-        action="store_true",
-        help="instead of searching transformations, measure the python "
-        "backend's serial / vectorized / parallel lowering tiers of the "
-        "kernel and report the fastest (with the compile knobs that "
-        "select it)",
-    )
-    parser.add_argument(
-        "--workers",
-        metavar="N[,N...]",
-        help="parallel worker counts to try with --tiers "
-        "(default: 2 and the host core count)",
-    )
-    parser.add_argument(
         "--list", action="store_true", help="list tunable kernels and exit"
     )
     args = parser.parse_args(argv)
@@ -282,30 +268,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         except (OSError, ValueError, KeyError) as err:
             print(f"error: {err}", file=sys.stderr)
             return 1
-    if args.tiers:
-        kernel = args.kernel or args.command
-        if not kernel:
-            parser.print_usage()
-            return 2
-        from repro.tuning import tune_tiers
-
-        try:
-            sdfg = make_kernel_sdfg(kernel)
-        except KeyError as err:
-            print(f"error: {err.args[0]}", file=sys.stderr)
-            return 1
-        workers = None
-        if args.workers:
-            workers = [int(n) for n in args.workers.split(",") if n.strip()]
-        tiers = tune_tiers(sdfg, workers=workers)
-        print(tiers.render())
-        if args.report:
-            import json
-
-            with open(args.report, "w") as f:
-                json.dump(tiers.to_json(), f, indent=2)
-            print(f"saved tier report to {args.report}", file=sys.stderr)
-        return 0 if tiers.best is not None else 1
     if not args.command or not args.kernel:
         parser.print_usage()
         return 2

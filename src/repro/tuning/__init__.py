@@ -47,7 +47,6 @@ from repro.tuning.cutout import (
 )
 from repro.tuning.parallel import CUTOUT_POOL_EXCLUDED, cutout_pool, tune_cutouts
 from repro.tuning.report import CandidateRecord, TuningReport, history_label
-from repro.tuning.tiers import TierCandidate, TierResult, tune_tiers
 from repro.tuning.search import (
     DEFAULT_POOL_EXCLUDED,
     TuningConfig,
@@ -76,13 +75,10 @@ __all__ = [
     "extract_scope_cutout",
     "extract_state_cutout",
     "extract_state_cutouts",
-    "TierCandidate",
-    "TierResult",
     "group_cutouts",
     "grouping_hash",
     "history_label",
     "resolve_provider",
     "tune",
     "tune_cutouts",
-    "tune_tiers",
 ]

@@ -76,8 +76,6 @@ class MeasuredCost(CostProvider):
         repeats: int = 3,
         backend: str = "python",
         program_cache: Any = "memory",
-        vectorize: bool = True,
-        parallel: Any = None,
     ):
         self.inputs = dict(inputs) if inputs is not None else None
         self.symbol_default = symbol_default
@@ -89,24 +87,13 @@ class MeasuredCost(CostProvider):
         #: cache makes those re-scores skip codegen entirely.  Pass
         #: ``"off"`` to opt out, or a ProgramCache instance to isolate.
         self.program_cache = program_cache
-        #: Python-backend lowering tiers to measure under: disable the
-        #: vectorized tier and/or enable the multicore map tier (any
-        #: ``ParallelConfig.parse`` spec), so ``tune()`` can compare
-        #: serial-vs-vectorized-vs-parallel artifacts of one graph.
-        self.vectorize = vectorize
-        from repro.runtime.parallel import ParallelConfig
-
-        self.parallel = ParallelConfig.parse(parallel)
 
     def key(self) -> str:
         if self.inputs is None:
             data = f"synth:d{self.symbol_default}:s{self.seed}"
         else:
             data = f"inputs:{_inputs_fingerprint(self.inputs)}"
-        tier = "" if self.vectorize else ":novec"
-        if self.parallel is not None:
-            tier += f":par={self.parallel.key_fragment()}"
-        return f"measured:{self.backend}:r{self.repeats}{tier}:{data}"
+        return f"measured:{self.backend}:r{self.repeats}:{data}"
 
     def score(self, sdfg) -> float:
         from repro.codegen.compiler import compile_sdfg
@@ -124,8 +111,6 @@ class MeasuredCost(CostProvider):
             backend=self.backend,
             validate=True,
             cache=self.program_cache,
-            vectorize=self.vectorize,
-            parallel=self.parallel,
         )
         best = float("inf")
         try:
@@ -163,26 +148,17 @@ class AnalyticCost(CostProvider):
         symbols: Optional[Mapping[str, int]] = None,
         symbol_default: int = 1024,
         naive_fpga: bool = False,
-        cores: int = 1,
-        parallel_overhead: float = 5e-4,
     ):
         self.machine = machine
         self.symbols = dict(symbols) if symbols else {}
         self.symbol_default = symbol_default
         self.naive_fpga = naive_fpga
-        #: Multicore map tier model: an idealized linear-scaling bound —
-        #: model time divided by ``cores`` plus a fixed per-run pool
-        #: dispatch/merge overhead.  ``cores=1`` (default) leaves the
-        #: roofline time untouched.
-        self.cores = max(1, int(cores))
-        self.parallel_overhead = parallel_overhead
 
     def key(self) -> str:
         syms = ",".join(f"{k}={v}" for k, v in sorted(self.symbols.items()))
-        cores = f":p{self.cores}" if self.cores > 1 else ""
         return (
             f"analytic:{self.machine}:d{self.symbol_default}"
-            f":naive{int(self.naive_fpga)}{cores}:{syms}"
+            f":naive{int(self.naive_fpga)}:{syms}"
         )
 
     def score(self, sdfg) -> float:
@@ -200,10 +176,7 @@ class AnalyticCost(CostProvider):
         for s in sorted(set(sdfg.free_symbols()) | set(sdfg.symbols)):
             if s not in symbols and s not in sdfg.constants:
                 symbols[s] = self.symbol_default
-        t = float(sim(sdfg, self.machine, symbols, self.naive_fpga).time)
-        if self.cores > 1:
-            t = t / self.cores + self.parallel_overhead
-        return t
+        return float(sim(sdfg, self.machine, symbols, self.naive_fpga).time)
 
 
 def resolve_provider(

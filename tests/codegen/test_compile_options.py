@@ -105,14 +105,14 @@ def test_warm_served_request_reads_no_environment(monkeypatch):
 
 
 # Recorded with the code before compile options were resolved in one
-# place, and re-recorded at CODEGEN_VERSION 7 (part of every key; the
-# parallel variant fragment became the worker count alone): the keys must
-# not move by a byte.
+# place, re-recorded at CODEGEN_VERSION 7 (part of every key; the
+# parallel variant fragment became the worker count alone) and at 8 (the
+# generator decides which maps to chunk): the keys must not move by a byte.
 @pytest.mark.parametrize("kwargs,key", [
     (dict(cache_namespace="tenant-a", sanitize=True, vectorize=False),
-     "abccc9cbb9964603bd05835f99713deadb567a9f7dd1ee97065092c17fb27596"),
+     "5522ebe0037cd02b7a81febec0ec19630f9494d5b7fd0526abfc399df76f552c"),
     (dict(vectorize=False, parallel="thread:2"),
-     "ff5d81a7d84a942e81c6573a903ed52ffc02dec6d411252c7dcb74c82a60a731"),
+     "c6e9533d5c20a5990af2512b4a5d40fdafc541b8f6c306e768b382dab7c48b99"),
 ], ids=["namespace-sanitize-novec", "novec-parallel"])
 def test_program_cache_key_is_pinned(kwargs, key):
     compiled = compile_sdfg(kernels.matmul_sdfg(), cache=ProgramCache(), **kwargs)

@@ -2,6 +2,9 @@
 kernel and every ``repro.workloads.kernels`` program, at each
 ``parallel=`` spec, against its NumPy reference at 1e-8.
 
+Three registry kernels run again at sizes other than the registry's.
+The work floor is patched to 0, so every chunkable map runs chunked.
+
 The four programs whose maps read a container they also accumulate into
 (cholesky, lu, nussinov, trmm) are checked against the interpreter too:
 the parallelism gate must refuse those maps rather than privatize the
@@ -16,18 +19,29 @@ from repro.codegen.compiler import compile_sdfg
 from repro.runtime import SDFGInterpreter
 from repro.workloads import kernels, polybench
 
+pytestmark = pytest.mark.usefixtures("no_work_floor")
+
 SPECS = (None, "thread:1", "thread:2", "auto")
 #: Program -> the container its maps read and accumulate into.
 INTERPRETED = {"cholesky": "A", "lu": "A", "nussinov": "table", "trmm": "B"}
 
 
-def _polybench_case(name):
+#: Row id -> (registry kernel, sizes overriding the registry's).
+RESIZED = {
+    "atax@40x44": ("atax", {"NI": 40, "NJ": 44}),
+    "mvt@48": ("mvt", {"NI": 48}),
+    "jacobi-2d@20x3": ("jacobi-2d", {"N": 20, "TSTEPS": 3}),
+}
+
+
+def _polybench_case(name, overrides=None):
     kernel = polybench.get(name)
-    inputs = kernel.make_data(kernel.sizes)
+    sizes = {**kernel.sizes, **(overrides or {})}
+    inputs = kernel.make_data(sizes)
     ref = {k: v.copy() for k, v in inputs.items()}
-    kernel.ref_numpy(ref, kernel.sizes)
+    kernel.ref_numpy(ref, sizes)
     for sym in kernel.extra_symbols:
-        inputs[sym] = kernel.sizes[sym]
+        inputs[sym] = sizes[sym]
     return kernel.make_sdfg, inputs, {o: ref[o] for o in kernel.outputs}
 
 
@@ -63,6 +77,8 @@ PROGRAMS = tuple(polybench.all_kernels()) + KERNEL_PROGRAMS
 def _case(name):
     if name in KERNEL_PROGRAMS:
         return _kernel_case(name)
+    if name in RESIZED:
+        return _polybench_case(*RESIZED[name])
     return _polybench_case(name)
 
 
@@ -90,7 +106,7 @@ def test_registry_is_the_whole_corpus():
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=str)
-@pytest.mark.parametrize("name", PROGRAMS)
+@pytest.mark.parametrize("name", PROGRAMS + tuple(RESIZED))
 def test_matches_numpy_reference(name, spec):
     make_sdfg, inputs, expected = _case(name)
     compiled = compile_sdfg(make_sdfg(), backend="python", parallel=spec,
@@ -101,6 +117,8 @@ def test_matches_numpy_reference(name, spec):
     finally:
         compiled.close()
     _check(name, got, expected, "numpy reference")
+    if spec == "thread:2" and "# parallel map" in compiled.source:
+        assert compiled._pool.stats["thread_runs"] >= 1, compiled._pool.stats
 
 
 _ORACLE = {}

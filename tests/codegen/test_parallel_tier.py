@@ -17,12 +17,11 @@ from repro.codegen.compiler import compile_sdfg
 from repro.codegen.options import resolve_options
 from repro.chaos import uninstall_engine
 from repro.runtime.parallel import (
-    MIN_CHUNK,
     MapWorkerPool,
     ParallelConfig,
     live_pool_count,
 )
-from repro.workloads import kernels
+from repro.workloads import kernels, polybench
 
 #: Spellings of the one thread tier.
 TIERS = ("auto", "thread")
@@ -37,6 +36,7 @@ def _compile_parallel(sdfg, tier="auto", workers=3, **kw):
 # =====================================================================
 
 
+@pytest.mark.usefixtures("no_work_floor")
 class TestFundamentalKernelFidelity:
     @pytest.mark.parametrize("tier", TIERS)
     def test_matmul(self, tier):
@@ -109,49 +109,11 @@ class TestFundamentalKernelFidelity:
 
 
 # =====================================================================
-# PolyBench subset through the parallel tier
-# =====================================================================
-
-POLYBENCH_SUBSET = {
-    "gemm": {},
-    "atax": {"NI": 40, "NJ": 44},
-    "mvt": {"NI": 48},
-    "jacobi-2d": {"N": 20, "TSTEPS": 3},
-    "syrk": {},
-}
-
-
-@pytest.mark.parametrize("name", sorted(POLYBENCH_SUBSET))
-def test_polybench_parallel_matches_numpy_reference(name):
-    from repro.workloads.polybench import get
-
-    kernel = get(name)
-    sizes = dict(kernel.sizes)
-    sizes.update(POLYBENCH_SUBSET[name])
-    data = kernel.make_data(sizes)
-    data_ref = {k: v.copy() for k, v in data.items()}
-
-    c = _compile_parallel(kernel.make_sdfg(), "auto")
-    try:
-        kwargs = dict(data)
-        for sym in kernel.extra_symbols:
-            kwargs[sym] = sizes[sym]
-        c(**kwargs)
-    finally:
-        c.close()
-    kernel.ref_numpy(data_ref, sizes)
-    for out in kernel.outputs:
-        np.testing.assert_allclose(
-            data[out], data_ref[out], rtol=1e-8, atol=1e-9,
-            err_msg=f"{name}: parallel tier vs numpy reference",
-        )
-
-
-# =====================================================================
 # 1 worker == N workers, bitwise
 # =====================================================================
 
 
+@pytest.mark.usefixtures("no_work_floor")
 class TestWorkerCountInvariance:
     """Conflict-free elementwise maps and integer-WCR merges must be
     bitwise identical no matter how the domain was chunked."""
@@ -232,6 +194,7 @@ class TestSanitizerDegradation:
 # =====================================================================
 
 
+@pytest.mark.usefixtures("no_work_floor")
 class TestPoolLifecycle:
     def test_close_is_idempotent_and_degrades_inline(self):
         data = kernels.matmul_data(16)
@@ -241,9 +204,10 @@ class TestPoolLifecycle:
         c.close()
         c.close()
         assert pool.closed
-        c(**data)  # closed pool: inline path, still correct
+        c(**data)  # a closed pool accepts no map: the serial lowering runs
         np.testing.assert_allclose(data["C"], ref, rtol=1e-8, atol=1e-10)
         assert pool.stats["inline_runs"] >= 1
+        assert pool.stats["thread_runs"] == 0 and pool._executor is None
 
     def test_cache_hit_reattaches_a_fresh_pool(self):
         cfg = ParallelConfig(workers=2)
@@ -322,6 +286,7 @@ def _matmul_case():
     return kernels.matmul_sdfg(), data, {}, {"C": kernels.matmul_reference(data)}
 
 
+@pytest.mark.usefixtures("no_work_floor")
 class TestPoolFallbacks:
     @pytest.mark.parametrize("action", ["raise", "raise-io"])
     @pytest.mark.parametrize(
@@ -362,12 +327,11 @@ class TestMapWorkerPool:
 
     def test_single_chunk_runs_inline(self):
         pool = MapWorkerPool(ParallelConfig(workers=4))
-        arr = np.arange(float(MIN_CHUNK))
-        assert pool.run(_double_chunk, 0, MIN_CHUNK, 1, (arr,)) == [()]
+        arr = np.ones(1)
+        assert pool.run(_double_chunk, 0, 1, 1, (arr,)) == [()]
         assert pool.stats["inline_runs"] == 1
-        np.testing.assert_array_equal(arr, np.arange(float(MIN_CHUNK)) * 2.0)
+        np.testing.assert_array_equal(arr, [2.0])
         pool.close()
-
 
     def test_a_failing_chunk_raises_after_every_chunk_finished(self):
         def chunk(lo, hi, out):
@@ -446,3 +410,96 @@ class TestParallelSpec:
         with pytest.raises(ValueError, match="cpp"):
             compile_sdfg(kernels.matmul_sdfg(), backend="python",
                          parallel={"tier": "fork"})
+
+    @pytest.mark.parametrize("spec", [0, "0", "thread:0", "auto:0",
+                                      {"workers": 0}, {"workers": 0, "tier": "auto"}])
+    def test_zero_workers_is_off_in_every_spelling(self, spec, monkeypatch):
+        from repro.serve.worker import WorkerRuntime
+        from repro.serve import protocol
+
+        assert ParallelConfig.parse(spec) is None
+        if isinstance(spec, str):
+            monkeypatch.setenv("REPRO_PARALLEL", spec)
+            assert resolve_options().parallel is None
+        # An explicit 0 is off even when the environment asks for a pool.
+        monkeypatch.setenv("REPRO_PARALLEL", "2")
+        c = compile_sdfg(kernels.matmul_sdfg(), backend="python",
+                         parallel=spec, cache="off")
+        c.close()
+        assert c._pool is None
+        rt = WorkerRuntime()
+        resp = rt.handle({
+            "op": "execute", "sdfg": kernels.matmul_sdfg().to_json(),
+            "arrays": protocol.encode_arrays(kernels.matmul_data(8)),
+            "symbols": {"M": 8, "K": 8, "N": 8}, "parallel": spec,
+        })
+        assert resp["status"] == "ok", resp
+        assert [p._pool for p in rt._programs.values()] == [None]
+
+
+# =====================================================================
+# The tier rule and the work floor
+# =====================================================================
+
+
+class TestChunkRule:
+    @pytest.mark.parametrize("name, tier", [("syrk", "loop"),
+                                            ("gemm", "contraction")])
+    def test_unchunked_tiers_get_no_chunk_function(self, name, tier):
+        """A loop body holds the GIL and a contraction is one BLAS call:
+        a map of either tier stays serial, though the gate accepts it,
+        and its W703 names the tier."""
+        from repro.sdfg.nodes import MapEntry
+        from repro.sdfg.validation import analyze_map_parallelism
+
+        sdfg = polybench.get(name).make_sdfg()
+        c = compile_sdfg(sdfg, backend="python", parallel=2, cache="off")
+        c.close()
+        labels = {row["map"] for row in c.lowering if row["tier"] == tier}
+        accepted = [
+            node.map.label
+            for state in sdfg.nodes() for node in state.nodes()
+            if isinstance(node, MapEntry) and node.map.label in labels
+            and analyze_map_parallelism(sdfg, state, node).eligible
+        ]
+        assert accepted
+        for label in accepted:
+            assert f"# parallel map {label}:" not in c.source
+            assert any(w.code == "W703"
+                       and f"map {label!r} lowers to the {tier!r} tier" in w.message
+                       for w in c.codegen_warnings), c.codegen_warnings
+
+
+class TestWorkFloor:
+    def test_auto_makes_no_threaded_run_on_the_corpus(self):
+        """At the calibrated floor, no corpus program at its registry or
+        small size carries enough work per worker to be chunked."""
+        from bench.programs import corpus
+
+        programs = corpus(0, np.random.default_rng(0))
+        assert len(programs) == 36
+        for program in programs:
+            c = compile_sdfg(program.make_sdfg(), backend="python",
+                             parallel="auto", cache="off", fallback=False)
+            try:
+                got = program.fresh()
+                c(**got)
+                stats = dict(c._pool.stats)
+            finally:
+                c.close()
+            assert program.verify(got), program.name
+            assert stats["thread_runs"] == 0, (program.name, stats)
+
+    @pytest.mark.parametrize("side, threaded", [(64, False), (1024, True)])
+    def test_histogram_is_chunked_above_the_floor_only(self, side, threaded):
+        data = kernels.histogram_data(side, side)
+        ref = kernels.histogram_reference(data["img"], 256)
+        c = compile_sdfg(kernels.histogram_sdfg(), backend="python",
+                         parallel="thread:2", cache="off")
+        try:
+            c(**data)
+            stats = dict(c._pool.stats)
+        finally:
+            c.close()
+        np.testing.assert_array_equal(data["hist"], ref)
+        assert (stats["thread_runs"] >= 1) is threaded, stats

@@ -720,6 +720,7 @@ def test_instrumented_tasklets_keep_the_loop_tier(name):
 
 
 # ============================================================== parallel tier
+@pytest.mark.usefixtures("no_work_floor")
 @pytest.mark.parametrize("name", ["jacobi2d", "spmv"])
 def test_parallel_tier_is_worker_count_invariant(name):
     if name == "jacobi2d":

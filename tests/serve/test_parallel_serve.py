@@ -6,6 +6,7 @@ import threading
 import time
 
 import numpy as np
+import pytest
 
 from repro.runtime.parallel import live_pool_count
 from repro.serve import protocol
@@ -78,6 +79,7 @@ class TestParallelRequests:
         assert ping["status"] == "ok" and ping["op"] == "pong"
 
 
+@pytest.mark.usefixtures("no_work_floor")
 class TestPoolLeakGate:
     def test_no_pool_leak_across_50_requests(self):
         """The CI gate: 50 warm parallel executes reuse ONE pool; the

@@ -18,11 +18,12 @@ from repro.tuning.cache import TuningCache
 # at CODEGEN_VERSION 6 (every two-operand contraction is one ``@``), which
 # is part of every program key and entry, so programs generated by
 # version-5 builds are deliberately cold; re-recorded again at version 7
-# (one thread tier).  The tuning pins predate the store.
-PROGRAM_KEY = "7ed41d250acbef98c0bb05f73bcd58f5bc3673fed10c7570e8200d33b667aba2"
-PROGRAM_KEY_VARIANT = "3297f979a3f3a6ff46f9c35cd489ded22b350ee00b2a2fa0ebb38cfba818fe3b"
+# (one thread tier) and 8 (the generator decides which maps to chunk).
+# The tuning pins predate the store.
+PROGRAM_KEY = "fe9fdc0f28bdbb2571c37e4de4f89409c35532cbd32a672fbad2c05d22835629"
+PROGRAM_KEY_VARIANT = "112dbfb48025079e029d166ba9df01d961c8df283ee8399eff9849c8559aea8a"
 TUNING_KEY = "a6e0cfb9b97890493e3b38fe58d9ca424f63b75cd61a759ab119bb44c9250aae"
-PROGRAM_ENTRY_SHA = "97ad18ad2c5da21fa64df40a58be25ebb50fcdc25a66e6f265c885822163b8b3"
+PROGRAM_ENTRY_SHA = "a496f697896c05cfcb63054c75f7c834f59ded3904d874b882b7c0b3c9bdf280"
 TUNING_ENTRY_SHA = "471abd604466f76b1cf682b9379a65768e9e5c1768102b8f4ef6eed5d5fd38f3"
 
 
