@@ -2,7 +2,6 @@
 kernel and every ``repro.workloads.kernels`` program, at each
 ``parallel=`` spec, against its NumPy reference at 1e-8.
 
-Three registry kernels run again at sizes other than the registry's.
 The work floor is patched to 0, so every chunkable map runs chunked.
 
 The four programs whose maps read a container they also accumulate into
@@ -26,22 +25,13 @@ SPECS = (None, "thread:1", "thread:2", "auto")
 INTERPRETED = {"cholesky": "A", "lu": "A", "nussinov": "table", "trmm": "B"}
 
 
-#: Row id -> (registry kernel, sizes overriding the registry's).
-RESIZED = {
-    "atax@40x44": ("atax", {"NI": 40, "NJ": 44}),
-    "mvt@48": ("mvt", {"NI": 48}),
-    "jacobi-2d@20x3": ("jacobi-2d", {"N": 20, "TSTEPS": 3}),
-}
-
-
-def _polybench_case(name, overrides=None):
+def _polybench_case(name):
     kernel = polybench.get(name)
-    sizes = {**kernel.sizes, **(overrides or {})}
-    inputs = kernel.make_data(sizes)
+    inputs = kernel.make_data(kernel.sizes)
     ref = {k: v.copy() for k, v in inputs.items()}
-    kernel.ref_numpy(ref, sizes)
+    kernel.ref_numpy(ref, kernel.sizes)
     for sym in kernel.extra_symbols:
-        inputs[sym] = sizes[sym]
+        inputs[sym] = kernel.sizes[sym]
     return kernel.make_sdfg, inputs, {o: ref[o] for o in kernel.outputs}
 
 
@@ -77,8 +67,6 @@ PROGRAMS = tuple(polybench.all_kernels()) + KERNEL_PROGRAMS
 def _case(name):
     if name in KERNEL_PROGRAMS:
         return _kernel_case(name)
-    if name in RESIZED:
-        return _polybench_case(*RESIZED[name])
     return _polybench_case(name)
 
 
@@ -106,7 +94,7 @@ def test_registry_is_the_whole_corpus():
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=str)
-@pytest.mark.parametrize("name", PROGRAMS + tuple(RESIZED))
+@pytest.mark.parametrize("name", PROGRAMS)
 def test_matches_numpy_reference(name, spec):
     make_sdfg, inputs, expected = _case(name)
     compiled = compile_sdfg(make_sdfg(), backend="python", parallel=spec,

@@ -109,6 +109,44 @@ class TestFundamentalKernelFidelity:
 
 
 # =====================================================================
+# PolyBench subset through the parallel tier
+# =====================================================================
+
+POLYBENCH_SUBSET = {
+    "gemm": {},
+    "atax": {"NI": 40, "NJ": 44},
+    "mvt": {"NI": 48},
+    "jacobi-2d": {"N": 20, "TSTEPS": 3},
+    "syrk": {},
+}
+
+
+@pytest.mark.usefixtures("no_work_floor")
+@pytest.mark.parametrize("name", sorted(POLYBENCH_SUBSET))
+def test_polybench_parallel_matches_numpy_reference(name):
+    kernel = polybench.get(name)
+    sizes = dict(kernel.sizes)
+    sizes.update(POLYBENCH_SUBSET[name])
+    data = kernel.make_data(sizes)
+    data_ref = {k: v.copy() for k, v in data.items()}
+
+    c = _compile_parallel(kernel.make_sdfg(), "auto")
+    try:
+        kwargs = dict(data)
+        for sym in kernel.extra_symbols:
+            kwargs[sym] = sizes[sym]
+        c(**kwargs)
+    finally:
+        c.close()
+    kernel.ref_numpy(data_ref, sizes)
+    for out in kernel.outputs:
+        np.testing.assert_allclose(
+            data[out], data_ref[out], rtol=1e-8, atol=1e-9,
+            err_msg=f"{name}: parallel tier vs numpy reference",
+        )
+
+
+# =====================================================================
 # 1 worker == N workers, bitwise
 # =====================================================================
 
