@@ -5,7 +5,7 @@ thousands of mixed cold/warm requests (plus a sprinkle of injected
 worker deaths) at an embedded daemon with a crash-isolated pool.  The
 assertions are the health invariants — every healthy request succeeds,
 the daemon survives — and the latency percentiles (cold vs warm p50 /
-p99), per-kernel percentiles, cache hit rates, and shed/error counts
+p99), per-kernel percentiles, cache hit rates, and error counts
 land in ``BENCH_serve.json`` when ``REPRO_BENCH_REPORTS`` is set.
 
 That JSON doubles as the perf-drift baseline: the same run refreshes
@@ -68,7 +68,7 @@ def test_serve_mixed_load_bench():
     assert warm["p50"] <= cold["p50"], (warm, cold)
 
     # Telemetry baseline fields (ISSUE 7): per-kernel percentiles for
-    # the drift detector, cache hit rates, and shed/error tallies.
+    # the drift detector, cache hit rates, and error tallies.
     kernels = report["kernels"]
     assert kernels, "warm kernels must yield per-kernel percentile series"
     for name, series in kernels.items():
@@ -77,7 +77,7 @@ def test_serve_mixed_load_bench():
     cache = report["cache"]
     assert cache["artifact_hits"] > 0, cache
     assert 0 < cache["artifact_hit_rate"] <= 1.0, cache
-    assert healthy["errors"] == 0 and healthy["shed"] == 0, healthy
+    assert healthy["errors"] == 0, healthy
 
     # The injected faults really happened and were contained.
     assert "E201" in report["faults"]["codes"]

@@ -209,18 +209,16 @@ class CompiledSDFG:
     def _invoke(self, arrays, symbols, recorder, guard):
         """Run the entry with crash containment: contained backend
         crashes are retried with backoff, then degrade to the next
-        backend in the chain at call time; watchdog violations feed the
-        circuit breaker and re-raise."""
+        backend in the chain at call time; a watchdog violation is
+        recorded as an ``R805`` hop on this artifact and re-raised."""
         from repro.runtime.isolation import BackendCrashError
-        from repro.runtime.watchdog import BREAKERS, RetryPolicy, WatchdogViolation
+        from repro.runtime.watchdog import WatchdogViolation
 
-        policy = None  # built on the first contained crash only
         attempt = 0
         while True:
             try:
-                result = self._call_entry(arrays, symbols, recorder, guard)
+                return self._call_entry(arrays, symbols, recorder, guard)
             except WatchdogViolation as err:
-                BREAKERS.record_failure(self.backend, code="R805")
                 self.degradation.append(_hop(
                     self.backend, None, err, code="R805",
                     reason=err.diagnostic.message.splitlines()[0],
@@ -229,20 +227,15 @@ class CompiledSDFG:
             except BackendCrashError as err:
                 # The crash was contained by the isolation harness and
                 # the caller's arrays are intact: retry, then degrade.
-                if policy is None:
-                    policy = RetryPolicy.from_env()
+                from repro.runtime.watchdog import CALL_RETRY as policy
+
                 if attempt < policy.retries:
                     time.sleep(policy.delay(attempt))
                     attempt += 1
                     continue
-                BREAKERS.record_failure(self.backend, code=err.code)
                 if not self._degrade_at_call(err, attempt + 1):
                     raise
                 attempt = 0
-                continue
-            if self.backend == "cpp":
-                BREAKERS.record_success("cpp")
-            return result
 
     def _degrade_at_call(self, err, attempts: int) -> bool:
         """Swap in the next backend's artifact after a call-time crash.
@@ -353,7 +346,6 @@ def compile_sdfg(
     deadline: Optional[float] = None,
     memory_budget: Optional[int] = None,
     isolate: bool = True,
-    cache_namespace: Optional[str] = None,
     vectorize: bool = True,
     parallel: Any = None,
 ) -> CompiledSDFG:
@@ -388,10 +380,6 @@ def compile_sdfg(
     * ``isolate`` — run cpp artifacts on the crash-containing harness
       worker of :mod:`repro.runtime.isolation` (default on; ``False``
       loads the library into this process).
-    * ``cache_namespace`` — tenant namespace mixed into the program
-      cache variant key, so one tenant's cached programs never hit for
-      (or are poisoned by) another tenant's identically-shaped graph
-      (used by the :mod:`repro.serve` worker pool).
 
     Python-backend lowering tiers (see :mod:`repro.runtime.parallel`):
 
@@ -406,16 +394,13 @@ def compile_sdfg(
       down.  Ignored (with a W702 diagnostic) under ``sanitize``.
       Loop-bodied maps run in parallel on ``backend="cpp"`` (OpenMP).
 
-    Backends whose circuit breaker is open (repeated call-time crashes
-    or watchdog kills) are skipped with a recorded hop.
-
     Every knob and ``REPRO_PROFILE`` are resolved once, by
     :func:`~repro.codegen.options.resolve_options`, into the artifact's
     ``options``.
     """
     options = resolve_options(
         backend, validate, fallback, cache, sanitize, deadline, memory_budget,
-        isolate, cache_namespace, vectorize, parallel,
+        isolate, vectorize, parallel,
     )
     return compile_with(sdfg, options, recorder)
 
@@ -426,7 +411,6 @@ def compile_with(
     """:func:`compile_sdfg` on already-resolved options (the serve worker
     resolves first, to key its artifacts on the record)."""
     from repro.codegen.progcache import program_key
-    from repro.runtime.watchdog import BREAKERS
     from repro.symbolic import memo as _symmemo
 
     backend = options.backend
@@ -470,23 +454,6 @@ def compile_with(
             hops: List[Dict[str, Optional[str]]] = []
             current = backend
             while True:
-                nxt_open = DEGRADATION_CHAIN.get(current)
-                if options.fallback and nxt_open is not None and BREAKERS.is_open(current):
-                    n = BREAKERS.failures(current)
-                    hops.append(
-                        {
-                            "from": current,
-                            "to": nxt_open,
-                            "error": "CircuitBreakerOpen",
-                            "code": BREAKERS.last_code(current) or "E201",
-                            "reason": f"circuit breaker open after {n} failures",
-                            "message": f"backend {current!r} skipped: circuit "
-                            f"breaker open after {n} consecutive call-time "
-                            "failures",
-                        }
-                    )
-                    current = nxt_open
-                    continue
                 t0 = time.perf_counter()
                 try:
                     compiled = _compile_backend(sdfg, current, options)

@@ -45,7 +45,6 @@ class CompileOptions:
     deadline: Optional[float] = None
     memory_budget: Optional[int] = None
     isolate: bool = True
-    cache_namespace: Optional[str] = None
     vectorize: bool = True
     parallel: Any = None  # as requested: the generator reports W702 under sanitize
     profile: bool = False  # REPRO_PROFILE: time every top-level call
@@ -60,10 +59,6 @@ class CompileOptions:
     def variant(self) -> str:
         """The program-cache variant key (empty for the defaults)."""
         parts = []
-        if self.cache_namespace:
-            from repro.codegen.progcache import safe_namespace
-
-            parts.append(f"ns={safe_namespace(self.cache_namespace)}")
         if self.sanitize:
             parts.append("sanitize")
         if not self.vectorize:
@@ -75,7 +70,7 @@ class CompileOptions:
 
 def resolve_options(backend="python", validate=True, fallback=True, cache=None,
                     sanitize=None, deadline=None, memory_budget=None, isolate=True,
-                    cache_namespace=None, vectorize=True, parallel=None) -> CompileOptions:
+                    vectorize=True, parallel=None) -> CompileOptions:
     """Resolve ``compile_sdfg``'s keyword arguments (same names and
     defaults) and their environment fallbacks into one record."""
     from repro.codegen import progcache
@@ -127,5 +122,4 @@ def resolve_options(backend="python", validate=True, fallback=True, cache=None,
 
     profile = parse_flag("REPRO_PROFILE", env.get("REPRO_PROFILE"))
     return CompileOptions(backend, validate, fallback, cache, sanitize, deadline,
-                          memory_budget, isolate, cache_namespace, vectorize,
-                          parallel, profile)
+                          memory_budget, isolate, vectorize, parallel, profile)

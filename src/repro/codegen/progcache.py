@@ -233,15 +233,14 @@ def _disk_cache(cache_dir: str) -> ProgramCache:
 
 
 def safe_namespace(namespace: str) -> str:
-    """Filesystem- and key-safe form of a tenant namespace.
+    """Filesystem-safe form of a tenant namespace.
 
     Dots are allowed mid-name, but a namespace that is *only* dots
     (``"."``, ``".."``) would traverse out of the cache root.
 
     The mapping must be **injective**: sanitizing alone would collapse
-    distinct tenants onto one directory and one variant key (``'a/b'``
-    and ``'a_b'`` both sanitize to ``'a_b'``), silently merging their
-    caches.  A short hash of the *raw* name is therefore always
+    distinct tenants onto one directory (``'a/b'`` and ``'a_b'`` both
+    sanitize to ``'a_b'``), silently merging their caches.  A short hash of the *raw* name is therefore always
     appended — tenant names are caller-chosen, so even a deliberately
     crafted name cannot collide with another tenant's namespace."""
     digest = hashlib.sha256(namespace.encode("utf-8")).hexdigest()[:8]

@@ -106,8 +106,6 @@ CODES: Dict[str, str] = {
     "R807": "tenant admission rejected: circuit breaker open",
     "R808": "tenant admission rejected: deadline budget exhausted",
     "R809": "service draining: request rejected during shutdown",
-    # --- service degradation (W8xx, warnings)
-    "W801": "service degraded under load: request options shed",
     # --- telemetry / performance regression (W9xx, warnings)
     "W901": "kernel timing drifted past its stored baseline",
     "W902": "kernel observed in telemetry but has no stored baseline",

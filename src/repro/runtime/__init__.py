@@ -8,8 +8,8 @@ the operational semantics of Appendix A used to cross-validate the code
 generators, the machine/performance models that stand in for the GPU and
 FPGA hardware of the paper's evaluation (see DESIGN.md §1), and the
 guarded-execution runtime: the dynamic memlet sanitizer (R801–R804), the
-resource watchdog (R805 deadlines, memory budgets, retries, circuit
-breakers), and the crash-isolation harness for native backends (E201).
+resource watchdog (R805 deadlines, memory budgets, retries), and the
+crash-isolation harness for native backends (E201).
 """
 
 from repro.runtime.arguments import ArgumentError, infer_symbols, validate_arguments
@@ -26,7 +26,6 @@ from repro.runtime.watchdog import (
     RetryPolicy,
     Watchdog,
     WatchdogViolation,
-    reset_breakers,
 )
 
 __all__ = [
@@ -44,6 +43,5 @@ __all__ = [
     "Watchdog",
     "WatchdogViolation",
     "infer_symbols",
-    "reset_breakers",
     "validate_arguments",
 ]

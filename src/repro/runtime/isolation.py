@@ -67,17 +67,8 @@ def crash_dir() -> str:
     return os.environ.get("REPRO_CRASH_DIR", "").strip() or ".repro_crashes"
 
 
-#: Default number of crash bundles each process keeps (newest first).
+#: Number of crash bundles each process keeps (newest first).
 DEFAULT_CRASH_KEEP = 50
-
-
-def crash_keep() -> int:
-    """``REPRO_CRASH_KEEP`` knob: bundles retained per process."""
-    raw = os.environ.get("REPRO_CRASH_KEEP", "").strip()
-    try:
-        return max(1, int(raw)) if raw else DEFAULT_CRASH_KEEP
-    except ValueError:
-        return DEFAULT_CRASH_KEEP
 
 
 #: Peak RSS (KiB) past which the harness worker is retired after its

@@ -17,9 +17,10 @@ component:
   request with jittered backoff.  :mod:`repro.runtime.isolation` runs
   isolated cpp calls through a one-worker pool of its own.
 * :mod:`repro.serve.admission` — per-tenant admission control: max
-  in-flight, rolling deadline budgets, circuit breakers with
-  single-probe half-open semantics, and load shedding that degrades
-  sanitize/instrumentation and backend tiers before failing anyone.
+  in-flight, rolling deadline budgets, and circuit breakers with
+  single-probe half-open semantics.  A request that passes runs as
+  asked; overload is refused with ``retry_after``, never served with
+  rewritten options.
 * :mod:`repro.serve.daemon` — the long-lived server
   (``python -m repro.serve``) gluing the above together.
 * :mod:`repro.serve.client` — a minimal blocking client.
@@ -30,7 +31,6 @@ component:
 from repro.serve.admission import (
     AdmissionController,
     AdmissionError,
-    LoadShedder,
     TenantPolicy,
 )
 from repro.serve.client import ServeClient
@@ -40,7 +40,6 @@ from repro.serve.pool import WorkerPool
 __all__ = [
     "AdmissionController",
     "AdmissionError",
-    "LoadShedder",
     "TenantPolicy",
     "ServeClient",
     "SDFGServer",

@@ -1,10 +1,10 @@
-"""Per-tenant admission control and graceful load degradation.
+"""Per-tenant admission control.
 
-PR 5 gave *backends* circuit breakers; a multi-tenant service needs the
-same reflex per **tenant**: the caller whose kernels keep segfaulting or
-blowing deadlines must be rejected fast — before consuming a worker —
-while every other tenant stays unaffected.  Three gates run, cheapest
-first, on every compile/execute request:
+A multi-tenant service needs a failure reflex per **tenant**: the
+caller whose kernels keep segfaulting or blowing deadlines must be
+rejected fast — before consuming a worker — while every other tenant
+stays unaffected.  Three gates run, cheapest first, on every
+compile/execute request:
 
 1. **circuit breaker** (``R807``) — consecutive contained failures
    (worker death ``E201``, watchdog ``R805``) open the tenant's breaker;
@@ -20,14 +20,10 @@ first, on every compile/execute request:
    with ``retry_after`` pointing at the oldest spend's expiry.
 
 Rejections are *cheap* by construction: a few dict lookups under one
-lock, no sockets, no workers, no compilation — the 429 path.
-
-:class:`LoadShedder` handles overload that admission lets through:
-rather than hard-failing a healthy tenant because the pool is busy, it
-degrades request *quality* in documented steps (shed the sanitizer's
-overhead first, then force the cheaper backend tiers down the
-cpp → python → interpreter chain), attaching a ``W801``
-diagnostic so clients can see what they lost.
+lock, no sockets, no workers, no compilation — the 429 path.  An
+admitted request is served as asked, never with rewritten options: it
+waits for a free worker, and the pool refuses it with ``R806`` when
+none frees up within its acquire timeout.
 """
 
 from __future__ import annotations
@@ -41,13 +37,161 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 from repro.chaos import faultpoint
 from repro.diagnostics import DiagnosticError, Severity, make_diagnostic
 from repro.instrumentation import InstrumentationRecorder
-from repro.runtime.watchdog import CircuitBreakerRegistry
 from repro.telemetry.sink import TelemetrySink
 
 #: Failure codes that charge a tenant's circuit breaker.  Validation
 #: errors and admission rejections do NOT: a tenant sending an invalid
 #: SDFG gets a precise error, not an open breaker.
 BREAKER_CODES = ("E201", "R805")
+
+
+#: Breaker states.  ``HALF_OPEN`` means the cooldown elapsed and exactly
+#: one probe request has been admitted; until that probe resolves every
+#: other caller is short-circuited as if the breaker were still open.
+CLOSED, OPEN, HALF_OPEN = "closed", "open", "half_open"
+
+
+class CircuitBreakerRegistry:
+    """Per-tenant failure counter with closed → open → half-open
+    semantics.
+
+    ``record_failure`` counts contained failures; once a key accumulates
+    its threshold of consecutive failures the breaker *opens* and
+    ``is_open`` returns True until its cooldown passes.  The first
+    ``is_open`` call after the cooldown moves the breaker to *half-open*
+    and admits that caller as the single probe (returns False);
+    concurrent callers keep getting True until the probe resolves —
+    ``record_success`` closes the breaker, ``record_failure`` re-opens
+    it immediately.  ``limits(key)`` returns the key's ``(threshold,
+    cooldown)``.  All transitions are thread-safe and observable via
+    :meth:`on_transition` listeners and the bounded :attr:`transitions`
+    log.
+    """
+
+    def __init__(self, limits: Callable[[str], Tuple[int, float]]):
+        self._lock = threading.RLock()
+        self._failures: Dict[str, int] = {}
+        self._last_code: Dict[str, str] = {}
+        self._opened_at: Dict[str, float] = {}
+        self._state: Dict[str, str] = {}
+        self._probe_inflight: Dict[str, bool] = {}
+        self._limits = limits
+        self._listeners: List[Callable[[str, str, str], None]] = []
+        #: Bounded log of ``(key, old_state, new_state)`` transitions.
+        self.transitions: List[Tuple[str, str, str]] = []
+
+    # -------------------------------------------------------- observation
+    def on_transition(self, listener: Callable[[str, str, str], None]) -> None:
+        """Register a ``listener(key, old_state, new_state)`` callback
+        (admission mirrors transitions as instrumentation events)."""
+        with self._lock:
+            self._listeners.append(listener)
+
+    def _transition(self, key: str, new_state: str) -> None:
+        old = self._state.get(key, CLOSED)
+        if old == new_state:
+            return
+        self._state[key] = new_state
+        if len(self.transitions) < 10000:
+            self.transitions.append((key, old, new_state))
+        for listener in list(self._listeners):
+            try:
+                listener(key, old, new_state)
+            except Exception:
+                continue
+
+    def state(self, key: str) -> str:
+        """Current breaker state (without side effects on it)."""
+        with self._lock:
+            return self._state.get(key, CLOSED)
+
+    # ----------------------------------------------------------- recording
+    def record_failure(self, key: str, code: Optional[str] = None) -> None:
+        with self._lock:
+            if code:
+                self._last_code[key] = code
+            if self._state.get(key) == HALF_OPEN:
+                # The probe failed: re-open immediately, full cooldown.
+                self._probe_inflight.pop(key, None)
+                self._failures[key] = self._failures.get(key, 0) + 1
+                self._opened_at[key] = time.monotonic()
+                self._transition(key, OPEN)
+                return
+            n = self._failures.get(key, 0) + 1
+            self._failures[key] = n
+            if n >= self._limits(key)[0] and key not in self._opened_at:
+                self._opened_at[key] = time.monotonic()
+                self._transition(key, OPEN)
+
+    def record_success(self, key: str) -> None:
+        with self._lock:
+            self._failures.pop(key, None)
+            self._opened_at.pop(key, None)
+            self._probe_inflight.pop(key, None)
+            self._transition(key, CLOSED)
+
+    # ------------------------------------------------------------- queries
+    def failures(self, key: str) -> int:
+        with self._lock:
+            return self._failures.get(key, 0)
+
+    def last_code(self, key: str) -> Optional[str]:
+        with self._lock:
+            return self._last_code.get(key)
+
+    def cooldown_remaining(self, key: str) -> float:
+        """Seconds until an open breaker will admit a probe (0 if it
+        already would, or is not open)."""
+        with self._lock:
+            opened = self._opened_at.get(key)
+            if opened is None or self._state.get(key) != OPEN:
+                return 0.0
+            return max(0.0, self._limits(key)[1] - (time.monotonic() - opened))
+
+    def is_open(self, key: str) -> bool:
+        """True when calls to ``key`` must be short-circuited.
+
+        An elapsed cooldown admits exactly one caller as the half-open
+        probe: that caller sees False, everyone else True until the
+        probe resolves through ``record_success``/``record_failure``.
+        """
+        with self._lock:
+            state = self._state.get(key, CLOSED)
+            if state == CLOSED:
+                return False
+            if state == HALF_OPEN:
+                # A probe is already in flight: short-circuit the losers.
+                return bool(self._probe_inflight.get(key, False))
+            opened = self._opened_at.get(key)
+            if opened is None:  # defensive: open without a timestamp
+                self._transition(key, CLOSED)
+                return False
+            threshold, cooldown = self._limits(key)
+            if time.monotonic() - opened > cooldown:
+                # This caller becomes the single half-open probe.
+                self._opened_at.pop(key, None)
+                self._failures[key] = threshold - 1
+                self._probe_inflight[key] = True
+                self._transition(key, HALF_OPEN)
+                return False
+            return True
+
+    def abort_probe(self, key: str) -> None:
+        """Roll back a half-open probe that never ran.
+
+        The admitted probe caller can still be rejected by a later gate
+        (the in-flight cap or the budget) before any work is attempted;
+        without a rollback the breaker would be stuck in ``HALF_OPEN``
+        with a phantom probe forever.  The breaker returns to ``OPEN``
+        with its cooldown already elapsed, so the very next caller is
+        re-admitted as a fresh probe.
+        """
+        with self._lock:
+            if self._state.get(key) != HALF_OPEN:
+                return
+            self._probe_inflight.pop(key, None)
+            self._opened_at[key] = time.monotonic() - self._limits(key)[1] - 1e-3
+            self._transition(key, OPEN)
 
 
 class TenantPolicy:
@@ -135,21 +279,16 @@ class AdmissionController:
         self.sink = sink
         self._lock = threading.Lock()
         self._tenants: Dict[str, _TenantState] = {}
-        self.breakers = CircuitBreakerRegistry(
-            threshold=self.default_policy.breaker_threshold,
-            cooldown=self.default_policy.breaker_cooldown,
-        )
         # Honor per-tenant breaker knobs: a TenantPolicy in `policies`
         # with its own threshold/cooldown overrides the default.
-        self.breakers.set_limit_resolver(
-            lambda tenant: (
-                self.policy(tenant).breaker_threshold,
-                self.policy(tenant).breaker_cooldown,
-            )
-        )
+        self.breakers = CircuitBreakerRegistry(limits=self._breaker_limits)
         # Mirror every breaker transition onto the instrumentation bus:
         # dashboards (and the half-open tests) watch these events.
         self.breakers.on_transition(self._on_breaker_transition)
+
+    def _breaker_limits(self, tenant: str) -> Tuple[int, float]:
+        policy = self.policy(tenant)
+        return policy.breaker_threshold, policy.breaker_cooldown
 
     def _on_breaker_transition(self, tenant: str, old: str, new: str) -> None:
         self.recorder.event(
@@ -209,8 +348,8 @@ class AdmissionController:
                 )
 
             became_probe = (
-                pre_state != "half_open"
-                and self.breakers.state(tenant) == "half_open"
+                pre_state != HALF_OPEN
+                and self.breakers.state(tenant) == HALF_OPEN
             )
 
             # Gate 2: concurrent in-flight cap.
@@ -312,85 +451,3 @@ class AdmissionController:
                 for name, s in self._tenants.items()
             }
         return {"tenants": tenants}
-
-
-# =====================================================================
-# Load shedding
-# =====================================================================
-
-#: Ordered degradation steps: ``(threshold_in_multiples_of_pool_size,
-#: description)``.  Level 0 is full service.
-SHED_LEVELS = (
-    "full service",
-    "sanitizer shed",
-    "backend forced to python (no native compile)",
-    "backend forced to interpreter",
-)
-
-
-class LoadShedder:
-    """Degrade request *quality* before request *availability*.
-
-    The level is a pure function of instantaneous pressure (in-flight
-    requests vs. pool capacity), so it recovers the moment load drops:
-
-    * level 1 — pressure > 1x capacity: drop ``sanitize`` from requests
-      (the guards cost integer-factor overhead);
-    * level 2 — pressure > 2x capacity: force the ``python`` backend so
-      no request pays a native cold compile;
-    * level 3 — pressure > 3x capacity: force the ``interpreter`` tier —
-      slow, but allocation-light and always available.
-
-    Shedding never rejects: that is admission's job.  Every shed is
-    recorded on the response as a ``W801`` diagnostic.
-    """
-
-    def __init__(self, capacity: int,
-                 recorder: Optional[InstrumentationRecorder] = None):
-        self.capacity = max(1, int(capacity))
-        self.recorder = recorder
-        self._lock = threading.Lock()
-        self._pressure = 0
-        self.sheds = 0
-
-    # Pressure tracking: the daemon brackets every admitted request.
-    def enter(self) -> None:
-        with self._lock:
-            self._pressure += 1
-
-    def exit(self) -> None:
-        with self._lock:
-            self._pressure = max(0, self._pressure - 1)
-
-    @property
-    def pressure(self) -> int:
-        with self._lock:
-            return self._pressure
-
-    def level(self) -> int:
-        return min(len(SHED_LEVELS) - 1, max(0, (self.pressure - 1) // self.capacity))
-
-    def apply(self, job: Dict[str, Any]) -> Tuple[Dict[str, Any], List[str]]:
-        """Return ``(possibly-modified job, list of shed descriptions)``."""
-        level = self.level()
-        if level <= 0:
-            return job, []
-        shed: List[str] = []
-        job = dict(job)
-        if level >= 1:
-            if job.get("sanitize"):
-                job["sanitize"] = None
-                shed.append("sanitize")
-        if level >= 2 and job.get("backend", "python") == "cpp":
-            job["backend"] = "python"
-            shed.append("backend:cpp->python")
-        if level >= 3 and job.get("backend", "python") != "interpreter":
-            job["backend"] = "interpreter"
-            shed.append("backend->interpreter")
-        if shed:
-            with self._lock:
-                self.sheds += 1
-            if self.recorder is not None:
-                self.recorder.event("serve", f"shed[level={level}]",
-                                    itype="COUNTER", iterations=1)
-        return job, shed

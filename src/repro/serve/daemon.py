@@ -21,8 +21,11 @@ deadline (hang)         ``R805``       worker killed + respawned
 breaker open            ``R807``       ``status=rejected`` + retry_after
 in-flight cap           ``R806``       ``status=rejected`` + retry_after
 budget exhausted        ``R808``       ``status=rejected`` + retry_after
-overload                ``W801``       served, with shed options listed
+pool saturated          ``R806``       ``status=rejected`` + retry_after
 =====================  =============  ===================================
+
+An admitted request runs with the options it asked for: overload is
+refused at admission or by the saturated pool, never served degraded.
 
 The daemon itself must never exit on a request's account: connection
 handlers catch everything, the pool contains worker death, and admission
@@ -46,7 +49,6 @@ from repro.serve import protocol
 from repro.serve.admission import (
     AdmissionController,
     AdmissionError,
-    LoadShedder,
     TenantPolicy,
 )
 from repro.serve.pool import WorkerPool
@@ -144,8 +146,6 @@ class SDFGServer:
             fault_injection=self.config.fault_injection,
             sink=self.sink,
         )
-        self.shedder = LoadShedder(capacity=self.config.workers,
-                                   recorder=self.recorder)
         self.started = time.monotonic()
         self._listener: Optional[socket.socket] = None
         self._threads: list = []
@@ -438,12 +438,11 @@ class SDFGServer:
             )
 
     def _publish_request(self, op: str, tenant: str, status: str,
-                         code: Optional[str] = None, shed: bool = False) -> None:
+                         code: Optional[str] = None) -> None:
         if self.sink is not None:
             self.sink.publish(
                 "request", op,
-                fields={"tenant": tenant, "status": status, "code": code,
-                        "shed": shed},
+                fields={"tenant": tenant, "status": status, "code": code},
             )
 
     def _serve_job(self, request: Dict[str, Any]) -> Dict[str, Any]:
@@ -480,13 +479,10 @@ class SDFGServer:
                 job["hang_seconds"] = request["hang_seconds"]
         job = {k: v for k, v in job.items() if v is not None}
 
-        self.shedder.enter()
         start = time.monotonic()
         try:
-            job, shed = self.shedder.apply(job)
             response = self.pool.submit(job)
         finally:
-            self.shedder.exit()
             cost = time.monotonic() - start
             failure_code = (
                 response.get("code")
@@ -496,20 +492,10 @@ class SDFGServer:
             ticket.complete(cost_seconds=cost, failure_code=failure_code)
 
         response["tenant"] = tenant
-        if shed:
-            response["shed"] = shed
-            response.setdefault("warnings", []).append(
-                {
-                    "code": "W801",
-                    "severity": "WARNING",
-                    "message": "service degraded under load: shed "
-                    + ", ".join(shed),
-                }
-            )
         self._count(response.get("status", "error"))
         self._publish_request(
             request["op"], tenant, response.get("status", "error"),
-            code=response.get("code"), shed=bool(shed),
+            code=response.get("code"),
         )
         return response
 
@@ -529,9 +515,6 @@ class SDFGServer:
             "requests": requests,
             "pool": self.pool.stats(),
             "admission": self.admission.stats(),
-            "degrade_level": self.shedder.level(),
-            "pressure": self.shedder.pressure,
-            "sheds": self.shedder.sheds,
             "breaker_transitions": [
                 list(t) for t in self.admission.breakers.transitions[-50:]
             ],

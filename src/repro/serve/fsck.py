@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from repro.runtime.isolation import crash_dir, crash_keep
+from repro.runtime.isolation import DEFAULT_CRASH_KEEP, crash_dir
 from repro.store import sweep_bundles, sweep_entries
 
 
@@ -35,7 +35,7 @@ def fsck_sweep(
 ) -> Dict[str, Any]:
     """Run the full sweep; returns a report with ``clean`` = True when
     nothing needed fixing."""
-    keep = crash_keep() if keep_bundles is None else max(1, int(keep_bundles))
+    keep = DEFAULT_CRASH_KEEP if keep_bundles is None else max(1, int(keep_bundles))
     cache = sweep_entries(cache_root)
     crash = sweep_bundles(crash_root or crash_dir(), keep)
     repairs = (

@@ -184,7 +184,6 @@ def _drive_thread(
                 runtime=resp.get("runtime"),
                 warm=resp.get("warm"),
                 cache_hit=resp.get("cache_hit"),
-                shed=bool(resp.get("shed")),
             )
 
 
@@ -334,7 +333,6 @@ def run_loadtest(
             "ok": sum(1 for r in healthy if r["status"] == "ok"),
             "errors": sum(1 for r in healthy if r["status"] == "error"),
             "rejected": sum(1 for r in healthy if r["status"] == "rejected"),
-            "shed": sum(1 for r in healthy if r.get("shed")),
         },
         "cache": {
             "artifact_hits": artifact_hits,

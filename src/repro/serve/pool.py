@@ -50,7 +50,7 @@ from queue import Empty, Queue
 from typing import Any, Dict, List, Optional
 
 from repro.chaos import ChaosFault, faultpoint
-from repro.runtime.isolation import crash_dir, crash_keep
+from repro.runtime.isolation import DEFAULT_CRASH_KEEP, crash_dir
 from repro.runtime.watchdog import RetryPolicy
 from repro.serve import protocol
 from repro.store import write_bundle
@@ -353,7 +353,7 @@ def write_crash_bundle(job: Dict[str, Any], death: WorkerDeath) -> Optional[str]
         "symbols": job.get("symbols") or {},
     }
     return write_bundle(
-        crash_dir(), stem, manifest=manifest, files=files, keep=crash_keep(),
+        crash_dir(), stem, manifest=manifest, files=files, keep=DEFAULT_CRASH_KEEP,
         point="pool.crash_bundle", tenant=tenant,
     )
 

@@ -227,7 +227,6 @@ class WorkerRuntime:
                 cache=self._tenant_cache(tenant),
                 sanitize=fields[2],
                 isolate=False,  # this worker IS the isolation boundary
-                cache_namespace=tenant,
                 parallel=job.get("parallel"),
             )
 

@@ -7,14 +7,14 @@ continuous counterpart:
 
 * :mod:`repro.telemetry.sink` — a bounded ring-buffer event sink that
   the instrumentation recorder, the program/tuning/symbolic caches, the
-  watchdog circuit breakers, and the serve layer's admission controller
-  all publish into.  Publishing is a single locked ring write (a couple
-  of microseconds); overflow overwrites the oldest events and is
-  *counted*, never blocking a hot path.
+  watchdog, and the serve layer's admission controller (with its tenant
+  circuit breakers) all publish into.  Publishing is a single locked
+  ring write (a couple of microseconds); overflow overwrites the oldest
+  events and is *counted*, never blocking a hot path.
 * :mod:`repro.telemetry.aggregate` — a windowed aggregator folding the
   stream into time-windowed summaries: per-kernel latency percentiles,
-  cache hit rates, breaker-state timelines, per-tenant request/shed/
-  error counts, and top-N hot spots by timer and memlet volume.
+  cache hit rates, breaker-state timelines, per-tenant request/error
+  counts, and top-N hot spots by timer and memlet volume.
 * :mod:`repro.telemetry.regression` — a drift detector comparing
   windowed kernel timings against stored ``BENCH_*.json`` baselines and
   reporting ``W901 PerfDrift`` / ``W902 MissingBaseline`` structured

@@ -95,12 +95,12 @@ def render_dashboard(snapshot: Dict[str, Any], top: int = 10) -> str:
     if tenants:
         lines.append("")
         lines.append(f"{'tenant':<16} {'requests':>8} {'ok':>6} "
-                     f"{'rejected':>8} {'errors':>6} {'shed':>5}")
+                     f"{'rejected':>8} {'errors':>6}")
         for tenant, counters in sorted(tenants.items()):
             lines.append(
                 f"{tenant:<16.16} {counters.get('requests', 0):>8} "
                 f"{counters.get('ok', 0):>6} {counters.get('rejected', 0):>8} "
-                f"{counters.get('errors', 0):>6} {counters.get('shed', 0):>5}"
+                f"{counters.get('errors', 0):>6}"
             )
     caches = merge_cache_counters(snapshot)
     if caches:

@@ -8,7 +8,7 @@ keeps:
   demand) keyed by SDFG name;
 * cache hit/miss/store counters per cache name (``progcache``,
   ``tuning``, ``symcache:<fn>``, the workers' warm-artifact LRU);
-* per-tenant request / ok / rejected / error / shed counts;
+* per-tenant request / ok / rejected / error counts;
 * the breaker-state timeline (``(ts, key, old, new)`` transitions);
 * top-N hot spots by summed timer duration and by memlet volume;
 * the number of events lost to ring overflow (``dropped``).
@@ -136,7 +136,7 @@ class _Window:
         bucket = self.tenants.get(name)
         if bucket is None:
             bucket = self.tenants[name] = {
-                "requests": 0, "ok": 0, "rejected": 0, "errors": 0, "shed": 0,
+                "requests": 0, "ok": 0, "rejected": 0, "errors": 0,
             }
         return bucket
 
@@ -160,8 +160,6 @@ class _Window:
                 bucket["rejected"] += 1
             else:
                 bucket["errors"] += 1
-            if fields.get("shed"):
-                bucket["shed"] += 1
         elif kind == "cache":
             counters = self.caches.get(label)
             if counters is None:
@@ -394,8 +392,7 @@ def merge_tenant_counters(snapshot: Dict[str, Any]) -> Dict[str, Dict[str, int]]
     for window in snapshot.get("windows", ()):
         for tenant, counters in window.get("tenants", {}).items():
             bucket = totals.setdefault(
-                tenant, {"requests": 0, "ok": 0, "rejected": 0,
-                         "errors": 0, "shed": 0}
+                tenant, {"requests": 0, "ok": 0, "rejected": 0, "errors": 0}
             )
             for key, val in counters.items():
                 bucket[key] = bucket.get(key, 0) + int(val)

@@ -1,7 +1,7 @@
 """Bounded ring-buffer telemetry sink (the fleet's event bus).
 
 Producers on hot paths — the instrumentation recorder, the program and
-tuning caches, the watchdog circuit breakers, the serve layer — call
+tuning caches, the watchdog, the serve layer — call
 :meth:`TelemetrySink.publish`.  A publish is one ring-slot write under a
 lock whose critical section is a couple of list operations: a few
 microseconds, independent of how far behind any consumer is.  The sink

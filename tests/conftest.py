@@ -3,17 +3,6 @@
 import pytest
 
 from repro.chaos.engine import active_engine, uninstall_engine
-from repro.runtime.watchdog import reset_breakers
-
-
-@pytest.fixture(autouse=True)
-def _fresh_breakers():
-    """Circuit breakers are process-global by design (they aggregate
-    failures across compilations); tests must not leak open breakers
-    into each other."""
-    reset_breakers()
-    yield
-    reset_breakers()
 
 
 @pytest.fixture(autouse=True)

@@ -14,6 +14,8 @@ from repro.codegen import cpp_gen
 from repro.codegen.common import CodegenError
 from repro.codegen.compiler import compile_sdfg
 from repro.codegen.python_gen import PythonGenerator
+from repro.runtime import watchdog
+from repro.runtime.watchdog import RetryPolicy
 from repro.sdfg import SDFG, Memlet, dtypes
 
 N = rp.symbol("N")
@@ -167,7 +169,7 @@ def test_call_time_degradation_keeps_the_artifacts_options(monkeypatch):
     from repro.codegen.compiler import CompiledSDFG
     from repro.runtime.isolation import BackendCrashError
 
-    monkeypatch.setenv("REPRO_RETRIES", "0")
+    monkeypatch.setattr(watchdog, "CALL_RETRY", RetryPolicy(retries=0))
 
     def crashing_cpp(sdfg, isolated=False):
         def entry(arrays, symbols, instr=None, guard=None):

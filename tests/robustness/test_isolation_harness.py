@@ -15,7 +15,8 @@ import pytest
 
 from repro.codegen import cpp_gen
 from repro.codegen.compiler import compile_sdfg
-from repro.runtime import isolation
+from repro.runtime import isolation, watchdog
+from repro.runtime.watchdog import RetryPolicy
 from tests.robustness.test_crash_isolation import SEGFAULT_GLOBAL, scale_sdfg
 
 pytestmark = pytest.mark.skipif(
@@ -30,7 +31,7 @@ def fresh_harness(monkeypatch, tmp_path):
     """Each test starts (and ends) without a harness worker, so the pool
     counters it reads are its own."""
     monkeypatch.setenv("REPRO_CRASH_DIR", str(tmp_path / "crashes"))
-    monkeypatch.setenv("REPRO_RETRIES", "0")
+    monkeypatch.setattr(watchdog, "CALL_RETRY", RetryPolicy(retries=0))
     isolation.close_harness()
     yield
     isolation.close_harness()

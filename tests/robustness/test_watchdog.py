@@ -1,7 +1,7 @@
 """Execution watchdog: deadlines kill unbounded loops within budget,
 memory budgets stop runaway transients, retries back off exponentially,
-and repeatedly-failing backends trip the circuit breaker into the
-degradation chain."""
+and a kill stays on the artifact it killed.  Also the circuit breaker
+that serve admission keeps per tenant."""
 
 import time
 import unittest.mock
@@ -11,16 +11,16 @@ import pytest
 
 import repro as rp
 from repro.codegen.compiler import compile_sdfg
+from repro.runtime import watchdog
 from repro.runtime.isolation import BackendCrashError
 from repro.runtime.sanitizer import SEEDED_FAULTS
-from repro.runtime.watchdog import (
-    BREAKERS,
-    CircuitBreakerRegistry,
-    RetryPolicy,
-    Watchdog,
-    WatchdogViolation,
-)
+from repro.runtime.watchdog import RetryPolicy, Watchdog, WatchdogViolation
 from repro.sdfg import SDFG, Memlet, dtypes
+from repro.serve.admission import CircuitBreakerRegistry
+
+
+def breakers(threshold, cooldown):
+    return CircuitBreakerRegistry(lambda key: (threshold, cooldown))
 
 
 def scale_sdfg():
@@ -148,19 +148,10 @@ def test_retry_policy_exponential_backoff():
     assert policy.delay(2) == pytest.approx(0.4)
 
 
-def test_retry_policy_from_env(monkeypatch):
-    monkeypatch.setenv("REPRO_RETRIES", "4")
-    monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0.25")
-    policy = RetryPolicy.from_env()
-    assert policy.retries == 4
-    assert policy.backoff == 0.25
-
-
 def test_call_retries_then_succeeds(monkeypatch):
     """A contained crash is retried with backoff; a success on retry
     leaves no degradation record."""
-    monkeypatch.setenv("REPRO_RETRIES", "2")
-    monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0.001")
+    monkeypatch.setattr(watchdog, "CALL_RETRY", RetryPolicy(retries=2, backoff=0.001))
     compiled = compile_sdfg(scale_sdfg(), backend="python")
     real_entry = compiled._entry
     calls = {"n": 0}
@@ -183,8 +174,7 @@ def test_call_retries_then_succeeds(monkeypatch):
 def test_call_crash_degrades_after_retries(monkeypatch):
     """Retries exhausted: the call degrades to the next backend in the
     chain and the hop records the attempt count."""
-    monkeypatch.setenv("REPRO_RETRIES", "1")
-    monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0.001")
+    monkeypatch.setattr(watchdog, "CALL_RETRY", RetryPolicy(retries=1, backoff=0.001))
     compiled = compile_sdfg(scale_sdfg(), backend="python")
 
     def always_crash(arrays, symbols, instr=None, guard=None):
@@ -203,7 +193,7 @@ def test_call_crash_degrades_after_retries(monkeypatch):
 
 # --------------------------------------------------------- circuit breaker
 def test_breaker_opens_after_threshold():
-    reg = CircuitBreakerRegistry(threshold=3, cooldown=300.0)
+    reg = breakers(3, 300.0)
     for _ in range(2):
         reg.record_failure("cpp", code="E201")
     assert not reg.is_open("cpp")
@@ -214,7 +204,7 @@ def test_breaker_opens_after_threshold():
 
 
 def test_breaker_success_closes():
-    reg = CircuitBreakerRegistry(threshold=2, cooldown=300.0)
+    reg = breakers(2, 300.0)
     reg.record_failure("cpp")
     reg.record_failure("cpp")
     assert reg.is_open("cpp")
@@ -224,7 +214,7 @@ def test_breaker_success_closes():
 
 
 def test_breaker_half_open_probe_after_cooldown():
-    reg = CircuitBreakerRegistry(threshold=2, cooldown=0.05)
+    reg = breakers(2, 0.05)
     reg.record_failure("cpp")
     reg.record_failure("cpp")
     assert reg.is_open("cpp")
@@ -234,31 +224,19 @@ def test_breaker_half_open_probe_after_cooldown():
     assert reg.is_open("cpp"), "failed probe re-opens immediately"
 
 
-def test_open_breaker_skips_backend_at_compile():
-    """An open cpp breaker short-circuits compile_sdfg: the backend is
-    skipped with a recorded hop, without touching the compiler."""
-    for _ in range(BREAKERS.threshold):
-        BREAKERS.record_failure("cpp", code="E201")
-    assert BREAKERS.is_open("cpp")
-    compiled = compile_sdfg(scale_sdfg(), backend="cpp")
-    assert compiled.backend in ("python", "interpreter")
-    hop = compiled.degradation[0]
-    assert hop["error"] == "CircuitBreakerOpen"
-    assert hop["code"] == "E201"
-    assert "circuit breaker open" in hop["reason"]
-    A = np.random.rand(8)
-    ref = A * 2
-    compiled(A=A, N=8)
-    np.testing.assert_allclose(A, ref)
-
-
-def test_watchdog_violation_feeds_breaker():
-    sdfg, kwargs, _ = SEEDED_FAULTS["R805"]()
-    compiled = compile_sdfg(sdfg, backend="python", deadline=0.3)
-    with pytest.raises(WatchdogViolation):
-        compiled(**kwargs)
-    assert BREAKERS.failures("python") == 1
-    assert BREAKERS.last_code("python") == "R805"
+def test_deadline_kills_leave_other_programs_on_their_backend():
+    """Kills belong to the killed artifact: three R805 kills of one
+    program leave an unrelated program's compile on python, with no
+    hop."""
+    for _ in range(3):
+        sdfg, kwargs, _ = SEEDED_FAULTS["R805"]()
+        killed = compile_sdfg(sdfg, backend="python", deadline=1e-6)
+        with pytest.raises(WatchdogViolation):
+            killed(**kwargs)
+        assert killed.degradation[-1]["code"] == "R805"
+    compiled = compile_sdfg(scale_sdfg(), backend="python")
+    assert compiled.backend == "python"
+    assert compiled.degradation == []
 
 
 # ----------------------------------------------------------- retry jitter
@@ -290,11 +268,9 @@ def test_retry_no_jitter_is_pure_exponential():
     assert [policy.delay(n) for n in (0, 1, 2)] == [0.05, 0.1, 0.2]
 
 
-def test_retry_jitter_clamped_and_from_env(monkeypatch):
+def test_retry_jitter_clamped():
     assert RetryPolicy(jitter=2.5).jitter == 1.0
     assert RetryPolicy(jitter=-1.0).jitter == 0.0
-    monkeypatch.setenv("REPRO_RETRY_JITTER", "0.4")
-    assert RetryPolicy.from_env().jitter == 0.4
     policy = RetryPolicy(backoff=0.1, jitter=1.0)
     for attempt in range(3):
         assert policy.delay(attempt) >= 0.0, "full jitter never goes negative"
@@ -306,7 +282,7 @@ def test_half_open_admits_exactly_one_probe_across_threads():
     is admitted as the probe, every loser keeps being short-circuited."""
     import threading
 
-    reg = CircuitBreakerRegistry(threshold=2, cooldown=0.05)
+    reg = breakers(2, 0.05)
     reg.record_failure("cpp", code="E201")
     reg.record_failure("cpp", code="E201")
     assert reg.is_open("cpp")
@@ -338,7 +314,7 @@ def test_half_open_admits_exactly_one_probe_across_threads():
 
 def test_half_open_transitions_are_logged_and_broadcast():
     seen = []
-    reg = CircuitBreakerRegistry(threshold=1, cooldown=0.05)
+    reg = breakers(1, 0.05)
     reg.on_transition(lambda key, old, new: seen.append((key, old, new)))
 
     reg.record_failure("tenant_x", code="E201")
@@ -361,7 +337,7 @@ def test_half_open_transitions_are_logged_and_broadcast():
 
 
 def test_failed_probe_restarts_full_cooldown():
-    reg = CircuitBreakerRegistry(threshold=1, cooldown=0.2)
+    reg = breakers(1, 0.2)
     reg.record_failure("cpp", code="E201")
     time.sleep(0.21)
     assert not reg.is_open("cpp")  # the probe

@@ -1,4 +1,4 @@
-"""Admission-control gates (R806/R807/R808) and load shedding (W801)."""
+"""Admission-control gates (R806/R807/R808)."""
 
 import time
 
@@ -8,7 +8,6 @@ from repro.instrumentation import InstrumentationRecorder
 from repro.serve.admission import (
     AdmissionController,
     AdmissionError,
-    LoadShedder,
     TenantPolicy,
 )
 
@@ -220,59 +219,6 @@ def test_per_tenant_policy_overrides_default():
         ctrl.admit("cheap")
     for _ in range(8):
         ctrl.admit("normal")
-
-
-# ------------------------------------------------------------- shedding
-def test_shed_levels_track_pressure():
-    shedder = LoadShedder(capacity=2)
-    assert shedder.level() == 0
-    for _ in range(2):
-        shedder.enter()
-    assert shedder.level() == 0, "at capacity is still full service"
-    shedder.enter()
-    assert shedder.level() == 1
-    for _ in range(2):
-        shedder.enter()
-    assert shedder.level() == 2
-    for _ in range(2):
-        shedder.enter()
-    assert shedder.level() == 3
-    for _ in range(7):
-        shedder.exit()
-    assert shedder.level() == 0, "recovers the moment load drops"
-
-
-def test_shed_strips_options_in_documented_order():
-    shedder = LoadShedder(capacity=1)
-    job = {"backend": "cpp", "sanitize": "collect"}
-
-    shedder.enter()
-    out, shed = shedder.apply(dict(job))
-    assert shed == [], "no shedding at full service"
-
-    shedder.enter()  # level 1
-    out, shed = shedder.apply(dict(job))
-    assert "sanitize" in shed
-    assert out["backend"] == "cpp", "level 1 keeps the backend"
-
-    shedder.enter()  # level 2
-    out, shed = shedder.apply(dict(job))
-    assert out["backend"] == "python"
-    assert "backend:cpp->python" in shed
-
-    shedder.enter()  # level 3
-    out, shed = shedder.apply(dict(job))
-    assert out["backend"] == "interpreter"
-
-
-def test_shed_does_not_mutate_the_original_job():
-    shedder = LoadShedder(capacity=1)
-    for _ in range(4):
-        shedder.enter()
-    job = {"backend": "cpp", "sanitize": "raise"}
-    out, shed = shedder.apply(job)
-    assert job == {"backend": "cpp", "sanitize": "raise"}
-    assert out is not job
 
 
 # ------------------------------------------------------ instrumentation

@@ -195,7 +195,7 @@ def test_namespaced_caches_do_not_share_files(tmp_path):
     assert os.path.realpath(evil.cache_dir).startswith(os.path.realpath(root))
 
     # The mapping is injective: names that sanitize identically must
-    # still land in distinct namespaces (distinct dirs + variant keys).
+    # still land in distinct namespaces (distinct dirs).
     assert safe_namespace("a/b") != safe_namespace("a_b")
     assert safe_namespace("a.b") != safe_namespace("a_b")
     assert namespaced_cache(root, "a/b") is not namespaced_cache(root, "a_b")

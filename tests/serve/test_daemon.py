@@ -161,7 +161,7 @@ def test_tenant_caches_are_isolated_on_disk(server):
     bob_dir = os.path.join(root, safe_namespace("bob"))
     assert os.path.isdir(alice_dir)
     assert os.path.isdir(bob_dir)
-    # Same program, namespaced keys: no entry file is shared.
+    # Same program, one directory per tenant: no entry file is shared.
     alice = {f for f in os.listdir(alice_dir) if f.endswith(".json")}
     bob = {f for f in os.listdir(bob_dir) if f.endswith(".json")}
     assert alice and bob

@@ -10,7 +10,9 @@ import time
 import numpy as np
 import pytest
 
+from repro.runtime.sanitizer import SEEDED_FAULTS
 from repro.runtime.watchdog import RetryPolicy
+from repro.serve import protocol
 from repro.serve.admission import TenantPolicy
 from repro.serve.client import ServeClient
 from repro.serve.daemon import SDFGServer, ServeConfig
@@ -173,3 +175,89 @@ def test_breaker_recovers_via_half_open_probe(server):
     assert ("mallory", "closed", "open") in transitions
     assert ("mallory", "open", "half_open") in transitions
     assert ("mallory", "half_open", "closed") in transitions
+
+
+def test_one_tenants_deadline_kills_leave_another_tenant_on_python():
+    """Failures are charged to their owner: tenant A's R805 kills in a
+    worker do not move tenant B's next program off its backend."""
+    from repro.serve.worker import WorkerRuntime
+
+    rt = WorkerRuntime()
+    runaway = runaway_sdfg().to_json()
+    for _ in range(3):
+        out = rt.handle({"op": "execute", "tenant": "a", "sdfg": runaway,
+                         "arrays": protocol.encode_arrays({"A": np.zeros(4)}),
+                         "symbols": {"N": 4}, "deadline": 0.05})
+        assert out["code"] == "R805", out
+    a = np.arange(8, dtype=np.float64)
+    out = rt.handle({"op": "execute", "tenant": "b",
+                     "sdfg": scale_sdfg(2.0, name="tenant_b_kernel").to_json(),
+                     "arrays": protocol.encode_arrays({"A": a}),
+                     "symbols": {"N": 8}})
+    assert out["status"] == "ok", out
+    assert out["backend"] == "python"
+    assert out["degradation"] == []
+
+
+@pytest.fixture
+def one_worker_server(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_CRASH_DIR", str(tmp_path / "crashes"))
+    cfg = ServeConfig(
+        socket_path=str(tmp_path / "serve.sock"),
+        workers=1,
+        fault_injection=True,
+        health_interval=600.0,
+    )
+    with SDFGServer(cfg) as srv:
+        yield srv
+
+
+def test_requests_behind_a_busy_worker_run_as_asked(one_worker_server):
+    """A hang holds the only worker while three tenants execute, by key,
+    a program they compiled sanitized: each waits for the worker and runs
+    the artifact it compiled, findings included, options untouched."""
+    server = one_worker_server
+    sock = server.config.socket_path
+    sdfg, data, _ = SEEDED_FAULTS["R802"]()
+    tenants = ("t1", "t2", "t3")
+    keys = {}
+    for tenant in tenants:
+        with ServeClient(socket_path=sock, tenant=tenant) as c:
+            keys[tenant] = c.compile(sdfg, sanitize="collect")["program"]
+
+    def hold():
+        with ServeClient(socket_path=sock, tenant="holder") as c:
+            c.execute(scale_sdfg(2.0), arrays={"A": np.zeros(4)},
+                      symbols={"N": 4}, inject_fault="hang",
+                      hang_seconds=0.5, strict=False)
+
+    holder = threading.Thread(target=hold)
+    holder.start()
+    give_up = time.monotonic() + 30.0
+    while server.pool.stats()["in_flight"] < 1:
+        assert time.monotonic() < give_up, "the hang never reached the worker"
+        time.sleep(0.005)
+
+    responses = {}
+
+    def run(tenant):
+        with ServeClient(socket_path=sock, tenant=tenant) as c:
+            responses[tenant] = c.execute(
+                program=keys[tenant],
+                arrays={"A": data["A"].copy(), "B": data["B"].copy()},
+                symbols={"N": data["N"]}, sanitize="collect", strict=False,
+            )
+
+    threads = [threading.Thread(target=run, args=(t,)) for t in tenants]
+    for t in threads:
+        t.start()
+    for t in threads + [holder]:
+        t.join(timeout=120)
+        assert not t.is_alive(), "a driver thread hung"
+
+    for tenant in tenants:
+        resp = responses[tenant]
+        assert resp["status"] == "ok", resp
+        assert resp["backend"] == "python"
+        assert [f["code"] for f in resp["findings"]] == ["R802"], resp
+        assert "shed" not in resp and "warnings" not in resp, resp

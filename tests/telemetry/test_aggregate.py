@@ -117,8 +117,7 @@ def test_cache_tenant_breaker_and_hotspot_folds():
     sink.publish("request", "execute", ts=ts,
                  fields={"tenant": "alice", "status": "ok"})
     sink.publish("request", "execute", ts=ts,
-                 fields={"tenant": "alice", "status": "rejected",
-                         "shed": True})
+                 fields={"tenant": "alice", "status": "rejected"})
     sink.publish("request", "execute", ts=ts,
                  fields={"tenant": "bob", "status": "error"})
     sink.publish("breaker", "alice", ts=ts,
@@ -138,7 +137,7 @@ def test_cache_tenant_breaker_and_hotspot_folds():
 
     tenants = window["tenants"]
     assert tenants["alice"] == {
-        "requests": 2, "ok": 1, "rejected": 1, "errors": 0, "shed": 1,
+        "requests": 2, "ok": 1, "rejected": 1, "errors": 0,
     }
     assert tenants["bob"]["errors"] == 1
 

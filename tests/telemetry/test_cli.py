@@ -21,7 +21,7 @@ def sample_snapshot():
             "caches": {"progcache": {"hit": 3, "miss": 1, "store": 1,
                                      "hit_rate": 0.75}},
             "tenants": {"alice": {"requests": 5, "ok": 5, "rejected": 0,
-                                  "errors": 0, "shed": 0}},
+                                  "errors": 0}},
             "breaker_transitions": [[101.0, "alice", "closed", "open"]],
             "hotspots": {
                 "by_time": [{"element": "kernel:gemm", "seconds": 0.01}],
