@@ -641,12 +641,8 @@ def _compile_python(sdfg, options: CompileOptions) -> CompiledSDFG:
                           sanitize=bool(options.sanitize), parallel=options.parallel)
     source = gen.generate()
     main = _exec_python_source(source, sdfg.name)
-    syms_order = sorted(
-        set(sdfg.free_symbols()) | set(sdfg.symbols) - set(sdfg.constants)
-    )
-    compiled = _python_artifact(
-        sdfg, main, source, sorted(sdfg.arglist()), syms_order, options
-    )
+    arg_arrays, syms_order = sdfg.entry_abi()
+    compiled = _python_artifact(sdfg, main, source, arg_arrays, syms_order, options)
     compiled.codegen_warnings = list(getattr(gen, "diagnostics", []))
     compiled.lowering = gen.lowering
     return compiled

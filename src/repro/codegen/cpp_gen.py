@@ -5,7 +5,8 @@ with row-major stride arithmetic, Map scopes as loop nests (OpenMP
 ``parallel for`` for ``CPU_Multicore`` schedules), write-conflict
 resolution as ``+=``/atomics, the state machine as labels and
 conditional ``goto`` (the paper's fallback lowering for transitions),
-and tasklets converted through :mod:`repro.codegen.py2cpp`.
+and tasklets converted through :mod:`repro.codegen.py2cpp`.  The CUDA
+and HLS generators are dialects of :class:`CppGenerator`.
 
 When a host compiler is available, :func:`compile_cpp` builds a shared
 object and returns a :class:`~repro.codegen.compiler.CompiledSDFG` whose
@@ -15,13 +16,14 @@ the crash-isolation harness worker.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import itertools
 import json
 import os
 import subprocess
 import tempfile
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -29,7 +31,7 @@ from repro.codegen.common import CodeBuffer, CodegenError, cppcode, flat_index_c
 from repro.codegen.py2cpp import Py2Cpp
 from repro.graph import topological_sort
 from repro.sdfg.data import Scalar, Stream
-from repro.sdfg.dtypes import Language, ReductionType, ScheduleType
+from repro.sdfg.dtypes import Language, ReductionType, ScheduleType, detect_reduction_type
 from repro.sdfg.memlet import Memlet
 from repro.sdfg.nodes import (
     AccessNode,
@@ -38,18 +40,28 @@ from repro.sdfg.nodes import (
     ExitNode,
     MapEntry,
     NestedSDFG,
-    Node,
     Reduce,
     Tasklet,
 )
-from repro.symbolic import Integer
+from repro.symbolic import Integer, Subset, parse_expr
 
 
 class CppGenerator:
-    """Generates one C++ translation unit for an SDFG."""
+    """Generates one C++ translation unit for an SDFG.
+
+    This is the one C-family emitter: signatures, loop nests, connector
+    loads, tasklet bodies and write-conflict write-back live here.  The
+    CUDA and HLS generators are dialects of it that override only the
+    hooks: ``_emit_preamble``, ``_arg``, ``_emit_allocations``,
+    ``_emit_states``, ``_emit_map``, ``_emit_wcr``, ``_stream_read`` /
+    ``_stream_write``, ``_tasklet_body``, ``_emit_copies``,
+    ``_emit_reduce`` and ``_emit_nested_call``.
+    """
 
     def __init__(self, sdfg):
         self.sdfg = sdfg
+        #: Functions emitted ahead of the entry point (nested SDFGs,
+        #: kernels, PE modules).
         self._functions: List[str] = []
         self._nested_names: Dict[int, str] = {}
         self._counter = itertools.count()
@@ -58,27 +70,21 @@ class CppGenerator:
     def generate(self) -> str:
         body = self._emit_sdfg_function(self.sdfg, self.sdfg.name, extern=True)
         buf = CodeBuffer()
-        buf.line("// Generated by repro.codegen.cpp_gen -- do not edit.")
-        buf.line("#include <algorithm>")
-        buf.line("#include <cmath>")
-        buf.line("#include <complex>")
-        buf.line("#include <cstdint>")
-        buf.line("#include <cstring>")
-        buf.line("#include <deque>")
-        buf.line("#include <limits>")
-        buf.line("#if defined(_OPENMP)")
-        buf.line("#include <omp.h>")
-        buf.line("#endif")
-        for tg in self._collect_code_globals(self.sdfg):
-            buf.lines(tg)
-        buf.line()
-        buf.lines(_STREAM_RUNTIME)
+        buf.line(f"// Generated by {type(self).__module__} -- do not edit.")
+        self._emit_preamble(buf)
         buf.line()
         for fn in self._functions:
             buf.lines(fn)
             buf.line()
         buf.lines(body)
         return buf.getvalue()
+
+    def _emit_preamble(self, buf: CodeBuffer) -> None:
+        buf.lines(_INCLUDES)
+        for tg in self._collect_code_globals(self.sdfg):
+            buf.lines(tg)
+        buf.line()
+        buf.lines(_STREAM_RUNTIME)
 
     def _collect_code_globals(self, sdfg) -> List[str]:
         out = []
@@ -92,76 +98,73 @@ class CppGenerator:
 
     # -------------------------------------------------------------- function
     def signature(self, sdfg) -> List[str]:
-        """Argument declaration list, matching the ctypes call order."""
-        args = []
-        for name, desc in sorted(sdfg.arglist().items()):
-            if isinstance(desc, Stream):
-                raise CodegenError("external streams are not supported in C++ backend")
-            args.append(f"{desc.dtype.ctype}* {name}")
-        for sym in sorted(set(sdfg.free_symbols()) | set(sdfg.symbols) - set(sdfg.constants)):
-            args.append(f"long long {sym}")
-        return args
+        """Argument declarations in the entry ABI order (:meth:`SDFG.entry_abi`)."""
+        arrays, symbols = sdfg.entry_abi()
+        return [self._arg(name, sdfg.arrays[name]) for name in arrays] + [
+            f"long long {sym}" for sym in symbols
+        ]
+
+    def _arg(self, name: str, desc) -> str:
+        if isinstance(desc, Stream):
+            raise CodegenError("external streams are not supported in C++ backend")
+        return f"{desc.dtype.ctype}* {name}"
 
     def _emit_sdfg_function(self, sdfg, fname: str, extern: bool) -> str:
         buf = CodeBuffer()
-        args = self.signature(sdfg)
         linkage = 'extern "C" ' if extern else "static "
-        buf.line(f"{linkage}void {fname}({', '.join(args)}) {{")
-        buf.indent()
+        with buf.block(f"{linkage}void {fname}({', '.join(self.signature(sdfg))}) {{", "}"):
+            teardown = self._emit_allocations(sdfg, buf)
+            self._emit_states(sdfg, buf)
+            for ln in teardown:
+                buf.line(ln)
+        return buf.getvalue()
+
+    def _emit_allocations(self, sdfg, buf: CodeBuffer) -> List[str]:
+        """Declare constants, interstate symbols and transients; return
+        the statements that release them at the end of the function."""
         for cname, cval in sdfg.constants.items():
             buf.line(f"const long long {cname} = {cval};")
-        # Interstate symbols as locals.
-        assigned = sorted({k for e in sdfg.edges() for k in e.data.assignments})
-        for sym in assigned:
-            if sym not in sdfg.symbols or True:
-                buf.line(f"long long {sym} = 0;")
-        # Transients.
+        for sym in sorted({k for e in sdfg.edges() for k in e.data.assignments}):
+            buf.line(f"long long {sym} = 0;")
         frees: List[str] = []
         for name, desc in sdfg.arrays.items():
             if not desc.transient:
                 continue
             if isinstance(desc, Stream):
-                total = cppcode(desc.total_size())
-                buf.line(
-                    f"repro_rt::Stream<{desc.dtype.ctype}>* {name} = "
-                    f"new repro_rt::Stream<{desc.dtype.ctype}>[{total}];"
-                )
-                frees.append(f"delete[] {name};")
+                ctype, init = f"repro_rt::Stream<{desc.dtype.ctype}>", ""
             else:
-                total = cppcode(desc.total_size())
-                buf.line(f"{desc.dtype.ctype}* {name} = new {desc.dtype.ctype}[{total}]();")
-                frees.append(f"delete[] {name};")
-        # State machine with labels + goto.
+                ctype, init = desc.dtype.ctype, "()"
+            buf.line(f"{ctype}* {name} = new {ctype}[{cppcode(desc.total_size())}]{init};")
+            frees.append(f"delete[] {name};")
+        return frees
+
+    def _emit_states(self, sdfg, buf: CodeBuffer) -> None:
+        """The state machine: a label per state, transitions as ``goto``."""
         states = sdfg.nodes()
         index = {id(s): i for i, s in enumerate(states)}
+        rename = self._scalar_rename(sdfg)
         if sdfg.start_state is not states[0]:
             buf.line(f"goto __state_{index[id(sdfg.start_state)]};")
         for s in states:
-            buf.line(f"__state_{index[id(s)]}: {{")
-            buf.indent()
-            self._emit_state_body(sdfg, s, buf)
-            rename = self._scalar_rename(sdfg)
-            for e in sdfg.out_edges(s):
-                assigns = "".join(
-                    f"{k} = {cppcode(v, rename)}; " for k, v in e.data.assignments.items()
-                )
-                if e.data.is_unconditional():
-                    buf.line(f"{assigns}goto __state_{index[id(e.dst)]};")
-                    break
-                buf.line(
-                    f"if ({cppcode(e.data.condition, rename)}) "
-                    f"{{ {assigns}goto __state_{index[id(e.dst)]}; }}"
-                )
-            else:
-                buf.line("goto __exit;")
-            buf.dedent()
-            buf.line("}")
+            with buf.block(f"__state_{index[id(s)]}: {{", "}"):
+                if s.number_of_nodes() == 0:
+                    buf.line(";")
+                else:
+                    self._emit_state_body(sdfg, s, buf)
+                for e in sdfg.out_edges(s):
+                    assigns = "".join(
+                        f"{k} = {cppcode(v, rename)}; " for k, v in e.data.assignments.items()
+                    )
+                    if e.data.is_unconditional():
+                        buf.line(f"{assigns}goto __state_{index[id(e.dst)]};")
+                        break
+                    buf.line(
+                        f"if ({cppcode(e.data.condition, rename)}) "
+                        f"{{ {assigns}goto __state_{index[id(e.dst)]}; }}"
+                    )
+                else:
+                    buf.line("goto __exit;")
         buf.line("__exit:;")
-        for f in frees:
-            buf.line(f)
-        buf.dedent()
-        buf.line("}")
-        return buf.getvalue()
 
     def _scalar_rename(self, sdfg) -> Dict[str, str]:
         out = {}
@@ -174,9 +177,6 @@ class CppGenerator:
 
     # ------------------------------------------------------------ state body
     def _emit_state_body(self, sdfg, state, buf: CodeBuffer) -> None:
-        if state.number_of_nodes() == 0:
-            buf.line(";")
-            return
         order = topological_sort(state)
         scope_dict = state.scope_dict()
         top = [n for n in order if scope_dict.get(n) is None]
@@ -187,7 +187,9 @@ class CppGenerator:
             if isinstance(node, ExitNode):
                 continue
             if isinstance(node, EntryNode):
-                self._emit_scope(sdfg, state, node, buf, order, scope_dict, in_parallel)
+                body = [n for n in order if scope_dict.get(n) is node]
+                emit = self._emit_map if isinstance(node, MapEntry) else self._emit_consume
+                emit(sdfg, state, node, body, buf, order, scope_dict, in_parallel)
             elif isinstance(node, Tasklet):
                 self._emit_tasklet(sdfg, state, node, buf, in_parallel)
             elif isinstance(node, Reduce):
@@ -199,62 +201,50 @@ class CppGenerator:
             else:
                 raise CodegenError(f"C++ backend cannot lower {node!r}")
 
-    def _emit_scope(self, sdfg, state, entry, buf, order, scope_dict, in_parallel):
-        body = [n for n in order if scope_dict.get(n) is entry]
-        if isinstance(entry, MapEntry):
-            # Dynamic-range connector loads.
-            for conn in sorted(entry.in_connectors):
-                if conn.startswith("IN_"):
-                    continue
-                edges = state.in_edges_by_connector(entry, conn)
-                if edges:
-                    m = edges[0].data
-                    desc = sdfg.arrays[m.data]
-                    buf.line(
-                        f"const long long {conn} = (long long)"
-                        f"{m.data}[{flat_index_cpp(m.subset, desc.strides)}];"
-                    )
-            parallel = entry.map.schedule in (
-                ScheduleType.CPU_Multicore,
-                ScheduleType.GPU_Device,
-            )
-            if parallel and not in_parallel:
-                clause = " schedule(static)"
-                if len(entry.map.params) > 1:
-                    clause = f" collapse({len(entry.map.params)})" + clause
-                buf.line(f"#pragma omp parallel for{clause}")
-            depth = 0
-            for p, rng in entry.map.param_ranges().items():
-                start, stop, step = cppcode(rng.start), cppcode(rng.end), cppcode(rng.step)
-                buf.line(
-                    f"for (long long {p} = {start}; {p} < {stop}; {p} += {step}) {{"
-                )
-                buf.indent()
-                depth += 1
-                if entry.map.unroll:
-                    pass  # unrolling is a compiler hint in C++; loop form kept
+    def _emit_map(self, sdfg, state, entry, body, buf, order, scope_dict, in_parallel):
+        # Dynamic-range connector loads.
+        for conn in sorted(entry.in_connectors):
+            if conn.startswith("IN_"):
+                continue
+            edges = state.in_edges_by_connector(entry, conn)
+            if edges:
+                m = edges[0].data
+                buf.line(f"const long long {conn} = (long long){_element(sdfg, m.data, m.subset)};")
+        parallel = entry.map.schedule in (
+            ScheduleType.CPU_Multicore,
+            ScheduleType.GPU_Device,
+        )
+        if parallel and not in_parallel:
+            clause = " schedule(static)"
+            if len(entry.map.params) > 1:
+                clause = f" collapse({len(entry.map.params)})" + clause
+            buf.line(f"#pragma omp parallel for{clause}")
+        with self._loop_nest(buf, entry.map):
             self._emit_nodes(
                 sdfg, state, body, buf, order, scope_dict, in_parallel or parallel
             )
-            for _ in range(depth):
-                buf.dedent()
-                buf.line("}")
-        else:
-            self._emit_consume(sdfg, state, entry, body, buf, order, scope_dict)
 
-    def _emit_consume(self, sdfg, state, entry: ConsumeEntry, body, buf, order, scope_dict):
+    @contextlib.contextmanager
+    def _loop_nest(self, buf: CodeBuffer, map_):
+        """One ``for`` per map parameter, closed on exit."""
+        ranges = map_.param_ranges()
+        for p, rng in ranges.items():
+            buf.line(_for(p, rng))
+            buf.indent()
+        yield
+        for _ in ranges:
+            buf.dedent()
+            buf.line("}")
+
+    def _emit_consume(self, sdfg, state, entry: ConsumeEntry, body, buf, order, scope_dict,
+                      in_parallel):
         consume = entry.consume
         stream_edge = state.in_edges_by_connector(entry, "IN_stream")[0]
         sname = stream_edge.data.data
         cond = (
             f"{sname}[0].size() == 0"
             if consume.condition is None
-            else cppcode(
-                __import__("repro.symbolic", fromlist=["parse_expr"]).parse_expr(
-                    consume.condition
-                ),
-                {f"len_{sname}": f"{sname}[0].size()"},
-            )
+            else cppcode(parse_expr(consume.condition), {f"len_{sname}": f"{sname}[0].size()"})
         )
         with buf.block(f"while (!({cond})) {{", "}"):
             with buf.block(
@@ -269,86 +259,89 @@ class CppGenerator:
 
     # -------------------------------------------------------------- tasklets
     def _emit_tasklet(self, sdfg, state, node: Tasklet, buf, in_parallel) -> None:
-        buf.line("{")
-        buf.indent()
-        rename: Dict[str, str] = {}
-        declared: Dict[str, str] = {}
-        for e in state.in_edges(node):
-            if e.data.is_empty():
-                continue
-            desc = sdfg.arrays[e.data.data]
-            conn = e.dst_conn
-            if isinstance(desc, Stream):
-                if self._consume_stream(state, node, e.data.data):
-                    buf.line(f"auto {conn} = __elem_{e.data.data};")
+        ins = [e for e in state.in_edges(node) if not e.data.is_empty()]
+        outs = [e for e in state.out_edges(node) if not e.data.is_empty()]
+        declared = {e.dst_conn: sdfg.arrays[e.data.data].dtype.ctype for e in ins}
+        declared.update((e.src_conn, sdfg.arrays[e.data.data].dtype.ctype) for e in outs)
+        streams = {e.src_conn for e in outs if isinstance(sdfg.arrays[e.data.data], Stream)}
+        body, stored = self._tasklet_body(node, declared, streams)
+        with buf.block("{", "}"):
+            for e in ins:
+                desc = sdfg.arrays[e.data.data]
+                ctype, conn = desc.dtype.ctype, e.dst_conn
+                if isinstance(desc, Stream):
+                    buf.line(self._stream_read(state, node, e, ctype))
+                elif e.data.subset.is_point():
+                    buf.line(f"const {ctype} {conn} = {_element(sdfg, e.data.data, e.data.subset)};")
                 else:
-                    buf.line(f"auto& {conn} = {e.data.data}[0];")
-                declared[conn] = desc.dtype.ctype
-                continue
-            if e.data.subset.is_point():
-                idx = flat_index_cpp(e.data.subset, desc.strides)
-                buf.line(f"const {desc.dtype.ctype} {conn} = {e.data.data}[{idx}];")
-            else:
-                offs = flat_index_cpp(
-                    _min_point(e.data), desc.strides
-                )
-                buf.line(
-                    f"const {desc.dtype.ctype}* {conn} = &{e.data.data}[{offs}];"
-                )
-            declared[conn] = desc.dtype.ctype
-        for e in state.out_edges(node):
-            if e.data.is_empty():
-                continue
-            desc = sdfg.arrays[e.data.data]
-            conn = e.src_conn
-            if isinstance(desc, Stream):
-                buf.line(f"auto& {conn} = {e.data.data}[0];")
-            elif e.data.subset.is_point():
-                buf.line(f"{desc.dtype.ctype} {conn};")
-            else:
-                offs = flat_index_cpp(_min_point(e.data), desc.strides)
-                buf.line(f"{desc.dtype.ctype}* {conn} = &{e.data.data}[{offs}];")
-            declared[conn] = desc.dtype.ctype
-        if node.language == Language.CPP:
-            buf.lines(node.code)
-        else:
-            conv = Py2Cpp(declared=declared, rename=rename)
-            for ln in conv.convert(node.code):
+                    # A view the tasklet stores through is writable.
+                    const = "" if conn in stored else "const "
+                    buf.line(f"{const}{ctype}* {conn} = {_view(sdfg, e.data)};")
+            for e in outs:
+                desc = sdfg.arrays[e.data.data]
+                ctype, conn = desc.dtype.ctype, e.src_conn
+                if isinstance(desc, Stream):
+                    decl = self._stream_write(e, ctype)[0]
+                    if decl:
+                        buf.line(decl)
+                elif not e.data.subset.is_point():
+                    buf.line(f"{ctype}* {conn} = {_view(sdfg, e.data)};")
+                elif not e.data.dynamic:
+                    buf.line(f"{ctype} {conn};")
+                elif e.data.wcr is None:
+                    # Left unassigned, a dynamic write stores back what was there...
+                    buf.line(f"{ctype} {conn} = {_element(sdfg, e.data.data, e.data.subset)};")
+                else:
+                    # ...and a dynamic conflict write resolves with the identity.
+                    buf.line(f"{ctype} {conn} = {_identity(e.data.reduction_type(), ctype)};")
+            for ln in body:
                 buf.line(ln)
-        for e in state.out_edges(node):
-            if e.data.is_empty():
-                continue
-            desc = sdfg.arrays[e.data.data]
-            if isinstance(desc, Stream) or not e.data.subset.is_point():
-                continue
-            conn = e.src_conn
-            idx = flat_index_cpp(e.data.subset, desc.strides)
-            if e.data.wcr is not None:
-                rtype = e.data.reduction_type()
-                if rtype == ReductionType.Sum:
-                    if in_parallel:
-                        buf.line("#pragma omp atomic")
-                    buf.line(f"{e.data.data}[{idx}] += {conn};")
-                elif rtype == ReductionType.Product:
-                    if in_parallel:
-                        buf.line("#pragma omp atomic")
-                    buf.line(f"{e.data.data}[{idx}] *= {conn};")
-                elif rtype == ReductionType.Min:
-                    buf.line(
-                        f"{e.data.data}[{idx}] = std::min({e.data.data}[{idx}], "
-                        f"({desc.dtype.ctype}){conn});"
-                    )
-                elif rtype == ReductionType.Max:
-                    buf.line(
-                        f"{e.data.data}[{idx}] = std::max({e.data.data}[{idx}], "
-                        f"({desc.dtype.ctype}){conn});"
-                    )
-                else:
-                    raise CodegenError("custom WCR unsupported in C++ backend")
-            else:
-                buf.line(f"{e.data.data}[{idx}] = {conn};")
-        buf.dedent()
-        buf.line("}")
+            for e in outs:
+                desc = sdfg.arrays[e.data.data]
+                if isinstance(desc, Stream):
+                    commit = self._stream_write(e, desc.dtype.ctype)[1]
+                    if commit:
+                        buf.line(commit)
+                elif e.data.subset.is_point():
+                    target = _element(sdfg, e.data.data, e.data.subset)
+                    if e.data.wcr is None:
+                        buf.line(f"{target} = {e.src_conn};")
+                    else:
+                        self._emit_wcr(buf, target, e.src_conn, e.data.reduction_type(),
+                                       desc.dtype.ctype, in_parallel)
+
+    def _tasklet_body(self, node: Tasklet, declared: Dict[str, str],
+                      streams: Set[str]) -> Tuple[List[str], Set[str]]:
+        """The tasklet's C++ statements and the connectors it stores
+        through; assigning an output stream connector pushes onto it."""
+        if node.language == Language.CPP:
+            return node.code.splitlines(), set()
+        conv = Py2Cpp(declared=declared, streams=streams)
+        return conv.convert(node.code), conv.stored
+
+    def _stream_read(self, state, node: Tasklet, e, ctype: str) -> str:
+        """Declaration of a stream input connector."""
+        if self._consume_stream(state, node, e.data.data):
+            return f"auto {e.dst_conn} = __elem_{e.data.data};"
+        return f"auto& {e.dst_conn} = {_stream_ref(e.data)};"
+
+    def _stream_write(self, e, ctype: str) -> Tuple[Optional[str], Optional[str]]:
+        """Declaration of a stream output connector and the statement
+        that commits it after the tasklet body (either may be None)."""
+        return f"auto& {e.src_conn} = {_stream_ref(e.data)};", None
+
+    def _emit_wcr(self, buf, target: str, value: str, rtype, ctype: str, in_parallel) -> None:
+        """Resolve a write conflict on ``target`` with ``value``."""
+        if rtype in (ReductionType.Sum, ReductionType.Product):
+            if in_parallel:
+                buf.line("#pragma omp atomic")
+            op = "+" if rtype == ReductionType.Sum else "*"
+            buf.line(f"{target} {op}= {value};")
+        elif rtype in (ReductionType.Min, ReductionType.Max):
+            fn = "min" if rtype == ReductionType.Min else "max"
+            buf.line(f"{target} = std::{fn}({target}, ({ctype}){value});")
+        else:
+            raise CodegenError("custom WCR unsupported in C++ backend")
 
     def _consume_stream(self, state, node, stream_name: str) -> bool:
         sd = state.scope_dict()
@@ -367,8 +360,6 @@ class CppGenerator:
         out_e = state.out_edges(node)[0]
         in_desc = sdfg.arrays[in_e.data.data]
         out_desc = sdfg.arrays[out_e.data.data]
-        from repro.sdfg.dtypes import detect_reduction_type
-
         rtype = detect_reduction_type(node.wcr)
         combine = {
             ReductionType.Sum: "{acc} += {v};",
@@ -378,15 +369,9 @@ class CppGenerator:
         }.get(rtype)
         if combine is None:
             raise CodegenError("custom reduction unsupported in C++ backend")
-        identity = {
-            ReductionType.Sum: "0",
-            ReductionType.Product: "1",
-            ReductionType.Min: f"std::numeric_limits<{out_desc.dtype.ctype}>::max()",
-            ReductionType.Max: f"std::numeric_limits<{out_desc.dtype.ctype}>::lowest()",
-        }[rtype]
+        identity = _identity(rtype, out_desc.dtype.ctype)
         sub = in_e.data.subset
         axes = node.axes if node.axes is not None else tuple(range(sub.dims))
-        keep = [i for i in range(sub.dims) if i not in axes]
         buf.line(f"{{ // reduce {node.label}")
         buf.indent()
         # Initialize output region.
@@ -405,12 +390,8 @@ class CppGenerator:
                 buf.indent()
                 init_loops += 1
                 out_idx_syms.append(v)
-        out_flat = " + ".join(
-            f"({s}) * ({cppcode(st)})"
-            for s, st in zip(out_idx_syms, out_desc.strides)
-        )
         if out_e.data.wcr is None:
-            buf.line(f"{out_e.data.data}[{out_flat}] = {identity};")
+            buf.line(f"{out_e.data.data}[{_flat(out_idx_syms, out_desc)}] = {identity};")
         for _ in range(init_loops):
             buf.dedent()
             buf.line("}")
@@ -429,25 +410,14 @@ class CppGenerator:
                 buf.indent()
                 loops += 1
                 in_syms.append(v)
-        in_flat = " + ".join(
-            f"({s}) * ({cppcode(st)})" for s, st in zip(in_syms, in_desc.strides)
-        )
         # Map kept input dims onto output dims in order.
-        kept_syms = [in_syms[i] for i in range(sub.dims) if i not in axes]
-        out_syms2 = []
-        ki = 0
-        for rng in out_sub.ranges:
-            if rng.is_point():
-                out_syms2.append(cppcode(rng.start))
-            else:
-                out_syms2.append(kept_syms[ki])
-                ki += 1
-        out_flat2 = " + ".join(
-            f"({s}) * ({cppcode(st)})"
-            for s, st in zip(out_syms2, out_desc.strides)
-        )
-        acc = f"{out_e.data.data}[{out_flat2}]"
-        buf.line(combine.format(acc=acc, v=f"{in_e.data.data}[{in_flat}]"))
+        kept_syms = iter([in_syms[i] for i in range(sub.dims) if i not in axes])
+        out_syms = [
+            cppcode(rng.start) if rng.is_point() else next(kept_syms)
+            for rng in out_sub.ranges
+        ]
+        acc = f"{out_e.data.data}[{_flat(out_syms, out_desc)}]"
+        buf.line(combine.format(acc=acc, v=f"{in_e.data.data}[{_flat(in_syms, in_desc)}]"))
         for _ in range(loops):
             buf.dedent()
             buf.line("}")
@@ -471,16 +441,14 @@ class CppGenerator:
             conn = e.dst_conn if e.dst is node else e.src_conn
             if conn is None or conn in views:
                 continue
-            desc = sdfg.arrays[e.data.data]
-            offs = flat_index_cpp(_min_point(e.data), desc.strides)
-            views[conn] = f"&{e.data.data}[{offs}]"
-        inner = node.sdfg
+            views[conn] = _view(sdfg, e.data)
+        arrays, symbols = node.sdfg.entry_abi()
         args = []
-        for name in sorted(inner.arglist()):
+        for name in arrays:
             if name not in views:
                 raise CodegenError(f"nested SDFG argument {name!r} unconnected")
             args.append(views[name])
-        for sym in sorted(set(inner.free_symbols()) | set(inner.symbols) - set(inner.constants)):
+        for sym in symbols:
             if sym in node.symbol_mapping:
                 args.append(cppcode(node.symbol_mapping[sym]))
             else:
@@ -494,8 +462,20 @@ class CppGenerator:
                 continue
             src, dst = e.src, e.dst
             src_desc, dst_desc = sdfg.arrays[src.data], sdfg.arrays[dst.data]
-            if isinstance(src_desc, Stream) or isinstance(dst_desc, Stream):
-                raise CodegenError("stream copies unsupported in C++ backend")
+            if isinstance(src_desc, Stream):
+                # Drain the queue, into another queue or onto the
+                # destination's leading elements (as the Python backend).
+                if isinstance(dst_desc, Stream):
+                    store = f"{dst.data}[0].push({src.data}[0].pop());"
+                    buf.line(f"while ({src.data}[0].size() > 0) {store}")
+                else:
+                    total = cppcode(dst_desc.total_size())
+                    with buf.block(
+                        f"for (long long __n = 0; {src.data}[0].size() > 0 && "
+                        f"__n < {total}; __n++) {{", "}"
+                    ):
+                        buf.line(f"{dst.data}[__n] = {src.data}[0].pop();")
+                continue
             m = e.data
             ssub = m.subset if m.data == src.data else m.other_subset
             dsub = m.other_subset if m.data == src.data else m.subset
@@ -517,29 +497,80 @@ class CppGenerator:
                 loops += 1
                 s_idx.append(f"{cppcode(sr.start)} + {v} * {cppcode(sr.step)}")
                 d_idx.append(f"{cppcode(dr.start)} + {v} * {cppcode(dr.step)}")
-            sflat = " + ".join(
-                f"({i}) * ({cppcode(st)})" for i, st in zip(s_idx, src_desc.strides)
-            )
-            dflat = " + ".join(
-                f"({i}) * ({cppcode(st)})" for i, st in zip(d_idx, dst_desc.strides)
-            )
-            if m.wcr is not None:
-                rtype = m.reduction_type()
-                if rtype == ReductionType.Sum:
-                    buf.line(f"{dst.data}[{dflat}] += {src.data}[{sflat}];")
-                else:
-                    raise CodegenError("copy WCR type unsupported in C++ backend")
+            value = f"{src.data}[{_flat(s_idx, src_desc)}]"
+            if isinstance(dst_desc, Stream):
+                buf.line(f"{dst.data}[0].push({value});")
+            elif m.wcr is None:
+                buf.line(f"{dst.data}[{_flat(d_idx, dst_desc)}] = {value};")
+            elif m.reduction_type() == ReductionType.Sum:
+                buf.line(f"{dst.data}[{_flat(d_idx, dst_desc)}] += {value};")
             else:
-                buf.line(f"{dst.data}[{dflat}] = {src.data}[{sflat}];")
+                raise CodegenError("copy WCR type unsupported in C++ backend")
             for _ in range(loops):
                 buf.dedent()
                 buf.line("}")
 
 
-def _min_point(memlet: Memlet):
-    from repro.symbolic import Subset
+def _for(param: str, rng) -> str:
+    """Header of the ``for`` loop that walks ``param`` over ``rng``."""
+    return (
+        f"for (long long {param} = {cppcode(rng.start)}; {param} < "
+        f"{cppcode(rng.end)}; {param} += {cppcode(rng.step)}) {{"
+    )
 
-    return Subset.from_indices([r.min_element() for r in memlet.subset.ranges])
+
+def _identity(rtype, ctype: str) -> str:
+    """Identity element of a Sum/Product/Min/Max reduction."""
+    identity = {
+        ReductionType.Sum: "0",
+        ReductionType.Product: "1",
+        ReductionType.Min: f"std::numeric_limits<{ctype}>::max()",
+        ReductionType.Max: f"std::numeric_limits<{ctype}>::lowest()",
+    }.get(rtype)
+    if identity is None:
+        raise CodegenError("custom WCR unsupported in C++ backend")
+    return identity
+
+
+def _strides(desc):
+    """Element strides of a container; a Scalar has none: it is one element."""
+    return (Integer(1),) if isinstance(desc, Scalar) else desc.strides
+
+
+def _flat(indices: Sequence[str], desc) -> str:
+    """Row-major flat index of the rendered per-dimension ``indices``."""
+    return " + ".join(f"({i}) * ({cppcode(st)})" for i, st in zip(indices, _strides(desc)))
+
+
+def _element(sdfg, data: str, point) -> str:
+    """One element of container ``data``, at the point subset ``point``."""
+    return f"{data}[{flat_index_cpp(point, _strides(sdfg.arrays[data]))}]"
+
+
+def _view(sdfg, memlet: Memlet) -> str:
+    """Pointer to the first element of ``memlet``'s subset."""
+    first = Subset.from_indices([r.min_element() for r in memlet.subset.ranges])
+    return f"&{_element(sdfg, memlet.data, first)}"
+
+
+def _stream_ref(memlet: Memlet) -> str:
+    """The queue a stream memlet addresses: its point index, else queue 0."""
+    sub = memlet.subset
+    idx = cppcode(sub.ranges[0].start) if sub is not None and sub.is_point() else "0"
+    return f"{memlet.data}[{idx}]"
+
+
+_INCLUDES = """\
+#include <algorithm>
+#include <cmath>
+#include <complex>
+#include <cstdint>
+#include <cstring>
+#include <deque>
+#include <limits>
+#if defined(_OPENMP)
+#include <omp.h>
+#endif"""
 
 
 _STREAM_RUNTIME = """\
@@ -590,7 +621,7 @@ def load_entry(lib_path: str, name: str):
 
 def call_entry(fn, arrays, symbols) -> None:
     """Call a generated entry point: C-contiguous arrays, then symbol
-    values, each in sorted-name order (see :func:`compile_cpp`)."""
+    values, in the order of :meth:`~repro.sdfg.sdfg.SDFG.entry_abi`."""
     fn(*[a.ctypes.data_as(ctypes.POINTER(_CTYPE_MAP[str(a.dtype)])) for a in arrays],
        *[ctypes.c_longlong(int(s)) for s in symbols])
 
@@ -633,11 +664,7 @@ def compile_cpp(
             code="CG102",
             sdfg=sdfg,
         )
-    # The entry point's argument order (arrays, then symbols).
-    arg_arrays = sorted(sdfg.arglist())
-    syms_order = sorted(
-        set(sdfg.free_symbols()) | set(sdfg.symbols) - set(sdfg.constants)
-    )
+    arg_arrays, syms_order = sdfg.entry_abi()
 
     if isolated:
         from repro.runtime.isolation import run_isolated

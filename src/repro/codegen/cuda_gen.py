@@ -10,123 +10,100 @@ host↔device copies are generated *exactly* from propagated memlet
 footprints — the data-movement precision the paper credits for its GPU
 wins (§5: "avoiding unnecessary array copies due to explicit data
 dependencies").
+
+A dialect of :class:`~repro.codegen.cpp_gen.CppGenerator`: tasklets,
+connectors, signatures and loop nests are the C++ generator's.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, List, Set, Tuple
+from typing import List, Set, Tuple
 
-from repro.codegen.common import CodeBuffer, CodegenError, cppcode, flat_index_cpp
-from repro.codegen.py2cpp import Py2Cpp
+from repro.codegen.common import CodeBuffer, CodegenError, cppcode
+from repro.codegen.cpp_gen import CppGenerator
 from repro.graph import topological_sort, weakly_connected_components
 from repro.sdfg.data import Stream
 from repro.sdfg.dtypes import ReductionType, ScheduleType, StorageType
-from repro.sdfg.nodes import (
-    AccessNode,
-    EntryNode,
-    ExitNode,
-    MapEntry,
-    NestedSDFG,
-    Reduce,
-    Tasklet,
-)
+from repro.sdfg.nodes import AccessNode, MapEntry
+
+_ATOMICS = {
+    ReductionType.Sum: "atomicAdd",
+    ReductionType.Min: "atomicMin",
+    ReductionType.Max: "atomicMax",
+}
 
 
-class CudaGenerator:
-    """Generates a CUDA translation unit (host + device code)."""
+class CudaGenerator(CppGenerator):
+    """Generates a CUDA translation unit (host + device code).
 
-    def __init__(self, sdfg):
-        self.sdfg = sdfg
-        self._kernels: List[str] = []
-        self._counter = itertools.count()
+    ``in_parallel`` is true exactly inside a kernel: host-level tasklets
+    and nested SDFGs are left as comments.
+    """
 
-    def generate(self) -> str:
-        buf = CodeBuffer()
-        buf.line("// Generated by repro.codegen.cuda_gen -- do not edit.")
-        buf.line("#include <cuda_runtime.h>")
-        buf.line("#include <cmath>")
-        buf.line()
-        host = self._emit_host(self.sdfg)
-        for k in self._kernels:
-            buf.lines(k)
-            buf.line()
-        buf.lines(host)
-        return buf.getvalue()
+    #: CUDA stream of the connected component being emitted.
+    _stream = 0
+
+    def _emit_preamble(self, buf: CodeBuffer) -> None:
+        buf.lines("#include <cuda_runtime.h>\n#include <cmath>")
 
     # ------------------------------------------------------------------ host
-    def _emit_host(self, sdfg) -> str:
-        buf = CodeBuffer()
-        args = []
-        for name, desc in sorted(sdfg.arglist().items()):
-            args.append(f"{desc.dtype.ctype}* {name}")
-        for sym in sorted(set(sdfg.free_symbols()) | set(sdfg.symbols) - set(sdfg.constants)):
-            args.append(f"long long {sym}")
-        buf.line(f'extern "C" void {sdfg.name}({", ".join(args)}) {{')
-        buf.indent()
+    def _emit_allocations(self, sdfg, buf: CodeBuffer) -> List[str]:
         # Device allocations for GPU-resident containers (paper: containers
         # are tied to storage locations).
-        gpu_arrays = {
-            name: desc
+        gpu_arrays = [
+            (name, desc)
             for name, desc in sdfg.arrays.items()
-            if desc.storage in (StorageType.GPU_Global, StorageType.GPU_Shared)
-            and not isinstance(desc, Stream)
-        }
-        for name, desc in gpu_arrays.items():
-            if desc.storage != StorageType.GPU_Global:
-                continue
+            if desc.storage == StorageType.GPU_Global and not isinstance(desc, Stream)
+        ]
+        for name, desc in gpu_arrays:
             size = cppcode(desc.total_size())
             buf.line(f"{desc.dtype.ctype}* {name} = nullptr;")
             buf.line(
                 f"cudaMalloc(&{name}, ({size}) * sizeof({desc.dtype.ctype}));"
             )
-        streams = max(1, self._max_concurrency(sdfg))
+        streams = max([1] + [len(weakly_connected_components(s)) for s in sdfg.nodes()])
         buf.line(f"cudaStream_t __streams[{streams}];")
         buf.line(
             f"for (int s = 0; s < {streams}; s++) cudaStreamCreate(&__streams[s]);"
         )
+        return [
+            "cudaDeviceSynchronize();",
+            *(f"cudaFree({name});" for name, _ in gpu_arrays),
+            f"for (int s = 0; s < {streams}; s++) cudaStreamDestroy(__streams[s]);",
+        ]
+
+    def _emit_states(self, sdfg, buf: CodeBuffer) -> None:
         for state in sdfg.nodes():
             buf.line(f"// state {state.name}")
-            self._emit_state(sdfg, state, buf)
-        buf.line("cudaDeviceSynchronize();")
-        for name, desc in gpu_arrays.items():
-            if desc.storage == StorageType.GPU_Global:
-                buf.line(f"cudaFree({name});")
-        buf.line(f"for (int s = 0; s < {streams}; s++) cudaStreamDestroy(__streams[s]);")
-        buf.dedent()
-        buf.line("}")
-        return buf.getvalue()
+            self._emit_state_body(sdfg, state, buf)
 
-    def _max_concurrency(self, sdfg) -> int:
-        return max(
-            (len(weakly_connected_components(s)) for s in sdfg.nodes()),
-            default=1,
-        )
-
-    def _emit_state(self, sdfg, state, buf: CodeBuffer) -> None:
+    def _emit_state_body(self, sdfg, state, buf: CodeBuffer) -> None:
         # Each connected component executes on its own CUDA stream (§3.3).
-        components = weakly_connected_components(state)
         order = topological_sort(state)
         pos = {id(n): i for i, n in enumerate(order)}
         scope_dict = state.scope_dict()
-        for ci, comp in enumerate(components):
-            comp_sorted = sorted(comp, key=lambda n: pos[id(n)])
-            for node in comp_sorted:
-                if scope_dict.get(node) is not None:
-                    continue
-                if isinstance(node, MapEntry):
-                    self._emit_kernel_launch(sdfg, state, node, buf, ci, scope_dict, order)
-                elif isinstance(node, AccessNode):
-                    self._emit_copy(sdfg, state, node, buf, ci)
-                elif isinstance(node, Reduce):
-                    buf.line(
-                        f"// reduce via cub::DeviceReduce on stream {ci} "
-                        f"(wcr: {node.wcr})"
-                    )
-                elif isinstance(node, (Tasklet, NestedSDFG)):
-                    buf.line(f"// host-side node {node.label}")
+        for ci, comp in enumerate(weakly_connected_components(state)):
+            self._stream = ci
+            top = [n for n in sorted(comp, key=lambda n: pos[id(n)])
+                   if scope_dict.get(n) is None]
+            self._emit_nodes(sdfg, state, top, buf, order, scope_dict, in_parallel=False)
 
-    def _emit_copy(self, sdfg, state, node: AccessNode, buf, stream_idx: int) -> None:
+    def _emit_tasklet(self, sdfg, state, node, buf, in_parallel) -> None:
+        if in_parallel:
+            super()._emit_tasklet(sdfg, state, node, buf, in_parallel)
+        else:
+            buf.line(f"// host-side node {node.label}")
+
+    def _emit_nested_call(self, sdfg, state, node, buf) -> None:
+        buf.line(f"// host-side node {node.label}")
+
+    def _emit_reduce(self, sdfg, state, node, buf) -> None:
+        buf.line(
+            f"// reduce via cub::DeviceReduce on stream {self._stream} "
+            f"(wcr: {node.wcr})"
+        )
+
+    def _emit_copies(self, sdfg, state, node: AccessNode, buf) -> None:
         """Host<->device copies, sized by the exact propagated memlets."""
         for e in state.in_edges(node):
             if e.data.is_empty() or not isinstance(e.src, AccessNode):
@@ -145,27 +122,49 @@ class CudaGenerator:
             buf.line(
                 f"cudaMemcpyAsync({e.dst.data}, {e.src.data}, "
                 f"({vol}) * sizeof({dst_desc.dtype.ctype}), {kind}, "
-                f"__streams[{stream_idx}]);"
+                f"__streams[{self._stream}]);"
             )
 
-    def _emit_kernel_launch(
-        self, sdfg, state, entry: MapEntry, buf, stream_idx, scope_dict, order
-    ) -> None:
+    # ---------------------------------------------------------------- device
+    def _emit_map(self, sdfg, state, entry: MapEntry, body, buf, order, scope_dict,
+                  in_parallel) -> None:
+        if in_parallel:
+            # Nested thread-block map: sequential loop with syncthreads.
+            super()._emit_map(sdfg, state, entry, body, buf, order, scope_dict, in_parallel)
+            if entry.map.schedule == ScheduleType.GPU_ThreadBlock:
+                buf.line("__syncthreads();")
+            return
         if entry.map.schedule not in (ScheduleType.GPU_Device, ScheduleType.Default):
             raise CodegenError(
                 f"top-level map {entry.map.label} has non-GPU schedule "
                 f"{entry.map.schedule} in CUDA codegen"
             )
         kname = f"__kernel_{entry.map.label}_{next(self._counter)}"
-        self._kernels.append(self._emit_kernel(sdfg, state, entry, kname, scope_dict, order))
+        args = self._kernel_args(sdfg, state, entry)
+        kernel = CodeBuffer()
+        with kernel.block(
+            f"__global__ void {kname}({', '.join(f'{t} {n}' for t, n in args)}) {{", "}"
+        ):
+            idx_exprs = [
+                "blockIdx.x * blockDim.x + threadIdx.x",
+                "blockIdx.y",
+                "blockIdx.z",
+            ]
+            for p, rng, idx in zip(entry.map.params, entry.map.range.ranges, idx_exprs):
+                kernel.line(
+                    f"const long long {p} = {cppcode(rng.start)} + "
+                    f"({idx}) * {cppcode(rng.step)};"
+                )
+                kernel.line(f"if ({p} >= {cppcode(rng.end)}) return;")
+            self._emit_nodes(sdfg, state, body, kernel, order, scope_dict, in_parallel=True)
+        self._functions.append(kernel.getvalue())
         dims = [cppcode(r.size()) for r in entry.map.range.ranges]
         # Map range becomes grid dims; 256-thread 1-D blocks by default.
         grid = " , ".join(f"(unsigned)(({d} + 255) / 256)" for d in dims[:1])
         extra = "".join(f", (unsigned){d}" for d in dims[1:3])
-        args = self._kernel_args(sdfg, state, entry)
         buf.line(
             f"{kname}<<<dim3({grid}{extra}), dim3(256), 0, "
-            f"__streams[{stream_idx}]>>>({', '.join(a for _, a in args)});"
+            f"__streams[{self._stream}]>>>({', '.join(a for _, a in args)});"
         )
 
     def _kernel_args(self, sdfg, state, entry) -> List[Tuple[str, str]]:
@@ -184,101 +183,7 @@ class CudaGenerator:
             names.append(("long long", sym))
         return names
 
-    def _emit_kernel(self, sdfg, state, entry, kname, scope_dict, order) -> str:
-        buf = CodeBuffer()
-        args = self._kernel_args(sdfg, state, entry)
-        buf.line(
-            f"__global__ void {kname}({', '.join(f'{t} {n}' for t, n in args)}) {{"
-        )
-        buf.indent()
-        params = entry.map.params
-        idx_exprs = [
-            "blockIdx.x * blockDim.x + threadIdx.x",
-            "blockIdx.y",
-            "blockIdx.z",
-        ]
-        for p, rng, idx in zip(params, entry.map.range.ranges, idx_exprs):
-            buf.line(
-                f"const long long {p} = {cppcode(rng.start)} + "
-                f"({idx}) * {cppcode(rng.step)};"
-            )
-            buf.line(f"if ({p} >= {cppcode(rng.end)}) return;")
-        body = [n for n in order if scope_dict.get(n) is entry]
-        for node in body:
-            if isinstance(node, Tasklet):
-                self._emit_device_tasklet(sdfg, state, node, buf)
-            elif isinstance(node, MapEntry):
-                # Nested thread-block map: sequential loop with syncthreads.
-                for p, rng in node.map.param_ranges().items():
-                    buf.line(
-                        f"for (long long {p} = {cppcode(rng.start)}; {p} < "
-                        f"{cppcode(rng.end)}; {p} += {cppcode(rng.step)}) {{"
-                    )
-                    buf.indent()
-                inner = [n for n in order if scope_dict.get(n) is node]
-                for n2 in inner:
-                    if isinstance(n2, Tasklet):
-                        self._emit_device_tasklet(sdfg, state, n2, buf)
-                for _ in node.map.params:
-                    buf.dedent()
-                    buf.line("}")
-                if node.map.schedule == ScheduleType.GPU_ThreadBlock:
-                    buf.line("__syncthreads();")
-        buf.dedent()
-        buf.line("}")
-        return buf.getvalue()
-
-    def _emit_device_tasklet(self, sdfg, state, node: Tasklet, buf) -> None:
-        buf.line("{")
-        buf.indent()
-        declared: Dict[str, str] = {}
-        for e in state.in_edges(node):
-            if e.data.is_empty():
-                continue
-            desc = sdfg.arrays[e.data.data]
-            if e.data.subset.is_point():
-                idx = flat_index_cpp(e.data.subset, desc.strides)
-                buf.line(
-                    f"const {desc.dtype.ctype} {e.dst_conn} = {e.data.data}[{idx}];"
-                )
-            else:
-                from repro.symbolic import Subset
-
-                offs = flat_index_cpp(
-                    Subset.from_indices(
-                        [r.min_element() for r in e.data.subset.ranges]
-                    ),
-                    desc.strides,
-                )
-                buf.line(
-                    f"const {desc.dtype.ctype}* {e.dst_conn} = &{e.data.data}[{offs}];"
-                )
-            declared[e.dst_conn] = desc.dtype.ctype
-        for e in state.out_edges(node):
-            if e.data.is_empty():
-                continue
-            desc = sdfg.arrays[e.data.data]
-            buf.line(f"{desc.dtype.ctype} {e.src_conn};")
-            declared[e.src_conn] = desc.dtype.ctype
-        conv = Py2Cpp(declared=declared)
-        for ln in conv.convert(node.code):
-            buf.line(ln)
-        for e in state.out_edges(node):
-            if e.data.is_empty():
-                continue
-            desc = sdfg.arrays[e.data.data]
-            idx = flat_index_cpp(e.data.subset, desc.strides)
-            if e.data.wcr is not None:
-                rtype = e.data.reduction_type()
-                if rtype == ReductionType.Sum:
-                    buf.line(f"atomicAdd(&{e.data.data}[{idx}], {e.src_conn});")
-                elif rtype == ReductionType.Min:
-                    buf.line(f"atomicMin(&{e.data.data}[{idx}], {e.src_conn});")
-                elif rtype == ReductionType.Max:
-                    buf.line(f"atomicMax(&{e.data.data}[{idx}], {e.src_conn});")
-                else:
-                    raise CodegenError("WCR type needs a critical section on GPU")
-            else:
-                buf.line(f"{e.data.data}[{idx}] = {e.src_conn};")
-        buf.dedent()
-        buf.line("}")
+    def _emit_wcr(self, buf, target, value, rtype, ctype, in_parallel) -> None:
+        if rtype not in _ATOMICS:
+            raise CodegenError("WCR type needs a critical section on GPU")
+        buf.line(f"{_ATOMICS[rtype]}(&{target}, {value});")

@@ -12,66 +12,40 @@ A Map whose PEs communicate through a stream indexed by the PE parameter
 (``pipes[p]`` → ``pipes[p+1]``) generates a *systolic array* — the
 construct the paper uses for Jacobi and matrix multiplication on the
 Xilinx VCU1525.
+
+A dialect of :class:`~repro.codegen.cpp_gen.CppGenerator`: tasklets,
+connectors, write-conflict write-back, signatures and loop nests are
+the C++ generator's.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, List, Optional
+from typing import List
 
-from repro.codegen.common import CodeBuffer, CodegenError, cppcode, flat_index_cpp
-from repro.codegen.py2cpp import Py2Cpp
-from repro.graph import topological_sort, weakly_connected_components
+from repro.codegen.common import CodeBuffer, CodegenError, cppcode
+from repro.codegen.cpp_gen import CppGenerator, _for, _stream_ref
+from repro.graph import weakly_connected_components
 from repro.sdfg.data import Stream
-from repro.sdfg.dtypes import ReductionType, ScheduleType, StorageType
-from repro.sdfg.nodes import (
-    AccessNode,
-    EntryNode,
-    ExitNode,
-    MapEntry,
-    Reduce,
-    Tasklet,
-)
+from repro.sdfg.dtypes import ScheduleType, StorageType
+from repro.sdfg.nodes import AccessNode, EntryNode, MapEntry
 
 
-class FPGAGenerator:
+class FPGAGenerator(CppGenerator):
     """Generates an HLS C++ translation unit for an SDFG."""
 
-    def __init__(self, sdfg):
-        self.sdfg = sdfg
-        self._modules: List[str] = []
-        self._counter = itertools.count()
+    def _emit_preamble(self, buf: CodeBuffer) -> None:
+        buf.lines("#include <hls_stream.h>\n#include <ap_int.h>\n#include <cmath>")
 
-    def generate(self) -> str:
-        buf = CodeBuffer()
-        buf.line("// Generated by repro.codegen.fpga_gen -- do not edit.")
-        buf.line("#include <hls_stream.h>")
-        buf.line("#include <ap_int.h>")
-        buf.line("#include <cmath>")
-        buf.line()
-        top = self._emit_top(self.sdfg)
-        for m in self._modules:
-            buf.lines(m)
-            buf.line()
-        buf.lines(top)
-        return buf.getvalue()
+    def _arg(self, name: str, desc) -> str:
+        if isinstance(desc, Stream):
+            return f"hls::stream<{desc.dtype.ctype}>& {name}"
+        return f"{desc.dtype.ctype}* {name}"
 
-    def _emit_top(self, sdfg) -> str:
-        buf = CodeBuffer()
-        args = []
-        for name, desc in sorted(sdfg.arglist().items()):
-            if isinstance(desc, Stream):
-                args.append(f"hls::stream<{desc.dtype.ctype}>& {name}")
-            else:
-                args.append(f"{desc.dtype.ctype}* {name}")
-        for sym in sorted(set(sdfg.free_symbols()) | set(sdfg.symbols) - set(sdfg.constants)):
-            args.append(f"long long {sym}")
-        buf.line(f'extern "C" void {sdfg.name}({", ".join(args)}) {{')
-        buf.indent()
+    def _emit_allocations(self, sdfg, buf: CodeBuffer) -> List[str]:
         # Interface pragmas: each external array gets an AXI master port,
         # spread over the four DDR4 banks of the VCU1525.
-        for i, (name, desc) in enumerate(sorted(sdfg.arglist().items())):
-            if not isinstance(desc, Stream):
+        for i, name in enumerate(sdfg.entry_abi()[0]):
+            if not isinstance(sdfg.arrays[name], Stream):
                 buf.line(
                     f"#pragma HLS INTERFACE m_axi port={name} "
                     f"offset=slave bundle=gmem{i % 4}"
@@ -90,41 +64,60 @@ class FPGAGenerator:
                 total = cppcode(desc.total_size())
                 buf.line(f"{desc.dtype.ctype} {name}[{total}];")
                 buf.line(f"#pragma HLS RESOURCE variable={name} core=RAM_2P_BRAM")
+        return []
+
+    def _emit_states(self, sdfg, buf: CodeBuffer) -> None:
         for state in sdfg.nodes():
             buf.line(f"// state {state.name}")
-            comps = weakly_connected_components(state)
-            if len(comps) > 1:
+            if len(weakly_connected_components(state)) > 1:
                 buf.line("#pragma HLS DATAFLOW")
-            self._emit_state(sdfg, state, buf)
-        buf.dedent()
-        buf.line("}")
-        return buf.getvalue()
+            self._emit_state_body(sdfg, state, buf)
 
-    def _emit_state(self, sdfg, state, buf: CodeBuffer) -> None:
-        order = topological_sort(state)
-        scope_dict = state.scope_dict()
-        for node in order:
-            if scope_dict.get(node) is not None:
+    def _emit_reduce(self, sdfg, state, node, buf) -> None:
+        buf.line(f"// reduction tree module (wcr: {node.wcr})")
+
+    def _emit_copies(self, sdfg, state, node: AccessNode, buf) -> None:
+        for e in state.in_edges(node):
+            if e.data.is_empty() or not isinstance(e.src, AccessNode):
                 continue
-            if isinstance(node, MapEntry):
-                if self._is_systolic(sdfg, state, node, scope_dict, order):
-                    self._emit_systolic_array(sdfg, state, node, buf, scope_dict, order)
-                else:
-                    self._emit_pipeline_loop(sdfg, state, node, buf, scope_dict, order)
-            elif isinstance(node, AccessNode):
-                self._emit_copies(sdfg, state, node, buf)
-            elif isinstance(node, Tasklet):
-                self._emit_tasklet(sdfg, state, node, buf, pipelined=False)
-            elif isinstance(node, Reduce):
-                buf.line(f"// reduction tree module (wcr: {node.wcr})")
+            buf.line(
+                f"// burst copy {e.src.data} -> {e.dst.data} "
+                f"({cppcode(e.data.volume)} elements)"
+            )
 
-    # ---------------------------------------------------------- systolic path
-    def _is_systolic(self, sdfg, state, entry: MapEntry, scope_dict, order) -> bool:
+    # -------------------------------------------------------------- tasklets
+    def _tasklet_body(self, node, declared, streams):
+        # Stream outputs are written after the body (``_stream_write``),
+        # so the body assigns them as plain locals.
+        try:
+            return super()._tasklet_body(node, declared, set())
+        except CodegenError:
+            return [f"// opaque tasklet: {node.name}"], set()
+
+    def _stream_read(self, state, node, e, ctype: str) -> str:
+        return f"{ctype} {e.dst_conn} = {_stream_ref(e.data)}.read();"
+
+    def _stream_write(self, e, ctype: str):
+        return None, f"{_stream_ref(e.data)}.write({e.src_conn});"
+
+    # ------------------------------------------------------------------ maps
+    def _emit_map(self, sdfg, state, entry: MapEntry, body, buf, order, scope_dict,
+                  in_parallel) -> None:
+        if scope_dict.get(entry) is None and self._is_systolic(sdfg, state, entry, body):
+            self._emit_systolic_array(sdfg, state, entry, body, buf, order, scope_dict)
+            return
+        with self._loop_nest(buf, entry.map):
+            if entry.map.unroll:
+                buf.line("#pragma HLS UNROLL")
+            elif not any(isinstance(n, EntryNode) for n in body):
+                buf.line("#pragma HLS PIPELINE II=1")
+            self._emit_nodes(sdfg, state, body, buf, order, scope_dict, in_parallel)
+
+    def _is_systolic(self, sdfg, state, entry: MapEntry, body) -> bool:
         """A map over PEs whose body communicates via PE-indexed streams
         (paper Fig. 7) synthesizes a systolic array."""
         if not entry.map.unroll and entry.map.schedule != ScheduleType.FPGA_Device:
             return False
-        body = [n for n in order if scope_dict.get(n) is entry]
         p = entry.map.params[0] if entry.map.params else None
         for node in body:
             for e in state.in_edges(node) + state.out_edges(node):
@@ -137,20 +130,27 @@ class FPGAGenerator:
                         return True
         return False
 
-    def _emit_systolic_array(self, sdfg, state, entry, buf, scope_dict, order) -> None:
+    def _emit_systolic_array(self, sdfg, state, entry, body, buf, order, scope_dict) -> None:
         p = entry.map.params[0]
         rng = entry.map.range.ranges[0]
         mname = f"__pe_{entry.map.label}_{next(self._counter)}"
-        self._modules.append(self._emit_pe_module(sdfg, state, entry, mname, scope_dict, order))
+        data = self._scope_data(sdfg, state, entry)
+        args = [f"long long {p}"]
+        for name in data:
+            desc = sdfg.arrays[name]
+            if isinstance(desc, Stream):
+                args.append(f"hls::stream<{desc.dtype.ctype}>* {name}")
+            else:
+                args.append(f"{desc.dtype.ctype}* {name}")
+        pe = CodeBuffer()
+        with pe.block(f"static void {mname}({', '.join(args)}) {{", "}"):
+            pe.line("#pragma HLS INLINE off")
+            self._emit_nodes(sdfg, state, body, pe, order, scope_dict, in_parallel=False)
+        self._functions.append(pe.getvalue())
         buf.line(f"// systolic array: {cppcode(rng.size())} processing elements")
-        with buf.block(
-            f"for (long long {p} = {cppcode(rng.start)}; {p} < "
-            f"{cppcode(rng.end)}; {p} += {cppcode(rng.step)}) {{",
-            "}",
-        ):
+        with buf.block(_for(p, rng), "}"):
             buf.line("#pragma HLS UNROLL")
-            args = [p] + sorted(self._scope_data(sdfg, state, entry))
-            buf.line(f"{mname}({', '.join(map(str, args))});")
+            buf.line(f"{mname}({', '.join([p, *data])});")
 
     def _scope_data(self, sdfg, state, entry) -> List[str]:
         exit_ = state.exit_node(entry)
@@ -165,129 +165,3 @@ class FPGAGenerator:
                     if isinstance(sdfg.arrays[e.data.data], Stream):
                         names.add(e.data.data)
         return sorted(names)
-
-    def _emit_pe_module(self, sdfg, state, entry, mname, scope_dict, order) -> str:
-        buf = CodeBuffer()
-        p = entry.map.params[0]
-        args = [f"long long {p}"]
-        for name in self._scope_data(sdfg, state, entry):
-            desc = sdfg.arrays[name]
-            if isinstance(desc, Stream):
-                args.append(f"hls::stream<{desc.dtype.ctype}>* {name}")
-            else:
-                args.append(f"{desc.dtype.ctype}* {name}")
-        buf.line(f"static void {mname}({', '.join(args)}) {{")
-        buf.indent()
-        buf.line("#pragma HLS INLINE off")
-        body = [n for n in order if scope_dict.get(n) is entry]
-        for node in body:
-            if isinstance(node, MapEntry):
-                self._emit_pipeline_loop(sdfg, state, node, buf, scope_dict, order)
-            elif isinstance(node, Tasklet):
-                self._emit_tasklet(sdfg, state, node, buf, pipelined=True)
-        buf.dedent()
-        buf.line("}")
-        return buf.getvalue()
-
-    # ---------------------------------------------------------- pipeline path
-    def _emit_pipeline_loop(self, sdfg, state, entry, buf, scope_dict, order) -> None:
-        body = [n for n in order if scope_dict.get(n) is entry]
-        has_nested = any(isinstance(n, EntryNode) for n in body)
-        depth = 0
-        for p, rng in entry.map.param_ranges().items():
-            buf.line(
-                f"for (long long {p} = {cppcode(rng.start)}; {p} < "
-                f"{cppcode(rng.end)}; {p} += {cppcode(rng.step)}) {{"
-            )
-            buf.indent()
-            depth += 1
-        if entry.map.unroll:
-            buf.line("#pragma HLS UNROLL")
-        elif not has_nested:
-            buf.line("#pragma HLS PIPELINE II=1")
-        for node in body:
-            if isinstance(node, MapEntry):
-                self._emit_pipeline_loop(sdfg, state, node, buf, scope_dict, order)
-            elif isinstance(node, Tasklet):
-                self._emit_tasklet(sdfg, state, node, buf, pipelined=True)
-            elif isinstance(node, AccessNode):
-                self._emit_copies(sdfg, state, node, buf)
-        for _ in range(depth):
-            buf.dedent()
-            buf.line("}")
-
-    # -------------------------------------------------------------- tasklets
-    def _emit_tasklet(self, sdfg, state, node: Tasklet, buf, pipelined: bool) -> None:
-        buf.line("{")
-        buf.indent()
-        declared: Dict[str, str] = {}
-        for e in state.in_edges(node):
-            if e.data.is_empty():
-                continue
-            desc = sdfg.arrays[e.data.data]
-            if isinstance(desc, Stream):
-                idx = "0"
-                if e.data.subset is not None and e.data.subset.is_point():
-                    idx = cppcode(e.data.subset.ranges[0].start)
-                buf.line(
-                    f"{desc.dtype.ctype} {e.dst_conn} = {e.data.data}[{idx}].read();"
-                )
-            elif e.data.subset.is_point():
-                idx = flat_index_cpp(e.data.subset, desc.strides)
-                buf.line(
-                    f"const {desc.dtype.ctype} {e.dst_conn} = {e.data.data}[{idx}];"
-                )
-            else:
-                from repro.symbolic import Subset
-
-                offs = flat_index_cpp(
-                    Subset.from_indices([r.min_element() for r in e.data.subset.ranges]),
-                    desc.strides,
-                )
-                buf.line(
-                    f"const {desc.dtype.ctype}* {e.dst_conn} = &{e.data.data}[{offs}];"
-                )
-            declared[e.dst_conn] = desc.dtype.ctype
-        for e in state.out_edges(node):
-            if e.data.is_empty():
-                continue
-            desc = sdfg.arrays[e.data.data]
-            if not isinstance(desc, Stream):
-                buf.line(f"{desc.dtype.ctype} {e.src_conn};")
-            declared[e.src_conn] = desc.dtype.ctype
-        conv = Py2Cpp(declared=declared)
-        from repro.codegen.common import CodegenError as CE
-
-        try:
-            lines = conv.convert(node.code)
-        except CE:
-            lines = [f"// opaque tasklet: {node.name}"]
-        for ln in lines:
-            buf.line(ln)
-        for e in state.out_edges(node):
-            if e.data.is_empty():
-                continue
-            desc = sdfg.arrays[e.data.data]
-            if isinstance(desc, Stream):
-                idx = "0"
-                if e.data.subset is not None and e.data.subset.is_point():
-                    idx = cppcode(e.data.subset.ranges[0].start)
-                buf.line(f"{e.data.data}[{idx}].write({e.src_conn});")
-                continue
-            idx = flat_index_cpp(e.data.subset, desc.strides)
-            if e.data.wcr is not None and e.data.reduction_type() == ReductionType.Sum:
-                # Accumulator module: read-modify-write within the PE.
-                buf.line(f"{e.data.data}[{idx}] += {e.src_conn};")
-            else:
-                buf.line(f"{e.data.data}[{idx}] = {e.src_conn};")
-        buf.dedent()
-        buf.line("}")
-
-    def _emit_copies(self, sdfg, state, node: AccessNode, buf) -> None:
-        for e in state.in_edges(node):
-            if e.data.is_empty() or not isinstance(e.src, AccessNode):
-                continue
-            buf.line(
-                f"// burst copy {e.src.data} -> {e.dst.data} "
-                f"({cppcode(e.data.volume)} elements)"
-            )

@@ -38,6 +38,12 @@ _BINOPS = {
     ast.Mod: "%",
 }
 
+#: C++ types of integer connectors (``typeclass.ctype``).
+_INT_CTYPES = frozenset({
+    "bool", "char", "short", "int", "long long",
+    "unsigned char", "unsigned short", "unsigned int", "unsigned long long",
+})
+
 _CMPOPS = {
     ast.Eq: "==",
     ast.NotEq: "!=",
@@ -54,12 +60,15 @@ class Py2Cpp:
     def __init__(
         self,
         declared: Optional[Dict[str, str]] = None,
-        rename: Optional[Dict[str, str]] = None,
+        streams: Set[str] = frozenset(),
     ):
         #: name -> ctype for pre-declared variables (connectors).
         self.declared: Dict[str, str] = dict(declared or {})
-        self.rename = dict(rename or {})
+        #: Output stream connectors: assigning one pushes onto it.
+        self.streams = streams
         self._defined: Set[str] = set(self.declared)
+        #: Connectors the code stores through (``a[i] = ...``, ``a[i] += ...``).
+        self.stored: Set[str] = set()
 
     def convert(self, code: str) -> List[str]:
         try:
@@ -79,18 +88,22 @@ class Py2Cpp:
             target = node.targets[0]
             value = self._expr(node.value)
             if isinstance(target, ast.Name):
-                name = self.rename.get(target.id, target.id)
-                if target.id in self._defined:
+                name = target.id
+                if name in self.streams:
+                    return [f"{name}.push({value});"]
+                if name in self._defined:
                     return [f"{name} = {value};"]
-                self._defined.add(target.id)
+                self._defined.add(name)
                 return [f"auto {name} = {value};"]
             if isinstance(target, ast.Subscript):
+                self._store(target)
                 return [f"{self._expr(target)} = {value};"]
             raise CodegenError(f"unsupported assignment target {ast.dump(target)}")
         if isinstance(node, ast.AugAssign):
             op = _BINOPS.get(type(node.op))
             if op is None:
                 raise CodegenError("unsupported augmented assignment")
+            self._store(node.target)
             return [f"{self._expr(node.target)} {op}= {self._expr(node.value)};"]
         if isinstance(node, ast.If):
             out = [f"if ({self._expr(node.test)}) {{"]
@@ -111,6 +124,34 @@ class Py2Cpp:
                 return [f"{self._expr(node.value)};"]
         raise CodegenError(f"unsupported tasklet statement {ast.dump(node)}")
 
+    def _store(self, target: ast.expr) -> None:
+        if isinstance(target, ast.Subscript) and isinstance(target.value, ast.Name):
+            self.stored.add(target.value.id)
+
+    def _is_int(self, node: ast.expr) -> bool:
+        """Whether ``node`` has an integer C++ type: an int literal, an
+        integer connector, a symbol, ``int()``, or integer arithmetic."""
+        if isinstance(node, ast.Constant):
+            return isinstance(node.value, int) and not isinstance(node.value, bool)
+        if isinstance(node, ast.Name):
+            if node.id in self.declared:
+                return self.declared[node.id] in _INT_CTYPES
+            # Undefined names are symbols, which C++ sees as long long.
+            return node.id not in self._defined
+        if isinstance(node, ast.BinOp):
+            return (
+                not isinstance(node.op, (ast.Div, ast.Pow))
+                and self._is_int(node.left)
+                and self._is_int(node.right)
+            )
+        if isinstance(node, ast.UnaryOp):
+            return isinstance(node.op, (ast.USub, ast.UAdd)) and self._is_int(node.operand)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id in ("min", "max"):
+                return all(self._is_int(a) for a in node.args)
+            return node.func.id == "int"
+        return False
+
     # ------------------------------------------------------------ expressions
     def _expr(self, node: ast.expr) -> str:
         if isinstance(node, ast.Constant):
@@ -120,7 +161,7 @@ class Py2Cpp:
                 return repr(node.value)
             raise CodegenError(f"unsupported literal {node.value!r}")
         if isinstance(node, ast.Name):
-            return self.rename.get(node.id, node.id)
+            return node.id
         if isinstance(node, ast.BinOp):
             if isinstance(node.op, ast.Pow):
                 return f"std::pow({self._expr(node.left)}, {self._expr(node.right)})"
@@ -178,15 +219,11 @@ class Py2Cpp:
         args = [self._expr(a) for a in node.args]
         if isinstance(node.func, ast.Name):
             fname = node.func.id
-            if fname == "min":
+            if fname in ("min", "max"):
+                ctype = "long long" if self._is_int(node) else "double"
                 out = args[0]
                 for a in args[1:]:
-                    out = f"std::min<double>({out}, {a})"
-                return out
-            if fname == "max":
-                out = args[0]
-                for a in args[1:]:
-                    out = f"std::max<double>({out}, {a})"
+                    out = f"std::{fname}<{ctype}>({out}, {a})"
                 return out
             if fname in ("int",):
                 return f"(long long)({args[0]})"

@@ -268,10 +268,7 @@ class PythonGenerator:
         prev_fn = self._current_fn
         self._current_fn = fname
         buf = CodeBuffer()
-        arg_arrays = sorted(sdfg.arglist())
-        syms = sorted(
-            set(sdfg.free_symbols()) | set(sdfg.symbols) - set(sdfg.constants)
-        )
+        arg_arrays, syms = sdfg.entry_abi()
         params = arg_arrays + [f"{s}" for s in syms] + [
             "__instr=None", "__guard=None", "__pool=None",
         ]
@@ -551,7 +548,7 @@ class PythonGenerator:
         conns = sorted(
             c for c in entry.in_connectors if not c.startswith("IN_")
         )
-        syms = set(sdfg.free_symbols()) | set(sdfg.symbols) - set(sdfg.constants)
+        syms = set(sdfg.entry_abi()[1])
         # Interstate-assigned symbols (loop variables of the state
         # machine) are plain locals in the parent function; forward the
         # ones the scope actually references.
@@ -940,8 +937,7 @@ class PythonGenerator:
                 e.src_conn, f"{e.data.data}[{_slices_only(e.data)}]"
             )
         inner = node.sdfg
-        arg_arrays = sorted(inner.arglist())
-        syms = sorted(set(inner.free_symbols()) | set(inner.symbols) - set(inner.constants))
+        arg_arrays, syms = inner.entry_abi()
         args = []
         for a in arg_arrays:
             if a not in conn_views:

@@ -266,6 +266,14 @@ class SDFG(OrderedMultiDiGraph[SDFGState, InterstateEdge]):
             if not desc.transient
         }
 
+    def entry_abi(self) -> Tuple[List[str], List[str]]:
+        """Argument order of every generated entry point, nested calls
+        included: the :meth:`arglist` containers by name, then the free
+        and declared non-constant symbols by name."""
+        return list(self.arglist()), sorted(
+            set(self.free_symbols()) | set(self.symbols) - set(self.constants)
+        )
+
     def free_symbols(self) -> Set[str]:
         """Symbols that must be supplied at invocation."""
         used: Set[str] = set()

@@ -4,7 +4,7 @@ backends."""
 import numpy as np
 import pytest
 
-from repro.codegen import generate_code
+from repro.codegen import compile_sdfg, generate_code
 from repro.codegen.common import CodegenError
 from repro.codegen.cpp_gen import compile_cpp, find_host_compiler
 from repro.codegen.py2cpp import Py2Cpp
@@ -15,6 +15,8 @@ from repro.sdfg import (
     StorageType,
     dtypes,
 )
+from repro.workloads import kernels
+from tests.codegen.test_parallel_parity import _case, _check, _fresh
 
 needs_cc = pytest.mark.skipif(
     find_host_compiler() is None, reason="no host C++ compiler"
@@ -67,6 +69,23 @@ class TestPy2Cpp:
         )
         assert "std::min<double>" in lines[0] and "std::sqrt" in lines[0]
 
+    def test_min_max_over_integers_stay_integer(self):
+        # An index clamp: a double-typed min cannot subscript an array.
+        lines = Py2Cpp(declared={"o": "long long", "v": "double"}).convert(
+            "o = max(min(int(v * BINS), BINS - 1), 0)"
+        )
+        assert lines == [
+            "o = std::max<long long>(std::min<long long>((long long)((v * BINS)), "
+            "(BINS - 1)), 0);"
+        ]
+        mixed = Py2Cpp(declared={"o": "double", "v": "double"}).convert("o = min(v, 1)")
+        assert "std::min<double>" in mixed[0]
+
+    def test_stores_through_connectors_are_reported(self):
+        conv = Py2Cpp(declared={"hh": "long long", "w": "double"})
+        conv.convert("hh[int(w[0])] += 1")
+        assert conv.stored == {"hh"}
+
     def test_subscript(self):
         lines = Py2Cpp(declared={"o": "double", "w": "double"}).convert(
             "o = w[0] - 2*w[1] + w[2]"
@@ -108,6 +127,11 @@ class TestCppStructure:
         )
         src = generate_code(sdfg, "cpp")
         assert "#pragma omp atomic" in src
+
+    def test_written_view_is_not_const(self):
+        src = generate_code(kernels.histogram_sdfg(), "cpp")
+        assert "    long long* hh = &hist[" in src
+        assert "std::min<long long>(" in src
 
     def test_transient_allocation(self):
         sdfg = vadd(name="vaddt")
@@ -192,6 +216,24 @@ class TestCppExecution:
         out = np.zeros(5)
         comp(A=A, out=out)
         assert np.allclose(out, A.sum(axis=1))
+
+
+#: Corpus programs that once fell back to Python on cpp: five read a
+#: Scalar container (durbin, gramschmidt, ludcmp, trisolv, query) and
+#: histogram's index clamp did not compile.
+CPP_CORPUS_FIXES = ("durbin", "gramschmidt", "histogram", "ludcmp", "query", "trisolv")
+
+
+@needs_cc
+@pytest.mark.parametrize("name", CPP_CORPUS_FIXES)
+def test_corpus_program_builds_on_cpp(name):
+    make_sdfg, inputs, expected = _case(name)
+    compiled = compile_sdfg(make_sdfg(), backend="cpp", cache="off",
+                            fallback=False, isolate=False)
+    assert compiled.backend == "cpp"
+    got = _fresh(inputs)
+    compiled(**got)
+    _check(name, got, expected, "numpy reference")
 
 
 class TestCudaStructure:
@@ -287,3 +329,19 @@ class TestFPGAStructure:
         st.add_nedge(st.add_read("A"), st.add_access("S"))
         src = generate_code(sdfg, "fpga")
         assert "#pragma HLS STREAM variable=S depth=32" in src
+
+    def test_max_wcr_reads_modifies_writes(self):
+        sdfg = SDFG("fmax")
+        sdfg.add_array("x", ("N",), dtypes.float64, storage=StorageType.FPGA_Global)
+        sdfg.add_array("r", (1,), dtypes.float64, storage=StorageType.FPGA_Global)
+        st = sdfg.add_state()
+        st.add_mapped_tasklet(
+            "m",
+            {"i": "0:N"},
+            inputs={"a": Memlet.simple("x", "i")},
+            code="o = a",
+            outputs={"o": Memlet(data="r", subset="0", wcr="max")},
+            schedule=ScheduleType.FPGA_Device,
+        )
+        src = generate_code(sdfg, "fpga")
+        assert "r[(0) * (1)] = std::max(r[(0) * (1)], (double)o);" in src
