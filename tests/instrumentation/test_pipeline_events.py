@@ -1,8 +1,7 @@
 """Events from the compilation pipeline and the guarded optimizer:
 phase timings, degradation diagnostics, and W6xx placement lint."""
 
-import pytest
-
+from repro.codegen import cpp_gen
 from repro.codegen.compiler import compile_sdfg
 from repro.instrumentation import InstrumentationRecorder, InstrumentationType
 from repro.sdfg import SDFG, InterstateEdge
@@ -36,12 +35,16 @@ class TestCompileReport:
 
 
 class TestDegradationDiagnostics:
-    def test_hops_carry_code_and_message(self):
-        # The cpp backend needs a host toolchain; on any failure the hop
+    def test_hops_carry_code_and_message(self, monkeypatch):
+        # A failing host toolchain forces the cpp -> python hop; the hop
         # must carry the triggering diagnostic code and exception text.
+        def broken_toolchain(cmd, **kw):
+            raise OSError("cc: cannot execute binary file\nexec format error")
+
+        monkeypatch.setattr(cpp_gen.subprocess, "run", broken_toolchain)
         compiled = compile_sdfg(kernels.query_sdfg(), backend="cpp")
-        if not compiled.degradation:
-            pytest.skip("cpp backend compiled natively; no hop to inspect")
+        assert compiled.backend == "python"
+        assert [hop["code"] for hop in compiled.degradation] == ["CG101"]
         for hop in compiled.degradation:
             assert hop["from"] and hop["to"]
             assert hop["error"]
