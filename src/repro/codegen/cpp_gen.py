@@ -65,6 +65,8 @@ class CppGenerator:
         self._functions: List[str] = []
         self._nested_names: Dict[int, str] = {}
         self._counter = itertools.count()
+        #: Set by a checked stream drain, which reports and aborts.
+        self._aborts = False
 
     # ------------------------------------------------------------------- API
     def generate(self) -> str:
@@ -81,6 +83,8 @@ class CppGenerator:
 
     def _emit_preamble(self, buf: CodeBuffer) -> None:
         buf.lines(_INCLUDES)
+        if self._aborts:
+            buf.lines("#include <cstdio>\n#include <cstdlib>")
         for tg in self._collect_code_globals(self.sdfg):
             buf.lines(tg)
         buf.line()
@@ -464,17 +468,22 @@ class CppGenerator:
             src_desc, dst_desc = sdfg.arrays[src.data], sdfg.arrays[dst.data]
             if isinstance(src_desc, Stream):
                 # Drain the queue, into another queue or onto the
-                # destination's leading elements (as the Python backend).
+                # destination's leading elements.  A queue longer than the
+                # destination aborts; the isolation harness turns that into
+                # a hop to the Python backend, which raises the overflow.
+                q = f"{src.data}[0]"
                 if isinstance(dst_desc, Stream):
-                    store = f"{dst.data}[0].push({src.data}[0].pop());"
-                    buf.line(f"while ({src.data}[0].size() > 0) {store}")
-                else:
-                    total = cppcode(dst_desc.total_size())
-                    with buf.block(
-                        f"for (long long __n = 0; {src.data}[0].size() > 0 && "
-                        f"__n < {total}; __n++) {{", "}"
-                    ):
-                        buf.line(f"{dst.data}[__n] = {src.data}[0].pop();")
+                    buf.line(f"while ({q}.size() > 0) {dst.data}[0].push({q}.pop());")
+                    continue
+                total = cppcode(dst_desc.total_size())
+                self._aborts = True
+                with buf.block(f"if ({q}.size() > (size_t)({total})) {{", "}"):
+                    msg = (f"stream '{src.data}' drains %zu elements into "
+                           f"'{dst.data}', which holds %lld\\n")
+                    buf.line(f'std::fprintf(stderr, "{msg}", {q}.size(), (long long)({total}));')
+                    buf.line("std::abort();")
+                with buf.block(f"for (long long __n = 0; {q}.size() > 0; __n++) {{", "}"):
+                    buf.line(f"{dst.data}[__n] = {q}.pop();")
                 continue
             m = e.data
             ssub = m.subset if m.data == src.data else m.other_subset

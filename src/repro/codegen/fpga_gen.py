@@ -87,8 +87,8 @@ class FPGAGenerator(CppGenerator):
 
     # -------------------------------------------------------------- tasklets
     def _tasklet_body(self, node, declared, streams):
-        # Stream outputs are written after the body (``_stream_write``),
-        # so the body assigns them as plain locals.
+        # Stream outputs are declared as locals and written after the
+        # body (``_stream_write``), so the body assigns them plainly.
         try:
             return super()._tasklet_body(node, declared, set())
         except CodegenError:
@@ -98,7 +98,7 @@ class FPGAGenerator(CppGenerator):
         return f"{ctype} {e.dst_conn} = {_stream_ref(e.data)}.read();"
 
     def _stream_write(self, e, ctype: str):
-        return None, f"{_stream_ref(e.data)}.write({e.src_conn});"
+        return f"{ctype} {e.src_conn};", f"{_stream_ref(e.data)}.write({e.src_conn});"
 
     # ------------------------------------------------------------------ maps
     def _emit_map(self, sdfg, state, entry: MapEntry, body, buf, order, scope_dict,

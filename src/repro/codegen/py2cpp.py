@@ -15,6 +15,7 @@ import ast
 from typing import Dict, List, Optional, Set
 
 from repro.codegen.common import CodegenError
+from repro.sdfg.dtypes import typeclass
 
 _MATH_FUNCS = {
     "sqrt": "std::sqrt",
@@ -38,11 +39,12 @@ _BINOPS = {
     ast.Mod: "%",
 }
 
-#: C++ types of integer connectors (``typeclass.ctype``).
-_INT_CTYPES = frozenset({
-    "bool", "char", "short", "int", "long long",
-    "unsigned char", "unsigned short", "unsigned int", "unsigned long long",
-})
+#: C++ types of integer connectors, from the IR's type table (C++
+#: promotes ``bool`` to an integer too).
+_INT_CTYPES = frozenset(
+    typeclass(t).ctype for t in typeclass._CTYPES
+    if t == "bool" or typeclass(t).is_integer()
+)
 
 _CMPOPS = {
     ast.Eq: "==",

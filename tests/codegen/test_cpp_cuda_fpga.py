@@ -320,6 +320,11 @@ class TestFPGAStructure:
         assert "systolic array" in src
         assert "#pragma HLS UNROLL" in src
         assert "hls::stream<double> pipes" in src
+        # The output connector is a declared local, written after the body.
+        body = src[src.index("double inp = pipes[p].read();"):]
+        assert [ln.strip() for ln in body.split("\n")[1:4]] == [
+            "double out;", "out = (inp + 1);", "pipes[(1 + p)].write(out);",
+        ]
 
     def test_internal_stream_fifo(self):
         sdfg = SDFG("fifo")
