@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.sdfg.nodes import ConsumeEntry
 from repro.symbolic import Expr, Range, Subset
 from repro.symbolic.expr import (
     Abs,
@@ -48,6 +49,20 @@ class CodegenError(Exception):
             code, message, Severity.ERROR, sdfg=sdfg, state=state, node=node
         )
         super().__init__(message)
+
+
+def consumes(state, node, stream_name: str) -> bool:
+    """Whether ``node`` sits inside a consume scope draining
+    ``stream_name``: its reads of that stream take the popped element."""
+    sd = state.scope_dict()
+    anc = sd.get(node)
+    while anc is not None:
+        if isinstance(anc, ConsumeEntry):
+            edges = state.in_edges_by_connector(anc, "IN_stream")
+            if edges and edges[0].data.data == stream_name:
+                return True
+        anc = sd.get(anc)
+    return False
 
 
 def pycode(e: Expr, rename: Optional[Dict[str, str]] = None) -> str:

@@ -27,7 +27,13 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.codegen.common import CodeBuffer, CodegenError, cppcode, flat_index_cpp
+from repro.codegen.common import (
+    CodeBuffer,
+    CodegenError,
+    consumes,
+    cppcode,
+    flat_index_cpp,
+)
 from repro.codegen.py2cpp import Py2Cpp
 from repro.graph import topological_sort
 from repro.sdfg.data import Scalar, Stream
@@ -325,7 +331,7 @@ class CppGenerator:
 
     def _stream_read(self, state, node: Tasklet, e, ctype: str) -> str:
         """Declaration of a stream input connector."""
-        if self._consume_stream(state, node, e.data.data):
+        if consumes(state, node, e.data.data):
             return f"auto {e.dst_conn} = __elem_{e.data.data};"
         return f"auto& {e.dst_conn} = {_stream_ref(e.data)};"
 
@@ -346,17 +352,6 @@ class CppGenerator:
             buf.line(f"{target} = std::{fn}({target}, ({ctype}){value});")
         else:
             raise CodegenError("custom WCR unsupported in C++ backend")
-
-    def _consume_stream(self, state, node, stream_name: str) -> bool:
-        sd = state.scope_dict()
-        anc = sd.get(node)
-        while anc is not None:
-            if isinstance(anc, ConsumeEntry):
-                edges = state.in_edges_by_connector(anc, "IN_stream")
-                if edges and edges[0].data.data == stream_name:
-                    return True
-            anc = sd.get(anc)
-        return False
 
     # ----------------------------------------------------------------- reduce
     def _emit_reduce(self, sdfg, state, node: Reduce, buf) -> None:

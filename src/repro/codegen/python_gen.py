@@ -37,7 +37,13 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.codegen.common import CodeBuffer, CodegenError, pycode, subset_to_py_index
+from repro.codegen.common import (
+    CodeBuffer,
+    CodegenError,
+    consumes,
+    pycode,
+    subset_to_py_index,
+)
 from repro.codegen import pytranslate
 from repro.graph import OrderedMultiDiGraph, postdominators, topological_sort
 from repro.instrumentation import (
@@ -47,11 +53,10 @@ from repro.instrumentation import (
     tasklet_volume_expr,
 )
 from repro.sdfg.data import Scalar, Stream
-from repro.sdfg.dtypes import Language, ReductionType
+from repro.sdfg.dtypes import Language, ReductionType, ScheduleType
 from repro.sdfg.memlet import Memlet
 from repro.sdfg.nodes import (
     AccessNode,
-    ConsumeEntry,
     EntryNode,
     ExitNode,
     MapEntry,
@@ -131,6 +136,10 @@ class PythonGenerator:
         #: A chunk function privatizes a WCR output (emit the identities).
         self._need_wcr_identity = False
         self._lowering: Dict[int, Dict[str, Optional[str]]] = {}
+        #: Scope -> (reads, writes) its NumPy tier analysed, as
+        #: :class:`_Access` lists: the facts the parallel tier's
+        #: :func:`repro.codegen.chunking.chunk_plan` reads.
+        self._accesses: Dict[int, Tuple[List[_Access], List[_Access]]] = {}
 
     # ------------------------------------------------------------------ API
     def generate(self) -> str:
@@ -514,26 +523,13 @@ class PythonGenerator:
             inner.line("__guard.map_exit()")
 
     # ------------------------------------------------------- parallel map tier
-    def _scope_subtree(self, state, entry, scope_dict) -> List[Node]:
-        """All nodes strictly inside ``entry``'s scope (plus its exit)."""
-        out = []
-        for node in state.nodes():
-            anc = scope_dict.get(node)
-            while anc is not None:
-                if anc is entry:
-                    out.append(node)
-                    break
-                anc = scope_dict.get(anc)
-        out.append(state.exit_node(entry))
-        return out
-
     def _parallel_chunk_args(self, sdfg, state, entry, scope_dict):
         """(container names, dynamic-range connector names, symbol names)
         a chunk function needs, in stable order."""
         names: Set[str] = set()
         used_syms: Set[str] = set()
         seen = set()
-        for node in [entry] + self._scope_subtree(state, entry, scope_dict):
+        for node in state.scope_subgraph(entry, scope_dict=scope_dict):
             if isinstance(node, Tasklet):
                 used_syms.update(node.free_symbols())
             for e in itertools.chain(state.in_edges(node), state.out_edges(node)):
@@ -558,17 +554,17 @@ class PythonGenerator:
         return sorted(names), conns, sorted(syms)
 
     def _emit_parallel_chunk_fn(
-        self, sdfg, state, entry, body, order, scope_dict, verdict, args
+        self, sdfg, state, entry, body, order, scope_dict, param, merge, args
     ):
         """Emit the module-level chunk function executing one ``[lo, hi)``
-        slice of the chunked parameter's domain; returns its name, or
-        None when the chunked body does not lower to a NumPy tier.  The
-        function writes direct outputs in place and returns its private
-        WCR partials."""
+        slice of ``param``'s domain; returns its name, or None when the
+        chunked body does not lower to a NumPy tier.  The function writes
+        plain outputs in place and returns its private partials of the
+        ``merge`` outputs (container -> reduction type)."""
         containers, conns, syms = args
         fname = f"_pchunk_{next(self._fn_counter)}"
         m = entry.map
-        pidx = m.params.index(verdict.param)
+        pidx = m.params.index(param)
         rng = m.range.ranges[pidx]
 
         buf = CodeBuffer()
@@ -580,11 +576,10 @@ class PythonGenerator:
         buf.indent()
         for cname, cval in sdfg.constants.items():
             buf.line(f"{cname} = {cval!r}")
-        # Privatize WCR-merged outputs: accumulate into identity-filled
+        # Privatize merged outputs: accumulate into identity-filled
         # copies; the caller merges them in chunk order at the barrier.
-        for data in sorted(verdict.wcr_merge):
-            rtype = verdict.wcr_merge[data]
-            buf.line(f"{data} = _wcr_identity_like({data}, {rtype.name!r})")
+        for data in sorted(merge):
+            buf.line(f"{data} = _wcr_identity_like({data}, {merge[data].name!r})")
         from repro.symbolic.sets import Range as SymRange, Subset
 
         saved = m.range
@@ -597,9 +592,9 @@ class PythonGenerator:
             return None
         finally:
             m.range = saved
-        if verdict.wcr_merge:
+        if merge:
             self._need_wcr_identity = True
-        wcrs = ", ".join(sorted(verdict.wcr_merge))
+        wcrs = ", ".join(sorted(merge))
         buf.line(f"return ({wcrs}{',' if wcrs else ''})")
         buf.dedent()
         self._functions.append(buf.getvalue())
@@ -608,21 +603,20 @@ class PythonGenerator:
     def _try_parallel_map(
         self, sdfg, state, entry, body, buf, order, scope_dict, params
     ) -> bool:
-        """Emit a map that carries a disjointness proof: its serial
-        lowering, inside a chunked multicore branch when that lowering
-        took a NumPy tier that releases the GIL and is not threaded
-        already (a W703 names the tier otherwise).  Returns False, so
-        the caller emits the serial tiers, when the parallel tier is off,
-        the map is nested, or the proof fails (with a W703)."""
+        """Emit a top-level map's serial lowering, inside a chunked
+        multicore branch when that lowering took a NumPy tier that
+        releases the GIL and the points it analysed show the chunks
+        disjoint (:func:`repro.codegen.chunking.chunk_plan`); a W703 says
+        why a map stays serial.  Returns False, so the caller emits the
+        serial tiers, when the parallel tier is off, the map is nested or
+        it is Sequential."""
         if self.parallel is None or params:
             return False
-        from repro.sdfg.validation import analyze_map_parallelism
-
-        verdict = analyze_map_parallelism(sdfg, state, entry)
-        if not verdict.eligible:
+        m = entry.map
+        if m.schedule == ScheduleType.Sequential:
             return self._keep_serial(
-                sdfg, state, entry, "is not provably parallelizable; lowering "
-                f"serially: {'; '.join(verdict.reasons)}",
+                sdfg, state, entry, "is not provably parallelizable (its "
+                "schedule is Sequential); lowering serially",
             )
         serial = CodeBuffer()
         self._emit_map_serial(
@@ -630,29 +624,34 @@ class PythonGenerator:
         )
         tier = self._lowering[id(entry)]["tier"]
         fname = None
-        if tier not in _UNCHUNKED_TIERS:
-            args = self._parallel_chunk_args(sdfg, state, entry, scope_dict)
-            fname = self._emit_parallel_chunk_fn(
-                sdfg, state, entry, body, order, scope_dict, verdict, args
-            )
+        if tier in _UNCHUNKED_TIERS:
+            why = f"lowers to the {tier!r} tier ({_UNCHUNKED_TIERS[tier]})"
+        else:
+            from repro.codegen.chunking import Unchunkable, chunk_plan
+
+            try:
+                param, merge = chunk_plan(sdfg, m, *self._accesses[id(entry)])
+            except Unchunkable as refusal:
+                why = f"is not provably parallelizable ({refusal})"
+            else:
+                args = self._parallel_chunk_args(sdfg, state, entry, scope_dict)
+                fname = self._emit_parallel_chunk_fn(
+                    sdfg, state, entry, body, order, scope_dict, param, merge, args
+                )
+                why = f"lowers to the {tier!r} tier (its chunks do not vectorize)"
         if fname is None:
-            why = _UNCHUNKED_TIERS.get(tier, "its chunks do not vectorize")
-            self._keep_serial(
-                sdfg, state, entry,
-                f"lowers to the {tier!r} tier ({why}); lowering serially",
-            )
+            self._keep_serial(sdfg, state, entry, f"{why}; lowering serially")
             buf.lines(serial.getvalue())
             return True
         containers, conns, syms = args
-        m = entry.map
-        rng = m.range.ranges[m.params.index(verdict.param)]
+        rng = m.range.ranges[m.params.index(param)]
         label = m.label
         # Pool threads share the address space: pass the watchdog guard
         # through so checkpoints keep firing inside chunks.
         call_args = containers + conns + list(syms) + ["None", "__guard"]
         args_src = ", ".join(call_args) + ","
         points = pycode(m.num_iterations())
-        buf.line(f"# parallel map {label}: chunked over {verdict.param}")
+        buf.line(f"# parallel map {label}: chunked over {param}")
         with buf.block(f"if __pool is not None and __pool.accepts({points}):"):
             buf.line(
                 f"__pres = __pool.run({fname}, {pycode(rng.start)}, "
@@ -660,11 +659,10 @@ class PythonGenerator:
                 f"label={label!r})"
             )
             buf.line("__tm = time.perf_counter()")
-            wcr_order = sorted(verdict.wcr_merge)
-            if wcr_order:
+            if merge:
                 with buf.block("for __pret in __pres:"):
-                    for i, data in enumerate(wcr_order):
-                        ufunc = self._UFUNC[verdict.wcr_merge[data]]
+                    for i, data in enumerate(sorted(merge)):
+                        ufunc = self._UFUNC[merge[data]]
                         buf.line(f"{ufunc}({data}, __pret[{i}], out={data})")
             buf.line(f"__pool.note_merge({label!r}, time.perf_counter() - __tm)")
         with buf.block("else:"):
@@ -764,7 +762,7 @@ class PythonGenerator:
                 continue
             desc = sdfg.arrays[e.data.data]
             if isinstance(desc, Stream):
-                if self._inside_consume(state, node, e.data.data):
+                if consumes(state, node, e.data.data):
                     buf.line(f"{cname(e.dst_conn)} = __elem_{e.data.data}")
                 else:
                     buf.line(
@@ -831,17 +829,6 @@ class PythonGenerator:
             self._emit_instr_exit(
                 buf, itype, volume_expr=tasklet_volume_expr(sdfg, state, node)
             )
-
-    def _inside_consume(self, state, node, stream_name: str) -> bool:
-        sd = state.scope_dict()
-        anc = sd.get(node)
-        while anc is not None:
-            if isinstance(anc, ConsumeEntry):
-                edge = state.in_edges_by_connector(anc, "IN_stream")
-                if edge and edge[0].data.data == stream_name:
-                    return True
-            anc = sd.get(anc)
-        return False
 
     def _queue_expr(self, memlet: Memlet) -> str:
         if memlet.subset is not None and memlet.subset.is_point():
@@ -1270,6 +1257,13 @@ class PythonGenerator:
                         f"masked store {_memlet_str(mem)} is not a strided view"
                     )
 
+        self._accesses[id(entry)] = (
+            [_Access(e.data, analyses[id(e.data)]) for e in in_edges],
+            [
+                _Access(e.data, analyses[id(e.data)], e.data.reduction_type())
+                for e in out_edges
+            ],
+        )
         if self._try_contraction(sdfg, entry, tasklet, in_edges, out_edges, analyses, buf):
             return "contraction"
 
@@ -1420,13 +1414,6 @@ class PythonGenerator:
         return ", ".join(_index_terms(analysis, index))
 
     # ------------------------------------------------------------ wcr scatter
-    _SCATTER_UFUNC = {
-        "sum": "np.add",
-        "product": "np.multiply",
-        "min": "np.minimum",
-        "max": "np.maximum",
-    }
-
     _SCATTER_RTYPE = {
         "sum": ReductionType.Sum,
         "product": ReductionType.Product,
@@ -1473,12 +1460,12 @@ class PythonGenerator:
         if det is None:
             raise not_update
         op, mini_code = det
-        ufunc = self._SCATTER_UFUNC[op]
+        rtype = self._SCATTER_RTYPE[op]
         # Semantics check: an explicit WCR must agree with the detected
         # update op; without one the write must be declared dynamic (the
         # frontend's indirect-write pattern).
         if m_out.wcr is not None:
-            if m_out.reduction_type() != self._SCATTER_RTYPE[op]:
+            if m_out.reduction_type() != rtype:
                 raise _Reject(
                     f"indexed update '{op}' disagrees with the WCR on "
                     f"{_memlet_str(m_out)}"
@@ -1490,17 +1477,20 @@ class PythonGenerator:
         index = {p: f"__bix_{p}" for p in mparams}
         rename: Dict[str, str] = dict(index)
         loads = []
+        # The view is the update's target, accumulated with ``rtype``.
+        reads, writes = [], [_Access(m_out, None, rtype)]
         for e in in_edges:
             if e is view_edge:
                 continue
             m = e.data
             if m.dynamic or isinstance(sdfg.arrays[m.data], Stream):
                 raise _Reject(f"input {_memlet_str(m)} is dynamic or a stream")
-            src, _ = self._domain_load(
-                m, self._affine_point(m, mparams), mparams, pranges, gathers
-            )
+            a = self._affine_point(m, mparams)
+            reads.append(_Access(m, a))
+            src, _ = self._domain_load(m, a, mparams, pranges, gathers)
             rename[e.dst_conn] = f"__in_{e.dst_conn}"
             loads.append(f"__in_{e.dst_conn} = {src}")
+        self._accesses[id(entry)] = (reads, writes)
         stmts = pytranslate.vectorize_tasklet(mini_code, rename)
         values = _params_read(mini_code, rename, index)
 
@@ -1513,7 +1503,10 @@ class PythonGenerator:
         shape = _domain_shape(mparams)
         buf.line(f"__sidx = np.broadcast_to(np.asarray(__scatter_idx), {shape}).ravel()")
         buf.line(f"__sval = np.broadcast_to(np.asarray(__scatter_val), {shape}).ravel()")
-        buf.line(f"{ufunc}.at({m_out.data}[{_slices_only(m_out)}], __sidx, __sval)")
+        buf.line(
+            f"{self._UFUNC[rtype]}.at({m_out.data}[{_slices_only(m_out)}], "
+            "__sidx, __sval)"
+        )
         buf.dedent()
         return "scatter"
 
@@ -1600,6 +1593,7 @@ class PythonGenerator:
         index_params: Set[str] = set()
         bound_rename = {p: f"__bix_{p}" for p in oparams}
         conn_loads = []
+        reads, writes = [], []
         for c in conns:
             edges = state.in_edges_by_connector(inner_entry, c)
             if len(edges) != 1 or edges[0].src is not entry:
@@ -1607,9 +1601,9 @@ class PythonGenerator:
             mem = edges[0].data
             if mem.dynamic or isinstance(sdfg.arrays[mem.data], Stream):
                 raise _Reject(f"range input {_memlet_str(mem)} is dynamic or a stream")
-            src, _ = self._domain_load(
-                mem, self._affine_point(mem, oparams), oparams, opranges, index_params
-            )
+            a = self._affine_point(mem, oparams)
+            reads.append(_Access(mem, a))
+            src, _ = self._domain_load(mem, a, oparams, opranges, index_params)
             conn_loads.append(f"{c} = {src}")
         for bound in (rng.start, rng.end):
             if not _is_sum_of_products(bound):
@@ -1620,8 +1614,6 @@ class PythonGenerator:
         body = CodeBuffer()
         temps: Dict[str, str] = {}
         used_flat: Set[str] = set()
-        read_data: Set[str] = set()
-        wcr_data: Set[str] = set()
         nodes = [
             n for n in order
             if scope_dict.get(n) is inner_entry and not isinstance(n, ExitNode)
@@ -1662,8 +1654,8 @@ class PythonGenerator:
                     raise _Reject(f"input {_memlet_str(mem)} bypasses the map entry")
                 if isinstance(sdfg.arrays[mem.data], Stream):
                     raise _Reject(f"input {_memlet_str(mem)} is a stream")
-                read_data.add(mem.data)
                 a = _analyze_subset(mem, flat)
+                reads.append(_Access(mem, a))
                 if a is None and not {s.name for s in mem.subset.free_symbols} & set(flat):
                     # Loop-invariant whole-array view: ``view[idx]`` gathers.
                     views.append(e.dst_conn)
@@ -1705,18 +1697,17 @@ class PythonGenerator:
                     )
                 a = self._affine_point(mem, flat)
                 used_flat.update(_memlet_params(a))
-                wcr_data.add(mem.data)
+                writes.append(_Access(mem, a, mem.reduction_type()))
                 idx = ", ".join(_index_terms(a, findex))
                 body.line(
                     f"{ufunc}.at({mem.data}, ({idx},), "
                     f"np.broadcast_to({val}, (__rtot,)))"
                 )
-        if read_data & wcr_data:
-            raise _Reject(
-                f"{sorted(read_data & wcr_data)} is read and accumulated in "
-                "the same scope"
-            )
+        both = {r.memlet.data for r in reads} & {w.memlet.data for w in writes}
+        if both:
+            raise _Reject(f"{sorted(both)} is read and accumulated in the same scope")
 
+        self._accesses[id(entry)] = (reads, writes)
         buf.line(f"# ragged map {om.label} / {im.label}")
         index_params |= used_flat & set(oparams)
         self._emit_domain_header(buf, oparams, opranges, index_params)
@@ -1763,6 +1754,17 @@ class PythonGenerator:
 class _Reject(Exception):
     """A whole-domain lowering does not apply.  The message names the
     first precondition that failed; it becomes the census ``reason``."""
+
+
+class _Access(NamedTuple):
+    """One memlet of a map as its NumPy tier analysed it."""
+
+    memlet: Memlet
+    #: :func:`_analyze_subset`'s per-dimension terms; None for a
+    #: loop-invariant view.
+    terms: Optional[list]
+    #: The operator a write accumulates with; None for a plain store.
+    merge: Optional[ReductionType] = None
 
 
 # ------------------------------------------------------------- control flow

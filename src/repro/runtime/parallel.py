@@ -1,8 +1,8 @@
 """Multicore execution pool for the parallel map tier (DESIGN §14).
 
 The generated-Python backend's ``parallel=`` tier chunks the iteration
-domain of proof-carrying conflict-free maps (see
-:func:`repro.sdfg.validation.analyze_map_parallelism`) across a
+domain of maps whose NumPy lowering shows chunks cannot conflict (see
+:func:`repro.codegen.chunking.chunk_plan`) across a
 :class:`~concurrent.futures.ThreadPoolExecutor` owned by the
 :class:`~repro.codegen.compiler.CompiledSDFG` that the lowering belongs
 to.  NumPy's ufunc inner loops release the GIL, so chunks of vectorized

@@ -283,14 +283,3 @@ def detect_reduction_type(wcr: Optional[str]) -> ReductionType:
         raise ValueError("no WCR given")
     normalized = " ".join(wcr.split())
     return _WCR_CANONICAL.get(normalized, ReductionType.Custom)
-
-
-#: Identity element per reduction (used by Reduce lowering).
-REDUCTION_IDENTITY = {
-    ReductionType.Sum: 0,
-    ReductionType.Product: 1,
-    ReductionType.Min: None,  # type-dependent (+inf)
-    ReductionType.Max: None,  # type-dependent (-inf)
-    ReductionType.LogicalAnd: True,
-    ReductionType.LogicalOr: False,
-}

@@ -22,7 +22,6 @@ from repro.graph import CycleError, topological_sort
 from repro.sdfg.data import Stream
 from repro.sdfg.dtypes import (
     STORAGE_ACCESSIBLE_FROM,
-    ReductionType,
     ScheduleType,
     StorageType,
 )
@@ -34,7 +33,6 @@ from repro.sdfg.nodes import (
     MapEntry,
     NestedSDFG,
     Node,
-    Reduce,
     Tasklet,
 )
 from repro.sdfg.state import SDFGState
@@ -559,403 +557,6 @@ def _uncovered_params(subset, crossed_entries) -> Set[str]:
                         covered.add(s.name)
                         changed = True
     return set(param_ranges) - covered
-
-
-# =====================================================================
-# Map parallelization proof (parallel execution tier)
-# =====================================================================
-
-
-class MapParallelism:
-    """Verdict of :func:`analyze_map_parallelism` for one map scope.
-
-    ``eligible`` maps carry the *proof*: chunking the ``param``
-    dimension of the iteration domain across workers cannot create a
-    write conflict.  ``wcr_merge`` lists outputs that must be privatized
-    per worker and merged with their reduction operator at the barrier;
-    ``direct`` lists outputs whose footprints are disjoint along
-    ``param`` and may be written in place.  Ineligible maps carry
-    human-readable ``reasons`` that surface as the W703 diagnostic when
-    the parallel tier degrades to serial.
-    """
-
-    __slots__ = ("eligible", "param", "reasons", "wcr_merge", "direct")
-
-    def __init__(self):
-        self.eligible = False
-        self.param: Optional[str] = None
-        self.reasons: List[str] = []
-        #: data name -> ReductionType (private accumulator + merge)
-        self.wcr_merge = {}
-        #: data names written disjointly along the chunked param
-        self.direct: Set[str] = set()
-
-
-#: Reduction types the parallel tier knows how to privatize and merge.
-_MERGEABLE = frozenset(("Sum", "Product", "Min", "Max"))
-
-
-def _scope_params(state, entry) -> Set[str]:
-    """All map parameters defined inside ``entry``'s scope subtree."""
-    params = set(entry.map.params)
-    sd = state.scope_dict()
-    for node in state.nodes():
-        if not isinstance(node, MapEntry) or node is entry:
-            continue
-        anc = sd.get(node)
-        while anc is not None:
-            if anc is entry:
-                params.update(node.map.params)
-                break
-            anc = sd.get(anc)
-    return params
-
-
-def _scatter_reduction(sdfg, state, write_edge, entry):
-    """``(reduction type, view edge)`` of an indirect-update
-    (histogram-shaped) write, or None when the write does not match the
-    scatter pattern.
-
-    The origin tasklet must mutate a loop-invariant read view of the
-    written container (the view edge) with one of the recognized update
-    operators; the dynamic out-memlet then only *declares* the write."""
-    from repro.codegen import pytranslate
-
-    mem = write_edge.data
-    if mem.subset is None or len(mem.subset.ranges) != 1:
-        return None
-    view_syms = {s.name for s in mem.subset.ranges[0].free_symbols}
-    if view_syms & _scope_params(state, entry):
-        return None  # the updated view itself moves with the map
-    try:
-        origin = state.memlet_path(write_edge)[0]
-    except ValueError:
-        return None
-    tasklet = origin.src
-    if not isinstance(tasklet, Tasklet):
-        return None
-    view_edges = [
-        e for e in state.in_edges(tasklet)
-        if not e.data.is_empty()
-        and e.data.data == mem.data
-        and e.data.subset == mem.subset
-    ]
-    if len(view_edges) != 1:
-        return None
-    det = pytranslate.detect_indexed_update(
-        tasklet.code, view_edges[0].dst_conn
-    )
-    if det is None:
-        return None
-    rtype = {
-        "sum": ReductionType.Sum,
-        "product": ReductionType.Product,
-        "min": ReductionType.Min,
-        "max": ReductionType.Max,
-    }.get(det[0])
-    return None if rtype is None else (rtype, view_edges[0])
-
-
-def _consumer_edges(state, edge) -> List:
-    """The edges that finally deliver ``edge``'s data: its relay chain
-    followed forward through scope connectors, every branch of a
-    fan-out included."""
-    dst = edge.dst
-    if not isinstance(dst, (EntryNode, ExitNode)) or not (
-        edge.dst_conn or ""
-    ).startswith("IN_"):
-        return [edge]
-    out_conn = "OUT_" + edge.dst_conn[len("IN_"):]
-    return [
-        leaf
-        for e in state.out_edges(dst) if e.src_conn == out_conn
-        for leaf in _consumer_edges(state, e)
-    ]
-
-
-def _chunk_local_read(read, write, k, scope_params) -> bool:
-    """Whether no chunk reads through ``read`` an element another chunk
-    writes through ``write``, which the proof has shown disjoint across
-    iterations along dimension ``k``.  True when the read takes the same
-    range along ``k`` (it stays in its own iteration's footprint), or
-    when, in some dimension free of scope parameters, the two ranges are
-    provably apart."""
-    from repro.symbolic import sympify
-    from repro.symbolic.sets import Subset, decide_nonnegative
-
-    if read is None or len(read.ranges) != len(write.ranges):
-        return False
-    if read.ranges[k] == write.ranges[k]:
-        return True
-    for r, w in zip(read.ranges, write.ranges):
-        if {s.name for s in r.free_symbols | w.free_symbols} & scope_params:
-            continue
-        if r.is_point() and w.is_point():
-            gap = sympify(r.start - w.start)
-            if decide_nonnegative(gap * gap - 1) is True:
-                return True
-        elif Subset([r]).intersects(Subset([w])) is False:
-            return True
-    return False
-
-
-def analyze_map_parallelism(sdfg, state, entry) -> MapParallelism:
-    """Prove (or refute) that a map's domain can be chunked across
-    workers along one of its parameters without write conflicts.
-
-    This extends the W501 analysis from *iteration* disjointness to
-    *cross-chunk footprint* disjointness: two chunks ``[lo1,hi1)`` and
-    ``[lo2,hi2)`` of parameter ``p`` never write the same element when,
-    for every non-WCR write, exactly one subset dimension is affine in
-    ``p`` (``c*p + d`` with **constant integer** ``c``) and the
-    footprint stride dominates the footprint extent
-    (``|c*step| >= span``).  Symbolic strides and non-affine (indirect)
-    indices are *not provable* and stay ineligible.  WCR writes with a
-    recognized reduction operator need no disjointness — each worker
-    accumulates into an identity-initialized private copy merged at the
-    barrier — but custom WCR lambdas and dynamic non-WCR writes refuse
-    the proof outright.
-    """
-    from repro.symbolic import Integer as SymInt, Symbol, sympify
-    from repro.symbolic.sets import decide_nonnegative, linear_coefficient
-
-    verdict = MapParallelism()
-    m = entry.map
-    if m.schedule == ScheduleType.Sequential:
-        verdict.reasons.append("map schedule is Sequential")
-        return verdict
-    try:
-        exit_node = state.exit_node(entry)
-    except KeyError:
-        verdict.reasons.append("map has no exit node")
-        return verdict
-
-    writes = [e for e in state.in_edges(exit_node) if not e.data.is_empty()]
-    if not writes:
-        verdict.reasons.append("map produces no outputs")
-        return verdict
-
-    all_params = _scope_params(state, entry)
-
-    # Interior state: access nodes living inside the scope.  Written
-    # transients are privatized per chunk by the codegen (scratch), but
-    # streams have shared push/pop order and globals written interior to
-    # the scope would mutate shared state without crossing the exit.
-    sd = state.scope_dict()
-    for node in state.nodes():
-        if not isinstance(node, AccessNode):
-            continue
-        anc = sd.get(node)
-        inside = False
-        while anc is not None:
-            if anc is entry:
-                inside = True
-                break
-            anc = sd.get(anc)
-        if not inside:
-            continue
-        desc = sdfg.arrays.get(node.data)
-        if desc is None:
-            continue
-        if isinstance(desc, Stream):
-            verdict.reasons.append(
-                f"stream {node.data!r} used inside the map scope"
-            )
-            return verdict
-        if state.in_edges(node) and not desc.transient:
-            verdict.reasons.append(
-                f"non-transient {node.data!r} written inside the map scope "
-                "without crossing the exit"
-            )
-            return verdict
-
-    # ---- param-independent refusals (poison every candidate param)
-    wcr_merge = {}
-    plain_writes = []
-    view_edges = set()
-    for e in writes:
-        mem = e.data
-        if mem.data not in sdfg.arrays:
-            verdict.reasons.append(f"write to undeclared container {mem.data!r}")
-            return verdict
-        if isinstance(sdfg.arrays[mem.data], Stream):
-            verdict.reasons.append(
-                f"stream push to {mem.data!r} (ordering is not chunkable)"
-            )
-            return verdict
-        if mem.wcr is not None:
-            rtype = mem.reduction_type()
-            if rtype is None or rtype.name not in _MERGEABLE:
-                verdict.reasons.append(
-                    f"custom WCR on {mem.data!r} has no known merge operator"
-                )
-                return verdict
-            prev = wcr_merge.get(mem.data)
-            if prev is not None and prev != rtype:
-                verdict.reasons.append(
-                    f"conflicting WCR operators on {mem.data!r}"
-                )
-                return verdict
-            wcr_merge[mem.data] = rtype
-        elif mem.dynamic:
-            # Indirect-update ("scatter") maps: the tasklet mutates a
-            # loop-invariant read view with a recognized update operator
-            # (``view[idx] += val``).  Collisions resolve through the
-            # operator, so privatize-and-merge is exact — the same proof
-            # the ``np.<ufunc>.at`` scatter tier relies on.
-            scatter = _scatter_reduction(sdfg, state, e, entry)
-            if scatter is None:
-                verdict.reasons.append(
-                    f"data-dependent (dynamic) write to {mem.data!r} is not "
-                    "a recognized indexed-update pattern"
-                )
-                return verdict
-            rtype, view_edge = scatter
-            view_edges.add(view_edge)
-            prev = wcr_merge.get(mem.data)
-            if prev is not None and prev != rtype:
-                verdict.reasons.append(
-                    f"conflicting update operators on {mem.data!r}"
-                )
-                return verdict
-            wcr_merge[mem.data] = rtype
-        elif mem.subset is None:
-            verdict.reasons.append(f"write to {mem.data!r} carries no subset")
-            return verdict
-        else:
-            plain_writes.append(mem)
-    mixed = set(wcr_merge) & {mem.data for mem in plain_writes}
-    if mixed:
-        verdict.reasons.append(
-            f"container(s) {sorted(mixed)} mix WCR and plain writes"
-        )
-        return verdict
-
-    # A chunk accumulates into a private identity-filled copy of each
-    # WCR/scatter target, so a read of the target would see the copy,
-    # not the values; only the view an indexed update mutates is exempt.
-    reads = [e for e in state.out_edges(entry) if not e.data.is_empty()]
-    for e in reads:
-        if e.data.data in wcr_merge and not set(_consumer_edges(state, e)) <= view_edges:
-            verdict.reasons.append(
-                f"map reads {e.data.data!r}, which it accumulates into "
-                "through a per-chunk private copy"
-            )
-            return verdict
-
-    # ---- per-param disjointness proof; first parameter that works wins
-    for param, rng in zip(m.params, m.range.ranges):
-        reasons: List[str] = []
-        if rng.step.free_symbols or rng.tile != SymInt(1):
-            reasons.append(f"parameter {param!r} has a symbolic step or tile")
-            verdict.reasons.extend(reasons)
-            continue
-        step = int(rng.step.evaluate({}))
-        if step <= 0:
-            reasons.append(f"parameter {param!r} iterates with step {step}")
-            verdict.reasons.extend(reasons)
-            continue
-        psym = Symbol(param)
-        other_params = {q for q in all_params if q != param}
-        direct: Set[str] = set()
-        chunk_dims = []
-        for mem in plain_writes:
-            dep_dims = [
-                k for k, r in enumerate(mem.subset.ranges)
-                if param in {s.name for s in r.free_symbols}
-            ]
-            if not dep_dims:
-                reasons.append(
-                    f"write footprint of {mem.data!r}[{mem.subset}] repeats "
-                    f"across iterations of {param!r}"
-                )
-                break
-            if len(dep_dims) > 1:
-                reasons.append(
-                    f"multiple dimensions of {mem.data!r}[{mem.subset}] "
-                    f"depend on {param!r}"
-                )
-                break
-            k = dep_dims[0]
-            r = mem.subset.ranges[k]
-            if r.step != SymInt(1) or r.tile != SymInt(1):
-                reasons.append(
-                    f"write to {mem.data!r} has a strided/tiled subset in "
-                    f"dimension {k}"
-                )
-                break
-            c0 = linear_coefficient(r.start, psym)
-            c1 = linear_coefficient(r.end, psym)
-            if c0 is None or c1 is None or c0 != c1:
-                reasons.append(
-                    f"index of {mem.data!r} dimension {k} is not affine in "
-                    f"{param!r} (indirect or nonlinear indexing)"
-                )
-                break
-            if c0.free_symbols:
-                reasons.append(
-                    f"write to {mem.data!r} strides dimension {k} by the "
-                    f"symbolic factor {c0} per iteration of {param!r}"
-                )
-                break
-            c = int(c0.evaluate({}))
-            if c <= 0:
-                reasons.append(
-                    f"write to {mem.data!r} has non-positive stride {c} "
-                    f"along {param!r}"
-                )
-                break
-            offset = sympify(r.start - c0 * psym)
-            span = sympify(r.end - r.start)  # footprint extent per iteration
-            if {s.name for s in offset.free_symbols} & other_params or (
-                {s.name for s in span.free_symbols} & other_params
-            ):
-                reasons.append(
-                    f"footprint of {mem.data!r} along {param!r} shifts with "
-                    "another map parameter"
-                )
-                break
-            # Disjointness: consecutive iterations advance by c*step;
-            # they cannot overlap when that advance covers the extent.
-            if decide_nonnegative(sympify(c * step) - span) is not True:
-                reasons.append(
-                    f"cannot prove chunk disjointness for {mem.data!r}: "
-                    f"stride {c}*{step} may be smaller than extent {span}"
-                )
-                break
-            direct.add(mem.data)
-            chunk_dims.append((mem, k))
-        else:
-            # Direct outputs are written in place while other chunks
-            # run: every read of one must stay clear of the elements
-            # other chunks write.
-            clash = next((
-                (e.data, mem) for e in reads for mem, k in chunk_dims
-                if mem.data == e.data.data
-                and not _chunk_local_read(e.data.subset, mem.subset, k, all_params)
-            ), None)
-            if clash is not None:
-                read, mem = clash
-                verdict.reasons.append(
-                    f"map reads {mem.data!r}[{read.subset}], which other "
-                    f"chunks may write through [{mem.subset}]"
-                )
-                continue
-            # WCR footprints need no disjointness, but the offsets must
-            # not reference the chunked parameter's *siblings* in a way
-            # we cannot privatize — full privatization makes any WCR
-            # footprint safe, so nothing further to check.
-            verdict.eligible = True
-            verdict.param = param
-            verdict.wcr_merge = dict(wcr_merge)
-            verdict.direct = direct
-            verdict.reasons = []
-            return verdict
-        verdict.reasons.extend(reasons)
-
-    if not verdict.reasons:
-        verdict.reasons.append("no map parameter admits a disjointness proof")
-    return verdict
 
 
 def _innermost_schedule(entry, scope_dict=None) -> Optional[ScheduleType]:

@@ -6,32 +6,63 @@ The work floor is patched to 0, so every chunkable map runs chunked.
 
 The four programs whose maps read a container they also accumulate into
 (cholesky, lu, nussinov, trmm) are checked against the interpreter too:
-the parallelism gate must refuse those maps rather than privatize the
+the parallel tier must keep those maps serial rather than privatize the
 container they read.  The interpreter is too slow for the whole
 registry, so it runs only on those four.
+
+The chunk census pins how many maps of each program get a chunk
+function, and a property over generated in-place maps checks that a
+chunked run equals the serial one bitwise, whatever the tier decides.
 """
+
+import re
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from repro.codegen.compiler import compile_sdfg
 from repro.runtime import SDFGInterpreter
+from repro.sdfg import SDFG, Memlet, dtypes
 from repro.workloads import kernels, polybench
 
 pytestmark = pytest.mark.usefixtures("no_work_floor")
 
 SPECS = (None, "thread:1", "thread:2", "auto")
-#: Program -> the container its maps read and accumulate into.
-INTERPRETED = {"cholesky": "A", "lu": "A", "nussinov": "table", "trmm": "B"}
+#: Program -> what the W703 of its read-accumulate map says.  lu's maps
+#: and trmm's are contractions, which the tier never chunks.
+INTERPRETED = {
+    "cholesky": "map reads 'A', which it accumulates into",
+    "lu": "lowers to the 'contraction' tier",
+    "nussinov": "map reads 'table', which it accumulates into",
+    "trmm": "lowers to the 'contraction' tier",
+}
+#: Programs also run off their registry sizes.
+RESIZED = {
+    "atax": {"NI": 40, "NJ": 44},
+    "mvt": {"NI": 48},
+    "jacobi-2d": {"N": 20, "TSTEPS": 3},
+}
+#: Program -> maps with a chunk function at ``thread:2``; 0 for the rest.
+CHUNKED = {
+    "2mm": 2, "3mm": 1, "adi": 8, "atax": 1, "bicg": 2, "correlation": 9,
+    "covariance": 4, "deriche": 3, "doitgen": 1, "durbin": 3,
+    "fdtd-2d": 4, "gemm": 1, "gemver": 2, "gesummv": 2, "gramschmidt": 3,
+    "heat-3d": 2, "jacobi-1d": 2, "jacobi-2d": 2, "symm": 3, "trmm": 1,
+    "gemm_chain": 8, "histogram": 1, "jacobi2d": 1, "matmul": 1, "spmv": 1,
+}
 
 
-def _polybench_case(name):
+def _polybench_case(name, sizes=None):
     kernel = polybench.get(name)
-    inputs = kernel.make_data(kernel.sizes)
+    sizes = {**kernel.sizes, **(sizes or {})}
+    inputs = kernel.make_data(sizes)
     ref = {k: v.copy() for k, v in inputs.items()}
-    kernel.ref_numpy(ref, kernel.sizes)
+    kernel.ref_numpy(ref, sizes)
     for sym in kernel.extra_symbols:
-        inputs[sym] = kernel.sizes[sym]
+        inputs[sym] = sizes[sym]
     return kernel.make_sdfg, inputs, {o: ref[o] for o in kernel.outputs}
 
 
@@ -93,10 +124,8 @@ def test_registry_is_the_whole_corpus():
     assert len(PROGRAMS) == 36
 
 
-@pytest.mark.parametrize("spec", SPECS, ids=str)
-@pytest.mark.parametrize("name", PROGRAMS)
-def test_matches_numpy_reference(name, spec):
-    make_sdfg, inputs, expected = _case(name)
+def _run_case(name, case, spec):
+    make_sdfg, inputs, expected = case
     compiled = compile_sdfg(make_sdfg(), backend="python", parallel=spec,
                             cache="off", fallback=False)
     try:
@@ -107,6 +136,33 @@ def test_matches_numpy_reference(name, spec):
     _check(name, got, expected, "numpy reference")
     if spec == "thread:2" and "# parallel map" in compiled.source:
         assert compiled._pool.stats["thread_runs"] >= 1, compiled._pool.stats
+    return compiled, got, expected
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=str)
+@pytest.mark.parametrize("name", PROGRAMS)
+def test_matches_numpy_reference(name, spec):
+    _run_case(name, _case(name), spec)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=str)
+@pytest.mark.parametrize("name", sorted(RESIZED))
+def test_resized_programs_match_numpy_reference(name, spec):
+    _run_case(name, _polybench_case(name, RESIZED[name]), spec)
+
+
+def test_chunk_census_covers_the_corpus():
+    assert set(CHUNKED) <= set(PROGRAMS)
+    assert sum(CHUNKED.values()) == 68
+
+
+@pytest.mark.parametrize("name", PROGRAMS)
+def test_chunk_census(name):
+    compiled = compile_sdfg(_case(name)[0](), backend="python",
+                            parallel="thread:2", cache="off", fallback=False)
+    compiled.close()
+    chunked = re.findall(r"# parallel map \S+: chunked over \w+", compiled.source)
+    assert len(chunked) == CHUNKED.get(name, 0), chunked
 
 
 _ORACLE = {}
@@ -126,18 +182,114 @@ def _interpreted(name):
 def test_read_accumulate_maps_match_the_interpreter(name, spec):
     """These maps read a container they accumulate into; chunking them
     over private copies reads the copy's identity values instead, so
-    the gate keeps them serial and says which container is read."""
-    make_sdfg, inputs, expected = _case(name)
-    compiled = compile_sdfg(make_sdfg(), backend="python", parallel=spec,
-                            cache="off", fallback=False)
-    try:
-        got = _fresh(inputs)
-        compiled(**got)
-    finally:
-        compiled.close()
-    reason = f"map reads {INTERPRETED[name]!r}, which it accumulates into"
-    assert any(w.code == "W703" and reason in w.message
+    the tier keeps them serial and its W703 says why."""
+    compiled, got, expected = _run_case(name, _case(name), spec)
+    assert any(w.code == "W703" and INTERPRETED[name] in w.message
                for w in compiled.codegen_warnings)
-    _check(name, got, expected, "numpy reference")
     oracle = _interpreted(name)
     _check(name, got, {out: oracle[out] for out in expected}, "interpreter")
+
+
+# ================================================= in-place map soundness
+N = 9
+
+
+@st.composite
+def in_place_maps(draw):
+    """A map over ``i`` and ``j`` (in either order) storing ``X[i, j]``
+    from ``X[a*i + b, j + c]``, from ``X[k, j]``, or from ``X[i, j]``,
+    ``X[i, k]`` and ``X[k, j]`` (floyd-warshall's shape), its domain cut
+    so that every read stays inside ``X``."""
+    shape = draw(st.sampled_from(["affine", "row", "floyd"]))
+    a, b, c = draw(st.integers(-1, 2)), draw(st.integers(-2, 3)), draw(st.integers(-2, 2))
+    if shape != "affine":
+        a, b, c = 0, 0, 0
+    rows = [i for i in range(N) if 0 <= a * i + b < N]
+    cols = [j for j in range(N) if 0 <= j + c < N]
+    assume(rows)
+    ranges = {"i": f"{rows[0]}:{rows[-1] + 1}", "j": f"{cols[0]}:{cols[-1] + 1}"}
+    if draw(st.booleans()):
+        ranges = {"j": ranges["j"], "i": ranges["i"]}
+    return shape, (a, b, c), ranges, draw(st.integers(0, N - 1)), draw(st.integers(0, 99))
+
+
+def _in_place_sdfg(shape, abc, ranges):
+    a, b, c = abc
+    if shape == "floyd":
+        reads = {"x": "i, j", "y": "i, k", "z": "k, j"}
+        code = "o = min(x, y + z)"
+    else:
+        reads = {"x": "k, j" if shape == "row" else f"{a}*i + {b}, j + {c}"}
+        code = "o = x * 0.5 + 1.0"
+    sdfg = SDFG("in_place")
+    sdfg.add_array("X", (N, N), dtypes.float64)
+    sdfg.add_symbol("k", dtypes.int64)
+    sdfg.add_state().add_mapped_tasklet(
+        "upd", ranges,
+        inputs={conn: Memlet.simple("X", sub) for conn, sub in reads.items()},
+        code=code,
+        outputs={"o": Memlet.simple("X", "i, j")},
+    )
+    return sdfg, reads
+
+
+def _reads_a_stored_point(reads, ranges, k):
+    """Whether, in the interpreter's iteration order, some iteration
+    reads a point an earlier iteration stored: the loop order is
+    observable, and a whole-domain lowering reads every point first."""
+    def point(sub, env):
+        return tuple(eval(part, {}, env) for part in sub.split(","))
+
+    spans = [range(*map(int, r.split(":"))) for r in ranges.values()]
+    stored = set()
+    for values in product(*spans):
+        env = {**dict(zip(ranges, values)), "k": k}
+        own = (env["i"], env["j"])
+        if any(point(sub, env) in stored - {own} for sub in reads.values()):
+            return True
+        stored.add(own)
+    return False
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(in_place_maps())
+def test_in_place_map_chunks_equal_serial(case):
+    """``thread:2`` equals the serial lowering bitwise, whichever
+    parameter it chunks over or whether it chunks at all, and both equal
+    the interpreter wherever the map's result does not depend on its
+    iteration order.  floyd-warshall's shape never does: row and column
+    ``k`` are fixed points of ``min(x, y + z)`` over non-negative data."""
+    shape, abc, ranges, k, seed = case
+    X = np.random.default_rng(seed).random((N, N))
+    runs = {}
+    for spec in (None, "thread:2"):
+        sdfg, reads = _in_place_sdfg(shape, abc, ranges)
+        compiled = compile_sdfg(sdfg, backend="python", parallel=spec,
+                                cache="off", fallback=False)
+        try:
+            runs[spec] = X.copy()
+            compiled(X=runs[spec], k=k)
+        finally:
+            compiled.close()
+    np.testing.assert_array_equal(runs["thread:2"], runs[None])
+    if shape == "floyd" or not _reads_a_stored_point(reads, ranges, k):
+        oracle = X.copy()
+        SDFGInterpreter(_in_place_sdfg(shape, abc, ranges)[0])(X=oracle, k=k)
+        np.testing.assert_array_equal(runs[None], oracle)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the slice tier's gate "
+                   "admits a map that reads what an earlier iteration stored")
+def test_in_place_read_after_store_matches_the_interpreter():
+    """``X[i, j] = X[i - 1, j] * 0.5 + 1`` reads, in loop order, the row
+    the previous iteration stored; the whole-domain lowering reads every
+    row before it stores any."""
+    ranges = {"i": f"1:{N}", "j": f"0:{N}"}
+    sdfg, _ = _in_place_sdfg("affine", (1, -1, 0), ranges)
+    X = np.random.default_rng(0).random((N, N))
+    got, oracle = X.copy(), X.copy()
+    compiled = compile_sdfg(sdfg, backend="python", cache="off", fallback=False)
+    compiled(X=got, k=0)
+    SDFGInterpreter(_in_place_sdfg("affine", (1, -1, 0), ranges)[0])(X=oracle, k=0)
+    np.testing.assert_array_equal(got, oracle)

@@ -109,44 +109,6 @@ class TestFundamentalKernelFidelity:
 
 
 # =====================================================================
-# PolyBench subset through the parallel tier
-# =====================================================================
-
-POLYBENCH_SUBSET = {
-    "gemm": {},
-    "atax": {"NI": 40, "NJ": 44},
-    "mvt": {"NI": 48},
-    "jacobi-2d": {"N": 20, "TSTEPS": 3},
-    "syrk": {},
-}
-
-
-@pytest.mark.usefixtures("no_work_floor")
-@pytest.mark.parametrize("name", sorted(POLYBENCH_SUBSET))
-def test_polybench_parallel_matches_numpy_reference(name):
-    kernel = polybench.get(name)
-    sizes = dict(kernel.sizes)
-    sizes.update(POLYBENCH_SUBSET[name])
-    data = kernel.make_data(sizes)
-    data_ref = {k: v.copy() for k, v in data.items()}
-
-    c = _compile_parallel(kernel.make_sdfg(), "auto")
-    try:
-        kwargs = dict(data)
-        for sym in kernel.extra_symbols:
-            kwargs[sym] = sizes[sym]
-        c(**kwargs)
-    finally:
-        c.close()
-    kernel.ref_numpy(data_ref, sizes)
-    for out in kernel.outputs:
-        np.testing.assert_allclose(
-            data[out], data_ref[out], rtol=1e-8, atol=1e-9,
-            err_msg=f"{name}: parallel tier vs numpy reference",
-        )
-
-
-# =====================================================================
 # 1 worker == N workers, bitwise
 # =====================================================================
 
@@ -485,23 +447,14 @@ class TestChunkRule:
                                             ("gemm", "contraction")])
     def test_unchunked_tiers_get_no_chunk_function(self, name, tier):
         """A loop body holds the GIL and a contraction is one BLAS call:
-        a map of either tier stays serial, though the gate accepts it,
-        and its W703 names the tier."""
-        from repro.sdfg.nodes import MapEntry
-        from repro.sdfg.validation import analyze_map_parallelism
-
-        sdfg = polybench.get(name).make_sdfg()
-        c = compile_sdfg(sdfg, backend="python", parallel=2, cache="off")
+        every map of either tier stays serial, and its W703 names the
+        tier."""
+        c = compile_sdfg(polybench.get(name).make_sdfg(), backend="python",
+                         parallel=2, cache="off")
         c.close()
         labels = {row["map"] for row in c.lowering if row["tier"] == tier}
-        accepted = [
-            node.map.label
-            for state in sdfg.nodes() for node in state.nodes()
-            if isinstance(node, MapEntry) and node.map.label in labels
-            and analyze_map_parallelism(sdfg, state, node).eligible
-        ]
-        assert accepted
-        for label in accepted:
+        assert labels
+        for label in labels:
             assert f"# parallel map {label}:" not in c.source
             assert any(w.code == "W703"
                        and f"map {label!r} lowers to the {tier!r} tier" in w.message

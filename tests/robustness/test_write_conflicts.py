@@ -1,8 +1,11 @@
 """Tests for the static write-conflict detector (paper §3.2: writes
 that may conflict require a write-conflict-resolution memlet)."""
 
+import re
+
 import pytest
 
+from repro.codegen.compiler import compile_sdfg
 from repro.sdfg import SDFG, Memlet, dtypes
 from repro.sdfg.validation import detect_write_conflicts, validate_sdfg
 from repro.diagnostics import Severity
@@ -108,23 +111,27 @@ def test_all_polybench_builders_pass_clean():
 
 
 # =====================================================================
-# Chunk-axis disjointness proofs for the parallel execution tier
+# Chunk-axis disjointness in the parallel execution tier
 # =====================================================================
 #
-# ``analyze_map_parallelism`` extends the W501 conflict analysis with a
-# cross-chunk question: if the iteration domain is split into contiguous
-# chunks along one parameter, can two chunks ever write the same
-# element?  These cases pin the proof obligations down.
+# The parallel tier extends the W501 question to chunks: if a map's
+# domain is split into contiguous chunks along one parameter, can two
+# chunks ever touch the same element?  It answers from the points the
+# map's NumPy lowering analysed; these cases pin, at
+# ``parallel="thread:2"``, the parameter a map is chunked over or the
+# W703 that keeps it serial.
 
-from repro.sdfg.nodes import MapEntry
-from repro.sdfg.validation import analyze_map_parallelism
 
-
-def _analyze(sdfg):
+def _chunking(sdfg):
+    """The parameter the map is chunked over, or None and its W703."""
     sdfg.validate()
-    state = sdfg.states()[0]
-    entry = next(n for n in state.nodes() if isinstance(n, MapEntry))
-    return analyze_map_parallelism(sdfg, state, entry)
+    c = compile_sdfg(sdfg, backend="python", parallel="thread:2", cache="off",
+                     fallback=False)
+    c.close()
+    chunked = re.findall(r"# parallel map \S+: chunked over (\w+)", c.source)
+    w703 = [w.message for w in c.codegen_warnings if w.code == "W703"]
+    assert len(chunked) + len(w703) == 1, (chunked, w703)
+    return (chunked[0], None) if chunked else (None, w703[0])
 
 
 def _slice_map_sdfg(out_subset, code="o = a", in_subset="i"):
@@ -144,35 +151,38 @@ def _slice_map_sdfg(out_subset, code="o = a", in_subset="i"):
 
 
 @pytest.mark.parametrize(
-    "subset,eligible",
+    "subset,chunked",
     [
         # Injective point writes: trivially chunk-disjoint.
         ("i", True),
         # Strided points with a gap: disjoint (stride 2 > span 1).
         ("2*i", True),
         ("3*i + 1", True),
-        # Adjacent but disjoint slices: [2i, 2i+2) tiles the axis.
-        ("2*i:2*i+2", True),
-        ("4*i:4*i+4", True),
-        # Overlapping slices: [i, i+2) collides with chunk neighbors.
+        # Slice writes, disjoint or overlapping, are not points: the loop
+        # tier takes them, and a Python loop body is never chunked.
+        ("2*i:2*i+2", False),
+        ("4*i:4*i+4", False),
         ("i:i+2", False),
-        # Slice wider than its stride: [2i, 2i+3) overlaps [2i+2, ...).
         ("2*i:2*i+3", False),
         # Negative/reversed coefficient is refused conservatively.
         ("N - i", False),
     ],
 )
-def test_chunk_axis_disjointness_cases(subset, eligible):
-    verdict = _analyze(_slice_map_sdfg(subset))
-    assert verdict.eligible is eligible, (subset, verdict.reasons)
-    if eligible:
-        assert verdict.param == "i"
-        assert "out" in verdict.direct
+def test_chunk_axis_disjointness_cases(subset, chunked):
+    param, w703 = _chunking(_slice_map_sdfg(subset))
+    if chunked:
+        assert param == "i"
+    elif ":" in subset:
+        assert "lowers to the 'loop' tier" in w703
+    else:
+        assert "not provably parallelizable" in w703
+        assert "strides 'i' by -1" in w703
 
 
 def test_symbolic_stride_is_refused():
     """A write at ``K*i`` with symbolic K cannot be proven chunk-disjoint
-    (K = 0 aliases every iteration onto one element)."""
+    (K = 0 aliases every iteration onto one element): no NumPy tier
+    takes it, and the loop tier stays serial."""
     sdfg = SDFG("symstride")
     sdfg.add_array("A", ("N",), dtypes.float64)
     sdfg.add_array("out", ("K*N + N",), dtypes.float64)
@@ -184,15 +194,15 @@ def test_symbolic_stride_is_refused():
         code="o = a",
         outputs={"o": Memlet.simple("out", "K*i")},
     )
-    verdict = _analyze(sdfg)
-    assert not verdict.eligible
-    assert any("out" in r for r in verdict.reasons)
+    param, w703 = _chunking(sdfg)
+    assert param is None
+    assert "lowers to the 'loop' tier" in w703
 
 
 def test_indirect_indexing_stays_ineligible():
     """``out[idx[i]] = v`` (dynamic non-WCR write that is not a
-    recognized scatter-reduction) must never be parallelized: the proof
-    cannot see through the indirection."""
+    recognized scatter-reduction) must never be parallelized: no tier
+    sees through the indirection but the loop, which stays serial."""
     sdfg = SDFG("indirect")
     sdfg.add_array("idx", ("N",), dtypes.int64)
     sdfg.add_array("out", ("N",), dtypes.float64)
@@ -204,32 +214,67 @@ def test_indirect_indexing_stays_ineligible():
         code="o = float(j)",
         outputs={"o": Memlet(data="out", subset="0:N", dynamic=True)},
     )
-    verdict = _analyze(sdfg)
-    assert not verdict.eligible
-    assert any("dynamic" in r or "out" in r for r in verdict.reasons)
+    param, w703 = _chunking(sdfg)
+    assert param is None
+    assert "lowers to the 'loop' tier" in w703
 
 
 def test_wcr_map_is_eligible_via_private_merge():
     """A Sum-WCR write that would race in place is still parallelizable
     through per-worker privatization + operator merge."""
-    verdict = _analyze(racy_sdfg(wcr="sum"))
-    assert verdict.eligible
-    assert "out" in verdict.wcr_merge
+    sdfg = racy_sdfg(wcr="sum")
+    param, _ = _chunking(sdfg)
+    assert param == "i"
+    c = compile_sdfg(sdfg, backend="python", parallel="thread:2", cache="off")
+    c.close()
+    assert "out = _wcr_identity_like(out, 'Sum')" in c.source
 
 
 def test_racy_map_parallelizes_along_the_disjoint_param_only():
-    """The W501-flagged map (``out[i]`` written for every ``j``) is
-    still chunk-parallelizable along ``i``: the overlap lives entirely
-    inside one chunk, where execution order stays serial.  The proof
-    must pick ``i`` — never ``j``."""
-    verdict = _analyze(racy_sdfg())
-    assert verdict.eligible
-    assert verdict.param == "i"
+    """The W501-flagged map (``out[i]`` written for every ``j``) has no
+    NumPy tier, so it stays serial.  A map whose chunks would race along
+    its first parameter ``j`` (every ``j`` reads the last column, which
+    the last ``j`` chunk writes) is chunked along ``i``, where the
+    overlap stays inside one chunk — never along ``j``."""
+    param, w703 = _chunking(racy_sdfg())
+    assert param is None and "lowers to the 'loop' tier" in w703
+
+    sdfg = SDFG("colread")
+    sdfg.add_array("X", ("N", "N"), dtypes.float64)
+    st = sdfg.add_state()
+    st.add_mapped_tasklet(
+        "acc",
+        {"j": "0:N", "i": "0:N"},
+        inputs={"a": Memlet.simple("X", "i, N - 1")},
+        code="o = a + 1.0",
+        outputs={"o": Memlet.simple("X", "i, j")},
+    )
+    assert _chunking(sdfg) == ("i", None)
+
+
+def test_two_stores_into_one_container_stay_serial():
+    """``out[i]`` and ``out[i + 1]`` are each chunk-disjoint, but the
+    last point of one chunk's second store is the first point of the
+    next chunk's first store."""
+    sdfg = SDFG("two_stores")
+    sdfg.add_array("A", ("N",), dtypes.float64)
+    sdfg.add_array("out", ("N + 1",), dtypes.float64)
+    st = sdfg.add_state()
+    st.add_mapped_tasklet(
+        "w",
+        {"i": "0:N"},
+        inputs={"a": Memlet.simple("A", "i")},
+        code="o1 = a\no2 = a + 1.0",
+        outputs={"o1": Memlet.simple("out", "i"), "o2": Memlet.simple("out", "i + 1")},
+    )
+    param, w703 = _chunking(sdfg)
+    assert param is None
+    assert "map writes 'out'[1 + i], which other chunks may write through [i]" in w703
 
 
 def test_interior_stream_is_refused():
     from repro.workloads import kernels
 
-    verdict = _analyze(kernels.query_sdfg())
-    assert not verdict.eligible
-    assert any("stream" in r.lower() for r in verdict.reasons)
+    param, w703 = _chunking(kernels.query_sdfg())
+    assert param is None
+    assert "stream push to 'S'" in w703
