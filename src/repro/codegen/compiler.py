@@ -145,6 +145,10 @@ class CompiledSDFG:
         #: The parallel worker pool the python entry was built with (see
         #: :mod:`repro.runtime.parallel`); :meth:`close` tears it down.
         self._pool = None
+        #: Isolated cpp: removes the library's build directory (a
+        #: ``weakref.finalize``, so collecting the artifact removes it
+        #: too); :meth:`close` calls it.
+        self._remove_build = None
         #: Whether calls record (``REPRO_PROFILE`` or an instrumented
         #: graph; a guarded call records too, for its summaries), and the
         #: whole-SDFG timer's type name.
@@ -160,12 +164,15 @@ class CompiledSDFG:
         self.records, self._timer = recording_plan(self.sdfg, options.profile)
 
     def close(self) -> None:
-        """Release owned resources (the parallel worker pool).  Safe to
-        call repeatedly; subsequent calls of the artifact degrade to the
-        serial path (a closed pool runs inline)."""
+        """Release owned resources (the parallel worker pool, an isolated
+        library's build directory).  Safe to call repeatedly; subsequent
+        calls of the artifact degrade to the serial path (a closed pool
+        runs inline)."""
         pool = self._pool
         if pool is not None:
             pool.close()
+        if self._remove_build is not None:
+            self._remove_build()
 
     def __del__(self):
         try:

@@ -21,8 +21,10 @@ import ctypes
 import itertools
 import json
 import os
+import shutil
 import subprocess
 import tempfile
+import weakref
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -275,6 +277,14 @@ class CppGenerator:
         declared.update((e.src_conn, sdfg.arrays[e.data.data].dtype.ctype) for e in outs)
         streams = {e.src_conn for e in outs if isinstance(sdfg.arrays[e.data.data], Stream)}
         body, stored = self._tasklet_body(node, declared, streams)
+        # A store through a view inside a parallel map may hit an element
+        # another iteration stores too: one thread at a time runs the body.
+        exclusive = in_parallel and any(
+            conn in stored
+            and not isinstance(sdfg.arrays[e.data.data], Stream)
+            and not e.data.subset.is_point()
+            for e, conn in [(e, e.dst_conn) for e in ins] + [(e, e.src_conn) for e in outs]
+        )
         with buf.block("{", "}"):
             for e in ins:
                 desc = sdfg.arrays[e.data.data]
@@ -304,8 +314,9 @@ class CppGenerator:
                 else:
                     # ...and a dynamic conflict write resolves with the identity.
                     buf.line(f"{ctype} {conn} = {_identity(e.data.reduction_type(), ctype)};")
-            for ln in body:
-                buf.line(ln)
+            with self._exclusive(buf) if exclusive else contextlib.nullcontext():
+                for ln in body:
+                    buf.line(ln)
             for e in outs:
                 desc = sdfg.arrays[e.data.data]
                 if isinstance(desc, Stream):
@@ -323,9 +334,10 @@ class CppGenerator:
     def _tasklet_body(self, node: Tasklet, declared: Dict[str, str],
                       streams: Set[str]) -> Tuple[List[str], Set[str]]:
         """The tasklet's C++ statements and the connectors it stores
-        through; assigning an output stream connector pushes onto it."""
+        through; assigning an output stream connector pushes onto it.
+        Opaque C++ code may store through any of its outputs."""
         if node.language == Language.CPP:
-            return node.code.splitlines(), set()
+            return node.code.splitlines(), set(node.out_connectors)
         conv = Py2Cpp(declared=declared, streams=streams)
         return conv.convert(node.code), conv.stored
 
@@ -349,9 +361,18 @@ class CppGenerator:
             buf.line(f"{target} {op}= {value};")
         elif rtype in (ReductionType.Min, ReductionType.Max):
             fn = "min" if rtype == ReductionType.Min else "max"
-            buf.line(f"{target} = std::{fn}({target}, ({ctype}){value});")
+            with self._exclusive(buf) if in_parallel else contextlib.nullcontext():
+                buf.line(f"{target} = std::{fn}({target}, ({ctype}){value});")
         else:
             raise CodegenError("custom WCR unsupported in C++ backend")
+
+    @contextlib.contextmanager
+    def _exclusive(self, buf):
+        """One thread at a time through the block emitted inside: a
+        read-modify-write that ``omp atomic`` cannot express."""
+        buf.line("#pragma omp critical")
+        with buf.block("{", "}"):
+            yield
 
     # ----------------------------------------------------------------- reduce
     def _emit_reduce(self, sdfg, state, node: Reduce, buf) -> None:
@@ -641,7 +662,9 @@ def compile_cpp(
     this process; each call runs on the persistent harness worker of
     :mod:`repro.runtime.isolation` (which loads the library once), so
     segfaults/aborts in the artifact are contained and surface as
-    :class:`BackendCrashError`.
+    :class:`BackendCrashError`.  No build directory outlives the
+    artifact: an in-process one is removed once its library is loaded,
+    an isolated one when the artifact is closed or collected.
     """
     from repro.codegen.compiler import CompiledSDFG
 
@@ -650,7 +673,46 @@ def compile_cpp(
         raise CodegenError("no host C++ compiler found", code="CG101", sdfg=sdfg)
     gen = CppGenerator(sdfg)
     source = gen.generate()
+    arg_arrays, syms_order = sdfg.entry_abi()
     tmpdir = tempfile.mkdtemp(prefix=f"repro_{sdfg.name}_")
+    try:
+        lib_path = _build_library(cc, flags, source, tmpdir, sdfg)
+        if isolated:
+            compiled = _isolated_artifact(sdfg, source, lib_path, arg_arrays, syms_order)
+            # The harness worker loads the library on its first call, so
+            # the directory lives until the artifact is closed or collected.
+            compiled._remove_build = weakref.finalize(
+                compiled, _remove_build_dir, tmpdir, os.getpid()
+            )
+            return compiled
+        try:
+            fn = load_entry(lib_path, sdfg.name)
+        except (OSError, AttributeError) as err:
+            raise CodegenError(
+                f"compiled library {lib_path!r} could not be loaded: {err}",
+                code="CG103",
+                sdfg=sdfg,
+            ) from err
+    except BaseException:
+        shutil.rmtree(tmpdir, ignore_errors=True)
+        raise
+    # A loaded library stays mapped: its directory can go now.
+    shutil.rmtree(tmpdir, ignore_errors=True)
+
+    # ``instr``/``guard`` are accepted for signature parity with the
+    # other backends; the in-process C++ path honors neither.
+    def entry(arrays, symbols, instr=None, guard=None):
+        for a in arg_arrays:
+            if np.ascontiguousarray(arrays[a]) is not arrays[a]:
+                raise CodegenError(f"argument {a!r} must be C-contiguous")
+        call_entry(fn, [arrays[a] for a in arg_arrays],
+                   [symbols[s] for s in syms_order])
+
+    return CompiledSDFG(sdfg, entry, source, "cpp")
+
+
+def _build_library(cc: str, flags: Sequence[str], source: str, tmpdir: str, sdfg) -> str:
+    """Write ``source`` into ``tmpdir`` and build it; the library's path."""
     src_path = os.path.join(tmpdir, f"{sdfg.name}.cpp")
     lib_path = os.path.join(tmpdir, f"lib{sdfg.name}.so")
     with open(src_path, "w") as f:
@@ -668,46 +730,37 @@ def compile_cpp(
             code="CG102",
             sdfg=sdfg,
         )
-    arg_arrays, syms_order = sdfg.entry_abi()
+    return lib_path
 
-    if isolated:
-        from repro.runtime.isolation import run_isolated
-        from repro.sdfg.serialize import sdfg_to_json
 
-        # The artifact is untrusted native code: never dlopen it here.
-        # Each call runs on the harness worker, which is allowed to die.
-        sdfg_json = json.dumps(sdfg_to_json(sdfg, canonical=True),
-                               indent=2, sort_keys=True)
+def _isolated_artifact(sdfg, source: str, lib_path: str, arg_arrays, syms_order):
+    """An artifact whose calls run ``lib_path`` on the harness worker."""
+    from repro.codegen.compiler import CompiledSDFG
+    from repro.runtime.isolation import run_isolated
+    from repro.sdfg.serialize import sdfg_to_json
 
-        def entry(arrays, symbols, instr=None, guard=None):
-            timeout = None
-            if guard is not None and guard.watchdog is not None:
-                timeout = guard.watchdog.remaining()
-            run_isolated(
-                sdfg.name, lib_path, sdfg_json,
-                {a: arrays[a] for a in arg_arrays},
-                {s: symbols[s] for s in syms_order},
-                timeout=timeout,
-            )
+    # The artifact is untrusted native code: never dlopen it here.
+    # Each call runs on the harness worker, which is allowed to die.
+    sdfg_json = json.dumps(sdfg_to_json(sdfg, canonical=True),
+                           indent=2, sort_keys=True)
 
-        return CompiledSDFG(sdfg, entry, source, "cpp")
-
-    try:
-        fn = load_entry(lib_path, sdfg.name)
-    except (OSError, AttributeError) as err:
-        raise CodegenError(
-            f"compiled library {lib_path!r} could not be loaded: {err}",
-            code="CG103",
-            sdfg=sdfg,
-        ) from err
-
-    # ``instr``/``guard`` are accepted for signature parity with the
-    # other backends; the in-process C++ path honors neither.
     def entry(arrays, symbols, instr=None, guard=None):
-        for a in arg_arrays:
-            if np.ascontiguousarray(arrays[a]) is not arrays[a]:
-                raise CodegenError(f"argument {a!r} must be C-contiguous")
-        call_entry(fn, [arrays[a] for a in arg_arrays],
-                   [symbols[s] for s in syms_order])
+        timeout = None
+        if guard is not None and guard.watchdog is not None:
+            timeout = guard.watchdog.remaining()
+        run_isolated(
+            sdfg.name, lib_path, sdfg_json,
+            {a: arrays[a] for a in arg_arrays},
+            {s: symbols[s] for s in syms_order},
+            timeout=timeout,
+        )
 
     return CompiledSDFG(sdfg, entry, source, "cpp")
+
+
+def _remove_build_dir(path: str, owner_pid: int) -> None:
+    """Remove an isolated artifact's build directory, in the process
+    that built it only (a forked child exits with the parent's
+    finalizers)."""
+    if os.getpid() == owner_pid:
+        shutil.rmtree(path, ignore_errors=True)

@@ -17,6 +17,7 @@ connectors, signatures and loop nests are the C++ generator's.
 
 from __future__ import annotations
 
+import contextlib
 from typing import List, Set, Tuple
 
 from repro.codegen.common import CodeBuffer, CodegenError, cppcode
@@ -93,6 +94,12 @@ class CudaGenerator(CppGenerator):
             super()._emit_tasklet(sdfg, state, node, buf, in_parallel)
         else:
             buf.line(f"// host-side node {node.label}")
+
+    @contextlib.contextmanager
+    def _exclusive(self, buf):
+        # A kernel has no critical section: a store through a view stays
+        # as written (WCR lowers to atomics in ``_emit_wcr``).
+        yield
 
     def _emit_nested_call(self, sdfg, state, node, buf) -> None:
         buf.line(f"// host-side node {node.label}")

@@ -8,7 +8,7 @@ client of the serve pool's supervisor (:mod:`repro.serve.pool`):
 
 * the *harness* is a lazily started, process-wide ``WorkerPool(size=1)``
   whose persistent worker dlopens each library once and is recycled
-  only once its peak RSS passes :data:`HARNESS_MEMORY_BUDGET_KB`
+  only once its resident set passes :data:`HARNESS_MEMORY_BUDGET_KB`
   (never by request count);
 * the call's arrays travel to the worker and back as raw bytes in the
   job and response frames (:mod:`repro.serve.protocol`; no file is
@@ -71,7 +71,7 @@ def crash_dir() -> str:
 DEFAULT_CRASH_KEEP = 50
 
 
-#: Peak RSS (KiB) past which the harness worker is retired after its
+#: Resident set (KiB) past which the harness worker is retired after its
 #: call.  The worker keeps every library it has loaded, so this, not a
 #: request count, bounds its growth.
 HARNESS_MEMORY_BUDGET_KB = 1 << 20

@@ -40,6 +40,7 @@ from repro.sdfg.nodes import (
     Tasklet,
 )
 from repro.graph import topological_sort
+from repro.symbolic import memo
 
 _GPU_STORAGE = {StorageType.GPU_Global, StorageType.GPU_Shared}
 _HOST_STORAGE = {
@@ -54,8 +55,15 @@ def tasklet_flops(tasklet: Tasklet) -> int:
     """Arithmetic operation count of one tasklet execution (AST walk)."""
     if tasklet.language != Language.Python:
         return 2  # opaque external code: assume a multiply-add
+    return _code_flops(tasklet.code)
+
+
+@memo.cached("flops")
+def _code_flops(code: str) -> int:
+    """:func:`tasklet_flops` of Python ``code``: a pure function of the
+    code string, memoized on it."""
     try:
-        tree = ast.parse(tasklet.code)
+        tree = ast.parse(code)
     except SyntaxError:
         return 1
     flops = 0

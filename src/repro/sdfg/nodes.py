@@ -13,9 +13,37 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.instrumentation.types import InstrumentationType
 from repro.sdfg.dtypes import Language, ScheduleType, canonicalize_wcr, typeclass
-from repro.symbolic import Expr, Range, Subset, parse_expr, sympify
+from repro.symbolic import Expr, Range, Subset, memo, parse_expr, sympify
 
 _node_counter = itertools.count()
+
+#: Names a tasklet may load without a memlet: builtins and math modules.
+_TASKLET_BUILTINS = frozenset({
+    "min", "max", "abs", "int", "float", "bool", "range", "len",
+    "math", "np", "numpy", "True", "False", "None",
+})
+
+
+@memo.cached("tasklet_names")
+def _loaded_names(code: str) -> frozenset:
+    """Names Python ``code`` loads and never stores, builtins excluded
+    (nothing for code that does not parse).  A pure function of the
+    code string, memoized on it."""
+    import ast
+
+    try:
+        tree = ast.parse(code)
+    except SyntaxError:
+        return frozenset()
+    loaded: Set[str] = set()
+    stored: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            if isinstance(node.ctx, ast.Store):
+                stored.add(node.id)
+            else:
+                loaded.add(node.id)
+    return frozenset(loaded - stored - _TASKLET_BUILTINS)
 
 
 class Node:
@@ -121,23 +149,7 @@ class Tasklet(Node):
         """
         if self.language != Language.Python:
             return set()
-        import ast
-
-        try:
-            tree = ast.parse(self.code)
-        except SyntaxError:
-            return set()
-        loaded: Set[str] = set()
-        stored: Set[str] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                if isinstance(node.ctx, ast.Store):
-                    stored.add(node.id)
-                else:
-                    loaded.add(node.id)
-        builtins = {"min", "max", "abs", "int", "float", "bool", "range", "len",
-                    "math", "np", "numpy", "True", "False", "None"}
-        return loaded - stored - self.in_connectors - self.out_connectors - builtins
+        return set(_loaded_names(self.code) - self.in_connectors - self.out_connectors)
 
     def __repr__(self) -> str:
         return f"Tasklet({self.name})"

@@ -263,6 +263,12 @@ class SDFGState(OrderedMultiDiGraph[Node, Memlet]):
         dominated by the entry and post-dominated by the exit.  Exit
         nodes belong to their own scope (scope_dict[exit] = entry).
         """
+        # Each scope's entry, indexed once by its map/consume object (the
+        # first entry wins, as in :meth:`entry_node_of`).
+        entries: Dict[object, EntryNode] = {}
+        for n in self.nodes():
+            if isinstance(n, EntryNode):
+                entries.setdefault(n.map if isinstance(n, MapEntry) else n.consume, n)
         scope: Dict[Node, Optional[EntryNode]] = {}
         for node in topological_sort(self):
             in_edges = self.in_edges(node)
@@ -278,8 +284,10 @@ class SDFGState(OrderedMultiDiGraph[Node, Memlet]):
                     else:
                         parents.add(src)
                 elif isinstance(src, ExitNode):
-                    entry = self.entry_node_of(src)
-                    parents.add(scope.get(entry))
+                    key = src.map if isinstance(src, MapExit) else src.consume
+                    if key not in entries:
+                        raise KeyError(f"no entry node for {src!r}")
+                    parents.add(scope.get(entries[key]))
                 else:
                     parents.add(scope.get(src))
             if len(parents) > 1:

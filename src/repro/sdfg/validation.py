@@ -36,6 +36,8 @@ from repro.sdfg.nodes import (
     Tasklet,
 )
 from repro.sdfg.state import SDFGState
+from repro.symbolic import memo
+from repro.symbolic.sets import decide_nonnegative
 
 
 class InvalidSDFGError(Exception):
@@ -332,24 +334,33 @@ def _validate_edge(sdfg, state: SDFGState, e, ctx: DiagnosticCollector) -> None:
     # symbol is a global size symbol (map parameters and loop variables
     # have data-dependent domains the positive-symbol model cannot bound).
     if mem.subset is not None and mem.subset.dims == desc.dims:
-        from repro.symbolic.sets import decide_nonnegative
+        for s in mem.subset.free_symbols:
+            if s.name not in sdfg.symbols and s.name not in sdfg.constants:
+                return
+        for _ in range(_dims_out_of_bounds(mem.subset, desc.shape)):
+            ctx.error(
+                "V306",
+                f"memlet {mem!r} is out of bounds for container "
+                f"{mem.data!r} (shape {desc.shape})",
+                sdfg=sdfg,
+                state=state,
+                data=mem.data,
+            )
 
-        subset_syms = {s.name for s in mem.subset.free_symbols}
-        if not subset_syms <= (set(sdfg.symbols) | set(sdfg.constants)):
-            return
-        for r, dim in zip(mem.subset.ranges, desc.shape):
-            # max_element is inclusive: OOB iff max >= dim.
-            over = decide_nonnegative(r.max_element() - dim)
-            under = decide_nonnegative(-r.min_element() - 1)
-            if over is True or under is True:
-                ctx.error(
-                    "V306",
-                    f"memlet {mem!r} is out of bounds for container "
-                    f"{mem.data!r} (shape {desc.shape})",
-                    sdfg=sdfg,
-                    state=state,
-                    data=mem.data,
-                )
+
+@memo.cached("bounds")
+def _dims_out_of_bounds(subset, shape) -> int:
+    """How many dimensions of ``subset`` provably leave ``shape`` (V306
+    reports each).  A pure function of the two immutable arguments,
+    memoized on them."""
+    count = 0
+    for r, dim in zip(subset.ranges, shape):
+        # max_element is inclusive: OOB iff max >= dim.
+        over = decide_nonnegative(r.max_element() - dim)
+        under = decide_nonnegative(-r.min_element() - 1)
+        if over is True or under is True:
+            count += 1
+    return count
 
 
 def _validate_storage(

@@ -150,6 +150,7 @@ class SDFGServer:
         self._listener: Optional[socket.socket] = None
         self._threads: list = []
         self._stop = threading.Event()
+        self._stopped = threading.Event()  # stop() has run to its end
         self._draining = threading.Event()
         self._wake = threading.Event()
         self._inflight_cv = threading.Condition()
@@ -162,10 +163,14 @@ class SDFGServer:
         self._requests = {"total": 0, "ok": 0, "rejected": 0, "errors": 0}
         self._req_lock = threading.Lock()
         self.address: Optional[Any] = None
+        self._socket_dir: Optional[str] = None
 
     # ---------------------------------------------------------- lifecycle
     def start(self) -> "SDFGServer":
+        private_socket = not (self.config.socket_path or self.config.tcp)
         family, address = self.config.resolve_address()
+        if private_socket:  # in a directory made for it, which stop() removes
+            self._socket_dir = os.path.dirname(address)
         if self.config.fsck_on_start:
             # Integrity sweep before any traffic: quarantine torn cache
             # entries and stale crash bundles a previous crash left.
@@ -210,17 +215,22 @@ class SDFGServer:
     def stop(self) -> None:
         self._stop.set()
         self._wake.set()
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        self.pool.close()
-        if self.config.socket_path:
-            try:
-                os.unlink(self.config.socket_path)
-            except OSError:
-                pass
+        try:
+            if self._listener is not None:
+                try:
+                    self._listener.close()
+                except OSError:
+                    pass
+            self.pool.close()
+            for remove, path in ((os.unlink, self.config.socket_path),
+                                 (os.rmdir, self._socket_dir)):
+                if path:
+                    try:
+                        remove(path)
+                    except OSError:
+                        pass
+        finally:
+            self._stopped.set()
 
     def request_shutdown(self, grace: Optional[float] = None) -> None:
         """Begin a graceful drain (signal handlers, the shutdown op).
@@ -293,6 +303,9 @@ class SDFGServer:
         finally:
             if not self._stop.is_set():
                 self.stop()
+            # A drain thread may still be inside stop(): the pool's
+            # workers and their stderr files go before this returns.
+            self._stopped.wait()
 
     # -------------------------------------------------------------- loops
     def _accept_loop(self) -> None:

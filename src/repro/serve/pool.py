@@ -167,6 +167,12 @@ class WorkerHandle:
                 returncode=self.proc.poll(),
                 stderr_tail=self.stderr_tail(),
             ) from err
+        except BaseException:
+            # A handshake death or timeout: no handle leaves this
+            # constructor, so nothing else would reap the child or
+            # remove its stderr file.
+            self.kill()
+            raise
         if not (isinstance(ready, dict) and ready.get("ready")):
             self.kill()
             raise WorkerDeath(
@@ -324,6 +330,9 @@ class WorkerHandle:
     def _cleanup_stderr(self) -> None:
         try:
             self._stderr_file.close()
+        except OSError:
+            pass
+        try:
             os.unlink(self._stderr_file.name)
         except OSError:
             pass
@@ -435,8 +444,13 @@ class WorkerPool:
             raise
         with self._lock:
             self._spawning -= 1
-            self._workers.append(handle)
-            self.stats_counters["spawned"] += 1
+            closed = self._closed
+            if not closed:
+                self._workers.append(handle)
+                self.stats_counters["spawned"] += 1
+        if closed:  # close() ran during the spawn and never saw this one
+            handle.stop()
+            return
         self._publish_worker_event(handle, "spawn")
         self._idle.put(handle)
 

@@ -61,7 +61,21 @@ MAX_PROGRAMS = 32
 
 
 def _rss_kb() -> Optional[int]:
-    """Peak resident set size in KiB (None where unavailable)."""
+    """This worker's current resident set size in KiB (None where
+    unavailable), which the memory budgets compare against.
+
+    Read from ``/proc/self/statm``.  ``ru_maxrss``, the fallback where
+    there is no ``/proc``, is a peak, and a spawned child starts with its
+    parent's: a worker of a large host would be over budget at birth."""
+    try:  # os-level I/O: this runs once per response
+        fd = os.open("/proc/self/statm", os.O_RDONLY)
+        try:
+            resident_pages = int(os.read(fd, 256).split()[1])
+        finally:
+            os.close(fd)
+        return resident_pages * os.sysconf("SC_PAGE_SIZE") // 1024
+    except (OSError, ValueError, IndexError):
+        pass
     if resource is None:
         return None
     usage = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss

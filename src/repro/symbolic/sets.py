@@ -104,10 +104,11 @@ class Range:
     elements (used by :class:`~repro.transformations`' Vectorization).
 
     Immutable like :class:`Expr` (so memoized parses and images may share
-    one instance between graphs); the rendered string is cached.
+    one instance between graphs); the rendered string, ``size``,
+    ``num_elements`` and ``free_symbols`` are cached on the instance.
     """
 
-    __slots__ = ("start", "end", "step", "tile", "_str")
+    __slots__ = ("start", "end", "step", "tile", "_str", "_size", "_num", "_free")
 
     def __init__(
         self,
@@ -145,10 +146,18 @@ class Range:
 
     def size(self) -> Expr:
         """Number of iterated indices: ``ceil((end - start) / step)``."""
-        return CeilDiv.make(self.end - self.start, self.step)
+        n = getattr(self, "_size", None)
+        if n is None:
+            n = CeilDiv.make(self.end - self.start, self.step)
+            object.__setattr__(self, "_size", n)
+        return n
 
     def num_elements(self) -> Expr:
-        return Mul.make(self.size(), self.tile)
+        n = getattr(self, "_num", None)
+        if n is None:
+            n = Mul.make(self.size(), self.tile)
+            object.__setattr__(self, "_num", n)
+        return n
 
     def subs(self, mapping: Mapping) -> "Range":
         return Range(
@@ -160,12 +169,16 @@ class Range:
 
     @property
     def free_symbols(self) -> frozenset:
-        return (
-            self.start.free_symbols
-            | self.end.free_symbols
-            | self.step.free_symbols
-            | self.tile.free_symbols
-        )
+        fs = getattr(self, "_free", None)
+        if fs is None:
+            fs = (
+                self.start.free_symbols
+                | self.end.free_symbols
+                | self.step.free_symbols
+                | self.tile.free_symbols
+            )
+            object.__setattr__(self, "_free", fs)
+        return fs
 
     def evaluate(self, bindings: Mapping[str, int] | None = None) -> range:
         """Concrete Python range under symbol bindings."""
@@ -247,10 +260,12 @@ class Range:
 class Subset:
     """A multi-dimensional subset: one :class:`Range` per dimension.
 
-    Immutable like :class:`Range`; copies are the object itself.
+    Immutable like :class:`Range`; copies are the object itself, and
+    ``size``, ``num_elements`` and ``free_symbols`` are cached on the
+    instance.
     """
 
-    __slots__ = ("ranges",)
+    __slots__ = ("ranges", "_size", "_num", "_free")
 
     def __init__(self, ranges: Iterable[Range]):
         object.__setattr__(self, "ranges", tuple(ranges))
@@ -312,13 +327,20 @@ class Subset:
         return all(r.is_point() for r in self.ranges)
 
     def num_elements(self) -> Expr:
-        out: Expr = Integer(1)
-        for r in self.ranges:
-            out = Mul.make(out, r.num_elements())
+        out = getattr(self, "_num", None)
+        if out is None:
+            out = Integer(1)
+            for r in self.ranges:
+                out = Mul.make(out, r.num_elements())
+            object.__setattr__(self, "_num", out)
         return out
 
     def size(self) -> List[Expr]:
-        return [r.num_elements() for r in self.ranges]
+        sizes = getattr(self, "_size", None)
+        if sizes is None:
+            sizes = tuple(r.num_elements() for r in self.ranges)
+            object.__setattr__(self, "_size", sizes)
+        return list(sizes)
 
     def min_element(self) -> List[Expr]:
         return [r.min_element() for r in self.ranges]
@@ -328,9 +350,12 @@ class Subset:
 
     @property
     def free_symbols(self) -> frozenset:
-        out: frozenset = frozenset()
-        for r in self.ranges:
-            out |= r.free_symbols
+        out = getattr(self, "_free", None)
+        if out is None:
+            out = frozenset()
+            for r in self.ranges:
+                out |= r.free_symbols
+            object.__setattr__(self, "_free", out)
         return out
 
     # -- transformations -------------------------------------------------------

@@ -28,14 +28,19 @@ import copy
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.instrumentation import InstrumentationRecorder
 from repro.sdfg.serialize import restore_sdfg_inplace, sdfg_from_json, sdfg_to_json
 from repro.transformations.base import REGISTRY, Transformation
-from repro.transformations.optimizer import XformLike, _resolve, sort_matches
+from repro.transformations.optimizer import (
+    XformLike,
+    _resolve,
+    rebind_match,
+    sort_matches,
+)
 
 #: Sentinel reason when differential verification could not run (e.g.
 #: the *baseline* already fails on synthesized inputs): the application
@@ -190,7 +195,34 @@ class GuardedOptimizer:
         outcome is appended to :attr:`report` either way.
         """
         cls = _resolve(xform)
-        name = cls.__name__
+
+        def pick() -> Optional[Transformation]:
+            matches = sort_matches(self.sdfg, cls.matches(self.sdfg, strict))
+            return matches[match_index] if match_index < len(matches) else None
+
+        return self._transact(cls.__name__, pick, options)
+
+    def apply_rebound(
+        self, match: Transformation, options: Optional[Mapping[str, Any]] = None
+    ) -> bool:
+        """:meth:`apply` of one match already enumerated on another graph
+        parsed from this guard's pre-image (the auto-tuner's probe of a
+        variant): ``match`` is rebound to this guard's graph by position
+        (:func:`rebind_match`) instead of enumerating again.  Same
+        transaction, same report."""
+        return self._transact(
+            type(match).__name__, lambda: rebind_match(match, self.sdfg), options
+        )
+
+    def _transact(
+        self,
+        name: str,
+        pick: Callable[[], Optional[Transformation]],
+        options: Optional[Mapping[str, Any]],
+    ) -> bool:
+        """The transaction of :meth:`apply`: snapshot, ``pick`` the
+        match on the (propagated) graph, apply, propagate, validate,
+        verify, then commit or roll back."""
         timings: Dict[str, float] = {}
         if self.recorder is not None:
             self.recorder.enter("transformation", name)
@@ -206,8 +238,7 @@ class GuardedOptimizer:
                 t0 = time.perf_counter()
                 if not reused:
                     self.sdfg.propagate()
-                matches = sort_matches(self.sdfg, cls.matches(self.sdfg, strict))
-                inst = matches[match_index] if match_index < len(matches) else None
+                inst = pick()
                 if inst is None:
                     timings["apply"] = time.perf_counter() - t0
                     self._record(name, "no_match", start=start, timings=timings)

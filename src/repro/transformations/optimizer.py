@@ -82,6 +82,23 @@ def sort_matches(sdfg, matches: Iterable[Transformation]) -> List[Transformation
     return sorted(matches, key=key)
 
 
+def rebind_match(inst: Transformation, sdfg) -> Transformation:
+    """``inst``'s match on ``sdfg``, a graph parsed from the same
+    snapshot as ``inst.sdfg``.  Each matched state and node is found
+    by its (state index, node index), the positions :func:`sort_matches`
+    orders by, so the rebound instance is the same candidate on the
+    other copy.  Nothing is enumerated."""
+    src_states, dst_states = inst.sdfg.nodes(), sdfg.nodes()
+    if inst.state is None:  # multi-state: the candidate's values are states
+        src, dst, state = src_states, dst_states, None
+    else:
+        state = dst_states[next(i for i, s in enumerate(src_states) if s is inst.state)]
+        src, dst = inst.state.nodes(), state.nodes()
+    index = {id(v): i for i, v in enumerate(src)}
+    candidate = {p: dst[index[id(v)]] for p, v in inst.candidate.items()}
+    return type(inst)(sdfg, state, candidate)
+
+
 def enumerate_matches(
     sdfg, xform: XformLike, strict: bool = False
 ) -> List[Transformation]:

@@ -34,7 +34,7 @@ from repro.sdfg.serialize import sdfg_from_json, sdfg_to_json, snapshot_hash
 from repro.telemetry.sink import active_sink
 from repro.transformations.base import REGISTRY
 from repro.transformations.guard import GuardedOptimizer
-from repro.transformations.optimizer import _resolve, replay
+from repro.transformations.optimizer import _resolve, replay, sort_matches
 from repro.tuning.cache import TuningCache
 from repro.tuning.cost import CostProvider, resolve_provider
 from repro.tuning.report import TuningReport, history_label
@@ -419,30 +419,26 @@ def _expand(
     """
     parent_label = variant.label()
     children: List[_Variant] = []
-    # Enumeration only reads the graph, so one parse and one (idempotent)
-    # propagate of the variant serve every transformation in the pool.
+    # Enumeration only reads the graph, so one parse of the variant serves
+    # every transformation in the pool.  The snapshot is of a propagated
+    # graph, and propagate is a fixpoint on its parse, so the probe is
+    # not propagated again.  Each match is enumerated and sorted here
+    # once; a candidate's guard gets it rebound to its private copy.
     probe = sdfg_from_json(variant.snapshot)
-    try:
-        probe.propagate()
-        analysis_error = None
-    except Exception as err:  # noqa: BLE001 - every enumeration fails
-        analysis_error = err
     for name in cfg.pool():
         try:
-            if analysis_error is not None:
-                raise analysis_error
-            n_matches = len(list(_resolve(name).matches(probe)))
+            matches = sort_matches(probe, _resolve(name).matches(probe))
         except Exception as err:  # noqa: BLE001 - enumeration itself failed
             report.add(
                 depth, parent_label, name, 0, "rolled_back",
                 reason=f"match enumeration failed: {type(err).__name__}: {err}",
             )
             continue
-        if n_matches == 0:
+        if not matches:
             report.add(depth, parent_label, name, 0, "no_match")
             continue
         stats = state.xform(name)
-        for index in range(min(n_matches, cfg.max_matches)):
+        for index, match in enumerate(matches[: cfg.max_matches]):
             if state.exhausted():
                 report.budget_exhausted = True
                 report.add(
@@ -454,7 +450,7 @@ def _expand(
             work = guard.sdfg
             stats["candidates"] += 1
             t0 = time.perf_counter()
-            applied = guard.apply(name, match_index=index)
+            applied = guard.apply_rebound(match)
             stats["apply_s"] += time.perf_counter() - t0
             if not applied:
                 attempt = guard.report.attempts[-1]

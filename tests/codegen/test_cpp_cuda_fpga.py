@@ -1,6 +1,9 @@
 """Tests for the C++ (compiled via gcc when available), CUDA, and HLS
 backends."""
 
+import gc
+import tempfile
+
 import numpy as np
 import pytest
 
@@ -8,8 +11,10 @@ from repro.codegen import compile_sdfg, generate_code
 from repro.codegen.common import CodegenError
 from repro.codegen.cpp_gen import compile_cpp, find_host_compiler
 from repro.codegen.py2cpp import Py2Cpp
+from repro.runtime import isolation
 from repro.sdfg import (
     SDFG,
+    Language,
     Memlet,
     ScheduleType,
     StorageType,
@@ -36,6 +41,30 @@ def vadd(storage=StorageType.Default, schedule=ScheduleType.Default, name="vadd"
         code="c = a + b",
         outputs={"c": Memlet.simple("C", "i")},
         schedule=schedule,
+    )
+    return sdfg
+
+
+def multicore(sdfg):
+    """``sdfg`` with every map scheduled ``CPU_Multicore``."""
+    for state in sdfg.nodes():
+        for entry in state.entry_nodes():
+            entry.map.schedule = ScheduleType.CPU_Multicore
+    return sdfg
+
+
+def extremum(wcr):
+    """``r[0]`` resolved over ``A`` with a Min or Max WCR, in parallel."""
+    sdfg = SDFG(f"extremum_{wcr}")
+    sdfg.add_array("A", ("N",), dtypes.float64)
+    sdfg.add_array("r", (1,), dtypes.float64)
+    sdfg.add_state().add_mapped_tasklet(
+        "pick",
+        {"i": "0:N"},
+        inputs={"a": Memlet.simple("A", "i")},
+        code="o = a",
+        outputs={"o": Memlet(data="r", subset="0", wcr=wcr)},
+        schedule=ScheduleType.CPU_Multicore,
     )
     return sdfg
 
@@ -128,6 +157,20 @@ class TestCppStructure:
         src = generate_code(sdfg, "cpp")
         assert "#pragma omp atomic" in src
 
+    def test_parallel_read_modify_writes_are_exclusive(self):
+        """``omp atomic`` covers only Sum/Product WCR: a store through a
+        view (histogram's ``hh[bin] += 1``) and a Min/Max WCR run one
+        thread at a time inside ``omp parallel for``, and only there."""
+        src = generate_code(multicore(kernels.histogram_sdfg()), "cpp")
+        region = src[src.index("#pragma omp parallel for"):]
+        critical = region.index("#pragma omp critical")
+        assert critical < region.index("hh[std::min<long long>(")
+        assert "#pragma omp critical" not in generate_code(kernels.histogram_sdfg(), "cpp")
+        for wcr in ("min", "max"):
+            lines = generate_code(extremum(wcr), "cpp").splitlines()
+            at = next(i for i, ln in enumerate(lines) if f"std::{wcr}(" in ln)
+            assert lines[at - 2].strip() == "#pragma omp critical"
+
     def test_written_view_is_not_const(self):
         src = generate_code(kernels.histogram_sdfg(), "cpp")
         assert "    long long* hh = &hist[" in src
@@ -216,6 +259,91 @@ class TestCppExecution:
         out = np.zeros(5)
         comp(A=A, out=out)
         assert np.allclose(out, A.sum(axis=1))
+
+
+@pytest.fixture
+def two_omp_threads(monkeypatch):
+    """Isolated calls run on a fresh harness worker with two OpenMP threads."""
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    isolation.close_harness()
+    yield
+    isolation.close_harness()
+
+
+@needs_cc
+class TestCppOpenMP:
+    RUNS = 30
+
+    def test_parallel_histogram_loses_no_count(self, two_omp_threads):
+        compiled = compile_sdfg(multicore(kernels.histogram_sdfg()), backend="cpp",
+                                cache="off", fallback=False)
+        data = kernels.histogram_data(256, 256, bins=4)
+        want = kernels.histogram_reference(data["img"], 4)
+        for run in range(self.RUNS):
+            hist = np.zeros(4, np.int64)
+            compiled(img=data["img"], hist=hist, H=256, W=256, BINS=4)
+            assert np.array_equal(hist, want), f"run {run} lost counts"
+        assert compiled.backend == "cpp"
+
+    @pytest.mark.parametrize("wcr", ["min", "max"])
+    def test_parallel_min_max_wcr_is_exact(self, two_omp_threads, wcr):
+        compiled = compile_sdfg(extremum(wcr), backend="cpp", cache="off",
+                                fallback=False)
+        rng = np.random.RandomState(7)
+        for run in range(self.RUNS):
+            A = rng.rand(1 << 16)
+            r = np.array([0.5])
+            compiled(A=A, r=r, N=A.size)
+            want = max(A.max(), 0.5) if wcr == "max" else min(A.min(), 0.5)
+            assert r[0] == want, f"run {run}"
+        assert compiled.backend == "cpp"
+
+
+@needs_cc
+class TestBuildDirectories:
+    """``compile_cpp`` builds in a temporary directory that no exit path
+    leaves behind."""
+
+    @pytest.fixture
+    def tmpdir_root(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        return tmp_path
+
+    @staticmethod
+    def builds(root):
+        return sorted(p.name for p in root.iterdir() if p.name.startswith("repro_vadd"))
+
+    def test_isolated_artifact_removes_its_directory_on_close(self, tmpdir_root):
+        compiled = compile_cpp(vadd(), isolated=True)
+        assert len(self.builds(tmpdir_root)) == 1  # the worker loads from it
+        A, B, C = np.random.rand(16), np.random.rand(16), np.zeros(16)
+        compiled(A=A, B=B, C=C)
+        assert np.allclose(C, A + B)
+        compiled.close()
+        assert self.builds(tmpdir_root) == []
+        compiled.close()  # idempotent
+
+    def test_collected_isolated_artifact_removes_its_directory(self, tmpdir_root):
+        compiled = compile_cpp(vadd(), isolated=True)
+        assert len(self.builds(tmpdir_root)) == 1
+        del compiled
+        gc.collect()
+        assert self.builds(tmpdir_root) == []
+
+    def test_in_process_build_is_removed_once_loaded(self, tmpdir_root):
+        compiled = compile_cpp(vadd())
+        assert self.builds(tmpdir_root) == []
+        A, B, C = np.random.rand(16), np.random.rand(16), np.zeros(16)
+        compiled(A=A, B=B, C=C)
+        assert np.allclose(C, A + B)
+
+    def test_failed_build_is_removed(self, tmpdir_root):
+        sdfg = vadd()
+        tasklet = next(n for n in sdfg.start_state.nodes() if hasattr(n, "code"))
+        tasklet.language, tasklet.code = Language.CPP, "c = a +* ;"
+        with pytest.raises(CodegenError, match="compilation failed"):
+            compile_cpp(sdfg)
+        assert self.builds(tmpdir_root) == []
 
 
 #: Corpus programs that once fell back to Python on cpp: five read a

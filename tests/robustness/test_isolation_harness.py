@@ -75,7 +75,7 @@ def test_harness_worker_is_not_recycled_by_call_count(fresh_harness):
 
 def test_harness_worker_is_recycled_past_its_memory_budget(
         fresh_harness, monkeypatch):
-    """The worker keeps every library it loads; its peak RSS, not a call
+    """The worker keeps every library it loads; its resident set, not a call
     count, bounds that growth."""
     monkeypatch.setattr(isolation, "HARNESS_MEMORY_BUDGET_KB", 1)
     compiled = compile_sdfg(scale_sdfg(), backend="cpp")
@@ -86,6 +86,27 @@ def test_harness_worker_is_recycled_past_its_memory_budget(
     stats = isolation.harness().stats()
     assert stats["recycled"] == 2
     assert stats["deaths"] == 0
+
+
+def test_memory_budget_reads_the_worker_not_its_host(fresh_harness, monkeypatch):
+    """``ru_maxrss`` is a peak a spawned child inherits from its parent:
+    read as the worker's size, a host that has ever been bigger than the
+    budget would put every new worker over it at birth, and each call
+    would respawn one.  The worker's own resident set is far below."""
+    budget_kb = 192 * 1024
+    monkeypatch.setattr(isolation, "HARNESS_MEMORY_BUDGET_KB", budget_kb)
+    compiled = compile_sdfg(scale_sdfg(), backend="cpp")
+    host = np.ones((budget_kb + 64 * 1024) * 1024 // 8)  # touched: resident
+    try:
+        A = np.ones(8)
+        for _ in range(5):
+            compiled(A=A, N=8)
+    finally:
+        del host
+    np.testing.assert_allclose(A, np.full(8, 2.0 ** 5))
+    stats = isolation.harness().stats()
+    assert stats["spawned"] == 1
+    assert stats["recycled"] == 0
 
 
 def test_one_crash_respawns_exactly_one_worker(fresh_harness):

@@ -6,8 +6,11 @@ hash input, and a guard built from that snapshot skips the pre-match
 propagate.  That is sound only if
 
 * propagate is a fixpoint on a graph parsed from a propagated snapshot,
-* hashing a snapshot gives exactly ``content_hash`` of its graph, and
-* validating with one scope tree per state reports what it always did.
+* hashing a snapshot gives exactly ``content_hash`` of its graph,
+* validating with one scope tree per state reports what it always did, and
+* validation reads the same from cold and from warm memo tables (the
+  bounds verdict, tasklet names and ``Range``/``Subset`` facts it reuses
+  across candidates are pure caches).
 """
 
 import difflib
@@ -25,6 +28,7 @@ from repro.sdfg.serialize import (
     snapshot_hash,
 )
 from repro.sdfg.validation import validate_sdfg
+from repro.symbolic import clear_caches
 from repro.transformations.guard import GuardedOptimizer
 from repro.transformations.optimizer import enumerate_matches
 from repro.tuning import default_pool
@@ -92,6 +96,37 @@ def test_propagate_is_a_fixpoint_on_every_guarded_child(name):
                 _assert_propagate_fixpoint(
                     sdfg_to_json(guard.sdfg), f"{name} + {xform}[{index}]"
                 )
+
+
+def _diagnostics(snapshot):
+    return [d.to_json() for d in validate_sdfg(sdfg_from_json(snapshot), collect_all=True)]
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_validation_reads_the_same_from_cold_and_warm_memo_tables(name):
+    """Every corpus program and every child the guard builds from it
+    (each pool transformation, up to ``MAX_MATCHES`` sites, kept even
+    when it fails validation) gets the same diagnostics from cleared
+    tables as from tables the whole walk has warmed."""
+    root = _propagated_snapshot(_make(name))
+    graphs = [root]
+    for xform in default_pool():
+        try:
+            n = len(enumerate_matches(sdfg_from_json(root), xform))
+        except Exception:  # noqa: BLE001 - the search records these too
+            continue
+        for index in range(min(n, MAX_MATCHES)):
+            guard = GuardedOptimizer.from_snapshot(root, validate=False)
+            if guard.apply(xform, match_index=index):
+                graphs.append(sdfg_to_json(guard.sdfg))
+    cold = []
+    for snapshot in graphs:
+        clear_caches()
+        cold.append(_diagnostics(snapshot))
+    # A fresh parse shares the memoized subsets: their per-instance
+    # caches are warm too.
+    warm = [_diagnostics(snapshot) for snapshot in graphs]
+    assert warm == cold
 
 
 class TestSnapshotHash:

@@ -242,3 +242,22 @@ def test_tcp_transport(tmp_path):
             a = np.arange(4, dtype=np.float64)
             out = c.execute(scale_sdfg(2.0), arrays={"A": a}, symbols={"N": 4})
             np.testing.assert_allclose(out["arrays"]["A"], a * 2.0)
+
+
+def test_stop_removes_the_socket_directory_it_made(tmp_path, monkeypatch):
+    """With no socket path given, the daemon makes a private directory
+    for its socket; stopping removes both."""
+    import tempfile
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setenv("REPRO_CRASH_DIR", str(tmp_path / "crashes"))
+    srv = SDFGServer(ServeConfig(workers=1, health_interval=600.0)).start()
+    try:
+        with ServeClient(socket_path=srv.config.socket_path) as c:
+            assert c.ping()["status"] == "ok"
+        socket_dir = os.path.dirname(srv.config.socket_path)
+        assert os.path.dirname(socket_dir) == str(tmp_path)
+    finally:
+        srv.stop()
+    assert not os.path.exists(socket_dir)
+    assert not any(p.name.startswith("repro_") for p in tmp_path.iterdir())

@@ -270,3 +270,50 @@ def test_two_simultaneous_worker_crashes_get_distinct_bundles(crash_env):
         paths = {b for _, _, b in bundles}
         assert len(paths) == 2, "simultaneous crashes shared a bundle dir"
         assert pool.stats()["alive"] == 2
+
+
+def test_failed_spawn_leaves_no_worker_and_no_stderr_file(monkeypatch, tmp_path):
+    """A handshake that times out raises out of the handle's constructor:
+    nothing else holds the child or its stderr capture, so the
+    constructor reaps one and removes the other."""
+    import subprocess
+    import tempfile
+
+    from repro.serve.pool import WorkerHandle, WorkerTimeout
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    spawned = []
+    real_popen = subprocess.Popen
+
+    def recording_popen(*args, **kwargs):
+        proc = real_popen(*args, **kwargs)
+        spawned.append(proc)
+        return proc
+
+    monkeypatch.setattr(subprocess, "Popen", recording_popen)
+    with pytest.raises(WorkerTimeout):
+        WorkerHandle(None, False, spawn_timeout=1e-6)
+    assert [p.name for p in tmp_path.iterdir()] == []
+    assert len(spawned) == 1 and spawned[0].poll() is not None
+
+
+def test_spawn_finishing_after_close_is_stopped(monkeypatch):
+    """A worker whose spawn completes after ``close()`` cleared the pool
+    is stopped there, not added to a closed pool that nothing will close
+    again."""
+    from repro.serve import pool as pool_mod
+
+    pool = WorkerPool(size=1)
+    handles = []
+
+    class SpawnThenClose(pool_mod.WorkerHandle):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            handles.append(self)
+            pool.close()
+
+    monkeypatch.setattr(pool_mod, "WorkerHandle", SpawnThenClose)
+    pool.start()
+    assert pool.stats()["alive"] == 0
+    assert len(handles) == 1 and not handles[0].alive()
+    assert not os.path.exists(handles[0]._stderr_file.name)

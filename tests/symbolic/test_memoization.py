@@ -1,6 +1,10 @@
 """Property tests for the symbolic engine's memoization layer: cached
 results must be indistinguishable from uncached recomputation, and the
-hit/miss counters must be monotonic."""
+hit/miss counters must be monotonic.  The same holds for the analysis
+facts cached on immutable keys: the V306 bounds verdict, a tasklet's
+free names and flops, and the per-instance ``Range``/``Subset`` caches."""
+
+import ast
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +23,10 @@ from repro.symbolic import (
     parse_expr,
     simplify,
 )
-from repro.symbolic import memo
+from repro.runtime.perfmodel import tasklet_flops
+from repro.sdfg.nodes import Tasklet
+from repro.sdfg.validation import _dims_out_of_bounds
+from repro.symbolic import CeilDiv, Mul, memo
 from repro.symbolic.sets import decide_nonnegative
 
 SYMS = ("N", "M", "K", "TSTEPS")
@@ -137,6 +144,165 @@ class TestMemoizedEqualsUncached:
             cold = op(neg)
             assert first == warm == cold
             assert str(first) == str(warm) == str(cold)
+
+
+def shapes(dims: int) -> st.SearchStrategy:
+    dim = st.one_of(
+        st.integers(min_value=1, max_value=40).map(Integer),
+        st.sampled_from(SYMS).map(Symbol),
+        st.tuples(st.sampled_from(SYMS), st.integers(-3, 3)).map(
+            lambda t: Symbol(t[0]) + t[1]
+        ),
+    )
+    return st.lists(dim, min_size=dims, max_size=dims).map(tuple)
+
+
+@st.composite
+def subset_and_shape(draw):
+    s = draw(subsets())
+    return s, draw(shapes(s.dims))
+
+
+def _dims_out_of_bounds_reference(subset, shape):
+    """V306's per-dimension test, as the validator wrote it inline."""
+    count = 0
+    for r, dim in zip(subset.ranges, shape):
+        over = decide_nonnegative(r.max_element() - dim)
+        under = decide_nonnegative(-r.min_element() - 1)
+        if over is True or under is True:
+            count += 1
+    return count
+
+
+_NAMES = ("a", "b", "out", "tmp", "N", "math", "min", "abs", "x")
+
+
+def tasklet_codes() -> st.SearchStrategy:
+    leaf = st.one_of(st.sampled_from(_NAMES), st.integers(0, 9).map(str))
+
+    def extend(children):
+        return st.one_of(
+            st.tuples(children, st.sampled_from("+-*/%"), children).map(
+                lambda t: f"({t[0]} {t[1]} {t[2]})"
+            ),
+            st.tuples(children, children).map(lambda t: f"({t[0]} ** {t[1]})"),
+            children.map(lambda e: f"-{e}"),
+            st.tuples(children, children).map(lambda t: f"min({t[0]}, {t[1]})"),
+            st.tuples(children, children).map(lambda t: f"({t[0]} < {t[1]} <= 3)"),
+            children.map(lambda e: f"math.exp({e})"),
+        )
+
+    expr = st.recursive(leaf, extend, max_leaves=6)
+    stmt = st.one_of(
+        st.tuples(st.sampled_from(("out", "tmp", "b")), expr).map(
+            lambda t: f"{t[0]} = {t[1]}"
+        ),
+        st.tuples(expr, expr).map(lambda t: f"out[int({t[0]})] += {t[1]}"),
+    )
+    return st.one_of(
+        st.lists(stmt, min_size=1, max_size=4).map("\n".join),
+        st.just("out = ("),  # does not parse
+    )
+
+
+def _free_names_reference(tasklet):
+    """``Tasklet.free_symbols`` as it walked the AST on every call."""
+    try:
+        tree = ast.parse(tasklet.code)
+    except SyntaxError:
+        return set()
+    loaded, stored = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            (stored if isinstance(node.ctx, ast.Store) else loaded).add(node.id)
+    builtins = {"min", "max", "abs", "int", "float", "bool", "range", "len",
+                "math", "np", "numpy", "True", "False", "None"}
+    return (loaded - stored - tasklet.in_connectors - tasklet.out_connectors
+            - builtins)
+
+
+def _flops_reference(tasklet):
+    """``tasklet_flops`` as it walked the AST on every call."""
+    try:
+        tree = ast.parse(tasklet.code)
+    except SyntaxError:
+        return 1
+    flops = 0
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp):
+            flops += 10 if isinstance(node.op, ast.Pow) else 1
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            flops += 1
+        elif isinstance(node, ast.Call):
+            flops += 10
+        elif isinstance(node, ast.Compare):
+            flops += len(node.ops)
+    return max(flops, 1)
+
+
+class TestCachedAnalysisFacts:
+    @settings(max_examples=200, deadline=None)
+    @given(case=subset_and_shape())
+    def test_bounds_verdict(self, case):
+        subset, shape = case
+        want = _dims_out_of_bounds_reference(subset, shape)
+        assert _dims_out_of_bounds(subset, shape) == want
+        assert _dims_out_of_bounds(subset, shape) == want  # warm
+        clear_caches()
+        assert _dims_out_of_bounds(subset, shape) == want  # cold
+
+    def test_bounds_verdict_is_a_counted_table(self):
+        subset, shape = Subset.from_string("0:N + 1"), (Symbol("N"),)
+        before = memo.stats().get("bounds", {"hits": 0, "misses": 0})
+        assert _dims_out_of_bounds(subset, shape) == 1
+        assert _dims_out_of_bounds(subset, shape) == 1
+        after = memo.stats()["bounds"]
+        assert after["hits"] >= before["hits"] + 1
+        assert after["entries"] >= 1
+        clear_caches()
+        assert memo.stats()["bounds"]["entries"] == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(code=tasklet_codes(), ins=st.sets(st.sampled_from(("a", "x"))))
+    def test_tasklet_names_and_flops(self, code, ins):
+        t = Tasklet("t", ins, ["out"], code)
+        names, flops = _free_names_reference(t), _flops_reference(t)
+        for _ in range(2):  # cold, then warm
+            assert t.free_symbols() == names
+            assert tasklet_flops(t) == flops
+        # The cached names never carry another tasklet's connectors.
+        other = Tasklet("u", (), ["b"], code)
+        assert other.free_symbols() == _free_names_reference(other)
+        # Callers may mutate what they get back.
+        t.free_symbols().add("scribble")
+        assert t.free_symbols() == names
+        clear_caches()
+        assert t.free_symbols() == names and tasklet_flops(t) == flops
+
+    @settings(max_examples=200, deadline=None)
+    @given(s=subsets())
+    def test_range_and_subset_properties(self, s):
+        warm = [(r.size(), r.num_elements(), r.free_symbols) for r in s.ranges]
+        warm_subset = (s.size(), s.num_elements(), s.free_symbols)
+        assert warm == [(r.size(), r.num_elements(), r.free_symbols) for r in s.ranges]
+        clear_caches()
+        for r, (size, num, free) in zip(s.ranges, warm):
+            fresh = Range(r.start, r.end, r.step, r.tile)
+            assert size == fresh.size() == CeilDiv.make(r.end - r.start, r.step)
+            assert num == fresh.num_elements() == Mul.make(fresh.size(), r.tile)
+            assert free == fresh.free_symbols == (
+                r.start.free_symbols | r.end.free_symbols
+                | r.step.free_symbols | r.tile.free_symbols
+            )
+        fresh = Subset([Range(r.start, r.end, r.step, r.tile) for r in s.ranges])
+        expected = Integer(1)
+        for r in fresh.ranges:
+            expected = Mul.make(expected, r.num_elements())
+        assert warm_subset == (fresh.size(), fresh.num_elements(), fresh.free_symbols)
+        assert warm_subset[1] == expected
+        # ``size`` hands out a list: mutating it leaves the cache intact.
+        s.size().append(Integer(0))
+        assert s.size() == warm_subset[0]
 
 
 class TestImmutability:

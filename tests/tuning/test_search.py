@@ -17,6 +17,8 @@ from repro.sdfg.serialize import (
     sdfg_to_json,
 )
 from repro.transformations import auto_optimize, replay
+from repro.transformations.guard import GuardedOptimizer
+from repro.transformations.optimizer import _resolve, sort_matches
 from repro.tuning import (
     AnalyticCost,
     MeasuredCost,
@@ -376,3 +378,43 @@ class TestSearchTracePins:
         result, provider = _bench_search(key, _CheckedAnalyticCost)
         assert provider.hashes == TRACES[key]["variant_hashes"]
         assert result.history == TRACES[key]["winner"]
+
+
+class TestReboundMatch:
+    """The search enumerates a variant's matches once, on its probe, and
+    hands each candidate's guard its match rebound by position to the
+    guard's private copy: on every pinned candidate that is exactly
+    what ``apply(match_index=i)`` does after enumerating again."""
+
+    @pytest.mark.parametrize("key", sorted(TRACES))
+    def test_rebound_match_equals_apply_by_index(self, key):
+        name = key.split(":")[1]
+        sdfg = (kernels.matmul_sdfg() if name == "matmul"
+                else polybench.get(name).make_sdfg())
+        sdfg.validate()
+        sdfg.propagate()
+        variants = {"": sdfg_to_json(sdfg)}  # label -> propagated snapshot
+        compared = 0
+        for _, parent, xform, index, status, _, reason, _ in TRACES[key]["candidates"]:
+            if status in ("no_match", "pruned_budget"):
+                continue
+            assert not reason.startswith("match enumeration failed")
+            snapshot = variants[parent]
+            probe = sdfg_from_json(snapshot)
+            matches = sort_matches(probe, _resolve(xform).matches(probe))
+            rebound = GuardedOptimizer.from_snapshot(snapshot)
+            by_index = GuardedOptimizer.from_snapshot(snapshot)
+            applied = rebound.apply_rebound(matches[index])
+            assert applied == by_index.apply(xform, match_index=index)
+            got, want = rebound.report.attempts[-1], by_index.report.attempts[-1]
+            assert (got.transformation, got.status, got.reason, got.code) == (
+                want.transformation, want.status, want.reason, want.code)
+            assert sdfg_to_json(rebound.sdfg) == sdfg_to_json(by_index.sdfg)
+            if applied:
+                step = f"{xform}[{index}]"
+                variants.setdefault(f"{parent} > {step}" if parent else step,
+                                    sdfg_to_json(rebound.sdfg))
+            compared += 1
+        assert compared == sum(
+            c[4] not in ("no_match", "pruned_budget") for c in TRACES[key]["candidates"]
+        )
