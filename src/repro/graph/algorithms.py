@@ -60,18 +60,23 @@ def topological_sort(graph: OrderedMultiDiGraph) -> List:
     """Kahn's algorithm; raises :class:`CycleError` on cycles.
 
     Among ready nodes, earlier-inserted nodes come first, which makes
-    generated code stable across runs.
+    generated code stable across runs.  The order is kept on the graph
+    until its structure changes; each call returns a fresh list.
     """
-    indeg: Dict[int, int] = {id(n): graph.in_degree(n) for n in graph.nodes()}
-    ready: List = [n for n in graph.nodes() if indeg[id(n)] == 0]
-    order: List = []
-    while ready:
-        node = ready.pop(0)
-        order.append(node)
-        for e in graph.out_edges(node):
-            indeg[id(e.dst)] -= 1
-            if indeg[id(e.dst)] == 0:
-                ready.append(e.dst)
+    return list(graph.cached("topological_sort", lambda: _kahn(graph)))
+
+
+def _kahn(graph: OrderedMultiDiGraph) -> List:
+    out, in_ = graph._out, graph._in
+    indeg: Dict[int, int] = {id(n): len(in_[n]) for n in graph._nodes}
+    # The order doubles as the FIFO queue of ready nodes.
+    order: List = [n for n in graph._nodes if not in_[n]]
+    for node in order:
+        for e in out[node]:
+            key = id(e.dst)
+            indeg[key] -= 1
+            if not indeg[key]:
+                order.append(e.dst)
     if len(order) != graph.number_of_nodes():
         raise CycleError("graph contains a cycle; no topological order exists")
     return order

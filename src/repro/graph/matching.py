@@ -3,8 +3,10 @@
 The paper (§4.1) locates transformation patterns with the VF2 subgraph
 isomorphism algorithm [Cordella et al. 2004].  This module implements the
 same state-space search: pattern nodes are matched one at a time in a
-connectivity-driven order, pruning candidates that violate adjacency of
-already-matched pairs.
+connectivity-driven order, and each node after the first of its
+component draws its candidates from the host neighbours of an
+already-matched pattern neighbour (VF2's candidate pairs), pruning those
+that violate adjacency of already-matched pairs.
 
 By default we search for *monomorphisms* (the host may have extra edges
 around the matched nodes) because transformation patterns describe the
@@ -15,7 +17,7 @@ restrictions — mirroring how DaCe transformations are written
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Iterator, List, Optional, TypeVar
+from typing import Callable, Dict, Hashable, Iterator, List, Optional, Tuple, TypeVar
 
 from repro.graph.multigraph import OrderedMultiDiGraph
 
@@ -45,10 +47,15 @@ def subgraph_monomorphisms(
     node_match = node_match or _default_match
     edge_match = edge_match or _default_match
 
-    pnodes = _connectivity_order(pattern)
-    if not pnodes:
+    plan = _connectivity_order(pattern)
+    if not plan:
         return
+    pnodes = [pn for pn, _ in plan]
+    anchors = [anchor for _, anchor in plan]
     hnodes = host.nodes()
+
+    def index_hosts() -> Dict:
+        return {hn: i for i, hn in enumerate(hnodes)}
 
     mapping: Dict[int, object] = {}  # id(pattern node) -> host node
     used: set = set()  # id(host node)
@@ -87,17 +94,31 @@ def subgraph_monomorphisms(
             hn
         ) >= pattern.out_degree(pn)
 
+    def candidates(depth: int) -> List:
+        """Host nodes ``pnodes[depth]`` may map to, in host insertion
+        order: every host node for the first node of a component, else
+        the host neighbours of its anchor's image on the anchor's side."""
+        anchor = anchors[depth]
+        if anchor is None:
+            return hnodes
+        pm, is_successor = anchor
+        hm = mapping[id(pm)]
+        near = host.successors(hm) if is_successor else host.predecessors(hm)
+        if len(near) > 1:
+            near.sort(key=host.cached("node_index", index_hosts).__getitem__)
+        return near
+
     def backtrack(depth: int) -> Iterator[Dict]:
         if depth == len(pnodes):
             yield {pn: mapping[id(pn)] for pn in pnodes}
             return
         pn = pnodes[depth]
-        for hn in hnodes:
+        for hn in candidates(depth):
             if id(hn) in used:
                 continue
-            if not degrees_ok(pn, hn):
-                continue
             if not node_match(pn, hn):
+                continue
+            if not degrees_ok(pn, hn):
                 continue
             if not edges_ok(pn, hn):
                 continue
@@ -110,26 +131,30 @@ def subgraph_monomorphisms(
     yield from backtrack(0)
 
 
-def _connectivity_order(pattern: OrderedMultiDiGraph) -> List:
+def _connectivity_order(pattern: OrderedMultiDiGraph) -> List[Tuple]:
     """Order pattern nodes so each (after the first of its component) is
-    adjacent to an earlier one — the key VF2 pruning enabler."""
-    nodes = pattern.nodes()
-    remaining = {id(n): n for n in nodes}
-    order: List = []
-    placed: set = set()
+    adjacent to an earlier one — the key VF2 pruning enabler.
+
+    Each node comes with its anchor: ``(neighbour, is_successor)`` for
+    the earliest-placed neighbour and whether the node is its successor,
+    or None for the first node of a component."""
+    remaining = {id(n): n for n in pattern.nodes()}
+    order: List[Tuple] = []
     while remaining:
         # Start a new component at the first remaining node.
-        frontier = [next(iter(remaining.values()))]
+        frontier = [(next(iter(remaining.values())), None)]
         while frontier:
-            n = frontier.pop(0)
+            n, anchor = frontier.pop(0)
             if id(n) not in remaining:
                 continue
             del remaining[id(n)]
-            placed.add(id(n))
-            order.append(n)
-            for other in pattern.successors(n) + pattern.predecessors(n):
+            order.append((n, anchor))
+            for other in pattern.successors(n):
                 if id(other) in remaining:
-                    frontier.append(other)
+                    frontier.append((other, (n, True)))
+            for other in pattern.predecessors(n):
+                if id(other) in remaining:
+                    frontier.append((other, (n, False)))
     return order
 
 

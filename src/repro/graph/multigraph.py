@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import (
     Any,
+    Callable,
     Dict,
     Generic,
     Hashable,
@@ -62,6 +63,12 @@ class OrderedMultiDiGraph(Generic[NodeT, EdgeDataT]):
     Nodes may be any hashable objects; identity of a node in the graph is
     the object itself.  Parallel edges (same endpoints) are allowed and
     kept distinct as :class:`Edge` instances.
+
+    The five mutators (:meth:`add_node` of a new node, :meth:`remove_node`,
+    :meth:`add_edge`, :meth:`add_edge_object`, :meth:`remove_edge`) are
+    the only code that changes the structure.  Each bumps :attr:`version`
+    and drops the facts :meth:`cached` kept for the old structure (they
+    would pin removed nodes and edges).
     """
 
     def __init__(self) -> None:
@@ -69,6 +76,32 @@ class OrderedMultiDiGraph(Generic[NodeT, EdgeDataT]):
         self._nodes: Dict[NodeT, None] = {}
         self._out: Dict[NodeT, List[Edge[NodeT, EdgeDataT]]] = {}
         self._in: Dict[NodeT, List[Edge[NodeT, EdgeDataT]]] = {}
+        #: Structural version: bumped by every mutator.
+        self.version = 0
+        self._caches: Optional[Dict[str, Any]] = None
+
+    def cached(self, name: str, compute: Callable[[], Any]) -> Any:
+        """``compute()``, kept until the structure changes.
+
+        The value is shared between callers: hand out a copy of anything
+        mutable.  A copied or unpickled graph starts with no cached facts.
+        """
+        caches = self._caches
+        if caches is None:
+            caches = self._caches = {}
+        elif name in caches:
+            return caches[name]
+        value = caches[name] = compute()
+        return value
+
+    def _changed(self) -> None:
+        self.version += 1
+        self._caches = None
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        state["_caches"] = None
+        return state
 
     # -- nodes -----------------------------------------------------------------
     def add_node(self, node: NodeT) -> NodeT:
@@ -76,6 +109,7 @@ class OrderedMultiDiGraph(Generic[NodeT, EdgeDataT]):
             self._nodes[node] = None
             self._out[node] = []
             self._in[node] = []
+            self._changed()
         return node
 
     def remove_node(self, node: NodeT) -> None:
@@ -88,6 +122,7 @@ class OrderedMultiDiGraph(Generic[NodeT, EdgeDataT]):
         del self._nodes[node]
         del self._out[node]
         del self._in[node]
+        self._changed()
 
     def has_node(self, node: NodeT) -> bool:
         return node in self._nodes
@@ -121,6 +156,7 @@ class OrderedMultiDiGraph(Generic[NodeT, EdgeDataT]):
         edge = Edge(src, dst, data, src_conn, dst_conn)
         self._out[src].append(edge)
         self._in[dst].append(edge)
+        self._changed()
         return edge
 
     def add_edge_object(self, edge: Edge[NodeT, EdgeDataT]) -> Edge[NodeT, EdgeDataT]:
@@ -129,9 +165,11 @@ class OrderedMultiDiGraph(Generic[NodeT, EdgeDataT]):
         self.add_node(edge.dst)
         self._out[edge.src].append(edge)
         self._in[edge.dst].append(edge)
+        self._changed()
         return edge
 
     def remove_edge(self, edge: Edge[NodeT, EdgeDataT]) -> None:
+        self._changed()
         try:
             self._out[edge.src].remove(edge)
             self._in[edge.dst].remove(edge)

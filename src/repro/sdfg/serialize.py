@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from itertools import groupby
 from typing import Any, Dict, List
 
 from repro.instrumentation.types import InstrumentationType
@@ -30,6 +31,8 @@ from repro.sdfg.nodes import (
     Consume,
     ConsumeEntry,
     ConsumeExit,
+    EntryNode,
+    ExitNode,
     Map,
     MapEntry,
     MapExit,
@@ -38,7 +41,7 @@ from repro.sdfg.nodes import (
     Reduce,
     Tasklet,
 )
-from repro.sdfg.state import SDFGState
+from repro.sdfg.state import SDFGState, _scope_of
 from repro.symbolic import Subset
 
 
@@ -172,7 +175,18 @@ def _restore_connectors(node: Node, obj: Dict[str, Any]) -> Node:
     return node
 
 
-def node_from_json(obj: Dict[str, Any], scope_cache: Dict[str, Any]) -> Node:
+def _scope_key(obj: Dict[str, Any]):
+    """What a parse pairs a scope entry with its exit by, unless the
+    exit names its entry (``scope_entry``): the serialized label and
+    range (map) or PE count (consume)."""
+    if obj["type"] in ("MapEntry", "MapExit"):
+        return ("map", obj["label"], obj["range"], tuple(obj["params"]))
+    return ("consume", obj["label"], obj["num_pes"])
+
+
+def node_from_json(
+    obj: Dict[str, Any], scope_cache: Dict[Any, Any], pair: Any = None
+) -> Node:
     kind = obj["type"]
     if kind == "AccessNode":
         return _restore_connectors(AccessNode(obj["data"]), obj)
@@ -186,8 +200,8 @@ def node_from_json(obj: Dict[str, Any], scope_cache: Dict[str, Any]) -> Node:
         t.instrument = _instrument_from_json(obj)
         return _restore_connectors(t, obj)
     if kind in ("MapEntry", "MapExit"):
-        # Entry/exit pairs must share one Map object; key on label+range.
-        key = ("map", obj["label"], obj["range"], tuple(obj["params"]))
+        # Entry/exit pairs must share one Map object.
+        key = _scope_key(obj) if pair is None else pair
         if key not in scope_cache:
             scope_cache[key] = Map(
                 obj["label"],
@@ -201,7 +215,7 @@ def node_from_json(obj: Dict[str, Any], scope_cache: Dict[str, Any]) -> Node:
         cls = MapEntry if kind == "MapEntry" else MapExit
         return _restore_connectors(cls(scope_cache[key]), obj)
     if kind in ("ConsumeEntry", "ConsumeExit"):
-        key = ("consume", obj["label"], obj["num_pes"])
+        key = _scope_key(obj) if pair is None else pair
         if key not in scope_cache:
             scope_cache[key] = Consume(
                 obj["label"],
@@ -244,19 +258,51 @@ def state_to_json(state: SDFGState) -> Dict[str, Any]:
         }
         for e in state.edges()
     ]
+    jnodes = [node_to_json(n) for n in nodes]
+    _pair_ambiguous_scopes(nodes, jnodes)
     return {
         "name": state.name,
         "instrument": state.instrument.name,
-        "nodes": [node_to_json(n) for n in nodes],
+        "nodes": jnodes,
         "edges": edges,
     }
+
+
+def _pair_ambiguous_scopes(nodes: List[Node], jnodes: List[Dict[str, Any]]) -> None:
+    """Give each exit of a scope whose :func:`_scope_key` another scope
+    of the state shares its entry's node index (``scope_entry``), so a
+    parse does not merge the two.  Other states serialize unchanged."""
+    entries = [i for i, n in enumerate(nodes) if isinstance(n, EntryNode)]
+    if len(entries) < 2:
+        return
+    entry_index: Dict[int, int] = {}  # id(scope object) -> entry node index
+    owners: Dict[Any, set] = {}  # scope key -> ids of the scope objects
+    for i in entries:
+        scope = _scope_of(nodes[i])
+        entry_index.setdefault(id(scope), i)
+        owners.setdefault(_scope_key(jnodes[i]), set()).add(id(scope))
+    if all(len(ids) == 1 for ids in owners.values()):
+        return
+    for n, j in zip(nodes, jnodes):
+        if isinstance(n, ExitNode):
+            scope = _scope_of(n)
+            if len(owners.get(_scope_key(j), ())) > 1 and id(scope) in entry_index:
+                j["scope_entry"] = entry_index[id(scope)]
 
 
 def state_from_json(obj: Dict[str, Any], sdfg) -> SDFGState:
     state = SDFGState(obj["name"], sdfg)
     state.instrument = _instrument_from_json(obj)
-    scope_cache: Dict[str, Any] = {}
-    nodes = [node_from_json(n, scope_cache) for n in obj["nodes"]]
+    scope_cache: Dict[Any, Any] = {}
+    # Scopes told apart by ``scope_entry`` pair by the entry's index.
+    pairs: Dict[int, Any] = {}
+    for i, n in enumerate(obj["nodes"]):
+        if "scope_entry" in n:
+            pairs[i] = pairs[n["scope_entry"]] = ("entry", n["scope_entry"])
+    nodes = [
+        node_from_json(n, scope_cache, pairs.get(i))
+        for i, n in enumerate(obj["nodes"])
+    ]
     for n in nodes:
         state.add_node(n)
     for e in obj["edges"]:
@@ -303,13 +349,28 @@ def sdfg_to_json(sdfg, canonical: bool = False) -> Dict[str, Any]:
 
 
 def _edge_key(e: Dict[str, Any]):
-    return (
-        e["src"],
-        e["dst"],
-        e["src_conn"] or "",
-        e["dst_conn"] or "",
-        json.dumps(e["memlet"], sort_keys=True),
-    )
+    return (e["src"], e["dst"], e["src_conn"] or "", e["dst_conn"] or "")
+
+
+def _memlet_key(e: Dict[str, Any]) -> str:
+    return json.dumps(e["memlet"], sort_keys=True)
+
+
+def _sorted_edges(edges: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+    """``edges`` sorted by endpoints, connectors, then memlet JSON.
+
+    Only parallel edges with equal connectors need the memlet, so it is
+    dumped inside such runs alone; both sorts are stable, which gives
+    the order a single sort on the whole key would."""
+    keys = list(map(_edge_key, edges))
+    order = sorted(range(len(edges)), key=keys.__getitem__)
+    if len(set(keys)) == len(keys):
+        return [edges[i] for i in order]
+    out: List[Dict[str, Any]] = []
+    for _, run in groupby(order, key=keys.__getitem__):
+        run = [edges[i] for i in run]
+        out.extend(sorted(run, key=_memlet_key) if len(run) > 1 else run)
+    return out
 
 
 def canonical_form(obj: Dict[str, Any]) -> Dict[str, Any]:
@@ -330,7 +391,7 @@ def canonical_form(obj: Dict[str, Any]) -> Dict[str, Any]:
                 if n["type"] == "NestedSDFG" else n
                 for n in state["nodes"]
             ],
-            "edges": sorted(state["edges"], key=_edge_key),
+            "edges": _sorted_edges(state["edges"]),
         }
         for state in obj["states"]
     ]

@@ -10,6 +10,7 @@ and the structural queries the rest of the system relies on
 
 from __future__ import annotations
 
+from operator import attrgetter, is_
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.graph import Edge, OrderedMultiDiGraph, topological_sort
@@ -239,22 +240,22 @@ class SDFGState(OrderedMultiDiGraph[Node, Memlet]):
 
     def exit_node(self, entry: EntryNode) -> ExitNode:
         """The unique exit node closing ``entry``'s scope."""
-        key = entry.map if isinstance(entry, MapEntry) else entry.consume
-        for n in self.nodes():
-            if isinstance(n, ExitNode):
-                nkey = n.map if isinstance(n, MapExit) else n.consume
-                if nkey is key:
-                    return n
-        raise KeyError(f"no exit node for {entry!r}")
+        exit_ = self._scopes().exits.get(_scope_of(entry))
+        if exit_ is None:
+            raise KeyError(f"no exit node for {entry!r}")
+        return exit_
 
     def entry_node_of(self, exit_: ExitNode) -> EntryNode:
-        key = exit_.map if isinstance(exit_, MapExit) else exit_.consume
-        for n in self.nodes():
-            if isinstance(n, EntryNode):
-                nkey = n.map if isinstance(n, MapEntry) else n.consume
-                if nkey is key:
-                    return n
-        raise KeyError(f"no entry node for {exit_!r}")
+        entry = self._scopes().entries.get(_scope_of(exit_))
+        if entry is None:
+            raise KeyError(f"no entry node for {exit_!r}")
+        return entry
+
+    def _scopes(self) -> "_ScopeIndex":
+        index = self.cached("scopes", lambda: _ScopeIndex(self.nodes()))
+        if not index.is_current():  # MapExpansion, MapInterchange
+            index.build(self.nodes())
+        return index
 
     def scope_dict(self) -> Dict[Node, Optional[EntryNode]]:
         """Map each node to its innermost enclosing scope entry (or None).
@@ -262,16 +263,20 @@ class SDFGState(OrderedMultiDiGraph[Node, Memlet]):
         Scope membership follows the paper's definition: the subgraph
         dominated by the entry and post-dominated by the exit.  Exit
         nodes belong to their own scope (scope_dict[exit] = entry).
+        The tree is kept until the structure or a scope object changes;
+        each call returns a fresh dict.
         """
-        # Each scope's entry, indexed once by its map/consume object (the
-        # first entry wins, as in :meth:`entry_node_of`).
-        entries: Dict[object, EntryNode] = {}
-        for n in self.nodes():
-            if isinstance(n, EntryNode):
-                entries.setdefault(n.map if isinstance(n, MapEntry) else n.consume, n)
+        index = self._scopes()
+        if index.tree is None:
+            index.tree = self._compute_scope_dict(index.entries)
+        return dict(index.tree)
+
+    def _compute_scope_dict(
+        self, entries: Dict[object, EntryNode]
+    ) -> Dict[Node, Optional[EntryNode]]:
         scope: Dict[Node, Optional[EntryNode]] = {}
         for node in topological_sort(self):
-            in_edges = self.in_edges(node)
+            in_edges = self._in[node]
             if not in_edges:
                 scope.setdefault(node, None)
                 continue
@@ -284,7 +289,7 @@ class SDFGState(OrderedMultiDiGraph[Node, Memlet]):
                     else:
                         parents.add(src)
                 elif isinstance(src, ExitNode):
-                    key = src.map if isinstance(src, MapExit) else src.consume
+                    key = _scope_of(src)
                     if key not in entries:
                         raise KeyError(f"no entry node for {src!r}")
                     parents.add(scope.get(entries[key]))
@@ -299,9 +304,7 @@ class SDFGState(OrderedMultiDiGraph[Node, Memlet]):
 
     @staticmethod
     def _matching(entry: EntryNode, exit_: ExitNode) -> bool:
-        ek = entry.map if isinstance(entry, MapEntry) else entry.consume
-        xk = exit_.map if isinstance(exit_, MapExit) else exit_.consume
-        return ek is xk
+        return _scope_of(entry) is _scope_of(exit_)
 
     def scope_children(self) -> Dict[Optional[EntryNode], List[Node]]:
         """Inverse of :meth:`scope_dict`: entry -> nodes directly inside."""
@@ -385,3 +388,51 @@ class SDFGState(OrderedMultiDiGraph[Node, Memlet]):
 
     def __repr__(self) -> str:
         return f"SDFGState({self.name!r})"
+
+
+def _scope_of(node: Union[EntryNode, ExitNode]) -> Union[Map, Consume]:
+    """The Map or Consume object a scope node opens or closes."""
+    return node.map if isinstance(node, (MapEntry, MapExit)) else node.consume
+
+
+class _ScopeIndex:
+    """A state's scope nodes with the Map/Consume object each held when
+    indexed (compared by identity: MapExpansion and MapInterchange
+    reassign ``.map`` without a structural change), the first entry
+    and the first exit node of each object in node order, and the scope
+    tree once :meth:`SDFGState.scope_dict` has built it."""
+
+    __slots__ = (
+        "maps", "map_objects", "consumes", "consume_objects", "entries", "exits", "tree"
+    )
+
+    def __init__(self, nodes: List[Node]):
+        self.build(nodes)
+
+    def build(self, nodes: List[Node]) -> None:
+        self.maps = tuple(n for n in nodes if isinstance(n, (MapEntry, MapExit)))
+        self.map_objects = tuple(n.map for n in self.maps)
+        self.consumes = tuple(
+            n for n in nodes if isinstance(n, (ConsumeEntry, ConsumeExit))
+        )
+        self.consume_objects = tuple(n.consume for n in self.consumes)
+        self.entries: Dict[object, EntryNode] = {}
+        self.exits: Dict[object, ExitNode] = {}
+        for n in nodes:
+            if isinstance(n, EntryNode):
+                self.entries.setdefault(_scope_of(n), n)
+            elif isinstance(n, ExitNode):
+                self.exits.setdefault(_scope_of(n), n)
+        self.tree: Optional[Dict[Node, Optional[EntryNode]]] = None
+
+    def is_current(self) -> bool:
+        # Maps and consumes apart, so the check runs in C: it runs on
+        # every scope query.
+        return all(map(is_, self.map_objects, map(_MAP, self.maps))) and (
+            not self.consumes
+            or all(map(is_, self.consume_objects, map(_CONSUME, self.consumes)))
+        )
+
+
+_MAP = attrgetter("map")
+_CONSUME = attrgetter("consume")

@@ -128,6 +128,8 @@ class Expr:
         raise NotImplementedError
 
     def __eq__(self, other: Any) -> bool:
+        if self is other:
+            return True
         if isinstance(other, (int, float)):
             other = sympify(other)
         if not isinstance(other, Expr):

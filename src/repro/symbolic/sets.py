@@ -104,11 +104,12 @@ class Range:
     elements (used by :class:`~repro.transformations`' Vectorization).
 
     Immutable like :class:`Expr` (so memoized parses and images may share
-    one instance between graphs); the rendered string, ``size``,
-    ``num_elements`` and ``free_symbols`` are cached on the instance.
+    one instance between graphs); the rendered string, the hash,
+    ``size``, ``num_elements`` and ``free_symbols`` are cached on the
+    instance.
     """
 
-    __slots__ = ("start", "end", "step", "tile", "_str", "_size", "_num", "_free")
+    __slots__ = ("start", "end", "step", "tile", "_str", "_size", "_num", "_free", "_hash")
 
     def __init__(
         self,
@@ -224,6 +225,8 @@ class Range:
         return Range(self.start + d, self.end + d, self.step, self.tile)
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Range):
             return NotImplemented
         return (
@@ -234,7 +237,11 @@ class Range:
         )
 
     def __hash__(self) -> int:
-        return hash((self.start, self.end, self.step, self.tile))
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = hash((self.start, self.end, self.step, self.tile))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __str__(self) -> str:
         s = self._str
@@ -261,11 +268,11 @@ class Subset:
     """A multi-dimensional subset: one :class:`Range` per dimension.
 
     Immutable like :class:`Range`; copies are the object itself, and
-    ``size``, ``num_elements`` and ``free_symbols`` are cached on the
-    instance.
+    the rendered string, the hash, ``size``, ``num_elements`` and
+    ``free_symbols`` are cached on the instance.
     """
 
-    __slots__ = ("ranges", "_size", "_num", "_free")
+    __slots__ = ("ranges", "_size", "_num", "_free", "_hash", "_str")
 
     def __init__(self, ranges: Iterable[Range]):
         object.__setattr__(self, "ranges", tuple(ranges))
@@ -478,15 +485,25 @@ class Subset:
         return self.ranges[i]
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Subset):
             return NotImplemented
         return self.ranges == other.ranges
 
     def __hash__(self) -> int:
-        return hash(self.ranges)
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = hash(self.ranges)
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __str__(self) -> str:
-        return ", ".join(str(r) for r in self.ranges)
+        s = getattr(self, "_str", None)
+        if s is None:
+            s = ", ".join(str(r) for r in self.ranges)
+            object.__setattr__(self, "_str", s)
+        return s
 
     def __repr__(self) -> str:
         return f"Subset[{self}]"

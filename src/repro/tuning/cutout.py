@@ -252,7 +252,10 @@ def extract_scope_cutout(parent: SDFG, state: SDFGState, entry: MapEntry) -> Cut
     obj = state_to_json(state)
     kept_order = [i for i, n in enumerate(state.nodes()) if id(n) in keep]
     remap = {old: new for new, old in enumerate(kept_order)}
-    obj["nodes"] = [obj["nodes"][i] for i in kept_order]
+    obj["nodes"] = [
+        {**n, "scope_entry": remap[n["scope_entry"]]} if "scope_entry" in n else n
+        for n in (obj["nodes"][i] for i in kept_order)
+    ]
     obj["edges"] = [
         {**e, "src": remap[e["src"]], "dst": remap[e["dst"]]}
         for e in obj["edges"]

@@ -5,6 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.graph import OrderedMultiDiGraph, subgraph_monomorphisms
+from repro.graph.matching import _connectivity_order, _reverse_lookup
+from repro.transformations.base import REGISTRY, MultiStateTransformation
+from repro.tuning import default_pool
+from tests.sdfg.test_analysis_reuse import CORPUS, guarded_graphs
 
 
 class L:
@@ -117,52 +121,140 @@ class TestBasicMatching:
         assert len(matches) == 1
 
 
+def _random_graph(data, n_min, n_max, max_edges):
+    """Node labels from "ab" and distinct edges between distinct nodes,
+    in either direction; the graph may be disconnected."""
+    n = data.draw(st.integers(n_min, n_max))
+    labels = [data.draw(st.sampled_from("ab")) for _ in range(n)]
+    edges = data.draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                lambda ab: ab[0] != ab[1]
+            ),
+            max_size=max_edges,
+            unique=True,
+        )
+    )
+    ours = OrderedMultiDiGraph()
+    nodes = [L(label) for label in labels]
+    for node in nodes:
+        ours.add_node(node)
+    theirs = nx.DiGraph()
+    for i, label in enumerate(labels):
+        theirs.add_node(i, kind=label)
+    for a, b in edges:
+        ours.add_edge(nodes[a], nodes[b], None)
+        theirs.add_edge(a, b)
+    return ours, nodes, theirs
+
+
 class TestAgainstNetworkX:
-    """Differential test: our matcher must agree with networkx's DiGraphMatcher
-    on match *counts* for random labeled DAG patterns."""
+    """Differential test: our matcher must find exactly the matches of
+    networkx's DiGraphMatcher (monomorphisms, or induced subgraph
+    isomorphisms) for random labeled 2-4-node patterns."""
 
     @given(st.data())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=150, deadline=None)
     def test_counts_match_networkx(self, data):
-        n_host = data.draw(st.integers(3, 7))
-        labels = "ab"
-        host_edges = data.draw(
-            st.lists(
-                st.tuples(st.integers(0, n_host - 1), st.integers(0, n_host - 1)).filter(
-                    lambda ab: ab[0] != ab[1]
-                ),
-                max_size=12,
-                unique=True,
+        host, hnodes, nx_host = _random_graph(data, 3, 7, 14)
+        pat, pnodes, nx_pat = _random_graph(data, 2, 4, 6)
+        induced = data.draw(st.booleans())
+
+        hindex = {id(n): i for i, n in enumerate(hnodes)}
+        ours = {
+            frozenset((pnodes.index(p), hindex[id(h)]) for p, h in m.items())
+            for m in subgraph_monomorphisms(
+                pat, host, node_match=kind_match, induced=induced
             )
-        )
-        host_labels = [data.draw(st.sampled_from(labels)) for _ in range(n_host)]
-
-        # Build both representations.
-        ours_host = OrderedMultiDiGraph()
-        hnodes = [L(host_labels[i]) for i in range(n_host)]
-        for hn in hnodes:
-            ours_host.add_node(hn)
-        nxg = nx.DiGraph()
-        for i in range(n_host):
-            nxg.add_node(i, kind=host_labels[i])
-        for a, b in host_edges:
-            ours_host.add_edge(hnodes[a], hnodes[b], None)
-            nxg.add_edge(a, b)
-
-        # Pattern: a 2-node, 1-edge labeled pattern.
-        la = data.draw(st.sampled_from(labels))
-        lb = data.draw(st.sampled_from(labels))
-        pat = OrderedMultiDiGraph()
-        pa, pb = L(la), L(lb)
-        pat.add_edge(pa, pb, None)
-        npat = nx.DiGraph()
-        npat.add_node("pa", kind=la)
-        npat.add_node("pb", kind=lb)
-        npat.add_edge("pa", "pb")
-
-        ours = len(list(subgraph_monomorphisms(pat, ours_host, node_match=kind_match)))
+        }
         gm = nx.algorithms.isomorphism.DiGraphMatcher(
-            nxg, npat, node_match=lambda a, b: a["kind"] == b["kind"]
+            nx_host, nx_pat, node_match=lambda a, b: a["kind"] == b["kind"]
         )
-        theirs = len(list(gm.subgraph_monomorphisms_iter()))
+        found = gm.subgraph_isomorphisms_iter() if induced else gm.subgraph_monomorphisms_iter()
+        theirs = {frozenset((p, h) for h, p in m.items()) for m in found}
         assert ours == theirs
+
+
+def _all_host_nodes_monomorphisms(pattern, host, node_match, induced=False):
+    """The matcher before candidate pairs: every pattern node tries every
+    host node, in host insertion order.  The oracle for the order in
+    which the anchored matcher yields its matches."""
+    pnodes = [pn for pn, _ in _connectivity_order(pattern)]
+    if not pnodes:
+        return
+    hnodes = host.nodes()
+    mapping, used = {}, set()
+
+    def edges_ok(pn, hn):
+        for pe in pattern.out_edges(pn):
+            if id(pe.dst) in mapping and not host.edges_between(hn, mapping[id(pe.dst)]):
+                return False
+        for pe in pattern.in_edges(pn):
+            if id(pe.src) in mapping and not host.edges_between(mapping[id(pe.src)], hn):
+                return False
+        if induced:
+            for hother in list(mapping.values()):
+                pother = _reverse_lookup(mapping, pattern, hother)
+                if host.edges_between(hn, hother) and not pattern.edges_between(pn, pother):
+                    return False
+                if host.edges_between(hother, hn) and not pattern.edges_between(pother, pn):
+                    return False
+        return True
+
+    def backtrack(depth):
+        if depth == len(pnodes):
+            yield {pn: mapping[id(pn)] for pn in pnodes}
+            return
+        pn = pnodes[depth]
+        for hn in hnodes:
+            if (
+                id(hn) in used
+                or host.in_degree(hn) < pattern.in_degree(pn)
+                or host.out_degree(hn) < pattern.out_degree(pn)
+                or not node_match(pn, hn)
+                or not edges_ok(pn, hn)
+            ):
+                continue
+            mapping[id(pn)] = hn
+            used.add(id(hn))
+            yield from backtrack(depth + 1)
+            del mapping[id(pn)]
+            used.discard(id(hn))
+
+    yield from backtrack(0)
+
+
+def _ordered(matches):
+    return [tuple((id(p), id(h)) for p, h in m.items()) for m in matches]
+
+
+class TestAnchoredOrder:
+    """Candidate pairs prune, they do not reorder: the anchored matcher
+    yields exactly the old enumerator's list."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_random_graphs(self, data):
+        host, _, _ = _random_graph(data, 3, 7, 14)
+        pat, _, _ = _random_graph(data, 1, 4, 6)
+        induced = data.draw(st.booleans())
+        assert _ordered(
+            subgraph_monomorphisms(pat, host, node_match=kind_match, induced=induced)
+        ) == _ordered(_all_host_nodes_monomorphisms(pat, host, kind_match, induced))
+
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_pool_patterns_on_the_corpus_and_its_guarded_children(self, name):
+        def node_match(pn, hn):
+            return pn.matches(hn)
+
+        for sdfg in guarded_graphs(name):
+            for xform in default_pool():
+                cls = REGISTRY[xform]
+                hosts = [sdfg] if issubclass(cls, MultiStateTransformation) else sdfg.nodes()
+                for pattern in cls.expressions():
+                    for host in hosts:
+                        assert _ordered(
+                            subgraph_monomorphisms(pattern, host, node_match=node_match)
+                        ) == _ordered(
+                            _all_host_nodes_monomorphisms(pattern, host, node_match)
+                        ), (name, xform, host)

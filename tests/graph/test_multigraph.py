@@ -1,8 +1,11 @@
 """Unit tests for the ordered multigraph."""
 
+import copy
+import pickle
+
 import pytest
 
-from repro.graph import Edge, GraphError, OrderedMultiDiGraph
+from repro.graph import CycleError, Edge, GraphError, OrderedMultiDiGraph, topological_sort
 
 
 class Node:
@@ -132,3 +135,66 @@ class TestQueries:
         g = OrderedMultiDiGraph()
         with pytest.raises(GraphError):
             g.out_edges(Node("ghost"))
+
+
+def _fresh_order(g):
+    """``topological_sort(g)`` computed from scratch."""
+    g._caches = None
+    return topological_sort(g)
+
+
+class TestStructureVersion:
+    def test_each_mutator_bumps_the_version_and_refreshes_the_order(self, diamond):
+        g, (a, b, c, d) = diamond
+        e = Node("e")
+        steps = [
+            lambda: g.add_node(e),
+            lambda: g.add_edge(e, a, "ea"),
+            lambda: g.add_edge_object(Edge(e, c, "ec")),
+            lambda: g.remove_edge(g.edges_between(a, b)[0]),
+            lambda: g.remove_node(a),
+        ]
+        orders = []
+        for step in steps:
+            topological_sort(g)  # cache the order the step must invalidate
+            before = g.version
+            step()
+            assert g.version > before
+            order = topological_sort(g)
+            assert order == _fresh_order(g)
+            orders.append([n.label for n in order])
+        assert orders == [
+            list("aebcd"), list("eabcd"), list("eabcd"), list("beacd"), list("becd"),
+        ]
+
+    def test_adding_a_present_node_keeps_the_version(self, diamond):
+        g, (a, _, _, _) = diamond
+        before = g.version
+        g.add_node(a)
+        assert g.version == before
+
+    def test_callers_get_their_own_list(self, diamond):
+        g, _ = diamond
+        order = topological_sort(g)
+        order.reverse()
+        order.append(Node("stray"))
+        assert [n.label for n in topological_sort(g)] == list("abcd")
+
+    def test_a_cycle_is_reported_every_time(self, diamond):
+        g, (a, _, _, d) = diamond
+        back = g.add_edge(d, a, "da")
+        for _ in range(2):
+            with pytest.raises(CycleError):
+                topological_sort(g)
+        g.remove_edge(back)
+        assert [n.label for n in topological_sort(g)] == list("abcd")
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g))])
+    def test_copies_start_without_cached_facts(self, diamond, clone):
+        g, _ = diamond
+        topological_sort(g)
+        assert g._caches
+        other = clone(g)
+        assert not other._caches and other.version == g.version
+        assert [n.label for n in topological_sort(other)] == list("abcd")
+        assert g._caches

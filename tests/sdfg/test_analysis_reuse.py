@@ -15,12 +15,15 @@ propagate.  That is sound only if
 
 import difflib
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sdfg import SDFG, Memlet, dtypes
 from repro.sdfg.sdfg import InterstateEdge
 from repro.sdfg.serialize import (
+    _sorted_edges,
     canonical_form,
     content_hash,
     sdfg_from_json,
@@ -102,14 +105,14 @@ def _diagnostics(snapshot):
     return [d.to_json() for d in validate_sdfg(sdfg_from_json(snapshot), collect_all=True)]
 
 
-@pytest.mark.parametrize("name", CORPUS)
-def test_validation_reads_the_same_from_cold_and_warm_memo_tables(name):
-    """Every corpus program and every child the guard builds from it
-    (each pool transformation, up to ``MAX_MATCHES`` sites, kept even
-    when it fails validation) gets the same diagnostics from cleared
-    tables as from tables the whole walk has warmed."""
-    root = _propagated_snapshot(_make(name))
-    graphs = [root]
+def guarded_graphs(name):
+    """The propagated corpus program ``name`` and every child the guard
+    builds from it (each pool transformation, up to ``MAX_MATCHES``
+    sites, kept even when it fails validation), as the live graphs the
+    guard left behind."""
+    root_graph = _make(name)
+    root = _propagated_snapshot(root_graph)
+    graphs = [root_graph]
     for xform in default_pool():
         try:
             n = len(enumerate_matches(sdfg_from_json(root), xform))
@@ -118,7 +121,16 @@ def test_validation_reads_the_same_from_cold_and_warm_memo_tables(name):
         for index in range(min(n, MAX_MATCHES)):
             guard = GuardedOptimizer.from_snapshot(root, validate=False)
             if guard.apply(xform, match_index=index):
-                graphs.append(sdfg_to_json(guard.sdfg))
+                graphs.append(guard.sdfg)
+    return graphs
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_validation_reads_the_same_from_cold_and_warm_memo_tables(name):
+    """Every corpus program and every child the guard builds from it
+    gets the same diagnostics from cleared tables as from tables the
+    whole walk has warmed."""
+    graphs = [sdfg_to_json(g) for g in guarded_graphs(name)]
     cold = []
     for snapshot in graphs:
         clear_caches()
@@ -127,6 +139,60 @@ def test_validation_reads_the_same_from_cold_and_warm_memo_tables(name):
     # caches are warm too.
     warm = [_diagnostics(snapshot) for snapshot in graphs]
     assert warm == cold
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_cached_structure_is_fresh_on_every_guarded_child(name):
+    """After the guard's apply and propagate, every graph of every
+    child answers its topological order, scope tree and entry/exit
+    pairing from its caches as a fresh computation does."""
+    from tests.sdfg.test_state_and_sdfg import assert_cached_facts_fresh
+
+    for graph in guarded_graphs(name):
+        assert_cached_facts_fresh(graph)
+
+
+#: ``content_hash`` of each corpus program, taken before the canonical
+#: edge sort dumped memlets only to break ties; hashes must not move.
+CORPUS_HASHES = json.loads(
+    (Path(__file__).parent / "corpus_content_hashes.json").read_text()
+)
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_content_hash_is_pinned(name):
+    assert content_hash(_make(name)) == CORPUS_HASHES[name]
+
+
+def _one_sort_edge_key(e):
+    """The canonical edge order as one sort on the whole key."""
+    return (
+        e["src"], e["dst"], e["src_conn"] or "", e["dst_conn"] or "",
+        json.dumps(e["memlet"], sort_keys=True),
+    )
+
+
+_edge_dicts = st.builds(
+    lambda src, dst, sc, dc, data, subset, n: {
+        "src": src, "dst": dst, "src_conn": sc, "dst_conn": dc,
+        "memlet": {"data": data, "subset": subset, "volume": str(n)},
+    },
+    st.integers(0, 2), st.integers(0, 2),
+    st.sampled_from([None, "", "IN_1", "a"]), st.sampled_from([None, "OUT_1", "b"]),
+    st.sampled_from([None, "A", "B"]), st.sampled_from(["i", "0:N", None]),
+    st.integers(0, 2),
+)
+
+
+@given(st.lists(_edge_dicts, max_size=14))
+@settings(max_examples=300, deadline=None)
+def test_canonical_edge_sort_is_the_one_sort_order(edges):
+    """Dumping memlets only inside runs of equal endpoints and
+    connectors gives the order of one sort on the whole key, parallel
+    edges with equal connectors and different memlets included."""
+    got = _sorted_edges(edges)
+    want = sorted(edges, key=_one_sort_edge_key)
+    assert [id(e) for e in got] == [id(e) for e in want]
 
 
 class TestSnapshotHash:

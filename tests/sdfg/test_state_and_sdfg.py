@@ -11,6 +11,9 @@ from repro.sdfg import (
     StorageType,
     dtypes,
 )
+from repro.graph import CycleError, Edge, topological_sort
+from repro.sdfg.nodes import AccessNode, ExitNode, Map, NestedSDFG
+from repro.sdfg.state import SDFGState
 from repro.symbolic import Integer, symbols
 
 N = symbols("N")[0]
@@ -344,6 +347,191 @@ class TestSerialization:
         back = SDFG.load(str(p))
         assert back.name == "vadd"
         back.validate()
+
+
+def twin_maps_sdfg():
+    """``B = 2 * A; C = B`` through two maps with one label and range."""
+    sdfg = SDFG("twins")
+    for name in "ABC":
+        sdfg.add_array(name, ("N",), dtypes.float64)
+    st = sdfg.add_state("main")
+    _, _, x1 = st.add_mapped_tasklet(
+        "t", {"i": "0:N"}, inputs={"a": Memlet.simple("A", "i")},
+        code="b = 2 * a", outputs={"b": Memlet.simple("B", "i")},
+    )
+    b = st.out_edges(x1)[0].dst
+    st.add_mapped_tasklet(
+        "t", {"i": "0:N"}, inputs={"a": Memlet.simple("B", "i")},
+        code="b = a", outputs={"b": Memlet.simple("C", "i")},
+        input_nodes={"B": b},
+    )
+    return sdfg
+
+
+class TestTwinScopes:
+    """Two maps of one state that serialize with the same label, params
+    and range stay two maps through a JSON round-trip."""
+
+    def test_roundtrip_keeps_the_maps_apart(self):
+        sdfg = twin_maps_sdfg()
+        j = sdfg.to_json()
+        st = SDFG.from_json(j).start_state
+        e1, e2 = st.entry_nodes()
+        assert e1.map is not e2.map
+        assert st.exit_node(e1).map is e1.map
+        assert st.exit_node(e2).map is e2.map
+        assert st.exit_node(e1) is not st.exit_node(e2)
+        assert SDFG.from_json(j).to_json() == j
+
+    def test_only_ambiguous_exits_carry_their_entry(self):
+        j = twin_maps_sdfg().to_json()
+        nodes = j["states"][0]["nodes"]
+        paired = {i: n["scope_entry"] for i, n in enumerate(nodes) if "scope_entry" in n}
+        assert sorted(nodes[i]["type"] for i in paired) == ["MapExit", "MapExit"]
+        assert sorted(nodes[e]["type"] for e in paired.values()) == ["MapEntry", "MapEntry"]
+        assert not any("scope_entry" in n for n in vadd_sdfg().to_json()["states"][0]["nodes"])
+
+    def test_tiling_one_twin_after_a_roundtrip_leaves_the_other(self):
+        import numpy as np
+
+        sdfg = SDFG.from_json(twin_maps_sdfg().to_json())
+        assert sdfg.apply_transformations("MapTiling", options={"tile_sizes": (4,)}) == 1
+        ranges = [str(e.map.range) for e in sdfg.start_state.entry_nodes()]
+        assert len(ranges) == 3 and ranges.count("0:N") == 1 and "0:N:4" in ranges
+        A = np.arange(10, dtype=np.float64)
+        B, C = np.zeros(10), np.zeros(10)
+        sdfg.compile(backend="python")(A=A, B=B, C=C, N=10)
+        assert np.array_equal(C, 2 * A)
+
+
+def structure_facts(graph):
+    """What the structural caches answer for ``graph``: its topological
+    order and, for a state, its scope tree and every entry/exit pairing
+    (an error stands for its type and message)."""
+
+    def attempt(query):
+        try:
+            return query()
+        except (KeyError, ValueError, CycleError) as err:
+            return type(err).__name__, str(err)
+
+    facts = {"order": attempt(lambda: topological_sort(graph))}
+    if isinstance(graph, SDFGState):
+        facts["scopes"] = attempt(graph.scope_dict)
+        facts["exits"] = [attempt(lambda n=n: graph.exit_node(n)) for n in graph.entry_nodes()]
+        facts["entries"] = [
+            attempt(lambda n=n: graph.entry_node_of(n))
+            for n in graph.nodes() if isinstance(n, ExitNode)
+        ]
+    return facts
+
+
+def assert_cached_facts_fresh(sdfg):
+    """Every graph of ``sdfg`` (its state machine, its states and those
+    of nested SDFGs) answers from its caches what it computes from
+    scratch."""
+    graphs = [sdfg]
+    for state in sdfg.nodes():
+        graphs.append(state)
+        for node in state.nodes():
+            if isinstance(node, NestedSDFG):
+                assert_cached_facts_fresh(node.sdfg)
+    for graph in graphs:
+        cached = structure_facts(graph)
+        graph._caches = None
+        assert cached == structure_facts(graph), graph
+
+
+def nested_maps_sdfg():
+    """``B = A`` over an outer ``i`` map and an inner ``j`` map."""
+    sdfg = SDFG("nested")
+    sdfg.add_array("A", ("N", "N"), dtypes.float64)
+    sdfg.add_array("B", ("N", "N"), dtypes.float64)
+    st = sdfg.add_state()
+    ome, omx = st.add_map("outer", {"i": "0:N"})
+    ime, imx = st.add_map("inner", {"j": "0:N"})
+    t = st.add_tasklet("copy", ["a"], ["b"], "b = a")
+    r, w = st.add_read("A"), st.add_write("B")
+    st.add_memlet_path(r, ome, ime, t, memlet=Memlet.simple("A", "i, j"), dst_conn="a")
+    st.add_memlet_path(t, imx, omx, w, memlet=Memlet.simple("B", "i, j"), src_conn="b")
+    return sdfg
+
+
+class TestStructureCaches:
+    """The topological order, scope tree and entry/exit pairing a state
+    keeps between structural changes equal a fresh computation."""
+
+    def test_each_mutator_refreshes_the_cached_facts(self):
+        sdfg = vadd_sdfg()
+        st = sdfg.start_state
+        entry = st.entry_nodes()[0]
+        extra = st.add_tasklet("extra", [], [], "pass")
+        edge = Edge(entry, extra, Memlet())
+        steps = [
+            lambda: st.add_node(AccessNode("C")),
+            lambda: st.add_edge(entry, extra, Memlet(), None, None),
+            lambda: st.add_edge_object(Edge(extra, st.data_nodes()[-1], Memlet())),
+            lambda: st.remove_edge(st.in_edges(extra)[0]),
+            lambda: st.add_edge_object(edge),
+            lambda: st.remove_node(extra),
+        ]
+        seen = []
+        for step in steps:
+            structure_facts(st)  # cache what the step must invalidate
+            step()
+            seen.append(st.scope_dict().get(extra, "gone"))
+            assert_cached_facts_fresh(sdfg)
+        assert seen == [None, entry, entry, None, entry, "gone"]
+
+    def test_map_expansion_and_interchange(self):
+        from repro.transformations import MapExpansion, MapInterchange
+
+        sdfg = nested_maps_sdfg()
+        st = sdfg.start_state
+        structure_facts(st)
+        assert sdfg.apply_transformations(MapInterchange) == 1
+        assert_cached_facts_fresh(sdfg)
+        outer = [e for e in st.entry_nodes() if st.scope_dict()[e] is None]
+        assert [e.map.params for e in outer] == [["j"]]
+
+        sdfg = SDFG("square")
+        sdfg.add_array("A", ("N", "N"), dtypes.float64)
+        sdfg.add_array("B", ("N", "N"), dtypes.float64)
+        st = sdfg.add_state()
+        st.add_mapped_tasklet(
+            "sq", {"i": "0:N", "j": "0:N"}, inputs={"a": Memlet.simple("A", "i, j")},
+            code="b = a * a", outputs={"b": Memlet.simple("B", "i, j")},
+        )
+        structure_facts(st)
+        assert sdfg.apply_transformations(MapExpansion) == 1
+        assert_cached_facts_fresh(sdfg)
+        assert len(st.entry_nodes()) == 2
+
+    def test_reassigning_a_map_is_seen_without_a_structural_change(self):
+        sdfg = vadd_sdfg()
+        st = sdfg.start_state
+        entry = st.entry_nodes()[0]
+        exit_ = st.exit_node(entry)
+        version = st.version
+        exit_.map = Map("other", ["i"], "0:N")
+        assert st.version == version
+        with pytest.raises(KeyError):
+            st.exit_node(entry)
+        with pytest.raises(KeyError):
+            st.scope_dict()
+        entry.map = exit_.map
+        assert st.exit_node(entry) is exit_ and st.entry_node_of(exit_) is entry
+        assert_cached_facts_fresh(sdfg)
+
+    def test_callers_get_their_own_scope_dict(self):
+        sdfg = vadd_sdfg()
+        st = sdfg.start_state
+        entry = st.entry_nodes()[0]
+        sd = st.scope_dict()
+        sd.clear()
+        sd[entry] = entry
+        assert st.scope_dict()[entry] is None
+        assert_cached_facts_fresh(sdfg)
 
 
 class TestViz:

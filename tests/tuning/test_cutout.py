@@ -209,6 +209,21 @@ class TestExtraction:
         cut.sdfg.validate()
         assert cut.scope_label
 
+    def test_scope_cutout_of_a_twin_map(self):
+        """The entry index a same-looking scope serializes on its exit
+        is renumbered with the nodes the cutout keeps."""
+        from tests.sdfg.test_state_and_sdfg import twin_maps_sdfg
+
+        sdfg = twin_maps_sdfg()
+        state = sdfg.start_state
+        entry = state.entry_nodes()[1]
+        cut = extract_scope_cutout(sdfg, state, entry)
+        cut.sdfg.validate()
+        (cstate,) = cut.sdfg.states()
+        (centry,) = cstate.entry_nodes()
+        assert cstate.exit_node(centry).map is centry.map
+        assert [n.data for n in cstate.data_nodes()] == ["B", "C"]
+
     def test_nested_sdfg_state_rejected_with_w1001(self):
         inner = SDFG("inner")
         inner.add_array("x", ("N",), dtypes.float64)
