@@ -1,4 +1,4 @@
-"""The parallel tier's chunk decision (DESIGN §14).
+"""The chunk decision of the parallel tier (DESIGN §14) and of strips (§9).
 
 A map whose serial lowering took a NumPy tier has had every memlet
 analysed point by point: per dimension a constant or ``c*p + d``
@@ -6,8 +6,9 @@ analysed point by point: per dimension a constant or ``c*p + d``
 those facts as accesses (``memlet``, ``terms``, and ``merge``, the
 operator a write accumulates with, None for a plain store).
 :func:`chunk_plan` reads them and nothing else: there is no second
-analysis of the map.  The generator imports this module only when it
-compiles with ``parallel=``.
+analysis of the map.  The same proof decides strips (DESIGN §9): a
+top-level map strips along its first parameter when :func:`chunk_plan`
+accepts that parameter.
 """
 
 from __future__ import annotations

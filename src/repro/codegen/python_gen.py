@@ -22,7 +22,11 @@ representation's inherent parallelism (DESIGN.md §9 has the full ladder):
   semantically complete (streams, consume scopes, dynamic ranges,
   indirection) and the only tier under ``sanitize=True``.
 
-The tier each map took is recorded in :attr:`PythonGenerator.lowering`.
+A large top-level map on a NumPy tier other than contraction runs in
+cache-sized strips of its first parameter
+(:meth:`PythonGenerator._strip_plan`).  The tier each map took is
+recorded in :attr:`PythonGenerator.lowering`, its strip parameter in
+:attr:`PythonGenerator.strips`.
 The interstate graph becomes structured ``while``/``if`` code wherever
 its regions have that shape, and a ``__next`` state dispatcher where
 they do not (:class:`_ControlFlow`).
@@ -33,6 +37,7 @@ from __future__ import annotations
 import ast
 import functools
 import itertools
+import math
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -45,6 +50,7 @@ from repro.codegen.common import (
     subset_to_py_index,
 )
 from repro.codegen import pytranslate
+from repro.codegen.chunking import Unchunkable, chunk_plan
 from repro.graph import OrderedMultiDiGraph, postdominators, topological_sort
 from repro.instrumentation import (
     InstrumentationType,
@@ -67,7 +73,7 @@ from repro.sdfg.nodes import (
 )
 from repro.symbolic import Expr, Integer, Symbol
 from repro.symbolic.expr import Add, Ge, Gt, Le, Lt, Mul, Not
-from repro.symbolic.sets import linear_coefficient
+from repro.symbolic.sets import Range as SymRange, Subset, linear_coefficient
 
 #: Lowering tiers the parallel tier does not chunk, and why.  Every other
 #: tier is NumPy array work that releases the GIL.
@@ -75,6 +81,13 @@ _UNCHUNKED_TIERS = {
     "loop": "a pure-Python body holds the GIL, so threads cannot overlap it",
     "contraction": "one BLAS call, which is threaded already",
 }
+
+#: Strips (DESIGN.md §9): a top-level NumPy-tier map whose domain exceeds
+#: ``STRIP_FLOOR`` points runs its one lowering once per strip of about
+#: ``STRIP_POINTS`` points along its first parameter, so its temporaries
+#: stay cache-sized; below the floor it runs as one strip.
+STRIP_FLOOR = 1 << 18
+STRIP_POINTS = 1 << 15
 
 #: Cooperative cancellation: the watchdog can kill a runaway interstate
 #: loop at every iteration.
@@ -137,9 +150,12 @@ class PythonGenerator:
         self._need_wcr_identity = False
         self._lowering: Dict[int, Dict[str, Optional[str]]] = {}
         #: Scope -> (reads, writes) its NumPy tier analysed, as
-        #: :class:`_Access` lists: the facts the parallel tier's
-        #: :func:`repro.codegen.chunking.chunk_plan` reads.
+        #: :class:`_Access` lists: the facts
+        #: :func:`repro.codegen.chunking.chunk_plan` reads, for the parallel
+        #: tier and for strips.
         self._accesses: Dict[int, Tuple[List[_Access], List[_Access]]] = {}
+        #: Scope -> the parameter its NumPy lowering strips along.
+        self._strip: Dict[int, str] = {}
 
     # ------------------------------------------------------------------ API
     def generate(self) -> str:
@@ -150,6 +166,8 @@ class PythonGenerator:
         buf.line("import time")
         buf.line("import numpy as np")
         buf.line("from repro.runtime.streams import StreamArray, StreamQueue")
+        if self._strip:
+            buf.line("from repro.runtime.strips import strips as _strips")
         buf.line()
         buf.line("class _Unassigned:")
         buf.line("    pass")
@@ -497,7 +515,7 @@ class PythonGenerator:
     ) -> None:
         """Single-threaded map lowering: vectorized tiers, then the loop."""
         if self._try_vectorized_map(
-            sdfg, state, entry, body, buf, order, scope_dict
+            sdfg, state, entry, body, buf, order, scope_dict, strip=not params
         ):
             return
         new_params = params + tuple(entry.map.params)
@@ -580,8 +598,6 @@ class PythonGenerator:
         # copies; the caller merges them in chunk order at the barrier.
         for data in sorted(merge):
             buf.line(f"{data} = _wcr_identity_like({data}, {merge[data].name!r})")
-        from repro.symbolic.sets import Range as SymRange, Subset
-
         saved = m.range
         chunked = list(saved.ranges)
         chunked[pidx] = SymRange(Symbol("__lo"), Symbol("__hi"), rng.step)
@@ -627,8 +643,6 @@ class PythonGenerator:
         if tier in _UNCHUNKED_TIERS:
             why = f"lowers to the {tier!r} tier ({_UNCHUNKED_TIERS[tier]})"
         else:
-            from repro.codegen.chunking import Unchunkable, chunk_plan
-
             try:
                 param, merge = chunk_plan(sdfg, m, *self._accesses[id(entry)])
             except Unchunkable as refusal:
@@ -1060,6 +1074,16 @@ class PythonGenerator:
         scope, in emission order (``reason`` is set for ``loop`` only)."""
         return list(self._lowering.values())
 
+    @property
+    def strips(self) -> List[Dict[str, Optional[str]]]:
+        """One ``{map, state, strip}`` row per census row: the parameter
+        the map's NumPy lowering strips along (:meth:`_strip_plan`), or
+        None."""
+        return [
+            {"map": row["map"], "state": row["state"], "strip": self._strip.get(k)}
+            for k, row in self._lowering.items()
+        ]
+
     def _record_tier(self, state, entry, tier: str, reason: Optional[str] = None):
         # Keyed by scope: the parallel tier lowers a map twice (chunk
         # function and serial fallback) and both agree.
@@ -1071,28 +1095,35 @@ class PythonGenerator:
         }
 
     def _try_vectorized_map(
-        self, sdfg, state, entry, body, buf, order, scope_dict
+        self, sdfg, state, entry, body, buf, order, scope_dict, strip=False
     ) -> bool:
         """Emit a whole-domain NumPy evaluation of the map if one applies,
         and record the tier taken (or ``loop`` and the first precondition
-        that failed) in the census."""
-        scratch = CodeBuffer()
-        try:
-            tier = self._lower_whole_domain(
-                sdfg, state, entry, body, scratch, order, scope_dict
-            )
-        except (_Reject, CodegenError) as why:
-            self._record_tier(state, entry, "loop", str(why))
-            return False
-        buf.lines(scratch.getvalue())
-        self._record_tier(state, entry, tier)
-        return True
+        that failed) in the census.  ``strip`` lets the tier strip the map
+        (:meth:`_strip_plan`); a stripped emission that fails is lowered
+        again whole."""
+        while True:
+            scratch = CodeBuffer()
+            try:
+                tier = self._lower_whole_domain(
+                    sdfg, state, entry, body, scratch, order, scope_dict, strip
+                )
+            except (_Reject, CodegenError) as why:
+                if self._strip.pop(id(entry), None) is not None:
+                    strip = False
+                    continue
+                self._record_tier(state, entry, "loop", str(why))
+                return False
+            buf.lines(scratch.getvalue())
+            self._record_tier(state, entry, tier)
+            return True
 
     def _lower_whole_domain(
-        self, sdfg, state, entry, body, buf, order, scope_dict
+        self, sdfg, state, entry, body, buf, order, scope_dict, strip=False
     ) -> str:
         """Emit the map into ``buf`` and return its tier, or raise
-        :class:`_Reject`.  Nothing emitted before a rejection survives."""
+        :class:`_Reject`.  Nothing emitted before a rejection survives.
+        ``strip`` lets the tier strip the map (:meth:`_strip_plan`)."""
         if not self.vectorize:
             raise _Reject(
                 "sanitize=True keeps the per-element loop tier"
@@ -1102,7 +1133,7 @@ class PythonGenerator:
         inner = [n for n in body if not isinstance(n, ExitNode)]
         if len(inner) == 1 and isinstance(inner[0], MapEntry):
             tier = self._lower_ragged(
-                sdfg, state, entry, inner[0], buf, order, scope_dict
+                sdfg, state, entry, inner[0], buf, order, scope_dict, strip
             )
             # The absorbed inner map gets its own row, after its parent's.
             self._record_tier(state, entry, tier)
@@ -1113,7 +1144,7 @@ class PythonGenerator:
                 f"scope body is {len(inner)} nodes, not one tasklet or one "
                 "ragged inner map"
             )
-        return self._lower_tasklet_map(sdfg, state, entry, inner[0], buf)
+        return self._lower_tasklet_map(sdfg, state, entry, inner[0], buf, strip)
 
     @staticmethod
     def _check_tasklet(tasklet: Tasklet, params) -> None:
@@ -1138,19 +1169,68 @@ class PythonGenerator:
             )
         return a
 
-    def _emit_domain_header(self, buf, mparams, pranges, index_params) -> None:
-        """Trip counts, the emptiness guard (left open: the caller
-        dedents) and the index arrays of ``index_params``.  Empty domains
-        are no-ops, which also keeps reductions without identity and
-        wrapped slice bounds unevaluated."""
+    def _strip_plan(self, sdfg, entry, pranges, strip: bool):
+        """The strip decision a tier takes right after it recorded the
+        map's accesses: ``(ranges to emit with, whole ranges)``.  A map
+        that strips emits with its first parameter bound to ``__lo:__hi``
+        and passes ``pranges`` on as the whole ranges; any other map gets
+        ``(pranges, None)``.  Only a top-level map (``strip``) strips, and
+        only along its first parameter, when
+        :func:`~repro.codegen.chunking.chunk_plan` accepts that parameter:
+        its strips store disjoint points, none reads what another stores,
+        and nothing reads what the map accumulates into, so strips run in
+        order equal the whole domain at once.  A domain of at most ``STRIP_FLOOR`` constant
+        points never strips."""
+        if not strip:
+            return pranges, None
+        m = entry.map
+        sizes = [
+            len(range(r.start.value, r.end.value, r.step.value))
+            for r in m.range.ranges
+            if all(isinstance(x, Integer) for x in (r.start, r.end, r.step))
+        ]
+        if len(sizes) == len(m.params) and math.prod(sizes) <= STRIP_FLOOR:
+            return pranges, None
+        try:
+            param, _ = chunk_plan(sdfg, m, *self._accesses[id(entry)])
+        except Unchunkable:
+            return pranges, None
+        if param != m.params[0]:
+            return pranges, None
+        self._strip[id(entry)] = param
+        stripped = dict(pranges)
+        stripped[param] = SymRange(Symbol("__lo"), Symbol("__hi"), pranges[param].step)
+        return stripped, pranges
+
+    def _emit_domain_header(
+        self, buf, mparams, pranges, index_params, whole=None
+    ) -> int:
+        """Trip counts, the emptiness guard and the index arrays of
+        ``index_params``; returns the number of blocks left open (the
+        caller dedents them).  Empty domains are no-ops, which also keeps
+        reductions without identity and wrapped slice bounds unevaluated.
+        A stripped map (:meth:`_strip_plan`) counts its ``whole`` ranges
+        and opens the strip loop inside the guard: one strip up to
+        ``STRIP_FLOOR`` points, strips of the first parameter above."""
         for p in mparams:
-            r = pranges[p]
+            r = (whole or pranges)[p]
             buf.line(
                 f"__n_{p} = len(range({pycode(r.start)}, {pycode(r.end)}, "
                 f"{pycode(r.step)}))"
             )
         buf.line("if " + " and ".join(f"__n_{p}" for p in mparams) + ":")
         buf.indent()
+        if whole is not None:
+            p0, r = mparams[0], whole[mparams[0]]
+            lo, hi, step = pycode(r.start), pycode(r.end), pycode(r.step)
+            points = " * ".join(f"__n_{p}" for p in mparams)
+            inner = " * ".join(f"__n_{p}" for p in mparams[1:]) or "1"
+            buf.line(
+                f"for __lo, __hi, __n_{p0} in (({lo}, {hi}, __n_{p0}),) "
+                f"if {points} <= {STRIP_FLOOR} else "
+                f"_strips({lo}, {hi}, {step}, {inner}, {STRIP_POINTS}):"
+            )
+            buf.indent()
         for axis, p in enumerate(mparams):
             if p not in index_params:
                 continue
@@ -1162,6 +1242,7 @@ class PythonGenerator:
                 f"{pycode(r.step)})"
             )
             buf.line(f"__bix_{p} = __ix_{p}.reshape({', '.join(shape)})")
+        return 1 if whole is None else 2
 
     def _domain_load(
         self, memlet: Memlet, analysis, mparams, pranges, gathers: Set[str]
@@ -1185,13 +1266,15 @@ class PythonGenerator:
         src = f"{memlet.data}[{idx}]{transpose}{copy}{expand}"
         return src, bool(axes) and not copy
 
-    def _lower_tasklet_map(self, sdfg, state, entry, tasklet: Tasklet, buf) -> str:
+    def _lower_tasklet_map(
+        self, sdfg, state, entry, tasklet: Tasklet, buf, strip=False
+    ) -> str:
         """Single-tasklet maps: contraction, slice/gather, predicated, or —
         for indexed updates — the WCR scatter."""
         mparams = entry.map.params
         self._check_tasklet(tasklet, mparams)
         if not pytranslate.is_vectorizable_tasklet(tasklet.code):
-            return self._lower_wcr_scatter(sdfg, state, entry, tasklet, buf)
+            return self._lower_wcr_scatter(sdfg, state, entry, tasklet, buf, strip)
         pranges = entry.map.param_ranges()
         in_edges = [e for e in state.in_edges(tasklet) if not e.data.is_empty()]
         out_edges = [e for e in state.out_edges(tasklet) if not e.data.is_empty()]
@@ -1266,6 +1349,7 @@ class PythonGenerator:
         )
         if self._try_contraction(sdfg, entry, tasklet, in_edges, out_edges, analyses, buf):
             return "contraction"
+        pranges, whole = self._strip_plan(sdfg, entry, pranges, strip)
 
         gathers: Set[str] = set()
         index = {p: f"__bix_{p}" for p in mparams}
@@ -1323,7 +1407,9 @@ class PythonGenerator:
             )
 
         buf.line(f"# vectorized map {entry.map.label}")
-        self._emit_domain_header(buf, mparams, pranges, values | gathers)
+        opened = self._emit_domain_header(
+            buf, mparams, pranges, values | gathers, whole
+        )
         for ln in loads:
             buf.line(ln)
         if predicated:
@@ -1335,7 +1421,7 @@ class PythonGenerator:
         if predicated:
             buf.dedent()
         buf.lines(stores.getvalue())
-        buf.dedent()
+        buf.dedent(opened)
         if predicated:
             return "predicated"
         return "gather" if gathers else "slice"
@@ -1421,7 +1507,7 @@ class PythonGenerator:
         "max": ReductionType.Max,
     }
 
-    def _lower_wcr_scatter(self, sdfg, state, entry, tasklet, buf) -> str:
+    def _lower_wcr_scatter(self, sdfg, state, entry, tasklet, buf, strip=False) -> str:
         """Whole-domain lowering for indirect-update (histogram-shaped)
         maps: ``view[idx] += val`` over all iterations becomes one
         unbuffered ``np.add.at`` scatter (exact WCR semantics — ``.at``
@@ -1473,12 +1559,8 @@ class PythonGenerator:
         elif not m_out.dynamic:
             raise _Reject(f"indexed update of {_memlet_str(m_out)} is not dynamic")
         # Remaining inputs: static affine point loads only.
-        gathers: Set[str] = set()
-        index = {p: f"__bix_{p}" for p in mparams}
-        rename: Dict[str, str] = dict(index)
-        loads = []
         # The view is the update's target, accumulated with ``rtype``.
-        reads, writes = [], [_Access(m_out, None, rtype)]
+        reads, writes, analyses = [], [_Access(m_out, None, rtype)], []
         for e in in_edges:
             if e is view_edge:
                 continue
@@ -1487,27 +1569,47 @@ class PythonGenerator:
                 raise _Reject(f"input {_memlet_str(m)} is dynamic or a stream")
             a = self._affine_point(m, mparams)
             reads.append(_Access(m, a))
-            src, _ = self._domain_load(m, a, mparams, pranges, gathers)
+            analyses.append((e, a))
+        self._accesses[id(entry)] = (reads, writes)
+        pranges, whole = self._strip_plan(sdfg, entry, pranges, strip)
+        gathers: Set[str] = set()
+        index = {p: f"__bix_{p}" for p in mparams}
+        rename: Dict[str, str] = dict(index)
+        loads = []
+        for e, a in analyses:
+            src, _ = self._domain_load(e.data, a, mparams, pranges, gathers)
             rename[e.dst_conn] = f"__in_{e.dst_conn}"
             loads.append(f"__in_{e.dst_conn} = {src}")
-        self._accesses[id(entry)] = (reads, writes)
         stmts = pytranslate.vectorize_tasklet(mini_code, rename)
         values = _params_read(mini_code, rename, index)
+        # A value no load or index array reaches is the same for every
+        # iteration: ``.at`` broadcasts it, so it is never materialized.
+        varying = set(rename.values())
+        for tgt, expr in stmts:
+            if pytranslate.loaded_names(ast.parse(expr)) & varying:
+                varying.add(tgt)
 
         buf.line(f"# wcr scatter lowering for map {entry.map.label}")
-        self._emit_domain_header(buf, mparams, pranges, values | gathers)
+        opened = self._emit_domain_header(
+            buf, mparams, pranges, values | gathers, whole
+        )
         for ln in loads:
             buf.line(ln)
         for tgt, expr in stmts:
             buf.line(f"{tgt} = {expr}")
         shape = _domain_shape(mparams)
         buf.line(f"__sidx = np.broadcast_to(np.asarray(__scatter_idx), {shape}).ravel()")
-        buf.line(f"__sval = np.broadcast_to(np.asarray(__scatter_val), {shape}).ravel()")
+        if "__scatter_val" in varying:
+            buf.line(
+                f"__sval = np.broadcast_to(np.asarray(__scatter_val), {shape}).ravel()"
+            )
+        else:
+            buf.line("__sval = np.asarray(__scatter_val)")
         buf.line(
             f"{self._UFUNC[rtype]}.at({m_out.data}[{_slices_only(m_out)}], "
             "__sidx, __sval)"
         )
-        buf.dedent()
+        buf.dedent(opened)
         return "scatter"
 
     # ----------------------------------------------------------- contraction
@@ -1561,7 +1663,7 @@ class PythonGenerator:
 
     # ------------------------------------------------------------ ragged maps
     def _lower_ragged(
-        self, sdfg, state, entry, inner_entry, buf, order, scope_dict
+        self, sdfg, state, entry, inner_entry, buf, order, scope_dict, strip=False
     ) -> str:
         """Map nests whose inner range is data-dependent (CSR-shaped:
         ``for i: for j in row[i]:row[i+1]``) have a flat iteration space.
@@ -1592,7 +1694,6 @@ class PythonGenerator:
         # Row bounds over the outer domain, from the range connectors.
         index_params: Set[str] = set()
         bound_rename = {p: f"__bix_{p}" for p in oparams}
-        conn_loads = []
         reads, writes = [], []
         for c in conns:
             edges = state.in_edges_by_connector(inner_entry, c)
@@ -1601,10 +1702,7 @@ class PythonGenerator:
             mem = edges[0].data
             if mem.dynamic or isinstance(sdfg.arrays[mem.data], Stream):
                 raise _Reject(f"range input {_memlet_str(mem)} is dynamic or a stream")
-            a = self._affine_point(mem, oparams)
-            reads.append(_Access(mem, a))
-            src, _ = self._domain_load(mem, a, oparams, opranges, index_params)
-            conn_loads.append(f"{c} = {src}")
+            reads.append(_Access(mem, self._affine_point(mem, oparams)))
         for bound in (rng.start, rng.end):
             if not _is_sum_of_products(bound):
                 raise _Reject(f"inner range bound {bound} is not elementwise")
@@ -1708,9 +1806,16 @@ class PythonGenerator:
             raise _Reject(f"{sorted(both)} is read and accumulated in the same scope")
 
         self._accesses[id(entry)] = (reads, writes)
+        opranges, whole = self._strip_plan(sdfg, entry, opranges, strip)
+        conn_loads = []
+        for c, r in zip(conns, reads):
+            src, _ = self._domain_load(r.memlet, r.terms, oparams, opranges, index_params)
+            conn_loads.append(f"{c} = {src}")
         buf.line(f"# ragged map {om.label} / {im.label}")
         index_params |= used_flat & set(oparams)
-        self._emit_domain_header(buf, oparams, opranges, index_params)
+        opened = self._emit_domain_header(
+            buf, oparams, opranges, index_params, whole
+        )
         for ln in conn_loads:
             buf.line(ln)
         oshape = _domain_shape(oparams)
@@ -1736,8 +1841,7 @@ class PythonGenerator:
                 "np.repeat(np.cumsum(__rcnt) - __rcnt - __rlo, __rcnt)"
             )
         buf.lines(body.getvalue())
-        buf.dedent()
-        buf.dedent()
+        buf.dedent(opened + 1)
         return "ragged"
 
     @staticmethod

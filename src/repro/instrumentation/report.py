@@ -27,14 +27,16 @@ class InstrumentationReport:
     backend: str = ""
     events: List[EventNode] = field(default_factory=list)
     #: Compile reports of the Python backend: the tier each map scope
-    #: lowered to (``CompiledSDFG.lowering``), also read as
-    #: ``report["lowering"]``.
+    #: lowered to (``CompiledSDFG.lowering``) and the parameter it strips
+    #: along (``CompiledSDFG.strips``), also read as ``report["lowering"]``
+    #: and ``report["strips"]``.
     lowering: List[Dict[str, Any]] = field(default_factory=list)
+    strips: List[Dict[str, Any]] = field(default_factory=list)
 
     def __getitem__(self, name: str) -> Any:
-        if name != "lowering":
+        if name not in ("lowering", "strips"):
             raise KeyError(name)
-        return self.lowering
+        return getattr(self, name)
 
     # ------------------------------------------------------------- queries
     def is_empty(self) -> bool:
@@ -121,6 +123,8 @@ class InstrumentationReport:
         }
         if self.lowering:
             out["lowering"] = self.lowering
+        if self.strips:
+            out["strips"] = self.strips
         return out
 
     @staticmethod
@@ -132,6 +136,7 @@ class InstrumentationReport:
             backend=obj.get("backend", ""),
             events=[EventNode.from_json(e) for e in obj["events"]],
             lowering=list(obj.get("lowering") or []),
+            strips=list(obj.get("strips") or []),
         )
 
     def save(self, path: str) -> None:

@@ -106,15 +106,16 @@ def test_warm_served_request_reads_no_environment(monkeypatch):
 
 # Recorded with the code before compile options were resolved in one
 # place, re-recorded at CODEGEN_VERSION 7 (part of every key; the
-# parallel variant fragment became the worker count alone) and at 8 (the
-# generator decides which maps to chunk); the sanitize pin was re-recorded
+# parallel variant fragment became the worker count alone), at 8 (the
+# generator decides which maps to chunk) and at 9 (large maps run in
+# strips); the sanitize pin was re-recorded
 # once more when the tenant namespace left the variant key (tenants get
 # separate caches instead): the keys must not move by a byte.
 @pytest.mark.parametrize("kwargs,key", [
     (dict(sanitize=True, vectorize=False),
-     "99aa0682ae798dc768617bf8a61a3c40eaa1fe2db8bac38611c8050b984c5d1d"),
+     "dffadc800f716dbbf4e90322c33e55b6385a4f891d242aec05e8d650046c3131"),
     (dict(vectorize=False, parallel="thread:2"),
-     "c6e9533d5c20a5990af2512b4a5d40fdafc541b8f6c306e768b382dab7c48b99"),
+     "9d5a0ae96034f0769f43f6b38c86578dd0552da43fda0572ae652cb446904452"),
 ], ids=["sanitize-novec", "novec-parallel"])
 def test_program_cache_key_is_pinned(kwargs, key):
     compiled = compile_sdfg(kernels.matmul_sdfg(), cache=ProgramCache(), **kwargs)

@@ -18,12 +18,13 @@ from repro.tuning.cache import TuningCache
 # at CODEGEN_VERSION 6 (every two-operand contraction is one ``@``), which
 # is part of every program key and entry, so programs generated by
 # version-5 builds are deliberately cold; re-recorded again at version 7
-# (one thread tier) and 8 (the generator decides which maps to chunk).
+# (one thread tier), 8 (the generator decides which maps to chunk) and 9
+# (large maps run in strips; the program entry also gained ``strips``).
 # The tuning pins predate the store.
-PROGRAM_KEY = "fe9fdc0f28bdbb2571c37e4de4f89409c35532cbd32a672fbad2c05d22835629"
-PROGRAM_KEY_VARIANT = "112dbfb48025079e029d166ba9df01d961c8df283ee8399eff9849c8559aea8a"
+PROGRAM_KEY = "0ec6b7f40ec9b3ef256feea45bc40c9600da30f70f59e376fc443117ab80f81e"
+PROGRAM_KEY_VARIANT = "9c177ed0e458ae3fa7ed07b03f73010b7b6412f148288fa135dfe6b474092a51"
 TUNING_KEY = "a6e0cfb9b97890493e3b38fe58d9ca424f63b75cd61a759ab119bb44c9250aae"
-PROGRAM_ENTRY_SHA = "a496f697896c05cfcb63054c75f7c834f59ded3904d874b882b7c0b3c9bdf280"
+PROGRAM_ENTRY_SHA = "64d9fca37a26b0652f5b8ba050f43942d71d211106a07d6e1b3ad935bf6bdc76"
 TUNING_ENTRY_SHA = "471abd604466f76b1cf682b9379a65768e9e5c1768102b8f4ef6eed5d5fd38f3"
 
 
