@@ -7,8 +7,8 @@ those facts as accesses (``memlet``, ``terms``, and ``merge``, the
 operator a write accumulates with, None for a plain store).
 :func:`chunk_plan` reads them and nothing else: there is no second
 analysis of the map.  The same proof decides strips (DESIGN §9): a
-top-level map strips along its first parameter when :func:`chunk_plan`
-accepts that parameter.
+top-level scatter map strips along its first parameter when
+:func:`chunk_plan` accepts that parameter.
 """
 
 from __future__ import annotations

@@ -211,8 +211,8 @@ class CodeBuffer:
         self._indent += 1
         return self
 
-    def dedent(self, levels: int = 1) -> "CodeBuffer":
-        self._indent -= levels
+    def dedent(self) -> "CodeBuffer":
+        self._indent -= 1
         return self
 
     class _Block:

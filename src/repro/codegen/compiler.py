@@ -129,10 +129,6 @@ class CompiledSDFG:
         #: ``{map, state, tier, reason}`` row per scope; also served as
         #: ``compile_report["lowering"]``.
         self.lowering: List[Dict[str, Optional[str]]] = []
-        #: Python backend: the parameter each map scope strips along, one
-        #: ``{map, state, strip}`` row per ``lowering`` row; also served as
-        #: ``compile_report["strips"]``.
-        self.strips: List[Dict[str, Optional[str]]] = []
         #: The resolved compile options this artifact (and any call-time
         #: fallback) is built with; set by ``compile_sdfg``.
         self.options = CompileOptions(backend=backend)
@@ -270,12 +266,11 @@ class CompiledSDFG:
                 continue
             self.close()  # the abandoned backend's parallel pool, if any
             for attr in ("_entry", "_pool", "backend", "source", "lowering",
-                         "strips", "codegen_warnings"):
+                         "codegen_warnings"):
                 setattr(self, attr, getattr(fallback, attr))
             fallback._pool = None  # owned by this artifact now
             if self.compile_report is not None:
                 self.compile_report.lowering = self.lowering
-                self.compile_report.strips = self.strips
             return True
 
     def __call__(self, **kwargs):
@@ -506,7 +501,6 @@ def compile_with(
     compiled._adopt_options(options)
     compiled.compile_report = crec.report(sdfg.name, backend=f"compile[{backend}]")
     compiled.compile_report.lowering = compiled.lowering
-    compiled.compile_report.strips = compiled.strips
     if recorder is not None:
         for node in crec.root.children.values():
             recorder.absorb(node)
@@ -555,7 +549,6 @@ def _rebuild_from_cache(sdfg, entry_rec, main, store, key, options) -> CompiledS
             continue
     compiled.codegen_warnings = warnings
     compiled.lowering = list(entry_rec.lowering)
-    compiled.strips = list(entry_rec.strips)
     return compiled
 
 
@@ -586,7 +579,6 @@ def _store_in_cache(sdfg, compiled, store, key_pre, backend, variant="") -> None
         symbol_order=orders[1],
         warnings=warnings,
         lowering=compiled.lowering,
-        strips=compiled.strips,
     )
     compiled.cache_key = key_pre
     store.store(key_pre, entry, main)
@@ -660,7 +652,6 @@ def _compile_python(sdfg, options: CompileOptions) -> CompiledSDFG:
     compiled = _python_artifact(sdfg, main, source, arg_arrays, syms_order, options)
     compiled.codegen_warnings = list(getattr(gen, "diagnostics", []))
     compiled.lowering = gen.lowering
-    compiled.strips = gen.strips
     return compiled
 
 

@@ -43,7 +43,7 @@ from repro.store import Store, content_key
 #: v7: one thread tier: chunk functions return only their WCR partials, and
 #: the parallel variant key names the worker count alone.
 #: v8: only NumPy-tier maps get chunk functions, behind the work floor.
-#: v9: large top-level NumPy-tier maps run in strips of their first
+#: v9: large top-level scatter maps run in strips of their first
 #: parameter; a loop-invariant scatter value is not broadcast.
 CODEGEN_VERSION = 9
 
@@ -77,7 +77,6 @@ class ProgramCacheEntry:
         "codegen_version",
         "warnings",
         "lowering",
-        "strips",
     )
 
     def __init__(
@@ -91,7 +90,6 @@ class ProgramCacheEntry:
         codegen_version: int = CODEGEN_VERSION,
         warnings: Optional[List[Dict[str, Any]]] = None,
         lowering: Optional[List[Dict[str, Any]]] = None,
-        strips: Optional[List[Dict[str, Any]]] = None,
     ):
         self.key = key
         self.backend = backend
@@ -103,8 +101,6 @@ class ProgramCacheEntry:
         self.warnings = list(warnings or [])
         #: The generator's tier census (``compile_report["lowering"]``).
         self.lowering = list(lowering or [])
-        #: The parameter each map strips along (``compile_report["strips"]``).
-        self.strips = list(strips or [])
 
     def to_json(self) -> Dict[str, Any]:
         """The entry record; the store adds ``schema``."""
@@ -118,7 +114,6 @@ class ProgramCacheEntry:
             "codegen_version": self.codegen_version,
             "warnings": self.warnings,
             "lowering": self.lowering,
-            "strips": self.strips,
         }
 
     @staticmethod
@@ -142,7 +137,6 @@ class ProgramCacheEntry:
             codegen_version=obj["codegen_version"],
             warnings=obj.get("warnings") or [],
             lowering=obj.get("lowering") or [],
-            strips=obj.get("strips") or [],
         )
 
 

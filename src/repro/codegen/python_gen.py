@@ -22,11 +22,9 @@ representation's inherent parallelism (DESIGN.md §9 has the full ladder):
   semantically complete (streams, consume scopes, dynamic ranges,
   indirection) and the only tier under ``sanitize=True``.
 
-A large top-level map on a NumPy tier other than contraction runs in
-cache-sized strips of its first parameter
-(:meth:`PythonGenerator._strip_plan`).  The tier each map took is
-recorded in :attr:`PythonGenerator.lowering`, its strip parameter in
-:attr:`PythonGenerator.strips`.
+A large top-level map on the scatter tier runs in cache-sized strips of
+its first parameter (:meth:`PythonGenerator._strip_plan`).  The tier
+each map took is recorded in :attr:`PythonGenerator.lowering`.
 The interstate graph becomes structured ``while``/``if`` code wherever
 its regions have that shape, and a ``__next`` state dispatcher where
 they do not (:class:`_ControlFlow`).
@@ -82,7 +80,7 @@ _UNCHUNKED_TIERS = {
     "contraction": "one BLAS call, which is threaded already",
 }
 
-#: Strips (DESIGN.md §9): a top-level NumPy-tier map whose domain exceeds
+#: Strips (DESIGN.md §9): a top-level scatter-tier map whose domain exceeds
 #: ``STRIP_FLOOR`` points runs its one lowering once per strip of about
 #: ``STRIP_POINTS`` points along its first parameter, so its temporaries
 #: stay cache-sized; below the floor it runs as one strip.
@@ -154,7 +152,7 @@ class PythonGenerator:
         #: :func:`repro.codegen.chunking.chunk_plan` reads, for the parallel
         #: tier and for strips.
         self._accesses: Dict[int, Tuple[List[_Access], List[_Access]]] = {}
-        #: Scope -> the parameter its NumPy lowering strips along.
+        #: Scope -> the parameter its scatter lowering strips along.
         self._strip: Dict[int, str] = {}
 
     # ------------------------------------------------------------------ API
@@ -1074,16 +1072,6 @@ class PythonGenerator:
         scope, in emission order (``reason`` is set for ``loop`` only)."""
         return list(self._lowering.values())
 
-    @property
-    def strips(self) -> List[Dict[str, Optional[str]]]:
-        """One ``{map, state, strip}`` row per census row: the parameter
-        the map's NumPy lowering strips along (:meth:`_strip_plan`), or
-        None."""
-        return [
-            {"map": row["map"], "state": row["state"], "strip": self._strip.get(k)}
-            for k, row in self._lowering.items()
-        ]
-
     def _record_tier(self, state, entry, tier: str, reason: Optional[str] = None):
         # Keyed by scope: the parallel tier lowers a map twice (chunk
         # function and serial fallback) and both agree.
@@ -1099,31 +1087,27 @@ class PythonGenerator:
     ) -> bool:
         """Emit a whole-domain NumPy evaluation of the map if one applies,
         and record the tier taken (or ``loop`` and the first precondition
-        that failed) in the census.  ``strip`` lets the tier strip the map
-        (:meth:`_strip_plan`); a stripped emission that fails is lowered
-        again whole."""
-        while True:
-            scratch = CodeBuffer()
-            try:
-                tier = self._lower_whole_domain(
-                    sdfg, state, entry, body, scratch, order, scope_dict, strip
-                )
-            except (_Reject, CodegenError) as why:
-                if self._strip.pop(id(entry), None) is not None:
-                    strip = False
-                    continue
-                self._record_tier(state, entry, "loop", str(why))
-                return False
-            buf.lines(scratch.getvalue())
-            self._record_tier(state, entry, tier)
-            return True
+        that failed) in the census.  ``strip`` lets the scatter tier strip
+        the map (:meth:`_strip_plan`)."""
+        scratch = CodeBuffer()
+        try:
+            tier = self._lower_whole_domain(
+                sdfg, state, entry, body, scratch, order, scope_dict, strip
+            )
+        except (_Reject, CodegenError) as why:
+            self._strip.pop(id(entry), None)
+            self._record_tier(state, entry, "loop", str(why))
+            return False
+        buf.lines(scratch.getvalue())
+        self._record_tier(state, entry, tier)
+        return True
 
     def _lower_whole_domain(
         self, sdfg, state, entry, body, buf, order, scope_dict, strip=False
     ) -> str:
         """Emit the map into ``buf`` and return its tier, or raise
         :class:`_Reject`.  Nothing emitted before a rejection survives.
-        ``strip`` lets the tier strip the map (:meth:`_strip_plan`)."""
+        ``strip`` lets the scatter tier strip the map (:meth:`_strip_plan`)."""
         if not self.vectorize:
             raise _Reject(
                 "sanitize=True keeps the per-element loop tier"
@@ -1133,7 +1117,7 @@ class PythonGenerator:
         inner = [n for n in body if not isinstance(n, ExitNode)]
         if len(inner) == 1 and isinstance(inner[0], MapEntry):
             tier = self._lower_ragged(
-                sdfg, state, entry, inner[0], buf, order, scope_dict, strip
+                sdfg, state, entry, inner[0], buf, order, scope_dict
             )
             # The absorbed inner map gets its own row, after its parent's.
             self._record_tier(state, entry, tier)
@@ -1170,8 +1154,9 @@ class PythonGenerator:
         return a
 
     def _strip_plan(self, sdfg, entry, pranges, strip: bool):
-        """The strip decision a tier takes right after it recorded the
-        map's accesses: ``(ranges to emit with, whole ranges)``.  A map
+        """The strip decision the scatter tier takes right after it
+        recorded the map's accesses: ``(ranges to emit with, whole
+        ranges)``.  A map
         that strips emits with its first parameter bound to ``__lo:__hi``
         and passes ``pranges`` on as the whole ranges; any other map gets
         ``(pranges, None)``.  Only a top-level map (``strip``) strips, and
@@ -1179,8 +1164,8 @@ class PythonGenerator:
         :func:`~repro.codegen.chunking.chunk_plan` accepts that parameter:
         its strips store disjoint points, none reads what another stores,
         and nothing reads what the map accumulates into, so strips run in
-        order equal the whole domain at once.  A domain of at most ``STRIP_FLOOR`` constant
-        points never strips."""
+        order equal the whole domain at once.  A domain of at most
+        ``STRIP_FLOOR`` constant points never strips."""
         if not strip:
             return pranges, None
         m = entry.map
@@ -1202,15 +1187,13 @@ class PythonGenerator:
         stripped[param] = SymRange(Symbol("__lo"), Symbol("__hi"), pranges[param].step)
         return stripped, pranges
 
-    def _emit_domain_header(
-        self, buf, mparams, pranges, index_params, whole=None
-    ) -> int:
-        """Trip counts, the emptiness guard and the index arrays of
-        ``index_params``; returns the number of blocks left open (the
-        caller dedents them).  Empty domains are no-ops, which also keeps
-        reductions without identity and wrapped slice bounds unevaluated.
-        A stripped map (:meth:`_strip_plan`) counts its ``whole`` ranges
-        and opens the strip loop inside the guard: one strip up to
+    def _emit_domain_header(self, buf, mparams, pranges, index_params, whole=None) -> None:
+        """Trip counts, the emptiness guard (left open: the caller
+        dedents) and the index arrays of ``index_params``.  Empty domains
+        are no-ops, which also keeps reductions without identity and
+        wrapped slice bounds unevaluated.  A stripped map
+        (:meth:`_strip_plan`) counts its ``whole`` ranges and opens the
+        strip loop inside the guard (left open too): one strip up to
         ``STRIP_FLOOR`` points, strips of the first parameter above."""
         for p in mparams:
             r = (whole or pranges)[p]
@@ -1242,7 +1225,6 @@ class PythonGenerator:
                 f"{pycode(r.step)})"
             )
             buf.line(f"__bix_{p} = __ix_{p}.reshape({', '.join(shape)})")
-        return 1 if whole is None else 2
 
     def _domain_load(
         self, memlet: Memlet, analysis, mparams, pranges, gathers: Set[str]
@@ -1349,7 +1331,6 @@ class PythonGenerator:
         )
         if self._try_contraction(sdfg, entry, tasklet, in_edges, out_edges, analyses, buf):
             return "contraction"
-        pranges, whole = self._strip_plan(sdfg, entry, pranges, strip)
 
         gathers: Set[str] = set()
         index = {p: f"__bix_{p}" for p in mparams}
@@ -1407,9 +1388,7 @@ class PythonGenerator:
             )
 
         buf.line(f"# vectorized map {entry.map.label}")
-        opened = self._emit_domain_header(
-            buf, mparams, pranges, values | gathers, whole
-        )
+        self._emit_domain_header(buf, mparams, pranges, values | gathers)
         for ln in loads:
             buf.line(ln)
         if predicated:
@@ -1421,7 +1400,7 @@ class PythonGenerator:
         if predicated:
             buf.dedent()
         buf.lines(stores.getvalue())
-        buf.dedent(opened)
+        buf.dedent()
         if predicated:
             return "predicated"
         return "gather" if gathers else "slice"
@@ -1590,9 +1569,7 @@ class PythonGenerator:
                 varying.add(tgt)
 
         buf.line(f"# wcr scatter lowering for map {entry.map.label}")
-        opened = self._emit_domain_header(
-            buf, mparams, pranges, values | gathers, whole
-        )
+        self._emit_domain_header(buf, mparams, pranges, values | gathers, whole)
         for ln in loads:
             buf.line(ln)
         for tgt, expr in stmts:
@@ -1609,7 +1586,9 @@ class PythonGenerator:
             f"{self._UFUNC[rtype]}.at({m_out.data}[{_slices_only(m_out)}], "
             "__sidx, __sval)"
         )
-        buf.dedent(opened)
+        buf.dedent()
+        if whole is not None:
+            buf.dedent()
         return "scatter"
 
     # ----------------------------------------------------------- contraction
@@ -1663,7 +1642,7 @@ class PythonGenerator:
 
     # ------------------------------------------------------------ ragged maps
     def _lower_ragged(
-        self, sdfg, state, entry, inner_entry, buf, order, scope_dict, strip=False
+        self, sdfg, state, entry, inner_entry, buf, order, scope_dict
     ) -> str:
         """Map nests whose inner range is data-dependent (CSR-shaped:
         ``for i: for j in row[i]:row[i+1]``) have a flat iteration space.
@@ -1694,6 +1673,7 @@ class PythonGenerator:
         # Row bounds over the outer domain, from the range connectors.
         index_params: Set[str] = set()
         bound_rename = {p: f"__bix_{p}" for p in oparams}
+        conn_loads = []
         reads, writes = [], []
         for c in conns:
             edges = state.in_edges_by_connector(inner_entry, c)
@@ -1702,7 +1682,10 @@ class PythonGenerator:
             mem = edges[0].data
             if mem.dynamic or isinstance(sdfg.arrays[mem.data], Stream):
                 raise _Reject(f"range input {_memlet_str(mem)} is dynamic or a stream")
-            reads.append(_Access(mem, self._affine_point(mem, oparams)))
+            a = self._affine_point(mem, oparams)
+            reads.append(_Access(mem, a))
+            src, _ = self._domain_load(mem, a, oparams, opranges, index_params)
+            conn_loads.append(f"{c} = {src}")
         for bound in (rng.start, rng.end):
             if not _is_sum_of_products(bound):
                 raise _Reject(f"inner range bound {bound} is not elementwise")
@@ -1806,16 +1789,9 @@ class PythonGenerator:
             raise _Reject(f"{sorted(both)} is read and accumulated in the same scope")
 
         self._accesses[id(entry)] = (reads, writes)
-        opranges, whole = self._strip_plan(sdfg, entry, opranges, strip)
-        conn_loads = []
-        for c, r in zip(conns, reads):
-            src, _ = self._domain_load(r.memlet, r.terms, oparams, opranges, index_params)
-            conn_loads.append(f"{c} = {src}")
         buf.line(f"# ragged map {om.label} / {im.label}")
         index_params |= used_flat & set(oparams)
-        opened = self._emit_domain_header(
-            buf, oparams, opranges, index_params, whole
-        )
+        self._emit_domain_header(buf, oparams, opranges, index_params)
         for ln in conn_loads:
             buf.line(ln)
         oshape = _domain_shape(oparams)
@@ -1841,7 +1817,8 @@ class PythonGenerator:
                 "np.repeat(np.cumsum(__rcnt) - __rcnt - __rlo, __rcnt)"
             )
         buf.lines(body.getvalue())
-        buf.dedent(opened + 1)
+        buf.dedent()
+        buf.dedent()
         return "ragged"
 
     @staticmethod

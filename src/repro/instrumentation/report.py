@@ -27,16 +27,14 @@ class InstrumentationReport:
     backend: str = ""
     events: List[EventNode] = field(default_factory=list)
     #: Compile reports of the Python backend: the tier each map scope
-    #: lowered to (``CompiledSDFG.lowering``) and the parameter it strips
-    #: along (``CompiledSDFG.strips``), also read as ``report["lowering"]``
-    #: and ``report["strips"]``.
+    #: lowered to (``CompiledSDFG.lowering``), also read as
+    #: ``report["lowering"]``.
     lowering: List[Dict[str, Any]] = field(default_factory=list)
-    strips: List[Dict[str, Any]] = field(default_factory=list)
 
     def __getitem__(self, name: str) -> Any:
-        if name not in ("lowering", "strips"):
+        if name != "lowering":
             raise KeyError(name)
-        return getattr(self, name)
+        return self.lowering
 
     # ------------------------------------------------------------- queries
     def is_empty(self) -> bool:
@@ -123,8 +121,6 @@ class InstrumentationReport:
         }
         if self.lowering:
             out["lowering"] = self.lowering
-        if self.strips:
-            out["strips"] = self.strips
         return out
 
     @staticmethod
@@ -136,7 +132,6 @@ class InstrumentationReport:
             backend=obj.get("backend", ""),
             events=[EventNode.from_json(e) for e in obj["events"]],
             lowering=list(obj.get("lowering") or []),
-            strips=list(obj.get("strips") or []),
         )
 
     def save(self, path: str) -> None:

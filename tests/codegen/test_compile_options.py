@@ -107,8 +107,8 @@ def test_warm_served_request_reads_no_environment(monkeypatch):
 # Recorded with the code before compile options were resolved in one
 # place, re-recorded at CODEGEN_VERSION 7 (part of every key; the
 # parallel variant fragment became the worker count alone), at 8 (the
-# generator decides which maps to chunk) and at 9 (large maps run in
-# strips); the sanitize pin was re-recorded
+# generator decides which maps to chunk) and at 9 (large scatter maps run
+# in strips); the sanitize pin was re-recorded
 # once more when the tenant namespace left the variant key (tenants get
 # separate caches instead): the keys must not move by a byte.
 @pytest.mark.parametrize("kwargs,key", [

@@ -1,10 +1,11 @@
-"""Strips: a top-level NumPy-tier map runs its one lowering once per strip
-of its first parameter (DESIGN.md §9).
+"""Strips: a top-level scatter-tier map runs its one lowering once per
+strip of its first parameter (DESIGN.md §9).
 
-The two size constants are patched down so that every program strips at
+The two size constants are patched down so that scatter maps strip at
 test sizes.  A stripped run equals the same program lowered whole, and
 both equal the interpreter: bitwise, unless a stripped map sums (or
-multiplies) floats across its strips, which reassociates the sum.
+multiplies) floats across its strips, which reassociates the sum.  Maps
+on every other tier emit the same text as without strips.
 """
 
 import re
@@ -17,22 +18,24 @@ from hypothesis import strategies as st
 import repro as rp
 from repro.codegen import compile_sdfg, python_gen
 from repro.codegen.python_gen import PythonGenerator
-from repro.instrumentation.report import InstrumentationReport
 from repro.runtime import SDFGInterpreter
 from repro.sdfg import SDFG, Memlet, dtypes
 from repro.sdfg.dtypes import ReductionType
 from repro.sdfg.nodes import MapEntry
 from repro.workloads import kernels, polybench
 from tests.codegen.test_parallel_parity import (
-    KERNEL_PROGRAMS,
     PROGRAMS,
     _fresh,
     _in_place_sdfg,
-    _reads_a_stored_point,
     in_place_maps,
 )
 
 STRIP_LOOP = re.compile(r"for __lo, __hi, __n_\w+ in ")
+#: The label of each scatter map whose header opens a strip loop.
+STRIPPED_SCATTER = re.compile(
+    r"# wcr scatter lowering for map (\S+)\n(?:[ \t]*__n_\w+ = .*\n)+"
+    r"[ \t]*if .*:\n[ \t]*for __lo, __hi, "
+)
 
 
 def _tiny(m, points):
@@ -85,17 +88,17 @@ def _sums_floats(compiled):
     """Whether a stripped map of ``compiled`` sums or multiplies into a
     float container: then strips reassociate it, and results agree only
     to rounding."""
-    stripped = {(r["state"], r["map"]) for r in compiled.strips if r["strip"]}
+    stripped = set(STRIPPED_SCATTER.findall(compiled.source))
     sdfg = compiled.sdfg
     for state in sdfg.nodes():
         for node in state.nodes():
-            if not (isinstance(node, MapEntry) and (state.name, node.map.label) in stripped):
+            if not (isinstance(node, MapEntry) and node.map.label in stripped):
                 continue
             for e in state.out_edges(state.exit_node(node)):
                 m = e.data
+                rtype = m.reduction_type() if m.wcr is not None else ReductionType.Sum
                 if (
-                    m.wcr is not None
-                    and m.reduction_type() in (ReductionType.Sum, ReductionType.Product)
+                    rtype in (ReductionType.Sum, ReductionType.Product)
                     and sdfg.arrays[m.data].dtype.nptype.kind in "fc"
                 ):
                     return True
@@ -135,6 +138,10 @@ def test_stripped_equals_whole_equals_the_interpreter(name, points):
         _whole(m)
         whole = _compile(make_sdfg)
     assert "_strips(" not in whole.source
+    if "scatter" in {r["tier"] for r in stripped.lowering}:
+        assert STRIPPED_SCATTER.search(stripped.source)
+    else:
+        assert stripped.source == whole.source
     runs = {}
     for key, compiled in (("stripped", stripped), ("whole", whole)):
         runs[key] = _fresh(inputs)
@@ -146,96 +153,125 @@ def test_stripped_equals_whole_equals_the_interpreter(name, points):
     _same(name, runs["stripped"], oracle, False, "the interpreter")
 
 
-def test_the_corpus_strips():
-    """At test sizes with the constants patched, most corpus programs
-    have a map that strips (so the parity above is not vacuous)."""
-    with pytest.MonkeyPatch.context() as m:
-        _tiny(m, 7)
-        striping = [
-            name for name in PROGRAMS
-            if any(r["strip"] for r in _compile(_small_case(name)[0]).strips)
-        ]
-    assert len(striping) >= 25, striping
-    assert set(KERNEL_PROGRAMS) - set(striping) == {"query"}
+# ===================================================== generated scatter maps
+B = 5  # bins
 
 
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(in_place_maps(), st.sampled_from([1, 9, 20]))
-def test_in_place_maps_strip_soundly(case, points):
-    """Stripped equals whole bitwise, whichever parameter comes first and
-    whether the map strips at all; both equal the interpreter wherever
-    the result does not depend on the iteration order."""
-    shape, abc, ranges, k, seed = case
-    X = np.random.default_rng(seed).random((9, 9))
-    runs = {}
-    with pytest.MonkeyPatch.context() as m:
-        _tiny(m, points)
-        for key in ("stripped", "whole"):
-            if key == "whole":
-                _whole(m)
-            compiled = _compile(lambda: _in_place_sdfg(shape, abc, ranges)[0])
-            runs[key] = X.copy()
-            compiled(X=runs[key], k=k)
-    np.testing.assert_array_equal(runs["stripped"], runs["whole"])
-    _, reads = _in_place_sdfg(shape, abc, ranges)
-    if shape == "floyd" or not _reads_a_stored_point(reads, ranges, k):
-        oracle = X.copy()
-        SDFGInterpreter(_in_place_sdfg(shape, abc, ranges)[0])(X=oracle, k=k)
-        np.testing.assert_array_equal(runs["stripped"], oracle)
+@st.composite
+def scatter_maps(draw):
+    """A scatter ``H[idx] op= val`` over one or two parameters (first
+    either way round), with a strided or symbolic first range, a sum, min
+    or max update into int64 or float64 bins, and a value that is a
+    constant, a load or a parameter.  Values are small integers, so
+    float sums are exact in any order."""
+    two = draw(st.booleans())
+    start, step = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    first = f"{start}:n:{step}" if draw(st.booleans()) else f"{start}:9:{step}"
+    ranges = {"i": first, "j": "1:7"} if two else {"i": first}
+    if two and draw(st.booleans()):
+        ranges = {"j": ranges["j"], "i": ranges["i"]}
+    c = draw(st.integers(0, 3))
+    idx = f"(x + {c} * i) % {B}"
+    val = draw(st.sampled_from(["2", "x", "i + 1"]))
+    op = draw(st.sampled_from(["sum", "min", "max"]))
+    dtype = draw(st.sampled_from([dtypes.int64, dtypes.float64]))
+    return ranges, idx, val, op, dtype, draw(st.integers(0, 99))
 
 
-# ======================================================== maps that stay whole
-def _accumulate_what_it_reads():
-    """``s[0] += A[i] * s[0]``: every iteration reads the accumulator."""
-    sdfg = SDFG("reads_acc")
-    sdfg.add_array("A", ("N",), dtypes.float64)
-    sdfg.add_array("s", (1,), dtypes.float64)
+def _scatter_sdfg(ranges, idx, val, op, dtype):
+    code = (
+        f"hh[{idx}] += {val}" if op == "sum"
+        else f"hh[{idx}] = {op}(hh[{idx}], {val})"
+    )
+    sdfg = SDFG("scatter")
+    sdfg.add_array("X", (9, 9), dtypes.int64)
+    sdfg.add_array("H", (B,), dtype)
+    sdfg.add_symbol("n", dtypes.int64)
     sdfg.add_state().add_mapped_tasklet(
-        "acc", {"i": "0:N"},
-        inputs={"a": Memlet.simple("A", "i"), "b": Memlet.simple("s", "0")},
-        code="o = a * b",
-        outputs={"o": Memlet(data="s", subset="0", wcr="sum")},
+        "upd", ranges,
+        inputs={
+            "x": Memlet.simple("X", "i, j" if "j" in ranges else "i, 0"),
+            "hh": Memlet.simple("H", f"0:{B}"),
+        },
+        code=code,
+        outputs={"hout": Memlet(data="H", subset=f"0:{B}", dynamic=True)},
     )
     return sdfg
 
 
-@pytest.mark.parametrize("make_sdfg", [
-    lambda: _in_place_sdfg("affine", (1, -1, 0), {"i": "1:9", "j": "0:9"})[0],
-    _accumulate_what_it_reads,
-    kernels.query_sdfg,
-], ids=["read-after-store", "reads-its-accumulator", "stream-push"])
-def test_maps_chunk_plan_refuses_never_strip(tiny_strips, make_sdfg):
+@settings(max_examples=60, deadline=None)
+@given(scatter_maps(), st.sampled_from([1, 9, 20]))
+def test_generated_scatter_maps_strip_soundly(case, points):
+    """Stripped equals whole equals the interpreter, bitwise, at strips
+    of 1, 9 and 20 points."""
+    ranges, idx, val, op, dtype, seed = case
+    X = np.random.default_rng(seed).integers(0, 50, (9, 9))
+    H = np.full(B, 25, dtype=dtype.nptype)
+    runs = {}
+    with pytest.MonkeyPatch.context() as m:
+        _tiny(m, points)
+        stripped = _compile(lambda: _scatter_sdfg(ranges, idx, val, op, dtype))
+        _whole(m)
+        whole = _compile(lambda: _scatter_sdfg(ranges, idx, val, op, dtype))
+    assert [r["tier"] for r in stripped.lowering] == ["scatter"]
+    assert STRIPPED_SCATTER.search(stripped.source)
+    assert not STRIP_LOOP.search(whole.source)
+    for key, compiled in (("stripped", stripped), ("whole", whole)):
+        runs[key] = H.copy()
+        compiled(X=X, H=runs[key], n=9)
+    oracle = H.copy()
+    SDFGInterpreter(_scatter_sdfg(ranges, idx, val, op, dtype))(X=X, H=oracle, n=9)
+    np.testing.assert_array_equal(runs["stripped"], runs["whole"])
+    np.testing.assert_array_equal(runs["stripped"], oracle)
+
+
+# ======================================================== maps that stay whole
+def _scatter_reading_its_bins():
+    """``H[x % 5] += H[0]``: every iteration reads what it accumulates."""
+    sdfg = SDFG("reads_acc")
+    sdfg.add_array("X", ("N",), dtypes.int64)
+    sdfg.add_array("H", (B,), dtypes.int64)
+    sdfg.add_state().add_mapped_tasklet(
+        "acc", {"i": "0:N"},
+        inputs={"x": Memlet.simple("X", "i"), "h0": Memlet.simple("H", "0"),
+                "hh": Memlet.simple("H", f"0:{B}")},
+        code=f"hh[x % {B}] += h0",
+        outputs={"hout": Memlet(data="H", subset=f"0:{B}", dynamic=True)},
+    )
+    return sdfg
+
+
+@pytest.mark.parametrize("make_sdfg,tier", [
+    (_scatter_reading_its_bins, "scatter"),
+    (lambda: _scatter_sdfg({"i": "0:9:n"}, "x % 5", "1", "sum", dtypes.int64), "scatter"),
+    (lambda: _in_place_sdfg("affine", (1, -1, 0), {"i": "1:9", "j": "0:9"})[0], "slice"),
+    (kernels.query_sdfg, "predicated"),
+], ids=["reads-its-accumulator", "symbolic-step", "read-after-store", "stream-push"])
+def test_maps_chunk_plan_refuses_never_strip(tiny_strips, make_sdfg, tier):
     compiled = _compile(make_sdfg)
-    assert {r["tier"] for r in compiled.lowering} <= {"slice", "predicated"}
-    assert [r["strip"] for r in compiled.strips] == [None]
+    assert [r["tier"] for r in compiled.lowering] == [tier]
     assert "_strips" not in compiled.source and not STRIP_LOOP.search(compiled.source)
+
+
+@settings(max_examples=30, deadline=None)
+@given(in_place_maps())
+def test_generated_in_place_maps_never_strip(case):
+    """Maps off the scatter tier emit the text they emit without strips."""
+    shape, abc, ranges, _, _ = case
+    with pytest.MonkeyPatch.context() as m:
+        _tiny(m, 1)
+        stripped = _compile(lambda: _in_place_sdfg(shape, abc, ranges)[0])
+        _whole(m)
+        whole = _compile(lambda: _in_place_sdfg(shape, abc, ranges)[0])
+    assert stripped.source == whole.source
 
 
 def test_a_small_constant_domain_emits_the_whole_text():
     """A domain of at most STRIP_FLOOR constant points never strips."""
-    sdfg = _in_place_sdfg("row", (0, 0, 0), {"i": "0:9", "j": "0:9"})[0]
+    sdfg = _scatter_sdfg({"i": "0:9", "j": "0:9"}, "x % 5", "1", "sum", dtypes.int64)
     compiled = compile_sdfg(sdfg, backend="python", cache="off")
-    assert [r["strip"] for r in compiled.strips] == [None]
-    assert "__lo" not in compiled.source
-
-
-def test_a_rejected_stripped_emission_lowers_whole(tiny_strips, monkeypatch):
-    header = PythonGenerator._emit_domain_header
-
-    def refuse_strips(self, buf, mparams, pranges, index_params, whole=None):
-        if whole is not None:
-            raise python_gen._Reject("stripped emission refused")
-        return header(self, buf, mparams, pranges, index_params)
-
-    monkeypatch.setattr(PythonGenerator, "_emit_domain_header", refuse_strips)
-    compiled = _compile(kernels.histogram_sdfg)
     assert [r["tier"] for r in compiled.lowering] == ["scatter"]
-    assert [r["strip"] for r in compiled.strips] == [None]
-    assert "_strips" not in compiled.source
-    d = kernels.histogram_data(30, 20)
-    compiled(**d)
-    np.testing.assert_array_equal(d["hist"], kernels.histogram_reference(d["img"], 256))
+    assert "__lo" not in compiled.source
 
 
 # ===================================================== one lowering, one proof
@@ -251,7 +287,7 @@ def test_each_map_scope_is_lowered_once(tiny_strips, monkeypatch, name):
     monkeypatch.setattr(PythonGenerator, "_lower_whole_domain", counted)
     compiled = _compile(_small_case(name)[0])
     assert set(calls.values()) <= {1}, calls
-    assert len(calls) <= len(compiled.strips) == len(compiled.lowering)
+    assert len(calls) <= len(compiled.lowering)
 
 
 @pytest.mark.usefixtures("no_work_floor")
@@ -274,25 +310,6 @@ def test_chunk_functions_never_strip(tiny_strips, name):
     _same(name, got, want, False, "the serial run")
 
 
-# ================================================================ the census
-def test_strips_are_in_the_compile_report(tmp_path):
-    from repro.codegen.progcache import ProgramCache
-
-    cold = compile_sdfg(kernels.histogram_sdfg(), backend="python",
-                        cache=ProgramCache(str(tmp_path)))
-    warm = compile_sdfg(kernels.histogram_sdfg(), backend="python",
-                        cache=ProgramCache(str(tmp_path)))
-    assert warm.cache_hit
-    rows = [{"map": cold.lowering[0]["map"], "state": cold.lowering[0]["state"],
-             "strip": "i"}]
-    assert cold.strips == warm.strips == rows
-    assert cold.compile_report["strips"] == rows
-    again = InstrumentationReport.from_json(cold.compile_report.to_json())
-    assert again["strips"] == rows
-    query = compile_sdfg(kernels.query_sdfg(), backend="python", cache="off")
-    assert [r["strip"] for r in query.compile_report["strips"]] == [None]
-
-
 # ============================================================ scatter values
 def test_histogram_scatters_its_value_without_a_broadcast():
     """A loop-invariant value goes to ``ufunc.at`` as it is: no
@@ -300,6 +317,7 @@ def test_histogram_scatters_its_value_without_a_broadcast():
     compiled = compile_sdfg(kernels.histogram_sdfg(), backend="python", cache="off")
     assert "np.broadcast_to(np.asarray(__scatter_val)" not in compiled.source
     assert "__sval = np.asarray(__scatter_val)" in compiled.source
+    assert STRIPPED_SCATTER.search(compiled.source)
     for h, w in ((64, 48), (600, 500)):  # one strip; 10 strips
         d = kernels.histogram_data(h, w, seed=3)
         compiled(H=h, W=w, **d)
