@@ -27,9 +27,10 @@ artifact as ``last_report`` (see :mod:`repro.instrumentation`).
 
 from __future__ import annotations
 
+import functools
 import subprocess
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
 from repro.chaos import faultpoint
 from repro.codegen.common import CodegenError
@@ -154,6 +155,12 @@ class CompiledSDFG:
         #: whole-SDFG timer's type name.
         self.records = False
         self._timer: Optional[str] = None
+
+    @functools.cached_property
+    def writes(self) -> frozenset:
+        """The SDFG's write set: the only arguments a call may change,
+        so the only ones a served response carries back."""
+        return self.sdfg.write_set()
 
     def _adopt_options(self, options: CompileOptions) -> None:
         """Fix what every call does: the options, the watchdog policy and
@@ -412,36 +419,80 @@ def compile_sdfg(
     return compile_with(sdfg, options, recorder)
 
 
+class Prepared(NamedTuple):
+    """A graph propagated and hashed ahead of its compile (see
+    :func:`prepare`).  :func:`compile_with` reports that work as its
+    own: its phase timings and the symbolic memo's deltas since
+    ``memo``."""
+
+    digest: str
+    propagate_seconds: float
+    hash_seconds: float
+    memo: Dict[str, Any]
+
+
+def prepare(sdfg, validate: bool = True) -> Prepared:
+    """Propagate ``sdfg`` in place and hash it, once.
+
+    Propagate is a fixpoint, so a graph's pre- and post-propagation
+    forms share the digest, which keys both the serve worker's
+    artifacts and the program cache.  A graph that propagate cannot walk
+    is validated (when ``validate``), so it fails with its own
+    diagnostic."""
+    from repro.sdfg import serialize
+    from repro.symbolic import memo
+
+    before = memo.snapshot()
+    t0 = time.perf_counter()
+    try:
+        sdfg.propagate()
+    except Exception:
+        if validate:
+            sdfg.validate()
+        raise
+    t1 = time.perf_counter()
+    digest = serialize.content_hash(sdfg)
+    return Prepared(digest, t1 - t0, time.perf_counter() - t1, before)
+
+
 def compile_with(
-    sdfg, options: CompileOptions, recorder: Optional[InstrumentationRecorder] = None
+    sdfg, options: CompileOptions, recorder: Optional[InstrumentationRecorder] = None,
+    prepared: Optional[Prepared] = None,
 ) -> CompiledSDFG:
     """:func:`compile_sdfg` on already-resolved options (the serve worker
-    resolves first, to key its artifacts on the record)."""
+    resolves first, to key its artifacts on the record).  ``prepared``
+    is :func:`prepare`'s result for ``sdfg`` when the caller needed the
+    digest first; with the python program cache on, this prepares the
+    graph itself.  Either way the cache sees one hash of the propagated
+    form and stores one entry, and a hit skips validation."""
     from repro.codegen.progcache import program_key
     from repro.symbolic import memo as _symmemo
 
     backend = options.backend
-    store = options.cache
-    variant = options.variant
+    store = options.cache if backend == "python" else None
     crec = InstrumentationRecorder()
     crec.enter("compile", sdfg.name)
     sym_before = _symmemo.snapshot()
     compiled: Optional[CompiledSDFG] = None
-    key_pre: Optional[str] = None
+    key: Optional[str] = None
     try:
-        if store is not None and backend == "python":
-            from repro.sdfg.serialize import content_hash
-
+        if prepared is None and store is not None:
+            prepared = prepare(sdfg, options.validate)
+        if prepared is not None:
+            sym_before = prepared.memo
+            crec.event("phase", "propagate", duration=prepared.propagate_seconds)
+        if store is not None:
             t0 = time.perf_counter()
-            key_pre = program_key(content_hash(sdfg), backend, variant)
-            cached = store.lookup(key_pre)
+            key = program_key(prepared.digest, backend, options.variant)
+            cached = store.lookup(key)
             crec.event(
-                "phase", "progcache[lookup]", duration=time.perf_counter() - t0
+                "phase", "progcache[lookup]",
+                duration=prepared.hash_seconds + time.perf_counter() - t0,
             )
             if cached is not None:
                 t0 = time.perf_counter()
                 compiled = _rebuild_from_cache(
-                    sdfg, cached[0], cached[1], store, key_pre, options
+                    sdfg, cached[0], cached[1], store, key, options
                 )
                 crec.event(
                     "phase", "progcache[hit]", duration=time.perf_counter() - t0
@@ -454,9 +505,10 @@ def compile_with(
             if options.validate:
                 sdfg.validate()
             crec.event("phase", "validate", duration=time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            sdfg.propagate()
-            crec.event("phase", "propagate", duration=time.perf_counter() - t0)
+            if prepared is None:
+                t0 = time.perf_counter()
+                sdfg.propagate()
+                crec.event("phase", "propagate", duration=time.perf_counter() - t0)
 
             hops: List[Dict[str, Optional[str]]] = []
             current = backend
@@ -483,14 +535,9 @@ def compile_with(
                 compiled.degradation = hops
                 break
 
-            if (
-                store is not None
-                and key_pre is not None
-                and compiled.backend == "python"
-                and not hops
-            ):
+            if key is not None and compiled.backend == "python" and not hops:
                 t0 = time.perf_counter()
-                _store_in_cache(sdfg, compiled, store, key_pre, backend, variant)
+                _store_in_cache(sdfg, compiled, store, key)
                 crec.event(
                     "phase", "progcache[store]", duration=time.perf_counter() - t0
                 )
@@ -552,13 +599,10 @@ def _rebuild_from_cache(sdfg, entry_rec, main, store, key, options) -> CompiledS
     return compiled
 
 
-def _store_in_cache(sdfg, compiled, store, key_pre, backend, variant="") -> None:
-    """Store a freshly compiled python program under both the
-    pre-propagation key (computed before ``sdfg.propagate()`` rewrote the
-    outer memlets) and the post-propagation key, so both the original and
-    the propagated form of the same graph hit on the next compile."""
-    from repro.codegen.progcache import ProgramCacheEntry, program_key
-    from repro.sdfg.serialize import content_hash
+def _store_in_cache(sdfg, compiled, store, key) -> None:
+    """Store a freshly compiled python program under ``key``, the one
+    entry its graph has: the key hashes the propagated form."""
+    from repro.codegen.progcache import ProgramCacheEntry
 
     main = getattr(compiled, "_py_main", None)
     orders = getattr(compiled, "_py_orders", None)
@@ -571,7 +615,7 @@ def _store_in_cache(sdfg, compiled, store, key_pre, backend, variant="") -> None
         except Exception:
             continue
     entry = ProgramCacheEntry(
-        key=key_pre,
+        key=key,
         backend="python",
         sdfg_name=sdfg.name,
         source=compiled.source,
@@ -580,11 +624,8 @@ def _store_in_cache(sdfg, compiled, store, key_pre, backend, variant="") -> None
         warnings=warnings,
         lowering=compiled.lowering,
     )
-    compiled.cache_key = key_pre
-    store.store(key_pre, entry, main)
-    key_post = program_key(content_hash(sdfg), backend, variant)
-    if key_post != key_pre:
-        store.store(key_post, entry, main)
+    compiled.cache_key = key
+    store.store(key, entry, main)
 
 
 def _compile_backend(sdfg, backend: str, options: CompileOptions) -> CompiledSDFG:

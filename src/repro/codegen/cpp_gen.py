@@ -743,6 +743,7 @@ def _isolated_artifact(sdfg, source: str, lib_path: str, arg_arrays, syms_order)
     # Each call runs on the harness worker, which is allowed to die.
     sdfg_json = json.dumps(sdfg_to_json(sdfg, canonical=True),
                            indent=2, sort_keys=True)
+    writes = sorted(sdfg.write_set())
 
     def entry(arrays, symbols, instr=None, guard=None):
         timeout = None
@@ -752,7 +753,7 @@ def _isolated_artifact(sdfg, source: str, lib_path: str, arg_arrays, syms_order)
             sdfg.name, lib_path, sdfg_json,
             {a: arrays[a] for a in arg_arrays},
             {s: symbols[s] for s in syms_order},
-            timeout=timeout,
+            writes, timeout=timeout,
         )
 
     return CompiledSDFG(sdfg, entry, source, "cpp")

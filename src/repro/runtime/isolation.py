@@ -10,10 +10,11 @@ client of the serve pool's supervisor (:mod:`repro.serve.pool`):
   whose persistent worker dlopens each library once and is recycled
   only once its resident set passes :data:`HARNESS_MEMORY_BUDGET_KB`
   (never by request count);
-* the call's arrays travel to the worker and back as raw bytes in the
-  job and response frames (:mod:`repro.serve.protocol`; no file is
-  written, and no frame size limit applies: the arrays are the
-  caller's own), and the results are copied into the caller's arrays;
+* the call's arrays travel to the worker as raw bytes in the job frame,
+  and the ones the SDFG writes come back in the response frame
+  (:mod:`repro.serve.protocol`; no file is written, and no frame size
+  limit applies: the arrays are the caller's own); the results are
+  copied into the caller's arrays;
 * a worker death is the pool's ``E201`` — it writes the minimized repro
   bundle under ``REPRO_CRASH_DIR`` and respawns the worker — and becomes
   :class:`BackendCrashError`, which the compiler retries and then
@@ -32,7 +33,7 @@ import math
 import os
 import sys
 import threading
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -118,12 +119,15 @@ def run_isolated(
     sdfg_json: str,
     arrays: Dict[str, np.ndarray],
     symbols: Dict[str, int],
+    writes: Sequence[str],
     timeout: Optional[float] = None,
 ) -> None:
     """Run entry point ``name`` of library ``lib_path`` on the harness
     worker, mutating ``arrays`` in place like the direct ctypes path.
-    ``sdfg_json`` is the canonical SDFG for the crash bundle;
-    ``timeout=None`` means no deadline.  Raises
+    Only ``writes``, the SDFG's write set, comes back; every other
+    array is one the call leaves unchanged.  ``sdfg_json`` is the
+    canonical SDFG for the crash bundle; ``timeout=None`` means no
+    deadline.  Raises
     :class:`BackendCrashError` on a contained crash and
     ``WatchdogViolation`` on a deadline kill."""
     from repro.runtime.watchdog import WatchdogViolation
@@ -138,6 +142,7 @@ def run_isolated(
         "sdfg": sdfg_json,
         "arrays": protocol.encode_arrays(arrays),
         "symbols": {s: int(v) for s, v in symbols.items()},
+        "writes": list(writes),
     }
     try:
         faultpoint("isolation.spawn", sdfg=name)

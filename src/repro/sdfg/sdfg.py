@@ -274,6 +274,19 @@ class SDFG(OrderedMultiDiGraph[SDFGState, InterstateEdge]):
             set(self.free_symbols()) | set(self.symbols) - set(self.constants)
         )
 
+    def write_set(self) -> frozenset:
+        """The non-transient containers a call may change: those that
+        are the destination of a memlet in some state.  Every other
+        argument leaves a call bitwise unchanged, so a hop ships back
+        only these."""
+        written: Set[str] = set()
+        for state in self.nodes():
+            written |= state.read_write_sets()[1]
+        return frozenset(
+            name for name in written
+            if name in self.arrays and not self.arrays[name].transient
+        )
+
     def free_symbols(self) -> Set[str]:
         """Symbols that must be supplied at invocation."""
         used: Set[str] = set()

@@ -235,6 +235,21 @@ class SDFGState(OrderedMultiDiGraph[Node, Memlet]):
     def data_nodes(self) -> List[AccessNode]:
         return [n for n in self.nodes() if isinstance(n, AccessNode)]
 
+    def read_write_sets(self) -> Tuple[Set[str], Set[str]]:
+        """The containers this state reads (an access node with an
+        out-edge) and writes (an access node with an in-edge: the
+        destination of a memlet).  A nested SDFG's outputs show up
+        through its outer access node."""
+        reads: Set[str] = set()
+        writes: Set[str] = set()
+        for n in self.nodes():
+            if isinstance(n, AccessNode):
+                if self.out_edges(n):
+                    reads.add(n.data)
+                if self.in_edges(n):
+                    writes.add(n.data)
+        return reads, writes
+
     def entry_nodes(self) -> List[EntryNode]:
         return [n for n in self.nodes() if isinstance(n, EntryNode)]
 

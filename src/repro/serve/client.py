@@ -5,13 +5,14 @@ Usage::
     with ServeClient(socket_path="/tmp/repro.sock", tenant="alice") as c:
         c.compile(sdfg)                      # warm the service
         out = c.execute(sdfg, arrays={"A": a, "B": b}, symbols={"N": 64})
-        a[:] = out["arrays"]["A"]            # results travel by value
+        a[:] = out["arrays"]["A"]            # the arrays the SDFG writes
 
 The client is deliberately thin: one socket, one request in flight,
 structured responses passed through verbatim.  Arrays travel as raw
 bytes after each message's JSON header line
-(:mod:`repro.serve.protocol`): sending reads them straight out of the
-caller's arrays, and a decoded result is a writable view of the
+(:mod:`repro.serve.protocol`): a request carries every array the caller
+passes, read straight out of the caller's arrays, and a response
+carries only the arrays the SDFG writes, each a writable view of the
 received buffer.  The only smarts it has is
 the ``E203`` dance — if an execute-by-key lands on a worker that does
 not hold the program (fresh respawn, recycled worker), the client
@@ -96,7 +97,7 @@ class ServeClient:
             raise ServeTimeout("connect", timeout) from err
         self._sock.settimeout(read_timeout)
         if tcp is not None:
-            # Header and array bytes are separate writes; no Nagle stall.
+            # A large frame leaves in several segments; no Nagle stall.
             self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._stream = self._sock.makefile("rwb")
 
@@ -113,7 +114,7 @@ class ServeClient:
         payload.setdefault("tenant", self.tenant)
         payload.setdefault("id", next(self._ids))
         try:
-            protocol.send_message(self._stream, payload)
+            protocol.send_message(self._sock, payload)
             response = protocol.recv_message(self._stream)
         except (socket.timeout, TimeoutError) as err:
             # A late response would pair with the *next* request; the
@@ -200,7 +201,9 @@ class ServeClient:
         decode: bool = True,
         **options: Any,
     ) -> Dict[str, Any]:
-        """Execute on the service; arrays travel by value both ways.
+        """Execute on the service.  The request carries ``arrays`` by
+        value; the response's ``arrays`` holds the ones the SDFG writes
+        (its ``write_set``), with their results.
 
         On ``E203`` (program not resident — e.g. the worker that compiled
         it died and was respawned) the request is resent once with the

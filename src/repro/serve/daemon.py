@@ -332,10 +332,10 @@ class SDFGServer:
     def _handle_connection(self, conn: socket.socket) -> None:
         conn.settimeout(None)
         if conn.family != socket.AF_UNIX:
-            # A frame is a header write then array writes: do not let
-            # Nagle hold the tail back waiting for the header's ACK.
+            # A frame is one sendmsg, but a large one leaves in several
+            # segments: do not let Nagle hold its tail back for an ACK.
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        stream = conn.makefile("rwb")
+        stream = conn.makefile("rb")
         try:
             while not self._stop.is_set():
                 try:
@@ -343,7 +343,7 @@ class SDFGServer:
                     request = protocol.recv_message(stream)
                 except protocol.ProtocolError as err:
                     protocol.send_message(
-                        stream, protocol.error_response(err.code, str(err))
+                        conn, protocol.error_response(err.code, str(err))
                     )
                     if isinstance(err, protocol.FrameError):
                         return  # an untrusted trailer cannot be skipped
@@ -353,7 +353,7 @@ class SDFGServer:
                     # unrecoverable — answer structurally and keep the
                     # connection.
                     protocol.send_message(
-                        stream, protocol.error_response("E204", str(err))
+                        conn, protocol.error_response("E204", str(err))
                     )
                     continue
                 if request is None:
@@ -367,7 +367,7 @@ class SDFGServer:
                     # Simulated dead client socket: drop the connection
                     # exactly as a genuine EPIPE would.
                     return
-                protocol.send_message(stream, response)
+                protocol.send_message(conn, response)
                 if request.get("op") == "shutdown" and response.get("status") == "ok":
                     self.request_shutdown()
                     return
@@ -458,6 +458,23 @@ class SDFGServer:
                 fields={"tenant": tenant, "status": status, "code": code},
             )
 
+    def _publish_job_events(self, response: Dict[str, Any], tenant: str) -> None:
+        """The worker-side events of a job, derived from its response:
+        one ``cache:artifacts`` lookup wherever the worker got as far as
+        its artifact table (``warm``), and one ``kernel`` timing per
+        executed call (``runtime``)."""
+        if self.sink is None or "warm" not in response:
+            return
+        warm = bool(response["warm"])
+        self.sink.publish("cache", "artifacts",
+                          fields={"event": "hit" if warm else "miss", "n": 1})
+        if "runtime" in response:
+            self.sink.publish(
+                "kernel", response["kernel"], float(response["runtime"]),
+                fields={"backend": response.get("backend"), "warm": warm,
+                        "tenant": tenant},
+            )
+
     def _serve_job(self, request: Dict[str, Any]) -> Dict[str, Any]:
         tenant = request.get("tenant", "default")
         deadline = self.admission.clamp_deadline(tenant, request.get("deadline"))
@@ -493,18 +510,20 @@ class SDFGServer:
         job = {k: v for k, v in job.items() if v is not None}
 
         start = time.monotonic()
+        response = None
         try:
             response = self.pool.submit(job)
         finally:
             cost = time.monotonic() - start
             failure_code = (
                 response.get("code")
-                if "response" in locals() and response.get("status") != "ok"
+                if response is not None and response.get("status") != "ok"
                 else None
             )
             ticket.complete(cost_seconds=cost, failure_code=failure_code)
 
         response["tenant"] = tenant
+        self._publish_job_events(response, tenant)
         self._count(response.get("status", "error"))
         self._publish_request(
             request["op"], tenant, response.get("status", "error"),

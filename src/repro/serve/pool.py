@@ -16,7 +16,8 @@ an ndarray.
 
 * **health checks** — a ready handshake at spawn, on-demand pings;
 * **recycling** — a worker is gracefully retired after ``recycle_after``
-  requests or once its reported RSS crosses ``memory_budget_kb``
+  requests or once its RSS, read from ``/proc/<pid>/statm`` after each
+  response while a budget is set, crosses ``memory_budget_kb``
   (long-lived processes executing tenant code leak; bounded lifetimes
   turn that from an outage into a blip);
 * **crash containment** — a worker dying mid-request (SIGSEGV from
@@ -37,6 +38,7 @@ thread down with it.
 
 from __future__ import annotations
 
+import fcntl
 import io
 import math
 import os
@@ -53,11 +55,16 @@ from repro.chaos import ChaosFault, faultpoint
 from repro.runtime.isolation import DEFAULT_CRASH_KEEP, crash_dir
 from repro.runtime.watchdog import RetryPolicy
 from repro.serve import protocol
+from repro.serve.worker import rss_kb
 from repro.store import write_bundle
 from repro.telemetry.sink import TelemetryEvent, TelemetrySink
 
 #: Seconds granted to a worker for its ready handshake.
 DEFAULT_SPAWN_TIMEOUT = 30.0
+
+#: Capacity asked for each worker pipe (Linux grants up to
+#: ``/proc/sys/fs/pipe-max-size``, 1 MiB by default).
+PIPE_BYTES = 1 << 20
 
 #: Backstop applied when a request carries no deadline of its own.
 DEFAULT_REQUEST_TIMEOUT = 120.0
@@ -117,7 +124,6 @@ class WorkerHandle:
         WorkerHandle._seq += 1
         self.name = f"worker-{WorkerHandle._seq}"
         self.served = 0
-        self.rss_kb: Optional[int] = None
         self.sink = sink
         self._stderr_file = tempfile.NamedTemporaryFile(
             mode="w+b", prefix="repro_worker_", suffix=".stderr", delete=False
@@ -151,6 +157,11 @@ class WorkerHandle:
         except OSError as err:  # fork/exec denied, fd exhaustion
             self._cleanup_stderr()
             raise WorkerDeath(f"{self.name} could not be spawned: {err}") from err
+        for pipe in (self.proc.stdin, self.proc.stdout):
+            try:  # a whole frame per write: no ping-pong at 64 KiB
+                fcntl.fcntl(pipe.fileno(), fcntl.F_SETPIPE_SZ, PIPE_BYTES)
+            except (AttributeError, OSError):  # not Linux, or over a limit
+                pass
         self._pipe = _DeadlinePipe(self.proc.stdout.fileno(), self.name)
         self._reader = io.BufferedReader(self._pipe, 1 << 16)
         try:
@@ -229,14 +240,14 @@ class WorkerHandle:
             deadline = time.monotonic() + timeout
         resp = self._read_message(deadline, limit)
         self.served = int(resp.get("served", self.served) or self.served)
-        if resp.get("rss_kb") is not None:
-            self.rss_kb = int(resp["rss_kb"])
         self._propagate_telemetry(resp)
         return resp
 
     def _propagate_telemetry(self, resp: Dict[str, Any]) -> None:
         """Republish the worker's attached telemetry delta (original
-        timestamps preserved) into the supervisor's fleet sink."""
+        timestamps preserved) into the supervisor's fleet sink.  A warm
+        execute attaches none: the daemon derives its cache and kernel
+        events from the response itself."""
         events = resp.pop("telemetry", None)
         if self.sink is None or not isinstance(events, list):
             return
@@ -542,11 +553,10 @@ class WorkerPool:
 
     def _checkin(self, handle: WorkerHandle) -> None:
         over_requests = handle.served >= self.recycle_after
-        over_memory = (
-            self.memory_budget_kb is not None
-            and handle.rss_kb is not None
-            and handle.rss_kb > self.memory_budget_kb
-        )
+        over_memory = False
+        if self.memory_budget_kb is not None and not over_requests:
+            rss = rss_kb(handle.pid)  # the worker's own, from /proc
+            over_memory = rss is not None and rss > self.memory_budget_kb
         if over_requests or over_memory:
             self._retire(handle, kill=False, counter="recycled")
         else:

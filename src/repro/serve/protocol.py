@@ -55,9 +55,13 @@ status     meaning
 
 from __future__ import annotations
 
+import functools
+import io
 import json
 import math
-from typing import Any, Dict, IO, List, Optional, Tuple
+import os
+import socket
+from typing import Any, Callable, Dict, IO, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -101,9 +105,8 @@ class FrameError(ProtocolError):
 
 
 # ---------------------------------------------------------------- arrays
-def _check_spec(dtype: Any, shape: Any) -> Tuple[np.dtype, Tuple[int, ...], int]:
-    """Validate one array's dtype and shape; returns them with its byte
-    count, computed in Python ints (a product of dimensions cannot wrap)."""
+def _parse_dtype(dtype: Any) -> np.dtype:
+    """A numeric dtype from its wire form, else ``ProtocolError``."""
     try:
         dt = np.dtype(dtype)
     except (TypeError, ValueError) as err:
@@ -112,9 +115,26 @@ def _check_spec(dtype: Any, shape: Any) -> Tuple[np.dtype, Tuple[int, ...], int]
         raise ProtocolError(
             f"unsupported array dtype {dt} (numeric kinds {NUMERIC_KINDS!r} only)"
         )
-    if not isinstance(shape, (list, tuple)) or not all(
-        isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in shape
-    ):
+    return dt
+
+
+#: Each dtype string is parsed once per process: every hop sees the same
+#: few, and a parse costs more than the rest of a spec check.  A failed
+#: parse is not cached, and the table holds at most 64 strings.
+_dtype_of_str = functools.lru_cache(maxsize=64)(_parse_dtype)
+
+
+def _check_spec(dtype: Any, shape: Any) -> Tuple[np.dtype, Tuple[int, ...], int]:
+    """Validate one array's dtype and shape; returns them with its byte
+    count, computed in Python ints (a product of dimensions cannot wrap)."""
+    dt = _dtype_of_str(dtype) if type(dtype) is str else _parse_dtype(dtype)
+    sound = type(shape) is list or type(shape) is tuple
+    if sound:
+        for d in shape:
+            if type(d) is not int or d < 0:  # a bool is not an int here
+                sound = False
+                break
+    if not sound:
         raise ProtocolError(
             f"array shape must list non-negative integers, got {shape!r}"
         )
@@ -222,17 +242,43 @@ def _frame_parts(obj: Dict[str, Any], limit: float) -> List[Any]:
     return [header + b"\n", *buffers]
 
 
-def send_message(stream: IO, obj: Dict[str, Any],
+#: Most buffers one ``os.writev`` call takes (POSIX guarantees 16).
+_IOV_MAX = os.sysconf("SC_IOV_MAX") if hasattr(os, "sysconf") else 16
+
+
+def send_message(stream: Union[IO, socket.socket], obj: Dict[str, Any],
                  limit: Optional[float] = None) -> None:
     """Write one frame to a binary stream and flush; nothing is written
     if the message is malformed or over ``limit`` bytes (default
-    :data:`MAX_MESSAGE_BYTES`; ``ProtocolError``)."""
+    :data:`MAX_MESSAGE_BYTES`; ``ProtocolError``).  A socket or an
+    unbuffered file (a worker pipe) gets the whole frame in one
+    gathering write (``sendmsg``, ``os.writev``)."""
     parts = _frame_parts(obj, MAX_MESSAGE_BYTES if limit is None else limit)
+    if isinstance(stream, socket.socket):
+        _write_all(stream.sendmsg, parts)
+        return
+    if isinstance(stream, io.FileIO):
+        _write_all(functools.partial(os.writev, stream.fileno()), parts)
+        return
     for part in parts:
         view = memoryview(part)
         while view:  # a raw pipe may take part of a write
             view = view[stream.write(view):]
     stream.flush()
+
+
+def _write_all(writev: Callable[[List[memoryview]], int], parts: List[Any]) -> None:
+    """Write every buffer of ``parts`` in order with a gathering write
+    (``os.writev`` or ``socket.sendmsg``); a pipe or socket may take
+    part of a write, so the rest goes in the next call."""
+    views = [memoryview(p).cast("B") for p in parts]
+    while views:
+        written = writev(views[:_IOV_MAX])
+        while views and written >= views[0].nbytes:
+            written -= views[0].nbytes
+            views.pop(0)
+        if written:
+            views[0] = views[0][written:]
 
 
 def _read_header(line: bytes, limit: Optional[float]

@@ -24,8 +24,14 @@ Because the worker survives across requests it keeps warm state:
 Protocol: frames on binary stdin/stdout (see :mod:`repro.serve.protocol`):
 a JSON header line, then the arrays' raw bytes.  A job's arrays are
 decoded once as writable views of the buffer their bytes were read
-into, the program runs on them in place, and the response sends views
-of the same arrays back.  The worker re-points ``sys.stdout`` at stderr
+into, the program runs on them in place, and the response sends back
+views of the ones the SDFG writes (``SDFG.write_set``): the request
+carries what the client sent, the response what the program writes.
+A body is propagated and hashed once; that digest keys the artifact
+table and the program cache, which gets one entry.  Responses carry
+``warm``, ``backend``, ``kernel`` and ``runtime``, from which the daemon
+derives the per-request cache and kernel events, so a warm response
+ships no event list.  The worker re-points ``sys.stdout`` at stderr
 right after startup so a stray ``print`` in tasklet code can never
 corrupt the protocol stream.
 
@@ -60,15 +66,17 @@ except ImportError:  # pragma: no cover - non-POSIX
 MAX_PROGRAMS = 32
 
 
-def _rss_kb() -> Optional[int]:
-    """This worker's current resident set size in KiB (None where
+def rss_kb(pid: Any = "self") -> Optional[int]:
+    """A process's current resident set size in KiB (None where
     unavailable), which the memory budgets compare against.
 
-    Read from ``/proc/self/statm``.  ``ru_maxrss``, the fallback where
-    there is no ``/proc``, is a peak, and a spawned child starts with its
-    parent's: a worker of a large host would be over budget at birth."""
-    try:  # os-level I/O: this runs once per response
-        fd = os.open("/proc/self/statm", os.O_RDONLY)
+    Read from ``/proc/<pid>/statm``: the supervisor reads its workers'
+    there when a budget will compare it, so no response carries it.
+    For this process, where there is no ``/proc``, the fallback is
+    ``ru_maxrss``; that is a peak, and a spawned child starts with its
+    parent's, so only a ping reports it."""
+    try:  # os-level I/O: a budgeted pool reads this once per response
+        fd = os.open(f"/proc/{pid}/statm", os.O_RDONLY)
         try:
             resident_pages = int(os.read(fd, 256).split()[1])
         finally:
@@ -76,7 +84,7 @@ def _rss_kb() -> Optional[int]:
         return resident_pages * os.sysconf("SC_PAGE_SIZE") // 1024
     except (OSError, ValueError, IndexError):
         pass
-    if resource is None:
+    if resource is None or pid != "self":
         return None
     usage = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     # Linux reports KiB, macOS bytes.
@@ -90,8 +98,12 @@ class WorkerRuntime:
                  fault_injection: bool = False):
         self.cache_root = cache_root
         self.fault_injection = fault_injection
-        #: (content_hash, CompileOptions) -> CompiledSDFG
+        #: (digest, CompileOptions) -> CompiledSDFG, the digest being
+        #: :func:`~repro.codegen.compiler.prepare`'s
         self._programs: "OrderedDict[tuple, Any]" = OrderedDict()
+        #: Whether the current job's program was resident (None before
+        #: the lookup); failed jobs report it too
+        self._warm: Optional[bool] = None
         #: (tenant, backend, sanitize, parallel) request fields -> their
         #: resolved CompileOptions, so a warm request reads no environment
         self._options: Dict[tuple, Any] = {}
@@ -156,7 +168,7 @@ class WorkerRuntime:
             from repro.runtime.parallel import live_pool_count
 
             return protocol.ok_response(
-                op="pong", served=self.served, rss_kb=_rss_kb(),
+                op="pong", served=self.served, rss_kb=rss_kb(),
                 uptime=round(time.monotonic() - self.started, 6),
                 pools=live_pool_count(),
             )
@@ -164,29 +176,31 @@ class WorkerRuntime:
             injected = self._maybe_inject_fault(job)
             if injected is not None:
                 return injected
+            self._warm = None
             try:
                 if op == "isolated_call":
                     response = self._isolated_call(job)
                 else:
                     response = self._compile_or_execute(job)
             except DiagnosticError as err:
-                response = protocol.error_response(
-                    err.code, str(err), op=op, served=self.served, rss_kb=_rss_kb()
-                )
+                response = self._error(err.code, str(err), op)
             except (TypeError, ValueError, KeyError) as err:
                 # Bad arguments / malformed SDFG JSON: the request is at
                 # fault, not the worker.
-                response = protocol.error_response(
-                    "E202", f"{type(err).__name__}: {err}", op=op,
-                    served=self.served, rss_kb=_rss_kb(),
-                )
+                response = self._error("E202", f"{type(err).__name__}: {err}", op)
             except Exception as err:  # noqa: BLE001 - the worker must not die quietly
-                response = protocol.error_response(
-                    "E204", f"{type(err).__name__}: {err}", op=op,
-                    served=self.served, rss_kb=_rss_kb(),
-                )
+                response = self._error("E204", f"{type(err).__name__}: {err}", op)
             return self._attach_telemetry(response)
         return protocol.error_response("E202", f"unknown worker op {op!r}")
+
+    def _error(self, code: str, message: str, op: str) -> Dict[str, Any]:
+        """A failed job's response; it says whether the artifact table
+        held the program, when the job got that far, because the daemon
+        counts the lookup from it."""
+        fields: Dict[str, Any] = {"op": op, "served": self.served}
+        if self._warm is not None:
+            fields["warm"] = self._warm
+        return protocol.error_response(code, message, **fields)
 
     def _attach_telemetry(self, response: Dict[str, Any]) -> Dict[str, Any]:
         """Attach this process's telemetry delta to the response so the
@@ -206,10 +220,11 @@ class WorkerRuntime:
     def _isolated_call(self, job: Dict[str, Any]) -> Dict[str, Any]:
         """One call of a compiled C++ library for
         :func:`repro.runtime.isolation.run_isolated`: the job's arrays
-        are decoded, passed to the entry point in sorted-name order and
-        sent back in the response.  Supervisor-only (not in
-        ``protocol.OPS``; daemon jobs are built field by field), so no
-        tenant can make a worker dlopen a path it chose."""
+        are decoded, passed to the entry point in sorted-name order, and
+        the ones the job names as ``writes`` are sent back in the
+        response.  Supervisor-only (not in ``protocol.OPS``; daemon jobs
+        are built field by field), so no tenant can make a worker dlopen
+        a path it chose."""
         from repro.codegen.cpp_gen import call_entry, load_entry
 
         arrays = protocol.decode_arrays(job["arrays"])
@@ -219,14 +234,15 @@ class WorkerRuntime:
         call_entry(self._libraries[key], [arrays[name] for name in sorted(arrays)],
                    [v for _, v in sorted(job["symbols"].items())])
         self.served += 1
-        return protocol.ok_response(op="isolated_call", served=self.served,
-                                    rss_kb=_rss_kb(),
-                                    arrays=protocol.encode_arrays(arrays))
+        return protocol.ok_response(
+            op="isolated_call", served=self.served,
+            arrays=protocol.encode_arrays({n: arrays[n] for n in job["writes"]}),
+        )
 
     def _compile_or_execute(self, job: Dict[str, Any]) -> Dict[str, Any]:
-        from repro.codegen.compiler import compile_with
+        from repro.codegen.compiler import compile_with, prepare
         from repro.codegen.options import resolve_options
-        from repro.sdfg.serialize import content_hash, sdfg_from_json
+        from repro.sdfg.serialize import sdfg_from_json
 
         op = job["op"]
         tenant = str(job.get("tenant", "default"))
@@ -249,33 +265,33 @@ class WorkerRuntime:
         if program is None and sdfg_json is None:
             return protocol.error_response("E202", "request carries neither 'sdfg' nor 'program'")
 
-        sdfg = None
+        sdfg = prepared = None
         if program is None:
+            # The one hash of this body: it keys the artifact table here
+            # and, through compile_with, the program cache.
             sdfg = sdfg_from_json(sdfg_json)
-            program = content_hash(sdfg)
+            self._warm = False  # a body that fails to propagate is no artifact
+            prepared = prepare(sdfg, options.validate)
+            program = prepared.digest
         key = (program, options)
 
         compiled = self._programs.get(key)
-        warm = compiled is not None
-        sink = active_sink()
-        if sink is not None:
-            sink.publish("cache", "artifacts",
-                         fields={"event": "hit" if warm else "miss", "n": 1})
+        self._warm = warm = compiled is not None
         if warm:
             self._programs.move_to_end(key)
         else:
-            if sdfg is None and sdfg_json is None:
+            if sdfg_json is None:
                 # Execute-by-key from a client whose compile landed on a
                 # different (or recycled) worker: ask it to resend.
                 return protocol.error_response(
                     "E203",
                     f"program {program[:16]}… is not resident in this worker; "
                     "resend the request with the 'sdfg' body",
-                    program=program,
+                    program=program, warm=False,
                 )
             if sdfg is None:
                 sdfg = sdfg_from_json(sdfg_json)
-            compiled = compile_with(sdfg, options)
+            compiled = compile_with(sdfg, options, prepared=prepared)
             self._remember(key, compiled)
 
         self.served += 1
@@ -283,10 +299,9 @@ class WorkerRuntime:
             op=op,
             program=program,
             warm=warm,
-            cache_hit=bool(getattr(compiled, "cache_hit", False)),
+            cache_hit=compiled.cache_hit,
             backend=compiled.backend,
             served=self.served,
-            rss_kb=_rss_kb(),
         )
         if op == "compile":
             return protocol.ok_response(**base)
@@ -302,21 +317,17 @@ class WorkerRuntime:
         compiled(**arrays, **symbols)
         runtime = time.perf_counter() - start
 
-        if sink is not None:
-            kernel = getattr(getattr(compiled, "sdfg", None), "name", None)
-            sink.publish(
-                "kernel", kernel or str(program)[:16], runtime,
-                fields={"backend": compiled.backend, "warm": warm,
-                        "tenant": tenant},
-            )
-            # Exemplar trace: ship the full instrumentation tree so the
-            # aggregator can retain the slowest request per window.  Only
-            # a profiled artifact's report is one: a deadline alone also
-            # records, but only the watchdog's counters.
-            report = compiled.last_report if compiled.records else None
-            if report is not None and not report.is_empty():
+        # Exemplar trace: ship the full instrumentation tree so the
+        # aggregator can retain the slowest request per window.  Only a
+        # profiled artifact's report is one: a deadline alone also
+        # records, but only the watchdog's counters.  The daemon derives
+        # the per-request cache and kernel events from the response.
+        report = compiled.last_report if compiled.records else None
+        if report is not None and not report.is_empty():
+            sink = active_sink()
+            if sink is not None:
                 sink.publish(
-                    "trace", kernel or str(program)[:16], runtime,
+                    "trace", compiled.sdfg.name, runtime,
                     fields={"report": report.to_json(), "tenant": tenant,
                             "backend": compiled.backend},
                 )
@@ -325,15 +336,19 @@ class WorkerRuntime:
             f.to_json() if hasattr(f, "to_json") else str(f)
             for f in (compiled.last_findings or [])
         ]
+        # The request carries what the client sent, the response what
+        # the program writes.
         return protocol.ok_response(
-            arrays=protocol.encode_arrays(arrays),
+            arrays=protocol.encode_arrays(
+                {name: arrays[name] for name in compiled.writes if name in arrays}),
             runtime=round(runtime, 9),
+            kernel=compiled.sdfg.name,
             degradation=[
                 {k: v for k, v in hop.items() if k != "message"}
                 for hop in compiled.degradation
             ],
             findings=findings,
-            **dict(base, backend=compiled.backend),
+            **dict(base, backend=compiled.backend),  # a call may degrade it
         )
 
 
@@ -368,7 +383,6 @@ def send_response(proto_out: BinaryIO, job: Dict[str, Any],
             f"limit and was dropped ({err}); reduce the request's output "
             "size",
             op=job.get("op"),
-            rss_kb=_rss_kb(),
         )
         if "id" in job:
             fallback["id"] = job["id"]
@@ -377,7 +391,7 @@ def send_response(proto_out: BinaryIO, job: Dict[str, Any],
 
 def _protect_protocol_stream() -> BinaryIO:
     """Claim fd 1 for the protocol; stray prints go to stderr."""
-    proto = os.fdopen(os.dup(1), "wb")
+    proto = os.fdopen(os.dup(1), "wb", buffering=0)  # one writev a frame
     os.dup2(2, 1)
     sys.stdout = sys.stderr
     return proto

@@ -5,7 +5,7 @@ automatically after frontend parsing in DaCe; here they run through
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from repro.sdfg.data import Stream
 from repro.sdfg.memlet import Memlet
@@ -18,18 +18,6 @@ from repro.transformations.base import (
     path_graph,
     register_transformation,
 )
-
-
-def _reads_writes(state: SDFGState) -> tuple:
-    reads: Set[str] = set()
-    writes: Set[str] = set()
-    for n in state.nodes():
-        if isinstance(n, AccessNode):
-            if state.out_edges(n):
-                reads.add(n.data)
-            if state.in_edges(n):
-                writes.add(n.data)
-    return reads, writes
 
 
 @register_transformation
@@ -55,8 +43,8 @@ class StateFusion(MultiStateTransformation):
         edge = sdfg.edges_between(s1, s2)[0]
         if not edge.data.is_unconditional() or edge.data.assignments:
             return False
-        r1, w1 = _reads_writes(s1)
-        r2, w2 = _reads_writes(s2)
+        r1, w1 = s1.read_write_sets()
+        r2, w2 = s2.read_write_sets()
         # Write-write and read-after-write-after-read hazards are avoided
         # conservatively; RAW is handled by access-node chaining below.
         if w1 & w2:

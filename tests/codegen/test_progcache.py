@@ -88,6 +88,29 @@ class TestWarmCompile:
         np.testing.assert_allclose(data["C"], ref, rtol=1e-12)
         assert cache.stats()["hits"] >= 1
 
+    def test_hand_built_graph_is_stored_once_and_hits_again(self):
+        """A hand-built graph, whose outer memlets propagation rewrites,
+        gets one entry keyed on its propagated form: the same object
+        compiled again hits, and so does a fresh unpropagated copy."""
+
+        def make():
+            sdfg = SDFG("hand_built")
+            sdfg.add_array("A", ("N",), dtypes.float64)
+            sdfg.add_state().add_mapped_tasklet(
+                "s", {"i": "0:N"}, inputs={"a": Memlet.simple("A", "i")},
+                code="b = a * 2", outputs={"b": Memlet.simple("A", "i")},
+            )
+            return sdfg
+
+        sdfg = make()
+        before = content_hash(sdfg)
+        cache = ProgramCache()
+        assert not compile_sdfg(sdfg, cache=cache).cache_hit
+        assert content_hash(sdfg) != before, "propagation rewrote the graph"
+        assert compile_sdfg(sdfg, cache=cache).cache_hit
+        assert compile_sdfg(make(), cache=cache).cache_hit
+        assert cache.stats()["stores"] == 1
+
     def test_different_sdfgs_do_not_collide(self):
         cache = ProgramCache()
         compile_sdfg(kernels.matmul_sdfg(), cache=cache)

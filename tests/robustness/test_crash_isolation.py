@@ -169,6 +169,40 @@ def test_harness_frames_have_no_size_limit(crash_env, monkeypatch):
     assert compiled.backend == "cpp" and compiled.degradation == []
 
 
+def test_harness_ships_back_only_the_write_set(crash_env, monkeypatch):
+    """A large read-only input travels to the harness worker but not
+    back: the response frame carries the output alone."""
+    from repro.serve import protocol
+
+    sdfg = SDFG("row_heads")
+    sdfg.add_array("A", ("N", "N"), dtypes.float64)
+    sdfg.add_array("out", ("N",), dtypes.float64)
+    sdfg.add_state().add_mapped_tasklet(
+        "h", {"i": "0:N"}, inputs={"a": Memlet.simple("A", "i, 0")},
+        code="o = a + 1", outputs={"o": Memlet.simple("out", "i")},
+    )
+    received = []
+    recv = protocol.recv_message
+
+    def spy(stream, limit=None):
+        message = recv(stream, limit)
+        if message and message.get("op") == "isolated_call":
+            received.append({k: v["data"].nbytes for k, v in message["arrays"].items()})
+        return message
+
+    monkeypatch.setattr(protocol, "recv_message", spy)
+    n = 256
+    A = np.random.default_rng(0).random((n, n))
+    before = A.copy()
+    out = np.zeros(n)
+    compiled = compile_sdfg(sdfg, backend="cpp")
+    compiled(A=A, out=out, N=n)
+    assert compiled.backend == "cpp" and compiled.degradation == []
+    np.testing.assert_array_equal(out, before[:, 0] + 1)
+    np.testing.assert_array_equal(A, before)
+    assert received == [{"out": n * 8}], "512 KB of A went one way only"
+
+
 def test_isolation_off_runs_in_process():
     compiled = compile_sdfg(scale_sdfg(), backend="cpp", isolate=False)
     assert compiled.backend == "cpp"

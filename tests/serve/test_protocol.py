@@ -492,3 +492,63 @@ def test_daemon_built_jobs_never_carry_a_library_path():
     (job,) = submitted
     assert job["op"] == "execute"
     assert "lib" not in job and "workdir" not in job
+
+
+def _frame_with_arrays():
+    arrays = {"A": np.arange(10.0), "B": np.arange(6, dtype=np.int32),
+              "C": np.zeros((0, 3))}
+    return {"op": "execute", "arrays": protocol.encode_arrays(arrays)}, arrays
+
+
+def test_a_pipe_frame_is_one_gathering_write(monkeypatch):
+    """A worker pipe (an unbuffered file) gets header and arrays in one
+    ``os.writev``."""
+    message, arrays = _frame_with_arrays()
+    calls = []
+    writev = os.writev
+    monkeypatch.setattr(protocol.os, "writev",
+                        lambda fd, bufs: calls.append(len(bufs)) or writev(fd, bufs))
+    r, w = os.pipe()
+    with os.fdopen(r, "rb") as reader, os.fdopen(w, "wb", buffering=0) as writer:
+        protocol.send_message(writer, message)
+        got = protocol.decode_arrays(protocol.recv_message(reader)["arrays"])
+    assert calls == [4], "header and three arrays in one call"
+    for name, arr in arrays.items():
+        np.testing.assert_array_equal(got[name], arr)
+
+
+def test_a_socket_takes_the_frame_in_sendmsg():
+    message, arrays = _frame_with_arrays()
+    left, right = socket.socketpair()
+    with left, right, right.makefile("rb") as reader:
+        protocol.send_message(left, message)
+        got = protocol.decode_arrays(protocol.recv_message(reader)["arrays"])
+    for name, arr in arrays.items():
+        np.testing.assert_array_equal(got[name], arr)
+
+
+def test_a_short_gathering_write_resumes_where_it_stopped():
+    message, arrays = _frame_with_arrays()
+    sink = bytearray()
+
+    def five_bytes(views):
+        taken = b"".join(bytes(v) for v in views)[:5]
+        sink.extend(taken)
+        return len(taken)
+
+    protocol._write_all(five_bytes, protocol._frame_parts(message, math.inf))
+    got = protocol.decode_arrays(protocol.recv_message(io.BytesIO(bytes(sink)))["arrays"])
+    for name, arr in arrays.items():
+        np.testing.assert_array_equal(got[name], arr)
+
+
+def test_each_dtype_string_is_parsed_once():
+    protocol._dtype_of_str.cache_clear()
+    for _ in range(3):
+        protocol._check_spec("<f8", [2, 3])
+    info = protocol._dtype_of_str.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    with pytest.raises(ProtocolError, match="unsupported"):
+        protocol._check_spec("<U4", [1])
+    with pytest.raises(ProtocolError, match="shape"):
+        protocol._check_spec("<f8", [2, True])
