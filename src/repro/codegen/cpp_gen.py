@@ -3,8 +3,8 @@
 Generates a single C++17 translation unit per SDFG: flat-pointer arrays
 with row-major stride arithmetic, Map scopes as loop nests (OpenMP
 ``parallel for`` for ``CPU_Multicore`` schedules), write-conflict
-resolution as ``+=``/atomics, the state machine as labels and
-conditional ``goto`` (the paper's fallback lowering for transitions),
+resolution as ``+=``/atomics, the state machine as ``while``/``if``
+(:mod:`repro.codegen.controlflow`; labels and ``goto`` are the fallback),
 and tasklets converted through :mod:`repro.codegen.py2cpp`.  The CUDA
 and HLS generators are dialects of :class:`CppGenerator`.
 
@@ -36,6 +36,7 @@ from repro.codegen.common import (
     cppcode,
     flat_index_cpp,
 )
+from repro.codegen.controlflow import FlowEmitter, Syntax
 from repro.codegen.py2cpp import Py2Cpp
 from repro.graph import topological_sort
 from repro.sdfg.data import Scalar, Stream
@@ -54,17 +55,27 @@ from repro.sdfg.nodes import (
 from repro.symbolic import Integer, Subset, parse_expr
 
 
-class CppGenerator:
+class CppGenerator(FlowEmitter):
     """Generates one C++ translation unit for an SDFG.
 
-    This is the one C-family emitter: signatures, loop nests, connector
-    loads, tasklet bodies and write-conflict write-back live here.  The
-    CUDA and HLS generators are dialects of it that override only the
-    hooks: ``_emit_preamble``, ``_arg``, ``_emit_allocations``,
-    ``_emit_states``, ``_emit_map``, ``_emit_wcr``, ``_stream_read`` /
-    ``_stream_write``, ``_tasklet_body``, ``_emit_copies``,
-    ``_emit_reduce`` and ``_emit_nested_call``.
+    This is the one C-family emitter: signatures, control flow, loop
+    nests, connector loads, tasklet bodies and write-conflict write-back
+    live here.  The CUDA and HLS generators are dialects of it that
+    override only the hooks: ``_emit_preamble``, ``_arg``,
+    ``_emit_allocations``, ``_emit_state_body``, ``_emit_map``,
+    ``_emit_wcr``, ``_stream_read`` / ``_stream_write``,
+    ``_tasklet_body``, ``_emit_copies``, ``_emit_reduce`` and
+    ``_emit_nested_call``.
     """
+
+    #: Structured control flow, and labels and ``goto`` where it has none.
+    _syntax = Syntax(
+        expr=cppcode, while_="while ({}) {{", true="true", until="if (!{}) break;",
+        if_="if ({}) {{", else_="else {", end="}", break_="break;", empty="", iteration="",
+        assign="{} = {};", assign_all="std::tie({}) = std::make_tuple({});", scalar="{}[0]",
+        enter="goto __state_{};", case=("__state_{}: {{  // state {}",) * 2,
+        jump="goto __state_{};", halt="goto __exit;",
+    )
 
     def __init__(self, sdfg):
         self.sdfg = sdfg
@@ -125,19 +136,21 @@ class CppGenerator:
         buf = CodeBuffer()
         linkage = 'extern "C" ' if extern else "static "
         with buf.block(f"{linkage}void {fname}({', '.join(self.signature(sdfg))}) {{", "}"):
+            for cname, cval in sdfg.constants.items():
+                buf.line(f"const long long {cname} = {cval};")
+            assigned = {k for e in sdfg.edges() for k in e.data.assignments}
+            for sym in sorted(assigned - set(sdfg.entry_abi()[1])):
+                buf.line(f"long long {sym} = 0;")
             teardown = self._emit_allocations(sdfg, buf)
             self._emit_states(sdfg, buf)
+            buf.line("__exit:;")
             for ln in teardown:
                 buf.line(ln)
         return buf.getvalue()
 
     def _emit_allocations(self, sdfg, buf: CodeBuffer) -> List[str]:
-        """Declare constants, interstate symbols and transients; return
-        the statements that release them at the end of the function."""
-        for cname, cval in sdfg.constants.items():
-            buf.line(f"const long long {cname} = {cval};")
-        for sym in sorted({k for e in sdfg.edges() for k in e.data.assignments}):
-            buf.line(f"long long {sym} = 0;")
+        """Declare the transients; return the statements that release
+        them at the end of the function."""
         frees: List[str] = []
         for name, desc in sdfg.arrays.items():
             if not desc.transient:
@@ -149,43 +162,6 @@ class CppGenerator:
             buf.line(f"{ctype}* {name} = new {ctype}[{cppcode(desc.total_size())}]{init};")
             frees.append(f"delete[] {name};")
         return frees
-
-    def _emit_states(self, sdfg, buf: CodeBuffer) -> None:
-        """The state machine: a label per state, transitions as ``goto``."""
-        states = sdfg.nodes()
-        index = {id(s): i for i, s in enumerate(states)}
-        rename = self._scalar_rename(sdfg)
-        if sdfg.start_state is not states[0]:
-            buf.line(f"goto __state_{index[id(sdfg.start_state)]};")
-        for s in states:
-            with buf.block(f"__state_{index[id(s)]}: {{", "}"):
-                if s.number_of_nodes() == 0:
-                    buf.line(";")
-                else:
-                    self._emit_state_body(sdfg, s, buf)
-                for e in sdfg.out_edges(s):
-                    assigns = "".join(
-                        f"{k} = {cppcode(v, rename)}; " for k, v in e.data.assignments.items()
-                    )
-                    if e.data.is_unconditional():
-                        buf.line(f"{assigns}goto __state_{index[id(e.dst)]};")
-                        break
-                    buf.line(
-                        f"if ({cppcode(e.data.condition, rename)}) "
-                        f"{{ {assigns}goto __state_{index[id(e.dst)]}; }}"
-                    )
-                else:
-                    buf.line("goto __exit;")
-        buf.line("__exit:;")
-
-    def _scalar_rename(self, sdfg) -> Dict[str, str]:
-        out = {}
-        for name, desc in sdfg.arrays.items():
-            if isinstance(desc, Stream):
-                continue
-            if isinstance(desc, Scalar) or all(s == Integer(1) for s in desc.shape):
-                out[name] = f"{name}[0]"
-        return out
 
     # ------------------------------------------------------------ state body
     def _emit_state_body(self, sdfg, state, buf: CodeBuffer) -> None:
@@ -214,32 +190,34 @@ class CppGenerator:
                 raise CodegenError(f"C++ backend cannot lower {node!r}")
 
     def _emit_map(self, sdfg, state, entry, body, buf, order, scope_dict, in_parallel):
-        # Dynamic-range connector loads.
+        # Dynamic-range connector loads, in a block of their own: the
+        # state around the map may declare the same names.
+        loads = []
         for conn in sorted(entry.in_connectors):
-            if conn.startswith("IN_"):
-                continue
             edges = state.in_edges_by_connector(entry, conn)
-            if edges:
+            if not conn.startswith("IN_") and edges:
                 m = edges[0].data
-                buf.line(f"const long long {conn} = (long long){_element(sdfg, m.data, m.subset)};")
+                loads.append(f"const long long {conn} = "
+                             f"(long long){_element(sdfg, m.data, m.subset)};")
         parallel = entry.map.schedule in (
             ScheduleType.CPU_Multicore,
             ScheduleType.GPU_Device,
         )
-        if parallel and not in_parallel:
-            clause = " schedule(static)"
-            if len(entry.map.params) > 1:
-                clause = f" collapse({len(entry.map.params)})" + clause
-            buf.line(f"#pragma omp parallel for{clause}")
-        with self._loop_nest(buf, entry.map):
-            self._emit_nodes(
-                sdfg, state, body, buf, order, scope_dict, in_parallel or parallel
-            )
+        with buf.block("{", "}") if loads else contextlib.nullcontext():
+            buf.lines("\n".join(loads))
+            if parallel and not in_parallel:
+                clause = " schedule(static)"
+                if len(entry.map.params) > 1:
+                    clause = f" collapse({len(entry.map.params)})" + clause
+                buf.line(f"#pragma omp parallel for{clause}")
+            with self._loop_nest(buf, entry.map.param_ranges()):
+                self._emit_nodes(
+                    sdfg, state, body, buf, order, scope_dict, in_parallel or parallel
+                )
 
     @contextlib.contextmanager
-    def _loop_nest(self, buf: CodeBuffer, map_):
-        """One ``for`` per map parameter, closed on exit."""
-        ranges = map_.param_ranges()
+    def _loop_nest(self, buf: CodeBuffer, ranges):
+        """One ``for`` per parameter of ``ranges``, closed on exit."""
         for p, rng in ranges.items():
             buf.line(_for(p, rng))
             buf.indent()
@@ -390,59 +368,20 @@ class CppGenerator:
         if combine is None:
             raise CodegenError("custom reduction unsupported in C++ backend")
         identity = _identity(rtype, out_desc.dtype.ctype)
-        sub = in_e.data.subset
+        sub, out_sub = in_e.data.subset, out_e.data.subset
         axes = node.axes if node.axes is not None else tuple(range(sub.dims))
-        buf.line(f"{{ // reduce {node.label}")
-        buf.indent()
-        # Initialize output region.
-        out_sub = out_e.data.subset
-        init_loops = 0
-        out_idx_syms = []
-        for d, rng in enumerate(out_sub.ranges):
-            if rng.is_point():
-                out_idx_syms.append(cppcode(rng.start))
-            else:
-                v = f"__o{d}"
-                buf.line(
-                    f"for (long long {v} = {cppcode(rng.start)}; {v} < "
-                    f"{cppcode(rng.end)}; {v}++) {{"
-                )
-                buf.indent()
-                init_loops += 1
-                out_idx_syms.append(v)
-        if out_e.data.wcr is None:
-            buf.line(f"{out_e.data.data}[{_flat(out_idx_syms, out_desc)}] = {identity};")
-        for _ in range(init_loops):
-            buf.dedent()
-            buf.line("}")
-        # Accumulation loop nest over the input subset.
-        in_syms = []
-        loops = 0
-        for d, rng in enumerate(sub.ranges):
-            if rng.is_point():
-                in_syms.append(cppcode(rng.start))
-            else:
-                v = f"__r{d}"
-                buf.line(
-                    f"for (long long {v} = {cppcode(rng.start)}; {v} < "
-                    f"{cppcode(rng.end)}; {v}++) {{"
-                )
-                buf.indent()
-                loops += 1
-                in_syms.append(v)
+        out_idx, out_loops = _indices(out_sub, "__o")
+        in_idx, in_loops = _indices(sub, "__r")
         # Map kept input dims onto output dims in order.
-        kept_syms = iter([in_syms[i] for i in range(sub.dims) if i not in axes])
-        out_syms = [
-            cppcode(rng.start) if rng.is_point() else next(kept_syms)
-            for rng in out_sub.ranges
-        ]
-        acc = f"{out_e.data.data}[{_flat(out_syms, out_desc)}]"
-        buf.line(combine.format(acc=acc, v=f"{in_e.data.data}[{_flat(in_syms, in_desc)}]"))
-        for _ in range(loops):
-            buf.dedent()
-            buf.line("}")
-        buf.dedent()
-        buf.line("}")
+        kept = iter([in_idx[i] for i in range(sub.dims) if i not in axes])
+        acc_idx = [cppcode(rng.start) if rng.is_point() else next(kept) for rng in out_sub.ranges]
+        acc = f"{out_e.data.data}[{_flat(acc_idx, out_desc)}]"
+        with buf.block(f"{{ // reduce {node.label}", "}"):
+            if out_e.data.wcr is None:
+                with self._loop_nest(buf, out_loops):
+                    buf.line(f"{out_e.data.data}[{_flat(out_idx, out_desc)}] = {identity};")
+            with self._loop_nest(buf, in_loops):
+                buf.line(combine.format(acc=acc, v=f"{in_e.data.data}[{_flat(in_idx, in_desc)}]"))
 
     # ------------------------------------------------------------ nested call
     def _emit_nested_call(self, sdfg, state, node: NestedSDFG, buf) -> None:
@@ -544,6 +483,17 @@ def _for(param: str, rng) -> str:
     )
 
 
+def _indices(subset, prefix: str):
+    """Each dimension's index into ``subset``: its start where the range is
+    a point, else the loop variable ``{prefix}{d}``; and those loops' ranges."""
+    idx, loops = [], {}
+    for d, rng in enumerate(subset.ranges):
+        idx.append(cppcode(rng.start) if rng.is_point() else f"{prefix}{d}")
+        if not rng.is_point():
+            loops[idx[-1]] = rng
+    return idx, loops
+
+
 def _identity(rtype, ctype: str) -> str:
     """Identity element of a Sum/Product/Min/Max reduction."""
     identity = {
@@ -593,6 +543,7 @@ _INCLUDES = """\
 #include <cstring>
 #include <deque>
 #include <limits>
+#include <tuple>
 #if defined(_OPENMP)
 #include <omp.h>
 #endif"""
@@ -629,8 +580,6 @@ _CTYPE_MAP = {
 
 
 def find_host_compiler() -> Optional[str]:
-    import shutil
-
     for cc in ("g++", "clang++", "c++"):
         if shutil.which(cc):
             return cc

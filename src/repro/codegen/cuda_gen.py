@@ -45,7 +45,7 @@ class CudaGenerator(CppGenerator):
     _stream = 0
 
     def _emit_preamble(self, buf: CodeBuffer) -> None:
-        buf.lines("#include <cuda_runtime.h>\n#include <cmath>")
+        buf.lines("#include <cuda_runtime.h>\n#include <cmath>\n#include <tuple>")
 
     # ------------------------------------------------------------------ host
     def _emit_allocations(self, sdfg, buf: CodeBuffer) -> List[str]:
@@ -72,11 +72,6 @@ class CudaGenerator(CppGenerator):
             *(f"cudaFree({name});" for name, _ in gpu_arrays),
             f"for (int s = 0; s < {streams}; s++) cudaStreamDestroy(__streams[s]);",
         ]
-
-    def _emit_states(self, sdfg, buf: CodeBuffer) -> None:
-        for state in sdfg.nodes():
-            buf.line(f"// state {state.name}")
-            self._emit_state_body(sdfg, state, buf)
 
     def _emit_state_body(self, sdfg, state, buf: CodeBuffer) -> None:
         # Each connected component executes on its own CUDA stream (§3.3).

@@ -34,7 +34,7 @@ class FPGAGenerator(CppGenerator):
     """Generates an HLS C++ translation unit for an SDFG."""
 
     def _emit_preamble(self, buf: CodeBuffer) -> None:
-        buf.lines("#include <hls_stream.h>\n#include <ap_int.h>\n#include <cmath>")
+        buf.lines("#include <hls_stream.h>\n#include <ap_int.h>\n#include <cmath>\n#include <tuple>")
 
     def _arg(self, name: str, desc) -> str:
         if isinstance(desc, Stream):
@@ -66,12 +66,10 @@ class FPGAGenerator(CppGenerator):
                 buf.line(f"#pragma HLS RESOURCE variable={name} core=RAM_2P_BRAM")
         return []
 
-    def _emit_states(self, sdfg, buf: CodeBuffer) -> None:
-        for state in sdfg.nodes():
-            buf.line(f"// state {state.name}")
-            if len(weakly_connected_components(state)) > 1:
-                buf.line("#pragma HLS DATAFLOW")
-            self._emit_state_body(sdfg, state, buf)
+    def _emit_state_body(self, sdfg, state, buf: CodeBuffer) -> None:
+        if len(weakly_connected_components(state)) > 1:
+            buf.line("#pragma HLS DATAFLOW")
+        super()._emit_state_body(sdfg, state, buf)
 
     def _emit_reduce(self, sdfg, state, node, buf) -> None:
         buf.line(f"// reduction tree module (wcr: {node.wcr})")
@@ -106,7 +104,7 @@ class FPGAGenerator(CppGenerator):
         if scope_dict.get(entry) is None and self._is_systolic(sdfg, state, entry, body):
             self._emit_systolic_array(sdfg, state, entry, body, buf, order, scope_dict)
             return
-        with self._loop_nest(buf, entry.map):
+        with self._loop_nest(buf, entry.map.param_ranges()):
             if entry.map.unroll:
                 buf.line("#pragma HLS UNROLL")
             elif not any(isinstance(n, EntryNode) for n in body):

@@ -27,18 +27,15 @@ its first parameter (:meth:`PythonGenerator._strip_plan`).  The tier
 each map took is recorded in :attr:`PythonGenerator.lowering`.
 The interstate graph becomes structured ``while``/``if`` code wherever
 its regions have that shape, and a ``__next`` state dispatcher where
-they do not (:class:`_ControlFlow`).
+they do not (:mod:`repro.codegen.controlflow`, shared with C++).
 """
 
 from __future__ import annotations
 
 import ast
-import functools
 import itertools
 import math
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
-
-import numpy as np
 
 from repro.codegen.common import (
     CodeBuffer,
@@ -49,14 +46,15 @@ from repro.codegen.common import (
 )
 from repro.codegen import pytranslate
 from repro.codegen.chunking import Unchunkable, chunk_plan
-from repro.graph import OrderedMultiDiGraph, postdominators, topological_sort
+from repro.codegen.controlflow import FlowEmitter, Syntax, _nan_free_names
+from repro.graph import topological_sort
 from repro.instrumentation import (
     InstrumentationType,
     scope_volume_expr,
     state_volume_expr,
     tasklet_volume_expr,
 )
-from repro.sdfg.data import Scalar, Stream
+from repro.sdfg.data import Stream
 from repro.sdfg.dtypes import Language, ReductionType, ScheduleType
 from repro.sdfg.memlet import Memlet
 from repro.sdfg.nodes import (
@@ -70,7 +68,7 @@ from repro.sdfg.nodes import (
     Tasklet,
 )
 from repro.symbolic import Expr, Integer, Symbol
-from repro.symbolic.expr import Add, Ge, Gt, Le, Lt, Mul, Not
+from repro.symbolic.expr import Add, Mul
 from repro.symbolic.sets import Range as SymRange, Subset, linear_coefficient
 
 #: Lowering tiers the parallel tier does not chunk, and why.  Every other
@@ -87,13 +85,20 @@ _UNCHUNKED_TIERS = {
 STRIP_FLOOR = 1 << 18
 STRIP_POINTS = 1 << 15
 
-#: Cooperative cancellation: the watchdog can kill a runaway interstate
-#: loop at every iteration.
-_CHECKPOINT = "if __guard is not None: __guard.checkpoint()"
 
-
-class PythonGenerator:
+class PythonGenerator(FlowEmitter):
     """Generates a Python module implementing one SDFG."""
+
+    #: Structured control flow, and the ``__next`` dispatcher where it has
+    #: none; every iteration is a checkpoint the watchdog can cancel at.
+    _syntax = Syntax(
+        expr=pycode, while_="while {}:", true="True", until="if not {}:\n    break",
+        if_="if {}:", else_="else:", end="", break_="break", empty="pass",
+        iteration="if __guard is not None: __guard.checkpoint()",
+        assign="{} = {}", assign_all="{} = {}", scalar="{}.flat[0]", enter="__next = {}",
+        case=("if __next == {}:  # state {}", "elif __next == {}:  # state {}"),
+        jump="__next = {}; continue", halt="return None",
+    )
 
     def __init__(
         self, sdfg, vectorize: bool = True, sanitize: bool = False, parallel=None
@@ -225,17 +230,6 @@ class PythonGenerator:
     def _tmp(self, base: str = "t") -> str:
         return f"__{base}{next(self._tmp_counter)}"
 
-    def _scalar_rename(self, sdfg) -> Dict[str, str]:
-        """Rename map for conditions: scalar containers read elementwise."""
-        out = {}
-        for name, desc in sdfg.arrays.items():
-            if isinstance(desc, Scalar) or (
-                not isinstance(desc, Stream)
-                and all(s == Integer(1) for s in desc.shape)
-            ):
-                out[name] = f"{name}.flat[0]"
-        return out
-
     # ------------------------------------------------------ sanitizer helpers
     def _tkey(self, sdfg, data: str) -> Optional[str]:
         """Shadow-mask key for a transient array (None otherwise)."""
@@ -317,97 +311,11 @@ class PythonGenerator:
                     f"if __guard is not None: "
                     f"__guard.on_alloc({f'{fname}.{name}'!r}, {name!r}, {name})"
                 )
-        self._emit_state_machine(sdfg, buf)
+        self._emit_states(sdfg, buf)
         buf.line("return None")
         buf.dedent()
         self._current_fn = prev_fn
         return buf.getvalue()
-
-    def _emit_state_machine(self, sdfg, buf: CodeBuffer) -> None:
-        if sdfg.start_state is None:
-            return
-        rename = self._scalar_rename(sdfg)
-        self._emit_flow(sdfg, _ControlFlow(sdfg).regions(), buf, rename)
-
-    def _emit_flow(self, sdfg, regions, buf: CodeBuffer, rename) -> None:
-        for r in regions:
-            if isinstance(r, _Block):
-                self._emit_state_body(sdfg, r.state, buf)
-                if r.edge is not None:
-                    _emit_assignments(r.edge, buf, rename)
-            elif isinstance(r, _Loop):
-                self._emit_loop(sdfg, r, buf, rename)
-            elif isinstance(r, _Branch):
-                self._emit_branch(sdfg, r, buf, rename)
-            else:
-                self._emit_dispatch(sdfg, r, buf, rename)
-
-    def _emit_loop(self, sdfg, loop: _Loop, buf: CodeBuffer, rename) -> None:
-        """``while <cond>:`` — or, when the guard state has dataflow of its
-        own, ``while True:`` running it before every test.  The exit
-        edge's assignments follow the loop, so the loop variable keeps its
-        exit value."""
-        guard = loop.guard
-        cond = pycode(loop.body_edge.data.condition, rename)
-        bare = (
-            guard.number_of_nodes() == 0
-            and guard.instrument == InstrumentationType.NONE
-        )
-        with buf.block(f"while {cond}:" if bare else "while True:"):
-            buf.line(_CHECKPOINT)
-            if not bare:
-                self._emit_state_body(sdfg, guard, buf)
-                with buf.block(f"if not {cond}:"):
-                    buf.line("break")
-            _emit_assignments(loop.body_edge, buf, rename)
-            self._emit_flow(sdfg, loop.body, buf, rename)
-        _emit_assignments(loop.exit_edge, buf, rename)
-
-    def _emit_branch(self, sdfg, br: _Branch, buf: CodeBuffer, rename) -> None:
-        self._emit_state_body(sdfg, br.state, buf)
-        arms = []
-        for edge, regions in ((br.then_edge, br.then), (br.else_edge, br.orelse)):
-            arm = CodeBuffer()
-            _emit_assignments(edge, arm, rename)
-            self._emit_flow(sdfg, regions, arm, rename)
-            arms.append(arm.getvalue().strip("\n"))
-        then_src, else_src = arms
-        if not then_src and not else_src:
-            return
-        with buf.block(f"if {pycode(br.then_edge.data.condition, rename)}:"):
-            buf.lines(then_src or "pass")
-        if else_src:
-            with buf.block("else:"):
-                buf.lines(else_src)
-
-    def _emit_dispatch(self, sdfg, d: _Dispatch, buf: CodeBuffer, rename) -> None:
-        """The fallback for a region with no structured form: one branch
-        per state selected by ``__next``; an edge to the region's exit
-        leaves the dispatcher, and a state none of whose edges is taken
-        ends the program (the interpreter's semantics)."""
-        index = {s: i for i, s in enumerate(sdfg.nodes())}
-        buf.line(f"__next = {index[d.entry]}")
-        with buf.block("while True:"):
-            buf.line(_CHECKPOINT)
-            for k, s in enumerate(d.states):
-                kw = "elif" if k else "if"
-                with buf.block(f"{kw} __next == {index[s]}:  # state {s.name}"):
-                    self._emit_state_body(sdfg, s, buf)
-                    for e in sdfg.out_edges(s):
-                        jump = (
-                            "break"
-                            if e.dst is d.exit
-                            else f"__next = {index[e.dst]}; continue"
-                        )
-                        if e.data.is_unconditional():
-                            _emit_assignments(e, buf, rename)
-                            buf.line(jump)
-                            break
-                        with buf.block(f"if {pycode(e.data.condition, rename)}:"):
-                            _emit_assignments(e, buf, rename)
-                            buf.line(jump)
-                    else:
-                        buf.line("return None")
 
     # ------------------------------------------------- instrumentation helpers
     def _instr_expr_src(self, expr) -> str:
@@ -1846,305 +1754,6 @@ class _Access(NamedTuple):
     terms: Optional[list]
     #: The operator a write accumulates with; None for a plain store.
     merge: Optional[ReductionType] = None
-
-
-# ------------------------------------------------------------- control flow
-class _Block(NamedTuple):
-    """One state, then the edge leaving it (None: the program ends)."""
-
-    state: object
-    edge: object
-
-
-class _Loop(NamedTuple):
-    """``guard`` tests ``body_edge``'s condition: ``body`` runs back to
-    ``guard`` while it holds, ``exit_edge`` (its complement) leaves."""
-
-    guard: object
-    body_edge: object
-    exit_edge: object
-    body: list
-
-
-class _Branch(NamedTuple):
-    """``if``/``else`` on ``state``'s two complementary edges; both arms
-    run to the same join state."""
-
-    state: object
-    then_edge: object
-    else_edge: object
-    then: list
-    orelse: list
-
-
-class _Dispatch(NamedTuple):
-    """The fallback: ``states``, entered at ``entry``, under the ``__next``
-    dispatcher until an edge reaches ``exit`` (None: the program ends)."""
-
-    states: list
-    entry: object
-    exit: object
-
-
-class _Unstructured(Exception):
-    """A region has no ``while``/``if`` form."""
-
-
-#: Orderings whose negation is *not* exhaustive on NaN operands.
-_ORDERINGS = (Lt, Le, Gt, Ge)
-
-
-class _ControlFlow:
-    """Recovers structured regions from an SDFG's interstate graph, the way
-    the paper's code generator detects loops and branches (§4.3) and
-    falls back to goto-style transitions only where it must.
-
-    * straight-line chains: a state and its single unconditional edge;
-    * natural loops whose head (the guard) has two complementary
-      out-edges, one into the loop and one out of it, and whose body
-      leaves only back to the guard — what ``SDFG.add_loop`` and the
-      frontend's ``range``/``while`` loops build;
-    * if/else diamonds: two complementary edges whose arms meet again at
-      the branch state's immediate post-dominator (the frontend's ``if``).
-
-    Edges are *complementary* when one condition is the negation of the
-    other and exactly one of them holds for every input; ``a < b`` and
-    ``a >= b`` are both false on NaN, so such a pair only qualifies over
-    names that cannot hold NaN.  Any other region — a loop with a second
-    exit, an irreducible graph, an edge set that is not exhaustive —
-    becomes a :class:`_Dispatch` over the smallest enclosing region with a
-    single entry and a single exit, up to the whole graph.
-    """
-
-    def __init__(self, sdfg):
-        self.sdfg = sdfg
-        #: States already placed in a region; a second visit means the
-        #: region does not nest.
-        self.seen: Set = set()
-
-    def regions(self) -> list:
-        # Never raises: at worst, every live state under one dispatcher.
-        return self._sequence(self.sdfg.start_state, None)
-
-    # ---------------------------------------------------------- analysis
-    @functools.cached_property
-    def live(self) -> Set:
-        return self._reach(self.sdfg.start_state, ())
-
-    @functools.cached_property
-    def nan_free(self) -> Set[str]:
-        return _nan_free_names(self.sdfg)
-
-    def _reach(self, s, barrier) -> Set:
-        """States reachable from ``s`` (included) without entering one of
-        ``barrier``."""
-        out = {s}
-        work = [s]
-        while work:
-            for e in self.sdfg.out_edges(work.pop()):
-                if e.dst not in out and e.dst not in barrier:
-                    out.add(e.dst)
-                    work.append(e.dst)
-        return out
-
-    @functools.cached_property
-    def ipdom(self) -> Dict:
-        """Immediate post-dominator of every state from which a terminal
-        state is reachable (None: the program's end).  A state whose edges
-        may all fail also ends the program, but that exit is left out:
-        the dispatcher handles it in place."""
-        graph = OrderedMultiDiGraph()
-        graph.add_node(_END)
-        for e in self.sdfg.edges():
-            graph.add_edge(e.src, e.dst, None)
-        for s in self.sdfg.nodes():
-            if not self.sdfg.out_edges(s):
-                graph.add_edge(s, _END, None)
-        pdom = postdominators(graph, _END)
-        ipdom = {}
-        for n, doms in pdom.items():
-            if n is not _END:
-                strict = doms - {n}
-                # The nearest is the one post-dominated by all the others.
-                near = next(d for d in strict if pdom[d] == strict)
-                ipdom[n] = None if near is _END else near
-        return ipdom
-
-    def _complementary(self, edges) -> bool:
-        if len(edges) != 2:
-            return False
-        a, b = (e.data.condition for e in edges)
-        if Not.make(a) != b and Not.make(b) != a:
-            return False
-        if isinstance(a, _ORDERINGS) and isinstance(b, _ORDERINGS):
-            return all(s.name in self.nan_free for s in a.free_symbols)
-        return True
-
-    # --------------------------------------------------------- structure
-    def _sequence(self, s, stop) -> list:
-        """Regions from ``s`` until control reaches ``stop``.  A state that
-        heads no structured region heads a dispatched one; when no region
-        entered there is closed, the dispatcher starts at an earlier head
-        of this sequence instead (and covers the state that failed)."""
-        out: list = []
-        heads: list = []  # (head state, states placed before it) per region
-        while s is not None and s is not stop:
-            heads.append((s, set(self.seen)))
-            try:
-                region, s = self._region(s, stop)
-            except _Unstructured:
-                failed = s
-                while True:
-                    head, placed = heads[-1]
-                    self.seen = set(placed)
-                    try:
-                        region, s = self._dispatch(head, stop, failed)
-                        break
-                    except _Unstructured:
-                        heads.pop()
-                        if not heads:
-                            raise
-                del out[len(heads) - 1:]
-            out.append(region)
-        return out
-
-    def _region(self, s, stop):
-        """The structured region headed by ``s`` and the state after it."""
-        if s in self.seen:
-            raise _Unstructured(s)
-        self.seen.add(s)
-        edges = self.sdfg.out_edges(s)
-        body = self._natural_loop(s, stop)
-        if body is not None:
-            inside = body | {s}
-            if not self._complementary(edges):
-                raise _Unstructured(s)
-            enter, leave = edges if edges[0].dst in inside else edges[::-1]
-            if enter.dst not in inside or leave.dst in inside or any(
-                e.dst not in inside for n in body for e in self.sdfg.out_edges(n)
-            ):
-                raise _Unstructured(s)
-            return _Loop(s, enter, leave, self._sequence(enter.dst, s)), leave.dst
-        if not edges:
-            if stop is not None:
-                raise _Unstructured(s)
-            return _Block(s, None), None
-        if len(edges) == 1 and edges[0].data.is_unconditional():
-            return _Block(s, edges[0]), edges[0].dst
-        join = self.ipdom.get(s, _END)
-        if not self._complementary(edges) or join is _END or (
-            join is not stop and join not in self._reach(s, (stop,))
-        ):
-            raise _Unstructured(s)
-        then, orelse = edges
-        return _Branch(
-            s, then, orelse,
-            self._sequence(then.dst, join), self._sequence(orelse.dst, join),
-        ), join
-
-    def _natural_loop(self, s, stop) -> Optional[Set]:
-        """The states of the loop ``s`` heads (without ``s``), or None when
-        no edge returns to ``s`` inside the current region."""
-        preds = self.sdfg.predecessors(s)
-        if all(p in self.seen and p is not s for p in preds):
-            return None  # entered only from placed states: straight-line
-        ahead = self._reach(s, (stop,))
-        latches = [p for p in preds if p in ahead]
-        if not latches:
-            return None
-        body: Set = set()
-        work = [p for p in latches if p is not s]
-        while work:
-            n = work.pop()
-            if n not in body:
-                body.add(n)
-                work.extend(
-                    p for p in self.sdfg.predecessors(n)
-                    if p is not s and p in self.live
-                )
-        if not body <= ahead:
-            raise _Unstructured(s)  # entered other than through ``s``
-        return body
-
-    def _dispatch(self, s, stop, cover):
-        """The smallest region containing ``cover``, entered only at ``s``
-        and left only to one post-dominator of ``s`` (at most ``stop``), as
-        a dispatcher."""
-        exits = []
-        x = self.ipdom.get(s, stop)
-        while x is not stop and x is not None:
-            exits.append(x)
-            x = self.ipdom.get(x, stop)
-        exits.append(stop)
-        for x in exits:
-            region = self._reach(s, (x,))
-            if cover not in region or region & self.seen or (
-                stop is not None and stop in region
-            ):
-                continue
-            if self._closed(region, s, x, stop):
-                self.seen |= region
-                states = [n for n in self.sdfg.nodes() if n in region]
-                return _Dispatch(states, s, x), x
-        raise _Unstructured(s)
-
-    def _closed(self, region, s, x, stop) -> bool:
-        """Control enters ``region`` only at ``s`` — and, once it has left,
-        not again short of ``stop`` — and leaves it only to ``x``."""
-        again = None
-        for n in region:
-            for e in self.sdfg.in_edges(n):
-                if e.src in region or e.src not in self.live:
-                    continue
-                if n is not s:
-                    return False
-                again = again or self._reach(s, (stop,))
-                if e.src in again:
-                    return False
-            if any(e.dst not in region and e.dst is not x
-                   for e in self.sdfg.out_edges(n)):
-                return False
-        return True
-
-
-#: The program's end, as a node of the reversed interstate graph.
-_END = object()
-
-
-def _nan_free_names(sdfg) -> Set[str]:
-    """Names whose value cannot be NaN: integer/boolean symbols, containers
-    and constants, and interstate symbols assigned only from such names."""
-    free = {n for n, t in sdfg.symbols.items() if t.nptype.kind in "biu"}
-    free |= {n for n, d in sdfg.arrays.items() if d.dtype.nptype.kind in "biu"}
-    free |= {
-        n for n, v in sdfg.constants.items()
-        if isinstance(v, (int, np.integer))
-    }
-    assigned: Dict[str, List[Expr]] = {}
-    for e in sdfg.edges():
-        for name, value in e.data.assignments.items():
-            assigned.setdefault(name, []).append(value)
-    free -= set(assigned)
-    pending = set(assigned)
-    while True:
-        bad = {
-            n for n in pending
-            if any(s.name not in free | pending
-                   for v in assigned[n] for s in v.free_symbols)
-        }
-        if not bad:
-            return free | pending
-        pending -= bad
-
-
-def _emit_assignments(edge, buf: CodeBuffer, rename) -> None:
-    """An interstate edge's assignments as one tuple assignment: every
-    right-hand side reads the old bindings, as in the interpreter."""
-    assigns = edge.data.assignments
-    if assigns:
-        lhs = ", ".join(assigns)
-        rhs = ", ".join(pycode(v, rename) for v in assigns.values())
-        buf.line(f"{lhs} = {rhs}")
 
 
 def _memlet_str(memlet: Memlet) -> str:

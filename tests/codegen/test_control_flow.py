@@ -1,10 +1,14 @@
-"""Structured interstate control flow in the generated-Python backend.
+"""Structured interstate control flow in the generated-Python and C++
+backends.
 
 Loops and branches of the state graph become ``while``/``if`` code; a
-region with no such shape keeps the ``__next`` dispatcher, and only that
-region.  Ground truth is the reference interpreter (Appendix A semantics),
-bit for bit: both sides run the same scalar tasklets in the same order.
+region with no such shape keeps the fallback, and only that region: the
+``__next`` dispatcher in Python, labels and ``goto`` in C++.  Ground truth
+is the reference interpreter (Appendix A semantics), bit for bit: both
+sides run the same scalar tasklets in the same order.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +16,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import repro as rp
-from repro.codegen import compile_sdfg
+from repro.codegen import compile_sdfg, generate_code
+from repro.codegen.cpp_gen import find_host_compiler
 from repro.runtime import SDFGInterpreter
 from repro.runtime.watchdog import WatchdogViolation
 from repro.sdfg import SDFG, InterstateEdge, Memlet, dtypes
@@ -25,10 +30,50 @@ def _copy(kwargs):
     return {k: v.copy() if isinstance(v, np.ndarray) else v for k, v in kwargs.items()}
 
 
-def run_both(sdfg, **kwargs):
+needs_cc = pytest.mark.skipif(find_host_compiler() is None, reason="no host C++ compiler")
+
+
+def on_backends(*rows):
+    """Parameter rows on python, under the ids pytest gives them alone, and
+    on cpp, under ``cpp-`` ids and only with a host compiler."""
+    out = []
+    for backend, marks, prefix in (("python", (), ""), ("cpp", needs_cc, "cpp-")):
+        for row in rows:
+            row = row if isinstance(row, tuple) else (row,)
+            ident = prefix + "-".join(map(str, row))
+            out.append(pytest.param(backend, *row, marks=marks, id=ident))
+    return out
+
+
+#: Generated C++ -> its in-process build: cases (and test modules) whose
+#: programs differ only in their inputs share one build.
+_CPP_BUILDS = {}
+
+
+def compile_cpp_once(sdfg):
+    source = generate_code(sdfg, "cpp")
+    if source not in _CPP_BUILDS:
+        _CPP_BUILDS[source] = compile_sdfg(
+            sdfg, backend="cpp", cache="off", fallback=False, isolate=False
+        )
+    return _CPP_BUILDS[source]
+
+
+def cpp_dispatched(src):
+    """The states the C++ fallback dispatches by label.  Every ``goto``
+    jumps to one of them or to the function's exit."""
+    labels = dict(re.findall(r"^\s*(__state_\d+): \{  // state (\w+)$", src, re.M))
+    assert set(re.findall(r"goto (\w+);", src)) <= {*labels, "__exit"}
+    return set(labels.values())
+
+
+def run_both(sdfg, backend="python", **kwargs):
     """(generated source, generated outputs, interpreter outputs)."""
-    comp = compile_sdfg(sdfg, backend="python")
-    assert comp.backend == "python", comp.degradation
+    if backend == "cpp":
+        comp = compile_cpp_once(sdfg)
+    else:
+        comp = compile_sdfg(sdfg, backend="python")
+    assert comp.backend == backend, comp.degradation
     cg, it = _copy(kwargs), _copy(kwargs)
     comp(**cg)
     SDFGInterpreter(sdfg, validate=False)(**it)
@@ -56,12 +101,16 @@ def nested_loops(A: rp.float64[N, M], s: rp.float64[1]):
             A[i, j] = A[i, j] + s[0]
 
 
-@pytest.mark.parametrize("n, m", [(0, 3), (3, 0), (1, 1), (4, 5), (6, 2)])
-def test_nested_ascending_and_descending_loops(n, m):
+@pytest.mark.parametrize("backend, n, m", on_backends((0, 3), (3, 0), (1, 1), (4, 5), (6, 2)))
+def test_nested_ascending_and_descending_loops(backend, n, m):
     src, cg, it = run_both(
-        program(nested_loops), A=np.random.rand(n, m), s=np.zeros(1), N=n, M=m
+        program(nested_loops), backend, A=np.random.rand(n, m), s=np.zeros(1), N=n, M=m
     )
     assert_identical(cg, it)
+    if backend == "cpp":
+        assert cpp_dispatched(src) == set()
+        assert "while ((j > (-1))) {" in src and "while ((i < N)) {" in src
+        return
     assert "__next" not in src
     assert "while (j > (-1)):" in src and "while (i < N):" in src
     # One checkpoint per iteration of each of the three loops.
@@ -75,13 +124,16 @@ def read_after_loop(A: rp.float64[N]):
     A[i] = -1.0
 
 
-@pytest.mark.parametrize("n", [1, 3, 4, 9])
-def test_loop_variable_keeps_its_exit_value(n):
+@pytest.mark.parametrize("backend, n", on_backends(1, 3, 4, 9))
+def test_loop_variable_keeps_its_exit_value(backend, n):
     # An empty range leaves the initial value; otherwise the first value
     # past the bound.
-    src, cg, it = run_both(program(read_after_loop), A=np.random.rand(n), N=n)
+    src, cg, it = run_both(program(read_after_loop), backend, A=np.random.rand(n), N=n)
     assert_identical(cg, it)
     assert cg["A"][max(n - 3, 0)] == -1.0
+    if backend == "cpp":
+        assert cpp_dispatched(src) == set()
+        return
     assert "__next" not in src
 
 
@@ -110,6 +162,16 @@ def test_edge_assignments_are_simultaneous():
     assert "k, a, b = (1 + k), b, (a + k)" in src
 
 
+@needs_cc
+def test_edge_assignments_are_simultaneous_on_cpp():
+    # Assigned one after another, ``a = b; b = a + k`` would read the new
+    # ``a``: rows [2, 3], [3, 5], ... where the interpreter writes [2, 1], [1, 3].
+    sdfg = _counting_loop({"k": "k + 1", "a": "b", "b": "a + k"})
+    src, cg, it = run_both(sdfg, "cpp", out=np.zeros((6, 2), np.int64), N=6)
+    assert_identical(cg, it)
+    assert "std::tie(k, a, b) = std::make_tuple((1 + k), b, (a + k));" in src
+
+
 # ------------------------------------------------------- data-dependent loops
 @rp.program
 def int_while(c: rp.int64[1], s: rp.float64[1]):
@@ -118,12 +180,15 @@ def int_while(c: rp.int64[1], s: rp.float64[1]):
         s[0] = s[0] + 1.0
 
 
-@pytest.mark.parametrize("start", [0, 7, 100, 500])
-def test_while_on_an_integer_scalar(start):
+@pytest.mark.parametrize("backend, start", on_backends(0, 7, 100, 500))
+def test_while_on_an_integer_scalar(backend, start):
     src, cg, it = run_both(
-        program(int_while), c=np.array([start]), s=np.zeros(1)
+        program(int_while), backend, c=np.array([start]), s=np.zeros(1)
     )
     assert_identical(cg, it)
+    if backend == "cpp":
+        assert cpp_dispatched(src) == set() and "while ((c[0] < 100)) {" in src
+        return
     assert "while (c.flat[0] < 100):" in src and "__next" not in src
 
 
@@ -135,14 +200,19 @@ def float_while(s: rp.float64[1], t: rp.float64[1]):
     t[0] = 5.0
 
 
-@pytest.mark.parametrize("start", [0.0, 99.5, 1e3, np.nan])
-def test_while_on_a_float_scalar_keeps_nan_semantics(start):
+@pytest.mark.parametrize("backend, start", on_backends(0.0, 99.5, 1e3, np.nan))
+def test_while_on_a_float_scalar_keeps_nan_semantics(backend, start):
     # On NaN both ``s < 100`` and ``s >= 100`` are false: the interpreter
     # takes neither edge and ends the program, so ``t`` stays 1.  That pair
     # is not exhaustive, so the loop alone keeps the dispatcher.
-    src, cg, it = run_both(program(float_while), s=np.array([start]), t=np.zeros(1))
+    src, cg, it = run_both(
+        program(float_while), backend, s=np.array([start]), t=np.zeros(1)
+    )
     assert_identical(cg, it)
     assert cg["t"][0] == (1.0 if np.isnan(start) else 5.0)
+    if backend == "cpp":
+        assert cpp_dispatched(src) == {"while_guard", "while_body"}
+        return
     assert "__next" in src
     assert "# state while_guard" in src and "# state while_end" not in src
 
@@ -159,10 +229,16 @@ def branches(A: rp.float64[N], s: rp.float64[1]):
             A[i] = s[0]
 
 
-@pytest.mark.parametrize("n", [0, 1, 8])
-def test_if_else_and_if_without_else_inside_a_loop(n):
-    src, cg, it = run_both(program(branches), A=np.random.rand(n), s=np.ones(1), N=n)
+@pytest.mark.parametrize("backend, n", on_backends(0, 1, 8))
+def test_if_else_and_if_without_else_inside_a_loop(backend, n):
+    src, cg, it = run_both(
+        program(branches), backend, A=np.random.rand(n), s=np.ones(1), N=n
+    )
     assert_identical(cg, it)
+    if backend == "cpp":
+        assert cpp_dispatched(src) == set()
+        assert src.count("if ((") == 2 and src.count("else {") == 1
+        return
     assert "__next" not in src
     assert src.count("if (") == 2 and src.count("else:") == 1
 
@@ -177,13 +253,19 @@ def data_branch(A: rp.float64[N], a: rp.float64[1], s: rp.float64[1]):
             s[0] = s[0] * 0.5
 
 
-@pytest.mark.parametrize("nan_at", [None, 0, 3])
-def test_non_exhaustive_branch_dispatches_only_its_diamond(nan_at):
+@pytest.mark.parametrize("backend, nan_at", on_backends(None, 0, 3))
+def test_non_exhaustive_branch_dispatches_only_its_diamond(backend, nan_at):
     A = np.random.rand(6)
     if nan_at is not None:
         A[nan_at] = np.nan  # neither edge holds: the program ends there
-    src, cg, it = run_both(program(data_branch), A=A, a=np.zeros(1), s=np.ones(1), N=6)
+    src, cg, it = run_both(
+        program(data_branch), backend, A=A, a=np.zeros(1), s=np.ones(1), N=6
+    )
     assert_identical(cg, it)
+    if backend == "cpp":
+        assert cpp_dispatched(src) == {"i_body", "if_body", "else_body"}
+        assert "while ((i < N)) {" in src
+        return
     assert "while (i < N):" in src and "__next" in src
 
 
@@ -220,10 +302,16 @@ def _two_exit_loop():
     return sdfg
 
 
-@pytest.mark.parametrize("n, k", [(6, 2), (6, 5), (6, 9), (0, 0)])
-def test_loop_with_a_second_exit_dispatches_only_the_loop(n, k):
-    src, cg, it = run_both(_two_exit_loop(), A=np.random.rand(n), s=np.zeros(1), N=n, K=k)
+@pytest.mark.parametrize("backend, n, k", on_backends((6, 2), (6, 5), (6, 9), (0, 0)))
+def test_loop_with_a_second_exit_dispatches_only_the_loop(backend, n, k):
+    src, cg, it = run_both(
+        _two_exit_loop(), backend, A=np.random.rand(n), s=np.zeros(1), N=n, K=k
+    )
     assert_identical(cg, it)
+    if backend == "cpp":
+        # Before and after the loop the code stays straight-line.
+        assert cpp_dispatched(src) == {"guard", "body", "latch", "found"}
+        return
     assert "__next" in src
     for state in ("guard", "body", "latch", "found"):
         assert f"# state {state}\n" in src
@@ -250,10 +338,13 @@ def _irreducible():
     return sdfg
 
 
-@pytest.mark.parametrize("k", [-5, 0, 2])
-def test_irreducible_graph_keeps_the_dispatcher(k):
-    src, cg, it = run_both(_irreducible(), s=np.ones(1), k=k)
+@pytest.mark.parametrize("backend, k", on_backends(-5, 0, 2))
+def test_irreducible_graph_keeps_the_dispatcher(backend, k):
+    src, cg, it = run_both(_irreducible(), backend, s=np.ones(1), k=k)
     assert_identical(cg, it)
+    if backend == "cpp":
+        assert cpp_dispatched(src) == {"top", "left", "right"}
+        return
     assert "__next" in src and "# state left" in src and "# state right" in src
     assert "# state done" not in src
 
@@ -357,12 +448,16 @@ def test_corpus_has_36_programs():
     assert len(CORPUS) == 36
 
 
-@pytest.mark.parametrize("name", CORPUS)
-def test_corpus_is_structured_and_equals_the_interpreter(name):
+@pytest.mark.parametrize("backend, name", on_backends(*CORPUS))
+def test_corpus_is_structured_and_equals_the_interpreter(backend, name):
     sdfg, data = KERNEL_CASES[name]() if name in KERNEL_CASES else _polybench_case(name)
-    src, cg, it = run_both(sdfg, **data)
+    src, cg, it = run_both(sdfg, backend, **data)
     # No corpus program needs the dispatcher.
     assert "__next" not in src
+    assert backend == "python" or cpp_dispatched(src) == set()
     for k, v in cg.items():
         if isinstance(v, np.ndarray):
-            np.testing.assert_allclose(v, it[k], rtol=1e-8, atol=1e-9, err_msg=k)
+            # C++ rounds spmv's float32 sums its own way: agree to float32's
+            # epsilon there.
+            rtol = 1e-5 if backend == "cpp" and v.dtype == np.float32 else 1e-8
+            np.testing.assert_allclose(v, it[k], rtol=rtol, atol=1e-9, err_msg=k)

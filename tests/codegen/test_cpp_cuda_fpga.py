@@ -2,14 +2,16 @@
 backends."""
 
 import gc
+import importlib.util
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.codegen import compile_sdfg, generate_code
 from repro.codegen.common import CodegenError
-from repro.codegen.cpp_gen import compile_cpp, find_host_compiler
+from repro.codegen.cpp_gen import compile_cpp
 from repro.codegen.py2cpp import Py2Cpp
 from repro.runtime import isolation
 from repro.sdfg import (
@@ -20,12 +22,10 @@ from repro.sdfg import (
     StorageType,
     dtypes,
 )
+from repro.transformations import FPGATransform, GPUTransform, apply_transformations
 from repro.workloads import kernels
-from tests.codegen.test_parallel_parity import _case, _check, _fresh
-
-needs_cc = pytest.mark.skipif(
-    find_host_compiler() is None, reason="no host C++ compiler"
-)
+from tests.codegen.test_control_flow import compile_cpp_once, needs_cc
+from tests.codegen.test_parallel_parity import PROGRAMS, _case, _check, _fresh
 
 
 def vadd(storage=StorageType.Default, schedule=ScheduleType.Default, name="vadd"):
@@ -133,7 +133,9 @@ class TestCppStructure:
         src = generate_code(vadd(), "cpp")
         assert 'extern "C" void vadd(' in src
         assert "double* A" in src and "long long N" in src
-        assert "__state_0:" in src and "goto __exit" in src
+        # One state, no transition: straight-line code, no label or jump.
+        assert "__state_" not in src and "goto" not in src
+        assert src.index("for (long long i = 0; i < N; i += 1) {") < src.index("__exit:;")
 
     def test_openmp_for_multicore(self):
         src = generate_code(
@@ -260,6 +262,20 @@ class TestCppExecution:
         comp(A=A, out=out)
         assert np.allclose(out, A.sum(axis=1))
 
+    def test_strided_reduce_node(self):
+        # The reduction's loops step as its input subset does.
+        sdfg = SDFG("redstride")
+        sdfg.add_array("A", ("M", "N"), dtypes.float64)
+        sdfg.add_array("out", ("M",), dtypes.float64)
+        st = sdfg.add_state()
+        r = st.add_reduce("sum", axes=(1,))
+        st.add_edge(st.add_read("A"), r, Memlet.simple("A", "0:M, 0:N:3"), None, "IN_1")
+        st.add_edge(r, st.add_write("out"), Memlet.simple("out", "0:M"), "OUT_1", None)
+        A = np.random.rand(4, 10)
+        out = np.zeros(4)
+        compile_cpp(sdfg)(A=A, out=out)
+        assert np.allclose(out, A[:, ::3].sum(axis=1))
+
 
 @pytest.fixture
 def two_omp_threads(monkeypatch):
@@ -346,19 +362,14 @@ class TestBuildDirectories:
         assert self.builds(tmpdir_root) == []
 
 
-#: Corpus programs that once fell back to Python on cpp: five read a
-#: Scalar container (durbin, gramschmidt, ludcmp, trisolv, query) and
-#: histogram's index clamp did not compile.
-CPP_CORPUS_FIXES = ("durbin", "gramschmidt", "histogram", "ludcmp", "query", "trisolv")
-
-
 @needs_cc
-@pytest.mark.parametrize("name", CPP_CORPUS_FIXES)
+@pytest.mark.parametrize("name", PROGRAMS)
 def test_corpus_program_builds_on_cpp(name):
     make_sdfg, inputs, expected = _case(name)
-    compiled = compile_sdfg(make_sdfg(), backend="cpp", cache="off",
-                            fallback=False, isolate=False)
+    compiled = compile_cpp_once(make_sdfg())
     assert compiled.backend == "cpp"
+    # Every corpus program is structured: no label, no jump.
+    assert "goto" not in compiled.source
     got = _fresh(inputs)
     compiled(**got)
     _check(name, got, expected, "numpy reference")
@@ -478,3 +489,35 @@ class TestFPGAStructure:
         )
         src = generate_code(sdfg, "fpga")
         assert "r[(0) * (1)] = std::max(r[(0) * (1)], (double)o);" in src
+
+
+def _example_jacobi():
+    """The jacobi program of ``examples/heterogeneous_targets.py``."""
+    path = Path(__file__).resolve().parents[2] / "examples" / "heterogeneous_targets.py"
+    spec = importlib.util.spec_from_file_location("heterogeneous_targets", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.jacobi
+
+
+def _block(src, opener):
+    """The lines from the one starting with ``opener`` through the brace
+    that closes it."""
+    lines = src.splitlines()
+    start = next(i for i, ln in enumerate(lines) if ln.lstrip().startswith(opener))
+    indent = lines[start][: len(lines[start]) - len(lines[start].lstrip())]
+    return lines[start:lines.index(indent + "}", start) + 1]
+
+
+@pytest.mark.parametrize("backend, transform, sweep", [
+    pytest.param("cuda", GPUTransform, "<<<", id="cuda"),
+    pytest.param("fpga", FPGATransform, "#pragma HLS PIPELINE", id="fpga"),
+])
+def test_dialect_text_keeps_the_time_loop(backend, transform, sweep):
+    # jacobi runs its two sweeps (kernel launches, pipelined loop nests) T
+    # times: the time loop must enclose both.
+    sdfg = SDFG.from_json(_example_jacobi().to_sdfg().to_json())
+    apply_transformations(sdfg, transform)
+    src = generate_code(sdfg, backend)
+    loop = "\n".join(_block(src, "while ((t < T)) {"))
+    assert src.count(sweep) == 2 and loop.count(sweep) == 2
