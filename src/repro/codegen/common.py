@@ -113,8 +113,9 @@ def pycode(e: Expr, rename: Optional[Dict[str, str]] = None) -> str:
 def cppcode(e: Expr, rename: Optional[Dict[str, str]] = None) -> str:
     """Render a symbolic expression as C++ source (int semantics).
 
-    C++ integer division truncates toward zero; SDFG ranges are
-    non-negative in practice, where the semantics coincide.
+    ``//`` and ``%`` floor, as in Python, through the ``repro_py``
+    helpers every C dialect's preamble defines
+    (:data:`repro.codegen.py2cpp.PY_ARITH`).
     """
     r = rename or {}
 
@@ -136,11 +137,11 @@ def cppcode(e: Expr, rename: Optional[Dict[str, str]] = None) -> str:
                 return "(" + " * ".join([go(e.base)] * e.exp.value) + ")"
             return f"std::pow({go(e.base)}, {go(e.exp)})"
         if isinstance(e, FloorDiv):
-            return f"(({go(e.a)}) / ({go(e.b)}))"
+            return f"repro_py::ifloordiv({go(e.a)}, {go(e.b)})"
         if isinstance(e, CeilDiv):
-            return f"((({go(e.a)}) + ({go(e.b)}) - 1) / ({go(e.b)}))"
+            return f"(-repro_py::ifloordiv(-({go(e.a)}), {go(e.b)}))"
         if isinstance(e, Mod):
-            return f"(({go(e.a)}) % ({go(e.b)}))"
+            return f"repro_py::imod({go(e.a)}, {go(e.b)})"
         if isinstance(e, Min):
             out = go(e.args[0])
             for a in e.args[1:]:

@@ -37,7 +37,7 @@ from repro.codegen.common import (
     flat_index_cpp,
 )
 from repro.codegen.controlflow import FlowEmitter, Syntax
-from repro.codegen.py2cpp import Py2Cpp
+from repro.codegen.py2cpp import PY_ARITH, Py2Cpp
 from repro.graph import topological_sort
 from repro.sdfg.data import Scalar, Stream
 from repro.sdfg.dtypes import Language, ReductionType, ScheduleType, detect_reduction_type
@@ -107,6 +107,7 @@ class CppGenerator(FlowEmitter):
         for tg in self._collect_code_globals(self.sdfg):
             buf.lines(tg)
         buf.line()
+        buf.lines(PY_ARITH.format(q="static inline"))
         buf.lines(_STREAM_RUNTIME)
 
     def _collect_code_globals(self, sdfg) -> List[str]:

@@ -22,6 +22,7 @@ from typing import List, Set, Tuple
 
 from repro.codegen.common import CodeBuffer, CodegenError, cppcode
 from repro.codegen.cpp_gen import CppGenerator
+from repro.codegen.py2cpp import PY_ARITH
 from repro.graph import topological_sort, weakly_connected_components
 from repro.sdfg.data import Stream
 from repro.sdfg.dtypes import ReductionType, ScheduleType, StorageType
@@ -46,6 +47,7 @@ class CudaGenerator(CppGenerator):
 
     def _emit_preamble(self, buf: CodeBuffer) -> None:
         buf.lines("#include <cuda_runtime.h>\n#include <cmath>\n#include <tuple>")
+        buf.lines(PY_ARITH.format(q="__host__ __device__ inline"))
 
     # ------------------------------------------------------------------ host
     def _emit_allocations(self, sdfg, buf: CodeBuffer) -> List[str]:

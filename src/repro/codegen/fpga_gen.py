@@ -24,6 +24,7 @@ from typing import List
 
 from repro.codegen.common import CodeBuffer, CodegenError, cppcode
 from repro.codegen.cpp_gen import CppGenerator, _for, _stream_ref
+from repro.codegen.py2cpp import PY_ARITH
 from repro.graph import weakly_connected_components
 from repro.sdfg.data import Stream
 from repro.sdfg.dtypes import ScheduleType, StorageType
@@ -35,6 +36,7 @@ class FPGAGenerator(CppGenerator):
 
     def _emit_preamble(self, buf: CodeBuffer) -> None:
         buf.lines("#include <hls_stream.h>\n#include <ap_int.h>\n#include <cmath>\n#include <tuple>")
+        buf.lines(PY_ARITH.format(q="static inline"))
 
     def _arg(self, name: str, desc) -> str:
         if isinstance(desc, Stream):

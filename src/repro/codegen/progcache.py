@@ -45,7 +45,10 @@ from repro.store import Store, content_key
 #: v8: only NumPy-tier maps get chunk functions, behind the work floor.
 #: v9: large top-level scatter maps run in strips of their first
 #: parameter; a loop-invariant scatter value is not broadcast.
-CODEGEN_VERSION = 9
+#: v10: destination passing: contractions into a fresh fill, ufunc stores
+#: into slice-tier views, contiguous ragged rows read through slices; C
+#: dialects floor ``//`` and ``%`` and divide integers as Python does.
+CODEGEN_VERSION = 10
 
 #: Entry file layout version; mismatched files are deleted as misses.
 CACHE_SCHEMA_VERSION = 1

@@ -31,13 +31,23 @@ _MATH_FUNCS = {
     "abs": "std::abs",
 }
 
-_BINOPS = {
-    ast.Add: "+",
-    ast.Sub: "-",
-    ast.Mult: "*",
-    ast.Div: "/",
-    ast.Mod: "%",
-}
+_BINOPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*"}
+
+#: Python's ``//`` and ``%``, which floor where C truncates: on integers,
+#: and on floats as CPython's ``float_divmod`` does (``1.0 // 0.1`` is
+#: 9.0).  ``{q}`` qualifies the functions for a dialect.
+PY_ARITH = """\
+namespace repro_py {{
+{q} long long ifloordiv(long long a, long long b) {{
+    long long q = a / b; return (a % b != 0 && (a < 0) != (b < 0)) ? q - 1 : q; }}
+{q} long long imod(long long a, long long b) {{
+    long long r = a % b; return (r != 0 && (r < 0) != (b < 0)) ? r + b : r; }}
+{q} double fmod(double a, double b) {{
+    double m = std::fmod(a, b); return m ? ((b < 0) != (m < 0) ? m + b : m) : std::copysign(0.0, b); }}
+{q} double ffloordiv(double a, double b) {{
+    double m = std::fmod(a, b), d = (a - m) / b - (m && (b < 0) != (m < 0)), f = std::floor(d);
+    return d ? (d - f > 0.5 ? f + 1.0 : f) : std::copysign(0.0, a / b); }}
+}}  // namespace repro_py"""
 
 #: C++ types of integer connectors, from the IR's type table (C++
 #: promotes ``bool`` to an integer too).
@@ -102,10 +112,11 @@ class Py2Cpp:
                 return [f"{self._expr(target)} = {value};"]
             raise CodegenError(f"unsupported assignment target {ast.dump(target)}")
         if isinstance(node, ast.AugAssign):
-            op = _BINOPS.get(type(node.op))
-            if op is None:
-                raise CodegenError("unsupported augmented assignment")
             self._store(node.target)
+            op = _BINOPS.get(type(node.op))
+            if op is None:  # Python's own division and remainder
+                value = self._expr(ast.BinOp(node.target, node.op, node.value))
+                return [f"{self._expr(node.target)} = {value};"]
             return [f"{self._expr(node.target)} {op}= {self._expr(node.value)};"]
         if isinstance(node, ast.If):
             out = [f"if ({self._expr(node.test)}) {{"]
@@ -167,9 +178,8 @@ class Py2Cpp:
         if isinstance(node, ast.BinOp):
             if isinstance(node.op, ast.Pow):
                 return f"std::pow({self._expr(node.left)}, {self._expr(node.right)})"
-            if isinstance(node.op, ast.FloorDiv):
-                # Python floor semantics vs C++ truncation; non-negative in IR use.
-                return f"(({self._expr(node.left)}) / ({self._expr(node.right)}))"
+            if isinstance(node.op, (ast.Div, ast.FloorDiv, ast.Mod)):
+                return self._divide(node)
             op = _BINOPS.get(type(node.op))
             if op is None:
                 raise CodegenError(f"unsupported operator {ast.dump(node.op)}")
@@ -216,6 +226,16 @@ class Py2Cpp:
                     return fn
             raise CodegenError(f"unsupported attribute {ast.dump(node)}")
         raise CodegenError(f"unsupported expression {ast.dump(node)}")
+
+    def _divide(self, node: ast.BinOp) -> str:
+        """``/``, ``//`` and ``%`` with Python's semantics: ``/`` is true
+        division, ``//`` and ``%`` floor (:data:`PY_ARITH`)."""
+        a, b = self._expr(node.left), self._expr(node.right)
+        ints = self._is_int(node.left) and self._is_int(node.right)
+        if isinstance(node.op, ast.Div):
+            return f"((double)({a}) / (double)({b}))" if ints else f"({a} / {b})"
+        fn = ("i" if ints else "f") + ("floordiv" if isinstance(node.op, ast.FloorDiv) else "mod")
+        return f"repro_py::{fn}({a}, {b})"
 
     def _call(self, node: ast.Call) -> str:
         args = [self._expr(a) for a in node.args]

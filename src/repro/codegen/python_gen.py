@@ -37,6 +37,8 @@ import itertools
 import math
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.codegen.common import (
     CodeBuffer,
     CodegenError,
@@ -77,6 +79,10 @@ _UNCHUNKED_TIERS = {
     "loop": "a pure-Python body holds the GIL, so threads cannot overlap it",
     "contraction": "one BLAS call, which is threaded already",
 }
+
+#: Operators a plain store computes into its view (``_binop_store``).
+_BINOP_UFUNC = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply,
+                ast.Div: np.divide}
 
 #: Strips (DESIGN.md §9): a top-level scatter-tier map whose domain exceeds
 #: ``STRIP_FLOOR`` points runs its one lowering once per strip of about
@@ -159,10 +165,15 @@ class PythonGenerator(FlowEmitter):
         self._accesses: Dict[int, Tuple[List[_Access], List[_Access]]] = {}
         #: Scope -> the parameter its scatter lowering strips along.
         self._strip: Dict[int, str] = {}
+        #: Map scope -> (lowered text, entry) of the fresh fill waiting for
+        #: it (:meth:`_fill_target`); None once the map folded the fill away.
+        self._fills: Dict[int, Optional[Tuple[str, MapEntry]]] = {}
 
     # ------------------------------------------------------------------ API
     def generate(self) -> str:
         main = self._emit_sdfg_function(self.sdfg, "main", toplevel=True)
+        if self._fills:  # every held-back fill precedes its map in one state
+            raise CodegenError("a held-back fill was never emitted")
         buf = CodeBuffer()
         buf.line('"""Generated by repro.codegen.python_gen — do not edit."""')
         buf.line("import math")
@@ -370,7 +381,17 @@ class PythonGenerator(FlowEmitter):
             if isinstance(node, ExitNode):
                 continue
             if isinstance(node, EntryNode):
-                self._emit_scope(sdfg, state, node, buf, order, scope_dict, params)
+                # A fresh fill waits for the map it feeds, which may drop it.
+                target = self._fill_target(state, node, scope_dict)
+                pending = id(node) in self._fills
+                scope = CodeBuffer() if target is not None or pending else buf
+                self._emit_scope(sdfg, state, node, scope, order, scope_dict, params)
+                if target is not None:
+                    self._fills[id(target)] = (scope.getvalue(), node)
+                elif pending:
+                    fill = self._fills.pop(id(node))
+                    buf.lines(fill[0] if fill else "")
+                    buf.lines(scope.getvalue())
             elif isinstance(node, Tasklet):
                 self._emit_tasklet(sdfg, state, node, buf, params)
             elif isinstance(node, Reduce):
@@ -1283,6 +1304,9 @@ class PythonGenerator(FlowEmitter):
             for tgt, expr in stmts:
                 names = pytranslate.loaded_names(ast.parse(expr))
                 spans[tgt] = set().union(*(spans.get(n, ()) for n in names))
+        binop = None
+        if len(out_edges) == 1 and not predicated:
+            binop = self._binop_store(sdfg, out_edges[0], analyses, stmts, in_edges, pranges)
         stores = CodeBuffer()
         for e in out_edges:
             mask = None
@@ -1290,10 +1314,12 @@ class PythonGenerator(FlowEmitter):
                 taken = conditional[e.src_conn]
                 mask = pytranslate.MASK if taken else pytranslate.NOT_MASK
             val = out_rename[e.src_conn]
-            self._emit_domain_store(
+            if self._emit_domain_store(
                 stores, sdfg, e.data, analyses[id(e.data)], val, mask,
                 mparams, pranges, gathers, spans.get(val, set()) >= set(mparams),
-            )
+                binop,
+            ):
+                stmts.pop()  # the store computes the last statement itself
 
         buf.line(f"# vectorized map {entry.map.label}")
         self._emit_domain_header(buf, mparams, pranges, values | gathers)
@@ -1315,15 +1341,17 @@ class PythonGenerator(FlowEmitter):
 
     def _emit_domain_store(
         self, buf, sdfg, mem: Memlet, analysis, val: str, mask: Optional[str],
-        mparams, pranges, gathers: Set[str], spanning: bool,
-    ) -> None:
+        mparams, pranges, gathers: Set[str], spanning: bool, binop=None,
+    ) -> Optional[bool]:
         """Store one output of a whole-domain evaluation: reduce over the
         parameters the subset omits, then write (or accumulate) through a
         strided view taken in map-parameter axis order — under ``mask``
-        when only one branch assigned the value.  ``spanning`` says that
-        ``val`` already has the domain's full shape; otherwise (constants,
-        values over some of the parameters) it is broadcast to the domain
-        before a reduction, which then counts every iteration."""
+        when only one branch assigned the value, by ``binop``
+        (:meth:`_binop_store`) instead of ``val`` into a view, which it
+        then returns True for.  ``spanning``
+        says that ``val`` already has the domain's full shape; otherwise
+        (constants, values over some of the parameters) it is broadcast to
+        the domain before a reduction, which then counts every iteration."""
         shape = _domain_shape(mparams)
         used = _memlet_params(analysis)
         remaining = [p for p in mparams if p in used]
@@ -1370,8 +1398,40 @@ class PythonGenerator(FlowEmitter):
                 buf.line(f"{ufunc}({dst}, {val}, out={dst}, casting='unsafe'{where})")
             else:
                 buf.line(f"np.copyto({dst}, {val}, casting='unsafe'{where})")
+        elif binop:
+            ufunc, lhs, rhs = binop
+            buf.line(f"{ufunc}({lhs}, {rhs}, out={tgt}{suffix}, casting='unsafe')")
+            return True
         else:
             buf.line(f"{tgt}{suffix}[...] = {val}" if suffix else f"{tgt} = {val}")
+
+    def _binop_store(self, sdfg, out_e, analyses, stmts, in_edges, pranges):
+        """``(ufunc, lhs, rhs)`` when a map's one output is a plain store
+        over every parameter of the last statement's ``+ - * /``, of the
+        dtype NumPy gives it (:func:`_result_dtype`): the ufunc writes
+        into the output's view, if it has one (its overlap check keeps
+        the loads' snapshot).  None otherwise."""
+        mem, (tgt, expr), desc = out_e.data, stmts[-1], sdfg.arrays[out_e.data.data]
+        if (
+            mem.wcr is not None or isinstance(desc, Stream) or tgt != f"__out_{out_e.src_conn}"
+            or _memlet_params(analyses[id(mem)]) != set(pranges)
+        ):
+            return None
+        op = ast.parse(expr, mode="eval").body
+        if type(getattr(op, "op", None)) not in _BINOP_UFUNC:
+            return None
+        types = {f"__bix_{p}": np.dtype(np.intp) for p in pranges} | {
+            f"__in_{e.dst_conn}": np.dtype(sdfg.arrays[e.data.data].dtype.nptype)
+            for e in in_edges
+        }
+        for name, src in stmts[:-1]:
+            types[name] = _result_dtype(ast.parse(src, mode="eval").body, types)
+        dtype = _result_dtype(op, types)
+        if dtype is None or dtype != desc.dtype.nptype:  # ``np.dtype(None)`` is float64
+            return None
+        line = expr.encode()  # one line of ``ast.unparse`` text; offsets count bytes
+        lhs, rhs = (line[n.col_offset:n.end_col_offset].decode() for n in (op.left, op.right))
+        return f"np.{_BINOP_UFUNC[type(op.op)].__name__}", lhs, rhs
 
     def _bcast_index_expr(self, memlet: Memlet, analysis, index: Dict[str, str]) -> str:
         """Advanced-indexing load through per-parameter index arrays."""
@@ -1532,13 +1592,32 @@ class PythonGenerator(FlowEmitter):
             return False
         x_sfx, y_sfx, result_sfx = plan
         x, y = (e.data.data for e in in_edges)
+        tgt = f"{out_e.data.data}[{out_idx}]"
+        # The product lands in the view its fresh fill zeroed: no fill, no sum.
+        data, fill, filled = out_e.data.data, self._fills.get(id(entry)), None
+        if fill and self._lowering[id(fill[1])]["tier"] == "slice":
+            zero = self._accesses[id(fill[1])][1][0]  # the slice tier's one store
+            filled = (_slice_index(zero.terms, fill[1].map.param_ranges())[0], zero.memlet.data)
+        # BLAS writes only an output whose last axis is unit-stride.
+        kind, *last = analyses[id(out_e.data)][-1]
+        fold = (
+            filled == (out_idx, data) and data not in (x, y) and out_axes and not result_sfx
+            and kind == "param" and last[1] == pranges[last[0]].step == Integer(1)
+            and sdfg.arrays[data].dtype.nptype == np.result_type(
+                sdfg.arrays[x].dtype.nptype, sdfg.arrays[y].dtype.nptype)
+        )
         val = f"({x}[{x_idx}]{x_sfx} @ {y}[{y_idx}]{y_sfx}){result_sfx}"
         if coef != 1:
             val = f"{coef!r} * {val}"
-        buf.line(f"# contraction (matmul) for map {entry.map.label}")
-        self._emit_domain_header(buf, mparams, pranges, set())
-        tgt = f"{out_e.data.data}[{out_idx}]"
-        if out_axes:
+        note = ", into its fresh fill" if fold else ""
+        buf.line(f"# contraction (matmul) for map {entry.map.label}{note}")
+        self._emit_domain_header(buf, out_axes if fold else mparams, pranges, set())
+        if fold:
+            self._fills[id(entry)] = None
+            buf.line(f"np.matmul({x}[{x_idx}]{x_sfx}, {y}[{y_idx}]{y_sfx}, out={tgt})")
+            if coef != 1:
+                buf.line(f"np.multiply({coef!r}, {tgt}, out={tgt})")
+        elif out_axes:
             # ``unsafe`` casting is what element assignment does.
             dst = self._tmp("dst")
             buf.line(f"{dst} = {tgt}")
@@ -1547,6 +1626,52 @@ class PythonGenerator(FlowEmitter):
             buf.line(f"{tgt} = {_accumulate(tgt, val, ReductionType.Sum)}")
         buf.dedent()
         return True
+
+    def _fill_target(self, state, entry, scope_dict):
+        """The top-level map that fresh fill ``entry`` feeds in its own
+        state, or None: a serial, uninstrumented map of one tasklet storing
+        0 into a container, reading nothing, whose access node is written
+        by it alone and feeds only empty memlets into a map with no other
+        fill waiting.  That map is the only writer of every other access
+        node of the container in the state, so nothing touches the
+        container between the two: the fill can run just before the map,
+        which comes later in the same walk, or not at all
+        (:meth:`_try_contraction`)."""
+        if (
+            self.parallel is not None or not self.vectorize or id(entry) in self._fills
+            or not isinstance(entry, MapEntry) or scope_dict.get(entry) is not None
+            or entry.map.instrument != InstrumentationType.NONE
+            or any(not e.data.is_empty() for e in state.in_edges(entry))
+        ):
+            return None
+        body = [n for n, s in scope_dict.items() if s is entry and not isinstance(n, ExitNode)]
+        outs = state.out_edges(body[0]) if len(body) == 1 else []
+        if (
+            len(outs) != 1 or not isinstance(body[0], Tasklet)
+            or body[0].instrument != InstrumentationType.NONE
+            or any(not e.data.is_empty() for e in state.in_edges(body[0]))
+            or ast.unparse(pytranslate.parse_tasklet(body[0].code))
+            not in (f"{outs[0].src_conn} = 0", f"{outs[0].src_conn} = 0.0")
+        ):
+            return None
+        last = state.memlet_path(outs[0])[-1]
+        filled, succ = last.dst, state.out_edges(last.dst)
+        if (
+            not isinstance(filled, AccessNode) or len(state.in_edges(filled)) != 1 or not succ
+            or any(e.data.wcr is not None or e.data.dynamic for e in (outs[0], last))
+            or any(not e.data.is_empty() or e.dst is not succ[0].dst for e in succ)
+        ):
+            return None
+        target = succ[0].dst
+        if not isinstance(target, MapEntry) or scope_dict.get(target) is not None \
+                or id(target) in self._fills:
+            return None
+        exit_ = state.exit_node(target)
+        others = [n for n in state.data_nodes() if n.data == filled.data and n is not filled]
+        if all(state.in_edges(n) and all(e.src is exit_ for e in state.in_edges(n))
+               for n in others):
+            return target
+        return None
 
     # ------------------------------------------------------------ ragged maps
     def _lower_ragged(
@@ -1603,6 +1728,7 @@ class PythonGenerator(FlowEmitter):
         body = CodeBuffer()
         temps: Dict[str, str] = {}
         used_flat: Set[str] = set()
+        valued: Set[str] = set()  # parameters whose value a tasklet reads
         nodes = [
             n for n in order
             if scope_dict.get(n) is inner_entry and not isinstance(n, ExitNode)
@@ -1666,7 +1792,7 @@ class PythonGenerator(FlowEmitter):
             out_edges = [e for e in state.out_edges(node) if not e.data.is_empty()]
             for e in out_edges:
                 rename[e.src_conn] = f"__out_{e.src_conn}"
-            used_flat |= _params_read(node.code, rename, findex)
+            valued |= _params_read(node.code, rename, findex)
             for tgt, expr in pytranslate.vectorize_tasklet(node.code, rename):
                 body.line(f"{tgt} = {expr}")
             for e in out_edges:
@@ -1697,6 +1823,14 @@ class PythonGenerator(FlowEmitter):
             raise _Reject(f"{sorted(both)} is read and accumulated in the same scope")
 
         self._accesses[id(entry)] = (reads, writes)
+        used_flat |= valued
+        # Rank-1 loads at exactly the inner parameter, its only use.
+        unit = [("param", inner, Integer(1), Integer(0))]
+        rows = {r.memlet.data for r in reads if r.terms == unit}
+        if inner in valued or any(
+            a.terms != unit and inner in _memlet_params(a.terms or ()) for a in reads + writes
+        ):
+            rows = set()
         buf.line(f"# ragged map {om.label} / {im.label}")
         index_params |= used_flat & set(oparams)
         self._emit_domain_header(buf, oparams, opranges, index_params)
@@ -1720,10 +1854,17 @@ class PythonGenerator(FlowEmitter):
                 )
         if inner in used_flat:
             # Position within the flat space minus each row's start offset.
-            buf.line(
-                f"__f_{inner} = np.arange(__rtot) - "
-                "np.repeat(np.cumsum(__rcnt) - __rcnt - __rlo, __rcnt)"
-            )
+            flat_j = "np.arange(__rtot) - np.repeat(np.cumsum(__rcnt) - __rcnt - __rlo, __rcnt)"
+            if rows:
+                # Rows that follow each other, none negative, flatten to
+                # one range: its loads are basic slices, not gathers.
+                fits = "".join(f" and __rhi[-1] <= len({d})" for d in sorted(rows))
+                flat_j = (
+                    f"slice(int(__rlo[0]), int(__rhi[-1])) if __rlo[0] >= 0{fits} and "
+                    "__rtot == __rhi[-1] - __rlo[0] and np.array_equal(__rlo[1:], "
+                    f"__rhi[:-1]) else {flat_j}"
+                )
+            buf.line(f"__f_{inner} = {flat_j}")
         buf.lines(body.getvalue())
         buf.dedent()
         buf.dedent()
@@ -1843,6 +1984,33 @@ def _integer_expr(node: ast.AST, known: Set[str]) -> bool:
         if isinstance(n, ast.Name) and n.id not in known:
             return False
     return True
+
+
+def _result_dtype(node: ast.AST, types: Dict[str, object]):
+    """The dtype NumPy gives ``node`` when each name in ``types`` has
+    its dtype: number literals stay Python ``int``/``float`` (weak, as in
+    NumPy's promotion; ``np.dtype("int64") == int`` holds, so only
+    ``isinstance(t, type)`` tells them from dtypes), ``+ - * /`` and unary
+    ``-`` resolve through the ufunc.  None for anything else (calls,
+    symbols, comparisons)."""
+    if isinstance(node, ast.Name):
+        return types.get(node.id)
+    if isinstance(node, ast.Constant):
+        return type(node.value) if type(node.value) in (int, float) else None
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        t = _result_dtype(node.operand, types)
+        return t if t is None or isinstance(t, type) else np.negative.resolve_dtypes((t, None))[-1]
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINOP_UFUNC:
+        a, b = _result_dtype(node.left, types), _result_dtype(node.right, types)
+        if a is None or b is None:
+            return None
+        if isinstance(a, type) and isinstance(b, type):  # Python arithmetic on literals
+            return float if float in (a, b) or isinstance(node.op, ast.Div) else int
+        try:
+            return _BINOP_UFUNC[type(node.op)].resolve_dtypes((a, b, None))[-1]
+        except (TypeError, ValueError):  # no loop for these dtypes
+            return None
+    return None
 
 
 def _is_sum_of_products(e: Expr) -> bool:

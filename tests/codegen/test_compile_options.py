@@ -107,15 +107,15 @@ def test_warm_served_request_reads_no_environment(monkeypatch):
 # Recorded with the code before compile options were resolved in one
 # place, re-recorded at CODEGEN_VERSION 7 (part of every key; the
 # parallel variant fragment became the worker count alone), at 8 (the
-# generator decides which maps to chunk) and at 9 (large scatter maps run
-# in strips); the sanitize pin was re-recorded
+# generator decides which maps to chunk), at 9 (large scatter maps run
+# in strips) and at 10 (destination passing); the sanitize pin was re-recorded
 # once more when the tenant namespace left the variant key (tenants get
 # separate caches instead): the keys must not move by a byte.
 @pytest.mark.parametrize("kwargs,key", [
     (dict(sanitize=True, vectorize=False),
-     "dffadc800f716dbbf4e90322c33e55b6385a4f891d242aec05e8d650046c3131"),
+     "b6fa8702e8dc6978e17f17edd0291249364d373b167efdc2be2b4332237fffd2"),
     (dict(vectorize=False, parallel="thread:2"),
-     "9d5a0ae96034f0769f43f6b38c86578dd0552da43fda0572ae652cb446904452"),
+     "eb3b224d7e8d3944dd0586b1c4f613a315191b9a19385c04819beccb954e3787"),
 ], ids=["sanitize-novec", "novec-parallel"])
 def test_program_cache_key_is_pinned(kwargs, key):
     compiled = compile_sdfg(kernels.matmul_sdfg(), cache=ProgramCache(), **kwargs)

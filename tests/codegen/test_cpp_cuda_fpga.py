@@ -13,7 +13,7 @@ from repro.codegen import compile_sdfg, generate_code
 from repro.codegen.common import CodegenError
 from repro.codegen.cpp_gen import compile_cpp
 from repro.codegen.py2cpp import Py2Cpp
-from repro.runtime import isolation
+from repro.runtime import SDFGInterpreter, isolation
 from repro.sdfg import (
     SDFG,
     Language,
@@ -422,7 +422,7 @@ class TestCudaStructure:
         st.add_edge(a, ga, Memlet(data="A", subset="0:N//2", other_subset="0:N//2"), None, None)
         src = generate_code(sdfg, "cuda")
         assert "cudaMemcpyAsync" in src
-        assert "(N // 2)" in src.replace("((N) / (2))", "(N // 2)")
+        assert "repro_py::ifloordiv(N, 2)" in src
 
 
 class TestFPGAStructure:
@@ -521,3 +521,53 @@ def test_dialect_text_keeps_the_time_loop(backend, transform, sweep):
     src = generate_code(sdfg, backend)
     loop = "\n".join(_block(src, "while ((t < T)) {"))
     assert src.count(sweep) == 2 and loop.count(sweep) == 2
+
+
+#: ``a op b`` per tasklet: Python's ``/`` is true division and ``//`` and
+#: ``%`` floor, where C's truncate toward zero (and ``%`` does not take
+#: doubles).  The last lane is ``1.0 // 0.1``, 9.0 by CPython's divmod.
+_ARITH = {"imod": ("i", "%"), "ifloordiv": ("i", "//"), "idiv": ("i", "/"),
+          "ffloordiv": ("f", "//"), "fmod": ("f", "%")}
+
+
+def _arithmetic_sdfg():
+    sdfg = SDFG("py_arith")
+    for kind, dtype in (("i", dtypes.int64), ("f", dtypes.float64)):
+        sdfg.add_array(f"{kind}a", (5,), dtype)
+        sdfg.add_array(f"{kind}b", (5,), dtype)
+    st = sdfg.add_state("main")
+    for name, (kind, op) in _ARITH.items():
+        dtype = dtypes.float64 if kind == "f" or op == "/" else dtypes.int64
+        sdfg.add_array(name, (5,), dtype)
+        st.add_mapped_tasklet(
+            name, {"i": "0:5"},
+            inputs={"a": Memlet.simple(f"{kind}a", "i"), "b": Memlet.simple(f"{kind}b", "i")},
+            code=f"c = a {op} b", outputs={"c": Memlet.simple(name, "i")},
+        )
+    return sdfg
+
+
+@needs_cc
+def test_python_division_and_remainder_on_cpp():
+    a, b = [-7, 7, -6, 9, 1], [2, -2, 1000003, 4, 3]
+    args = {"ia": np.array(a), "ib": np.array(b),
+            "fa": np.array(a[:4] + [1.0]), "fb": np.array(b[:4] + [0.1])}
+    runs = {}
+    for backend in ("interpreter", "python", "cpp"):
+        runs[backend] = {k: v.copy() for k, v in args.items()}
+        runs[backend].update({n: np.zeros(5, np.float64 if k == "f" or op == "/" else np.int64)
+                              for n, (k, op) in _ARITH.items()})
+        sdfg = _arithmetic_sdfg()
+        if backend == "cpp":
+            compile_cpp_once(sdfg)(**runs[backend])
+        elif backend == "python":
+            compile_sdfg(sdfg, backend="python")(**runs[backend])
+        else:
+            SDFGInterpreter(sdfg)(**runs[backend])
+    assert runs["interpreter"]["imod"].tolist() == [1, -1, 999997, 1, 1]
+    assert runs["interpreter"]["ffloordiv"][4] == 1.0 // 0.1 == 9.0
+    for backend in ("python", "cpp"):
+        for name in _ARITH:
+            np.testing.assert_array_equal(
+                runs[backend][name], runs["interpreter"][name], err_msg=f"{backend} {name}"
+            )

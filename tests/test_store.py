@@ -18,13 +18,13 @@ from repro.tuning.cache import TuningCache
 # at CODEGEN_VERSION 6 (every two-operand contraction is one ``@``), which
 # is part of every program key and entry, so programs generated by
 # version-5 builds are deliberately cold; re-recorded again at version 7
-# (one thread tier), 8 (the generator decides which maps to chunk) and 9
-# (large scatter maps run in strips).
+# (one thread tier), 8 (the generator decides which maps to chunk), 9
+# (large scatter maps run in strips) and 10 (destination passing).
 # The tuning pins predate the store.
-PROGRAM_KEY = "0ec6b7f40ec9b3ef256feea45bc40c9600da30f70f59e376fc443117ab80f81e"
-PROGRAM_KEY_VARIANT = "9c177ed0e458ae3fa7ed07b03f73010b7b6412f148288fa135dfe6b474092a51"
+PROGRAM_KEY = "f5979780767026ac59cd53061ad589137a94b6a530ab46e090a81b16011c70c1"
+PROGRAM_KEY_VARIANT = "2a55776956c9b1bd569bcb7040a2d8638929a92ab2d0b86fd614b7d6717d2364"
 TUNING_KEY = "a6e0cfb9b97890493e3b38fe58d9ca424f63b75cd61a759ab119bb44c9250aae"
-PROGRAM_ENTRY_SHA = "403b1da2d92a4f8442641458439d7873b5dd2cf328140c2910a43d163d237862"
+PROGRAM_ENTRY_SHA = "45a6ef8e8f9eb13890af8554e710395a063db9d5eb2865c54b0de21857174a93"
 TUNING_ENTRY_SHA = "471abd604466f76b1cf682b9379a65768e9e5c1768102b8f4ef6eed5d5fd38f3"
 
 
