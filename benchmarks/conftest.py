@@ -42,12 +42,21 @@ def run_once(benchmark, fn, *args, rounds=1, **kwargs):
                               iterations=1, warmup_rounds=0)
 
 
+def mean_seconds(benchmark):
+    """The mean time of ``benchmark``'s rounds, or None when timing is
+    off: under ``--benchmark-disable`` the fixture runs the function
+    once and keeps no stats, so a benchmark module still runs as a
+    correctness test."""
+    return None if benchmark.stats is None else benchmark.stats.stats.mean
+
+
 @pytest.fixture(scope="session")
 def results_table():
     """Session-scoped accumulator: modules append (figure, kernel, role,
-    seconds) rows; the final fixture teardown prints them."""
+    seconds) rows; the final fixture teardown prints the timed ones."""
     rows = []
     yield rows
+    rows = [row for row in rows if row[3] is not None]
     if rows:
         print("\n=== reproduction results (paper figure, kernel, role, time[s]) ===")
         for fig, kernel, role, secs in rows:

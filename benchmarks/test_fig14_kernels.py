@@ -27,7 +27,7 @@ from repro.transformations import (
     apply_transformations,
 )
 from repro.workloads import kernels
-from conftest import maybe_dump_report, run_once
+from conftest import maybe_dump_report, mean_seconds, run_once
 
 SIZES = {
     "matmul": 192,
@@ -49,14 +49,14 @@ class TestFig14aCPU:
         sdfg = kernels.optimize_matmul(kernels.matmul_sdfg())
         comp = sdfg.compile()
         run_once(benchmark, lambda: comp(**data), rounds=3)
-        results_table.append(("fig14a", "MM", "sdfg", benchmark.stats.stats.mean))
+        results_table.append(("fig14a", "MM", "sdfg", mean_seconds(benchmark)))
         maybe_dump_report(comp, "fig14a_mm_sdfg")
 
     def test_mm_mkl_role(self, benchmark, results_table):
         n = SIZES["matmul"]
         data = kernels.matmul_data(n)
         run_once(benchmark, lambda: data["A"] @ data["B"], rounds=3)
-        results_table.append(("fig14a", "MM", "mkl(np.dot)", benchmark.stats.stats.mean))
+        results_table.append(("fig14a", "MM", "mkl(np.dot)", mean_seconds(benchmark)))
 
     def test_mm_naive_role(self, benchmark, results_table):
         n = 48  # naive loops cannot afford the full size; scaled
@@ -72,7 +72,7 @@ class TestFig14aCPU:
                     C[i, j] = acc
 
         run_once(benchmark, loops)
-        results_table.append(("fig14a", "MM", "naive-loops(48)", benchmark.stats.stats.mean))
+        results_table.append(("fig14a", "MM", "naive-loops(48)", mean_seconds(benchmark)))
 
     def test_mm_sdfg_close_to_library(self):
         """The headline §6.2 claim: transformed SDFG within striking
@@ -95,7 +95,7 @@ class TestFig14aCPU:
         sdfg = kernels.jacobi2d_sdfg()
         comp = sdfg.compile()
         run_once(benchmark, lambda: comp(A=data["A"], T=SIZES["jacobi_t"]), rounds=3)
-        results_table.append(("fig14a", "Jacobi", "sdfg", benchmark.stats.stats.mean))
+        results_table.append(("fig14a", "Jacobi", "sdfg", mean_seconds(benchmark)))
 
     def test_jacobi_numpy_role(self, benchmark, results_table):
         data = kernels.jacobi2d_data(SIZES["jacobi_n"])
@@ -104,7 +104,7 @@ class TestFig14aCPU:
             lambda: kernels.jacobi2d_reference(data["A"], SIZES["jacobi_t"]),
             rounds=3,
         )
-        results_table.append(("fig14a", "Jacobi", "numpy", benchmark.stats.stats.mean))
+        results_table.append(("fig14a", "Jacobi", "numpy", mean_seconds(benchmark)))
 
     def test_histogram_sdfg(self, benchmark, results_table):
         data = kernels.histogram_data(SIZES["hist_h"], SIZES["hist_w"])
@@ -115,14 +115,14 @@ class TestFig14aCPU:
             comp(**data)
 
         run_once(benchmark, run)
-        results_table.append(("fig14a", "Histogram", "sdfg", benchmark.stats.stats.mean))
+        results_table.append(("fig14a", "Histogram", "sdfg", mean_seconds(benchmark)))
 
     def test_histogram_numpy_role(self, benchmark, results_table):
         data = kernels.histogram_data(SIZES["hist_h"], SIZES["hist_w"])
         run_once(
             benchmark, lambda: kernels.histogram_reference(data["img"], 256), rounds=3
         )
-        results_table.append(("fig14a", "Histogram", "numpy", benchmark.stats.stats.mean))
+        results_table.append(("fig14a", "Histogram", "numpy", mean_seconds(benchmark)))
 
     def test_query_sdfg(self, benchmark, results_table):
         data = kernels.query_data(SIZES["query_n"])
@@ -133,23 +133,23 @@ class TestFig14aCPU:
             comp(**data)
 
         run_once(benchmark, run)
-        results_table.append(("fig14a", "Query", "sdfg", benchmark.stats.stats.mean))
+        results_table.append(("fig14a", "Query", "sdfg", mean_seconds(benchmark)))
 
     def test_query_numpy_role(self, benchmark, results_table):
         data = kernels.query_data(SIZES["query_n"])
         run_once(benchmark, lambda: data["col"][data["col"] <= 0.5], rounds=3)
-        results_table.append(("fig14a", "Query", "numpy", benchmark.stats.stats.mean))
+        results_table.append(("fig14a", "Query", "numpy", mean_seconds(benchmark)))
 
     def test_spmv_sdfg(self, benchmark, results_table):
         data, csr = kernels.spmv_data(SIZES["spmv_rows"], SIZES["spmv_nnz_per_row"])
         comp = kernels.spmv_sdfg().compile()
         run_once(benchmark, lambda: comp(**data))
-        results_table.append(("fig14a", "SpMV", "sdfg", benchmark.stats.stats.mean))
+        results_table.append(("fig14a", "SpMV", "sdfg", mean_seconds(benchmark)))
 
     def test_spmv_mkl_role(self, benchmark, results_table):
         data, csr = kernels.spmv_data(SIZES["spmv_rows"], SIZES["spmv_nnz_per_row"])
         run_once(benchmark, lambda: csr.spmv(data["x"]), rounds=3)
-        results_table.append(("fig14a", "SpMV", "mkl(scipy)", benchmark.stats.stats.mean))
+        results_table.append(("fig14a", "SpMV", "mkl(scipy)", mean_seconds(benchmark)))
 
 
 # ------------------------------------------------------------ GPU simulated

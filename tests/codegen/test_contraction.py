@@ -250,3 +250,23 @@ def test_other_shapes_keep_their_tier(ranges, inputs, out, tier):
     assert_equal(cg, lp, it)
     assert tiers(comp) == [tier]
     assert " @ " not in comp.source
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the contraction tier admits "
+                   "a map that reads the container it accumulates into")
+def test_contraction_reading_its_accumulator_equals_the_interpreter():
+    """``C[i, j] += C[i, k] * B[k, j]`` lowers to ``np.add(C, C @ B,
+    out=C)``, which reads ``C`` before any of it is updated; the loop
+    order reads ``C[i, k]`` already updated for ``k < j``."""
+    sdfg = mapped(
+        {"i": "0:4", "j": "0:4", "k": "0:4"},
+        {"a": Memlet.simple("C", "i, k"), "b": Memlet.simple("B", "k, j")},
+        "c = a * b",
+        {"c": Memlet(data="C", subset="i, j", wcr="sum")},
+        {"B": ((4, 4), dtypes.int64), "C": ((4, 4), dtypes.int64)},
+    )
+    rng = np.random.default_rng(0)
+    args = {"B": rng.integers(0, 5, (4, 4)), "C": rng.integers(0, 5, (4, 4))}
+    cg, lp, it, comp = run_three(sdfg, **args)
+    assert tiers(comp) == ["contraction"]
+    assert_equal(cg, lp, it, tol=0)

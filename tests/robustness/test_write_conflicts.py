@@ -5,8 +5,11 @@ import re
 
 import pytest
 
+from repro.codegen.chunking import Unchunkable, chunk_plan
 from repro.codegen.compiler import compile_sdfg
+from repro.codegen.python_gen import PythonGenerator
 from repro.sdfg import SDFG, Memlet, dtypes
+from repro.sdfg.nodes import MapEntry
 from repro.sdfg.validation import detect_write_conflicts, validate_sdfg
 from repro.diagnostics import Severity
 
@@ -111,19 +114,46 @@ def test_all_polybench_builders_pass_clean():
 
 
 # =====================================================================
-# Chunk-axis disjointness in the parallel execution tier
+# Chunk-axis disjointness: the proof chunks and strips rest on
 # =====================================================================
 #
-# The parallel tier extends the W501 question to chunks: if a map's
-# domain is split into contiguous chunks along one parameter, can two
-# chunks ever touch the same element?  It answers from the points the
-# map's NumPy lowering analysed; these cases pin, at
-# ``parallel="thread:2"``, the parameter a map is chunked over or the
-# W703 that keeps it serial.
+# ``chunk_plan`` extends the W501 question to chunks: if a map's domain
+# is split into contiguous chunks along one parameter, run one after
+# another or on the parallel tier's workers, can two chunks ever touch
+# the same element?  It answers from the points the map's NumPy lowering
+# analysed; these cases call it directly and pin the parameter it
+# accepts, or why it refuses.
+
+
+def _plans(sdfg):
+    """Map label -> the parameter ``chunk_plan`` accepts, or None and
+    why: the refusal, or the tier that recorded no access facts."""
+    sdfg.validate()
+    sdfg.propagate()
+    gen = PythonGenerator(sdfg)
+    gen.generate()
+    plans = {}
+    for state in sdfg.nodes():
+        for entry in state.nodes():
+            if not isinstance(entry, MapEntry):
+                continue
+            if id(entry) not in gen._accesses:
+                tier = gen._lowering[id(entry)]["tier"]
+                plans[entry.map.label] = (None, f"lowers to the {tier!r} tier")
+                continue
+            try:
+                param, _ = chunk_plan(sdfg, entry.map, *gen._accesses[id(entry)])
+            except Unchunkable as refusal:
+                plans[entry.map.label] = (None, str(refusal))
+            else:
+                plans[entry.map.label] = (param, None)
+    return plans
 
 
 def _chunking(sdfg):
-    """The parameter the map is chunked over, or None and its W703."""
+    """The plan of the SDFG's one map, checked against what the parallel
+    tier does with it at ``parallel="thread:2"``: the map is chunked over
+    that parameter, or kept serial by a W703 that gives the same reason."""
     sdfg.validate()
     c = compile_sdfg(sdfg, backend="python", parallel="thread:2", cache="off",
                      fallback=False)
@@ -131,7 +161,14 @@ def _chunking(sdfg):
     chunked = re.findall(r"# parallel map \S+: chunked over (\w+)", c.source)
     w703 = [w.message for w in c.codegen_warnings if w.code == "W703"]
     assert len(chunked) + len(w703) == 1, (chunked, w703)
-    return (chunked[0], None) if chunked else (None, w703[0])
+    (plan,) = _plans(sdfg).values()
+    param, why = plan
+    if param is not None:
+        assert chunked == [param], (chunked, plan)
+    else:
+        kept = "lowers to" if why.startswith("lowers to") else "not provably parallelizable"
+        assert kept in w703[0] and why in w703[0], (w703, plan)
+    return plan
 
 
 def _slice_map_sdfg(out_subset, code="o = a", in_subset="i"):
@@ -159,7 +196,7 @@ def _slice_map_sdfg(out_subset, code="o = a", in_subset="i"):
         ("2*i", True),
         ("3*i + 1", True),
         # Slice writes, disjoint or overlapping, are not points: the loop
-        # tier takes them, and a Python loop body is never chunked.
+        # tier takes them and records no access facts.
         ("2*i:2*i+2", False),
         ("4*i:4*i+4", False),
         ("i:i+2", False),
@@ -169,20 +206,20 @@ def _slice_map_sdfg(out_subset, code="o = a", in_subset="i"):
     ],
 )
 def test_chunk_axis_disjointness_cases(subset, chunked):
-    param, w703 = _chunking(_slice_map_sdfg(subset))
+    param, why = _chunking(_slice_map_sdfg(subset))
     if chunked:
         assert param == "i"
     elif ":" in subset:
-        assert "lowers to the 'loop' tier" in w703
+        assert "lowers to the 'loop' tier" in why
     else:
-        assert "not provably parallelizable" in w703
-        assert "strides 'i' by -1" in w703
+        assert param is None
+        assert "strides 'i' by -1" in why
 
 
 def test_symbolic_stride_is_refused():
     """A write at ``K*i`` with symbolic K cannot be proven chunk-disjoint
     (K = 0 aliases every iteration onto one element): no NumPy tier
-    takes it, and the loop tier stays serial."""
+    takes it, so no chunk plan is made."""
     sdfg = SDFG("symstride")
     sdfg.add_array("A", ("N",), dtypes.float64)
     sdfg.add_array("out", ("K*N + N",), dtypes.float64)
@@ -194,15 +231,15 @@ def test_symbolic_stride_is_refused():
         code="o = a",
         outputs={"o": Memlet.simple("out", "K*i")},
     )
-    param, w703 = _chunking(sdfg)
+    param, why = _chunking(sdfg)
     assert param is None
-    assert "lowers to the 'loop' tier" in w703
+    assert "lowers to the 'loop' tier" in why
 
 
 def test_indirect_indexing_stays_ineligible():
     """``out[idx[i]] = v`` (dynamic non-WCR write that is not a
-    recognized scatter-reduction) must never be parallelized: no tier
-    sees through the indirection but the loop, which stays serial."""
+    recognized scatter-reduction) must never be chunked: no tier sees
+    through the indirection but the loop, which records no facts."""
     sdfg = SDFG("indirect")
     sdfg.add_array("idx", ("N",), dtypes.int64)
     sdfg.add_array("out", ("N",), dtypes.float64)
@@ -214,17 +251,16 @@ def test_indirect_indexing_stays_ineligible():
         code="o = float(j)",
         outputs={"o": Memlet(data="out", subset="0:N", dynamic=True)},
     )
-    param, w703 = _chunking(sdfg)
+    param, why = _chunking(sdfg)
     assert param is None
-    assert "lowers to the 'loop' tier" in w703
+    assert "lowers to the 'loop' tier" in why
 
 
 def test_wcr_map_is_eligible_via_private_merge():
     """A Sum-WCR write that would race in place is still parallelizable
     through per-worker privatization + operator merge."""
     sdfg = racy_sdfg(wcr="sum")
-    param, _ = _chunking(sdfg)
-    assert param == "i"
+    assert _chunking(sdfg) == ("i", None)
     c = compile_sdfg(sdfg, backend="python", parallel="thread:2", cache="off")
     c.close()
     assert "out = _wcr_identity_like(out, 'Sum')" in c.source
@@ -232,12 +268,12 @@ def test_wcr_map_is_eligible_via_private_merge():
 
 def test_racy_map_parallelizes_along_the_disjoint_param_only():
     """The W501-flagged map (``out[i]`` written for every ``j``) has no
-    NumPy tier, so it stays serial.  A map whose chunks would race along
+    NumPy tier, so no chunk plan.  A map whose chunks would race along
     its first parameter ``j`` (every ``j`` reads the last column, which
     the last ``j`` chunk writes) is chunked along ``i``, where the
     overlap stays inside one chunk — never along ``j``."""
-    param, w703 = _chunking(racy_sdfg())
-    assert param is None and "lowers to the 'loop' tier" in w703
+    param, why = _chunking(racy_sdfg())
+    assert param is None and "lowers to the 'loop' tier" in why
 
     sdfg = SDFG("colread")
     sdfg.add_array("X", ("N", "N"), dtypes.float64)
@@ -267,14 +303,40 @@ def test_two_stores_into_one_container_stay_serial():
         code="o1 = a\no2 = a + 1.0",
         outputs={"o1": Memlet.simple("out", "i"), "o2": Memlet.simple("out", "i + 1")},
     )
-    param, w703 = _chunking(sdfg)
+    param, why = _chunking(sdfg)
     assert param is None
-    assert "map writes 'out'[1 + i], which other chunks may write through [i]" in w703
+    assert "map writes 'out'[1 + i], which other chunks may write through [i]" in why
 
 
 def test_interior_stream_is_refused():
     from repro.workloads import kernels
 
-    param, w703 = _chunking(kernels.query_sdfg())
+    param, why = _chunking(kernels.query_sdfg())
     assert param is None
-    assert "stream push to 'S'" in w703
+    assert "stream push to 'S'" in why
+
+
+@pytest.mark.parametrize("name, data", [("cholesky", "A"), ("nussinov", "table")])
+def test_read_of_an_accumulated_container_is_refused(name, data):
+    """A chunk would read what earlier chunks accumulated."""
+    from repro.workloads.polybench import get
+
+    refused = [why for param, why in _plans(get(name).make_sdfg()).values()
+               if why == f"map reads {data!r}, which it accumulates into "
+               "through a per-chunk private copy"]
+    assert refused
+
+
+def test_mixed_wcr_and_plain_writes_are_refused():
+    sdfg = SDFG("mixed")
+    sdfg.add_array("A", ("N",), dtypes.float64)
+    sdfg.add_array("out", ("N",), dtypes.float64)
+    sdfg.add_state().add_mapped_tasklet(
+        "w",
+        {"i": "1:N"},
+        inputs={"a": Memlet.simple("A", "i")},
+        code="o1 = a\no2 = a",
+        outputs={"o1": Memlet.simple("out", "i"),
+                 "o2": Memlet(data="out", subset="0", wcr="lambda a, b: a + b")},
+    )
+    assert _chunking(sdfg) == (None, "container(s) ['out'] mix WCR and plain writes")

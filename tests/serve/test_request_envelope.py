@@ -134,6 +134,10 @@ def test_warm_responses_carry_no_event_list_and_no_rss():
     assert "telemetry" in cold, "a cold compile still ships its own events"
     assert warm["warm"] is True and warm["kernel"] == "serve_scale"
     assert "telemetry" not in warm and "rss_kb" not in warm
+    # A ping is where the worker's RSS is reported.
+    ping = runtime.handle({"op": "ping"})
+    assert ping["op"] == "pong" and ping["served"] == 2
+    assert ping["rss_kb"] is None or ping["rss_kb"] > 0
 
 
 def _propagated(sdfg):
