@@ -335,6 +335,8 @@ class FlowEmitter:
     mixes it in with its ``_syntax`` and ``_emit_state_body``."""
 
     _syntax: Syntax
+    #: Loops (structured or dispatched) around the code being emitted.
+    _loop_depth = 0
 
     def _emit_states(self, sdfg, buf: CodeBuffer) -> None:
         if sdfg.start_state is not None:
@@ -374,6 +376,7 @@ class FlowEmitter:
         guard = loop.guard
         cond = syn.expr(loop.body_edge.data.condition, rename)
         bare = guard.number_of_nodes() == 0 and guard.instrument == InstrumentationType.NONE
+        self._loop_depth += 1
         with buf.block(syn.while_.format(cond if bare else syn.true), syn.end):
             buf.lines(syn.iteration)
             if not bare:
@@ -381,6 +384,7 @@ class FlowEmitter:
                 buf.lines(syn.until.format(cond))
             self._emit_assignments(loop.body_edge, buf, rename)
             self._emit_flow(sdfg, loop.body, buf, rename)
+        self._loop_depth -= 1
         self._emit_assignments(loop.exit_edge, buf, rename)
 
     def _emit_branch(self, sdfg, br: _Branch, buf: CodeBuffer, rename) -> None:
@@ -410,6 +414,7 @@ class FlowEmitter:
         syn = self._syntax
         index = {s: i for i, s in enumerate(sdfg.nodes())}
         buf.line(syn.enter.format(index[d.entry]))
+        self._loop_depth += 1
         with buf.block(syn.while_.format(syn.true), syn.end):
             buf.lines(syn.iteration)
             for k, s in enumerate(d.states):
@@ -428,6 +433,7 @@ class FlowEmitter:
                             buf.line(jump)
                     else:
                         buf.line(syn.halt)
+        self._loop_depth -= 1
 
     def _emit_assignments(self, edge, buf: CodeBuffer, rename) -> None:
         """An interstate edge's assignments as one statement: every

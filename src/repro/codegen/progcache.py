@@ -48,7 +48,10 @@ from repro.store import Store, content_key
 #: v10: destination passing: contractions into a fresh fill, ufunc stores
 #: into slice-tier views, contiguous ragged rows read through slices; C
 #: dialects floor ``//`` and ``%`` and divide integers as Python does.
-CODEGEN_VERSION = 10
+#: v11: scalar code on Python numbers: point accesses in loops through
+#: memoryviews, transient float64 Scalars as locals, symbol-only
+#: ``if``/``else`` as Python conditionals, ``hi - lo`` trip counts.
+CODEGEN_VERSION = 11
 
 #: Entry file layout version; mismatched files are deleted as misses.
 CACHE_SCHEMA_VERSION = 1

@@ -24,7 +24,9 @@ representation's inherent parallelism (DESIGN.md §9 has the full ladder):
 
 A large top-level map on the scatter tier runs in cache-sized strips of
 its first parameter (:meth:`PythonGenerator._strip_plan`).  The tier
-each map took is recorded in :attr:`PythonGenerator.lowering`.
+each map took is recorded in :attr:`PythonGenerator.lowering`.  Single
+elements are reached as Python numbers where that computes what NumPy
+scalars did (:mod:`repro.codegen.scalarpath`).
 The interstate graph becomes structured ``while``/``if`` code wherever
 its regions have that shape, and a ``__next`` state dispatcher where
 they do not (:mod:`repro.codegen.controlflow`, shared with C++).
@@ -46,9 +48,10 @@ from repro.codegen.common import (
     pycode,
     subset_to_py_index,
 )
-from repro.codegen import pytranslate
+from repro.codegen import pytranslate, scalarpath
+from repro.codegen.scalarpath import Element
 from repro.codegen.chunking import Unchunkable, chunk_plan
-from repro.codegen.controlflow import FlowEmitter, Syntax, _nan_free_names
+from repro.codegen.controlflow import FlowEmitter, Syntax
 from repro.graph import topological_sort
 from repro.instrumentation import (
     InstrumentationType,
@@ -79,10 +82,6 @@ _UNCHUNKED_TIERS = {
     "loop": "a pure-Python body holds the GIL, so threads cannot overlap it",
     "contraction": "one BLAS call, which is threaded already",
 }
-
-#: Operators a plain store computes into its view (``_binop_store``).
-_BINOP_UFUNC = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply,
-                ast.Div: np.divide}
 
 #: Strips (DESIGN.md §9): a top-level scatter-tier map whose domain exceeds
 #: ``STRIP_FLOOR`` points runs its one lowering once per strip of about
@@ -168,6 +167,10 @@ class PythonGenerator(FlowEmitter):
         #: Map scope -> (lowered text, entry) of the fresh fill waiting for
         #: it (:meth:`_fill_target`); None once the map folded the fill away.
         self._fills: Dict[int, Optional[Tuple[str, MapEntry]]] = {}
+        #: SDFG -> its transient Scalars that are Python locals.
+        self._locals: Dict[int, Set[str]] = {}
+        #: SDFG -> :func:`scalarpath.symbol_types`.
+        self._symbol_types: Dict[int, Dict[str, str]] = {}
 
     # ------------------------------------------------------------------ API
     def generate(self) -> str:
@@ -293,10 +296,49 @@ class PythonGenerator(FlowEmitter):
         if tkey is not None:
             buf.line(f"__guard.mark_written({tkey!r})")
 
+    # --------------------------------------------------------- element access
+    def _local_scalars(self, sdfg) -> Set[str]:
+        """:func:`scalarpath.local_scalars` of ``sdfg``; none under
+        ``sanitize`` (whose guards check arrays) or with the parallel tier
+        (whose chunks share arrays)."""
+        if self.sanitize or self.parallel is not None:
+            return set()
+        return scalarpath.per_sdfg(self._locals, sdfg, scalarpath.local_scalars)
+
+    def _element(self, sdfg, data: str, index: str, python: bool = True) -> Element:
+        """The one way generated code reaches a single element of ``data``
+        (``index`` is its index source), in one of three forms:
+
+        * a Scalar of :meth:`_local_scalars` is a Python local, which a
+          caller computing on NumPy scalars (not ``python``) reads as
+          ``np.float64(x)``;
+        * a float64 container accessed inside a loop, where ``python``
+          allows Python numbers, goes through ``__mv_<data>``, the
+          memoryview the function makes once (:meth:`_emit_sdfg_function`);
+        * anything else indexes the array as NumPy does."""
+        if data in self._local_scalars(sdfg):
+            return Element(data if python else f"np.float64({data})", data, True)
+        desc = sdfg.arrays[data]
+        mv = python and self._loop_depth and not self.sanitize
+        if mv and desc.dtype.name == "float64" and not isinstance(desc, Stream):
+            src = f"__mv_{data}[{index}]"
+        else:
+            src = f"{data}[{index}]"
+        return Element(src, src, False)
+
+    def _scalar_rename(self, sdfg) -> Dict[str, str]:
+        """Conditions and interstate assignments read one-element
+        containers as NumPy scalars, a Python local through
+        ``np.float64``."""
+        out = super()._scalar_rename(sdfg)
+        for name in self._local_scalars(sdfg):
+            out[name] = self._element(sdfg, name, "0", python=False).load
+        return out
+
     # --------------------------------------------------------- SDFG function
     def _emit_sdfg_function(self, sdfg, fname: str, toplevel: bool) -> str:
-        prev_fn = self._current_fn
-        self._current_fn = fname
+        prev_fn, prev_depth = self._current_fn, self._loop_depth
+        self._current_fn, self._loop_depth = fname, 0
         buf = CodeBuffer()
         arg_arrays, syms = sdfg.entry_abi()
         params = arg_arrays + [f"{s}" for s in syms] + [
@@ -307,6 +349,7 @@ class PythonGenerator(FlowEmitter):
         for cname, cval in sdfg.constants.items():
             buf.line(f"{cname} = {cval!r}")
         # Allocate transients and internal streams.
+        local = self._local_scalars(sdfg)
         for name, desc in sdfg.arrays.items():
             if not desc.transient and not isinstance(desc, Stream):
                 continue
@@ -316,16 +359,21 @@ class PythonGenerator(FlowEmitter):
             if isinstance(desc, Stream):
                 cap = pycode(desc.buffer_size)
                 buf.line(f"{name} = StreamArray({shape}, {cap}, name={name!r})")
+            elif name in local:
+                buf.line(f"{name} = 0.0")
             else:
                 buf.line(f"{name} = np.zeros({shape}, dtype=np.{desc.dtype.name})")
                 buf.line(
                     f"if __guard is not None: "
                     f"__guard.on_alloc({f'{fname}.{name}'!r}, {name!r}, {name})"
                 )
-        self._emit_states(sdfg, buf)
+        body = CodeBuffer()
+        self._emit_states(sdfg, body)
+        buf.lines(scalarpath.memoryviews(sdfg, body.getvalue()))
+        buf.lines(body.getvalue())
         buf.line("return None")
         buf.dedent()
-        self._current_fn = prev_fn
+        self._current_fn, self._loop_depth = prev_fn, prev_depth
         return buf.getvalue()
 
     # ------------------------------------------------- instrumentation helpers
@@ -414,9 +462,9 @@ class PythonGenerator(FlowEmitter):
                 edges = state.in_edges_by_connector(entry, conn)
                 if edges:
                     mem = edges[0].data
-                    buf.line(
-                        f"{conn} = {mem.data}[{subset_to_py_index(mem.subset)}]"
-                    )
+                    idx = subset_to_py_index(mem.subset)
+                    src = self._element(sdfg, mem.data, idx, python=False).load
+                    buf.line(f"{conn} = {src}")
             itype = entry.map.instrument
             instrumented = itype != InstrumentationType.NONE
             if instrumented:
@@ -459,7 +507,9 @@ class PythonGenerator(FlowEmitter):
         if self.sanitize:
             iters = ", ".join(entry.map.params)
             inner.line(f"__guard.map_iter(({iters},))")
+        self._loop_depth += 1
         self._emit_nodes(sdfg, state, body, inner, order, scope_dict, new_params)
+        self._loop_depth -= 1
         if not body or all(isinstance(n, ExitNode) for n in body):
             inner.line("pass")
         for _ in entry.map.params:
@@ -525,16 +575,17 @@ class PythonGenerator(FlowEmitter):
         # copies; the caller merges them in chunk order at the barrier.
         for data in sorted(merge):
             buf.line(f"{data} = _wcr_identity_like({data}, {merge[data].name!r})")
-        saved = m.range
+        saved, depth = m.range, self._loop_depth
         chunked = list(saved.ranges)
         chunked[pidx] = SymRange(Symbol("__lo"), Symbol("__hi"), rng.step)
         m.range = Subset(chunked)
+        self._loop_depth = 0  # a chunk function makes no memoryviews
         try:
             self._lower_whole_domain(sdfg, state, entry, body, buf, order, scope_dict)
         except (_Reject, CodegenError):
             return None
         finally:
-            m.range = saved
+            m.range, self._loop_depth = saved, depth
         if merge:
             self._need_wcr_identity = True
         wcrs = ", ".join(sorted(merge))
@@ -655,6 +706,7 @@ class PythonGenerator(FlowEmitter):
                 buf.line(f"{elem_var} = {qvar}.pop()")
                 if instrumented:
                     buf.line(f"{cnt} += 1")
+                self._loop_depth += 1
                 self._emit_nodes(
                     sdfg,
                     state,
@@ -664,6 +716,7 @@ class PythonGenerator(FlowEmitter):
                     scope_dict,
                     params + (consume.pe_param,),
                 )
+                self._loop_depth -= 1
         if instrumented:
             iters = cnt if itype.records_iterations() else "None"
             vol = (
@@ -697,6 +750,11 @@ class PythonGenerator(FlowEmitter):
             return rename.get(c, c)
 
         out_stream_vars: Dict[str, str] = {}
+        number = None if self.sanitize else scalarpath.tasklet_numbers(
+            sdfg, state, node, code, cname, params,
+            scalarpath.per_sdfg(self._symbol_types, sdfg, scalarpath.symbol_types),
+        )
+        python = number is not None
         # Inputs.
         for e in state.in_edges(node):
             if e.data.is_empty():
@@ -715,8 +773,8 @@ class PythonGenerator(FlowEmitter):
                     f"{self._guard_load_src(sdfg, state, node, e.data)}"
                 )
             else:
-                idx = subset_to_py_index(e.data.subset)
-                buf.line(f"{cname(e.dst_conn)} = {e.data.data}[{idx}]")
+                load = self._tasklet_element(sdfg, e.data, python).load
+                buf.line(f"{cname(e.dst_conn)} = {load}")
         # Pre-bind outputs for dynamic-write detection / stream push.
         for e in state.out_edges(node):
             if e.data.is_empty():
@@ -730,8 +788,10 @@ class PythonGenerator(FlowEmitter):
                 out_stream_vars[e.src_conn] = qv
             elif e.data.dynamic:
                 buf.line(f"{conn} = _UNASSIGNED")
-        # Inline tasklet code.
-        buf.lines(code)
+        # Inline tasklet code: a statement that may raise on Python numbers
+        # recomputes on NumPy scalars when it does.
+        stmts, types = number or ((), {})
+        buf.lines(scalarpath.body_source(code, stmts))
         # Outputs.
         for e in state.out_edges(node):
             if e.data.is_empty():
@@ -742,18 +802,20 @@ class PythonGenerator(FlowEmitter):
                 qv = out_stream_vars[e.src_conn]
                 buf.line(f"if {conn} is not {qv}: {qv}.push({conn})")
                 continue
-            idx = subset_to_py_index(e.data.subset)
+            el = self._tasklet_element(sdfg, e.data, python)
+            vtype = types.get(conn)
             if e.data.wcr is not None:
                 rtype = e.data.reduction_type()
+                exact = vtype is not None
                 if rtype == ReductionType.Sum:
-                    store = f"{e.data.data}[{idx}] += {conn}"
+                    store = el.store(conn, "+", exact)
                 elif rtype == ReductionType.Product:
-                    store = f"{e.data.data}[{idx}] *= {conn}"
+                    store = el.store(conn, "*", exact)
                 else:
                     w = self._wcr_name(e.data.wcr)
-                    store = f"{e.data.data}[{idx}] = {w}({e.data.data}[{idx}], {conn})"
+                    store = el.store(f"{w}({el.load}, {conn})")
             else:
-                store = f"{e.data.data}[{idx}] = {conn}"
+                store = el.store(conn, exact=vtype == "f")
             if e.data.dynamic:
                 if self.sanitize:
                     with buf.block(f"if {conn} is not _UNASSIGNED:"):
@@ -770,6 +832,15 @@ class PythonGenerator(FlowEmitter):
             self._emit_instr_exit(
                 buf, itype, volume_expr=tasklet_volume_expr(sdfg, state, node)
             )
+
+    def _tasklet_element(self, sdfg, memlet: Memlet, python: bool) -> Element:
+        """A tasklet connector's memlet: one element (:meth:`_element`),
+        or the NumPy view of a range."""
+        idx = subset_to_py_index(memlet.subset)
+        if memlet.subset.is_point():
+            return self._element(sdfg, memlet.data, idx, python)
+        src = f"{memlet.data}[{idx}]"
+        return Element(src, src, False)
 
     def _queue_expr(self, memlet: Memlet) -> str:
         if memlet.subset is not None and memlet.subset.is_point():
@@ -1126,11 +1197,13 @@ class PythonGenerator(FlowEmitter):
         ``STRIP_FLOOR`` points, strips of the first parameter above."""
         for p in mparams:
             r = (whole or pranges)[p]
-            buf.line(
-                f"__n_{p} = len(range({pycode(r.start)}, {pycode(r.end)}, "
-                f"{pycode(r.step)}))"
-            )
-        buf.line("if " + " and ".join(f"__n_{p}" for p in mparams) + ":")
+            lo, hi = pycode(r.start), pycode(r.end)
+            if r.step != Integer(1):
+                count = f"len(range({lo}, {hi}, {pycode(r.step)}))"
+            else:  # the guard below drops a negative count
+                count = hi if r.start == Integer(0) else f"{hi} - {lo}"
+            buf.line(f"__n_{p} = {count}")
+        buf.line("if " + " and ".join(f"__n_{p} > 0" for p in mparams) + ":")
         buf.indent()
         if whole is not None:
             p0, r = mparams[0], whole[mparams[0]]
@@ -1156,19 +1229,24 @@ class PythonGenerator(FlowEmitter):
             buf.line(f"__bix_{p} = __ix_{p}.reshape({', '.join(shape)})")
 
     def _domain_load(
-        self, memlet: Memlet, analysis, mparams, pranges, gathers: Set[str]
+        self, sdfg, memlet: Memlet, analysis, mparams, pranges, gathers: Set[str],
+        python: bool = False,
     ) -> Tuple[str, bool]:
         """Source of a memlet's value over the whole domain, axes in
         map-parameter order with a size-1 axis per unused parameter, and
         whether it is a view.  Strided views wherever the analysis proves
         ``c*p + d`` with positive integer ``c``; the parameters of any
-        other memlet join ``gathers`` and it indexes through their arrays."""
+        other memlet join ``gathers`` and it indexes through their arrays.
+        A point is one element (:meth:`_element`, as a Python number where
+        ``python`` allows)."""
         sl = _slice_index(analysis, pranges)
         if sl is None:
             gathers.update(_memlet_params(analysis))
             bcast = {p: f"__bix_{p}" for p in mparams}
             return self._bcast_index_expr(memlet, analysis, bcast), False
         idx, axes = sl
+        if not axes:
+            return self._element(sdfg, memlet.data, idx, python).load, False
         transpose, expand = _axes_suffix(axes, mparams)
         # A transposed operand that is also reused along a parameter it
         # lacks would be re-read with a long stride once per reuse: one
@@ -1229,7 +1307,7 @@ class PythonGenerator(FlowEmitter):
             if (
                 mem.reduction_type() in (ReductionType.Sum, ReductionType.Product)
                 and sdfg.arrays[mem.data].dtype.nptype.kind in "biu"
-                and not _integer_valued(sdfg, tasklet.code, conn, in_edges, mparams)
+                and not pytranslate.integer_valued(sdfg, tasklet.code, conn, in_edges, mparams)
             ):
                 raise _Reject(
                     f"{mem.reduction_type().name.lower()} into integer "
@@ -1264,20 +1342,30 @@ class PythonGenerator(FlowEmitter):
         gathers: Set[str] = set()
         index = {p: f"__bix_{p}" for p in mparams}
         rename: Dict[str, str] = dict(index)
+        for e in in_edges:
+            rename[e.dst_conn] = f"__in_{e.dst_conn}"
+        out_rename = {e.src_conn: f"__out_{e.src_conn}" for e in out_edges}
+        rename.update(out_rename)
+        # Python numbers (symbol-only ``if``/``else`` values, point loads)
+        # only meet arrays that promote them as NumPy scalars, and points
+        # only where no division or power of Python numbers alone may raise.
+        python = scalarpath.promote_alike(sdfg, in_edges + out_edges)
+        stmts = pytranslate.vectorize_tasklet(tasklet.code, rename, python)
+        point_python = python and scalarpath.points_stay_numbers(stmts, [
+            (rename[e.dst_conn], _memlet_params(analyses[id(e.data)])) for e in in_edges
+        ], index.values())
         loads = []
         written = {e.data.data for e in out_edges}
         aliases = set()
         for e in in_edges:
             src, is_view = self._domain_load(
-                e.data, analyses[id(e.data)], mparams, pranges, gathers
+                sdfg, e.data, analyses[id(e.data)], mparams, pranges, gathers,
+                point_python,
             )
-            var = rename[e.dst_conn] = f"__in_{e.dst_conn}"
+            var = rename[e.dst_conn]
             loads.append(f"{var} = {src}")
             if is_view and e.data.data in written:
                 aliases.add(var)
-        out_rename = {e.src_conn: f"__out_{e.src_conn}" for e in out_edges}
-        rename.update(out_rename)
-        stmts = pytranslate.vectorize_tasklet(tasklet.code, rename)
         predicated = any(tgt == pytranslate.MASK for tgt, _ in stmts)
         # Index arrays only where a parameter's *value* is needed: read by
         # the tasklet, or by a memlet no basic slice can express.
@@ -1317,7 +1405,7 @@ class PythonGenerator(FlowEmitter):
             if self._emit_domain_store(
                 stores, sdfg, e.data, analyses[id(e.data)], val, mask,
                 mparams, pranges, gathers, spans.get(val, set()) >= set(mparams),
-                binop,
+                binop, python,
             ):
                 stmts.pop()  # the store computes the last statement itself
 
@@ -1342,6 +1430,7 @@ class PythonGenerator(FlowEmitter):
     def _emit_domain_store(
         self, buf, sdfg, mem: Memlet, analysis, val: str, mask: Optional[str],
         mparams, pranges, gathers: Set[str], spanning: bool, binop=None,
+        python: bool = False,
     ) -> Optional[bool]:
         """Store one output of a whole-domain evaluation: reduce over the
         parameters the subset omits, then write (or accumulate) through a
@@ -1368,10 +1457,13 @@ class PythonGenerator(FlowEmitter):
         sl = _slice_index(analysis, pranges)
         if mask and not used:
             # Reduce over the selected lanes only; none selected, no write.
-            sel, tgt = self._tmp("sel"), f"{mem.data}[{sl[0]}]"
+            sel = self._tmp("sel")
             buf.line(f"{sel} = {_selected_lanes(val, mask, shape)}")
-            acc = _accumulate(tgt, f"{ufunc}.reduce({sel})", rtype)
-            buf.line(f"if {sel}.size: {tgt} = {acc}")
+            with buf.block(f"if {sel}.size:"):
+                self._accumulate_into(
+                    buf, self._element(sdfg, mem.data, sl[0], python),
+                    f"{ufunc}.reduce({sel})", rtype,
+                )
             return
         if len(remaining) < len(mparams):
             axes = ", ".join(str(i) for i, p in enumerate(mparams) if p not in used)
@@ -1384,10 +1476,11 @@ class PythonGenerator(FlowEmitter):
             tgt = f"{mem.data}[{self._bcast_store_index(analysis, remaining)}]"
             buf.line(f"{tgt} = {ufunc}({tgt}, {val})" if ufunc else f"{tgt} = {val}")
             return
-        tgt = f"{mem.data}[{sl[0]}]"
         if not used:  # one element, reduced over the whole domain
-            buf.line(f"{tgt} = {_accumulate(tgt, val, rtype)}")
+            el = self._element(sdfg, mem.data, sl[0], python)
+            self._accumulate_into(buf, el, val, rtype)
             return
+        tgt = f"{mem.data}[{sl[0]}]"
         suffix = "".join(_axes_suffix(sl[1], remaining))
         if ufunc or mask:
             # ``unsafe`` casting is what element assignment does.
@@ -1405,10 +1498,15 @@ class PythonGenerator(FlowEmitter):
         else:
             buf.line(f"{tgt}{suffix}[...] = {val}" if suffix else f"{tgt} = {val}")
 
+    def _accumulate_into(self, buf, el: Element, val: str, rtype) -> None:
+        """Combine one element with ``val`` under a recognized WCR
+        (:func:`_accumulate`, reading each operand once)."""
+        buf.lines(scalarpath.accumulate(el, val, rtype, self._tmp, _accumulate))
+
     def _binop_store(self, sdfg, out_e, analyses, stmts, in_edges, pranges):
         """``(ufunc, lhs, rhs)`` when a map's one output is a plain store
         over every parameter of the last statement's ``+ - * /``, of the
-        dtype NumPy gives it (:func:`_result_dtype`): the ufunc writes
+        dtype NumPy gives it (:func:`pytranslate.result_dtype`): the ufunc writes
         into the output's view, if it has one (its overlap check keeps
         the loads' snapshot).  None otherwise."""
         mem, (tgt, expr), desc = out_e.data, stmts[-1], sdfg.arrays[out_e.data.data]
@@ -1418,20 +1516,20 @@ class PythonGenerator(FlowEmitter):
         ):
             return None
         op = ast.parse(expr, mode="eval").body
-        if type(getattr(op, "op", None)) not in _BINOP_UFUNC:
+        if type(getattr(op, "op", None)) not in pytranslate.BINOP_UFUNC:
             return None
         types = {f"__bix_{p}": np.dtype(np.intp) for p in pranges} | {
             f"__in_{e.dst_conn}": np.dtype(sdfg.arrays[e.data.data].dtype.nptype)
             for e in in_edges
         }
         for name, src in stmts[:-1]:
-            types[name] = _result_dtype(ast.parse(src, mode="eval").body, types)
-        dtype = _result_dtype(op, types)
+            types[name] = pytranslate.result_dtype(ast.parse(src, mode="eval").body, types)
+        dtype = pytranslate.result_dtype(op, types)
         if dtype is None or dtype != desc.dtype.nptype:  # ``np.dtype(None)`` is float64
             return None
         line = expr.encode()  # one line of ``ast.unparse`` text; offsets count bytes
         lhs, rhs = (line[n.col_offset:n.end_col_offset].decode() for n in (op.left, op.right))
-        return f"np.{_BINOP_UFUNC[type(op.op)].__name__}", lhs, rhs
+        return f"np.{pytranslate.BINOP_UFUNC[type(op.op)].__name__}", lhs, rhs
 
     def _bcast_index_expr(self, memlet: Memlet, analysis, index: Dict[str, str]) -> str:
         """Advanced-indexing load through per-parameter index arrays."""
@@ -1524,7 +1622,7 @@ class PythonGenerator(FlowEmitter):
         rename: Dict[str, str] = dict(index)
         loads = []
         for e, a in analyses:
-            src, _ = self._domain_load(e.data, a, mparams, pranges, gathers)
+            src, _ = self._domain_load(sdfg, e.data, a, mparams, pranges, gathers)
             rename[e.dst_conn] = f"__in_{e.dst_conn}"
             loads.append(f"__in_{e.dst_conn} = {src}")
         stmts = pytranslate.vectorize_tasklet(mini_code, rename)
@@ -1623,7 +1721,9 @@ class PythonGenerator(FlowEmitter):
             buf.line(f"{dst} = {tgt}")
             buf.line(f"np.add({dst}, {val}, out={dst}, casting='unsafe')")
         else:
-            buf.line(f"{tgt} = {_accumulate(tgt, val, ReductionType.Sum)}")
+            el = self._element(sdfg, data, out_idx, scalarpath.promote_alike(
+                sdfg, in_edges + out_edges))
+            self._accumulate_into(buf, el, val, ReductionType.Sum)
         buf.dedent()
         return True
 
@@ -1717,7 +1817,7 @@ class PythonGenerator(FlowEmitter):
                 raise _Reject(f"range input {_memlet_str(mem)} is dynamic or a stream")
             a = self._affine_point(mem, oparams)
             reads.append(_Access(mem, a))
-            src, _ = self._domain_load(mem, a, oparams, opranges, index_params)
+            src, _ = self._domain_load(sdfg, mem, a, oparams, opranges, index_params)
             conn_loads.append(f"{c} = {src}")
         for bound in (rng.start, rng.end):
             if not _is_sum_of_products(bound):
@@ -1782,7 +1882,11 @@ class PythonGenerator(FlowEmitter):
                         "nor a loop-invariant view"
                     )
                 used_flat.update(_memlet_params(a))
-                body.line(f"{var} = {self._bcast_index_expr(mem, a, findex)}")
+                if _memlet_params(a):
+                    body.line(f"{var} = {self._bcast_index_expr(mem, a, findex)}")
+                else:  # one element
+                    idx = ", ".join(_index_terms(a, {}))
+                    body.line(f"{var} = {self._element(sdfg, mem.data, idx, False).load}")
             if not pytranslate.is_vectorizable_tasklet(
                 node.code, views=views, allow_branch=False
             ):
@@ -1805,7 +1909,10 @@ class PythonGenerator(FlowEmitter):
                     body.line(f"__t_{mem.data} = np.asarray({val}, dtype=np.{dtype})")
                     continue
                 ufunc = self._UFUNC.get(mem.reduction_type())
-                if ufunc is None or isinstance(sdfg.arrays[mem.data], Stream):
+                if (
+                    ufunc is None or isinstance(sdfg.arrays[mem.data], Stream)
+                    or mem.data in self._local_scalars(sdfg)
+                ):
                     raise _Reject(
                         f"output {_memlet_str(mem)} is not a recognized WCR "
                         "into an array"
@@ -1922,13 +2029,15 @@ def _memlet_params(analysis) -> Set[str]:
 def _accumulate(tgt: str, val: str, rtype) -> str:
     """``tgt`` combined with ``val`` under a recognized WCR.  On one
     element, sum and product are plain scalar arithmetic (the same IEEE
-    operation as the ufunc, without its call overhead); min and max keep
-    the ufunc for its NaN propagation."""
+    operation as the ufunc, without its call); max (min) is ``a if (a > b
+    or a != a) else b`` (``<``), which is what ``np.maximum``
+    (``np.minimum``) returns on NaN, infinities and signed zeros."""
     if rtype == ReductionType.Sum:
         return f"{tgt} + {val}"
     if rtype == ReductionType.Product:
         return f"{tgt} * {val}"
-    return f"{PythonGenerator._UFUNC[rtype]}({tgt}, {val})"
+    op = ">" if rtype == ReductionType.Max else "<"
+    return f"{tgt} if ({tgt} {op} {val} or {tgt} != {tgt}) else {val}"
 
 
 def _params_read(code: str, rename: Dict[str, str], index: Dict[str, str]) -> Set[str]:
@@ -1936,81 +2045,6 @@ def _params_read(code: str, rename: Dict[str, str], index: Dict[str, str]) -> Se
     of the same name shadows the parameter in ``rename``)."""
     read = pytranslate.loaded_names(pytranslate.parse_tasklet(code))
     return {p for p, var in index.items() if p in read and rename[p] == var}
-
-
-def _integer_valued(sdfg, code: str, out: str, in_edges, mparams) -> bool:
-    """Whether every value the tasklet assigns to ``out`` is an integer by
-    construction: computed from integer/boolean connectors, parameters,
-    symbols and literals and from locals that are, without ``/``, ``**``
-    or calls.  A branch test only selects, so it may read anything."""
-    conns = {e.dst_conn for e in in_edges}
-    ints = {
-        e.dst_conn for e in in_edges
-        if sdfg.arrays[e.data.data].dtype.nptype.kind in "biu"
-    }
-    ints |= (set(mparams) | _nan_free_names(sdfg)) - conns
-    assigns = []  # (assigned names, the expression assigned)
-    for node in ast.walk(pytranslate.parse_tasklet(code)):
-        if isinstance(node, ast.Assign):
-            targets, value = node.targets, node.value
-        elif isinstance(node, ast.AugAssign):
-            targets, value = [node.target], node  # which also reads the target
-        else:
-            continue
-        names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
-        assigns.append((names, value))
-    # Locals start out integer and lose it on any other assignment.
-    local = set().union(*(names for names, _ in assigns))
-    known = ints | local - conns - set(sdfg.symbols) - set(sdfg.constants)
-    changed = True
-    while changed:
-        changed = False
-        for names, value in assigns:
-            if names & known and not _integer_expr(value, known):
-                known -= names
-                changed = True
-    return out in known
-
-
-def _integer_expr(node: ast.AST, known: Set[str]) -> bool:
-    """Whether ``node`` is an integer when the names in ``known`` are."""
-    for n in ast.walk(node):
-        if isinstance(n, ast.Constant) and type(n.value) not in (int, bool):
-            return False
-        if isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, (ast.Div, ast.Pow)):
-            return False
-        if isinstance(n, (ast.Call, ast.Attribute, ast.Subscript)):
-            return False
-        if isinstance(n, ast.Name) and n.id not in known:
-            return False
-    return True
-
-
-def _result_dtype(node: ast.AST, types: Dict[str, object]):
-    """The dtype NumPy gives ``node`` when each name in ``types`` has
-    its dtype: number literals stay Python ``int``/``float`` (weak, as in
-    NumPy's promotion; ``np.dtype("int64") == int`` holds, so only
-    ``isinstance(t, type)`` tells them from dtypes), ``+ - * /`` and unary
-    ``-`` resolve through the ufunc.  None for anything else (calls,
-    symbols, comparisons)."""
-    if isinstance(node, ast.Name):
-        return types.get(node.id)
-    if isinstance(node, ast.Constant):
-        return type(node.value) if type(node.value) in (int, float) else None
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        t = _result_dtype(node.operand, types)
-        return t if t is None or isinstance(t, type) else np.negative.resolve_dtypes((t, None))[-1]
-    if isinstance(node, ast.BinOp) and type(node.op) in _BINOP_UFUNC:
-        a, b = _result_dtype(node.left, types), _result_dtype(node.right, types)
-        if a is None or b is None:
-            return None
-        if isinstance(a, type) and isinstance(b, type):  # Python arithmetic on literals
-            return float if float in (a, b) or isinstance(node.op, ast.Div) else int
-        try:
-            return _BINOP_UFUNC[type(node.op)].resolve_dtypes((a, b, None))[-1]
-        except (TypeError, ValueError):  # no loop for these dtypes
-            return None
-    return None
 
 
 def _is_sum_of_products(e: Expr) -> bool:

@@ -14,9 +14,13 @@ are left to the caller to store under the mask.
 from __future__ import annotations
 
 import ast
+import re
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.codegen.common import CodegenError
+from repro.codegen.controlflow import _nan_free_names
 
 _NP_FUNCS = {
     "min": "np.minimum",
@@ -201,11 +205,20 @@ def _call_name(node: ast.Call) -> Optional[str]:
     return None
 
 
-class _Vectorize(ast.NodeTransformer):
-    """Rewrite a tasklet expression tree into elementwise NumPy form."""
+#: Operators a Python number may raise on (``x / 0``) or leave the reals
+#: with (``(-1.0) ** 0.5``) where a NumPy value warns and stays real.
+RAISING_OPS = (ast.Div, ast.FloorDiv, ast.Mod, ast.Pow)
 
-    def __init__(self, rename: Dict[str, str]):
+
+class _Vectorize(ast.NodeTransformer):
+    """Rewrite a tasklet expression tree into elementwise NumPy form.
+
+    An ``if``/``else`` reading only ``scalars`` (names bound to one Python
+    number: symbols, constants) stays a Python conditional."""
+
+    def __init__(self, rename: Dict[str, str], scalars: Set[str] = frozenset()):
         self.rename = rename
+        self.scalars = scalars
 
     def visit_Name(self, node: ast.Name):
         new = self.rename.get(node.id)
@@ -245,7 +258,12 @@ class _Vectorize(ast.NodeTransformer):
         )
 
     def visit_IfExp(self, node: ast.IfExp):
+        python = self.scalars and all(
+            n.id in self.scalars for n in ast.walk(node) if isinstance(n, ast.Name)
+        )
         self.generic_visit(node)
+        if python:
+            return node
         return ast.copy_location(
             ast.Call(
                 func=ast.parse("np.where", mode="eval").body,
@@ -280,13 +298,19 @@ class _Vectorize(ast.NodeTransformer):
 
 
 def vectorize_tasklet(
-    code: str, rename: Dict[str, str]
+    code: str, rename: Dict[str, str], scalar_branches: bool = False
 ) -> List[Tuple[str, str]]:
     """Translate tasklet code to vector form.
 
     ``rename`` maps connector/parameter names to replacement expressions
     (array loads, broadcast index arrays).  Returns ``(target, expr)``
-    source pairs in statement order.
+    source pairs in statement order.  ``scalar_branches`` keeps an
+    ``if``/``else`` over the tasklet's free names alone (symbols,
+    constants) a Python conditional (:class:`_Vectorize`); the caller
+    allows it where a Python number meets only arrays it promotes like a
+    NumPy one.  A tasklet with a :data:`RAISING_OPS` operator keeps
+    ``np.where``: its 0-d array divides as NumPy does, where a Python
+    number may raise.
 
     A trailing ``if`` evaluates both branches over the whole domain (the
     caller silences floating-point warnings from lanes the test excludes):
@@ -295,11 +319,18 @@ def vectorize_tasklet(
     paths define merges through ``np.where``, and a name only one branch
     defines is assigned unmerged — see :func:`assignment_summary`.
     """
-    body, branch = _split_branch(parse_tasklet(code))
+    tree = parse_tasklet(code)
+    scalars: Set[str] = set()
+    if scalar_branches and " if " in code and not any(  # an ``if``/``else`` at all
+        isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, RAISING_OPS)
+        for n in ast.walk(tree)
+    ):
+        scalars = loaded_names(tree) - set(rename) - assigned_names(tree)
+    body, branch = _split_branch(tree)
     out: List[Tuple[str, str]] = []
 
     def vec(value: ast.expr, scope: Dict[str, str]) -> str:
-        new_value = _Vectorize(scope).visit(value)
+        new_value = _Vectorize(scope, scalars).visit(value)
         ast.fix_missing_locations(new_value)
         return ast.unparse(new_value)
 
@@ -490,3 +521,245 @@ def detect_indexed_update(code: str, view_conn: str) -> Optional[Tuple[str, str]
     lines.append(f"__scatter_idx = {ast.unparse(idx)}")
     lines.append(f"__scatter_val = {ast.unparse(val)}")
     return op, "\n".join(lines)
+
+
+# ----------------------------------------------------- Python-number bodies
+#: ``math`` functions returning a float.  They convert every argument to a
+#: C double first, so a Python float and an ``np.float64`` of the same
+#: value give the same result and raise the same errors.
+_MATH_FLOAT = frozenset({
+    "sqrt", "exp", "expm1", "log", "log1p", "log2", "log10", "pow", "fabs",
+    "sin", "cos", "tan", "asin", "acos", "atan", "atan2", "sinh", "cosh",
+    "tanh", "hypot", "copysign",
+})
+
+#: The NumPy scalar a boxed name of each number type stands in for.
+_BOX = {"f": "np.float64", "b": "np.bool_"}
+
+#: The arithmetic operators of a statement on numbers, and their source.
+_OP_SRC = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
+
+
+class _NumberType:
+    """:meth:`of` gives ``'f'`` (a float64 value), ``'i'`` (an integer) or
+    ``'b'`` (a bool) when every operation in an expression gives a Python
+    number the result it gives a NumPy scalar of the same value and type:
+    ``+ - *``, ``/`` up to a zero divisor (which raises), unary ``-``,
+    comparisons, ``not``, ``and``/``or`` and ``if``/``else`` (which only
+    select), ``abs``, ``min``, ``max`` and the ``math`` calls of
+    :data:`_MATH_FLOAT`; None for anything else.  Names take their type
+    from ``env``.  On the way it collects the ``names`` read, and whether
+    the expression ``raises``: divides or calls ``math``, which on Python
+    numbers may raise where NumPy scalars warn."""
+
+    def __init__(self, env: Dict[str, str]):
+        self.env = env
+        self.names: Set[str] = set()
+        self.raises = False
+
+    def of(self, node: ast.expr) -> Optional[str]:
+        t = self.of
+        if isinstance(node, ast.Constant):
+            return {bool: "b", int: "i", float: "f"}.get(type(node.value))
+        if isinstance(node, ast.Name):
+            self.names.add(node.id)
+            return self.env.get(node.id)
+        if isinstance(node, ast.Attribute):  # ``math.pi``, ``math.e``
+            math_const = isinstance(node.value, ast.Name) and node.value.id == "math"
+            return "f" if math_const and node.attr in ("pi", "e", "tau", "inf") else None
+        if isinstance(node, ast.BinOp) and type(node.op) in _OP_SRC:
+            a, b = t(node.left), t(node.right)
+            if a is None or b is None:
+                return None
+            if isinstance(node.op, ast.Div):
+                self.raises = True
+                return "f"
+            if "f" in (a, b):
+                return "f"
+            return "i" if "i" in (a, b) else None  # NumPy adds bools as ``or``
+        if isinstance(node, ast.UnaryOp):
+            a = t(node.operand)
+            if isinstance(node.op, ast.Not):
+                return a and "b"
+            return a if isinstance(node.op, (ast.USub, ast.UAdd)) and a in ("f", "i") else None
+        if isinstance(node, ast.Compare):
+            return "b" if all([t(n) for n in [node.left] + node.comparators]) else None
+        if isinstance(node, (ast.BoolOp, ast.IfExp)):
+            if isinstance(node, ast.IfExp):
+                if t(node.test) is None:
+                    return None
+                values = [node.body, node.orelse]
+            else:
+                values = node.values
+            types = {t(v) for v in values}
+            return types.pop() if len(types) == 1 else None
+        if isinstance(node, ast.Call) and not node.keywords:
+            types = {t(a) for a in node.args}
+            if None in types or not node.args:
+                return None
+            if isinstance(node.func, ast.Name) and node.func.id in ("abs", "min", "max"):
+                if len(types) != 1 or types == {"b"} or (node.func.id == "abs") != (len(node.args) == 1):
+                    return None
+                return types.pop()
+            if (
+                isinstance(node.func, ast.Attribute) and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "math" and node.func.attr in _MATH_FLOAT
+            ):
+                self.raises = True
+                return "f"
+        return None
+
+
+def _boxed(src: str, boxes: Dict[str, str]) -> str:
+    """``src`` with every name of ``boxes`` wrapped back into its NumPy
+    scalar.  Text substitution is exact here: a statement on numbers has
+    no strings, keywords or attributes besides ``math.*``."""
+    if not boxes:
+        return src
+    names = "|".join(map(re.escape, boxes))
+    return re.sub(
+        rf"(?<![\w.])({names})(?!\w)", lambda m: f"{boxes[m[1]]}({m[1]})", src
+    )
+
+
+def number_statements(
+    code: str, env: Dict[str, str], boxed: Set[str]
+) -> Optional[Tuple[List[Tuple[str, Optional[str]]], Dict[str, str]]]:
+    """A tasklet body on Python numbers, or None when some statement is
+    not a plain assignment :class:`_NumberType` accepts.
+
+    ``env`` types the names the body reads before it assigns them (the
+    inputs, parameters, symbols and constants); ``boxed`` names the inputs
+    read as Python numbers where indexing the array gives a NumPy scalar.  Returns
+    one ``(source, fallback)`` pair per statement — none when no
+    statement has a fallback, so the body runs as written — and the type
+    of every name after the body.  ``fallback`` is set for a statement
+    that divides or calls ``math``: the caller runs it when the statement
+    raises ``ArithmeticError``, and it recomputes the statement with
+    every boxed name — an input, or a local assigned from one — back in
+    its NumPy scalar, so ``x / 0.0`` gives NumPy's ``inf`` and warning
+    again."""
+    env = dict(env)
+    boxes = {n: _BOX[env[n]] for n in boxed if env.get(n) in _BOX}
+    out: List[Tuple[object, Optional[str]]] = []
+    lines = code.splitlines()
+    for stmt in _statements(parse_tasklet(code).body):
+        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
+            target, value = stmt.targets[0], stmt.value
+        elif isinstance(stmt, ast.AugAssign) and type(stmt.op) in _OP_SRC:
+            target = stmt.target
+            value = ast.BinOp(left=ast.Name(id=getattr(target, "id", ""), ctx=ast.Load()),
+                              op=stmt.op, right=stmt.value)
+        else:
+            return None
+        if not isinstance(target, ast.Name):
+            return None
+        typer = _NumberType(env)
+        typ = typer.of(value)
+        if typ is None:
+            return None
+        if typer.raises:
+            if stmt.end_lineno == stmt.lineno:  # its own text, as one line
+                line = lines[stmt.lineno - 1].encode()
+                src, rhs = (
+                    line[n.col_offset:n.end_col_offset].decode() for n in (stmt, stmt.value)
+                )
+            else:
+                src, rhs = ast.unparse(stmt), ast.unparse(stmt.value)
+            rhs = _boxed(rhs, boxes)
+            if isinstance(stmt, ast.AugAssign):
+                rhs = f"{_boxed(target.id, boxes)} {_OP_SRC[type(stmt.op)]} ({rhs})"
+            out.append((src, f"{target.id} = {rhs}"))
+        else:
+            out.append((stmt, None))
+        env[target.id] = typ
+        if typ in _BOX and typer.names & boxes.keys():
+            boxes[target.id] = _BOX[typ]
+        else:
+            boxes.pop(target.id, None)
+    if not any(fallback for _, fallback in out):
+        return [], env
+    return [
+        (stmt if fallback else ast.unparse(stmt), fallback) for stmt, fallback in out
+    ], env
+
+
+# ------------------------------------------------------- static typing
+#: Operators a plain store computes into its view (``PythonGenerator._binop_store``).
+BINOP_UFUNC = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply,
+               ast.Div: np.divide}
+
+
+def integer_valued(sdfg, code: str, out: str, in_edges, mparams) -> bool:
+    """Whether every value the tasklet assigns to ``out`` is an integer by
+    construction: computed from integer/boolean connectors, parameters,
+    symbols and literals and from locals that are, without ``/``, ``**``
+    or calls.  A branch test only selects, so it may read anything."""
+    conns = {e.dst_conn for e in in_edges}
+    ints = {
+        e.dst_conn for e in in_edges
+        if sdfg.arrays[e.data.data].dtype.nptype.kind in "biu"
+    }
+    ints |= (set(mparams) | _nan_free_names(sdfg)) - conns
+    assigns = []  # (assigned names, the expression assigned)
+    for node in ast.walk(parse_tasklet(code)):
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AugAssign):
+            targets, value = [node.target], node  # which also reads the target
+        else:
+            continue
+        names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        assigns.append((names, value))
+    # Locals start out integer and lose it on any other assignment.
+    local = set().union(*(names for names, _ in assigns))
+    known = ints | local - conns - set(sdfg.symbols) - set(sdfg.constants)
+    changed = True
+    while changed:
+        changed = False
+        for names, value in assigns:
+            if names & known and not _integer_expr(value, known):
+                known -= names
+                changed = True
+    return out in known
+
+
+def _integer_expr(node: ast.AST, known: Set[str]) -> bool:
+    """Whether ``node`` is an integer when the names in ``known`` are."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Constant) and type(n.value) not in (int, bool):
+            return False
+        if isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, (ast.Div, ast.Pow)):
+            return False
+        if isinstance(n, (ast.Call, ast.Attribute, ast.Subscript)):
+            return False
+        if isinstance(n, ast.Name) and n.id not in known:
+            return False
+    return True
+
+
+def result_dtype(node: ast.AST, types: Dict[str, object]):
+    """The dtype NumPy gives ``node`` when each name in ``types`` has
+    its dtype: number literals stay Python ``int``/``float`` (weak, as in
+    NumPy's promotion; ``np.dtype("int64") == int`` holds, so only
+    ``isinstance(t, type)`` tells them from dtypes), ``+ - * /`` and unary
+    ``-`` resolve through the ufunc.  None for anything else (calls,
+    symbols, comparisons)."""
+    if isinstance(node, ast.Name):
+        return types.get(node.id)
+    if isinstance(node, ast.Constant):
+        return type(node.value) if type(node.value) in (int, float) else None
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        t = result_dtype(node.operand, types)
+        return t if t is None or isinstance(t, type) else np.negative.resolve_dtypes((t, None))[-1]
+    if isinstance(node, ast.BinOp) and type(node.op) in BINOP_UFUNC:
+        a, b = result_dtype(node.left, types), result_dtype(node.right, types)
+        if a is None or b is None:
+            return None
+        if isinstance(a, type) and isinstance(b, type):  # Python arithmetic on literals
+            return float if float in (a, b) or isinstance(node.op, ast.Div) else int
+        try:
+            return BINOP_UFUNC[type(node.op)].resolve_dtypes((a, b, None))[-1]
+        except (TypeError, ValueError):  # no loop for these dtypes
+            return None
+    return None

@@ -188,28 +188,38 @@ class SDFGServer:
                     )
             except Exception:  # noqa: BLE001 - the sweep must not block boot
                 self.fsck_report = None
-        self.pool.start()
+        # Bind before any worker exists: an address that cannot be bound
+        # (taken, or a path too long for AF_UNIX) fails with nothing to
+        # undo but the listener and the socket directory.
         listener = socket.socket(family, socket.SOCK_STREAM)
-        listener.settimeout(0.5)
-        if family == socket.AF_UNIX:
-            try:
-                os.unlink(address)
-            except OSError:
-                pass
-        else:
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind(address)
-        listener.listen(64)
-        self._listener = listener
-        self.address = listener.getsockname() if family != socket.AF_UNIX else address
-        accept = threading.Thread(target=self._accept_loop, daemon=True,
-                                  name="serve-accept")
-        accept.start()
-        self._threads.append(accept)
-        keeper = threading.Thread(target=self._housekeeping_loop, daemon=True,
-                                  name="serve-housekeeping")
-        keeper.start()
-        self._threads.append(keeper)
+        try:
+            listener.settimeout(0.5)
+            if family == socket.AF_UNIX:
+                try:
+                    os.unlink(address)
+                except OSError:
+                    pass
+            else:
+                listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            listener.bind(address)
+            listener.listen(64)
+            self._listener = listener
+            self.address = listener.getsockname() if family != socket.AF_UNIX else address
+            self.pool.start()
+            accept = threading.Thread(target=self._accept_loop, daemon=True,
+                                      name="serve-accept")
+            accept.start()
+            self._threads.append(accept)
+            keeper = threading.Thread(target=self._housekeeping_loop, daemon=True,
+                                      name="serve-housekeeping")
+            keeper.start()
+            self._threads.append(keeper)
+        except BaseException:
+            # Stop the workers, close the listener, remove the socket and
+            # the private directory made for it.
+            listener.close()
+            self.stop()
+            raise
         return self
 
     def stop(self) -> None:

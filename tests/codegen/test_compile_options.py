@@ -108,14 +108,15 @@ def test_warm_served_request_reads_no_environment(monkeypatch):
 # place, re-recorded at CODEGEN_VERSION 7 (part of every key; the
 # parallel variant fragment became the worker count alone), at 8 (the
 # generator decides which maps to chunk), at 9 (large scatter maps run
-# in strips) and at 10 (destination passing); the sanitize pin was re-recorded
+# in strips), at 10 (destination passing) and at 11 (scalar code on
+# Python numbers); the sanitize pin was re-recorded
 # once more when the tenant namespace left the variant key (tenants get
 # separate caches instead): the keys must not move by a byte.
 @pytest.mark.parametrize("kwargs,key", [
     (dict(sanitize=True, vectorize=False),
-     "b6fa8702e8dc6978e17f17edd0291249364d373b167efdc2be2b4332237fffd2"),
+     "5aefda94c1b3c5bb186e08bdfa9ee235df115ec8cb68a87099eb5da98ec70da0"),
     (dict(vectorize=False, parallel="thread:2"),
-     "eb3b224d7e8d3944dd0586b1c4f613a315191b9a19385c04819beccb954e3787"),
+     "5fde1a186645d4a2b15c7131e7a8b72891ff07032bb132cf388921d5d084de02"),
 ], ids=["sanitize-novec", "novec-parallel"])
 def test_program_cache_key_is_pinned(kwargs, key):
     compiled = compile_sdfg(kernels.matmul_sdfg(), cache=ProgramCache(), **kwargs)

@@ -261,3 +261,71 @@ def test_stop_removes_the_socket_directory_it_made(tmp_path, monkeypatch):
         srv.stop()
     assert not os.path.exists(socket_dir)
     assert not any(p.name.startswith("repro_") for p in tmp_path.iterdir())
+
+
+def _live_worker_children():
+    """Pids of this process's live ``repro.serve.worker`` children (from
+    ``/proc``; empty where there is none).  Other tests may leave one
+    running on purpose (the isolation harness keeps its worker for the
+    process), so callers compare before and after."""
+    pids = []
+    for entry in os.listdir("/proc") if os.path.isdir("/proc") else ():
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as f:
+                stat = f.read()
+            with open(f"/proc/{entry}/cmdline", "rb") as f:
+                cmdline = f.read()
+        except OSError:
+            continue
+        fields = stat.rsplit(")", 1)[1].split()
+        state, ppid = fields[0], int(fields[1])
+        if ppid == os.getpid() and state != "Z" and b"repro.serve.worker" in cmdline:
+            pids.append(int(entry))
+    return pids
+
+
+def test_start_that_cannot_bind_leaves_no_worker_and_no_socket_directory(
+    tmp_path, monkeypatch
+):
+    """A private socket path longer than AF_UNIX allows fails the bind:
+    start() raises, and no worker, listener or socket directory is left."""
+    import tempfile
+
+    long_dir = tmp_path / ("d" * 120)
+    long_dir.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(long_dir))
+    monkeypatch.setenv("REPRO_CRASH_DIR", str(tmp_path / "crashes"))
+    srv = SDFGServer(ServeConfig(workers=1, health_interval=600.0))
+    before = set(_live_worker_children())
+    with pytest.raises(OSError):
+        srv.start()
+    assert srv.pool.stats()["alive"] == 0
+    assert set(_live_worker_children()) <= before
+    assert not any(p.name.startswith("repro_serve_") for p in long_dir.iterdir())
+
+
+def test_start_failing_after_the_pool_started_stops_its_workers(tmp_path, monkeypatch):
+    """A failure once the workers run (here: the pool's own start raising
+    after it spawned them) stops the workers and removes the socket and
+    its private directory before the error propagates."""
+    import tempfile
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setenv("REPRO_CRASH_DIR", str(tmp_path / "crashes"))
+    srv = SDFGServer(ServeConfig(workers=1, health_interval=600.0))
+    real_start = srv.pool.start
+
+    def start_then_fail():
+        real_start()
+        assert srv.pool.stats()["alive"] == 1
+        raise RuntimeError("boot step after the pool failed")
+
+    monkeypatch.setattr(srv.pool, "start", start_then_fail)
+    before = set(_live_worker_children())
+    with pytest.raises(RuntimeError, match="after the pool"):
+        srv.start()
+    assert srv.pool.stats()["alive"] == 0
+    assert set(_live_worker_children()) <= before
+    assert not any(p.name.startswith("repro_serve_") for p in tmp_path.iterdir())

@@ -19,12 +19,13 @@ from repro.tuning.cache import TuningCache
 # is part of every program key and entry, so programs generated by
 # version-5 builds are deliberately cold; re-recorded again at version 7
 # (one thread tier), 8 (the generator decides which maps to chunk), 9
-# (large scatter maps run in strips) and 10 (destination passing).
+# (large scatter maps run in strips), 10 (destination passing) and 11
+# (scalar code on Python numbers).
 # The tuning pins predate the store.
-PROGRAM_KEY = "f5979780767026ac59cd53061ad589137a94b6a530ab46e090a81b16011c70c1"
-PROGRAM_KEY_VARIANT = "2a55776956c9b1bd569bcb7040a2d8638929a92ab2d0b86fd614b7d6717d2364"
+PROGRAM_KEY = "5c3a455085f33744deb372df4d98aa8629108fd4bb11d252a70f677dde83d4de"
+PROGRAM_KEY_VARIANT = "16130513825feceae30f57572802107fae2f77fcccab9dfb34ecf51e1d02b517"
 TUNING_KEY = "a6e0cfb9b97890493e3b38fe58d9ca424f63b75cd61a759ab119bb44c9250aae"
-PROGRAM_ENTRY_SHA = "45a6ef8e8f9eb13890af8554e710395a063db9d5eb2865c54b0de21857174a93"
+PROGRAM_ENTRY_SHA = "78dc3ed21801735532709e0707cde312ead5a0fb91a48e38690ddcbc18904e88"
 TUNING_ENTRY_SHA = "471abd604466f76b1cf682b9379a65768e9e5c1768102b8f4ef6eed5d5fd38f3"
 
 
