@@ -389,8 +389,8 @@ def compile_sdfg(
       Only the python and interpreter backends support it, so a
       sanitized cpp request degrades to python with a recorded hop.
     * ``deadline`` / ``memory_budget`` — per-call wall-clock and
-      transient-memory limits, enforced cooperatively; ``None`` consults
-      ``REPRO_DEADLINE`` / ``REPRO_MEMORY_BUDGET``.
+      transient-memory limits, enforced cooperatively; ``None`` is no
+      limit.
     * ``isolate`` — run cpp artifacts on the crash-containing harness
       worker of :mod:`repro.runtime.isolation` (default on; ``False``
       loads the library into this process).
@@ -402,8 +402,7 @@ def compile_sdfg(
       conflict-free maps: ``True`` for the default worker config, a
       :class:`~repro.runtime.parallel.ParallelConfig`, worker count, or
       spec string (``"4"``, ``"thread:4"``) for explicit control,
-      ``False`` to force off, ``None`` to consult ``REPRO_PARALLEL``.
-      The returned
+      ``None``/``False`` for serial execution.  The returned
       artifact owns the worker pool; ``compiled.close()`` tears it
       down.  Ignored (with a W702 diagnostic) under ``sanitize``.
       Loop-bodied maps run in parallel on ``backend="cpp"`` (OpenMP).

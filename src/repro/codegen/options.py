@@ -1,10 +1,10 @@
 """Compile options: every ``compile_sdfg`` knob resolved once.
 
-:func:`resolve_options` is the only reader of the seven compile-time
+:func:`resolve_options` is the only reader of the four compile-time
 variables (``REPRO_CACHE``, ``REPRO_CACHE_DIR``, ``REPRO_SANITIZE``,
-``REPRO_DEADLINE``, ``REPRO_MEMORY_BUDGET``, ``REPRO_PARALLEL``,
 ``REPRO_PROFILE``); the artifact keeps its frozen record (DESIGN §9,
-"Call path").
+"Call path").  The deadline, memory budget and parallel tier are
+arguments only.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ def resolve_options(backend="python", validate=True, fallback=True, cache=None,
     defaults) and their environment fallbacks into one record."""
     from repro.codegen import progcache
     from repro.runtime.parallel import ParallelConfig
-    from repro.runtime.watchdog import _env_float
 
     env = os.environ
     if cache is None:
@@ -106,20 +105,7 @@ def resolve_options(backend="python", validate=True, fallback=True, cache=None,
     if sanitize not in (None, "raise", "collect"):
         raise ValueError(f"unknown sanitize mode {sanitize!r}")
 
-    if deadline is None:
-        deadline = _env_float("REPRO_DEADLINE")
-    if memory_budget is None:
-        budget = _env_float("REPRO_MEMORY_BUDGET")
-        memory_budget = int(budget) if budget is not None else None
-
-    if parallel is None:
-        try:
-            parallel = ParallelConfig.parse(env.get("REPRO_PARALLEL", ""))
-        except ValueError as err:
-            raise ValueError(f"REPRO_PARALLEL: {err}") from None
-    else:
-        parallel = ParallelConfig.parse(parallel)
-
+    parallel = ParallelConfig.parse(parallel)
     profile = parse_flag("REPRO_PROFILE", env.get("REPRO_PROFILE"))
     return CompileOptions(backend, validate, fallback, cache, sanitize, deadline,
                           memory_budget, isolate, vectorize, parallel, profile)

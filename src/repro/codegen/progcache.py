@@ -192,8 +192,7 @@ class ProgramCache:
             self._memory[key] = (cached[0], fn)
 
     def store(self, key: str, entry: ProgramCacheEntry, fn: Optional[Callable] = None) -> None:
-        """Store an entry in both tiers; the disk write is best-effort.
-        Aliases are written under their own ``key``."""
+        """Store an entry in both tiers; the disk write is best-effort."""
         self._remember(key, entry, fn)
         self.disk.count("store")
         self.disk.put(key, entry.to_json())

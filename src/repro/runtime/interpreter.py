@@ -58,6 +58,23 @@ def _compile_wcr(wcr: str) -> Callable:
     return eval(wcr, {"min": min, "max": max, "math": math, "np": np})
 
 
+def next_state(sdfg, state, bindings: Mapping[str, Any]) -> Tuple[Any, Dict[str, Any]]:
+    """The interstate transition rule: the first out-edge of ``state``
+    whose condition holds in ``bindings`` is taken, and its assignments
+    are evaluated together, all in the same ``bindings``.  Returns
+    ``(dst, assigned)``, or ``(None, {})`` when no edge holds (the
+    machine halts).  A name missing from ``bindings`` raises
+    ``KeyError``.  The interpreter, cutout chains and the performance
+    model all step the state machine through this one function."""
+    for edge in sdfg.out_edges(state):
+        if edge.data.condition.evaluate(bindings):
+            assigned = {}
+            for name, expr in edge.data.assignments.items():
+                assigned[name] = expr.evaluate(bindings)
+            return edge.dst, assigned
+    return None, {}
+
+
 class SDFGInterpreter:
     """Executes an SDFG directly on NumPy arrays."""
 
@@ -122,34 +139,26 @@ class SDFGInterpreter:
     # ------------------------------------------------------------- allocation
     def _allocate(self, arrays: Mapping[str, np.ndarray], symbols: Mapping[str, int]):
         mem: Dict[str, Any] = {}
-        loc = (self.sdfg.name, None)
         for name, desc in self.sdfg.arrays.items():
             if name in arrays:
                 mem[name] = arrays[name]
-                continue
-            if not desc.transient:
-                if isinstance(desc, Stream):
-                    shape = tuple(int(s.evaluate(symbols)) for s in desc.shape)
-                    mem[name] = StreamArray(
-                        shape, int(desc.buffer_size.evaluate(symbols)),
-                        name=name, location=loc,
-                    )
-                    continue
-                raise InterpreterError(f"missing argument {name!r}")
-            if isinstance(desc, Stream):
-                shape = tuple(int(s.evaluate(symbols)) for s in desc.shape)
-                mem[name] = StreamArray(
-                    shape, int(desc.buffer_size.evaluate(symbols)),
-                    name=name, location=loc,
-                )
+            elif desc.transient or isinstance(desc, Stream):
+                mem[name] = self._new_container(self.sdfg, name, desc, symbols)
             else:
-                shape = tuple(int(s.evaluate(symbols)) for s in desc.shape)
-                mem[name] = np.zeros(shape, dtype=desc.dtype.as_numpy())
-                if self.guard is not None:
-                    self.guard.on_alloc(
-                        f"{self.sdfg.name}.{name}", name, mem[name]
-                    )
+                raise InterpreterError(f"missing argument {name!r}")
         return mem
+
+    def _new_container(self, sdfg, name: str, desc, symbols: Mapping[str, Any]):
+        """A fresh container for ``desc``: a stream queue, or a zeroed
+        array registered with the guard."""
+        shape = tuple(int(s.evaluate(symbols)) for s in desc.shape)
+        if isinstance(desc, Stream):
+            return StreamArray(shape, int(desc.buffer_size.evaluate(symbols)),
+                               name=name, location=(sdfg.name, None))
+        array = np.zeros(shape, dtype=desc.dtype.as_numpy())
+        if self.guard is not None:
+            self.guard.on_alloc(f"{sdfg.name}.{name}", name, array)
+        return array
 
     # ---------------------------------------------------------- state machine
     def _run_state_machine(self, sdfg, mem, sym) -> None:
@@ -175,20 +184,15 @@ class SDFGInterpreter:
         return bindings
 
     def _next_state(self, sdfg, state, mem, sym):
-        bindings = self._condition_bindings(mem, sym)
-        for edge in sdfg.out_edges(state):
-            try:
-                taken = bool(edge.data.condition.evaluate(bindings))
-            except KeyError as err:
-                raise InterpreterError(
-                    f"transition condition {edge.data.condition} references "
-                    f"unbound name: {err}"
-                ) from err
-            if taken:
-                for name, expr in edge.data.assignments.items():
-                    sym[name] = expr.evaluate(bindings)
-                return edge.dst
-        return None
+        try:
+            dst, assigned = next_state(sdfg, state, self._condition_bindings(mem, sym))
+        except KeyError as err:
+            raise InterpreterError(
+                f"transition out of state {state.name!r} references "
+                f"unbound name: {err}"
+            ) from err
+        sym.update(assigned)
+        return dst
 
     # ---------------------------------------------------------- instrumentation
     @staticmethod
@@ -541,19 +545,7 @@ class SDFGInterpreter:
         inner.guard = self.guard
         for name, desc in node.sdfg.arrays.items():
             if name not in inner_mem:
-                if isinstance(desc, Stream):
-                    shape = tuple(int(s.evaluate(inner_sym)) for s in desc.shape)
-                    inner_mem[name] = StreamArray(
-                        shape, int(desc.buffer_size.evaluate(inner_sym)),
-                        name=name, location=(node.sdfg.name, None),
-                    )
-                else:
-                    shape = tuple(int(s.evaluate(inner_sym)) for s in desc.shape)
-                    inner_mem[name] = np.zeros(shape, dtype=desc.dtype.as_numpy())
-                    if self.guard is not None:
-                        self.guard.on_alloc(
-                            f"{node.sdfg.name}.{name}", name, inner_mem[name]
-                        )
+                inner_mem[name] = self._new_container(node.sdfg, name, desc, inner_sym)
         itype = node.sdfg.instrument
         if self.recorder is not None and itype != InstrumentationType.NONE:
             self.recorder.enter("sdfg", node.sdfg.name, itype.name)

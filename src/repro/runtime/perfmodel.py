@@ -26,6 +26,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
+from repro.runtime.interpreter import next_state
 from repro.runtime.machine import MACHINES, FPGAModel, MachineModel
 from repro.sdfg.data import Stream
 from repro.sdfg.dtypes import Language, StorageType
@@ -134,9 +135,12 @@ class PerformanceModel:
     def state_visit_counts(self, max_visits: int = 100_000) -> Dict[int, int]:
         """Walk the state machine concretely to count state executions.
 
-        Symbol-governed loops evaluate exactly; data-dependent conditions
-        (reading containers) are taken as false — each such state counts
-        once, a deliberate lower bound.
+        Each step is the interpreter's transition rule
+        (:func:`~repro.runtime.interpreter.next_state`) on the symbol
+        bindings, so symbol-governed loops count exactly.  A transition
+        that reads a container (a data-dependent condition or assignment)
+        ends the walk: the states after it count 0, a deliberate lower
+        bound.
         """
         counts: Dict[int, int] = {id(s): 0 for s in self.sdfg.nodes()}
         env = dict(self.symbols)
@@ -145,21 +149,11 @@ class PerformanceModel:
         while state is not None and visits < max_visits:
             counts[id(state)] += 1
             visits += 1
-            next_state = None
-            for e in self.sdfg.out_edges(state):
-                try:
-                    taken = bool(e.data.condition.evaluate(env))
-                except KeyError:
-                    taken = False  # data-dependent: not taken
-                if taken:
-                    for k, v in e.data.assignments.items():
-                        try:
-                            env[k] = v.evaluate(env)
-                        except KeyError:
-                            env[k] = 0
-                    next_state = e.dst
-                    break
-            state = next_state
+            try:
+                state, assigned = next_state(self.sdfg, state, env)
+            except KeyError:
+                break
+            env.update(assigned)
         return counts
 
     # --------------------------------------------------------------- analysis

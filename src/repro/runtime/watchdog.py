@@ -22,14 +22,12 @@ The watchdog owns no failure history: a violation is recorded as an
 ``R805`` hop on the artifact it killed, a contained crash is retried
 and then degraded per artifact (``CompiledSDFG._invoke``), and the
 serve layer's per-tenant admission breaker counts repeated failures
-(:mod:`repro.serve.admission`).  The deadline and memory budget
-(``REPRO_DEADLINE``, ``REPRO_MEMORY_BUDGET``) are compile knobs,
-resolved by :mod:`repro.codegen.options`.
+(:mod:`repro.serve.admission`).  The deadline and memory budget come
+from ``compile_sdfg``'s arguments or a served request's fields.
 """
 
 from __future__ import annotations
 
-import os
 import random
 import time
 from typing import Optional
@@ -53,16 +51,6 @@ class WatchdogViolation(DiagnosticError):
                 "watchdog", str(sdfg) if sdfg else "",
                 fields={"event": kind, "code": "R805"},
             )
-
-
-def _env_float(name: str) -> Optional[float]:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        return None
 
 
 class Watchdog:

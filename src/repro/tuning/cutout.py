@@ -32,8 +32,10 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.diagnostics import Diagnostic, Severity, make_diagnostic
+from repro.runtime.arguments import split_arguments
+from repro.runtime.interpreter import SDFGInterpreter
 from repro.sdfg import dtypes
-from repro.sdfg.data import Scalar, Stream
+from repro.sdfg.data import Stream
 from repro.sdfg.nodes import AccessNode, EntryNode, MapEntry, NestedSDFG
 from repro.sdfg.sdfg import SDFG
 from repro.sdfg.serialize import (
@@ -399,108 +401,50 @@ def group_cutouts(cutouts: Sequence[Cutout]) -> "Dict[str, List[Cutout]]":
 # =====================================================================
 
 
+class _CutoutChain(SDFGInterpreter):
+    """The parent's interpreter, with each state run as its cutout."""
+
+    def __init__(self, parent: SDFG, cutouts: Sequence[Cutout]):
+        super().__init__(parent, validate=False)
+        self._interpreters = {c.state_name: SDFGInterpreter(c.sdfg, validate=False)
+                              for c in cutouts if c.scope_label is None}
+
+    def _execute_state(self, sdfg, state, mem, sym) -> None:
+        if state.number_of_nodes() == 0:
+            return
+        interp = self._interpreters.get(state.name)
+        if interp is None:
+            raise KeyError(f"no cutout provided for state {state.name!r}")
+        cut = interp.sdfg
+        interp.run({n: mem[n] for n, desc in cut.arglist().items()
+                    if not isinstance(desc, Stream)},
+                   {s: sym[s] for s in cut.symbols if s in sym})
+
+
 def execute_cutouts(
     parent: SDFG,
     cutouts: Sequence[Cutout],
     arrays: Mapping[str, Any],
     symbols: Optional[Mapping[str, int]] = None,
-    max_steps: int = 100_000,
 ) -> Dict[str, np.ndarray]:
-    """Execute the parent program *through its cutouts*: walk the parent
-    state machine, running each state's extracted cutout on the live
-    data environment and evaluating interstate transitions on the
-    symbol/scalar values — the executable statement of cutout fidelity
-    (every promoted boundary is faithful iff this matches the parent).
+    """Execute the parent program *through its cutouts*: the reference
+    interpreter walks the parent state machine, running each state's
+    extracted cutout on the live data environment — the executable
+    statement of cutout fidelity (every promoted boundary is faithful
+    iff this matches the parent).
 
-    ``arrays`` provides the parent's external arguments; transients
-    (which the cutouts see as arguments) are allocated zeroed, matching
-    the interpreter's allocation semantics.  Returns the non-transient
+    ``arrays`` (copied, never mutated) and ``symbols`` are the parent's
+    arguments, marshaled as for any call; transients are allocated as
+    the interpreter allocates them.  Returns the non-transient
     containers after the walk.
     """
-    from repro.codegen.compiler import compile_sdfg
-    from repro.runtime.arguments import infer_symbols
-
-    cutmap = {c.state_name: c for c in cutouts if c.scope_label is None}
-
-    env: Dict[str, Any] = {}
-    for name, value in arrays.items():
-        if isinstance(value, np.ndarray):
-            env[name] = value.copy()
-        else:
-            env[name] = value
-    symenv: Dict[str, Any] = infer_symbols(parent, env, dict(symbols or {}))
-    for sym in parent.symbols:
-        if sym not in symenv and sym in arrays:
-            symenv[sym] = int(arrays[sym])
-
-    # Allocate transients and normalize scalars to 1-element arrays so
-    # writes in one state are visible to reads in the next.
-    for name, desc in parent.arrays.items():
-        if isinstance(desc, Stream):
-            continue
-        np_dtype = desc.dtype.as_numpy()
-        if isinstance(desc, Scalar):
-            if name in env and not isinstance(env[name], np.ndarray):
-                env[name] = np.full((1,), env[name], dtype=np_dtype)
-            elif name not in env:
-                env[name] = np.zeros((1,), dtype=np_dtype)
-            continue
-        if name not in env:
-            shape = tuple(int(s.evaluate(symenv)) for s in desc.shape)
-            env[name] = np.zeros(shape, dtype=np_dtype)
-
-    compiled_cache: Dict[str, Any] = {}
-
-    def bindings() -> Dict[str, Any]:
-        out: Dict[str, Any] = dict(symenv)
-        for name, desc in parent.arrays.items():
-            if isinstance(desc, Scalar) and isinstance(env.get(name), np.ndarray):
-                value = env[name][0]
-                out[name] = int(value) if np.issubdtype(
-                    type(value), np.integer) else float(value)
-        return out
-
-    current = parent.start_state
-    steps = 0
-    while current is not None:
-        steps += 1
-        if steps > max_steps:
-            raise RuntimeError(
-                f"cutout chain execution exceeded {max_steps} steps "
-                f"(state machine of {parent.name!r} may not terminate)"
-            )
-        if current.number_of_nodes() > 0:
-            cut = cutmap.get(current.name)
-            if cut is None:
-                raise KeyError(
-                    f"no cutout provided for state {current.name!r}"
-                )
-            compiled = compiled_cache.get(current.name)
-            if compiled is None:
-                compiled = compile_sdfg(
-                    cut.sdfg, backend="interpreter", validate=False
-                )
-                compiled_cache[current.name] = compiled
-            kwargs = {n: env[n] for n in cut.sdfg.arglist()
-                      if not isinstance(cut.sdfg.arrays[n], Stream)}
-            kwargs.update({s: symenv[s] for s in cut.sdfg.symbols
-                           if s in symenv})
-            compiled(**kwargs)
-
-        nxt = None
-        scope = bindings()
-        for e in parent.out_edges(current):
-            cond = e.data
-            if cond.is_unconditional() or bool(cond.condition.evaluate(scope)):
-                for k, v in cond.assignments.items():
-                    value = v.evaluate(scope)
-                    symenv[k] = int(value) if float(value).is_integer() else value
-                nxt = e.dst
-                break
-        current = nxt
-
+    arrays, symbols = split_arguments(parent, {
+        **{k: v.copy() if isinstance(v, np.ndarray) else v for k, v in arrays.items()},
+        **(symbols or {}),
+    })
+    _CutoutChain(parent, cutouts).run(arrays, symbols)
     return {
-        name: env[name]
+        name: arrays[name]
         for name, desc in parent.arrays.items()
-        if not desc.transient and isinstance(env.get(name), np.ndarray)
+        if not desc.transient and isinstance(arrays.get(name), np.ndarray)
     }

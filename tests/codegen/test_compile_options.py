@@ -11,12 +11,11 @@ import pytest
 import repro.instrumentation
 from repro.codegen import compiler
 from repro.codegen.compiler import compile_sdfg
-from repro.codegen.options import parse_flag, resolve_options
+from repro.codegen.options import parse_flag
 from repro.codegen.progcache import ProgramCache
 from repro.instrumentation import InstrumentationType
 from repro.runtime import interpreter
 from repro.runtime.interpreter import SDFGInterpreter
-from repro.runtime.parallel import ParallelConfig
 from repro.workloads import kernels
 
 
@@ -142,24 +141,7 @@ def test_sanitize_on_spellings_arm_the_sanitizer(monkeypatch, raw):
     assert compiled.last_findings == []  # None when the sanitizer is off
 
 
-@pytest.mark.parametrize("raw", ["yes", "on"])
-def test_parallel_on_spellings_mean_all_cores(monkeypatch, raw):
-    monkeypatch.setenv("REPRO_PARALLEL", raw)
-    compiled = compile_sdfg(kernels.matmul_sdfg())
-    try:
-        assert compiled.options.parallel == ParallelConfig()
-    finally:
-        compiled.close()
-
-
-def test_parallel_worker_counts_keep_their_meaning(monkeypatch):
-    monkeypatch.setenv("REPRO_PARALLEL", "1")
-    assert resolve_options().parallel == ParallelConfig(workers=1)
-    monkeypatch.setenv("REPRO_PARALLEL", "thread:2")
-    assert resolve_options().parallel == ParallelConfig(workers=2)
-
-
-@pytest.mark.parametrize("var", ["REPRO_PROFILE", "REPRO_SANITIZE", "REPRO_PARALLEL"])
+@pytest.mark.parametrize("var", ["REPRO_PROFILE", "REPRO_SANITIZE"])
 def test_unreadable_compile_flag_names_the_variable(monkeypatch, var):
     monkeypatch.setenv(var, "maybe")
     with pytest.raises(ValueError, match=var):

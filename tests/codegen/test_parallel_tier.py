@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.codegen.compiler import compile_sdfg
-from repro.codegen.options import resolve_options
 from repro.chaos import uninstall_engine
 from repro.runtime.parallel import (
     MapWorkerPool,
@@ -401,11 +400,6 @@ class TestParallelSpec:
         with pytest.raises(ValueError, match="cpp"):
             compile_sdfg(kernels.matmul_sdfg(), backend="python", parallel="fork:2")
 
-    def test_env_rejects_fork_naming_cpp(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL", "fork:2")
-        with pytest.raises(ValueError, match="REPRO_PARALLEL.*cpp"):
-            resolve_options()
-
     def test_dict_rejects_fork_naming_cpp(self):
         with pytest.raises(ValueError, match="cpp"):
             compile_sdfg(kernels.matmul_sdfg(), backend="python",
@@ -413,16 +407,11 @@ class TestParallelSpec:
 
     @pytest.mark.parametrize("spec", [0, "0", "thread:0", "auto:0",
                                       {"workers": 0}, {"workers": 0, "tier": "auto"}])
-    def test_zero_workers_is_off_in_every_spelling(self, spec, monkeypatch):
+    def test_zero_workers_is_off_in_every_spelling(self, spec):
         from repro.serve.worker import WorkerRuntime
         from repro.serve import protocol
 
         assert ParallelConfig.parse(spec) is None
-        if isinstance(spec, str):
-            monkeypatch.setenv("REPRO_PARALLEL", spec)
-            assert resolve_options().parallel is None
-        # An explicit 0 is off even when the environment asks for a pool.
-        monkeypatch.setenv("REPRO_PARALLEL", "2")
         c = compile_sdfg(kernels.matmul_sdfg(), backend="python",
                          parallel=spec, cache="off")
         c.close()

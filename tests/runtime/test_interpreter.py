@@ -5,6 +5,7 @@ import pytest
 
 from repro.runtime import SDFGInterpreter, StreamQueue
 from repro.runtime.arguments import ArgumentError, infer_symbols, split_arguments
+from repro.runtime.interpreter import InterpreterError
 from repro.sdfg import SDFG, InterstateEdge, Memlet, dtypes
 
 
@@ -150,6 +151,16 @@ class TestStateMachine:
         s2 = sdfg.add_state("s2")
         sdfg.add_edge(s1, s2, InterstateEdge(condition="1 > 2"))
         SDFGInterpreter(sdfg)()  # terminates at s1
+
+    def test_unbound_name_in_an_assignment_names_the_state(self):
+        # Only one-element containers bind in transitions: ``A`` has two.
+        sdfg = SDFG("unbound")
+        sdfg.add_array("A", (2,), dtypes.float64)
+        s1 = sdfg.add_state("s1")
+        s2 = sdfg.add_state("s2")
+        sdfg.add_edge(s1, s2, InterstateEdge(assignments={"k": "A + 1"}))
+        with pytest.raises(InterpreterError, match="'s1'.*A"):
+            SDFGInterpreter(sdfg, validate=False)(A=np.zeros(2))
 
 
 class TestStreamsAndConsume:

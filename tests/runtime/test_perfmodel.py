@@ -12,7 +12,8 @@ from repro.runtime.machine import (
     XEON_E5_2650V4,
 )
 from repro.runtime.perfmodel import PerformanceModel, simulate, tasklet_flops
-from repro.sdfg import SDFG, Memlet, dtypes
+from repro.runtime import SDFGInterpreter
+from repro.sdfg import SDFG, InterstateEdge, Memlet, dtypes
 from repro.sdfg.nodes import NestedSDFG, Tasklet
 from repro.transformations import (
     FPGATransform,
@@ -185,3 +186,49 @@ class TestNestedSymbolMapping:
         node = next(n for n in sdfg.start_state.nodes() if isinstance(n, NestedSDFG))
         node.symbol_mapping["M"] = rp.symbol("P")  # not bound outside
         assert simulate(sdfg, "cpu", {"N": 1 << 20, "M": 7}).flops == 2
+
+
+def _counter_state(sdfg, name):
+    """A state that adds one to ``v[0]``: its visits, read off the data."""
+    state = sdfg.add_state(name)
+    t = state.add_tasklet("inc", ["a"], ["b"], "b = a + 1")
+    state.add_edge(state.add_read("v"), t, Memlet.simple("v", "0"), None, "a")
+    state.add_edge(t, state.add_write("v"), Memlet.simple("v", "0"), "b", None)
+    return state
+
+
+class TestStateWalk:
+    """The model steps the state machine by the interpreter's rule."""
+
+    def test_assignments_on_one_edge_read_the_same_bindings(self):
+        # Back edge ``i = i + 1, j = i``: ``j`` takes the old ``i``, so
+        # ``j`` runs 0, 0, 1, 2, 3, 4 and the body runs 6 times.
+        sdfg = SDFG("swap")
+        sdfg.add_array("v", (1,), dtypes.float64)
+        init = sdfg.add_state("init", is_start=True)
+        guard = sdfg.add_state("guard")
+        body = _counter_state(sdfg, "body")
+        end = sdfg.add_state("end")
+        sdfg.add_edge(init, guard, InterstateEdge(assignments={"i": 0, "j": 0}))
+        sdfg.add_edge(guard, body, InterstateEdge(condition="j < 5"))
+        sdfg.add_edge(guard, end, InterstateEdge(condition="j >= 5"))
+        sdfg.add_edge(body, guard, InterstateEdge(assignments={"i": "i + 1", "j": "i"}))
+        v = np.zeros(1)
+        SDFGInterpreter(sdfg)(v=v)
+        assert v[0] == 6
+        assert PerformanceModel(sdfg, {}).state_visit_counts()[id(body)] == 6
+
+    def test_a_branch_on_a_scalar_ends_the_walk(self):
+        sdfg = SDFG("branch")
+        sdfg.add_array("v", (1,), dtypes.float64)
+        sdfg.add_scalar("s", dtypes.float64)
+        first = _counter_state(sdfg, "first")
+        yes = _counter_state(sdfg, "yes")
+        no = _counter_state(sdfg, "no")
+        last = _counter_state(sdfg, "last")
+        sdfg.add_edge(first, yes, InterstateEdge(condition="s > 0"))
+        sdfg.add_edge(first, no, InterstateEdge(condition="s <= 0"))
+        sdfg.add_edge(yes, last, InterstateEdge())
+        sdfg.add_edge(no, last, InterstateEdge())
+        counts = PerformanceModel(sdfg, {}).state_visit_counts()
+        assert [counts[id(s)] for s in (first, yes, no, last)] == [1, 0, 0, 0]

@@ -50,15 +50,6 @@ class TestParallelRequests:
         rt.handle(dict(job, parallel=2))
         assert len(rt._programs) == 2
 
-    def test_explicit_off_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL", "4")
-        rt = WorkerRuntime()
-        job, _ = _matmul_job(parallel="off")
-        r = rt.handle(dict(job))
-        assert r["status"] == "ok"
-        compiled = next(iter(rt._programs.values()))
-        assert compiled._pool is None
-
     def test_ping_reports_pool_stats(self):
         rt = WorkerRuntime()
         job, _ = _matmul_job(parallel=2)

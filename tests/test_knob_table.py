@@ -20,4 +20,4 @@ def test_readme_knob_table_matches_the_source():
     for path in (ROOT / "src" / "repro").rglob("*.py"):
         used |= set(KNOB.findall(path.read_text()))
     assert _table_knobs() == used
-    assert len(used) == 11
+    assert len(used) == 8

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.codegen import compile_sdfg
-from repro.sdfg import SDFG, Memlet, dtypes
+from repro.sdfg import SDFG, InterstateEdge, Memlet, dtypes
 from repro.sdfg.nodes import MapEntry
 from repro.tuning import (
     CutoutError,
@@ -104,6 +104,35 @@ def test_polybench_multistate_fidelity():
     actual = execute_cutouts(sdfg, cutouts, dict(data), symbols=symbols)
     for name, ref in expected.items():
         assert np.max(np.abs(actual[name] - ref)) <= TOL, name
+
+
+def test_data_dependent_loop_fidelity():
+    """A loop guarded by ``s < 10`` on a transient Scalar that the body
+    doubles: the chain takes the parent's transitions on the live value
+    (s = 1, 2, 4, 8 run the body, so ``A[0]`` counts 4)."""
+    sdfg = SDFG("doubling")
+    sdfg.add_array("A", (1,), dtypes.float64)
+    sdfg.add_scalar("s", dtypes.float64, transient=True)
+    init = sdfg.add_state("init", is_start=True)
+    t = init.add_tasklet("one", [], ["o"], "o = 1")
+    init.add_edge(t, init.add_write("s"), Memlet.simple("s", "0"), "o", None)
+    guard = sdfg.add_state("guard")
+    body = sdfg.add_state("body")
+    t = body.add_tasklet("step", ["si", "ai"], ["so", "ao"],
+                         "so = 2 * si\nao = ai + 1")
+    body.add_edge(body.add_read("s"), t, Memlet.simple("s", "0"), None, "si")
+    body.add_edge(body.add_read("A"), t, Memlet.simple("A", "0"), None, "ai")
+    body.add_edge(t, body.add_write("s"), Memlet.simple("s", "0"), "so", None)
+    body.add_edge(t, body.add_write("A"), Memlet.simple("A", "0"), "ao", None)
+    end = sdfg.add_state("end")
+    sdfg.add_edge(init, guard, InterstateEdge())
+    sdfg.add_edge(guard, body, InterstateEdge(condition="s < 10"))
+    sdfg.add_edge(guard, end, InterstateEdge(condition="s >= 10"))
+    sdfg.add_edge(body, guard, InterstateEdge())
+    cutouts, warnings = extract_state_cutouts(sdfg)
+    assert not warnings, [str(w) for w in warnings]
+    actual = execute_cutouts(sdfg, cutouts, {"A": np.zeros(1)})
+    assert _run_parent(sdfg, {"A": np.zeros(1)})["A"][0] == actual["A"][0] == 4
 
 
 # ------------------------------------------------------------- grouping
