@@ -66,10 +66,6 @@ CATALOG: Dict[str, FaultPoint] = {
         "a cooperative checkpoint stalls (delay = slow kernel that "
         "trips a genuine R805 deadline)",
     ),
-    "parallel.pool_spawn": FaultPoint(
-        "runtime", "repro.runtime.parallel",
-        "the parallel tier's thread pool cannot be created",
-    ),
     # --- serve -------------------------------------------------------
     "pool.worker_spawn": FaultPoint(
         "serve", "repro.serve.pool",

@@ -1,19 +1,18 @@
-"""The chunk decision of the parallel tier (DESIGN §14) and of strips (§9).
+"""The chunk proof that decides strips (DESIGN §9).
 
-A map whose serial lowering took a NumPy tier has had every memlet
-analysed point by point: per dimension a constant or ``c*p + d``
+A map whose lowering took a NumPy tier has had every memlet analysed
+point by point: per dimension a constant or ``c*p + d``
 (:func:`repro.codegen.python_gen._analyze_subset`).  The tier records
 those facts as accesses (``memlet``, ``terms``, and ``merge``, the
 operator a write accumulates with, None for a plain store).
 :func:`chunk_plan` reads them and nothing else: there is no second
-analysis of the map.  The same proof decides strips (DESIGN §9): a
-top-level scatter map strips along its first parameter when
-:func:`chunk_plan` accepts that parameter.
+analysis of the map.  A top-level scatter map strips along its first
+parameter when :func:`chunk_plan` accepts that parameter.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.sdfg.data import Stream
 from repro.sdfg.dtypes import ReductionType
@@ -22,18 +21,19 @@ from repro.symbolic.sets import decide_nonnegative
 
 
 class Unchunkable(Exception):
-    """The map stays serial; the message says why (it becomes a W703)."""
+    """No parameter splits the map into chunks; the message says why."""
 
 
-def chunk_plan(sdfg, m, reads, writes) -> Tuple[str, Dict[str, ReductionType]]:
-    """The parameter to chunk map ``m`` over and the outputs each chunk
-    accumulates into a private copy (container -> operator), decided from
-    the accesses its NumPy tier analysed.  Raises :class:`Unchunkable`
-    naming what keeps the map serial: a stream output (push order is not
-    chunkable), a read of a privatized output (it would read the copy),
-    a container both stored to and accumulated into, or no parameter
-    that passes :func:`_chunk_conflict`.  Parameters are tried in map
-    order; the first that passes wins."""
+def chunk_plan(sdfg, m, reads, writes) -> str:
+    """The parameter along which map ``m`` splits into contiguous chunks
+    that, run one after another, equal the whole domain at once, decided
+    from the accesses its NumPy tier analysed.  Raises
+    :class:`Unchunkable` naming what refuses it: a stream output (push
+    order is not chunkable), a read of an accumulated output (a chunk
+    would read what earlier chunks accumulated), a container both stored
+    to and accumulated into, or no parameter that passes
+    :func:`_chunk_conflict`.  Parameters are tried in map order; the
+    first that passes wins."""
     merge: Dict[str, ReductionType] = {}
     stores = []
     for w in writes:
@@ -57,7 +57,7 @@ def chunk_plan(sdfg, m, reads, writes) -> Tuple[str, Dict[str, ReductionType]]:
     for p, rng in zip(m.params, m.range.ranges):
         why = _chunk_conflict(p, rng, stores, reads)
         if why is None:
-            return p, merge
+            return p
         reasons.append(why)
     raise Unchunkable("; ".join(reasons))
 

@@ -143,9 +143,6 @@ class CompiledSDFG:
         self.last_findings: Optional[List[Any]] = None
         #: Cached argument-marshaling plan (built on the first call).
         self._marshal_plan = None
-        #: The parallel worker pool the python entry was built with (see
-        #: :mod:`repro.runtime.parallel`); :meth:`close` tears it down.
-        self._pool = None
         #: Isolated cpp: removes the library's build directory (a
         #: ``weakref.finalize``, so collecting the artifact removes it
         #: too); :meth:`close` calls it.
@@ -171,13 +168,8 @@ class CompiledSDFG:
         self.records, self._timer = recording_plan(self.sdfg, options.profile)
 
     def close(self) -> None:
-        """Release owned resources (the parallel worker pool, an isolated
-        library's build directory).  Safe to call repeatedly; subsequent
-        calls of the artifact degrade to the serial path (a closed pool
-        runs inline)."""
-        pool = self._pool
-        if pool is not None:
-            pool.close()
+        """Release owned resources (an isolated library's build
+        directory).  Safe to call repeatedly."""
         if self._remove_build is not None:
             self._remove_build()
 
@@ -271,11 +263,10 @@ class CompiledSDFG:
                 attempts = 1
                 current = nxt
                 continue
-            self.close()  # the abandoned backend's parallel pool, if any
-            for attr in ("_entry", "_pool", "backend", "source", "lowering",
+            self.close()  # the abandoned backend's build directory, if any
+            for attr in ("_entry", "backend", "source", "lowering",
                          "codegen_warnings"):
                 setattr(self, attr, getattr(fallback, attr))
-            fallback._pool = None  # owned by this artifact now
             if self.compile_report is not None:
                 self.compile_report.lowering = self.lowering
             return True
@@ -361,7 +352,6 @@ def compile_sdfg(
     memory_budget: Optional[int] = None,
     isolate: bool = True,
     vectorize: bool = True,
-    parallel: Any = None,
 ) -> CompiledSDFG:
     """Compile an SDFG into a callable.
 
@@ -395,17 +385,9 @@ def compile_sdfg(
       worker of :mod:`repro.runtime.isolation` (default on; ``False``
       loads the library into this process).
 
-    Python-backend lowering tiers (see :mod:`repro.runtime.parallel`):
-
-    * ``vectorize`` — allow the NumPy-vectorized map tier (default on).
-    * ``parallel`` — multicore map execution for W501-proven
-      conflict-free maps: ``True`` for the default worker config, a
-      :class:`~repro.runtime.parallel.ParallelConfig`, worker count, or
-      spec string (``"4"``, ``"thread:4"``) for explicit control,
-      ``None``/``False`` for serial execution.  The returned
-      artifact owns the worker pool; ``compiled.close()`` tears it
-      down.  Ignored (with a W702 diagnostic) under ``sanitize``.
-      Loop-bodied maps run in parallel on ``backend="cpp"`` (OpenMP).
+    * ``vectorize`` — allow the python backend's NumPy-vectorized map
+      tiers (default on).  Maps run in parallel on ``backend="cpp"``,
+      whose generated C++ carries OpenMP pragmas.
 
     Every knob and ``REPRO_PROFILE`` are resolved once, by
     :func:`~repro.codegen.options.resolve_options`, into the artifact's
@@ -413,7 +395,7 @@ def compile_sdfg(
     """
     options = resolve_options(
         backend, validate, fallback, cache, sanitize, deadline, memory_budget,
-        isolate, vectorize, parallel,
+        isolate, vectorize,
     )
     return compile_with(sdfg, options, recorder)
 
@@ -490,9 +472,7 @@ def compile_with(
             )
             if cached is not None:
                 t0 = time.perf_counter()
-                compiled = _rebuild_from_cache(
-                    sdfg, cached[0], cached[1], store, key, options
-                )
+                compiled = _rebuild_from_cache(sdfg, cached[0], cached[1], store, key)
                 crec.event(
                     "phase", "progcache[hit]", duration=time.perf_counter() - t0
                 )
@@ -573,7 +553,7 @@ def _emit_symcache_events(crec, before, after) -> None:
                              fields={"event": "miss", "n": m1 - m0})
 
 
-def _rebuild_from_cache(sdfg, entry_rec, main, store, key, options) -> CompiledSDFG:
+def _rebuild_from_cache(sdfg, entry_rec, main, store, key) -> CompiledSDFG:
     """Rebuild a CompiledSDFG from a cache entry.  Memory-tier hits reuse
     the already-``exec``'d callable; disk hits ``exec`` once and promote."""
     from repro.diagnostics import Diagnostic
@@ -582,8 +562,7 @@ def _rebuild_from_cache(sdfg, entry_rec, main, store, key, options) -> CompiledS
         main = _exec_python_source(entry_rec.source, entry_rec.sdfg_name)
         store.attach_callable(key, main)
     compiled = _python_artifact(
-        sdfg, main, entry_rec.source, entry_rec.arg_arrays,
-        entry_rec.symbol_order, options,
+        sdfg, main, entry_rec.source, entry_rec.arg_arrays, entry_rec.symbol_order
     )
     compiled.cache_hit = True
     compiled.cache_key = key
@@ -658,23 +637,16 @@ def _exec_python_source(source: str, name: str) -> Callable:
     return namespace["main"]
 
 
-def _python_artifact(sdfg, main: Callable, source: str, arg_arrays, syms_order,
-                     options: CompileOptions) -> CompiledSDFG:
-    """Wrap a module entry; a program built for the parallel tier gets
-    its worker pool here, and the entry closes over it."""
-    pool = None
-    if options.pool_parallel is not None:
-        from repro.runtime.parallel import MapWorkerPool
-
-        pool = MapWorkerPool(options.pool_parallel)
+def _python_artifact(sdfg, main: Callable, source: str, arg_arrays,
+                     syms_order) -> CompiledSDFG:
+    """Wrap a module entry."""
 
     def entry(arrays: Dict[str, Any], symbols: Dict[str, int], instr=None, guard=None):
         args = [arrays[a] for a in arg_arrays]
         args += [symbols[s] for s in syms_order]
-        return main(*args, __instr=instr, __guard=guard, __pool=pool)
+        return main(*args, __instr=instr, __guard=guard)
 
     compiled = CompiledSDFG(sdfg, entry, source, "python")
-    compiled._pool = pool
     # Kept for the program cache: the raw module entry plus argument order.
     compiled._py_main = main
     compiled._py_orders = (arg_arrays, syms_order)
@@ -685,11 +657,11 @@ def _compile_python(sdfg, options: CompileOptions) -> CompiledSDFG:
     from repro.codegen.python_gen import PythonGenerator
 
     gen = PythonGenerator(sdfg, vectorize=options.vectorize,
-                          sanitize=bool(options.sanitize), parallel=options.parallel)
+                          sanitize=bool(options.sanitize))
     source = gen.generate()
     main = _exec_python_source(source, sdfg.name)
     arg_arrays, syms_order = sdfg.entry_abi()
-    compiled = _python_artifact(sdfg, main, source, arg_arrays, syms_order, options)
+    compiled = _python_artifact(sdfg, main, source, arg_arrays, syms_order)
     compiled.codegen_warnings = list(getattr(gen, "diagnostics", []))
     compiled.lowering = gen.lowering
     return compiled

@@ -3,8 +3,7 @@
 :func:`resolve_options` is the only reader of the four compile-time
 variables (``REPRO_CACHE``, ``REPRO_CACHE_DIR``, ``REPRO_SANITIZE``,
 ``REPRO_PROFILE``); the artifact keeps its frozen record (DESIGN §9,
-"Call path").  The deadline, memory budget and parallel tier are
-arguments only.
+"Call path").  The deadline and memory budget are arguments only.
 """
 
 from __future__ import annotations
@@ -46,14 +45,7 @@ class CompileOptions:
     memory_budget: Optional[int] = None
     isolate: bool = True
     vectorize: bool = True
-    parallel: Any = None  # as requested: the generator reports W702 under sanitize
     profile: bool = False  # REPRO_PROFILE: time every top-level call
-
-    @property
-    def pool_parallel(self):
-        """The parallel config a worker pool is built for: none under the
-        sanitizer, which instruments the serial path."""
-        return None if self.sanitize else self.parallel
 
     @property
     def variant(self) -> str:
@@ -63,18 +55,15 @@ class CompileOptions:
             parts.append("sanitize")
         if not self.vectorize:
             parts.append("novec")
-        if self.pool_parallel is not None:
-            parts.append(f"par={self.pool_parallel.key_fragment()}")
         return ":".join(parts)
 
 
 def resolve_options(backend="python", validate=True, fallback=True, cache=None,
                     sanitize=None, deadline=None, memory_budget=None, isolate=True,
-                    vectorize=True, parallel=None) -> CompileOptions:
+                    vectorize=True) -> CompileOptions:
     """Resolve ``compile_sdfg``'s keyword arguments (same names and
     defaults) and their environment fallbacks into one record."""
     from repro.codegen import progcache
-    from repro.runtime.parallel import ParallelConfig
 
     env = os.environ
     if cache is None:
@@ -105,7 +94,6 @@ def resolve_options(backend="python", validate=True, fallback=True, cache=None,
     if sanitize not in (None, "raise", "collect"):
         raise ValueError(f"unknown sanitize mode {sanitize!r}")
 
-    parallel = ParallelConfig.parse(parallel)
     profile = parse_flag("REPRO_PROFILE", env.get("REPRO_PROFILE"))
     return CompileOptions(backend, validate, fallback, cache, sanitize, deadline,
-                          memory_budget, isolate, vectorize, parallel, profile)
+                          memory_budget, isolate, vectorize, profile)

@@ -51,7 +51,8 @@ from repro.store import Store, content_key
 #: v11: scalar code on Python numbers: point accesses in loops through
 #: memoryviews, transient float64 Scalars as locals, symbol-only
 #: ``if``/``else`` as Python conditionals, ``hi - lo`` trip counts.
-CODEGEN_VERSION = 11
+#: v12: no thread tier: entry functions lost their worker-pool parameter.
+CODEGEN_VERSION = 12
 
 #: Entry file layout version; mismatched files are deleted as misses.
 CACHE_SCHEMA_VERSION = 1
@@ -287,4 +288,4 @@ def resolve_cache(cache: Any) -> Optional[ProgramCache]:
     """
     from repro.codegen.options import resolve_options
 
-    return resolve_options(cache=cache, sanitize=False, parallel=False).cache
+    return resolve_options(cache=cache, sanitize=False).cache

@@ -60,7 +60,7 @@ from repro.instrumentation import (
     tasklet_volume_expr,
 )
 from repro.sdfg.data import Stream
-from repro.sdfg.dtypes import Language, ReductionType, ScheduleType
+from repro.sdfg.dtypes import Language, ReductionType
 from repro.sdfg.memlet import Memlet
 from repro.sdfg.nodes import (
     AccessNode,
@@ -74,14 +74,7 @@ from repro.sdfg.nodes import (
 )
 from repro.symbolic import Expr, Integer, Symbol
 from repro.symbolic.expr import Add, Mul
-from repro.symbolic.sets import Range as SymRange, Subset, linear_coefficient
-
-#: Lowering tiers the parallel tier does not chunk, and why.  Every other
-#: tier is NumPy array work that releases the GIL.
-_UNCHUNKED_TIERS = {
-    "loop": "a pure-Python body holds the GIL, so threads cannot overlap it",
-    "contraction": "one BLAS call, which is threaded already",
-}
+from repro.symbolic.sets import Range as SymRange, linear_coefficient
 
 #: Strips (DESIGN.md §9): a top-level scatter-tier map whose domain exceeds
 #: ``STRIP_FLOOR`` points runs its one lowering once per strip of about
@@ -105,23 +98,18 @@ class PythonGenerator(FlowEmitter):
         jump="__next = {}; continue", halt="return None",
     )
 
-    def __init__(
-        self, sdfg, vectorize: bool = True, sanitize: bool = False, parallel=None
-    ):
+    def __init__(self, sdfg, vectorize: bool = True, sanitize: bool = False):
         from repro.diagnostics import Severity, make_diagnostic
 
         self.sdfg = sdfg
         #: ``sanitize=True`` routes every memlet access through the
         #: per-call ``__guard`` (see :mod:`repro.runtime.sanitizer`); the
-        #: guards are per-element, so vectorized and parallel lowerings
-        #: are disabled (each emits a W702 explaining the degradation).
+        #: guards are per-element, so vectorized lowerings are disabled
+        #: (a W702 explains the degradation).
         self.sanitize = sanitize
         #: ``vectorize=False`` forces the loop lowering everywhere — used
         #: by benchmarks to measure the vectorized paths' speedups.
         self.vectorize = vectorize and not sanitize
-        #: Parallel-tier configuration (:class:`repro.runtime.parallel.
-        #: ParallelConfig`) or None for single-threaded lowering only.
-        self.parallel = parallel if not sanitize else None
         #: Non-fatal lowering notes (e.g. W701 degradations); surfaced on
         #: the CompiledSDFG and in the compile report.
         self.diagnostics: List = []
@@ -136,17 +124,6 @@ class PythonGenerator(FlowEmitter):
                     sdfg=sdfg,
                 )
             )
-        if sanitize and parallel is not None:
-            self.diagnostics.append(
-                make_diagnostic(
-                    "W702",
-                    "the parallel execution tier is disabled under "
-                    "sanitize=True (access guards are not thread-safe "
-                    "across chunk workers); maps lower serially",
-                    Severity.WARNING,
-                    sdfg=sdfg,
-                )
-            )
         self.wcr_ids: Dict[str, str] = {}
         self._fn_counter = itertools.count()
         self._tmp_counter = itertools.count()
@@ -154,13 +131,10 @@ class PythonGenerator(FlowEmitter):
         self._nested_names: Dict[int, str] = {}
         self._need_custom_reduce = False
         self._current_fn = "main"
-        #: A chunk function privatizes a WCR output (emit the identities).
-        self._need_wcr_identity = False
         self._lowering: Dict[int, Dict[str, Optional[str]]] = {}
         #: Scope -> (reads, writes) its NumPy tier analysed, as
         #: :class:`_Access` lists: the facts
-        #: :func:`repro.codegen.chunking.chunk_plan` reads, for the parallel
-        #: tier and for strips.
+        #: :func:`repro.codegen.chunking.chunk_plan` reads to decide strips.
         self._accesses: Dict[int, Tuple[List[_Access], List[_Access]]] = {}
         #: Scope -> the parameter its scatter lowering strips along.
         self._strip: Dict[int, str] = {}
@@ -213,22 +187,6 @@ class PythonGenerator(FlowEmitter):
         for wcr, name in self.wcr_ids.items():
             buf.line(f"{name} = {wcr}")
         buf.line()
-        if self._need_wcr_identity:
-            # Identity element per recognized reduction, shaped like the
-            # output: chunk workers accumulate into private copies that
-            # merge into the caller's array at the barrier.
-            buf.line("def _wcr_identity_like(arr, kind):")
-            buf.line("    if kind == 'Sum':")
-            buf.line("        return np.zeros_like(arr)")
-            buf.line("    if kind == 'Product':")
-            buf.line("        return np.ones_like(arr)")
-            buf.line("    if np.issubdtype(arr.dtype, np.floating):")
-            buf.line("        lim = np.inf if kind == 'Min' else -np.inf")
-            buf.line("    else:")
-            buf.line("        info = np.iinfo(arr.dtype)")
-            buf.line("        lim = info.max if kind == 'Min' else info.min")
-            buf.line("    return np.full_like(arr, lim)")
-            buf.line()
         for fn in self._functions:
             buf.lines(fn)
             buf.line()
@@ -299,9 +257,8 @@ class PythonGenerator(FlowEmitter):
     # --------------------------------------------------------- element access
     def _local_scalars(self, sdfg) -> Set[str]:
         """:func:`scalarpath.local_scalars` of ``sdfg``; none under
-        ``sanitize`` (whose guards check arrays) or with the parallel tier
-        (whose chunks share arrays)."""
-        if self.sanitize or self.parallel is not None:
+        ``sanitize`` (whose guards check arrays)."""
+        if self.sanitize:
             return set()
         return scalarpath.per_sdfg(self._locals, sdfg, scalarpath.local_scalars)
 
@@ -342,7 +299,7 @@ class PythonGenerator(FlowEmitter):
         buf = CodeBuffer()
         arg_arrays, syms = sdfg.entry_abi()
         params = arg_arrays + [f"{s}" for s in syms] + [
-            "__instr=None", "__guard=None", "__pool=None",
+            "__instr=None", "__guard=None",
         ]
         buf.line(f"def {fname}({', '.join(params)}):")
         buf.indent()
@@ -445,7 +402,7 @@ class PythonGenerator(FlowEmitter):
             elif isinstance(node, Reduce):
                 self._emit_reduce(sdfg, state, node, buf)
             elif isinstance(node, NestedSDFG):
-                self._emit_nested_call(sdfg, state, node, buf, params)
+                self._emit_nested_call(sdfg, state, node, buf)
             elif isinstance(node, AccessNode):
                 self._emit_copies(sdfg, state, node, buf)
             else:
@@ -469,12 +426,7 @@ class PythonGenerator(FlowEmitter):
             instrumented = itype != InstrumentationType.NONE
             if instrumented:
                 self._emit_instr_enter(buf, "map", entry.map.label, itype)
-            if not self._try_parallel_map(
-                sdfg, state, entry, body, buf, order, scope_dict, params
-            ):
-                self._emit_map_serial(
-                    sdfg, state, entry, body, buf, order, scope_dict, params
-                )
+            self._emit_map(sdfg, state, entry, body, buf, order, scope_dict, params)
             if instrumented:
                 self._emit_instr_exit(
                     buf,
@@ -485,10 +437,8 @@ class PythonGenerator(FlowEmitter):
         else:
             self._emit_consume(sdfg, state, entry, body, buf, order, scope_dict, params)
 
-    def _emit_map_serial(
-        self, sdfg, state, entry, body, buf, order, scope_dict, params
-    ) -> None:
-        """Single-threaded map lowering: vectorized tiers, then the loop."""
+    def _emit_map(self, sdfg, state, entry, body, buf, order, scope_dict, params) -> None:
+        """Map lowering: vectorized tiers, then the loop."""
         if self._try_vectorized_map(
             sdfg, state, entry, body, buf, order, scope_dict, strip=not params
         ):
@@ -516,166 +466,6 @@ class PythonGenerator(FlowEmitter):
             inner.dedent()
         if self.sanitize:
             inner.line("__guard.map_exit()")
-
-    # ------------------------------------------------------- parallel map tier
-    def _parallel_chunk_args(self, sdfg, state, entry, scope_dict):
-        """(container names, dynamic-range connector names, symbol names)
-        a chunk function needs, in stable order."""
-        names: Set[str] = set()
-        used_syms: Set[str] = set()
-        seen = set()
-        for node in state.scope_subgraph(entry, scope_dict=scope_dict):
-            if isinstance(node, Tasklet):
-                used_syms.update(node.free_symbols())
-            for e in itertools.chain(state.in_edges(node), state.out_edges(node)):
-                if id(e) in seen or e.data.is_empty():
-                    continue
-                seen.add(id(e))
-                if e.data.data is not None:
-                    names.add(e.data.data)
-                used_syms.update(s.name for s in e.data.free_symbols)
-        for r in entry.map.range.ranges:
-            used_syms.update(s.name for s in r.free_symbols)
-        conns = sorted(
-            c for c in entry.in_connectors if not c.startswith("IN_")
-        )
-        syms = set(sdfg.entry_abi()[1])
-        # Interstate-assigned symbols (loop variables of the state
-        # machine) are plain locals in the parent function; forward the
-        # ones the scope actually references.
-        interstate = {t for e in sdfg.edges() for t in e.data.assignments}
-        syms |= (used_syms & interstate) - set(sdfg.constants)
-        syms -= set(entry.map.params) | set(conns) | names
-        return sorted(names), conns, sorted(syms)
-
-    def _emit_parallel_chunk_fn(
-        self, sdfg, state, entry, body, order, scope_dict, param, merge, args
-    ):
-        """Emit the module-level chunk function executing one ``[lo, hi)``
-        slice of ``param``'s domain; returns its name, or None when the
-        chunked body does not lower to a NumPy tier.  The function writes
-        plain outputs in place and returns its private partials of the
-        ``merge`` outputs (container -> reduction type)."""
-        containers, conns, syms = args
-        fname = f"_pchunk_{next(self._fn_counter)}"
-        m = entry.map
-        pidx = m.params.index(param)
-        rng = m.range.ranges[pidx]
-
-        buf = CodeBuffer()
-        sig = (
-            ["__lo", "__hi"] + containers + conns + list(syms)
-            + ["__instr=None", "__guard=None", "__pool=None"]
-        )
-        buf.line(f"def {fname}({', '.join(sig)}):")
-        buf.indent()
-        for cname, cval in sdfg.constants.items():
-            buf.line(f"{cname} = {cval!r}")
-        # Privatize merged outputs: accumulate into identity-filled
-        # copies; the caller merges them in chunk order at the barrier.
-        for data in sorted(merge):
-            buf.line(f"{data} = _wcr_identity_like({data}, {merge[data].name!r})")
-        saved, depth = m.range, self._loop_depth
-        chunked = list(saved.ranges)
-        chunked[pidx] = SymRange(Symbol("__lo"), Symbol("__hi"), rng.step)
-        m.range = Subset(chunked)
-        self._loop_depth = 0  # a chunk function makes no memoryviews
-        try:
-            self._lower_whole_domain(sdfg, state, entry, body, buf, order, scope_dict)
-        except (_Reject, CodegenError):
-            return None
-        finally:
-            m.range, self._loop_depth = saved, depth
-        if merge:
-            self._need_wcr_identity = True
-        wcrs = ", ".join(sorted(merge))
-        buf.line(f"return ({wcrs}{',' if wcrs else ''})")
-        buf.dedent()
-        self._functions.append(buf.getvalue())
-        return fname
-
-    def _try_parallel_map(
-        self, sdfg, state, entry, body, buf, order, scope_dict, params
-    ) -> bool:
-        """Emit a top-level map's serial lowering, inside a chunked
-        multicore branch when that lowering took a NumPy tier that
-        releases the GIL and the points it analysed show the chunks
-        disjoint (:func:`repro.codegen.chunking.chunk_plan`); a W703 says
-        why a map stays serial.  Returns False, so the caller emits the
-        serial tiers, when the parallel tier is off, the map is nested or
-        it is Sequential."""
-        if self.parallel is None or params:
-            return False
-        m = entry.map
-        if m.schedule == ScheduleType.Sequential:
-            return self._keep_serial(
-                sdfg, state, entry, "is not provably parallelizable (its "
-                "schedule is Sequential); lowering serially",
-            )
-        serial = CodeBuffer()
-        self._emit_map_serial(
-            sdfg, state, entry, body, serial, order, scope_dict, params
-        )
-        tier = self._lowering[id(entry)]["tier"]
-        fname = None
-        if tier in _UNCHUNKED_TIERS:
-            why = f"lowers to the {tier!r} tier ({_UNCHUNKED_TIERS[tier]})"
-        else:
-            try:
-                param, merge = chunk_plan(sdfg, m, *self._accesses[id(entry)])
-            except Unchunkable as refusal:
-                why = f"is not provably parallelizable ({refusal})"
-            else:
-                args = self._parallel_chunk_args(sdfg, state, entry, scope_dict)
-                fname = self._emit_parallel_chunk_fn(
-                    sdfg, state, entry, body, order, scope_dict, param, merge, args
-                )
-                why = f"lowers to the {tier!r} tier (its chunks do not vectorize)"
-        if fname is None:
-            self._keep_serial(sdfg, state, entry, f"{why}; lowering serially")
-            buf.lines(serial.getvalue())
-            return True
-        containers, conns, syms = args
-        rng = m.range.ranges[m.params.index(param)]
-        label = m.label
-        # Pool threads share the address space: pass the watchdog guard
-        # through so checkpoints keep firing inside chunks.
-        call_args = containers + conns + list(syms) + ["None", "__guard"]
-        args_src = ", ".join(call_args) + ","
-        points = pycode(m.num_iterations())
-        buf.line(f"# parallel map {label}: chunked over {param}")
-        with buf.block(f"if __pool is not None and __pool.accepts({points}):"):
-            buf.line(
-                f"__pres = __pool.run({fname}, {pycode(rng.start)}, "
-                f"{pycode(rng.end)}, {pycode(rng.step)}, ({args_src}), "
-                f"label={label!r})"
-            )
-            buf.line("__tm = time.perf_counter()")
-            if merge:
-                with buf.block("for __pret in __pres:"):
-                    for i, data in enumerate(sorted(merge)):
-                        ufunc = self._UFUNC[merge[data]]
-                        buf.line(f"{ufunc}({data}, __pret[{i}], out={data})")
-            buf.line(f"__pool.note_merge({label!r}, time.perf_counter() - __tm)")
-        with buf.block("else:"):
-            buf.lines(serial.getvalue())
-        return True
-
-    def _keep_serial(self, sdfg, state, entry, reason: str) -> bool:
-        """Record the W703 that says why a map is not chunked."""
-        from repro.diagnostics import Severity, make_diagnostic
-
-        self.diagnostics.append(
-            make_diagnostic(
-                "W703",
-                f"map {entry.map.label!r} {reason}",
-                Severity.WARNING,
-                sdfg=sdfg,
-                state=state,
-                node=entry,
-            )
-        )
-        return False
 
     def _emit_consume(self, sdfg, state, entry, body, buf, order, scope_dict, params):
         consume = entry.consume
@@ -913,7 +703,7 @@ class PythonGenerator(FlowEmitter):
         self._emit_mark_written(buf, sdfg, out_e.data.data)
 
     # ------------------------------------------------------------ nested SDFG
-    def _emit_nested_call(self, sdfg, state, node: NestedSDFG, buf, params=()) -> None:
+    def _emit_nested_call(self, sdfg, state, node: NestedSDFG, buf) -> None:
         key = id(node.sdfg)
         if key not in self._nested_names:
             fname = f"_nested_{node.sdfg.name}_{next(self._fn_counter)}"
@@ -951,9 +741,6 @@ class PythonGenerator(FlowEmitter):
                 args.append(s)
         args.append("__instr=__instr")
         args.append("__guard=__guard")
-        # Pool plumbing stops at map scopes: a nested SDFG called from
-        # inside a map body must never re-enter the shared worker pool.
-        args.append("__pool=__pool" if not params else "__pool=None")
         itype = node.sdfg.instrument
         if itype != InstrumentationType.NONE:
             self._emit_instr_enter(buf, "sdfg", node.sdfg.name, itype)
@@ -1073,8 +860,7 @@ class PythonGenerator(FlowEmitter):
         return list(self._lowering.values())
 
     def _record_tier(self, state, entry, tier: str, reason: Optional[str] = None):
-        # Keyed by scope: the parallel tier lowers a map twice (chunk
-        # function and serial fallback) and both agree.
+        # Keyed by scope: a ragged map records its absorbed inner map too.
         self._lowering[id(entry)] = {
             "map": entry.map.label,
             "state": state.name,
@@ -1177,7 +963,7 @@ class PythonGenerator(FlowEmitter):
         if len(sizes) == len(m.params) and math.prod(sizes) <= STRIP_FLOOR:
             return pranges, None
         try:
-            param, _ = chunk_plan(sdfg, m, *self._accesses[id(entry)])
+            param = chunk_plan(sdfg, m, *self._accesses[id(entry)])
         except Unchunkable:
             return pranges, None
         if param != m.params[0]:
@@ -1738,7 +1524,7 @@ class PythonGenerator(FlowEmitter):
         which comes later in the same walk, or not at all
         (:meth:`_try_contraction`)."""
         if (
-            self.parallel is not None or not self.vectorize or id(entry) in self._fills
+            not self.vectorize or id(entry) in self._fills
             or not isinstance(entry, MapEntry) or scope_dict.get(entry) is not None
             or entry.map.instrument != InstrumentationType.NONE
             or any(not e.data.is_empty() for e in state.in_edges(entry))

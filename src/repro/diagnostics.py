@@ -74,8 +74,7 @@ CODES: Dict[str, str] = {
     "W603": "instrumentation attached to unreachable state",
     # --- codegen performance degradations (W7xx, warnings)
     "W701": "custom WCR reduction lowered through the scalar loop path",
-    "W702": "fast lowering tier disabled by the sanitizer",
-    "W703": "map kept serial by the parallel tier (no disjointness proof, or a loop or contraction body)",
+    "W702": "vectorized lowering tiers disabled by the sanitizer",
     # --- code generation (CGxxx)
     "CG001": "expression not renderable as Python",
     "CG002": "expression not renderable as C++",
@@ -250,9 +249,6 @@ class DiagnosticCollector:
 
     def warnings(self) -> List[Diagnostic]:
         return [d for d in self.diagnostics if d.severity == Severity.WARNING]
-
-    def has_errors(self) -> bool:
-        return any(d.severity >= Severity.ERROR for d in self.diagnostics)
 
     def to_json(self) -> List[Dict[str, Optional[str]]]:
         return [d.to_json() for d in self.diagnostics]

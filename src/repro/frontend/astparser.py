@@ -85,7 +85,6 @@ class ProgramParser:
         self._writes: Dict[Tuple[int, str], AccessNode] = {}
         #: Alias from Python variable names to container names.
         self.aliases: Dict[str, str] = {}
-        self._tmp_counter = 0
 
     # ------------------------------------------------------------- utilities
     def resolve(self, name: str) -> str:
@@ -95,14 +94,6 @@ class ProgramParser:
         if self.cur is None:
             self.cur = self.sdfg.add_state("init")
         return self.cur
-
-    def new_chained_state(self, label: str):
-        prev = self.cur
-        st = self.sdfg.add_state(label)
-        if prev is not None:
-            self.sdfg.add_edge(prev, st, InterstateEdge())
-        self.cur = st
-        return st
 
     def fresh_state(self, label: str):
         return self.sdfg.add_state(label)
@@ -136,10 +127,6 @@ class ProgramParser:
         state.add_nedge(cur, node)
         self._writes[key] = node
         return node
-
-    def _tmp_name(self, base: str) -> str:
-        self._tmp_counter += 1
-        return f"__tmp{self._tmp_counter}_{base}"
 
     def _eval_static(self, node: ast.AST):
         """Evaluate an annotation/sentinel expression against the closure."""

@@ -124,9 +124,6 @@ class OrderedMultiDiGraph(Generic[NodeT, EdgeDataT]):
         del self._in[node]
         self._changed()
 
-    def has_node(self, node: NodeT) -> bool:
-        return node in self._nodes
-
     def nodes(self) -> List[NodeT]:
         return list(self._nodes)
 

@@ -30,10 +30,6 @@ class InstrumentationType(enum.Enum):
     COUNTER = "COUNTER"
     MEMLET_VOLUME = "MEMLET_VOLUME"
 
-    @staticmethod
-    def from_name(name: str) -> "InstrumentationType":
-        return InstrumentationType[name]
-
     def records_time(self) -> bool:
         return self is InstrumentationType.TIMER
 

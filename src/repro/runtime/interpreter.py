@@ -102,7 +102,7 @@ class SDFGInterpreter:
         if self._plan is None:
             from repro.codegen.options import resolve_options
 
-            profile = resolve_options(cache="off", sanitize=False, parallel=False).profile
+            profile = resolve_options(cache="off", sanitize=False).profile
             self._plan = recording_plan(self.sdfg, profile)
         records, timer = self._plan
         if self.recorder is not None or not records:

@@ -96,11 +96,6 @@ class Memlet:
     def volume(self, value) -> None:
         self._volume = sympify(value) if value is not None else None
 
-    @property
-    def num_accesses(self) -> Expr:
-        """Paper terminology alias for :attr:`volume`."""
-        return self.volume
-
     def reduction_type(self) -> Optional[ReductionType]:
         if self.wcr is None:
             return None

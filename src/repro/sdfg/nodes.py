@@ -75,12 +75,6 @@ class Node:
             k += 1
         return f"IN_{k}"
 
-    def next_out_connector(self) -> str:
-        k = 1
-        while f"OUT_{k}" in self.out_connectors:
-            k += 1
-        return f"OUT_{k}"
-
     @property
     def label(self) -> str:
         return type(self).__name__

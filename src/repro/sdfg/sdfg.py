@@ -17,7 +17,7 @@ from repro.instrumentation.types import InstrumentationType
 from repro.sdfg import dtypes
 from repro.sdfg.data import Array, Data, Scalar, Stream
 from repro.sdfg.dtypes import StorageType, typeclass
-from repro.sdfg.nodes import AccessNode, EntryNode, NestedSDFG
+from repro.sdfg.nodes import EntryNode, NestedSDFG
 from repro.sdfg.state import SDFGState
 from repro.symbolic import BoolExpr, Expr, parse_expr, sympify
 from repro.symbolic.expr import TRUE
@@ -249,15 +249,6 @@ class SDFG(OrderedMultiDiGraph[SDFGState, InterstateEdge]):
     def states(self) -> List[SDFGState]:
         return self.nodes()
 
-    def all_states_topological(self) -> List[SDFGState]:
-        """States in a DFS order from the start state (the state machine
-        may be cyclic, so this is exploration order, not a toposort)."""
-        from repro.graph import dfs_preorder
-
-        if self.start_state is None:
-            return []
-        return dfs_preorder(self, [self.start_state])
-
     def arglist(self) -> Dict[str, Data]:
         """Externally-visible containers, in deterministic order."""
         return {
@@ -318,14 +309,6 @@ class SDFG(OrderedMultiDiGraph[SDFGState, InterstateEdge]):
 
     def transients(self) -> Dict[str, Data]:
         return {n: d for n, d in self.arrays.items() if d.transient}
-
-    def used_data_names(self) -> Set[str]:
-        names: Set[str] = set()
-        for state in self.nodes():
-            for node in state.nodes():
-                if isinstance(node, AccessNode):
-                    names.add(node.data)
-        return names
 
     # --------------------------------------------------------------- pipeline
     def validate(self) -> None:

@@ -128,21 +128,6 @@ class SDFGState(OrderedMultiDiGraph[Node, Memlet]):
         self.add_node(node)
         return node
 
-    def add_memlet_edge(
-        self,
-        src: Node,
-        src_conn: Optional[str],
-        dst: Node,
-        dst_conn: Optional[str],
-        memlet: Memlet,
-    ) -> Edge:
-        """Add a single dataflow edge, registering scope connectors."""
-        if src_conn is not None and isinstance(src, (EntryNode, ExitNode, Reduce)):
-            src.add_out_connector(src_conn)
-        if dst_conn is not None and isinstance(dst, (EntryNode, ExitNode, Reduce)):
-            dst.add_in_connector(dst_conn)
-        return self.add_edge(src, dst, memlet, src_conn, dst_conn)
-
     def add_nedge(self, src: Node, dst: Node, memlet: Optional[Memlet] = None) -> Edge:
         """Connector-less edge (e.g. empty-memlet ordering dependencies)."""
         return self.add_edge(src, dst, memlet or Memlet.empty(), None, None)
@@ -394,12 +379,6 @@ class SDFGState(OrderedMultiDiGraph[Node, Memlet]):
 
     def out_edges_by_connector(self, node: Node, conn: str) -> List[Edge]:
         return [e for e in self.out_edges(node) if e.src_conn == conn]
-
-    def degree_report(self) -> str:
-        return (
-            f"state {self.name}: {self.number_of_nodes()} nodes, "
-            f"{self.number_of_edges()} edges"
-        )
 
     def __repr__(self) -> str:
         return f"SDFGState({self.name!r})"

@@ -55,6 +55,9 @@ from repro.serve.pool import WorkerPool
 from repro.telemetry.aggregate import WindowedAggregator
 from repro.telemetry.sink import TelemetrySink
 
+#: The longest path an ``AF_UNIX`` socket binds to (``sun_path`` less its NUL).
+_UNIX_PATH_MAX = 107
+
 
 class ServeConfig:
     """Everything the daemon needs, with test-friendly defaults."""
@@ -105,9 +108,13 @@ class ServeConfig:
             return (socket.AF_INET, (self.tcp[0], int(self.tcp[1])))
         path = self.socket_path
         if not path:
-            path = os.path.join(
-                tempfile.mkdtemp(prefix="repro_serve_"), "serve.sock"
-            )
+            path = os.path.join(tempfile.mkdtemp(prefix="repro_serve_"), "serve.sock")
+            if len(os.fsencode(path)) > _UNIX_PATH_MAX:
+                # A deep temp dir: the socket would not bind there.
+                os.rmdir(os.path.dirname(path))
+                path = os.path.join(
+                    tempfile.mkdtemp(prefix="repro_serve_", dir="/tmp"), "serve.sock"
+                )
             self.socket_path = path
         return (socket.AF_UNIX, path)
 
@@ -509,7 +516,6 @@ class SDFGServer:
             "arrays": request.get("arrays"),
             "symbols": request.get("symbols"),
             "sanitize": request.get("sanitize"),
-            "parallel": request.get("parallel"),
             "deadline": deadline,
             "memory_budget": request.get("memory_budget"),
         }

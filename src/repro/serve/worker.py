@@ -104,7 +104,7 @@ class WorkerRuntime:
         #: Whether the current job's program was resident (None before
         #: the lookup); failed jobs report it too
         self._warm: Optional[bool] = None
-        #: (tenant, backend, sanitize, parallel) request fields -> their
+        #: (tenant, backend, sanitize) request fields -> their
         #: resolved CompileOptions, so a warm request reads no environment
         self._options: Dict[tuple, Any] = {}
         self._mem_caches: Dict[str, Any] = {}
@@ -131,14 +131,7 @@ class WorkerRuntime:
         self._programs[key] = compiled
         self._programs.move_to_end(key)
         while len(self._programs) > MAX_PROGRAMS:
-            _, evicted = self._programs.popitem(last=False)
-            # The artifact may own a parallel worker pool; eviction is
-            # the end of its life here, so tear the pool down instead of
-            # leaking its threads until GC gets around to it.
-            try:
-                evicted.close()
-            except Exception:  # noqa: BLE001 - eviction must not fail a request
-                pass
+            self._programs.popitem(last=False)
 
     # ---------------------------------------------------------- faults
     def _maybe_inject_fault(self, job: Dict[str, Any]) -> Optional[Dict[str, Any]]:
@@ -165,12 +158,9 @@ class WorkerRuntime:
     def handle(self, job: Dict[str, Any]) -> Dict[str, Any]:
         op = job.get("op")
         if op == "ping":
-            from repro.runtime.parallel import live_pool_count
-
             return protocol.ok_response(
                 op="pong", served=self.served, rss_kb=rss_kb(),
                 uptime=round(time.monotonic() - self.started, 6),
-                pools=live_pool_count(),
             )
         if op in ("compile", "execute", "isolated_call"):
             injected = self._maybe_inject_fault(job)
@@ -246,8 +236,7 @@ class WorkerRuntime:
 
         op = job["op"]
         tenant = str(job.get("tenant", "default"))
-        fields = (tenant, job.get("backend", "python"), job.get("sanitize"),
-                  repr(job.get("parallel")))
+        fields = (tenant, job.get("backend", "python"), job.get("sanitize"))
         options = self._options.get(fields)
         if options is None:
             # An absent field falls back to this worker's environment, an
@@ -257,7 +246,6 @@ class WorkerRuntime:
                 cache=self._tenant_cache(tenant),
                 sanitize=fields[2],
                 isolate=False,  # this worker IS the isolation boundary
-                parallel=job.get("parallel"),
             )
 
         sdfg_json = job.get("sdfg")

@@ -4,7 +4,7 @@ Vectorization and MapToForLoop).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.sdfg.dtypes import ScheduleType
 from repro.sdfg.memlet import Memlet
@@ -17,18 +17,6 @@ from repro.transformations.base import (
     path_graph,
     register_transformation,
 )
-
-
-def _relay_pairs(state: SDFGState, scope_node) -> List[str]:
-    """Sorted relay connector indices ('1', '2', ...) of a scope node."""
-    out = set()
-    for c in scope_node.in_connectors:
-        if c.startswith("IN_"):
-            out.add(c[3:])
-    for c in scope_node.out_connectors:
-        if c.startswith("OUT_"):
-            out.add(c[4:])
-    return sorted(out)
 
 
 def wrap_scope(

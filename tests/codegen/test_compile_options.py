@@ -104,19 +104,19 @@ def test_warm_served_request_reads_no_environment(monkeypatch):
 
 
 # Recorded with the code before compile options were resolved in one
-# place, re-recorded at CODEGEN_VERSION 7 (part of every key; the
-# parallel variant fragment became the worker count alone), at 8 (the
+# place, re-recorded at CODEGEN_VERSION 7 (part of every key), at 8 (the
 # generator decides which maps to chunk), at 9 (large scatter maps run
-# in strips), at 10 (destination passing) and at 11 (scalar code on
-# Python numbers); the sanitize pin was re-recorded
-# once more when the tenant namespace left the variant key (tenants get
-# separate caches instead): the keys must not move by a byte.
+# in strips), at 10 (destination passing), at 11 (scalar code on
+# Python numbers) and at 12 (no thread tier; the novec pin is new
+# there); the sanitize pin was re-recorded once more when the tenant
+# namespace left the variant key (tenants get separate caches
+# instead): the keys must not move by a byte.
 @pytest.mark.parametrize("kwargs,key", [
     (dict(sanitize=True, vectorize=False),
-     "5aefda94c1b3c5bb186e08bdfa9ee235df115ec8cb68a87099eb5da98ec70da0"),
-    (dict(vectorize=False, parallel="thread:2"),
-     "5fde1a186645d4a2b15c7131e7a8b72891ff07032bb132cf388921d5d084de02"),
-], ids=["sanitize-novec", "novec-parallel"])
+     "cb6c1f5343317a7e083797f1b9fcc7ea571336301e8a4cf2d0884e1ad45cf819"),
+    (dict(vectorize=False),
+     "61cfcc1a1dae7678831c25d71ecd4475266bcb6d6892b19695aa0ca3e8f30756"),
+], ids=["sanitize-novec", "novec"])
 def test_program_cache_key_is_pinned(kwargs, key):
     compiled = compile_sdfg(kernels.matmul_sdfg(), cache=ProgramCache(), **kwargs)
     try:

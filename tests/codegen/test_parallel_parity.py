@@ -1,57 +1,52 @@
-"""The parallel map tier over the whole corpus: every PolyBench registry
-kernel and every ``repro.workloads.kernels`` program, at each
-``parallel=`` spec, against its NumPy reference at 1e-8.
-
-The work floor is patched to 0, so every chunkable map runs chunked.
+"""The python backend over the whole corpus: every PolyBench registry
+kernel and every ``repro.workloads.kernels`` program, at the default
+lowering and with ``vectorize=False`` (every map on the loop tier),
+against its NumPy reference at 1e-8.
 
 The four programs whose maps read a container they also accumulate into
-(cholesky, lu, nussinov, trmm) are checked against the interpreter too:
-the parallel tier must keep those maps serial rather than privatize the
-container they read.  The interpreter is too slow for the whole
-registry, so it runs only on those four.
+(cholesky, lu, nussinov, trmm) are checked against the interpreter too.
+The interpreter is too slow for the whole registry, so it runs only on
+those four.
 
-The chunk census pins how many maps of each program get a chunk
-function, and a property over generated in-place maps checks that a
-chunked run equals the serial one bitwise, whatever the tier decides.
+The chunk census pins how many maps of each program have recorded
+access facts that :func:`~repro.codegen.chunking.chunk_plan` accepts
+(the facts that gate strips), and a property over generated in-place
+maps checks the default lowering against the interpreter.
 """
 
-import re
 from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.codegen.chunking import Unchunkable, chunk_plan
 from repro.codegen.compiler import compile_sdfg
+from repro.codegen.python_gen import PythonGenerator
 from repro.runtime import SDFGInterpreter
 from repro.sdfg import SDFG, Memlet, dtypes
+from repro.sdfg.nodes import MapEntry, NestedSDFG
 from repro.workloads import kernels, polybench
 
-pytestmark = pytest.mark.usefixtures("no_work_floor")
-
-SPECS = (None, "thread:1", "thread:2", "auto")
-#: Program -> what the W703 of its read-accumulate map says.  lu's maps
-#: and trmm's are contractions, which the tier never chunks.
-INTERPRETED = {
-    "cholesky": "map reads 'A', which it accumulates into",
-    "lu": "lowers to the 'contraction' tier",
-    "nussinov": "map reads 'table', which it accumulates into",
-    "trmm": "lowers to the 'contraction' tier",
-}
+#: The default lowering, and every map on the loop tier.
+LOWERINGS = (None, "novec")
+#: Programs with a map that reads a container it accumulates into.
+INTERPRETED = ("cholesky", "lu", "nussinov", "trmm")
 #: Programs also run off their registry sizes.
 RESIZED = {
     "atax": {"NI": 40, "NJ": 44},
     "mvt": {"NI": 48},
     "jacobi-2d": {"N": 20, "TSTEPS": 3},
 }
-#: Program -> maps with a chunk function at ``thread:2``; 0 for the rest.
+#: Program -> maps whose access facts ``chunk_plan`` accepts; 0 for the rest.
 CHUNKED = {
-    "2mm": 2, "3mm": 1, "adi": 8, "atax": 1, "bicg": 2, "correlation": 9,
-    "covariance": 4, "deriche": 3, "doitgen": 1, "durbin": 3,
-    "fdtd-2d": 4, "gemm": 1, "gemver": 2, "gesummv": 2, "gramschmidt": 3,
-    "heat-3d": 2, "jacobi-1d": 2, "jacobi-2d": 2, "symm": 3, "trmm": 1,
-    "gemm_chain": 8, "histogram": 1, "jacobi2d": 1, "matmul": 1, "spmv": 1,
+    "2mm": 4, "3mm": 4, "adi": 8, "atax": 3, "bicg": 4, "correlation": 10,
+    "covariance": 5, "deriche": 3, "doitgen": 2, "durbin": 3,
+    "fdtd-2d": 4, "gemm": 2, "gemver": 4, "gesummv": 4, "gramschmidt": 4,
+    "heat-3d": 2, "jacobi-1d": 2, "jacobi-2d": 2, "ludcmp": 4, "mvt": 2,
+    "symm": 4, "syr2k": 2, "syrk": 2, "trisolv": 1, "trmm": 1,
+    "gemm_chain": 16, "histogram": 1, "jacobi2d": 1, "matmul": 1, "spmv": 1,
 }
 
 
@@ -124,45 +119,58 @@ def test_registry_is_the_whole_corpus():
     assert len(PROGRAMS) == 36
 
 
-def _run_case(name, case, spec):
+def _run_case(name, case, lowering):
     make_sdfg, inputs, expected = case
-    compiled = compile_sdfg(make_sdfg(), backend="python", parallel=spec,
+    compiled = compile_sdfg(make_sdfg(), backend="python", vectorize=lowering != "novec",
                             cache="off", fallback=False)
-    try:
-        got = _fresh(inputs)
-        compiled(**got)
-    finally:
-        compiled.close()
+    got = _fresh(inputs)
+    compiled(**got)
     _check(name, got, expected, "numpy reference")
-    if spec == "thread:2" and "# parallel map" in compiled.source:
-        assert compiled._pool.stats["thread_runs"] >= 1, compiled._pool.stats
-    return compiled, got, expected
+    return got, expected
 
 
-@pytest.mark.parametrize("spec", SPECS, ids=str)
+@pytest.mark.parametrize("lowering", LOWERINGS, ids=str)
 @pytest.mark.parametrize("name", PROGRAMS)
-def test_matches_numpy_reference(name, spec):
-    _run_case(name, _case(name), spec)
+def test_matches_numpy_reference(name, lowering):
+    _run_case(name, _case(name), lowering)
 
 
-@pytest.mark.parametrize("spec", SPECS, ids=str)
+@pytest.mark.parametrize("lowering", LOWERINGS, ids=str)
 @pytest.mark.parametrize("name", sorted(RESIZED))
-def test_resized_programs_match_numpy_reference(name, spec):
-    _run_case(name, _polybench_case(name, RESIZED[name]), spec)
+def test_resized_programs_match_numpy_reference(name, lowering):
+    _run_case(name, _polybench_case(name, RESIZED[name]), lowering)
 
 
 def test_chunk_census_covers_the_corpus():
     assert set(CHUNKED) <= set(PROGRAMS)
-    assert sum(CHUNKED.values()) == 68
+    assert sum(CHUNKED.values()) == 106
+
+
+def _maps(sdfg):
+    """(SDFG, map entry) for every map of ``sdfg`` and its nested SDFGs."""
+    for state in sdfg.nodes():
+        for node in state.nodes():
+            if isinstance(node, MapEntry):
+                yield sdfg, node
+            elif isinstance(node, NestedSDFG):
+                yield from _maps(node.sdfg)
 
 
 @pytest.mark.parametrize("name", PROGRAMS)
 def test_chunk_census(name):
-    compiled = compile_sdfg(_case(name)[0](), backend="python",
-                            parallel="thread:2", cache="off", fallback=False)
-    compiled.close()
-    chunked = re.findall(r"# parallel map \S+: chunked over \w+", compiled.source)
-    assert len(chunked) == CHUNKED.get(name, 0), chunked
+    sdfg = _case(name)[0]()
+    sdfg.validate()
+    sdfg.propagate()
+    gen = PythonGenerator(sdfg)
+    gen.generate()
+    accepted = []
+    for parent, entry in _maps(sdfg):
+        if id(entry) in gen._accesses:
+            try:
+                accepted.append(chunk_plan(parent, entry.map, *gen._accesses[id(entry)]))
+            except Unchunkable:
+                pass
+    assert len(accepted) == CHUNKED.get(name, 0), accepted
 
 
 _ORACLE = {}
@@ -177,15 +185,11 @@ def _interpreted(name):
     return _ORACLE[name]
 
 
-@pytest.mark.parametrize("spec", SPECS[1:])
-@pytest.mark.parametrize("name", sorted(INTERPRETED))
-def test_read_accumulate_maps_match_the_interpreter(name, spec):
-    """These maps read a container they accumulate into; chunking them
-    over private copies reads the copy's identity values instead, so
-    the tier keeps them serial and its W703 says why."""
-    compiled, got, expected = _run_case(name, _case(name), spec)
-    assert any(w.code == "W703" and INTERPRETED[name] in w.message
-               for w in compiled.codegen_warnings)
+@pytest.mark.parametrize("name", INTERPRETED)
+def test_read_accumulate_programs_match_the_interpreter(name):
+    """These maps read a container they accumulate into: the default
+    lowering must read what the interpreter's loop order reads."""
+    got, expected = _run_case(name, _case(name), None)
     oracle = _interpreted(name)
     _check(name, got, {out: oracle[out] for out in expected}, "interpreter")
 
@@ -251,32 +255,23 @@ def _reads_a_stored_point(reads, ranges, k):
     return False
 
 
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=60, deadline=None)
 @given(in_place_maps())
 def test_in_place_map_chunks_equal_serial(case):
-    """``thread:2`` equals the serial lowering bitwise, whichever
-    parameter it chunks over or whether it chunks at all, and both equal
-    the interpreter wherever the map's result does not depend on its
-    iteration order.  floyd-warshall's shape never does: row and column
-    ``k`` are fixed points of ``min(x, y + z)`` over non-negative data."""
+    """The default lowering equals the interpreter bitwise wherever the
+    map's result does not depend on its iteration order.
+    floyd-warshall's shape never does: row and column ``k`` are fixed
+    points of ``min(x, y + z)`` over non-negative data."""
     shape, abc, ranges, k, seed = case
     X = np.random.default_rng(seed).random((N, N))
-    runs = {}
-    for spec in (None, "thread:2"):
-        sdfg, reads = _in_place_sdfg(shape, abc, ranges)
-        compiled = compile_sdfg(sdfg, backend="python", parallel=spec,
-                                cache="off", fallback=False)
-        try:
-            runs[spec] = X.copy()
-            compiled(X=runs[spec], k=k)
-        finally:
-            compiled.close()
-    np.testing.assert_array_equal(runs["thread:2"], runs[None])
+    sdfg, reads = _in_place_sdfg(shape, abc, ranges)
+    compiled = compile_sdfg(sdfg, backend="python", cache="off", fallback=False)
+    got = X.copy()
+    compiled(X=got, k=k)
     if shape == "floyd" or not _reads_a_stored_point(reads, ranges, k):
         oracle = X.copy()
         SDFGInterpreter(_in_place_sdfg(shape, abc, ranges)[0])(X=oracle, k=k)
-        np.testing.assert_array_equal(runs[None], oracle)
+        np.testing.assert_array_equal(got, oracle)
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the slice tier's gate "

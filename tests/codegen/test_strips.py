@@ -55,8 +55,8 @@ def _whole(m):
               lambda self, sdfg, entry, pranges, strip: (pranges, None))
 
 
-def _compile(make_sdfg, **kwargs):
-    return compile_sdfg(make_sdfg(), backend="python", cache="off", fallback=False, **kwargs)
+def _compile(make_sdfg):
+    return compile_sdfg(make_sdfg(), backend="python", cache="off", fallback=False)
 
 
 def _small_case(name):
@@ -288,26 +288,6 @@ def test_each_map_scope_is_lowered_once(tiny_strips, monkeypatch, name):
     compiled = _compile(_small_case(name)[0])
     assert set(calls.values()) <= {1}, calls
     assert len(calls) <= len(compiled.lowering)
-
-
-@pytest.mark.usefixtures("no_work_floor")
-@pytest.mark.parametrize("name", PROGRAMS)
-def test_chunk_functions_never_strip(tiny_strips, name):
-    make_sdfg, inputs = _small_case(name)
-    compiled = _compile(make_sdfg, parallel="thread:2")
-    try:
-        got = _fresh(inputs)
-        compiled(**got)
-    finally:
-        compiled.close()
-    chunks = re.findall(r"^def _pchunk_\d+\(.*?(?=^\S)", compiled.source, re.M | re.S)
-    assert len(chunks) == compiled.source.count("# parallel map")
-    assert not any(STRIP_LOOP.search(fn) for fn in chunks)
-    serial = _compile(make_sdfg)
-    want = _fresh(inputs)
-    serial(**want)
-    # Chunks privatize and merge float sums: equal to rounding only.
-    _same(name, got, want, False, "the serial run")
 
 
 # ============================================================ scatter values

@@ -17,7 +17,6 @@ import repro as rp
 from repro.codegen import compile_sdfg, python_gen
 from repro.instrumentation import InstrumentationType
 from repro.runtime import SDFGInterpreter
-from repro.runtime.parallel import ParallelConfig
 from repro.sdfg import SDFG, Memlet, dtypes
 from repro.sdfg.dtypes import canonicalize_wcr
 from repro.sdfg.nodes import Tasklet
@@ -718,31 +717,3 @@ def test_instrumented_tasklets_keep_the_loop_tier(name):
     assert any("instrumented" in row["reason"] for row in comp.lowering)
     assert comp.last_report.structure() == reports["interpreter"].last_report.structure()
 
-
-# ============================================================== parallel tier
-@pytest.mark.usefixtures("no_work_floor")
-@pytest.mark.parametrize("name", ["jacobi2d", "spmv"])
-def test_parallel_tier_is_worker_count_invariant(name):
-    if name == "jacobi2d":
-        make, args = kernels.jacobi2d_sdfg, {"A": kernels.jacobi2d_data(40)["A"], "T": 5}
-    else:
-        make, args = kernels.spmv_sdfg, _drop_rows(_spmv_case(64, 6), rows=(3, 40))
-    serial = _copy(args)
-    compile_sdfg(make(), backend="python")(**serial)
-    outs = []
-    for workers in (1, 2, 5):
-        comp = compile_sdfg(
-            make(), backend="python",
-            parallel=ParallelConfig(workers=workers),
-        )
-        try:
-            assert comp._pool is not None
-            assert "loop" not in tiers(comp)
-            got = _copy(args)
-            comp(**got)
-        finally:
-            comp.close()
-        outs.append(got)
-    out = "A" if name == "jacobi2d" else "b"
-    for got in outs:
-        assert np.array_equal(got[out], serial[out])

@@ -12,12 +12,3 @@ def _no_leaked_chaos():
     yield
     if active_engine() is not None:
         uninstall_engine()
-
-
-@pytest.fixture
-def no_work_floor(monkeypatch):
-    """Chunk every chunkable map, however small: for tests whose subject
-    is chunked execution rather than the choice to chunk."""
-    from repro.runtime import parallel
-
-    monkeypatch.setattr(parallel, "WORK_FLOOR", 0)

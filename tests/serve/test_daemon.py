@@ -246,8 +246,11 @@ def test_tcp_transport(tmp_path):
 
 def test_stop_removes_the_socket_directory_it_made(tmp_path, monkeypatch):
     """With no socket path given, the daemon makes a private directory
-    for its socket; stopping removes both."""
+    for its socket, in the temp dir when the socket path fits there;
+    stopping removes both."""
     import tempfile
+
+    from repro.serve import daemon
 
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     monkeypatch.setenv("REPRO_CRASH_DIR", str(tmp_path / "crashes"))
@@ -256,11 +259,34 @@ def test_stop_removes_the_socket_directory_it_made(tmp_path, monkeypatch):
         with ServeClient(socket_path=srv.config.socket_path) as c:
             assert c.ping()["status"] == "ok"
         socket_dir = os.path.dirname(srv.config.socket_path)
-        assert os.path.dirname(socket_dir) == str(tmp_path)
+        in_tmp_path = os.path.join(str(tmp_path), os.path.basename(socket_dir), "serve.sock")
+        fits = len(os.fsencode(in_tmp_path)) <= daemon._UNIX_PATH_MAX
+        assert os.path.dirname(socket_dir) == (str(tmp_path) if fits else "/tmp")
     finally:
         srv.stop()
     assert not os.path.exists(socket_dir)
     assert not any(p.name.startswith("repro_") for p in tmp_path.iterdir())
+
+
+def test_private_socket_under_a_deep_temp_dir_still_binds(tmp_path, monkeypatch):
+    """A temp dir too deep for an ``AF_UNIX`` path puts the private
+    socket directory under ``/tmp``; stopping still removes it."""
+    import tempfile
+
+    deep = tmp_path / ("d" * (120 - len(str(tmp_path)) - 1))
+    deep.mkdir()
+    assert len(str(deep)) == 120
+    monkeypatch.setattr(tempfile, "tempdir", str(deep))
+    monkeypatch.setenv("REPRO_CRASH_DIR", str(tmp_path / "crashes"))
+    srv = SDFGServer(ServeConfig(workers=1, health_interval=600.0)).start()
+    try:
+        with ServeClient(socket_path=srv.config.socket_path) as c:
+            assert c.ping()["status"] == "ok"
+        socket_dir = os.path.dirname(srv.config.socket_path)
+        assert os.path.dirname(socket_dir) == "/tmp"
+    finally:
+        srv.stop()
+    assert not os.path.exists(socket_dir)
 
 
 def _live_worker_children():
@@ -290,12 +316,16 @@ def test_start_that_cannot_bind_leaves_no_worker_and_no_socket_directory(
     tmp_path, monkeypatch
 ):
     """A private socket path longer than AF_UNIX allows fails the bind:
-    start() raises, and no worker, listener or socket directory is left."""
+    start() raises, and no worker, listener or socket directory is left.
+    The limit is lifted so the daemon does not move the path to /tmp."""
     import tempfile
+
+    from repro.serve import daemon
 
     long_dir = tmp_path / ("d" * 120)
     long_dir.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(long_dir))
+    monkeypatch.setattr(daemon, "_UNIX_PATH_MAX", 1 << 20)
     monkeypatch.setenv("REPRO_CRASH_DIR", str(tmp_path / "crashes"))
     srv = SDFGServer(ServeConfig(workers=1, health_interval=600.0))
     before = set(_live_worker_children())

@@ -19,13 +19,13 @@ from repro.tuning.cache import TuningCache
 # is part of every program key and entry, so programs generated by
 # version-5 builds are deliberately cold; re-recorded again at version 7
 # (one thread tier), 8 (the generator decides which maps to chunk), 9
-# (large scatter maps run in strips), 10 (destination passing) and 11
-# (scalar code on Python numbers).
+# (large scatter maps run in strips), 10 (destination passing), 11
+# (scalar code on Python numbers) and 12 (no thread tier).
 # The tuning pins predate the store.
-PROGRAM_KEY = "5c3a455085f33744deb372df4d98aa8629108fd4bb11d252a70f677dde83d4de"
-PROGRAM_KEY_VARIANT = "16130513825feceae30f57572802107fae2f77fcccab9dfb34ecf51e1d02b517"
+PROGRAM_KEY = "79c09a1337dbef380cdd540c67b8b1adacac8631c8c44c9672352bc4757e5f72"
+PROGRAM_KEY_VARIANT = "914426a211585a2e9ce4071e7d762317ed4870e83ba60077abe04885f2d5ffd1"
 TUNING_KEY = "a6e0cfb9b97890493e3b38fe58d9ca424f63b75cd61a759ab119bb44c9250aae"
-PROGRAM_ENTRY_SHA = "78dc3ed21801735532709e0707cde312ead5a0fb91a48e38690ddcbc18904e88"
+PROGRAM_ENTRY_SHA = "86596094af18b11645bd272a7292d3e5939c0b8348030f5d4363c2e9e38d04c1"
 TUNING_ENTRY_SHA = "471abd604466f76b1cf682b9379a65768e9e5c1768102b8f4ef6eed5d5fd38f3"
 
 
