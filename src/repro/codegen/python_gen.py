@@ -1176,7 +1176,7 @@ class PythonGenerator(FlowEmitter):
             for e in in_edges:
                 spans[f"__in_{e.dst_conn}"] = _memlet_params(analyses[id(e.data)])
             for tgt, expr in stmts:
-                names = pytranslate.loaded_names(ast.parse(expr))
+                names = pytranslate.loaded_names(pytranslate.parse_tasklet(expr))
                 spans[tgt] = set().union(*(spans.get(n, ()) for n in names))
         binop = None
         if len(out_edges) == 1 and not predicated:
@@ -1301,7 +1301,7 @@ class PythonGenerator(FlowEmitter):
             or _memlet_params(analyses[id(mem)]) != set(pranges)
         ):
             return None
-        op = ast.parse(expr, mode="eval").body
+        op = pytranslate.parse_expression(expr)
         if type(getattr(op, "op", None)) not in pytranslate.BINOP_UFUNC:
             return None
         types = {f"__bix_{p}": np.dtype(np.intp) for p in pranges} | {
@@ -1309,7 +1309,7 @@ class PythonGenerator(FlowEmitter):
             for e in in_edges
         }
         for name, src in stmts[:-1]:
-            types[name] = pytranslate.result_dtype(ast.parse(src, mode="eval").body, types)
+            types[name] = pytranslate.result_dtype(pytranslate.parse_expression(src), types)
         dtype = pytranslate.result_dtype(op, types)
         if dtype is None or dtype != desc.dtype.nptype:  # ``np.dtype(None)`` is float64
             return None
@@ -1417,7 +1417,7 @@ class PythonGenerator(FlowEmitter):
         # iteration: ``.at`` broadcasts it, so it is never materialized.
         varying = set(rename.values())
         for tgt, expr in stmts:
-            if pytranslate.loaded_names(ast.parse(expr)) & varying:
+            if pytranslate.loaded_names(pytranslate.parse_tasklet(expr)) & varying:
                 varying.add(tgt)
 
         buf.line(f"# wcr scatter lowering for map {entry.map.label}")

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.codegen.common import CodegenError
 from repro.codegen.controlflow import _nan_free_names
+from repro.sdfg.nodes import parse_code
 
 _NP_FUNCS = {
     "min": "np.minimum",
@@ -48,10 +49,26 @@ _CASTS = {
 
 
 def parse_tasklet(code: str) -> ast.Module:
+    """The tree of ``code``, parsed once per memo epoch and shared by
+    every analysis that reads it (:func:`repro.sdfg.nodes.parse_code`).
+    Read it, never change it: a rewrite starts from :func:`fresh_tasklet`."""
+    try:
+        return parse_code(code)
+    except SyntaxError as err:
+        raise CodegenError(f"cannot parse tasklet code: {err}") from err
+
+
+def fresh_tasklet(code: str) -> ast.Module:
+    """A private tree of ``code``, for a caller that rewrites it."""
     try:
         return ast.parse(code)
     except SyntaxError as err:
         raise CodegenError(f"cannot parse tasklet code: {err}") from err
+
+
+def parse_expression(src: str) -> ast.expr:
+    """The shared tree of one expression's source (see :func:`parse_tasklet`)."""
+    return parse_tasklet(src).body[0].value  # type: ignore[attr-defined]
 
 
 def assigned_names(tree: ast.Module) -> Set[str]:
@@ -89,12 +106,14 @@ def _statements(body: Sequence[ast.stmt]) -> List[ast.stmt]:
 
 
 def _split_branch(tree: ast.Module):
-    """``(prelude, trailing if or None)``, no-ops dropped throughout."""
+    """``(prelude, trailing if or None)``, no-ops dropped throughout (the
+    ``if`` is a new node: ``tree`` may be shared)."""
     stmts = _statements(tree.body)
     if stmts and isinstance(stmts[-1], ast.If):
-        branch = stmts[-1]
-        branch.body = _statements(branch.body)
-        branch.orelse = _statements(branch.orelse)
+        last = stmts[-1]
+        branch = ast.If(
+            test=last.test, body=_statements(last.body), orelse=_statements(last.orelse)
+        )
         return stmts[:-1], branch
     return stmts, None
 
@@ -319,7 +338,7 @@ def vectorize_tasklet(
     paths define merges through ``np.where``, and a name only one branch
     defines is assigned unmerged — see :func:`assignment_summary`.
     """
-    tree = parse_tasklet(code)
+    tree = fresh_tasklet(code)
     scalars: Set[str] = set()
     if scalar_branches and " if " in code and not any(  # an ``if``/``else`` at all
         isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, RAISING_OPS)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import ast
 import inspect
+import linecache
 import textwrap
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -49,10 +50,56 @@ class FrontendError(Exception):
         super().__init__(message)
 
 
+def _last_line(code) -> int:
+    """The largest end line any instruction of ``code`` or of a code
+    object nested in it (a nested ``def``, lambda or comprehension) has."""
+    last = max((end for _, end, _, _ in code.co_positions() if end is not None), default=0)
+    for const in code.co_consts:
+        if inspect.iscode(const):
+            last = max(last, _last_line(const))
+    return last
+
+
+def _sliced_tree(f) -> Optional[ast.Module]:
+    """The module of ``f``'s source, cut from its file's cached lines by
+    the positions its code records, or None when that cut is not one
+    ``def``: the caller then asks :func:`inspect.getsource`.
+
+    The cut runs from ``co_firstlineno`` (the first decorator) to the
+    last line an instruction covers, extended over the lines indented
+    deeper than the ``def`` that follow it (code that leaves no
+    instruction, like a closing declaration ``tmp: rp.float64[N]``) and
+    the blank and comment lines between them.  ``inspect.getsource``
+    finds the same block by running the tokenizer over it, which costs
+    more than the parse."""
+    code = getattr(f, "__code__", None)
+    if code is None or hasattr(f, "__wrapped__"):
+        return None
+    linecache.checkcache(code.co_filename)
+    lines = linecache.getlines(code.co_filename, f.__globals__)
+    first, end = code.co_firstlineno - 1, _last_line(code)
+    if not lines or not 0 <= first < end <= len(lines):
+        return None
+    head = lines[first]
+    indent = len(head) - len(head.lstrip())
+    for i in range(end, len(lines)):
+        text = lines[i].lstrip()
+        if text and not text.startswith("#"):
+            if len(lines[i]) - len(text) <= indent:
+                break
+            end = i + 1
+    try:
+        tree = ast.parse(textwrap.dedent("".join(lines[first:end])))
+    except (SyntaxError, ValueError):
+        return None
+    if len(tree.body) != 1 or not isinstance(tree.body[0], ast.FunctionDef):
+        return None
+    return tree
+
+
 def parse_program(f) -> SDFG:
     """Parse a decorated function into an SDFG."""
-    source = textwrap.dedent(inspect.getsource(f))
-    tree = ast.parse(source)
+    tree = _sliced_tree(f) or ast.parse(textwrap.dedent(inspect.getsource(f)))
     fndef = tree.body[0]
     if not isinstance(fndef, ast.FunctionDef):
         raise FrontendError("expected a function definition")

@@ -8,6 +8,7 @@ their declared input/output variable names.
 
 from __future__ import annotations
 
+import ast
 import itertools
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
@@ -24,15 +25,27 @@ _TASKLET_BUILTINS = frozenset({
 })
 
 
+#: Entries at which the ``tasklet_ast`` table clears.  A tree takes about
+#: 2 KB, and a serving worker, which never clears the memo, adds two per
+#: cold body; a compile of the whole corpus parses about 100 strings.
+TREE_ENTRIES = 1 << 8
+
+
+@memo.cached("tasklet_ast", limit=TREE_ENTRIES)
+def parse_code(code: str) -> ast.Module:
+    """The tree of Python ``code``, parsed once per memo epoch and shared
+    by every caller: validation here, and codegen's analyses.  Callers
+    only read it; one that rewrites a tree parses its own."""
+    return ast.parse(code)
+
+
 @memo.cached("tasklet_names")
 def _loaded_names(code: str) -> frozenset:
     """Names Python ``code`` loads and never stores, builtins excluded
     (nothing for code that does not parse).  A pure function of the
     code string, memoized on it."""
-    import ast
-
     try:
-        tree = ast.parse(code)
+        tree = parse_code(code)
     except SyntaxError:
         return frozenset()
     loaded: Set[str] = set()

@@ -60,10 +60,13 @@ def memoized(name: str, key: Any, compute: Callable[[], Any]) -> Any:
     return value
 
 
-def cached(name: str) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
+def cached(
+    name: str, limit: int = MAX_ENTRIES
+) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
     """Decorator form of :func:`memoized` for a pure function of
     hashable positional arguments, keyed on the argument tuple.  The
-    hot-path constructors use it: no closure is built per call."""
+    hot-path constructors use it: no closure is built per call.  A table
+    of large values clears at a lower ``limit`` of entries."""
 
     def decorate(fn: Callable[..., Any]) -> Callable[..., Any]:
         cache = _table(name)
@@ -75,7 +78,7 @@ def cached(name: str) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
             except KeyError:
                 _MISSES[name] += 1
                 value = fn(*args)
-                if len(cache) >= MAX_ENTRIES:
+                if len(cache) >= limit:
                     cache.clear()
                 cache[args] = value
                 return value

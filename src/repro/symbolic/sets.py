@@ -31,6 +31,7 @@ from repro.symbolic.expr import (
     Max,
     Min,
     Mul,
+    Real,
     Symbol,
     sympify,
 )
@@ -45,6 +46,30 @@ _PROBE_VALUES = (101, 257, 1021, 4099, 65537)
 
 def linear_coefficient(e: Expr, sym: Symbol) -> Optional[Expr]:
     """Return ``c`` if ``e`` is linear in ``sym`` (``e = c*sym + d``), else None.
+
+    A canonical sum whose terms are each free of ``sym``, ``sym`` itself
+    or ``k*sym`` for an Integer ``k`` is read off its terms.  Anything
+    else takes the substitution rule of :func:`_coefficient_by_subs`,
+    and so does a top-level Real term, where that rule answers
+    ``Real(0.0)`` and not ``Integer(0)``: both rules give the same value
+    of the same type on every expression.
+    """
+    k = 0
+    for term in e.args if type(e) is Add else (e,):
+        if term == sym:
+            k += 1
+        elif (
+            type(term) is Mul and len(term.args) == 2 and term.args[1] == sym
+            and type(term.args[0]) is Integer
+        ):
+            k += term.args[0].value
+        elif type(term) is Real or sym in term.free_symbols:
+            return _coefficient_by_subs(e, sym)
+    return Integer(k)
+
+
+def _coefficient_by_subs(e: Expr, sym: Symbol) -> Optional[Expr]:
+    """:func:`linear_coefficient` by substitution, for any expression.
 
     Equal differences at 0, 1, 2 are necessary but not sufficient (the
     cubic ``p*(p-1)*(p-2)`` has them), so ``c`` must also be free of
@@ -448,8 +473,7 @@ class Subset:
                 first = prange.start
                 n = prange.size()
                 last = prange.start + (n - 1) * prange.step
-                lo = _sweep_min(lo, sym, first, last)
-                hi_incl = _sweep_max(hi_incl, sym, first, last)
+                lo, hi_incl = _sweep(lo, hi_incl, sym, first, last)
                 step = Integer(1)  # union over iterations collapses strides
             out.append(Range(lo, hi_incl + 1, step, r.tile))
         return Subset(out)
@@ -519,26 +543,28 @@ def Indices(indices: Sequence[ExprLike]) -> Subset:
 # ---------------------------------------------------------------------------
 
 
-def _sweep_min(e: Expr, sym: Symbol, first: Expr, last: Expr) -> Expr:
-    c = linear_coefficient(e, sym)
-    if c is not None:
-        sign = decide_nonnegative(c)
-        if sign is True:
-            return e.subs({sym: first})
-        if sign is False:
-            return e.subs({sym: last})
-    return Min.make(e.subs({sym: first}), e.subs({sym: last}))
+def _sweep(lo: Expr, hi: Expr, sym: Symbol, first: Expr, last: Expr) -> Tuple[Expr, Expr]:
+    """The least ``lo`` and the greatest ``hi`` as ``sym`` sweeps from
+    ``first`` to ``last``.  A point has ``lo == hi``: its coefficient and
+    the coefficient's sign are worked out once for both ends."""
+    up_lo = _increasing(lo, sym)
+    up_hi = up_lo if hi == lo else _increasing(hi, sym)
+    if up_lo is None:
+        lo = Min.make(lo.subs({sym: first}), lo.subs({sym: last}))
+    else:
+        lo = lo.subs({sym: first if up_lo else last})
+    if up_hi is None:
+        hi = Max.make(hi.subs({sym: first}), hi.subs({sym: last}))
+    else:
+        hi = hi.subs({sym: last if up_hi else first})
+    return lo, hi
 
 
-def _sweep_max(e: Expr, sym: Symbol, first: Expr, last: Expr) -> Expr:
+def _increasing(e: Expr, sym: Symbol) -> Optional[bool]:
+    """Whether ``e`` is linear in ``sym`` with a coefficient known to be
+    nonnegative (True) or negative (False); None when either is unknown."""
     c = linear_coefficient(e, sym)
-    if c is not None:
-        sign = decide_nonnegative(c)
-        if sign is True:
-            return e.subs({sym: last})
-        if sign is False:
-            return e.subs({sym: first})
-    return Max.make(e.subs({sym: first}), e.subs({sym: last}))
+    return None if c is None else decide_nonnegative(c)
 
 
 def _split_toplevel(text: str, sep: str) -> List[str]:

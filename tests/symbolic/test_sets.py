@@ -1,8 +1,10 @@
 """Unit tests for symbolic ranges and subsets."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.symbolic import Integer, Range, Subset, Symbol, symbols
+from repro.symbolic.expr import Max, Min, Real
 from repro.symbolic.sets import decide_nonnegative, linear_coefficient
 
 N, M, T = symbols("N M T")
@@ -198,3 +200,52 @@ class TestDecisionProcedure:
         lo, hi = img[0].min_element(), img[0].max_element()
         # True footprint over p in 0..9 is -504..0; the envelope covers it.
         assert lo.evaluate({}) <= -504 and hi.evaluate({}) >= 0
+
+
+def _coefficient_by_substitution(e, sym):
+    """The substitution rule ``linear_coefficient`` must agree with."""
+    c = e.subs({sym: 1}) - e.subs({sym: 0})
+    if c != e.subs({sym: 2}) - e.subs({sym: 1}) or sym in c.free_symbols:
+        return None
+    if sym in (e - c * sym).free_symbols:
+        return None
+    return c
+
+
+def _affine_exprs() -> st.SearchStrategy:
+    leaf = st.one_of(
+        st.sampled_from((i, i, N, M)),
+        st.integers(min_value=-9, max_value=9).map(Integer),
+        st.floats(min_value=-100, max_value=100, allow_nan=False).map(Real),
+        st.integers(min_value=-5, max_value=5).map(lambda k: k * i),
+    )
+
+    def extend(children):
+        pair = st.tuples(children, children)
+        return st.one_of(
+            pair.map(lambda ab: ab[0] + ab[1]),
+            pair.map(lambda ab: ab[0] - ab[1]),
+            pair.map(lambda ab: ab[0] * ab[1]),
+            pair.map(lambda ab: Min.make(*ab)),
+            pair.map(lambda ab: Max.make(*ab)),
+            st.tuples(children, st.integers(min_value=1, max_value=5)).map(
+                lambda ab: ab[0] // ab[1]
+            ),
+        )
+
+    return st.recursive(leaf, extend, max_leaves=10)
+
+
+@given(_affine_exprs())
+@settings(max_examples=400, deadline=None)
+def test_linear_coefficient_equals_the_substitution_rule(e):
+    # Value and type: the read-off terms give Integer where substitution
+    # would give Integer, and defer to it where it gives Real.
+    got, want = linear_coefficient(e, i), _coefficient_by_substitution(e, i)
+    assert type(got) is type(want) and got == want, (e, got, want)
+
+
+def test_a_top_level_real_keeps_the_real_zero():
+    e = N + Real(0.5)
+    assert type(linear_coefficient(e, i)) is Real
+    assert linear_coefficient(e, i) == _coefficient_by_substitution(e, i)
