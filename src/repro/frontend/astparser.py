@@ -51,9 +51,10 @@ class FrontendError(Exception):
 
 
 def _last_line(code) -> int:
-    """The largest end line any instruction of ``code`` or of a code
-    object nested in it (a nested ``def``, lambda or comprehension) has."""
-    last = max((end for _, end, _, _ in code.co_positions() if end is not None), default=0)
+    """The largest line an instruction of ``code`` or of a code object
+    nested in it (a nested ``def``, lambda or comprehension) starts on,
+    from the line table ``co_lines`` every supported Python has."""
+    last = max((line for _, _, line in code.co_lines() if line is not None), default=0)
     for const in code.co_consts:
         if inspect.iscode(const):
             last = max(last, _last_line(const))
@@ -62,14 +63,17 @@ def _last_line(code) -> int:
 
 def _sliced_tree(f) -> Optional[ast.Module]:
     """The module of ``f``'s source, cut from its file's cached lines by
-    the positions its code records, or None when that cut is not one
+    the line numbers its code records, or None when that cut is not one
     ``def``: the caller then asks :func:`inspect.getsource`.
 
     The cut runs from ``co_firstlineno`` (the first decorator) to the
-    last line an instruction covers, extended over the lines indented
-    deeper than the ``def`` that follow it (code that leaves no
-    instruction, like a closing declaration ``tmp: rp.float64[N]``) and
-    the blank and comment lines between them.  ``inspect.getsource``
+    last line an instruction starts on, extended over the lines indented
+    deeper than the ``def`` that follow it (the rest of a statement that
+    spans lines, and code that leaves no instruction, like a closing
+    declaration ``tmp: rp.float64[N]``) and the blank and comment lines
+    between them.  A continuation line at or left of the ``def``'s
+    indentation ends the cut inside a bracket or string, which does not
+    parse, so it falls back.  ``inspect.getsource``
     finds the same block by running the tokenizer over it, which costs
     more than the parse."""
     code = getattr(f, "__code__", None)

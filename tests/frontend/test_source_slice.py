@@ -1,5 +1,5 @@
 """The frontend reads a program's source by slicing its file's cached
-lines at the positions its code records (``astparser._sliced_tree``),
+lines at the line numbers its code records (``astparser._sliced_tree``),
 not by tokenizing it (``inspect.getsource``).  Both must give the same
 tree, line numbers included, for every function the corpus parses and
 for the shapes the slice has to extend over; where the slice is not one
@@ -9,10 +9,12 @@ import ast
 import inspect
 import linecache
 import textwrap
+import types
 
 import pytest
 
 import repro as rp
+from repro.codegen import python_gen, pytranslate
 from repro.frontend import astparser
 from repro.frontend.astparser import FrontendError
 from repro.workloads import kernels, polybench
@@ -119,8 +121,51 @@ def test_edge_case_slices_to_the_tokenized_tree(f):
     _assert_same_tree(f)
 
 
+def _functions(module):
+    """Every ``def`` of ``module``'s file, nested ones and methods
+    included, as functions built from the compiled file's code objects."""
+    path = module.__file__
+    source = open(path).read()
+    starts = {
+        (min([d.lineno for d in node.decorator_list] + [node.lineno]), node.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef)
+    }
+    stack = [compile(source, path, "exec")]
+    while stack:
+        code = stack.pop()
+        stack.extend(c for c in code.co_consts if inspect.iscode(c))
+        if (code.co_firstlineno, code.co_name) in starts:
+            cells = tuple(types.CellType() for _ in code.co_freevars)
+            yield types.FunctionType(code, module.__dict__, code.co_name, None, cells)
+
+
+@pytest.mark.parametrize("module", [astparser, pytranslate, python_gen], ids=lambda m: m.__name__)
+def test_every_def_of_a_module_slices_to_the_tokenized_tree(module):
+    # Multi-line signatures, calls and strings, decorators, nested
+    # closures and methods: far more shapes than the corpus has.
+    functions = list(_functions(module))
+    assert len(functions) > 20
+    for f in functions:
+        _assert_same_tree(f)
+
+
+class _LineTableOnly:
+    """The part of a code object the cut may read: ``co_lines`` and
+    ``co_consts``, which Python 3.10 has (``co_positions`` came in 3.11)."""
+
+    def __init__(self, code):
+        self.co_lines = code.co_lines
+        self.co_consts = code.co_consts
+
+
+@pytest.mark.parametrize("f", [ends_in_pass, ends_in_a_nested_def, one_line], ids=lambda f: f.__name__)
+def test_the_cut_reads_only_the_line_table_of_every_supported_python(f):
+    assert astparser._last_line(_LineTableOnly(f.__code__)) == astparser._last_line(f.__code__)
+
+
 def test_the_slice_extends_past_the_last_instruction():
-    # A bare annotation leaves no instruction: the positions stop a line
+    # A bare annotation leaves no instruction: the line table stops a line
     # short, and only the extension over deeper lines reaches it.
     code = ends_in_a_declaration.__code__
     last = code.co_firstlineno + len(inspect.getsource(ends_in_a_declaration).splitlines()) - 1
