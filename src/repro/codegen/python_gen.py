@@ -2017,16 +2017,18 @@ def _slices_only(memlet: Memlet) -> str:
     return ", ".join(parts)
 
 
+class _Renamer(ast.NodeTransformer):
+    def __init__(self, rename: Dict[str, str]):
+        self.rename = rename
+
+    def visit_Name(self, node: ast.Name):
+        if node.id in self.rename:
+            return ast.copy_location(
+                ast.Name(id=self.rename[node.id], ctx=node.ctx), node
+            )
+        return node
+
+
 def _rename_identifiers(code: str, rename: Dict[str, str]) -> str:
-    tree = ast.parse(code)
-
-    class R(ast.NodeTransformer):
-        def visit_Name(self, node: ast.Name):
-            if node.id in rename:
-                return ast.copy_location(
-                    ast.Name(id=rename[node.id], ctx=node.ctx), node
-                )
-            return node
-
-    new = ast.fix_missing_locations(R().visit(tree))
+    new = ast.fix_missing_locations(_Renamer(rename).visit(ast.parse(code)))
     return ast.unparse(new)

@@ -37,7 +37,7 @@ from repro.sdfg import SDFG, InterstateEdge, Memlet, dtypes
 from repro.sdfg.data import Array, Data, Scalar, Stream
 from repro.sdfg.dtypes import Language, typeclass
 from repro.sdfg.nodes import AccessNode, EntryNode, ExitNode
-from repro.symbolic import Expr, Subset, Symbol, parse_expr
+from repro.symbolic import Expr, Integer, Subset, Symbol, parse_expr
 from repro.symbolic.expr import Not
 
 
@@ -122,6 +122,107 @@ def parse_program(f) -> SDFG:
     sdfg.validate()
     sdfg.propagate()
     return sdfg
+
+
+class _RangeReadRewriter(ast.NodeTransformer):
+    """Replaces array reads in map range bounds with ``__rng<k>``
+    connectors, collecting their memlets in ``inputs``."""
+
+    def __init__(self, parser: ProgramParser, inputs: Dict[str, Memlet]):
+        self.parser = parser
+        self.inputs = inputs
+
+    def visit_Subscript(self, sub: ast.Subscript):
+        parser, inputs = self.parser, self.inputs
+        if (
+            isinstance(sub.value, ast.Name)
+            and parser.resolve(sub.value.id) in parser.sdfg.arrays
+        ):
+            data = parser.resolve(sub.value.id)
+            subset = parser._subset_str(sub.slice).replace("|", ", ")
+            conn = f"__rng{len(inputs)}"
+            inputs[conn] = Memlet(data=data, subset=subset, volume=1)
+            return ast.copy_location(ast.Name(id=conn, ctx=ast.Load()), sub)
+        return self.generic_visit(sub)
+
+
+class _ReadRewriter(ast.NodeTransformer):
+    """Replaces array reads with connector names, collecting their
+    memlets in ``inputs`` (see :meth:`ProgramParser._rewrite_reads`)."""
+
+    def __init__(self, parser: ProgramParser, inputs: Dict[str, Memlet]):
+        self.parser = parser
+        self.inputs = inputs
+
+    def visit_Subscript(self, sub: ast.Subscript):
+        parser, inputs = self.parser, self.inputs
+        if not (
+            isinstance(sub.value, ast.Name)
+            and parser.resolve(sub.value.id) in parser.sdfg.arrays
+        ):
+            return self.generic_visit(sub)
+        data = parser.resolve(sub.value.id)
+        # Does the subset reference other arrays (indirection)?
+        indirect = any(
+            isinstance(inner, ast.Subscript)
+            and isinstance(inner.value, ast.Name)
+            and parser.resolve(inner.value.id) in parser.sdfg.arrays
+            for inner in ast.walk(sub.slice)
+        )
+        if indirect:
+            # Bind the whole container; keep (rewritten) indexing in
+            # the code. Inner reads become their own connectors.
+            new_slice = self.visit(sub.slice)
+            conn = parser._fresh_conn(inputs)
+            desc = parser.sdfg.arrays[data]
+            inputs[conn] = Memlet(
+                data=data,
+                subset=", ".join(f"0:{s}" for s in desc.shape),
+                volume=1,
+                dynamic=True,
+            )
+            return ast.copy_location(
+                ast.Subscript(
+                    value=ast.Name(id=conn, ctx=ast.Load()),
+                    slice=new_slice,
+                    ctx=ast.Load(),
+                ),
+                sub,
+            )
+        subset = parser._subset_str(sub.slice).replace("|", ", ")
+        memlet = Memlet(data=data, subset=subset)
+        # Reuse a connector for an identical read.
+        for conn, m in inputs.items():
+            if m == memlet:
+                return ast.copy_location(ast.Name(id=conn, ctx=ast.Load()), sub)
+        conn = parser._fresh_conn(inputs)
+        inputs[conn] = memlet
+        return ast.copy_location(ast.Name(id=conn, ctx=ast.Load()), sub)
+
+
+class _ConditionRewriter(ast.NodeTransformer):
+    """Maps single-element container reads (``v[0]``) in an interstate
+    condition to the container name the runtime binds."""
+
+    def __init__(self, parser: ProgramParser):
+        self.parser = parser
+
+    def visit_Subscript(self, sub: ast.Subscript):
+        parser = self.parser
+        if (
+            isinstance(sub.value, ast.Name)
+            and parser.resolve(sub.value.id) in parser.sdfg.arrays
+        ):
+            data = parser.resolve(sub.value.id)
+            desc = parser.sdfg.arrays[data]
+            if all(s == Integer(1) for s in desc.shape):
+                return ast.copy_location(ast.Name(id=data, ctx=ast.Load()), sub)
+            raise FrontendError(
+                "conditions may only read single-element containers "
+                f"(got {data!r})",
+                sub,
+            )
+        return self.generic_visit(sub)
 
 
 class ProgramParser:
@@ -335,25 +436,10 @@ class ProgramParser:
 
     def _rewrite_range_reads(self, slc: ast.expr, inputs: Dict[str, Memlet]) -> ast.expr:
         """Replace array reads in map range bounds with connector names."""
-        parser = self
-
-        class Rewriter(ast.NodeTransformer):
-            def visit_Subscript(self, sub: ast.Subscript):
-                if (
-                    isinstance(sub.value, ast.Name)
-                    and parser.resolve(sub.value.id) in parser.sdfg.arrays
-                ):
-                    data = parser.resolve(sub.value.id)
-                    subset = parser._subset_str(sub.slice).replace("|", ", ")
-                    conn = f"__rng{len(inputs)}"
-                    inputs[conn] = Memlet(data=data, subset=subset, volume=1)
-                    return ast.copy_location(
-                        ast.Name(id=conn, ctx=ast.Load()), sub
-                    )
-                return self.generic_visit(sub)
-
         # Only rewrite inside slice bounds; a bare tuple of slices is fine.
-        return ast.fix_missing_locations(Rewriter().visit(slc))
+        return ast.fix_missing_locations(
+            _RangeReadRewriter(self, inputs).visit(slc)
+        )
 
     # ------------------------------------------------------------ interstate
     def _parse_range_loop(self, stmt: ast.For) -> None:
@@ -684,56 +770,7 @@ class ProgramParser:
         Indirect accesses (``x[col[j]]``, Appendix F) produce a full-range
         dynamic memlet plus in-code indexing of the connector.
         """
-        parser = self
-
-        class Rewriter(ast.NodeTransformer):
-            def visit_Subscript(self, sub: ast.Subscript):
-                if not (
-                    isinstance(sub.value, ast.Name)
-                    and parser.resolve(sub.value.id) in parser.sdfg.arrays
-                ):
-                    return self.generic_visit(sub)
-                data = parser.resolve(sub.value.id)
-                # Does the subset reference other arrays (indirection)?
-                indirect = any(
-                    isinstance(inner, ast.Subscript)
-                    and isinstance(inner.value, ast.Name)
-                    and parser.resolve(inner.value.id) in parser.sdfg.arrays
-                    for inner in ast.walk(sub.slice)
-                )
-                if indirect:
-                    # Bind the whole container; keep (rewritten) indexing in
-                    # the code. Inner reads become their own connectors.
-                    new_slice = self.visit(sub.slice)
-                    conn = parser._fresh_conn(inputs)
-                    desc = parser.sdfg.arrays[data]
-                    inputs[conn] = Memlet(
-                        data=data,
-                        subset=", ".join(f"0:{s}" for s in desc.shape),
-                        volume=1,
-                        dynamic=True,
-                    )
-                    return ast.copy_location(
-                        ast.Subscript(
-                            value=ast.Name(id=conn, ctx=ast.Load()),
-                            slice=new_slice,
-                            ctx=ast.Load(),
-                        ),
-                        sub,
-                    )
-                subset = parser._subset_str(sub.slice).replace("|", ", ")
-                memlet = Memlet(data=data, subset=subset)
-                # Reuse a connector for an identical read.
-                for conn, m in inputs.items():
-                    if m == memlet:
-                        return ast.copy_location(
-                            ast.Name(id=conn, ctx=ast.Load()), sub
-                        )
-                conn = parser._fresh_conn(inputs)
-                inputs[conn] = memlet
-                return ast.copy_location(ast.Name(id=conn, ctx=ast.Load()), sub)
-
-        new = Rewriter().visit(node)
+        new = _ReadRewriter(self, inputs).visit(node)
         return ast.fix_missing_locations(new)
 
     def _fresh_conn(self, inputs) -> str:
@@ -949,30 +986,8 @@ class ProgramParser:
     def _condition_code(self, node: ast.expr) -> str:
         """Render an interstate condition, mapping single-element container
         reads (``v[0]``) to the container name the runtime binds."""
-        parser = self
-
-        class Rewriter(ast.NodeTransformer):
-            def visit_Subscript(self, sub: ast.Subscript):
-                if (
-                    isinstance(sub.value, ast.Name)
-                    and parser.resolve(sub.value.id) in parser.sdfg.arrays
-                ):
-                    data = parser.resolve(sub.value.id)
-                    desc = parser.sdfg.arrays[data]
-                    from repro.symbolic import Integer
-
-                    if all(s == Integer(1) for s in desc.shape):
-                        return ast.copy_location(
-                            ast.Name(id=data, ctx=ast.Load()), sub
-                        )
-                    raise FrontendError(
-                        "conditions may only read single-element containers "
-                        f"(got {data!r})",
-                        sub,
-                    )
-                return self.generic_visit(sub)
-
-        return ast.unparse(ast.fix_missing_locations(Rewriter().visit(node)))
+        tree = _ConditionRewriter(self).visit(node)
+        return ast.unparse(ast.fix_missing_locations(tree))
 
     def _subset_str(self, slc: ast.expr) -> str:
         """Render a subscript slice as '|'-separated dimension strings."""

@@ -9,10 +9,10 @@ Usage (``python -m repro.tune``):
 * ``python -m repro.tune compare matmul`` — tune, then score the naive
   and tuned variants under the measured backend and the analytic
   cpu/gpu/fpga machine models side by side;
-* ``python -m repro.tune run gemm_chain --cutout --jobs 4`` — cutout
-  strategy: split the program into per-state/per-scope cutouts,
-  deduplicate identical kernels by content hash, and tune the unique
-  ones across a worker pool before stitching the winners back;
+* ``python -m repro.tune run gemm_chain --cutout`` — cutout strategy:
+  split the program into per-state/per-scope cutouts, deduplicate
+  identical kernels by content hash, and tune each unique one before
+  stitching the winners back;
 * ``python -m repro.tune --if-drifted snapshot.json`` — re-tune only
   the kernels whose telemetry timings drifted past their stored
   baselines (W901), invalidating their stale cache entries first;
@@ -71,7 +71,6 @@ def run_tuning(args, kernel: Optional[str] = None) -> TuningResult:
         budget=args.budget,
         machine=args.machine,
         cache_dir=args.cache_dir,
-        jobs=args.jobs,
     )
 
 
@@ -198,14 +197,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--cutout",
         action="store_true",
         help="shorthand for --strategy cutout (per-state cutout "
-        "extraction, hash dedup, parallel search, stitch-back)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for --strategy cutout (default: 1)",
+        "extraction, hash dedup, per-cutout search, stitch-back)",
     )
     parser.add_argument("--depth", type=int, default=4, help="max chain length")
     parser.add_argument(

@@ -10,7 +10,7 @@ rest of the program is promoted to an input/output argument.  Because
 the extraction is a node-order-preserving copy, deterministic match
 enumeration (:func:`repro.transformations.optimizer.sort_matches`)
 yields the *same* candidate order inside the cutout as inside the
-parent region — which is what lets the parallel tuner
+parent region — which is what lets the cutout tuner
 (:mod:`repro.tuning.parallel`) replay a cutout's winning transformation
 history onto the parent by match index.
 
@@ -225,7 +225,7 @@ def extract_scope_cutout(parent: SDFG, state: SDFGState, entry: MapEntry) -> Cut
     The scope subgraph plus its boundary access nodes are copied (in
     parent node order); every boundary container becomes an argument.
     Finer-grained than state cutouts — used for analysis and tests; the
-    parallel tuner operates at state granularity (DESIGN §13).
+    cutout tuner operates at state granularity (DESIGN §13).
     """
     exit_node = state.exit_node(entry)
     keep: Set[int] = {

@@ -1,21 +1,20 @@
-"""Parallel cutout tuning: tune each unique kernel of a program once,
-in worker processes, and stitch the winners back.
+"""Cutout tuning: tune each unique kernel of a program once and stitch
+the winners back.
 
-The pipeline (``tune(strategy="cutout", jobs=N)``):
+The pipeline (``tune(strategy="cutout")``):
 
 1. **extract** — every non-empty state becomes a standalone cutout SDFG
    (:mod:`repro.tuning.cutout`); unsupported regions degrade to W1001
    warnings and are left untuned;
 2. **group** — cutouts are deduplicated by normalized content hash, so a
    kernel appearing k times in the program is tuned once, not k times;
-3. **tune** — one greedy/beam search per unique cutout, fanned across a
-   fork-context :class:`~concurrent.futures.ProcessPoolExecutor`; workers
-   share the flock-guarded :class:`~repro.tuning.cache.TuningCache` and
-   (through the disk tier) the :class:`~repro.codegen.progcache.
-   ProgramCache`, so a re-run of the same program is a pure cache hit
-   without any search.  Every outcome is data: a search that raises, or
-   a cutout lost with a dead worker (``BrokenProcessPool``), is an
-   ``error`` outcome whose region stays untuned;
+3. **tune** — one greedy search per unique cutout, one after another in
+   this process.  The searches share one
+   :class:`~repro.tuning.cache.TuningCache` and, under measured cost,
+   the :class:`~repro.codegen.progcache.ProgramCache` beside it, so a
+   re-run of the same program is a pure cache hit without any search.
+   Every outcome is data: a search that raises is an ``error`` outcome
+   whose region stays untuned;
 4. **stitch** — each group's winning ``(transformation, match-index)``
    history is replayed onto every member's parent state.  Extraction is
    node-order preserving and match enumeration is deterministic, so the
@@ -32,6 +31,8 @@ The pipeline (``tune(strategy="cutout", jobs=N)``):
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import os
 import time
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -43,7 +44,7 @@ from repro.telemetry.sink import active_sink
 from repro.transformations.guard import VERIFY_SKIPPED, GuardedOptimizer
 from repro.transformations.optimizer import enumerate_matches
 from repro.tuning.cache import TuningCache
-from repro.tuning.cost import AnalyticCost, CostProvider, MeasuredCost, resolve_provider
+from repro.tuning.cost import CostProvider, MeasuredCost, resolve_provider
 from repro.tuning.cutout import Cutout, extract_state_cutouts, group_cutouts
 from repro.tuning.report import TuningReport
 
@@ -62,159 +63,49 @@ def cutout_pool() -> List[str]:
     return sorted(n for n in REGISTRY if n not in CUTOUT_POOL_EXCLUDED)
 
 
-# =====================================================================
-# Worker side
-# =====================================================================
+def _cutout_provider(provider: CostProvider, cache_dir: Optional[str]) -> CostProvider:
+    """The provider every cutout search scores with.
 
-
-def _provider_spec(provider: CostProvider) -> Optional[Dict[str, Any]]:
-    """A picklable recipe rebuilding an equivalent provider in a worker.
-
-    Explicit measurement inputs are *dropped*: they are keyed by parent
-    container names, which do not exist inside a cutout — workers
-    synthesize boundary inputs from the cutout's own argument
-    descriptors instead.  Returns None for custom providers (those tune
-    in-process).
+    A :class:`MeasuredCost` drops its explicit inputs: they are keyed by
+    parent container names, which do not exist inside a cutout, so the
+    search synthesizes boundary inputs from the cutout's own argument
+    descriptors instead.  With a cache dir it compiles through the
+    ``programs`` tier under it.  Other providers are used as given.
     """
-    if isinstance(provider, MeasuredCost):
-        return {
-            "kind": "measured",
-            "symbol_default": provider.symbol_default,
-            "seed": provider.seed,
-            "repeats": provider.repeats,
-            "backend": provider.backend,
-            "program_cache": (
-                provider.program_cache
-                if isinstance(provider.program_cache, str)
-                else "memory"
-            ),
-        }
-    if isinstance(provider, AnalyticCost):
-        return {
-            "kind": "analytic",
-            "machine": provider.machine,
-            "symbols": dict(provider.symbols),
-            "symbol_default": provider.symbol_default,
-            "naive_fpga": provider.naive_fpga,
-        }
-    return None
+    if not isinstance(provider, MeasuredCost):
+        return provider
+    provider = copy.copy(provider)
+    provider.inputs = None
+    if cache_dir is not None:
+        from repro.codegen.progcache import ProgramCache
+
+        progcache_dir = os.path.join(cache_dir, "programs")
+        os.makedirs(progcache_dir, exist_ok=True)
+        provider.program_cache = ProgramCache(cache_dir=progcache_dir)
+    return provider
 
 
-def _spec_provider(spec: Dict[str, Any], progcache_dir: Optional[str]) -> CostProvider:
-    if spec["kind"] == "measured":
-        program_cache: Any = spec["program_cache"]
-        if progcache_dir is not None:
-            from repro.codegen.progcache import ProgramCache
+def _tune_one_cutout(
+    cutout: Cutout,
+    provider: CostProvider,
+    config,
+    cache: Optional[TuningCache],
+    recorder: InstrumentationRecorder,
+) -> Dict[str, Any]:
+    """Search one cutout and return its outcome as plain data."""
+    from repro.tuning.search import tune
 
-            os.makedirs(progcache_dir, exist_ok=True)
-            program_cache = ProgramCache(cache_dir=progcache_dir)
-        return MeasuredCost(
-            symbol_default=spec["symbol_default"],
-            seed=spec["seed"],
-            repeats=spec["repeats"],
-            backend=spec["backend"],
-            program_cache=program_cache,
-        )
-    return AnalyticCost(
-        machine=spec["machine"],
-        symbols=spec["symbols"],
-        symbol_default=spec["symbol_default"],
-        naive_fpga=spec["naive_fpga"],
-    )
-
-
-def _tune_one_cutout(payload: Dict[str, Any], provider: CostProvider) -> Dict[str, Any]:
-    """Tune one cutout and return a plain-data outcome."""
-    from repro.tuning.search import TuningConfig, tune
-
-    start = time.perf_counter()
-    cut_sdfg = sdfg_from_json(payload["sdfg"])
-    cfg = TuningConfig(**payload["config"])
     result = tune(
-        cut_sdfg,
-        cost=provider,
-        config=cfg,
-        cache_dir=payload["cache_dir"],
+        cutout.sdfg, cost=provider, config=config, cache=cache, recorder=recorder
     )
     return {
-        "group": payload["group"],
-        "label": payload["label"],
         "history": list(result.history),
         "baseline": result.baseline_score,
         "best": result.best_score,
         "cache_hit": result.cache_hit,
         "evals": result.report.budget_used,
-        "transformations": dict(
-            getattr(result.report, "transformations", {}) or {}
-        ),
-        "wall": time.perf_counter() - start,
-        "pid": os.getpid(),
+        "transformations": dict(result.report.transformations),
     }
-
-
-def _error_outcome(payload: Dict[str, Any], err: BaseException) -> Dict[str, Any]:
-    return {
-        "group": payload["group"],
-        "label": payload["label"],
-        "error": f"{type(err).__name__}: {err}",
-        "wall": 0.0,
-    }
-
-
-def _tune_cutout_worker(
-    payload: Dict[str, Any], provider: Optional[CostProvider] = None
-) -> Dict[str, Any]:
-    """Tune one cutout without raising (errors come back as data).  Pool
-    workers rebuild the provider from the payload's spec."""
-    try:
-        if provider is None:
-            provider = _spec_provider(payload["provider"], payload["progcache_dir"])
-        return _tune_one_cutout(payload, provider)
-    except Exception as err:  # noqa: BLE001 - worker failures are outcomes
-        return _error_outcome(payload, err)
-
-
-def exit_with_parent() -> None:
-    """Worker initializer: exit when the parent process dies.
-
-    An executor's workers block reading a task queue whose write end
-    they inherited, so they never see EOF when the parent is killed;
-    left alone they would outlive it and hold its pipes open.  A daemon
-    thread waits on the parent's sentinel instead.
-    """
-    import multiprocessing
-    import threading
-    from multiprocessing.connection import wait
-
-    sentinel = multiprocessing.parent_process().sentinel
-
-    def watch() -> None:
-        wait([sentinel])
-        os._exit(1)
-
-    threading.Thread(target=watch, name="exit-with-parent", daemon=True).start()
-
-
-def _fan_out(payloads: List[Dict[str, Any]], workers: int) -> List[Dict[str, Any]]:
-    """Tune the payloads on a process pool, one outcome per payload in
-    order; a payload lost with a dead worker is an error outcome."""
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    ctx = multiprocessing.get_context(
-        "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-    )
-    outcomes = []
-    with ProcessPoolExecutor(
-        max_workers=workers, mp_context=ctx, initializer=exit_with_parent
-    ) as pool:
-        futures = [pool.submit(_tune_cutout_worker, p) for p in payloads]
-        for payload, future in zip(payloads, futures):
-            try:
-                outcomes.append(future.result())
-            except Exception as err:  # noqa: BLE001 - e.g. BrokenProcessPool
-                outcomes.append(_error_outcome(payload, err))
-    return outcomes
 
 
 # =====================================================================
@@ -281,7 +172,6 @@ def _stitch_member(
 def tune_cutouts(
     sdfg,
     cost: Any = "measured",
-    jobs: int = 1,
     config=None,
     cache_dir: Optional[str] = None,
     cache: Optional[TuningCache] = None,
@@ -290,21 +180,20 @@ def tune_cutouts(
     symbols: Optional[Mapping[str, int]] = None,
     recorder: Optional[InstrumentationRecorder] = None,
 ):
-    """Cutout-parallel tuning of a (multi-state) program; the
+    """Cutout tuning of a (multi-state) program; the
     ``strategy="cutout"`` driver behind :func:`repro.tuning.tune`.
 
     ``config.budget`` is the evaluation budget *per unique cutout* (the
     per-cutout searches are independent).  Returns a
     :class:`~repro.tuning.search.TuningResult` whose ``history`` holds
     the stitched global replayable chain and whose report carries a
-    ``cutouts`` section (dedup counts, per-cutout outcomes, pool
-    utilization) next to the usual fields.
+    ``cutouts`` section (dedup counts, per-cutout outcomes) next to the
+    usual fields.
     """
     from repro.tuning.search import TuningConfig, TuningResult
 
     provider = resolve_provider(cost, inputs=inputs, machine=machine, symbols=symbols)
     cfg = config or TuningConfig(strategy="cutout")
-    jobs = max(1, int(jobs))
     recorder = recorder if recorder is not None else InstrumentationRecorder()
     sink = active_sink()
 
@@ -313,7 +202,7 @@ def tune_cutouts(
         sdfg=sdfg.name,
         strategy="cutout",
         cost=provider.key(),
-        config=dict(cfg.to_json(), jobs=jobs),
+        config=cfg.to_json(),
         budget=cfg.budget,
     )
 
@@ -322,41 +211,20 @@ def tune_cutouts(
     cutouts = [c for c in cutouts if not c.is_trivial]
     groups = group_cutouts(cutouts)
 
-    sub_config = {
-        "strategy": "greedy",
-        "depth": cfg.depth,
-        "beam_width": cfg.beam_width,
-        "budget": cfg.budget,
-        "max_matches": cfg.max_matches,
-        "min_improvement": cfg.min_improvement,
-        "transformations": (
+    sub_config = dataclasses.replace(
+        cfg,
+        strategy="greedy",
+        transformations=(
             list(cfg.transformations)
             if cfg.transformations is not None
             else cutout_pool()
         ),
-        "verify": cfg.verify,
-    }
-    if cache is not None and cache_dir is None:
-        cache_dir = cache.cache_dir
-    progcache_dir = (
-        os.path.join(cache_dir, "programs") if cache_dir is not None else None
     )
-    spec = _provider_spec(provider)
-
-    payloads = []
-    for ghash, members in groups.items():
-        rep = members[0]
-        payloads.append(
-            {
-                "group": ghash,
-                "label": rep.label,
-                "sdfg": sdfg_to_json(rep.sdfg),
-                "config": sub_config,
-                "cache_dir": cache_dir,
-                "progcache_dir": progcache_dir,
-                "provider": spec,
-            }
-        )
+    if cache is None and cache_dir is not None:
+        cache = TuningCache(cache_dir, recorder=recorder)
+    cut_provider = _cutout_provider(
+        provider, cache.cache_dir if cache is not None else None
+    )
 
     if sink is not None:
         sink.publish(
@@ -369,27 +237,20 @@ def tune_cutouts(
             },
         )
 
-    # ------------------------------------------------------------- tune
-    if spec is None or jobs == 1 or len(payloads) <= 1:
-        # In-process: custom (unpicklable) providers tune here too.
-        outcomes = [
-            _tune_cutout_worker(p, provider if spec is None else None)
-            for p in payloads
-        ]
-    else:
-        outcomes = _fan_out(payloads, min(jobs, len(payloads)))
-
-    pool_wall = time.perf_counter() - t_start
-    by_group = {o["group"]: o for o in outcomes}
-
-    # ------------------------------------------------------------ stitch
+    # ------------------------------------------------- tune and stitch
     tuned = sdfg_from_json(base_json)
     stitched_history: List[Dict[str, Any]] = []
     per_cutout: List[Dict[str, Any]] = []
     merged_xforms: Dict[str, Dict[str, float]] = {}
     n_stitched = 0
-    for ghash, members in groups.items():
-        outcome = by_group.get(ghash) or {"error": "no outcome", "wall": 0.0}
+    for members in groups.values():
+        start = time.perf_counter()
+        try:
+            outcome = _tune_one_cutout(
+                members[0], cut_provider, sub_config, cache, recorder
+            )
+        except Exception as err:  # noqa: BLE001 - a failed search is an outcome
+            outcome = {"error": f"{type(err).__name__}: {err}"}
         record = {
             "label": members[0].label,
             "members": [m.label for m in members],
@@ -398,7 +259,7 @@ def tune_cutouts(
             "best": outcome.get("best"),
             "cache_hit": bool(outcome.get("cache_hit")),
             "evals": int(outcome.get("evals", 0)),
-            "wall": float(outcome.get("wall", 0.0)),
+            "wall": time.perf_counter() - start,
             "stitched": [],
             "failures": [],
         }
@@ -488,10 +349,6 @@ def tune_cutouts(
         pass
 
     total_wall = time.perf_counter() - t_start
-    busy = sum(r["wall"] for r in per_cutout)
-    utilization = (
-        busy / (jobs * pool_wall) if jobs > 0 and pool_wall > 0 else 0.0
-    )
     report.baseline_score = baseline_score
     report.best_score = best_score
     report.winner = list(stitched_history)
@@ -508,7 +365,7 @@ def tune_cutouts(
     }
     all_hit = bool(groups) and all(r["cache_hit"] for r in per_cutout)
     report.cache = {
-        "enabled": cache_dir is not None,
+        "enabled": cache is not None,
         "hit": all_hit,
         "hits": sum(1 for r in per_cutout if r["cache_hit"]),
         "misses": sum(1 for r in per_cutout if not r["cache_hit"]),
@@ -518,26 +375,11 @@ def tune_cutouts(
         "unique": len(groups),
         "deduplicated": len(cutouts) - len(groups),
         "stitched": n_stitched,
-        "jobs": jobs,
         "wall": round(total_wall, 6),
-        "pool_wall": round(pool_wall, 6),
-        "utilization": round(utilization, 4),
         "verification": verification,
         "per_cutout": per_cutout,
         "warnings": [d.to_json() for d in warnings],
     }
-
-    if sink is not None:
-        sink.publish(
-            "tuning",
-            "cutout:pool",
-            pool_wall,
-            fields={
-                "jobs": jobs,
-                "tasks": len(groups),
-                "utilization": round(utilization, 4),
-            },
-        )
 
     return TuningResult(
         sdfg=tuned,

@@ -94,7 +94,7 @@ class TuningReport:
     #: counts, apply/evaluate wall-clock) — filled by the search drivers.
     transformations: Dict[str, Any] = field(default_factory=dict)
     #: Cutout-strategy section (dedup counts, per-cutout outcomes,
-    #: stitching/verification results) — filled by the parallel tuner.
+    #: stitching/verification results) — filled by the cutout tuner.
     cutouts: Dict[str, Any] = field(default_factory=dict)
 
     # ------------------------------------------------------------ recording
@@ -220,7 +220,6 @@ class TuningReport:
                 f"  cutouts: {self.cutouts.get('unique', 0)} unique of "
                 f"{self.cutouts.get('total', 0)} "
                 f"(saved {self.cutouts.get('deduplicated', 0)} searches, "
-                f"jobs={self.cutouts.get('jobs', 1)}, "
                 f"verification: {self.cutouts.get('verification', 'not_run')})"
             )
         if self.candidates:

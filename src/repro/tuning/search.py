@@ -189,17 +189,20 @@ def tune(
     knobs (``strategy``/``depth``/``beam_width``/``budget``/
     ``transformations``) override the corresponding ``config`` fields.
 
-    ``strategy="cutout"`` switches to the cutout-parallel driver
+    ``strategy="cutout"`` switches to the cutout driver
     (:func:`repro.tuning.parallel.tune_cutouts`): every unique kernel of
-    the program is extracted, tuned once across ``jobs`` worker
-    processes, and the winners are stitched back and differentially
-    verified.  ``jobs`` is ignored by the serial strategies.
+    the program is extracted and tuned once, and the winners are
+    stitched back and differentially verified.  ``jobs`` must be 1: it
+    is accepted for callers that still pass it, and every search runs
+    in this process.
 
     With ``cache_dir`` (or an explicit ``cache``), results persist
     content-addressed across processes: a repeated call with identical
     graph + config + cost setup replays the cached winning history
     instead of searching.  The input SDFG is never mutated.
     """
+    if jobs != 1:
+        raise ValueError(f"jobs={jobs!r}: tuning runs in one process; pass jobs=1")
     provider = resolve_provider(cost, inputs=inputs, machine=machine, symbols=symbols)
     cfg = config or TuningConfig()
     if strategy is not None:
@@ -218,7 +221,6 @@ def tune(
         return tune_cutouts(
             sdfg,
             cost=provider,
-            jobs=jobs,
             config=cfg,
             cache_dir=cache_dir,
             cache=cache,

@@ -1,24 +1,21 @@
-"""The cutout-parallel tuner: dedup-aware fan-out, history stitching,
+"""The cutout tuner: dedup-aware search, history stitching,
 differential verification, cache behaviour, and the CLI surface."""
 
-import copy
 import json
 import os
-import subprocess
-import sys
-import textwrap
-import time
 
 import numpy as np
 import pytest
 
+from repro.codegen.progcache import ProgramCache
 from repro.telemetry.sink import TelemetrySink, install_sink, uninstall_sink
 from repro.tune import main as tune_main
 from repro.tuning import (
     CUTOUT_POOL_EXCLUDED,
     AnalyticCost,
-    TuningConfig,
+    MeasuredCost,
     cutout_pool,
+    parallel,
     tune,
     tune_cutouts,
 )
@@ -26,16 +23,6 @@ from repro.workloads import kernels
 
 LINKS = 3
 SIZE = 8
-SRC = os.path.realpath(os.path.join(os.path.dirname(__file__), "..", "..", "src"))
-
-
-def _gone(pid):
-    """``pid`` has exited (an unreaped orphan counts: it is a zombie)."""
-    try:
-        with open(f"/proc/{pid}/stat") as f:
-            return f.read().rpartition(")")[2].split()[0] == "Z"
-    except FileNotFoundError:
-        return True
 
 
 def _chain():
@@ -100,16 +87,6 @@ class TestTuneCutouts:
         assert warm.cache_hit  # every unique cutout served from cache
         assert warm.report.cache["hits"] >= LINKS + 1
 
-    def test_worker_pool_jobs2(self):
-        result = tune_cutouts(_chain(), cost="analytic", jobs=2)
-        assert result.report.cutouts["jobs"] == 2
-        assert result.report.cutouts["verification"].startswith("ok")
-        data = kernels.gemm_chain_data(SIZE)
-        ref = kernels.gemm_chain_reference(data, LINKS)
-        got = _run(result.sdfg, data)
-        scale = max(1.0, float(np.max(np.abs(ref))))
-        assert np.max(np.abs(got - ref)) / scale <= 1e-8
-
     def test_custom_provider_forces_in_process(self):
         calls = []
 
@@ -118,14 +95,17 @@ class TestTuneCutouts:
                 calls.append(sdfg.name)
                 return super().score(sdfg)
 
-        result = tune_cutouts(_chain(), cost=Counting(), jobs=4)
-        # Unpicklable/stateful provider: must run in-process (calls
-        # observed here), never silently dropped into workers.
-        assert calls
+            def score_analysed(self, sdfg):
+                calls.append(sdfg.name)
+                return super().score_analysed(sdfg)
+
+        result = tune_cutouts(_chain(), cost=Counting())
+        # A custom provider scores the cutout searches as given.
+        assert any("_cut_" in name for name in calls)
         assert result.report.cutouts["verification"].startswith("ok")
 
     def test_via_tune_strategy_dispatch(self):
-        result = tune(_chain(), cost="analytic", strategy="cutout", jobs=1)
+        result = tune(_chain(), cost="analytic", strategy="cutout")
         assert result.report.strategy == "cutout"
         assert result.report.cutouts["total"] == 2 * LINKS
 
@@ -139,90 +119,50 @@ class TestTuneCutouts:
         events, _, _ = sink.drain(0)
         labels = [ev.label for ev in events if ev.kind == "tuning"]
         assert "cutout:dedup" in labels
-        assert "cutout:pool" in labels
         per_cutout = [
             label for label in labels
-            if label.startswith("cutout:")
-            and label not in ("cutout:dedup", "cutout:pool")
+            if label.startswith("cutout:") and label != "cutout:dedup"
         ]
         assert len(per_cutout) == LINKS + 1  # one event per unique group
 
 
-    def test_dead_worker_loses_its_cutout_not_the_call(self):
-        """A worker SIGKILLed inside a cutout search: the call returns,
-        the lost cutout is an error outcome, and its region stays
-        untuned (the result still matches the reference)."""
-        script = textwrap.dedent(f"""
-            import json, os, signal
-            import numpy as np
-            from repro.tuning import parallel
-            from repro.workloads import kernels
+    def test_failed_search_loses_its_cutout_not_the_call(self, monkeypatch):
+        """A search that raises is an error outcome: the call returns,
+        the region stays untuned, and the result still matches the
+        reference."""
+        real = parallel._tune_one_cutout
 
-            parent, real = os.getpid(), parallel._tune_one_cutout
+        def fails_on_mm1(cutout, *args):
+            if cutout.label == "mm1":
+                raise RuntimeError("search exploded")
+            return real(cutout, *args)
 
-            def dies_on_mm1(payload, provider):
-                if payload["label"] == "mm1" and os.getpid() != parent:
-                    os.kill(os.getpid(), signal.SIGKILL)
-                return real(payload, provider)
+        monkeypatch.setattr(parallel, "_tune_one_cutout", fails_on_mm1)
+        result = tune_cutouts(_chain(), cost="analytic")
+        records = {r["label"]: r for r in result.report.cutouts["per_cutout"]}
+        assert records["mm1"]["error"] == "RuntimeError: search exploded"
+        assert records["mm1"]["stitched"] == []
+        assert [r for r in records.values() if "error" in r] == [records["mm1"]]
+        data = kernels.gemm_chain_data(SIZE)
+        ref = kernels.gemm_chain_reference(data, LINKS)
+        got = _run(result.sdfg, data)
+        scale = max(1.0, float(np.max(np.abs(ref))))
+        assert np.max(np.abs(got - ref)) / scale <= 1e-8
 
-            parallel._tune_one_cutout = dies_on_mm1
-            result = parallel.tune_cutouts(
-                kernels.gemm_chain_sdfg({LINKS}), cost="analytic", jobs=2)
-            data = kernels.gemm_chain_data({SIZE})
-            ref = kernels.gemm_chain_reference(data, {LINKS})
-            result.sdfg.compile()(**data, N={SIZE})
-            print(json.dumps({{
-                "per_cutout": result.report.cutouts["per_cutout"],
-                "error": float(np.max(np.abs(data["C"] - ref))
-                               / max(1.0, float(np.max(np.abs(ref))))),
-            }}))
-        """)
-        proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True,
-            timeout=60, env=dict(os.environ, PYTHONPATH=SRC),
-        )
-        assert proc.returncode == 0, proc.stderr
-        out = json.loads(proc.stdout.splitlines()[-1])
-        records = {r["label"]: r for r in out["per_cutout"]}
-        assert "BrokenProcessPool" in records["mm1"]["error"]
-        for record in records.values():
-            if "error" in record:
-                assert record["stitched"] == []
-        assert out["error"] <= 1e-8
+    def test_jobs_other_than_one_is_refused(self):
+        with pytest.raises(ValueError, match="jobs=2"):
+            tune(_chain(), cost="analytic", strategy="cutout", jobs=2)
 
-    def test_cutout_workers_exit_with_their_parent(self, tmp_path):
-        """A process SIGKILLed mid-fan-out leaves no cutout worker
-        behind."""
-        pid_dir = tmp_path / "pids"
-        pid_dir.mkdir()
-        script = textwrap.dedent(f"""
-            import os, time
-            from repro.tuning import parallel
-            from repro.workloads import kernels
-
-            def hangs(payload, provider):
-                open(os.path.join({str(pid_dir)!r}, str(os.getpid())), "w").close()
-                time.sleep(60)
-
-            parallel._tune_one_cutout = hangs
-            parallel.tune_cutouts(
-                kernels.gemm_chain_sdfg({LINKS}), cost="analytic", jobs=2)
-        """)
-        proc = subprocess.Popen([sys.executable, "-c", script],
-                                env=dict(os.environ, PYTHONPATH=SRC))
-        try:
-            deadline = time.monotonic() + 30.0
-            while len(os.listdir(pid_dir)) < 2 and time.monotonic() < deadline:
-                time.sleep(0.05)
-        finally:
-            proc.kill()
-            proc.wait()
-        pids = [int(name) for name in os.listdir(pid_dir)]
-        assert len(pids) == 2
-        deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline and not all(map(_gone, pids)):
-            time.sleep(0.05)
-        assert all(map(_gone, pids)), "cutout workers outlived their parent"
+    def test_measured_provider_drops_parent_inputs(self, tmp_path):
+        measured = MeasuredCost(inputs={"A": np.ones(2)}, program_cache="off")
+        cut = parallel._cutout_provider(measured, str(tmp_path))
+        assert cut.inputs is None and measured.inputs is not None
+        assert cut.key() == MeasuredCost().key()
+        assert isinstance(cut.program_cache, ProgramCache)
+        assert os.path.isdir(tmp_path / "programs")
+        assert parallel._cutout_provider(measured, None).program_cache == "off"
+        analytic = AnalyticCost()
+        assert parallel._cutout_provider(analytic, str(tmp_path)) is analytic
 
 
 # ----------------------------------------------- per-transformation stats
@@ -274,12 +214,18 @@ class TestCli:
     def test_cutout_flag_and_assert_dedup(self, tmp_path, capsys):
         code, text = self._run(
             ["run", "gemm_chain", "--cutout", "--cost", "analytic",
-             "--jobs", "2", "--cache-dir", str(tmp_path / "c"),
+             "--cache-dir", str(tmp_path / "c"),
              "--assert-dedup"],
             capsys,
         )
         assert code == 0
         assert "cutouts:" in text
+
+    def test_jobs_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            tune_main(["run", "gemm_chain", "--cutout", "--jobs", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
     def test_second_cutout_run_hits_cache(self, tmp_path, capsys):
         common = ["run", "gemm_chain", "--cutout", "--cost", "analytic",
