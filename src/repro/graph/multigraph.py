@@ -230,6 +230,28 @@ class OrderedMultiDiGraph(Generic[NodeT, EdgeDataT]):
     def sink_nodes(self) -> List[NodeT]:
         return [n for n in self._nodes if not self._out[n]]
 
+    def _copy_topology_into(
+        self,
+        other: "OrderedMultiDiGraph",
+        nodes: Dict[NodeT, Any],
+        copy_data: Callable[[EdgeDataT], Any],
+    ) -> None:
+        """Give the empty graph ``other`` this graph's structure over the
+        node copies ``nodes`` (original -> copy), each edge's data passed
+        through ``copy_data``.  Node order and the order of every node's
+        in- and out-edges are kept."""
+        copies: Dict[int, Edge] = {}
+        other._nodes = dict.fromkeys(nodes[n] for n in self._nodes)
+        for n, out in self._out.items():
+            row = other._out[nodes[n]] = []
+            for e in out:
+                new = Edge(nodes[e.src], nodes[e.dst], copy_data(e.data),
+                           e.src_conn, e.dst_conn)
+                copies[id(e)] = new
+                row.append(new)
+        other._in = {nodes[n]: [copies[id(e)] for e in ins] for n, ins in self._in.items()}
+        other._changed()
+
     def copy_structure(self) -> "OrderedMultiDiGraph[NodeT, EdgeDataT]":
         """Shallow copy: same node/edge-data objects, fresh topology."""
         g: OrderedMultiDiGraph[NodeT, EdgeDataT] = OrderedMultiDiGraph()

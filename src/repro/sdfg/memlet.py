@@ -129,14 +129,11 @@ class Memlet:
         return m
 
     def clone(self) -> "Memlet":
-        return Memlet(
-            data=self.data,
-            subset=self.subset,
-            other_subset=self.other_subset,
-            volume=self._volume,
-            dynamic=self.dynamic,
-            wcr=self.wcr,
-        )
+        # Every field is a string, a flag or an immutable symbolic value,
+        # already normalized by the constructor: copy them as they are.
+        new = object.__new__(Memlet)
+        new.__dict__.update(self.__dict__)
+        return new
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Memlet):

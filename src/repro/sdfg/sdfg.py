@@ -352,6 +352,29 @@ class SDFG(OrderedMultiDiGraph[SDFGState, InterstateEdge]):
 
         return generate_code(self, backend)
 
+    # ---------------------------------------------------------------- copying
+    def copy(self) -> "SDFG":
+        """A structural copy: what a parse of ``self.to_json()`` builds,
+        without the round trip.
+
+        States, nodes, connector sets, Map/Consume objects, memlets,
+        descriptors, interstate edges, ``symbols``, ``constants``, the
+        transformation history and nested SDFGs (with parent pointers
+        into the copy) are new; the immutable symbolic values are shared.
+        Every order is kept, so the copy serializes to the same
+        dictionary.  The copy is a top-level SDFG with no compiled
+        artifact.
+        """
+        new = SDFG(self.name, self.symbols, self.constants)
+        new.instrument = self.instrument
+        new.arrays = {name: desc.clone() for name, desc in self.arrays.items()}
+        states = {s: s.copy(new) for s in self._nodes}
+        self._copy_topology_into(new, states, InterstateEdge.clone)
+        if self.start_state is not None:
+            new.start_state = states[self.start_state]
+        new.transformation_history = list(self.transformation_history)
+        return new
+
     # ---------------------------------------------------------------- serialization
     def to_json(self) -> dict:
         from repro.sdfg.serialize import sdfg_to_json

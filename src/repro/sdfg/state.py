@@ -31,6 +31,7 @@ from repro.sdfg.nodes import (
     Node,
     Reduce,
     Tasklet,
+    _node_counter,
 )
 from repro.symbolic import Subset
 
@@ -380,8 +381,55 @@ class SDFGState(OrderedMultiDiGraph[Node, Memlet]):
     def out_edges_by_connector(self, node: Node, conn: str) -> List[Edge]:
         return [e for e in self.out_edges(node) if e.src_conn == conn]
 
+    def copy(self, sdfg=None) -> "SDFGState":
+        """A structural copy of this state, owned by ``sdfg``.
+
+        Nodes, their connector sets, memlets and nested SDFGs are new,
+        and so is each scope's Map or Consume object (one per scope,
+        shared by the copied entry and exit).  Symbolic values (subsets,
+        ranges, expressions) are immutable and shared.  Node order and
+        every node's edge order are kept."""
+        new = SDFGState(self.name, sdfg)
+        new.instrument = self.instrument
+        scopes: Dict[int, object] = {}
+        nodes = {n: _copy_node(n, scopes, new) for n in self._nodes}
+        self._copy_topology_into(new, nodes, Memlet.clone)
+        return new
+
     def __repr__(self) -> str:
         return f"SDFGState({self.name!r})"
+
+
+def _shallow(obj):
+    new = object.__new__(type(obj))
+    new.__dict__.update(obj.__dict__)
+    return new
+
+
+def _copy_node(node: Node, scopes: Dict[int, object], state: SDFGState) -> Node:
+    """``node`` copied into ``state`` (see :meth:`SDFGState.copy`);
+    ``scopes`` maps each Map/Consume object already copied to its copy."""
+    new = _shallow(node)
+    new.in_connectors = set(node.in_connectors)
+    new.out_connectors = set(node.out_connectors)
+    new._creation_id = next(_node_counter)
+    if isinstance(node, (MapEntry, MapExit, ConsumeEntry, ConsumeExit)):
+        scope = _scope_of(node)
+        copied = scopes.get(id(scope))
+        if copied is None:
+            copied = scopes[id(scope)] = _shallow(scope)
+            if isinstance(scope, Map):
+                copied.params = list(scope.params)
+        if isinstance(node, (MapEntry, MapExit)):
+            new.map = copied
+        else:
+            new.consume = copied
+    elif isinstance(node, NestedSDFG):
+        new.symbol_mapping = dict(node.symbol_mapping)
+        new.sdfg = node.sdfg.copy()
+        new.sdfg.parent = state
+        new.sdfg.parent_node = new
+    return new
 
 
 def _scope_of(node: Union[EntryNode, ExitNode]) -> Union[Map, Consume]:

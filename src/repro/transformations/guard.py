@@ -4,17 +4,19 @@ paper's §4.1/§4.2 workflow).
 ``GuardedOptimizer`` wraps every transformation application in a
 transaction, in the spirit of DIODE's "optimization version control":
 
-1. **snapshot** — serialize the SDFG (JSON round-trip) and propagate
-   it for matching; a guard built by :meth:`GuardedOptimizer.from_snapshot`
-   already holds the serialized pre-image of a propagated graph (the
-   auto-tuner's search variants), so it does neither;
+1. **snapshot** — serialize the SDFG and propagate it for matching; a
+   guard built by :meth:`GuardedOptimizer.from_snapshot` already holds
+   the serialized pre-image of a propagated graph (the auto-tuner's
+   search variants), so it does neither.  Its graph is a copy
+   (:meth:`SDFG.copy`) of the parse the caller holds, not a parse of
+   its own;
 2. **apply** — run the transformation's graph rewrite, then propagate;
 3. **re-validate** — full structural validation of the result;
 4. **differential verification** (optional) — execute the pre- and
    post-transformation SDFGs on small inputs through the interpreter
    backend and compare every output container within a tolerance;
 5. **commit or roll back** — on any failure the snapshot is restored
-   *in place* (byte-identical serialization), so a corrupting
+   *in place* by parsing it (byte-identical serialization), so a corrupting
    transformation can never leave the graph broken.
 
 Every attempt — applied, rolled back (with the reason), or no match —
@@ -154,18 +156,20 @@ class GuardedOptimizer:
         self._pre_image: Optional[Dict[str, Any]] = None
 
     @classmethod
-    def from_snapshot(cls, obj: Dict[str, Any], **kwargs) -> "GuardedOptimizer":
-        """A guard over a fresh SDFG parsed from ``obj`` (a
-        :func:`sdfg_to_json` snapshot of a *propagated* graph).
+    def from_snapshot(cls, obj: Dict[str, Any], sdfg, **kwargs) -> "GuardedOptimizer":
+        """A guard over ``sdfg``, a graph private to the guard that
+        serializes to ``obj`` (a :func:`sdfg_to_json` snapshot of a
+        *propagated* graph): a parse of ``obj``, or a :meth:`SDFG.copy`
+        of one (the auto-tuner copies the parse it enumerated on).
 
-        Because the graph is parsed from ``obj``, ``obj`` is its exact
-        pre-image: the first :meth:`apply` (and any later one that
-        follows a rollback) rolls back and verifies against ``obj``
-        instead of re-serializing, and skips the pre-match propagate —
-        correct only because ``obj`` was taken after a propagate, which
-        is a fixpoint.  ``kwargs`` are the constructor's.
+        ``obj`` is the graph's exact pre-image: the first :meth:`apply`
+        (and any later one that follows a rollback) rolls back and
+        verifies against ``obj`` instead of re-serializing, and skips the
+        pre-match propagate — correct only because ``obj`` was taken
+        after a propagate, which is a fixpoint.  ``kwargs`` are the
+        constructor's.
         """
-        guard = cls(sdfg_from_json(obj), **kwargs)
+        guard = cls(sdfg, **kwargs)
         guard._pre_image = obj
         return guard
 
@@ -206,7 +210,7 @@ class GuardedOptimizer:
         self, match: Transformation, options: Optional[Mapping[str, Any]] = None
     ) -> bool:
         """:meth:`apply` of one match already enumerated on another graph
-        parsed from this guard's pre-image (the auto-tuner's probe of a
+        with this guard's pre-image (the auto-tuner's probe of a
         variant): ``match`` is rebound to this guard's graph by position
         (:func:`rebind_match`) instead of enumerating again.  Same
         transaction, same report."""

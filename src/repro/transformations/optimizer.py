@@ -83,8 +83,8 @@ def sort_matches(sdfg, matches: Iterable[Transformation]) -> List[Transformation
 
 
 def rebind_match(inst: Transformation, sdfg) -> Transformation:
-    """``inst``'s match on ``sdfg``, a graph parsed from the same
-    snapshot as ``inst.sdfg``.  Each matched state and node is found
+    """``inst``'s match on ``sdfg``, a graph that serializes to the same
+    snapshot as ``inst.sdfg`` (a parse of it, or a copy).  Each matched state and node is found
     by its (state index, node index), the positions :func:`sort_matches`
     orders by, so the rebound instance is the same candidate on the
     other copy.  Nothing is enumerated."""

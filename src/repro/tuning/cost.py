@@ -27,7 +27,6 @@ from typing import Any, Dict, Mapping, Optional
 import numpy as np
 
 from repro.instrumentation import InstrumentationType
-from repro.sdfg.serialize import sdfg_from_json, sdfg_to_json
 
 
 class CostProvider:
@@ -101,7 +100,7 @@ class MeasuredCost(CostProvider):
 
         # Private copy: instrumenting and compiling must not leak into
         # the search variant (its content hash must stay untouched).
-        work = sdfg_from_json(sdfg_to_json(sdfg))
+        work = sdfg.copy()
         work.instrument = InstrumentationType.TIMER
         inputs = self.inputs
         if inputs is None:

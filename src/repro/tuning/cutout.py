@@ -40,8 +40,6 @@ from repro.sdfg.nodes import AccessNode, EntryNode, MapEntry, NestedSDFG
 from repro.sdfg.sdfg import SDFG
 from repro.sdfg.serialize import (
     content_hash,
-    data_from_json,
-    data_to_json,
     sdfg_to_json,
     state_from_json,
     state_to_json,
@@ -189,7 +187,7 @@ def extract_state_cutout(parent: SDFG, state: SDFGState) -> Cutout:
             _reject(parent, state,
                     f"state references undefined container {dname!r}",
                     data=dname)
-        copy = data_from_json(data_to_json(desc))
+        copy = desc.clone()
         if desc.transient:
             escapes = bool(usage.get(dname, set()) - {state.name}) or dname in inter
             if escapes:
@@ -201,7 +199,7 @@ def extract_state_cutout(parent: SDFG, state: SDFGState) -> Cutout:
                 copy.transient = False
         cut.arrays[dname] = copy
 
-    new_state = state_from_json(state_to_json(state), cut)
+    new_state = state.copy(cut)
     cut.add_node(new_state)
     cut.start_state = new_state
     _declare_free_names(cut, parent)
@@ -278,7 +276,7 @@ def extract_scope_cutout(parent: SDFG, state: SDFGState, entry: MapEntry) -> Cut
     cut = SDFG(name)
     for dname in sorted(used):
         desc = parent.arrays[dname]
-        copy = data_from_json(data_to_json(desc))
+        copy = desc.clone()
         if desc.transient and dname in boundary:
             if isinstance(desc, Stream):
                 _reject(parent, state,

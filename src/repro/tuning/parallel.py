@@ -341,7 +341,7 @@ def tune_cutouts(
     try:
         baseline_score = provider.score(sdfg_from_json(base_json))
         best_score = (
-            provider.score(sdfg_from_json(sdfg_to_json(tuned)))
+            provider.score(tuned.copy())
             if stitched_history
             else baseline_score
         )

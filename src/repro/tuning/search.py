@@ -425,7 +425,8 @@ def _expand(
     # every transformation in the pool.  The snapshot is of a propagated
     # graph, and propagate is a fixpoint on its parse, so the probe is
     # not propagated again.  Each match is enumerated and sorted here
-    # once; a candidate's guard gets it rebound to its private copy.
+    # once; a candidate's guard works on a copy of the probe, with the
+    # match rebound to it, and keeps the snapshot as its pre-image.
     probe = sdfg_from_json(variant.snapshot)
     for name in cfg.pool():
         try:
@@ -448,7 +449,9 @@ def _expand(
                     reason=f"budget of {state.budget} evaluations exhausted",
                 )
                 return children
-            guard = GuardedOptimizer.from_snapshot(variant.snapshot, verify=cfg.verify)
+            guard = GuardedOptimizer.from_snapshot(
+                variant.snapshot, probe.copy(), verify=cfg.verify
+            )
             work = guard.sdfg
             stats["candidates"] += 1
             t0 = time.perf_counter()

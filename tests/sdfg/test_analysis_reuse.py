@@ -94,7 +94,7 @@ def test_propagate_is_a_fixpoint_on_every_guarded_child(name):
         except Exception:  # noqa: BLE001 - the search records these too
             continue
         for index in range(min(n, MAX_MATCHES)):
-            guard = GuardedOptimizer.from_snapshot(root)
+            guard = GuardedOptimizer.from_snapshot(root, sdfg_from_json(root))
             if guard.apply(xform, match_index=index):
                 _assert_propagate_fixpoint(
                     sdfg_to_json(guard.sdfg), f"{name} + {xform}[{index}]"
@@ -119,7 +119,9 @@ def guarded_graphs(name):
         except Exception:  # noqa: BLE001 - the search records these too
             continue
         for index in range(min(n, MAX_MATCHES)):
-            guard = GuardedOptimizer.from_snapshot(root, validate=False)
+            guard = GuardedOptimizer.from_snapshot(
+                root, sdfg_from_json(root), validate=False
+            )
             if guard.apply(xform, match_index=index):
                 graphs.append(guard.sdfg)
     return graphs

@@ -402,8 +402,8 @@ class TestReboundMatch:
             snapshot = variants[parent]
             probe = sdfg_from_json(snapshot)
             matches = sort_matches(probe, _resolve(xform).matches(probe))
-            rebound = GuardedOptimizer.from_snapshot(snapshot)
-            by_index = GuardedOptimizer.from_snapshot(snapshot)
+            rebound = GuardedOptimizer.from_snapshot(snapshot, probe.copy())
+            by_index = GuardedOptimizer.from_snapshot(snapshot, sdfg_from_json(snapshot))
             applied = rebound.apply_rebound(matches[index])
             assert applied == by_index.apply(xform, match_index=index)
             got, want = rebound.report.attempts[-1], by_index.report.attempts[-1]
@@ -418,3 +418,38 @@ class TestReboundMatch:
         assert compared == sum(
             c[4] not in ("no_match", "pruned_budget") for c in TRACES[key]["candidates"]
         )
+
+
+def test_search_parses_each_expanded_variant_once(monkeypatch):
+    """A candidate's guard works on a copy of the graph its parent was
+    enumerated on: during a search the serializer parses each expanded
+    variant once (its probe), the root and the result, and a rolled-back
+    candidate's snapshot to restore it, never once per candidate."""
+    from repro.sdfg import serialize
+    from repro.transformations import guard
+    from repro.tuning import search
+
+    parses, expanded = [], []
+    parse, expand = serialize.sdfg_from_json, search._expand
+
+    def counted_parse(obj):
+        parses.append(obj["name"])
+        return parse(obj)
+
+    def counted_expand(variant, *args):
+        expanded.append(variant.label())
+        return expand(variant, *args)
+
+    for module in (serialize, search, guard):
+        monkeypatch.setattr(module, "sdfg_from_json", counted_parse)
+    monkeypatch.setattr(search, "_expand", counted_expand)
+    kernel = polybench.get("gemm")
+    result = tune(kernel.make_sdfg(), cost="analytic", symbols=dict(kernel.sizes))
+    guarded = [
+        c for c in result.report.candidates
+        if c.status not in ("no_match", "pruned_budget")
+        and not c.reason.startswith("match enumeration failed")
+    ]
+    rollbacks = sum(c.status == "rolled_back" for c in guarded)
+    assert len(parses) == len(expanded) + 2 + rollbacks
+    assert len(guarded) > 3 * len(expanded)
