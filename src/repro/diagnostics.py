@@ -43,6 +43,7 @@ CODES: Dict[str, str] = {
     "V002": "SDFG has no start state",
     "V003": "duplicate state names",
     "V004": "interstate assignment targets a data container",
+    "V005": "container shape or strides name a map or consume parameter",
     # --- state-level structure (V1xx)
     "V101": "state dataflow graph is cyclic",
     "V102": "malformed scope structure",

@@ -66,9 +66,10 @@ class OrderedMultiDiGraph(Generic[NodeT, EdgeDataT]):
 
     The five mutators (:meth:`add_node` of a new node, :meth:`remove_node`,
     :meth:`add_edge`, :meth:`add_edge_object`, :meth:`remove_edge`) are
-    the only code that changes the structure.  Each bumps :attr:`version`
-    and drops the facts :meth:`cached` kept for the old structure (they
-    would pin removed nodes and edges).
+    the only code that changes the structure, apart from the copies,
+    which fill an empty graph.  Each bumps :attr:`version` and drops the
+    facts :meth:`cached` kept for the old structure (they would pin
+    removed nodes and edges).
     """
 
     def __init__(self) -> None:
@@ -249,16 +250,15 @@ class OrderedMultiDiGraph(Generic[NodeT, EdgeDataT]):
                            e.src_conn, e.dst_conn)
                 copies[id(e)] = new
                 row.append(new)
-        other._in = {nodes[n]: [copies[id(e)] for e in ins] for n, ins in self._in.items()}
+        other._in = {
+            nodes[n]: [copies[id(e)] for e in ins] for n, ins in self._in.items()
+        }
         other._changed()
 
     def copy_structure(self) -> "OrderedMultiDiGraph[NodeT, EdgeDataT]":
         """Shallow copy: same node/edge-data objects, fresh topology."""
         g: OrderedMultiDiGraph[NodeT, EdgeDataT] = OrderedMultiDiGraph()
-        for n in self._nodes:
-            g.add_node(n)
-        for e in self.edges():
-            g.add_edge(e.src, e.dst, e.data, e.src_conn, e.dst_conn)
+        self._copy_topology_into(g, {n: n for n in self._nodes}, lambda data: data)
         return g
 
     def __repr__(self) -> str:

@@ -129,10 +129,16 @@ class Memlet:
         return m
 
     def clone(self) -> "Memlet":
-        # Every field is a string, a flag or an immutable symbolic value,
-        # already normalized by the constructor: copy them as they are.
+        # Every field is a string, a flag or an immutable symbolic value
+        # the constructor already normalized: copy them as they are, in
+        # the constructor's order (so the instances share one key table).
         new = object.__new__(Memlet)
-        new.__dict__.update(self.__dict__)
+        new.data = self.data
+        new.subset = self.subset
+        new.other_subset = self.other_subset
+        new.wcr = self.wcr
+        new.dynamic = self.dynamic
+        new._volume = self._volume
         return new
 
     def __eq__(self, other) -> bool:

@@ -98,6 +98,8 @@ def _validate_sdfg_into(sdfg, ctx: DiagnosticCollector) -> None:
     if len(set(names)) != len(names):
         ctx.error("V003", f"duplicate state names: {names}", sdfg=sdfg)
 
+    _validate_descriptor_symbols(sdfg, ctx)
+
     for state in sdfg.nodes():
         validate_state(sdfg, state, ctx)
 
@@ -113,6 +115,32 @@ def _validate_sdfg_into(sdfg, ctx: DiagnosticCollector) -> None:
 
     detect_write_conflicts(sdfg, ctx)
     check_instrumentation_placement(sdfg, ctx)
+
+
+def _validate_descriptor_symbols(sdfg, ctx: DiagnosticCollector) -> None:
+    """V005: a container whose shape or strides name a map or consume
+    parameter.  A parameter is bound only inside its scope, and
+    containers are allocated outside every scope (before the states)."""
+    params: Set[str] = set()
+    for state in sdfg.nodes():
+        for entry in state.entry_nodes():
+            if isinstance(entry, MapEntry):
+                params.update(entry.map.params)
+            else:
+                params.add(entry.consume.pe_param)
+    if not params:
+        return
+    for name, desc in sdfg.arrays.items():
+        exprs = desc.shape + getattr(desc, "strides", ())
+        used = {s.name for e in exprs for s in e.free_symbols}
+        if used & params:
+            ctx.error(
+                "V005",
+                f"container {name!r} is sized by scope parameter(s) "
+                f"{sorted(used & params)}",
+                sdfg=sdfg,
+                data=name,
+            )
 
 
 def validate_state(

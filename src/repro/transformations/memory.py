@@ -3,7 +3,7 @@ the strict RedundantArray cleanup (paper Table 4 + Appendix D)."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from repro.sdfg.data import Array, Stream
 from repro.sdfg.memlet import Memlet
@@ -32,6 +32,13 @@ class LocalStorage(Transformation):
 
     Matches both directions: MapEntry→MapEntry (read caching / packing)
     and MapExit→MapExit (write caching / tile stores).
+
+    An edge is cached only if no dimension of its buffer names a
+    parameter of the outer map or of a scope enclosing it: the
+    generators allocate transients outside every scope, where such a
+    size is unbound.  After MapTiling the inner map's footprint is sized
+    per tile (``min(M, 32 + __tile_i) - __tile_i``), so tile buffers are
+    refused; sizing one by the tile's largest extent is not done.
     """
 
     _outer_in = PatternNode(MapEntry)
@@ -50,33 +57,43 @@ class LocalStorage(Transformation):
         ]
 
     @classmethod
-    def can_be_applied(cls, state, candidate, sdfg, strict=False) -> bool:
-        if cls._outer_in in candidate:
+    def _cacheable_edges(cls, state, candidate, sdfg) -> List:
+        """The edges between the candidate's two scope nodes whose
+        footprint can become a local buffer."""
+        inward = cls._outer_in in candidate
+        if inward:
             src, dst = candidate[cls._outer_in], candidate[cls._inner_in]
         else:
             src, dst = candidate[cls._inner_out], candidate[cls._outer_out]
+        params = None
+        out = []
         for e in state.edges_between(src, dst):
-            if e.data.is_empty() or e.data.subset is None:
+            if e.data.is_empty() or e.data.subset is None or e.data.dynamic:
                 continue
             desc = sdfg.arrays.get(e.data.data)
             if desc is None or isinstance(desc, Stream):
                 continue
-            if e.data.dynamic:
+            if params is None:
+                outer = src if inward else state.entry_node_of(dst)
+                params = _enclosing_params(state, outer)
+            if cls._names_scope_parameter(e.data.subset, params):
                 continue
-            return True
-        return False
+            out.append(e)
+        return out
 
-    def _pick_edge(self, state, src, dst):
-        for e in state.edges_between(src, dst):
-            if e.data.is_empty() or e.data.subset is None or e.data.dynamic:
-                continue
-            desc = self.sdfg.arrays.get(e.data.data)
-            if desc is None or isinstance(desc, Stream):
-                continue
-            if self.array is not None and e.data.data != self.array:
-                continue
-            return e
-        return None
+    @staticmethod
+    def _names_scope_parameter(subset: Subset, params) -> bool:
+        """Whether a dimension of the buffer caching ``subset`` names one
+        of the scope parameters ``params``."""
+        return any(
+            s.name in params
+            for r in subset.ranges
+            for s in r.num_elements().free_symbols
+        )
+
+    @classmethod
+    def can_be_applied(cls, state, candidate, sdfg, strict=False) -> bool:
+        return bool(cls._cacheable_edges(state, candidate, sdfg))
 
     def apply(self) -> None:
         sdfg, state = self.sdfg, self.state
@@ -85,7 +102,13 @@ class LocalStorage(Transformation):
             src, dst = self.node(self._outer_in), self.node(self._inner_in)
         else:
             src, dst = self.node(self._inner_out), self.node(self._outer_out)
-        edge = self._pick_edge(state, src, dst)
+        edge = next(
+            (
+                e for e in self._cacheable_edges(state, self.candidate, sdfg)
+                if self.array is None or e.data.data == self.array
+            ),
+            None,
+        )
         if edge is None:
             raise RuntimeError("LocalStorage: no cacheable edge (set .array)")
         data = edge.data.data
@@ -154,6 +177,19 @@ class LocalStorage(Transformation):
                 stack.extend(
                     state.in_edges_by_connector(e.src, "IN_" + e.src_conn[4:])
                 )
+
+
+def _enclosing_params(state, entry) -> Set[str]:
+    """The parameters of ``entry``'s scope and of every scope around it."""
+    scopes = state.scope_dict()
+    params: Set[str] = set()
+    while entry is not None:
+        if isinstance(entry, MapEntry):
+            params.update(entry.map.params)
+        else:
+            params.add(entry.consume.pe_param)
+        entry = scopes.get(entry)
+    return params
 
 
 @register_transformation

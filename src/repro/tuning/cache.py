@@ -26,8 +26,11 @@ from repro.instrumentation import InstrumentationRecorder
 from repro.sdfg.serialize import content_hash
 from repro.store import Store, content_key
 
-#: Bump when the entry layout changes; mismatched entries are deleted on read.
-CACHE_SCHEMA_VERSION = 1
+#: Bump when the entry layout changes, or when a stored history may no
+#: longer replay to what was scored; mismatched entries are deleted on
+#: read.  2: LocalStorage refuses tile-shaped buffers, so its match
+#: indices moved and a stored winner may not run.
+CACHE_SCHEMA_VERSION = 2
 
 
 def _decode(entry: Dict[str, Any]) -> Dict[str, Any]:

@@ -7,6 +7,7 @@ import pytest
 import repro as rp
 from repro.sdfg import SDFG, Memlet, ScheduleType, StorageType, dtypes
 from repro.sdfg.nodes import AccessNode, MapEntry, Reduce, Tasklet
+from repro.sdfg.validation import InvalidSDFGError
 from repro.transformations import (
     REGISTRY,
     DoubleBuffering,
@@ -30,6 +31,8 @@ from repro.transformations import (
     apply_transformations,
     enumerate_matches,
 )
+from repro.transformations.optimizer import apply_match
+from repro.workloads import kernels, polybench
 
 M, K, N = rp.symbol("M"), rp.symbol("K"), rp.symbol("N")
 
@@ -317,6 +320,75 @@ class TestMemory:
         # Memlets below the inner entry now reference the local buffer.
         inner = [e for e in st.edges() if isinstance(e.dst, Tasklet)]
         assert any(e.data.data.startswith("local_") for e in inner)
+
+    #: Programs the tuner tiles; LocalStorage used to cache their tiles in
+    #: buffers sized per tile iteration, which no generator can allocate.
+    TILED = ("matmul", "gemm", "atax", "jacobi-2d")
+
+    @staticmethod
+    def _tiled_variants(name):
+        sdfg = (kernels.matmul_sdfg() if name == "matmul"
+                else polybench.get(name).make_sdfg())
+        sdfg.propagate()
+        for index in range(len(enumerate_matches(sdfg.copy(), MapTiling))):
+            tiled = sdfg.copy()
+            assert apply_match(tiled, MapTiling, match_index=index)
+            tiled.propagate()
+            yield tiled
+
+    @staticmethod
+    def _local_storage_children(tiled):
+        for index in range(len(enumerate_matches(tiled.copy(), LocalStorage))):
+            graph = tiled.copy()
+            assert apply_match(graph, LocalStorage, match_index=index)
+            graph.propagate()
+            yield graph
+
+    @staticmethod
+    def _names_a_tile_parameter(sdfg):
+        return any(
+            s.name.startswith("__tile_")
+            for desc in sdfg.arrays.values() for s in desc.free_symbols
+        )
+
+    @pytest.mark.parametrize("name", TILED)
+    def test_local_storage_refuses_tile_shaped_buffers(self, name, monkeypatch):
+        for tiled in self._tiled_variants(name):
+            for graph in self._local_storage_children(tiled):
+                assert not self._names_a_tile_parameter(graph)
+                graph.validate()
+        # The refusal is what keeps them out: without it, the tiled
+        # program offers matches whose buffer is sized by a tile index.
+        monkeypatch.setattr(
+            LocalStorage, "_names_scope_parameter",
+            staticmethod(lambda subset, params: False),
+        )
+        assert any(
+            self._names_a_tile_parameter(graph)
+            for tiled in self._tiled_variants(name)
+            for graph in self._local_storage_children(tiled)
+        )
+
+    def test_validation_reports_a_buffer_sized_by_a_tile_parameter(self, monkeypatch):
+        """LocalStorage applied to tiled gemm with its refusal bypassed
+        builds what no generator can allocate; validation says so (V005)
+        before any memlet check, so the guard rolls it back."""
+        monkeypatch.setattr(
+            LocalStorage, "_names_scope_parameter",
+            staticmethod(lambda subset, params: False),
+        )
+        sdfg = polybench.get("gemm").make_sdfg()
+        sdfg.propagate()
+        assert apply_match(sdfg, MapTiling, match_index=1)
+        sdfg.propagate()
+        built = list(self._local_storage_children(sdfg))
+        assert built
+        for graph in built:
+            assert self._names_a_tile_parameter(graph)
+            with pytest.raises(InvalidSDFGError) as err:
+                graph.validate()
+            assert err.value.code == "V005"
+            assert "__tile_" in str(err.value)
 
     def test_double_buffering(self):
         sdfg = nested_copy_sdfg()
