@@ -660,8 +660,7 @@ def _compile_python(sdfg, options: CompileOptions) -> CompiledSDFG:
                           sanitize=bool(options.sanitize))
     source = gen.generate()
     main = _exec_python_source(source, sdfg.name)
-    arg_arrays, syms_order = sdfg.entry_abi()
-    compiled = _python_artifact(sdfg, main, source, arg_arrays, syms_order)
+    compiled = _python_artifact(sdfg, main, source, *gen.entry_abi)
     compiled.codegen_warnings = list(getattr(gen, "diagnostics", []))
     compiled.lowering = gen.lowering
     return compiled

@@ -145,6 +145,8 @@ class PythonGenerator(FlowEmitter):
         self._locals: Dict[int, Set[str]] = {}
         #: SDFG -> :func:`scalarpath.symbol_types`.
         self._symbol_types: Dict[int, Dict[str, str]] = {}
+        #: ``main``'s :meth:`~repro.sdfg.sdfg.SDFG.entry_abi`, once generated.
+        self.entry_abi: Optional[Tuple[List[str], List[str]]] = None
 
     # ------------------------------------------------------------------ API
     def generate(self) -> str:
@@ -298,6 +300,8 @@ class PythonGenerator(FlowEmitter):
         self._current_fn, self._loop_depth = fname, 0
         buf = CodeBuffer()
         arg_arrays, syms = sdfg.entry_abi()
+        if toplevel:
+            self.entry_abi = (arg_arrays, syms)
         params = arg_arrays + [f"{s}" for s in syms] + [
             "__instr=None", "__guard=None",
         ]

@@ -102,7 +102,13 @@ def _sliced_tree(f) -> Optional[ast.Module]:
 
 
 def parse_program(f) -> SDFG:
-    """Parse a decorated function into an SDFG."""
+    """Parse a decorated function into a propagated SDFG.
+
+    The graph is not validated here: every consumer (``compile_sdfg``,
+    ``generate_code``, the tuner, the guard, the interpreter, the
+    performance model) validates before it trusts a graph.  A graph that
+    propagate cannot walk is validated, so it fails with its own
+    diagnostic."""
     tree = _sliced_tree(f) or ast.parse(textwrap.dedent(inspect.getsource(f)))
     fndef = tree.body[0]
     if not isinstance(fndef, ast.FunctionDef):
@@ -119,8 +125,11 @@ def parse_program(f) -> SDFG:
     parser.parse_signature(fndef, getattr(f, "__annotations__", {}))
     parser.parse_body(fndef.body)
     sdfg = parser.sdfg
-    sdfg.validate()
-    sdfg.propagate()
+    try:
+        sdfg.propagate()
+    except Exception:
+        sdfg.validate()
+        raise
     return sdfg
 
 

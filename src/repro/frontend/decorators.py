@@ -83,6 +83,8 @@ class DaceProgram:
 
             self._sdfg = parse_program(self.f)
             if simplify if simplify is not None else self.auto_strict:
+                # The strict pass rewrites the graph: check it first.
+                self._sdfg.validate()
                 self._sdfg.apply_strict_transformations()
         return self._sdfg
 

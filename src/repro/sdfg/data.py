@@ -92,6 +92,9 @@ class Array(Data):
         else:
             self.strides = self.default_strides(self.shape)
         self.alignment = alignment
+        #: Set by DoubleBuffering: the leading dimension of 2 holds the
+        #: two halves that the machine models overlap.
+        self.double_buffered = False
 
     @staticmethod
     def default_strides(shape: Sequence[Expr]) -> Tuple[Expr, ...]:
@@ -104,7 +107,7 @@ class Array(Data):
         return tuple(reversed(out))
 
     def clone(self) -> "Array":
-        return Array(
+        out = Array(
             self.dtype,
             self.shape,
             self.transient,
@@ -112,6 +115,8 @@ class Array(Data):
             self.strides,
             self.alignment,
         )
+        out.double_buffered = self.double_buffered
+        return out
 
     def validate(self) -> None:
         super().validate()

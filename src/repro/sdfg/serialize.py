@@ -89,6 +89,8 @@ def data_to_json(desc: Data) -> Dict[str, Any]:
     }
     if isinstance(desc, Array):
         out["strides"] = [str(s) for s in desc.strides]
+        if desc.double_buffered:  # written only when set: hashes stay put
+            out["double_buffered"] = True
     if isinstance(desc, Stream):
         out["buffer_size"] = str(desc.buffer_size)
     return out
@@ -99,7 +101,9 @@ def data_from_json(obj: Dict[str, Any]) -> Data:
     storage = StorageType[obj["storage"]]
     kind = obj["type"]
     if kind == "Array":
-        return Array(dtype, obj["shape"], obj["transient"], storage, obj.get("strides"))
+        arr = Array(dtype, obj["shape"], obj["transient"], storage, obj.get("strides"))
+        arr.double_buffered = obj.get("double_buffered", False)
+        return arr
     if kind == "Scalar":
         return Scalar(dtype, obj["transient"], storage)
     if kind == "Stream":

@@ -7,10 +7,12 @@ properly, and map schedules / data storage locations are feasible
 All checks report through :mod:`repro.diagnostics`.  By default the
 first ERROR raises :class:`InvalidSDFGError` (historical fail-fast
 behavior); with ``collect_all=True`` every diagnostic of a broken SDFG
-is returned so tooling can show them all at once.  A static
-write-conflict detector (paper §3.2: conflicting writes require a WCR
-memlet) emits W501 warnings for overlapping writes inside map scopes
-that lack conflict resolution.
+is returned so tooling can show them all at once.  Collect mode also
+runs the lints: a static write-conflict detector (paper §3.2:
+conflicting writes require a WCR memlet) emits W501 warnings for
+overlapping writes inside map scopes that lack conflict resolution, and
+the instrumentation-placement lint emits W601–W603.  Fail-fast mode
+runs only the error checks.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ def validate_sdfg(sdfg, collect_all: bool = False) -> List[Diagnostic]:
     """Validate the full SDFG, recursing into nested SDFGs.
 
     In the default fail-fast mode the first error raises
-    :class:`InvalidSDFGError`; warnings never raise.  With
+    :class:`InvalidSDFGError`, and the W501/W6xx lints do not run.  With
     ``collect_all=True`` no exception is raised and the complete list of
     diagnostics (errors and warnings) is returned.
     """
@@ -113,8 +115,10 @@ def _validate_sdfg_into(sdfg, ctx: DiagnosticCollector) -> None:
                     sdfg=sdfg,
                 )
 
-    detect_write_conflicts(sdfg, ctx)
-    check_instrumentation_placement(sdfg, ctx)
+    # The lints only warn, and fail-fast callers discard warnings.
+    if ctx.collect_all:
+        detect_write_conflicts(sdfg, ctx)
+        check_instrumentation_placement(sdfg, ctx)
 
 
 def _validate_descriptor_symbols(sdfg, ctx: DiagnosticCollector) -> None:
@@ -436,8 +440,8 @@ def check_instrumentation_placement(
 
     These placements are legal — the report simply stays empty or
     trivial — but they almost always indicate a tag left behind by a
-    transformation or attached to the wrong element, so ``validate_sdfg``
-    surfaces them as warnings (collect them with ``collect_all=True``).
+    transformation or attached to the wrong element, so
+    ``validate_sdfg(..., collect_all=True)`` surfaces them as warnings.
     """
     from repro.instrumentation.types import InstrumentationType
 

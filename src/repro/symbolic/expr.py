@@ -227,18 +227,19 @@ class Integer(Expr):
     __slots__ = ("value",)
     _interned: Dict[int, "Integer"] = {}
 
+    # Built in ``__new__`` alone: with no ``__init__``, an interned
+    # instance is returned as it is, not initialized again.
     def __new__(cls, value: int = 0):
         if cls is Integer and isinstance(value, int):
             cached = Integer._interned.get(value)
             if cached is not None:
                 return cached
-        return object.__new__(cls)
-
-    def __init__(self, value: int):
+        self = object.__new__(cls)
         v = int(value)
         object.__setattr__(self, "value", v)
-        if type(self) is Integer and _SMALL_INT_MIN <= v <= _SMALL_INT_MAX:
+        if cls is Integer and _SMALL_INT_MIN <= v <= _SMALL_INT_MAX:
             Integer._interned.setdefault(v, self)
+        return self
 
     def _key(self) -> Tuple:
         return (self.value,)
@@ -300,21 +301,21 @@ class Symbol(Expr):
     __slots__ = ("name",)
     _interned: Dict[str, "Symbol"] = {}
 
+    # Built in ``__new__`` alone, like :class:`Integer`.
     def __new__(cls, name: str = ""):
         if cls is Symbol and isinstance(name, str):
             cached = Symbol._interned.get(name)
             if cached is not None:
                 return cached
-        return object.__new__(cls)
-
-    def __init__(self, name: str):
         if not name or not (name[0].isalpha() or name[0] == "_"):
             raise ValueError(f"invalid symbol name: {name!r}")
+        self = object.__new__(cls)
         object.__setattr__(self, "name", name)
-        if type(self) is Symbol:
+        if cls is Symbol:
             if len(Symbol._interned) > 4096:  # unbounded-name backstop
                 Symbol._interned.clear()
             Symbol._interned.setdefault(name, self)
+        return self
 
     def _key(self) -> Tuple:
         return (self.name,)

@@ -130,11 +130,14 @@ class Range:
 
     Immutable like :class:`Expr` (so memoized parses and images may share
     one instance between graphs); the rendered string, the hash,
-    ``size``, ``num_elements`` and ``free_symbols`` are cached on the
-    instance.
+    ``is_point``, ``size``, ``num_elements``, ``max_element`` and
+    ``free_symbols`` are cached on the instance.
     """
 
-    __slots__ = ("start", "end", "step", "tile", "_str", "_size", "_num", "_free", "_hash")
+    __slots__ = (
+        "start", "end", "step", "tile",
+        "_str", "_point", "_size", "_num", "_max", "_free", "_hash",
+    )
 
     def __init__(
         self,
@@ -168,7 +171,11 @@ class Range:
         return Range(idx, idx + 1)
 
     def is_point(self) -> bool:
-        return bool((self.end - self.start) == Integer(1)) and self.tile == Integer(1)
+        p = getattr(self, "_point", None)
+        if p is None:
+            p = bool((self.end - self.start) == Integer(1)) and self.tile == Integer(1)
+            object.__setattr__(self, "_point", p)
+        return p
 
     def size(self) -> Expr:
         """Number of iterated indices: ``ceil((end - start) / step)``."""
@@ -219,9 +226,12 @@ class Range:
 
     def max_element(self) -> Expr:
         """Largest index touched (inclusive), accounting for stride and tile."""
-        n = self.size()
-        last = self.start + (n - 1) * self.step
-        return last + self.tile - 1
+        m = getattr(self, "_max", None)
+        if m is None:
+            last = self.start + (self.size() - 1) * self.step
+            m = last + self.tile - 1
+            object.__setattr__(self, "_max", m)
+        return m
 
     def covers(self, other: "Range") -> bool:
         """True if every element of ``other`` lies inside this range's span.

@@ -302,9 +302,7 @@ class DoubleBuffering(Transformation):
         entry: MapEntry = candidate[cls._entry]
         local: AccessNode = candidate[cls._local]
         desc = sdfg.arrays.get(local.data)
-        if desc is None or not desc.transient or isinstance(desc, Stream):
-            return False
-        if getattr(desc, "double_buffered", False):
+        if not isinstance(desc, Array) or not desc.transient or desc.double_buffered:
             return False
         # The transient must live inside the (sequential) scope.
         return state.scope_dict().get(local) is entry and len(entry.map.params) >= 1
@@ -319,7 +317,7 @@ class DoubleBuffering(Transformation):
 
         desc.shape = (sympify(2),) + tuple(desc.shape)
         desc.strides = Array.default_strides(desc.shape)
-        desc.double_buffered = True  # type: ignore[attr-defined]
+        desc.double_buffered = True
         phase = f"{param} % 2"
         for st in sdfg.nodes():
             for e in st.edges():

@@ -165,7 +165,6 @@ def query_sdfg() -> SDFG:
     st.add_edge(
         s_node, out_node, Memlet(data="S", subset="0", dynamic=True), None, None
     )
-    sdfg.validate()
     return sdfg
 
 
@@ -266,7 +265,6 @@ def gemm_chain_sdfg(links: int = 8) -> SDFG:
         sdfg.add_edge(init, comp, InterstateEdge())
         prev_state = comp
         prev = out
-    sdfg.validate()
     return sdfg
 
 
