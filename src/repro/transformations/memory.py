@@ -39,6 +39,10 @@ class LocalStorage(Transformation):
     size is unbound.  After MapTiling the inner map's footprint is sized
     per tile (``min(M, 32 + __tile_i) - __tile_i``), so tile buffers are
     refused; sizing one by the tile's largest extent is not done.
+
+    An outward edge with a WCR is refused too: the buffer would
+    accumulate across outer iterations without being reset to the WCR's
+    identity, and its copy-back would drop the WCR.
     """
 
     _outer_in = PatternNode(MapEntry)
@@ -69,6 +73,8 @@ class LocalStorage(Transformation):
         out = []
         for e in state.edges_between(src, dst):
             if e.data.is_empty() or e.data.subset is None or e.data.dynamic:
+                continue
+            if e.data.wcr is not None:
                 continue
             desc = sdfg.arrays.get(e.data.data)
             if desc is None or isinstance(desc, Stream):
