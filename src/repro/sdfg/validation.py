@@ -86,6 +86,11 @@ def validate_sdfg(sdfg, collect_all: bool = False) -> List[Diagnostic]:
     """
     ctx = _collector(collect_all)
     _validate_sdfg_into(sdfg, ctx)
+    # The lints only warn, and fail-fast callers discard warnings.  Each
+    # recurses into nested SDFGs itself, so it runs once, here.
+    if collect_all:
+        detect_write_conflicts(sdfg, ctx)
+        check_instrumentation_placement(sdfg, ctx)
     return ctx.diagnostics
 
 
@@ -114,11 +119,6 @@ def _validate_sdfg_into(sdfg, ctx: DiagnosticCollector) -> None:
                     f"interstate assignment to container {target!r}",
                     sdfg=sdfg,
                 )
-
-    # The lints only warn, and fail-fast callers discard warnings.
-    if ctx.collect_all:
-        detect_write_conflicts(sdfg, ctx)
-        check_instrumentation_placement(sdfg, ctx)
 
 
 def _validate_descriptor_symbols(sdfg, ctx: DiagnosticCollector) -> None:

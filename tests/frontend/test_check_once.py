@@ -134,6 +134,18 @@ def test_a_racy_map_warns_only_in_collect_mode():
     assert validate_sdfg(sdfg) == []
 
 
+def test_a_racy_nested_sdfg_warns_once():
+    outer = SDFG("outer")
+    outer.add_array("A", ("N", "N"), dtypes.float64)
+    outer.add_array("out", ("N",), dtypes.float64)
+    state = outer.add_state()
+    nested = state.add_nested_sdfg(_racy_sdfg(), {"A"}, {"out"}, {"N": "N"})
+    state.add_edge(state.add_read("A"), nested, Memlet.simple("A", "0:N, 0:N"), None, "A")
+    state.add_edge(nested, state.add_write("out"), Memlet.simple("out", "0:N"), "out", None)
+    assert [d.code for d in validate_sdfg(outer, collect_all=True)] == ["W501"]
+    assert validate_sdfg(outer) == []
+
+
 def test_instrumentation_lint_runs_only_in_collect_mode():
     sdfg = _instrumented_empty_state_sdfg()
     codes = [d.code for d in validate_sdfg(sdfg, collect_all=True)]
