@@ -92,8 +92,9 @@ class Array(Data):
         else:
             self.strides = self.default_strides(self.shape)
         self.alignment = alignment
-        #: Set by DoubleBuffering: the leading dimension of 2 holds the
-        #: two halves that the machine models overlap.
+        #: Set by DoubleBuffering, whose added leading dimension of 2
+        #: holds the two halves; it keeps the buffer from being doubled
+        #: again and flags the scope in the performance model.
         self.double_buffered = False
 
     @staticmethod
