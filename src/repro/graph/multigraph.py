@@ -237,12 +237,13 @@ class OrderedMultiDiGraph(Generic[NodeT, EdgeDataT]):
         nodes: Dict[NodeT, Any],
         copy_data: Callable[[EdgeDataT], Any],
     ) -> None:
-        """Give the empty graph ``other`` this graph's structure over the
-        node copies ``nodes`` (original -> copy), each edge's data passed
-        through ``copy_data``.  Node order and the order of every node's
-        in- and out-edges are kept."""
+        """Give ``other`` this graph's structure, replacing whatever it
+        held, over the node copies ``nodes`` (original -> copy), each
+        edge's data passed through ``copy_data``.  Node order and the
+        order of every node's in- and out-edges are kept."""
         copies: Dict[int, Edge] = {}
         other._nodes = dict.fromkeys(nodes[n] for n in self._nodes)
+        other._out = {}
         for n, out in self._out.items():
             row = other._out[nodes[n]] = []
             for e in out:

@@ -89,7 +89,6 @@ class ScopeCost:
     random_access: bool = False
     kernel: bool = False  # launched as one device kernel
     pes: int = 1  # parallel processing elements (FPGA)
-    double_buffered: bool = False
 
 
 @dataclass
@@ -234,10 +233,6 @@ class PerformanceModel:
             if isinstance(node, Tasklet):
                 iters = self._nested_iterations(state, node, sd, entry)
                 cost.flops += tasklet_flops(node) * iters
-            elif isinstance(node, AccessNode):
-                desc = node.desc(self.sdfg)
-                if getattr(desc, "double_buffered", False):
-                    cost.double_buffered = True
         # Data: propagated boundary memlets.
         for e in state.in_edges(entry) + state.out_edges(exit_):
             if e.data.is_empty() or e.data.data not in self.sdfg.arrays:

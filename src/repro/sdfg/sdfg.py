@@ -365,15 +365,23 @@ class SDFG(OrderedMultiDiGraph[SDFGState, InterstateEdge]):
         dictionary.  The copy is a top-level SDFG with no compiled
         artifact.
         """
-        new = SDFG(self.name, self.symbols, self.constants)
+        new = SDFG(self.name)
+        self._copy_into(new)
+        return new
+
+    def _copy_into(self, new: "SDFG") -> None:
+        """Make ``new`` what :meth:`copy` returns, whatever it held
+        before; its parent pointers and compiled artifact are left
+        alone."""
+        new.name = self.name
+        new.symbols = dict(self.symbols)
+        new.constants = dict(self.constants)
         new.instrument = self.instrument
         new.arrays = {name: desc.clone() for name, desc in self.arrays.items()}
         states = {s: s.copy(new) for s in self._nodes}
         self._copy_topology_into(new, states, InterstateEdge.clone)
-        if self.start_state is not None:
-            new.start_state = states[self.start_state]
+        new.start_state = states.get(self.start_state)
         new.transformation_history = list(self.transformation_history)
-        return new
 
     # ---------------------------------------------------------------- serialization
     def to_json(self) -> dict:
@@ -415,3 +423,18 @@ class SDFG(OrderedMultiDiGraph[SDFGState, InterstateEdge]):
             f"SDFG({self.name!r}, states={self.number_of_nodes()}, "
             f"arrays={len(self.arrays)})"
         )
+
+
+def restore_sdfg_inplace(sdfg: SDFG, image: SDFG) -> None:
+    """Roll ``sdfg`` back to the graph ``image`` *in place*.
+
+    The transactional rollback of the guarded optimizer: callers holding
+    a reference to the SDFG object (compiled artifacts, optimizers, the
+    REPL) see the restored graph without rebinding.  A fresh
+    :meth:`SDFG.copy` of ``image`` is transplanted into ``sdfg``, so
+    ``image`` itself is neither changed nor shared (other guards may
+    hold it as their pre-image), and ``sdfg`` serializes like ``image``
+    byte for byte afterwards.
+    """
+    image._copy_into(sdfg)
+    sdfg.invalidate_compiled()

@@ -434,34 +434,6 @@ def content_hash(sdfg) -> str:
     return snapshot_hash(sdfg_to_json(sdfg))
 
 
-def restore_sdfg_inplace(sdfg, obj: Dict[str, Any]) -> None:
-    """Restore ``sdfg`` to a previously serialized snapshot *in place*.
-
-    The transactional rollback of the guarded optimizer: callers holding
-    a reference to the SDFG object (compiled artifacts, optimizers, the
-    REPL) see the restored graph without rebinding.  Round-trips through
-    :func:`sdfg_from_json` and transplants every field onto the existing
-    object, so a subsequent ``sdfg_to_json`` is byte-identical to the
-    snapshot.
-    """
-    fresh = sdfg_from_json(obj)
-    for state in list(sdfg.nodes()):
-        sdfg.remove_node(state)
-    sdfg.name = fresh.name
-    sdfg.instrument = fresh.instrument
-    sdfg.arrays = fresh.arrays
-    sdfg.symbols = fresh.symbols
-    sdfg.constants = fresh.constants
-    for state in fresh.nodes():
-        state.sdfg = sdfg
-        sdfg.add_node(state)
-    for e in fresh.edges():
-        sdfg.add_edge(e.src, e.dst, e.data)
-    sdfg.start_state = fresh.start_state
-    sdfg.transformation_history = fresh.transformation_history
-    sdfg.invalidate_compiled()
-
-
 def sdfg_from_json(obj: Dict[str, Any]):
     from repro.sdfg.sdfg import SDFG, InterstateEdge
 

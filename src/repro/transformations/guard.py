@@ -4,20 +4,23 @@ paper's §4.1/§4.2 workflow).
 ``GuardedOptimizer`` wraps every transformation application in a
 transaction, in the spirit of DIODE's "optimization version control":
 
-1. **snapshot** — serialize the SDFG and propagate it for matching; a
-   guard built by :meth:`GuardedOptimizer.from_snapshot` already holds
-   the serialized pre-image of a propagated graph (the auto-tuner's
-   search variants), so it does neither.  Its graph is a copy
-   (:meth:`SDFG.copy`) of the parse the caller holds, not a parse of
-   its own;
+1. **snapshot** — copy the SDFG (:meth:`SDFG.copy`) and propagate it
+   for matching; a guard built by :meth:`GuardedOptimizer.from_snapshot`
+   already holds the pre-image, a propagated graph (the auto-tuner's
+   search variant), and works on a copy of it, so it does neither;
 2. **apply** — run the transformation's graph rewrite, then propagate;
 3. **re-validate** — full structural validation of the result;
 4. **differential verification** (optional) — execute the pre- and
    post-transformation SDFGs on small inputs through the interpreter
    backend and compare every output container within a tolerance;
-5. **commit or roll back** — on any failure the snapshot is restored
-   *in place* by parsing it (byte-identical serialization), so a corrupting
-   transformation can never leave the graph broken.
+5. **commit or roll back** — on any failure a fresh copy of the
+   pre-image is transplanted into the graph *in place*
+   (:func:`restore_sdfg_inplace`; byte-identical serialization), so a
+   corrupting transformation can never leave the graph broken.
+
+The pre-image is only read: verification executes a copy of it, and a
+rollback transplants a copy, so guards may share one pre-image.  The
+serializer is left for byte-identity checks (:func:`canonical_snapshot`).
 
 Every attempt — applied, rolled back (with the reason), or no match —
 is recorded in a machine-readable :class:`GuardReport`, making the
@@ -35,7 +38,8 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.instrumentation import InstrumentationRecorder
-from repro.sdfg.serialize import restore_sdfg_inplace, sdfg_from_json, sdfg_to_json
+from repro.sdfg.sdfg import restore_sdfg_inplace
+from repro.sdfg.serialize import sdfg_to_json
 from repro.transformations.base import REGISTRY, Transformation
 from repro.transformations.optimizer import (
     XformLike,
@@ -150,35 +154,28 @@ class GuardedOptimizer:
         self.seed = seed
         self.report = GuardReport(sdfg=sdfg.name)
         self.recorder = recorder if recorder is not None else InstrumentationRecorder()
-        #: Serialized pre-image of the current graph when it is already
-        #: known (see :meth:`from_snapshot`); the next :meth:`apply` uses
-        #: it instead of taking a snapshot and propagating.
-        self._pre_image: Optional[Dict[str, Any]] = None
+        #: Pre-image of the current graph when it is already known (see
+        #: :meth:`from_snapshot`); the next :meth:`apply` uses it instead
+        #: of taking a snapshot and propagating.
+        self._pre_image = None
 
     @classmethod
-    def from_snapshot(cls, obj: Dict[str, Any], sdfg, **kwargs) -> "GuardedOptimizer":
-        """A guard over ``sdfg``, a graph private to the guard that
-        serializes to ``obj`` (a :func:`sdfg_to_json` snapshot of a
-        *propagated* graph): a parse of ``obj``, or a :meth:`SDFG.copy`
-        of one (the auto-tuner copies the parse it enumerated on).
+    def from_snapshot(cls, pre_image, sdfg, **kwargs) -> "GuardedOptimizer":
+        """A guard over ``sdfg``, a graph private to the guard that is a
+        :meth:`SDFG.copy` of ``pre_image``, a *propagated* graph (the
+        auto-tuner's search variant, shared by all its candidates).
 
-        ``obj`` is the graph's exact pre-image: the first :meth:`apply`
-        (and any later one that follows a rollback) rolls back and
-        verifies against ``obj`` instead of re-serializing, and skips the
-        pre-match propagate — correct only because ``obj`` was taken
-        after a propagate, which is a fixpoint.  ``kwargs`` are the
+        ``pre_image`` is the graph's exact pre-image: the first
+        :meth:`apply` (and any later one that follows a rollback) rolls
+        back to and verifies against copies of it instead of copying
+        ``sdfg``, and skips the pre-match propagate — correct only
+        because ``pre_image`` was propagated, which is a fixpoint.  The
+        guard never changes ``pre_image``.  ``kwargs`` are the
         constructor's.
         """
         guard = cls(sdfg, **kwargs)
-        guard._pre_image = obj
+        guard._pre_image = pre_image
         return guard
-
-    # ------------------------------------------------------------ snapshots
-    def snapshot(self) -> Dict[str, Any]:
-        return sdfg_to_json(self.sdfg)
-
-    def restore(self, snap: Dict[str, Any]) -> None:
-        restore_sdfg_inplace(self.sdfg, snap)
 
     # -------------------------------------------------------------- applying
     def apply(
@@ -232,10 +229,10 @@ class GuardedOptimizer:
             self.recorder.enter("transformation", name)
         try:
             start = time.perf_counter()
-            snap = self._pre_image
-            reused = snap is not None
+            pre_image = self._pre_image
+            reused = pre_image is not None
             if not reused:
-                snap = self.snapshot()
+                pre_image = self.sdfg.copy()
                 timings["snapshot"] = time.perf_counter() - start
 
             try:
@@ -257,7 +254,7 @@ class GuardedOptimizer:
                     self.sdfg.validate()
                 timings["validate"] = time.perf_counter() - t0
             except Exception as err:  # noqa: BLE001 - any failure rolls back
-                self.restore(snap)
+                restore_sdfg_inplace(self.sdfg, pre_image)
                 from repro.sdfg.validation import InvalidSDFGError
 
                 code = "G102" if isinstance(err, InvalidSDFGError) else "G101"
@@ -275,12 +272,12 @@ class GuardedOptimizer:
             max_err: Optional[float] = None
             if self.verify:
                 t0 = time.perf_counter()
-                failure, max_err = self._differential_check(snap)
+                failure, max_err = self._differential_check(pre_image)
                 timings["verify"] = time.perf_counter() - t0
                 if failure is VERIFY_SKIPPED:
                     verified = VERIFY_SKIPPED
                 elif failure is not None:
-                    self.restore(snap)
+                    restore_sdfg_inplace(self.sdfg, pre_image)
                     self._record(
                         name,
                         "rolled_back",
@@ -341,13 +338,14 @@ class GuardedOptimizer:
         return applied
 
     # -------------------------------------------------- differential checks
-    def _differential_check(self, pre_snapshot: Dict[str, Any]):
-        """Execute pre- and post-transformation SDFGs on identical inputs
-        via the interpreter and compare outputs.
+    def _differential_check(self, pre_image):
+        """Execute a copy of the pre-transformation graph ``pre_image``
+        and the transformed graph on identical inputs via the
+        interpreter and compare outputs.
 
         Returns ``(failure_reason_or_None_or_VERIFY_SKIPPED, max_abs_error)``.
         """
-        baseline = sdfg_from_json(pre_snapshot)
+        baseline = pre_image.copy()
         inputs = self.verify_inputs
         if inputs is None:
             inputs = synthesize_inputs(baseline, self.symbol_default, self.seed)

@@ -10,7 +10,7 @@ Usage (``python -m repro.tune``):
   and tuned variants under the measured backend and the analytic
   cpu/gpu/fpga machine models side by side;
 * ``python -m repro.tune run gemm_chain --cutout`` — cutout strategy:
-  split the program into per-state/per-scope cutouts, deduplicate
+  split the program into per-state cutouts, deduplicate
   identical kernels by content hash, and tune each unique one before
   stitching the winners back;
 * ``python -m repro.tune --if-drifted snapshot.json`` — re-tune only

@@ -39,7 +39,6 @@ from repro.tuning.cutout import (
     Cutout,
     CutoutError,
     execute_cutouts,
-    extract_scope_cutout,
     extract_state_cutout,
     extract_state_cutouts,
     group_cutouts,
@@ -72,7 +71,6 @@ __all__ = [
     "cutout_pool",
     "default_pool",
     "execute_cutouts",
-    "extract_scope_cutout",
     "extract_state_cutout",
     "extract_state_cutouts",
     "group_cutouts",

@@ -58,7 +58,7 @@ class MeasuredCost(CostProvider):
     """Score by executing the variant and reading the instrumentation
     report's wall-clock time.
 
-    The variant is serialized to a private copy, instrumented with a
+    The variant is copied to a private graph, instrumented with a
     whole-SDFG TIMER, compiled through ``backend`` (generated Python by
     default), and run ``repeats`` times on identical inputs; the score
     is the minimum observed :meth:`InstrumentationReport.total_duration`.

@@ -1,5 +1,5 @@
-"""Cutout extraction: turning one state (or map scope) of an SDFG into
-a standalone, validated SDFG.
+"""Cutout extraction: turning one state of an SDFG into a standalone,
+validated SDFG.
 
 The paper's argument is that a graph IR lets optimization act on *local
 dataflow structure*; cutouts cash that out for tuning.  A cutout is a
@@ -36,14 +36,9 @@ from repro.runtime.arguments import split_arguments
 from repro.runtime.interpreter import SDFGInterpreter
 from repro.sdfg import dtypes
 from repro.sdfg.data import Stream
-from repro.sdfg.nodes import AccessNode, EntryNode, MapEntry, NestedSDFG
+from repro.sdfg.nodes import AccessNode, NestedSDFG
 from repro.sdfg.sdfg import SDFG
-from repro.sdfg.serialize import (
-    content_hash,
-    sdfg_to_json,
-    state_from_json,
-    state_to_json,
-)
+from repro.sdfg.serialize import content_hash, sdfg_to_json
 from repro.sdfg.state import SDFGState
 
 
@@ -69,16 +64,11 @@ class Cutout:
     parent_name: str
     state_name: str
     state_index: int
-    #: Scope-level cutouts record the entry node's map label; state-level
-    #: cutouts leave this None.
-    scope_label: Optional[str] = None
     _grouping: Optional[str] = field(default=None, repr=False)
     _content: Optional[str] = field(default=None, repr=False)
 
     @property
     def label(self) -> str:
-        if self.scope_label:
-            return f"{self.state_name}/{self.scope_label}"
         return self.state_name
 
     @property
@@ -217,92 +207,6 @@ def extract_state_cutout(parent: SDFG, state: SDFGState) -> Cutout:
     )
 
 
-def extract_scope_cutout(parent: SDFG, state: SDFGState, entry: MapEntry) -> Cutout:
-    """Extract one top-level map scope of ``state`` as a standalone SDFG.
-
-    The scope subgraph plus its boundary access nodes are copied (in
-    parent node order); every boundary container becomes an argument.
-    Finer-grained than state cutouts — used for analysis and tests; the
-    cutout tuner operates at state granularity (DESIGN §13).
-    """
-    exit_node = state.exit_node(entry)
-    keep: Set[int] = {
-        id(n) for n in state.scope_subgraph(entry, include_scope_nodes=True)
-    }
-    boundary: Set[str] = set()
-    for e in state.in_edges(entry):
-        if not isinstance(e.src, AccessNode):
-            _reject(parent, state,
-                    "scope cutout requires access-node boundaries "
-                    f"(map {entry.map.label!r} is fed by {type(e.src).__name__})")
-        keep.add(id(e.src))
-        boundary.add(e.src.data)
-    for e in state.out_edges(exit_node):
-        if not isinstance(e.dst, AccessNode):
-            _reject(parent, state,
-                    "scope cutout requires access-node boundaries "
-                    f"(map {entry.map.label!r} writes to {type(e.dst).__name__})")
-        keep.add(id(e.dst))
-        boundary.add(e.dst.data)
-    for node in state.nodes():
-        if id(node) in keep and isinstance(node, NestedSDFG):
-            _reject(parent, state,
-                    "cutout extraction does not support nested SDFGs")
-
-    obj = state_to_json(state)
-    kept_order = [i for i, n in enumerate(state.nodes()) if id(n) in keep]
-    remap = {old: new for new, old in enumerate(kept_order)}
-    obj["nodes"] = [
-        {**n, "scope_entry": remap[n["scope_entry"]]} if "scope_entry" in n else n
-        for n in (obj["nodes"][i] for i in kept_order)
-    ]
-    obj["edges"] = [
-        {**e, "src": remap[e["src"]], "dst": remap[e["dst"]]}
-        for e in obj["edges"]
-        if e["src"] in remap and e["dst"] in remap
-    ]
-
-    kept_nodes = [n for n in state.nodes() if id(n) in keep]
-    used: Set[str] = {
-        n.data for n in kept_nodes if isinstance(n, AccessNode)
-    }
-    for e in obj["edges"]:
-        if e["memlet"]["data"]:
-            used.add(e["memlet"]["data"])
-
-    name = _sanitize_name(
-        f"{parent.name}_cut_{state.name}_{entry.map.label}"
-    )
-    cut = SDFG(name)
-    for dname in sorted(used):
-        desc = parent.arrays[dname]
-        copy = desc.clone()
-        if desc.transient and dname in boundary:
-            if isinstance(desc, Stream):
-                _reject(parent, state,
-                        f"transient stream {dname!r} crosses the scope "
-                        "boundary and cannot be promoted to an argument",
-                        data=dname)
-            copy.transient = False
-        cut.arrays[dname] = copy
-
-    new_state = state_from_json(obj, cut)
-    cut.add_node(new_state)
-    cut.start_state = new_state
-    _declare_free_names(cut, parent)
-    try:
-        cut.validate()
-    except Exception as err:  # noqa: BLE001
-        _reject(parent, state, f"extracted cutout failed validation: {err}")
-    return Cutout(
-        sdfg=cut,
-        parent_name=parent.name,
-        state_name=state.name,
-        state_index=parent.nodes().index(state),
-        scope_label=entry.map.label,
-    )
-
-
 def extract_state_cutouts(
     parent: SDFG,
 ) -> Tuple[List[Cutout], List[Diagnostic]]:
@@ -405,7 +309,7 @@ class _CutoutChain(SDFGInterpreter):
     def __init__(self, parent: SDFG, cutouts: Sequence[Cutout]):
         super().__init__(parent, validate=False)
         self._interpreters = {c.state_name: SDFGInterpreter(c.sdfg, validate=False)
-                              for c in cutouts if c.scope_label is None}
+                              for c in cutouts}
 
     def _execute_state(self, sdfg, state, mem, sym) -> None:
         if state.number_of_nodes() == 0:

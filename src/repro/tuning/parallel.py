@@ -25,8 +25,14 @@ The pipeline (``tune(strategy="cutout")``):
    applicability saw whole-SDFG context) is rolled back and recorded as
    W1002 — the region is simply left untuned;
 5. **verify** — the fully stitched program is differentially verified
-   against the original at 1e-8; on mismatch the whole result reverts
-   to the baseline.
+   against the original at 1e-8; on mismatch, or when the original
+   cannot run on the verification inputs (nothing was verified), the
+   whole result reverts to the baseline with a W1002.
+
+The program's pre-image is one :meth:`SDFG.copy` of the input: the
+stitched program starts as a copy of it, verification runs a copy of
+it, and a revert transplants a copy of it.  Each member is rolled back
+from a copy taken before its first step.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.diagnostics import make_diagnostic, Severity
 from repro.instrumentation import InstrumentationRecorder
-from repro.sdfg.serialize import restore_sdfg_inplace, sdfg_from_json, sdfg_to_json
+from repro.sdfg.sdfg import restore_sdfg_inplace
 from repro.telemetry.sink import active_sink
 from repro.transformations.guard import VERIFY_SKIPPED, GuardedOptimizer
 from repro.transformations.optimizer import enumerate_matches
@@ -124,9 +130,10 @@ def _stitch_member(
     Translates each step's in-state match index to the global index over
     the whole (evolving) program and applies it transactionally.
     Returns ``(global_history, "")`` on success or ``(None, reason)``
-    with the member fully rolled back.
+    with the member fully rolled back to a copy taken before its first
+    step.
     """
-    snapshot = sdfg_to_json(tuned)
+    pre_image = tuned.copy()
     guard = GuardedOptimizer(tuned, verify=verify)
     applied: List[Dict[str, Any]] = []
     for entry in history:
@@ -136,18 +143,18 @@ def _stitch_member(
             (s for s in tuned.nodes() if s.name == member.state_name), None
         )
         if state is None:
-            restore_sdfg_inplace(tuned, snapshot)
+            restore_sdfg_inplace(tuned, pre_image)
             return None, f"state {member.state_name!r} vanished from the parent"
         try:
             matches = enumerate_matches(tuned, name)
         except Exception as err:  # noqa: BLE001
-            restore_sdfg_inplace(tuned, snapshot)
+            restore_sdfg_inplace(tuned, pre_image)
             return None, f"match enumeration failed: {type(err).__name__}: {err}"
         in_state = [
             gi for gi, inst in enumerate(matches) if inst.state is state
         ]
         if local_index >= len(in_state):
-            restore_sdfg_inplace(tuned, snapshot)
+            restore_sdfg_inplace(tuned, pre_image)
             return None, (
                 f"{name}[{local_index}] has no counterpart in state "
                 f"{member.state_name!r} ({len(in_state)} in-state matches)"
@@ -155,7 +162,7 @@ def _stitch_member(
         global_index = in_state[local_index]
         if not guard.apply(name, match_index=global_index):
             attempt = guard.report.attempts[-1]
-            restore_sdfg_inplace(tuned, snapshot)
+            restore_sdfg_inplace(tuned, pre_image)
             return None, (
                 f"{name}[{local_index}] rolled back on the parent: "
                 f"{attempt.reason or attempt.status}"
@@ -184,7 +191,10 @@ def tune_cutouts(
     ``strategy="cutout"`` driver behind :func:`repro.tuning.tune`.
 
     ``config.budget`` is the evaluation budget *per unique cutout* (the
-    per-cutout searches are independent).  Returns a
+    per-cutout searches are independent).  ``sdfg`` is never mutated:
+    the stitched program is a copy of it, and a stitched program that
+    fails verification, or that could not be verified, is reverted to
+    the baseline.  Returns a
     :class:`~repro.tuning.search.TuningResult` whose ``history`` holds
     the stitched global replayable chain and whose report carries a
     ``cutouts`` section (dedup counts, per-cutout outcomes) next to the
@@ -197,7 +207,7 @@ def tune_cutouts(
     recorder = recorder if recorder is not None else InstrumentationRecorder()
     sink = active_sink()
 
-    base_json = sdfg_to_json(sdfg)
+    base = sdfg.copy()
     report = TuningReport(
         sdfg=sdfg.name,
         strategy="cutout",
@@ -238,7 +248,7 @@ def tune_cutouts(
         )
 
     # ------------------------------------------------- tune and stitch
-    tuned = sdfg_from_json(base_json)
+    tuned = base.copy()
     stitched_history: List[Dict[str, Any]] = []
     per_cutout: List[Dict[str, Any]] = []
     merged_xforms: Dict[str, Dict[str, float]] = {}
@@ -316,30 +326,33 @@ def tune_cutouts(
         guard = GuardedOptimizer(
             tuned, verify=True, verify_inputs=inputs, tolerance=1e-8
         )
-        failure, max_err = guard._differential_check(base_json)
-        if failure is VERIFY_SKIPPED:
-            verification = "skipped"
-        elif failure is not None:
-            verification = f"failed: {failure}"
+        failure, max_err = guard._differential_check(base)
+        if failure is None:
+            verification = f"ok (max abs error {max_err:.3e})"
+        else:
+            if failure is VERIFY_SKIPPED:
+                verification = (
+                    "skipped: the baseline fails on the verification inputs"
+                )
+            else:
+                verification = f"failed: {failure}"
             warnings.append(
                 make_diagnostic(
                     "W1002",
-                    "stitched program failed differential verification "
-                    f"({failure}); reverting to the baseline",
+                    f"stitched program not verified ({verification}); "
+                    "reverting to the baseline",
                     Severity.WARNING,
                     sdfg=sdfg,
                 )
             )
-            restore_sdfg_inplace(tuned, base_json)
+            restore_sdfg_inplace(tuned, base)
             stitched_history = []
-        else:
-            verification = f"ok (max abs error {max_err:.3e})"
 
     # ------------------------------------------------------- score/report
     baseline_score: Optional[float] = None
     best_score: Optional[float] = None
     try:
-        baseline_score = provider.score(sdfg_from_json(base_json))
+        baseline_score = provider.score(base)
         best_score = (
             provider.score(tuned.copy())
             if stitched_history

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.instrumentation import InstrumentationRecorder
-from repro.sdfg.serialize import sdfg_from_json, sdfg_to_json, snapshot_hash
+from repro.sdfg.serialize import content_hash
 from repro.telemetry.sink import active_sink
 from repro.transformations.base import REGISTRY
 from repro.transformations.guard import GuardedOptimizer
@@ -129,10 +129,11 @@ class TuningResult:
 
 @dataclass
 class _Variant:
-    """One point in the search space."""
+    """One point in the search space: its graph, validated and
+    propagated, which its candidates copy and never change."""
 
     history: List[Dict[str, Any]]
-    snapshot: Dict[str, Any]
+    sdfg: Any
     hash: str
     score: float
 
@@ -233,7 +234,6 @@ def tune(
         raise ValueError(f"unknown search strategy {cfg.strategy!r}")
 
     recorder = recorder if recorder is not None else InstrumentationRecorder()
-    base_json = sdfg_to_json(sdfg)
 
     report = TuningReport(
         sdfg=sdfg.name,
@@ -258,7 +258,7 @@ def tune(
             report.baseline_score = entry.get("baseline_score")
             report.best_score = entry.get("score")
             report.winner = list(entry.get("history", ()))
-            tuned = sdfg_from_json(base_json)
+            tuned = sdfg.copy()
             if report.winner:
                 replay(tuned, report.winner)
             return TuningResult(
@@ -276,19 +276,18 @@ def tune(
     recorder.enter("tuning", sdfg.name)
     try:
         state = _SearchState(cfg.budget)
-        # Every snapshot the search holds is of a validated, propagated
-        # graph — the root's from here, each child's from its guard — so
-        # guards built from them need no snapshot and no pre-apply
-        # propagate, and the provider need not analyse what it scores.
-        root_sdfg = sdfg_from_json(base_json)
+        # Every graph the search holds is validated and propagated — the
+        # root's from here, each child's by its guard — so guards built
+        # from them need no snapshot and no pre-apply propagate, and the
+        # provider need not analyse what it scores.
+        root_sdfg = sdfg.copy()
         root_sdfg.validate()
         root_sdfg.propagate()
-        root_snapshot = sdfg_to_json(root_sdfg)
         baseline = provider.score_analysed(root_sdfg)
         root = _Variant(
             history=[],
-            snapshot=root_snapshot,
-            hash=snapshot_hash(root_snapshot),
+            sdfg=root_sdfg,
+            hash=content_hash(root_sdfg),
             score=baseline,
         )
         state.seen[root.hash] = baseline
@@ -332,7 +331,7 @@ def tune(
         )
         report.cache.update(store.stats())
 
-    tuned = sdfg_from_json(base_json)
+    tuned = sdfg.copy()
     if winner:
         replay(tuned, winner)
     return TuningResult(
@@ -418,16 +417,16 @@ def _expand(
     Every attempt is recorded in the report; applications run through
     the guarded optimizer so a corrupting transformation surfaces as a
     ``rolled_back`` trace entry instead of a broken graph.
+
+    Matches are enumerated on the variant's own graph, which is
+    propagated already and only read here: each match is enumerated and
+    sorted once, and a candidate's guard works on a copy of the graph,
+    with the match rebound to it, and keeps the variant's graph as its
+    pre-image.
     """
     parent_label = variant.label()
     children: List[_Variant] = []
-    # Enumeration only reads the graph, so one parse of the variant serves
-    # every transformation in the pool.  The snapshot is of a propagated
-    # graph, and propagate is a fixpoint on its parse, so the probe is
-    # not propagated again.  Each match is enumerated and sorted here
-    # once; a candidate's guard works on a copy of the probe, with the
-    # match rebound to it, and keeps the snapshot as its pre-image.
-    probe = sdfg_from_json(variant.snapshot)
+    probe = variant.sdfg
     for name in cfg.pool():
         try:
             matches = sort_matches(probe, _resolve(name).matches(probe))
@@ -450,7 +449,7 @@ def _expand(
                 )
                 return children
             guard = GuardedOptimizer.from_snapshot(
-                variant.snapshot, probe.copy(), verify=cfg.verify
+                probe, probe.copy(), verify=cfg.verify
             )
             work = guard.sdfg
             stats["candidates"] += 1
@@ -465,10 +464,8 @@ def _expand(
                     attempt.status, reason=attempt.reason,
                 )
                 continue
-            # The guard validated and propagated the child: one
-            # serialization is its snapshot and its hash input.
-            snapshot = sdfg_to_json(work)
-            digest = snapshot_hash(snapshot)
+            # The guard validated and propagated the child.
+            digest = content_hash(work)
             if digest in state.seen:
                 report.add(
                     depth, parent_label, name, index, "pruned_duplicate",
@@ -496,7 +493,7 @@ def _expand(
                 _Variant(
                     history=variant.history
                     + [{"transformation": name, "match": index}],
-                    snapshot=snapshot,
+                    sdfg=work,
                     hash=digest,
                     score=score,
                 )

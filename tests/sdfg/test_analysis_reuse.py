@@ -1,11 +1,10 @@
 """Preconditions of reusing one analysis per tuning candidate.
 
 The auto-tuner analyses each search variant once: the guard propagates
-and validates it, its one serialization is both its snapshot and its
-hash input, and a guard built from that snapshot skips the pre-match
-propagate.  That is sound only if
+and validates it, its one serialization is its hash input, and a guard
+over a copy of it skips the pre-match propagate.  That is sound only if
 
-* propagate is a fixpoint on a graph parsed from a propagated snapshot,
+* propagate is a fixpoint on a copy of a propagated graph,
 * hashing a snapshot gives exactly ``content_hash`` of its graph,
 * validating with one scope tree per state reports what it always did, and
 * validation reads the same from cold and from warm memo tables (the
@@ -63,12 +62,13 @@ def _canonical_text(obj):
     return json.dumps(canonical_form(obj), sort_keys=True, indent=1, default=str)
 
 
-def _assert_propagate_fixpoint(snapshot, what):
-    """Parsing ``snapshot`` and propagating leaves the canonical form as
-    it was; on failure, show where it moved."""
-    graph = sdfg_from_json(snapshot)
+def _assert_propagate_fixpoint(propagated, what):
+    """Propagating a copy of the graph ``propagated`` leaves the
+    canonical form as it was; on failure, show where it moved."""
+    graph = propagated.copy()
     graph.propagate()
-    before, after = _canonical_text(snapshot), _canonical_text(sdfg_to_json(graph))
+    before = _canonical_text(sdfg_to_json(propagated))
+    after = _canonical_text(sdfg_to_json(graph))
     if before != after:
         diff = "\n".join(list(difflib.unified_diff(
             before.splitlines(), after.splitlines(), "snapshot", "propagated",
@@ -85,19 +85,20 @@ def test_corpus_has_36_programs():
 def test_propagate_is_a_fixpoint_on_every_guarded_child(name):
     """Every child the search can build from a corpus program (each pool
     transformation, up to ``MAX_MATCHES`` sites) is, once the guard has
-    applied and propagated it, unchanged by a parse and a propagate."""
-    root = _propagated_snapshot(_make(name))
+    applied and propagated it, unchanged by a copy and a propagate."""
+    root = _make(name)
+    root.propagate()
     _assert_propagate_fixpoint(root, f"{name} (root)")
     for xform in default_pool():
         try:
-            n = len(enumerate_matches(sdfg_from_json(root), xform))
+            n = len(enumerate_matches(root, xform))
         except Exception:  # noqa: BLE001 - the search records these too
             continue
         for index in range(min(n, MAX_MATCHES)):
-            guard = GuardedOptimizer.from_snapshot(root, sdfg_from_json(root))
+            guard = GuardedOptimizer.from_snapshot(root, root.copy())
             if guard.apply(xform, match_index=index):
                 _assert_propagate_fixpoint(
-                    sdfg_to_json(guard.sdfg), f"{name} + {xform}[{index}]"
+                    guard.sdfg, f"{name} + {xform}[{index}]"
                 )
 
 
@@ -110,17 +111,17 @@ def guarded_graphs(name):
     builds from it (each pool transformation, up to ``MAX_MATCHES``
     sites, kept even when it fails validation), as the live graphs the
     guard left behind."""
-    root_graph = _make(name)
-    root = _propagated_snapshot(root_graph)
-    graphs = [root_graph]
+    root = _make(name)
+    root.propagate()
+    graphs = [root]
     for xform in default_pool():
         try:
-            n = len(enumerate_matches(sdfg_from_json(root), xform))
+            n = len(enumerate_matches(root, xform))
         except Exception:  # noqa: BLE001 - the search records these too
             continue
         for index in range(min(n, MAX_MATCHES)):
             guard = GuardedOptimizer.from_snapshot(
-                root, sdfg_from_json(root), validate=False
+                root, root.copy(), validate=False
             )
             if guard.apply(xform, match_index=index):
                 graphs.append(guard.sdfg)

@@ -1,10 +1,11 @@
 """``SDFG.copy``: a structural copy that stands in for a serializer
 round trip.
 
-The auto-tuner gives each candidate's guard a copy of the graph it
-enumerated matches on, instead of parsing the variant's snapshot again.
-That is sound only if the copy serializes like the original, shares no
-mutable part with it, and is what a parse of the snapshot would build.
+The auto-tuner gives each candidate's guard a copy of the variant's
+graph it enumerated matches on, and the guard rolls back by
+transplanting a fresh copy of that shared pre-image.  That is sound
+only if the copy serializes like the original, shares no mutable part
+with it, and is what a parse of the snapshot would build.
 """
 
 import pytest
@@ -12,8 +13,14 @@ import pytest
 from repro.sdfg import SDFG, Memlet, dtypes
 from repro.sdfg.nodes import ConsumeEntry, NestedSDFG
 from repro.sdfg.serialize import sdfg_from_json, sdfg_to_json
+from repro.transformations.guard import GuardedOptimizer
 from repro.transformations.optimizer import apply_match, enumerate_matches
 from repro.tuning import default_pool
+from tests.robustness.test_guard_rollback import (
+    DanglingAccess,
+    ExplodingApply,
+    copy_sdfg,
+)
 from tests.sdfg.test_analysis_reuse import (
     CORPUS,
     MAX_MATCHES,
@@ -64,6 +71,31 @@ def test_transforming_a_copy_leaves_the_original(name):
             assert sdfg_to_json(probe) == snapshot, site
             if outcome:
                 assert sdfg_to_json(copied) == sdfg_to_json(parsed), site
+
+
+def test_guards_over_one_pre_image_roll_back_to_it():
+    """Two guards share one pre-image, as a variant's candidates do.
+    Each is rolled back twice: its graph serializes like the pre-image
+    again, the pre-image is unchanged, and no state is shared between
+    the three graphs (a rollback transplants a copy, not the
+    pre-image)."""
+    pre_image = copy_sdfg()
+    pre_image.validate()
+    pre_image.propagate()
+    before = sdfg_to_json(pre_image)
+    guards = [
+        GuardedOptimizer.from_snapshot(pre_image, pre_image.copy())
+        for _ in range(2)
+    ]
+    for fault in (DanglingAccess, ExplodingApply):
+        for guard in guards:
+            assert guard.apply(fault) is False
+            assert guard.report.attempts[-1].status == "rolled_back"
+    for guard in guards:
+        assert sdfg_to_json(guard.sdfg) == before
+    assert sdfg_to_json(pre_image) == before
+    states = [set(map(id, g.nodes())) for g in [pre_image] + [g.sdfg for g in guards]]
+    assert sum(map(len, states)) == len(set().union(*states))
 
 
 def test_nested_sdfg_parents_point_into_the_copy():

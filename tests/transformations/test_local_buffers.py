@@ -1,7 +1,7 @@
 """Local buffers that keep their program's meaning.
 
 A double-buffered descriptor stays marked in a parse and a copy, so it
-is not doubled twice and the model keeps its overlap credit.
+is not doubled twice.
 LocalStorage refuses a write edge with a WCR, and every LocalStorage
 match left in the corpus agrees with the interpreter."""
 
@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro.codegen import compile_sdfg
-from repro.runtime.perfmodel import PerformanceModel
 from repro.sdfg.nodes import MapExit
 from repro.sdfg.serialize import sdfg_from_json, sdfg_to_json
 from repro.transformations import (
@@ -54,15 +53,6 @@ def test_the_mark_is_written_only_when_set():
     doubled = sdfg_to_json(_double_buffered())
     marked = [n for n, d in doubled["arrays"].items() if d.get("double_buffered")]
     assert marked == ["local_A"]
-
-
-def test_the_model_overlap_credit_survives_a_snapshot():
-    sdfg = _double_buffered()
-    sdfg.propagate()
-    for graph in (sdfg, sdfg_from_json(sdfg_to_json(sdfg))):
-        model = PerformanceModel(graph, {"N": 6})
-        costs = [c for st in graph.nodes() for c in model.state_costs(st)[0]]
-        assert [c.double_buffered for c in costs] == [True]
 
 
 # ------------------------------------------------ LocalStorage and WCR

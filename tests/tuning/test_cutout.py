@@ -10,11 +10,9 @@ import pytest
 
 from repro.codegen import compile_sdfg
 from repro.sdfg import SDFG, InterstateEdge, Memlet, dtypes
-from repro.sdfg.nodes import MapEntry
 from repro.tuning import (
     CutoutError,
     execute_cutouts,
-    extract_scope_cutout,
     extract_state_cutout,
     extract_state_cutouts,
     group_cutouts,
@@ -222,36 +220,6 @@ class TestExtraction:
         )
         cut = extract_state_cutout(sdfg, st)
         assert cut.sdfg.arrays["tmp"].transient
-
-    def test_scope_cutout(self):
-        sdfg = kernels.matmul_sdfg()
-        state = next(
-            s for s in sdfg.states()
-            if any(isinstance(n, MapEntry) for n in s.nodes())
-        )
-        entry = next(
-            n for n in state.nodes()
-            if isinstance(n, MapEntry)
-            and state.scope_dict()[n] is None
-        )
-        cut = extract_scope_cutout(sdfg, state, entry)
-        cut.sdfg.validate()
-        assert cut.scope_label
-
-    def test_scope_cutout_of_a_twin_map(self):
-        """The entry index a same-looking scope serializes on its exit
-        is renumbered with the nodes the cutout keeps."""
-        from tests.sdfg.test_state_and_sdfg import twin_maps_sdfg
-
-        sdfg = twin_maps_sdfg()
-        state = sdfg.start_state
-        entry = state.entry_nodes()[1]
-        cut = extract_scope_cutout(sdfg, state, entry)
-        cut.sdfg.validate()
-        (cstate,) = cut.sdfg.states()
-        (centry,) = cstate.entry_nodes()
-        assert cstate.exit_node(centry).map is centry.map
-        assert [n.data for n in cstate.data_nodes()] == ["B", "C"]
 
     def test_nested_sdfg_state_rejected_with_w1001(self):
         inner = SDFG("inner")

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.codegen.progcache import ProgramCache
+from repro.sdfg.serialize import sdfg_to_json
 from repro.telemetry.sink import TelemetrySink, install_sink, uninstall_sink
 from repro.tune import main as tune_main
 from repro.tuning import (
@@ -15,11 +16,12 @@ from repro.tuning import (
     AnalyticCost,
     MeasuredCost,
     cutout_pool,
+    extract_state_cutout,
     parallel,
     tune,
     tune_cutouts,
 )
-from repro.workloads import kernels
+from repro.workloads import kernels, polybench
 
 LINKS = 3
 SIZE = 8
@@ -163,6 +165,44 @@ class TestTuneCutouts:
         assert parallel._cutout_provider(measured, None).program_cache == "off"
         analytic = AnalyticCost()
         assert parallel._cutout_provider(analytic, str(tmp_path)) is analytic
+
+
+# ------------------------------------------------------------- stitching
+def test_a_member_failing_at_its_second_step_leaves_the_program():
+    """A member's first step applies, its second has no counterpart:
+    the member is rolled back to the copy taken before its first step,
+    byte for byte, and the program can still be stitched."""
+    tuned = _chain()
+    tuned.validate()
+    member = extract_state_cutout(tuned, tuned.nodes()[3])
+    assert member.label == "mm1"
+    first = {"transformation": "MapTiling", "match": 0}
+    missing = {"transformation": "MapTiling", "match": 99}
+    assert parallel._stitch_member(tuned.copy(), member, [first], False)[0]
+    before = sdfg_to_json(tuned)
+    applied, reason = parallel._stitch_member(tuned, member, [first, missing], False)
+    assert applied is None
+    assert reason.startswith("MapTiling[99] has no counterpart in state 'mm1'")
+    assert sdfg_to_json(tuned) == before
+    assert parallel._stitch_member(tuned, member, [first], False)[0]
+
+
+def test_an_unverified_stitch_is_not_a_result():
+    """cholesky's baseline fails on synthesized inputs (a square root
+    of a negative pivot), so its stitched program cannot be verified:
+    the result reverts to the baseline with a W1002 that says why."""
+    kernel = polybench.get("cholesky")
+    sdfg = kernel.make_sdfg()
+    result = tune(sdfg, cost="analytic", strategy="cutout", depth=2, budget=4,
+                  symbols=dict(kernel.sizes))
+    cuts = result.report.cutouts
+    assert cuts["stitched"] > 0
+    assert result.history == [] and result.report.winner == []
+    assert cuts["verification"].startswith("skipped")
+    assert result.best_score == result.baseline_score
+    assert sdfg_to_json(result.sdfg) == sdfg_to_json(sdfg)
+    (warning,) = [w for w in cuts["warnings"] if w["code"] == "W1002"]
+    assert "baseline fails on the verification inputs" in warning["message"]
 
 
 # ----------------------------------------------- per-transformation stats
