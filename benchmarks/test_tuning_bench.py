@@ -154,6 +154,19 @@ def test_cutout_stitched_sdfg_correct_at_1e8(chain_searches):
     assert np.max(np.abs(env["C"] - ref)) / scale <= 1e-8
 
 
+def test_search_matches_committed_baseline(chain_searches):
+    """The gemm-chain searches are deterministic (analytic cost): their
+    evaluation counts and scores must equal the committed baseline's
+    ``search`` section, so the file cannot go stale silently."""
+    with open(os.path.join(BASELINES_DIR, "BENCH_tuning.json")) as f:
+        want = json.load(f)["search"]
+    for kind in ("serial", "cutout"):
+        result = chain_searches[kind]
+        assert result.report.budget_used == want[f"{kind}_evals"], kind
+        assert float(f"{result.best_score:.12g}") == float(
+            f"{want[f'{kind}_score']:.12g}"), kind
+
+
 def test_refresh_tuning_baseline(tuned, chain_searches):
     """Measure the tuned kernels and (when ``REPRO_BENCH_REPORTS`` is
     set) refresh the committed perf-drift baseline."""

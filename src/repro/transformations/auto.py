@@ -2,7 +2,8 @@
 conducted into [transformations'] systematic application, enabling
 automatic optimization with reduced human intervention").
 
-``auto_optimize`` is a deliberately simple greedy pilot of that idea:
+``auto_optimize_guarded`` is a deliberately simple greedy pilot of that
+idea, and ``auto_optimize`` its in-place entry point:
 
 1. strict cleanup pass (RedundantArray / StateFusion / InlineSDFG),
 2. fuse producer/consumer maps and map+reduce pairs where legal,
@@ -10,8 +11,9 @@ automatic optimization with reduced human intervention").
 4. mark every vectorizable map for the strongest backend lowering,
 5. optionally offload the whole SDFG to a device.
 
-Each step only applies transformations whose ``can_be_applied`` accepts,
-so the result is always semantics-preserving; the applied chain is
+Each application runs through :class:`~repro.transformations.guard.
+GuardedOptimizer`, so one that fails validation (or differential
+verification, when asked for) is rolled back; the applied chain is
 recorded in ``sdfg.transformation_history`` for inspection and replay.
 """
 
@@ -19,12 +21,8 @@ from __future__ import annotations
 
 from typing import Any, Mapping, Optional
 
-from repro.transformations.optimizer import (
-    apply_strict_transformations,
-    apply_transformations,
-    apply_transformations_repeated,
-    replay,
-)
+from repro.sdfg.sdfg import restore_sdfg_inplace
+from repro.transformations.guard import GuardedOptimizer
 
 
 def auto_optimize(
@@ -34,55 +32,29 @@ def auto_optimize(
     strategy: str = "fixed",
     **tune_kwargs,
 ) -> int:
-    """Automatic optimization pass.  Returns the number of
+    """Automatic optimization pass, in place.  Returns the number of
     transformations applied.  ``device`` may be ``"gpu"`` or ``"fpga"``.
 
-    ``strategy`` selects between the fixed greedy recipe below
-    (``"fixed"``, the default) and the cost-guided search of
-    :func:`repro.tuning.tune` (``"search"``), which explores legal
-    transformation sequences and applies the best-scoring one in place.
-    Extra keyword arguments (``cost``, ``depth``, ``budget``,
-    ``cache_dir``, ...) are forwarded to ``tune``.
+    ``strategy`` selects between the fixed greedy recipe of
+    :func:`auto_optimize_guarded` (``"fixed"``, the default) and the
+    cost-guided search of :func:`repro.tuning.tune` (``"search"``),
+    which explores legal transformation sequences; its best-scoring
+    graph replaces the caller's.  Extra keyword arguments (``cost``,
+    ``depth``, ``budget``, ``cache_dir``, ...) are forwarded to
+    ``tune``.  Either way the device offload is the same guarded step.
     """
-    if strategy == "search":
-        return _auto_optimize_search(sdfg, device, validate, **tune_kwargs)
-    if strategy != "fixed":
+    if strategy == "fixed":
+        applied = len(auto_optimize_guarded(sdfg, device=device).applied())
+    elif strategy == "search":
+        from repro.tuning import tune
+
+        result = tune(sdfg, **tune_kwargs)
+        restore_sdfg_inplace(sdfg, result.sdfg)
+        guard = GuardedOptimizer(sdfg)
+        _offload(guard, device)
+        applied = len(result.history) + len(guard.report.applied())
+    else:
         raise ValueError(f"unknown auto-optimize strategy {strategy!r}")
-    applied = 0
-    applied += apply_strict_transformations(sdfg, validate=False)
-    applied += apply_transformations_repeated(
-        sdfg, ["MapReduceFusion", "MapFusion"], validate=False, max_applications=50
-    )
-    applied += apply_transformations_repeated(
-        sdfg, "MapCollapse", validate=False, max_applications=50
-    )
-    applied += apply_transformations_repeated(
-        sdfg, "Vectorization", validate=False, max_applications=50
-    )
-    if device == "gpu":
-        applied += apply_transformations(sdfg, "GPUTransform", validate=False)
-    elif device == "fpga":
-        applied += apply_transformations(sdfg, "FPGATransform", validate=False)
-    if validate:
-        sdfg.propagate()
-        sdfg.validate()
-    return applied
-
-
-def _auto_optimize_search(
-    sdfg, device: Optional[str], validate: bool, **tune_kwargs
-) -> int:
-    """The ``strategy="search"`` body: tune on a copy, then replay the
-    winning history onto the caller's SDFG in place (callers of
-    ``auto_optimize`` expect in-place optimization)."""
-    from repro.tuning import tune
-
-    result = tune(sdfg, **tune_kwargs)
-    applied = replay(sdfg, result.history) if result.history else 0
-    if device == "gpu":
-        applied += apply_transformations(sdfg, "GPUTransform", validate=False)
-    elif device == "fpga":
-        applied += apply_transformations(sdfg, "FPGATransform", validate=False)
     if validate:
         sdfg.propagate()
         sdfg.validate()
@@ -95,33 +67,32 @@ def auto_optimize_guarded(
     verify: bool = False,
     verify_inputs: Optional[Mapping[str, Any]] = None,
     tolerance: float = 1e-8,
-    recorder=None,
 ):
-    """Run the :func:`auto_optimize` schedule transactionally.
+    """The fixed auto-optimization recipe, applied transactionally.
 
     Every application is snapshotted, re-validated, optionally
-    differentially verified, and rolled back on failure — the unattended
-    form of auto-optimization.  Returns the :class:`~repro.
-    transformations.guard.GuardReport` with every attempt recorded; the
-    number applied is ``len(report.applied())``.  Pass an
-    :class:`~repro.instrumentation.recorder.InstrumentationRecorder` to
-    collect per-attempt phase timings on an external event bus.
+    differentially verified, and rolled back on failure — safe to run
+    unattended.  Returns the :class:`~repro.transformations.guard.
+    GuardReport` with every attempt recorded (and its phase timings);
+    the number applied is ``len(report.applied())``.
     """
-    from repro.transformations.guard import GuardedOptimizer
-
     guard = GuardedOptimizer(
         sdfg,
         verify=verify,
         verify_inputs=verify_inputs,
         tolerance=tolerance,
-        recorder=recorder,
     )
     guard.apply_to_fixpoint()  # strict cleanup set
     guard.apply_to_fixpoint(["MapReduceFusion", "MapFusion"], max_applications=50)
     guard.apply_to_fixpoint(["MapCollapse"], max_applications=50)
     guard.apply_to_fixpoint(["Vectorization"], max_applications=50)
+    _offload(guard, device)
+    return guard.report
+
+
+def _offload(guard, device: Optional[str]) -> None:
+    """The recipe's last step: offload the whole SDFG to ``device``."""
     if device == "gpu":
         guard.apply("GPUTransform")
     elif device == "fpga":
         guard.apply("FPGATransform")
-    return guard.report

@@ -10,9 +10,11 @@ transaction, in the spirit of DIODE's "optimization version control":
    search variant), and works on a copy of it, so it does neither;
 2. **apply** — run the transformation's graph rewrite, then propagate;
 3. **re-validate** — full structural validation of the result;
-4. **differential verification** (optional) — execute the pre- and
-   post-transformation SDFGs on small inputs through the interpreter
-   backend and compare every output container within a tolerance;
+4. **differential verification** (optional) — :func:`differential_check`
+   executes the pre- and post-transformation SDFGs on small inputs
+   through the interpreter backend and compares every output container
+   within a tolerance (the cutout tuner verifies stitched programs with
+   the same function);
 5. **commit or roll back** — on any failure a fresh copy of the
    pre-image is transplanted into the graph *in place*
    (:func:`restore_sdfg_inplace`; byte-identical serialization), so a
@@ -33,11 +35,10 @@ import copy
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.instrumentation import InstrumentationRecorder
 from repro.sdfg.sdfg import restore_sdfg_inplace
 from repro.sdfg.serialize import sdfg_to_json
 from repro.transformations.base import REGISTRY, Transformation
@@ -48,10 +49,12 @@ from repro.transformations.optimizer import (
     sort_matches,
 )
 
-#: Sentinel reason when differential verification could not run (e.g.
-#: the *baseline* already fails on synthesized inputs): the application
-#: is kept, but recorded as unverified.
+#: Verdict when differential verification could not run (the *baseline*
+#: already fails on the verification inputs): the application is kept,
+#: but recorded as unverified, with the baseline's exception as reason.
 VERIFY_SKIPPED = "skipped"
+#: Verdict when the transformed graph crashed or an output diverged.
+VERIFY_FAILED = "failed"
 
 
 def canonical_snapshot(sdfg) -> str:
@@ -129,9 +132,6 @@ class GuardedOptimizer:
     :param tolerance: Maximum absolute output difference accepted.
     :param symbol_default: Value bound to each free size symbol when
         synthesizing inputs.
-    :param recorder: Instrumentation event bus to report per-attempt
-        phase timings into; created internally when omitted (see
-        :meth:`instrumentation_report`).
     """
 
     def __init__(
@@ -143,7 +143,6 @@ class GuardedOptimizer:
         validate: bool = True,
         symbol_default: int = 6,
         seed: int = 0,
-        recorder: Optional[InstrumentationRecorder] = None,
     ):
         self.sdfg = sdfg
         self.verify = verify
@@ -153,7 +152,6 @@ class GuardedOptimizer:
         self.symbol_default = symbol_default
         self.seed = seed
         self.report = GuardReport(sdfg=sdfg.name)
-        self.recorder = recorder if recorder is not None else InstrumentationRecorder()
         #: Pre-image of the current graph when it is already known (see
         #: :meth:`from_snapshot`); the next :meth:`apply` uses it instead
         #: of taking a snapshot and propagating.
@@ -225,87 +223,84 @@ class GuardedOptimizer:
         match on the (propagated) graph, apply, propagate, validate,
         verify, then commit or roll back."""
         timings: Dict[str, float] = {}
-        if self.recorder is not None:
-            self.recorder.enter("transformation", name)
+        start = time.perf_counter()
+        pre_image = self._pre_image
+        reused = pre_image is not None
+        if not reused:
+            pre_image = self.sdfg.copy()
+            timings["snapshot"] = time.perf_counter() - start
+
         try:
-            start = time.perf_counter()
-            pre_image = self._pre_image
-            reused = pre_image is not None
+            t0 = time.perf_counter()
             if not reused:
-                pre_image = self.sdfg.copy()
-                timings["snapshot"] = time.perf_counter() - start
-
-            try:
-                t0 = time.perf_counter()
-                if not reused:
-                    self.sdfg.propagate()
-                inst = pick()
-                if inst is None:
-                    timings["apply"] = time.perf_counter() - t0
-                    self._record(name, "no_match", start=start, timings=timings)
-                    return False
-                for k, v in (options or {}).items():
-                    setattr(inst, k, v)
-                inst.apply_and_record()
                 self.sdfg.propagate()
+            inst = pick()
+            if inst is None:
                 timings["apply"] = time.perf_counter() - t0
-                t0 = time.perf_counter()
-                if self.validate:
-                    self.sdfg.validate()
-                timings["validate"] = time.perf_counter() - t0
-            except Exception as err:  # noqa: BLE001 - any failure rolls back
-                restore_sdfg_inplace(self.sdfg, pre_image)
-                from repro.sdfg.validation import InvalidSDFGError
+                self._record(name, "no_match", start=start, timings=timings)
+                return False
+            for k, v in (options or {}).items():
+                setattr(inst, k, v)
+            inst.apply_and_record()
+            self.sdfg.propagate()
+            timings["apply"] = time.perf_counter() - t0
+            t0 = time.perf_counter()
+            if self.validate:
+                self.sdfg.validate()
+            timings["validate"] = time.perf_counter() - t0
+        except Exception as err:  # noqa: BLE001 - any failure rolls back
+            restore_sdfg_inplace(self.sdfg, pre_image)
+            from repro.sdfg.validation import InvalidSDFGError
 
-                code = "G102" if isinstance(err, InvalidSDFGError) else "G101"
+            code = "G102" if isinstance(err, InvalidSDFGError) else "G101"
+            self._record(
+                name,
+                "rolled_back",
+                reason=f"{type(err).__name__}: {err}",
+                code=getattr(err, "code", None) or code,
+                start=start,
+                timings=timings,
+            )
+            return False
+
+        verified: Optional[str] = None
+        reason = ""
+        max_err: Optional[float] = None
+        if self.verify:
+            t0 = time.perf_counter()
+            verified, reason, max_err = differential_check(
+                pre_image,
+                self.sdfg,
+                self.verify_inputs,
+                self.tolerance,
+                self.symbol_default,
+                self.seed,
+            )
+            timings["verify"] = time.perf_counter() - t0
+            if verified == VERIFY_FAILED:
+                restore_sdfg_inplace(self.sdfg, pre_image)
                 self._record(
                     name,
                     "rolled_back",
-                    reason=f"{type(err).__name__}: {err}",
-                    code=getattr(err, "code", None) or code,
+                    reason=reason,
+                    code="G103",
+                    max_abs_error=max_err,
                     start=start,
                     timings=timings,
                 )
                 return False
 
-            verified: Optional[str] = None
-            max_err: Optional[float] = None
-            if self.verify:
-                t0 = time.perf_counter()
-                failure, max_err = self._differential_check(pre_image)
-                timings["verify"] = time.perf_counter() - t0
-                if failure is VERIFY_SKIPPED:
-                    verified = VERIFY_SKIPPED
-                elif failure is not None:
-                    restore_sdfg_inplace(self.sdfg, pre_image)
-                    self._record(
-                        name,
-                        "rolled_back",
-                        reason=failure,
-                        code="G103",
-                        max_abs_error=max_err,
-                        start=start,
-                        timings=timings,
-                    )
-                    return False
-                else:
-                    verified = "ok"
-
-            self._pre_image = None  # the graph moved on
-            self._record(
-                name,
-                "applied",
-                verified=verified,
-                max_abs_error=max_err,
-                start=start,
-                timings=timings,
-            )
-            return True
-        finally:
-            if self.recorder is not None:
-                for phase, dur in timings.items():
-                    self.recorder.event("phase", phase, duration=dur)
-                self.recorder.exit()
+        self._pre_image = None  # the graph moved on
+        self._record(
+            name,
+            "applied",
+            reason=reason,
+            verified=verified,
+            max_abs_error=max_err,
+            start=start,
+            timings=timings,
+        )
+        return True
 
     def apply_to_fixpoint(
         self,
@@ -337,45 +332,6 @@ class GuardedOptimizer:
                     retired.add(cls)
         return applied
 
-    # -------------------------------------------------- differential checks
-    def _differential_check(self, pre_image):
-        """Execute a copy of the pre-transformation graph ``pre_image``
-        and the transformed graph on identical inputs via the
-        interpreter and compare outputs.
-
-        Returns ``(failure_reason_or_None_or_VERIFY_SKIPPED, max_abs_error)``.
-        """
-        baseline = pre_image.copy()
-        inputs = self.verify_inputs
-        if inputs is None:
-            inputs = synthesize_inputs(baseline, self.symbol_default, self.seed)
-
-        try:
-            ref = _run_via_interpreter(baseline, inputs)
-        except Exception as err:  # noqa: BLE001 - baseline unrunnable
-            return VERIFY_SKIPPED, None
-        try:
-            out = _run_via_interpreter(self.sdfg, inputs)
-        except Exception as err:  # noqa: BLE001 - transformed run crashed
-            return f"transformed SDFG failed to execute: {type(err).__name__}: {err}", None
-
-        max_err = 0.0
-        for name in sorted(set(ref) & set(out)):
-            a, b = np.asarray(ref[name]), np.asarray(out[name])
-            if a.shape != b.shape:
-                return f"output {name!r} shape changed: {a.shape} -> {b.shape}", None
-            if a.size == 0:
-                continue
-            diff = float(np.max(np.abs(a.astype(np.float64) - b.astype(np.float64))))
-            max_err = max(max_err, diff)
-            if diff > self.tolerance:
-                return (
-                    f"output {name!r} diverged: max abs error {diff:.3e} "
-                    f"> tolerance {self.tolerance:.1e}",
-                    diff,
-                )
-        return None, max_err
-
     # ------------------------------------------------------------- recording
     def _record(
         self,
@@ -401,17 +357,62 @@ class GuardedOptimizer:
             )
         )
 
-    def instrumentation_report(self):
-        """Per-attempt phase timings as an
-        :class:`~repro.instrumentation.report.InstrumentationReport`
-        (one ``transformation`` event per attempt, with ``phase``
-        children for snapshot / apply / validate / verify)."""
-        return self.recorder.report(self.sdfg.name, backend="guard")
-
 
 # =====================================================================
 # Differential-execution helpers
 # =====================================================================
+
+
+def differential_check(
+    pre_image,
+    sdfg,
+    inputs: Optional[Mapping[str, Any]] = None,
+    tolerance: float = 1e-8,
+    symbol_default: int = 6,
+    seed: int = 0,
+) -> Tuple[str, str, Optional[float]]:
+    """Differential verification: execute a copy of ``pre_image`` and
+    ``sdfg`` on identical inputs through the interpreter and compare
+    every output array within ``tolerance``.  ``inputs`` default to
+    :func:`synthesize_inputs` of the pre-image.
+
+    Returns ``(verdict, reason, max_abs_error)``; the verdict is
+    ``"ok"``, :data:`VERIFY_FAILED` (``reason`` says which output
+    diverged or how the transformed run crashed) or
+    :data:`VERIFY_SKIPPED` (the baseline itself fails on the inputs;
+    ``reason`` carries its exception).
+    """
+    baseline = pre_image.copy()
+    if inputs is None:
+        inputs = synthesize_inputs(baseline, symbol_default, seed)
+    try:
+        ref = _run_via_interpreter(baseline, inputs)
+    except Exception as err:  # noqa: BLE001 - baseline unrunnable
+        why = f"{type(err).__name__}: {err}"
+        return VERIFY_SKIPPED, f"the baseline fails on the verification inputs: {why}", None
+    try:
+        out = _run_via_interpreter(sdfg, inputs)
+    except Exception as err:  # noqa: BLE001 - transformed run crashed
+        why = f"{type(err).__name__}: {err}"
+        return VERIFY_FAILED, f"transformed SDFG failed to execute: {why}", None
+
+    max_err = 0.0
+    for name in sorted(set(ref) & set(out)):
+        a, b = np.asarray(ref[name]), np.asarray(out[name])
+        if a.shape != b.shape:
+            return VERIFY_FAILED, f"output {name!r} shape changed: {a.shape} -> {b.shape}", None
+        if a.size == 0:
+            continue
+        diff = float(np.max(np.abs(a.astype(np.float64) - b.astype(np.float64))))
+        max_err = max(max_err, diff)
+        if diff > tolerance:
+            return (
+                VERIFY_FAILED,
+                f"output {name!r} diverged: max abs error {diff:.3e} "
+                f"> tolerance {tolerance:.1e}",
+                diff,
+            )
+    return "ok", "", max_err
 
 
 def synthesize_inputs(sdfg, symbol_default: int = 6, seed: int = 0) -> Dict[str, Any]:

@@ -21,7 +21,7 @@ Entry points::
 
     from repro.tuning import tune
     result = tune(sdfg, cost="measured", cache_dir=".tuning-cache")
-    result.sdfg          # tuned copy; result.history replays it
+    result.sdfg          # the winning graph; result.history replays it
     result.report.render()
 
 or in place via ``auto_optimize(sdfg, strategy="search")``, or from the

@@ -19,15 +19,19 @@ The pipeline (``tune(strategy="cutout")``):
    history is replayed onto every member's parent state.  Extraction is
    node-order preserving and match enumeration is deterministic, so the
    cutout's k-th in-state match *is* the parent state's k-th in-state
-   match; the replay translates in-state indices to global ones and
-   applies through :class:`~repro.transformations.guard.GuardedOptimizer`.
+   match; each step enumerates the program's matches once, translates
+   the in-state index to a global one and applies that very match
+   through :class:`~repro.transformations.guard.GuardedOptimizer`.
    A member whose translation fails (e.g. a transformation whose
    applicability saw whole-SDFG context) is rolled back and recorded as
    W1002 — the region is simply left untuned;
 5. **verify** — the fully stitched program is differentially verified
-   against the original at 1e-8; on mismatch, or when the original
-   cannot run on the verification inputs (nothing was verified), the
-   whole result reverts to the baseline with a W1002.
+   against the original at 1e-8
+   (:func:`~repro.transformations.guard.differential_check`, the
+   guard's own check); on mismatch, or when the original cannot run on
+   the verification inputs (nothing was verified; the W1002 names the
+   original's exception), the whole result reverts to the baseline with
+   a W1002, and ``cutouts.stitched`` counts no stitch as kept.
 
 The program's pre-image is one :meth:`SDFG.copy` of the input: the
 stitched program starts as a copy of it, verification runs a copy of
@@ -47,7 +51,7 @@ from repro.diagnostics import make_diagnostic, Severity
 from repro.instrumentation import InstrumentationRecorder
 from repro.sdfg.sdfg import restore_sdfg_inplace
 from repro.telemetry.sink import active_sink
-from repro.transformations.guard import VERIFY_SKIPPED, GuardedOptimizer
+from repro.transformations.guard import GuardedOptimizer, differential_check
 from repro.transformations.optimizer import enumerate_matches
 from repro.tuning.cache import TuningCache
 from repro.tuning.cost import CostProvider, MeasuredCost, resolve_provider
@@ -119,6 +123,11 @@ def _tune_one_cutout(
 # =====================================================================
 
 
+class _Unstitchable(Exception):
+    """A stitch step that cannot be applied to the parent; its message
+    is the W1002 reason."""
+
+
 def _stitch_member(
     tuned,
     member: Cutout,
@@ -128,46 +137,50 @@ def _stitch_member(
     """Replay a cutout-local history onto one parent state.
 
     Translates each step's in-state match index to the global index over
-    the whole (evolving) program and applies it transactionally.
-    Returns ``(global_history, "")`` on success or ``(None, reason)``
-    with the member fully rolled back to a copy taken before its first
-    step.
+    the whole (evolving) program and applies that match transactionally
+    (each step enumerates once).  Returns ``(global_history, "")`` on
+    success or ``(None, reason)`` with the member fully rolled back to a
+    copy taken before its first step.
     """
     pre_image = tuned.copy()
     guard = GuardedOptimizer(tuned, verify=verify)
     applied: List[Dict[str, Any]] = []
-    for entry in history:
-        name = entry["transformation"]
-        local_index = int(entry.get("match", 0))
-        state = next(
-            (s for s in tuned.nodes() if s.name == member.state_name), None
-        )
-        if state is None:
-            restore_sdfg_inplace(tuned, pre_image)
-            return None, f"state {member.state_name!r} vanished from the parent"
-        try:
-            matches = enumerate_matches(tuned, name)
-        except Exception as err:  # noqa: BLE001
-            restore_sdfg_inplace(tuned, pre_image)
-            return None, f"match enumeration failed: {type(err).__name__}: {err}"
-        in_state = [
-            gi for gi, inst in enumerate(matches) if inst.state is state
-        ]
-        if local_index >= len(in_state):
-            restore_sdfg_inplace(tuned, pre_image)
-            return None, (
-                f"{name}[{local_index}] has no counterpart in state "
-                f"{member.state_name!r} ({len(in_state)} in-state matches)"
+    try:
+        for entry in history:
+            name = entry["transformation"]
+            local_index = int(entry.get("match", 0))
+            state = next(
+                (s for s in tuned.nodes() if s.name == member.state_name), None
             )
-        global_index = in_state[local_index]
-        if not guard.apply(name, match_index=global_index):
-            attempt = guard.report.attempts[-1]
-            restore_sdfg_inplace(tuned, pre_image)
-            return None, (
-                f"{name}[{local_index}] rolled back on the parent: "
-                f"{attempt.reason or attempt.status}"
-            )
-        applied.append({"transformation": name, "match": global_index})
+            if state is None:
+                raise _Unstitchable(
+                    f"state {member.state_name!r} vanished from the parent"
+                )
+            try:
+                matches = enumerate_matches(tuned, name)
+            except Exception as err:  # noqa: BLE001
+                raise _Unstitchable(
+                    f"match enumeration failed: {type(err).__name__}: {err}"
+                ) from err
+            in_state = [
+                gi for gi, inst in enumerate(matches) if inst.state is state
+            ]
+            if local_index >= len(in_state):
+                raise _Unstitchable(
+                    f"{name}[{local_index}] has no counterpart in state "
+                    f"{member.state_name!r} ({len(in_state)} in-state matches)"
+                )
+            global_index = in_state[local_index]
+            if not guard.apply_rebound(matches[global_index]):
+                attempt = guard.report.attempts[-1]
+                raise _Unstitchable(
+                    f"{name}[{local_index}] rolled back on the parent: "
+                    f"{attempt.reason or attempt.status}"
+                )
+            applied.append({"transformation": name, "match": global_index})
+    except _Unstitchable as failure:
+        restore_sdfg_inplace(tuned, pre_image)
+        return None, str(failure)
     return applied, ""
 
 
@@ -200,7 +213,7 @@ def tune_cutouts(
     ``cutouts`` section (dedup counts, per-cutout outcomes) next to the
     usual fields.
     """
-    from repro.tuning.search import TuningConfig, TuningResult
+    from repro.tuning.search import TuningConfig, TuningResult, _SearchState
 
     provider = resolve_provider(cost, inputs=inputs, machine=machine, symbols=symbols)
     cfg = config or TuningConfig(strategy="cutout")
@@ -251,8 +264,7 @@ def tune_cutouts(
     tuned = base.copy()
     stitched_history: List[Dict[str, Any]] = []
     per_cutout: List[Dict[str, Any]] = []
-    merged_xforms: Dict[str, Dict[str, float]] = {}
-    n_stitched = 0
+    totals = _SearchState(cfg.budget)
     for members in groups.values():
         start = time.perf_counter()
         try:
@@ -275,14 +287,7 @@ def tune_cutouts(
         }
         if "error" in outcome:
             record["error"] = outcome["error"]
-        for name, stats in (outcome.get("transformations") or {}).items():
-            agg = merged_xforms.setdefault(
-                name,
-                {"candidates": 0, "accepted": 0, "rejected": 0,
-                 "apply_s": 0.0, "evaluate_s": 0.0},
-            )
-            for field in agg:
-                agg[field] += stats.get(field, 0)
+        totals.absorb(record["evals"], outcome.get("transformations", {}))
         history = record["history"]
         if history and "error" not in outcome:
             for member in members:
@@ -305,7 +310,6 @@ def tune_cutouts(
                 else:
                     stitched_history.extend(applied)
                     record["stitched"].append(member.label)
-                    n_stitched += 1
         per_cutout.append(record)
         if sink is not None:
             sink.publish(
@@ -323,19 +327,11 @@ def tune_cutouts(
     # ------------------------------------------------------------ verify
     verification = "not_run"
     if stitched_history:
-        guard = GuardedOptimizer(
-            tuned, verify=True, verify_inputs=inputs, tolerance=1e-8
-        )
-        failure, max_err = guard._differential_check(base)
-        if failure is None:
+        verdict, reason, max_err = differential_check(base, tuned, inputs, 1e-8)
+        if verdict == "ok":
             verification = f"ok (max abs error {max_err:.3e})"
         else:
-            if failure is VERIFY_SKIPPED:
-                verification = (
-                    "skipped: the baseline fails on the verification inputs"
-                )
-            else:
-                verification = f"failed: {failure}"
+            verification = f"{verdict}: {reason}"
             warnings.append(
                 make_diagnostic(
                     "W1002",
@@ -365,17 +361,8 @@ def tune_cutouts(
     report.baseline_score = baseline_score
     report.best_score = best_score
     report.winner = list(stitched_history)
-    report.budget_used = sum(r["evals"] for r in per_cutout)
-    report.transformations = {
-        name: {
-            "candidates": int(stats["candidates"]),
-            "accepted": int(stats["accepted"]),
-            "rejected": int(stats["rejected"]),
-            "apply_s": round(float(stats["apply_s"]), 6),
-            "evaluate_s": round(float(stats["evaluate_s"]), 6),
-        }
-        for name, stats in sorted(merged_xforms.items())
-    }
+    report.budget_used = totals.evals
+    report.transformations = totals.xform_stats()
     all_hit = bool(groups) and all(r["cache_hit"] for r in per_cutout)
     report.cache = {
         "enabled": cache is not None,
@@ -387,7 +374,10 @@ def tune_cutouts(
         "total": len(cutouts),
         "unique": len(groups),
         "deduplicated": len(cutouts) - len(groups),
-        "stitched": n_stitched,
+        # Member stitches kept in the result: none after a revert.
+        "stitched": (
+            sum(len(r["stitched"]) for r in per_cutout) if stitched_history else 0
+        ),
         "wall": round(total_wall, 6),
         "verification": verification,
         "per_cutout": per_cutout,

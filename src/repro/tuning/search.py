@@ -25,8 +25,9 @@ identical tuning problem short-circuits the whole search.
 
 from __future__ import annotations
 
+import dataclasses
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.instrumentation import InstrumentationRecorder
@@ -105,9 +106,10 @@ class TuningConfig:
 class TuningResult:
     """What :func:`tune` returns."""
 
-    #: A fresh SDFG with the winning history applied (the input SDFG is
-    #: never mutated; use ``auto_optimize(strategy="search")`` for
-    #: in-place tuning).
+    #: The winning graph, the one the search scored (a copy of the input
+    #: when nothing won, the cached history replayed onto a copy on a
+    #: cache hit).  The input SDFG is never mutated; use
+    #: ``auto_optimize(strategy="search")`` for in-place tuning.
     sdfg: Any
     #: Winning history as replayable entries
     #: (``[{"transformation": name, "match": k}, ...]``); empty when no
@@ -142,7 +144,8 @@ class _Variant:
 
 
 class _SearchState:
-    """Shared bookkeeping across one search: budget and dedup table."""
+    """Shared bookkeeping across one search: budget, dedup table and
+    per-transformation statistics."""
 
     def __init__(self, budget: int):
         self.budget = budget
@@ -162,6 +165,29 @@ class _SearchState:
             {"candidates": 0, "accepted": 0, "rejected": 0,
              "apply_s": 0.0, "evaluate_s": 0.0},
         )
+
+    def absorb(self, evals: int, xforms: Mapping[str, Mapping[str, float]]) -> None:
+        """Fold another search's evaluations and per-transformation
+        statistics into this record (the cutout driver's sub-searches)."""
+        self.evals += evals
+        for name, stats in xforms.items():
+            mine = self.xform(name)
+            for key in mine:
+                mine[key] += stats[key]
+
+    def xform_stats(self) -> Dict[str, Dict[str, Any]]:
+        """The report's ``transformations`` section: counts as ints,
+        seconds rounded to the microsecond, sorted by name."""
+        return {
+            name: {
+                "candidates": int(stats["candidates"]),
+                "accepted": int(stats["accepted"]),
+                "rejected": int(stats["rejected"]),
+                "apply_s": round(stats["apply_s"], 6),
+                "evaluate_s": round(stats["evaluate_s"], 6),
+            }
+            for name, stats in sorted(self.xforms.items())
+        }
 
 
 def tune(
@@ -205,17 +231,14 @@ def tune(
     if jobs != 1:
         raise ValueError(f"jobs={jobs!r}: tuning runs in one process; pass jobs=1")
     provider = resolve_provider(cost, inputs=inputs, machine=machine, symbols=symbols)
-    cfg = config or TuningConfig()
-    if strategy is not None:
-        cfg.strategy = strategy
-    if depth is not None:
-        cfg.depth = depth
-    if beam_width is not None:
-        cfg.beam_width = beam_width
-    if budget is not None:
-        cfg.budget = budget
-    if transformations is not None:
-        cfg.transformations = list(transformations)
+    overrides = dict(
+        strategy=strategy, depth=depth, beam_width=beam_width, budget=budget,
+        transformations=transformations and list(transformations),
+    )
+    cfg = dataclasses.replace(
+        config or TuningConfig(),
+        **{k: v for k, v in overrides.items() if v is not None},
+    )
     if cfg.strategy == "cutout":
         from repro.tuning.parallel import tune_cutouts
 
@@ -303,16 +326,7 @@ def tune(
         best_score = best.score if winner else baseline
         report.best_score = best_score
         report.winner = list(winner)
-        report.transformations = {
-            name: {
-                "candidates": int(stats["candidates"]),
-                "accepted": int(stats["accepted"]),
-                "rejected": int(stats["rejected"]),
-                "apply_s": round(stats["apply_s"], 6),
-                "evaluate_s": round(stats["evaluate_s"], 6),
-            }
-            for name, stats in sorted(state.xforms.items())
-        }
+        report.transformations = state.xform_stats()
         _publish_xform_stats(report.transformations)
     finally:
         recorder.exit()
@@ -331,11 +345,8 @@ def tune(
         )
         report.cache.update(store.stats())
 
-    tuned = sdfg.copy()
-    if winner:
-        replay(tuned, winner)
     return TuningResult(
-        sdfg=tuned,
+        sdfg=best.sdfg if winner else sdfg.copy(),
         history=winner,
         baseline_score=baseline,
         best_score=best_score,
@@ -453,11 +464,10 @@ def _expand(
             )
             work = guard.sdfg
             stats["candidates"] += 1
-            t0 = time.perf_counter()
             applied = guard.apply_rebound(match)
-            stats["apply_s"] += time.perf_counter() - t0
+            attempt = guard.report.attempts[-1]
+            stats["apply_s"] += attempt.duration
             if not applied:
-                attempt = guard.report.attempts[-1]
                 stats["rejected"] += 1
                 report.add(
                     depth, parent_label, name, index,
@@ -502,9 +512,10 @@ def _expand(
 
 
 def _publish_xform_stats(stats: Mapping[str, Mapping[str, Any]]) -> None:
-    """Emit one ``tuning``/``xform:<name>`` event per transformation with
-    candidate/accept/reject counts and apply+evaluate wall-clock, so the
-    telemetry dashboard can show where search time goes."""
+    """Emit one ``tuning``/``xform:<name>`` event per transformation of
+    the report's ``transformations`` section (candidate/accept/reject
+    counts and apply+evaluate wall-clock), so the telemetry dashboard
+    can show where search time goes."""
     sink = active_sink()
     if sink is None:
         return
@@ -512,14 +523,8 @@ def _publish_xform_stats(stats: Mapping[str, Mapping[str, Any]]) -> None:
         sink.publish(
             "tuning",
             f"xform:{name}",
-            float(s.get("apply_s", 0.0)) + float(s.get("evaluate_s", 0.0)),
-            fields={
-                "candidates": int(s.get("candidates", 0)),
-                "accepted": int(s.get("accepted", 0)),
-                "rejected": int(s.get("rejected", 0)),
-                "apply_s": round(float(s.get("apply_s", 0.0)), 6),
-                "evaluate_s": round(float(s.get("evaluate_s", 0.0)), 6),
-            },
+            s["apply_s"] + s["evaluate_s"],
+            fields=dict(s),
         )
 
 

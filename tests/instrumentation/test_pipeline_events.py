@@ -69,28 +69,6 @@ class TestGuardTimings:
         assert "validate" in applied[0].timings
         assert "verify" in applied[0].timings
 
-    def test_guard_recorder_balanced_and_reported(self):
-        sdfg = kernels.matmul_sdfg()
-        guard = GuardedOptimizer(sdfg)
-        guard.apply("MapReduceFusion")
-        assert guard.recorder.is_balanced()
-        rep = guard.instrumentation_report()
-        assert not rep.is_empty()
-        flat = rep.flat()
-        assert "transformation:MapReduceFusion" in flat
-        assert "transformation:MapReduceFusion/phase:apply" in flat
-
-    def test_external_recorder_threaded_through_auto(self):
-        from repro.transformations.auto import auto_optimize_guarded
-
-        rec = InstrumentationRecorder()
-        report = auto_optimize_guarded(kernels.matmul_sdfg(), recorder=rec)
-        assert report.attempts
-        assert rec.is_balanced()
-        assert any(
-            node.kind == "transformation" for node in rec.root.children.values()
-        )
-
 
 class TestPlacementLint:
     def _lint_sdfg(self):

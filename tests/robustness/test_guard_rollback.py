@@ -182,3 +182,20 @@ def test_guarded_strict_fixpoint_on_polybench(name):
     guard.apply_to_fixpoint()
     assert not guard.report.rolled_back(), guard.report.summary()
     sdfg.validate()
+
+
+def test_an_unverifiable_application_names_the_baselines_failure():
+    """cholesky's baseline takes the square root of a negative pivot on
+    random inputs: the application is kept as ``skipped``, and its
+    reason carries the baseline's exception."""
+    import repro.workloads.polybench as pb
+
+    sdfg = pb.get("cholesky").make_sdfg()
+    guard = GuardedOptimizer(sdfg, verify=True)
+    assert guard.apply("MapTiling") is True
+    att = guard.report.attempts[-1]
+    assert att.status == "applied" and att.verified == "skipped"
+    assert att.reason == (
+        "the baseline fails on the verification inputs: "
+        "ValueError: math domain error"
+    )

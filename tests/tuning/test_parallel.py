@@ -190,19 +190,24 @@ def test_a_member_failing_at_its_second_step_leaves_the_program():
 def test_an_unverified_stitch_is_not_a_result():
     """cholesky's baseline fails on synthesized inputs (a square root
     of a negative pivot), so its stitched program cannot be verified:
-    the result reverts to the baseline with a W1002 that says why."""
+    the result reverts to the baseline with a W1002 that says why, and
+    no stitch counts as kept."""
     kernel = polybench.get("cholesky")
     sdfg = kernel.make_sdfg()
     result = tune(sdfg, cost="analytic", strategy="cutout", depth=2, budget=4,
                   symbols=dict(kernel.sizes))
     cuts = result.report.cutouts
-    assert cuts["stitched"] > 0
+    assert cuts["stitched"] == 0
+    assert all(r["stitched"] for r in cuts["per_cutout"] if r["history"])
+    assert any(r["stitched"] for r in cuts["per_cutout"])
     assert result.history == [] and result.report.winner == []
     assert cuts["verification"].startswith("skipped")
+    assert "ValueError: math domain error" in cuts["verification"]
     assert result.best_score == result.baseline_score
     assert sdfg_to_json(result.sdfg) == sdfg_to_json(sdfg)
     (warning,) = [w for w in cuts["warnings"] if w["code"] == "W1002"]
     assert "baseline fails on the verification inputs" in warning["message"]
+    assert "ValueError: math domain error" in warning["message"]
 
 
 # ----------------------------------------------- per-transformation stats

@@ -277,6 +277,26 @@ class TestAutoOptimizeIntegration:
         replay(fresh, result.history)
         assert content_hash(fresh) == content_hash(result.sdfg)
 
+    def test_the_result_is_the_graph_the_search_scored(self):
+        """A search miss returns the winning variant's own graph (no
+        replay), and it is what a replay of the history builds."""
+        scored = []
+
+        class Recording(AnalyticCost):
+            def score_analysed(self, sdfg):
+                score = super().score_analysed(sdfg)
+                scored.append((sdfg, score))
+                return score
+
+        result = tune(kernels.matmul_sdfg(), cost=Recording(machine="cpu"),
+                      depth=2, budget=12, transformations=POOL)
+        assert result.history
+        (score,) = [s for g, s in scored if g is result.sdfg]
+        assert score == result.best_score
+        fresh = kernels.matmul_sdfg()
+        replay(fresh, result.history)
+        assert sdfg_to_json(fresh) == sdfg_to_json(result.sdfg)
+
     def test_rejects_unknown_auto_strategy(self):
         with pytest.raises(ValueError):
             auto_optimize(kernels.matmul_sdfg(), strategy="mystery")
@@ -289,6 +309,14 @@ class TestConfig:
         assert a.key() == b.key()
         assert a.key() != TuningConfig(strategy="beam", depth=3).key()
         assert a.key() != TuningConfig(strategy="greedy", depth=4).key()
+
+    def test_tune_leaves_the_callers_config_alone(self):
+        cfg = TuningConfig()
+        before = cfg.to_json()
+        tune(kernels.matmul_sdfg(), cost="analytic", config=cfg, budget=3,
+             strategy="beam", depth=1, beam_width=2, transformations=POOL)
+        assert cfg.to_json() == before
+        assert cfg.strategy == "greedy" and cfg.budget == 64
 
     def test_default_pool_excludes_hardware_offloads(self):
         cfg = TuningConfig()
