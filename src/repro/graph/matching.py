@@ -6,7 +6,10 @@ same state-space search: pattern nodes are matched one at a time in a
 connectivity-driven order, and each node after the first of its
 component draws its candidates from the host neighbours of an
 already-matched pattern neighbour (VF2's candidate pairs), pruning those
-that violate adjacency of already-matched pairs.
+that violate adjacency of already-matched pairs.  The order (the match
+plan, with each pattern node's degrees and neighbours) depends on the
+pattern alone and is kept on it (``OrderedMultiDiGraph.cached``), so a
+pattern built once is planned once.
 
 By default we search for *monomorphisms* (the host may have extra edges
 around the matched nodes) because transformation patterns describe the
@@ -47,11 +50,10 @@ def subgraph_monomorphisms(
     node_match = node_match or _default_match
     edge_match = edge_match or _default_match
 
-    plan = _connectivity_order(pattern)
+    plan = pattern.cached("vf2_plan", lambda: _match_plan(pattern))
     if not plan:
         return
-    pnodes = [pn for pn, _ in plan]
-    anchors = [anchor for _, anchor in plan]
+    pnodes = [step[0] for step in plan]
     hnodes = host.nodes()
 
     def index_hosts() -> Dict:
@@ -60,19 +62,19 @@ def subgraph_monomorphisms(
     mapping: Dict[int, object] = {}  # id(pattern node) -> host node
     used: set = set()  # id(host node)
 
-    def edges_ok(pn, hn) -> bool:
+    def edges_ok(pn, hn, outs, ins) -> bool:
         """Check adjacency constraints between (pn, hn) and mapped pairs."""
-        for pe in pattern.out_edges(pn):
-            if id(pe.dst) in mapping:
-                hdst = mapping[id(pe.dst)]
+        for pdst, pdata in outs:
+            hdst = mapping.get(id(pdst))
+            if hdst is not None:
                 cands = host.edges_between(hn, hdst)
-                if not any(edge_match(pe.data, he.data) for he in cands):
+                if not any(edge_match(pdata, he.data) for he in cands):
                     return False
-        for pe in pattern.in_edges(pn):
-            if id(pe.src) in mapping:
-                hsrc = mapping[id(pe.src)]
+        for psrc, pdata in ins:
+            hsrc = mapping.get(id(psrc))
+            if hsrc is not None:
                 cands = host.edges_between(hsrc, hn)
-                if not any(edge_match(pe.data, he.data) for he in cands):
+                if not any(edge_match(pdata, he.data) for he in cands):
                     return False
         if induced:
             # No host edges may exist between matched nodes unless the
@@ -89,16 +91,10 @@ def subgraph_monomorphisms(
                     return False
         return True
 
-    def degrees_ok(pn, hn) -> bool:
-        return host.in_degree(hn) >= pattern.in_degree(pn) and host.out_degree(
-            hn
-        ) >= pattern.out_degree(pn)
-
-    def candidates(depth: int) -> List:
-        """Host nodes ``pnodes[depth]`` may map to, in host insertion
+    def candidates(anchor) -> List:
+        """Host nodes a pattern node may map to, in host insertion
         order: every host node for the first node of a component, else
         the host neighbours of its anchor's image on the anchor's side."""
-        anchor = anchors[depth]
         if anchor is None:
             return hnodes
         pm, is_successor = anchor
@@ -109,18 +105,18 @@ def subgraph_monomorphisms(
         return near
 
     def backtrack(depth: int) -> Iterator[Dict]:
-        if depth == len(pnodes):
+        if depth == len(plan):
             yield {pn: mapping[id(pn)] for pn in pnodes}
             return
-        pn = pnodes[depth]
-        for hn in candidates(depth):
+        pn, anchor, in_degree, out_degree, outs, ins = plan[depth]
+        for hn in candidates(anchor):
             if id(hn) in used:
                 continue
             if not node_match(pn, hn):
                 continue
-            if not degrees_ok(pn, hn):
+            if host.in_degree(hn) < in_degree or host.out_degree(hn) < out_degree:
                 continue
-            if not edges_ok(pn, hn):
+            if not edges_ok(pn, hn, outs, ins):
                 continue
             mapping[id(pn)] = hn
             used.add(id(hn))
@@ -129,6 +125,23 @@ def subgraph_monomorphisms(
             used.discard(id(hn))
 
     yield from backtrack(0)
+
+
+def _match_plan(pattern: OrderedMultiDiGraph) -> List[Tuple]:
+    """The match plan: per pattern node in :func:`_connectivity_order`,
+    ``(node, anchor, in-degree, out-degree, out-neighbours, in-neighbours)``
+    with each neighbour as ``(pattern node, edge data)``."""
+    return [
+        (
+            pn,
+            anchor,
+            pattern.in_degree(pn),
+            pattern.out_degree(pn),
+            tuple((pe.dst, pe.data) for pe in pattern.out_edges(pn)),
+            tuple((pe.src, pe.data) for pe in pattern.in_edges(pn)),
+        )
+        for pn, anchor in _connectivity_order(pattern)
+    ]
 
 
 def _connectivity_order(pattern: OrderedMultiDiGraph) -> List[Tuple]:

@@ -45,7 +45,7 @@ from repro.sdfg.nodes import (
 )
 from repro.sdfg.dtypes import Language
 from repro.runtime.arguments import split_arguments
-from repro.runtime.sanitizer import GuardedView, _clamp_index
+from repro.runtime.sanitizer import GuardedView, Sanitizer, _clamp_index
 from repro.runtime.streams import StreamArray, StreamQueue
 from repro.symbolic import Expr
 
@@ -769,11 +769,30 @@ class SDFGInterpreter:
                 guard.mark_written(tkey)
 
     # ---------------------------------------------------------------- memlets
+    def _slices(self, sdfg, memlet: Memlet, container, sym) -> tuple:
+        """``memlet``'s subset as NumPy slices into ``container``.
+
+        A non-empty dimension that starts below 0 or ends past the
+        extent raises R801 (``SanitizerError``), naming the memlet and
+        the index: NumPy would wrap a negative start, or hand back an
+        empty or clipped view."""
+        slices = memlet.subset.evaluate(sym)
+        for s, dim in zip(slices, container.shape):
+            if s.step > 0 and s.start < s.stop and (s.start < 0 or s.stop > dim):
+                Sanitizer("raise").check_bounds(
+                    memlet.data,
+                    container.shape,
+                    self._eval_guard_index(memlet.subset, sym),
+                    f"{memlet.data}[{memlet.subset}]",
+                    (sdfg.name, None, None),
+                )
+        return slices
+
     def _read_memlet(self, sdfg, memlet: Memlet, mem, sym):
         container = mem[memlet.data]
         if isinstance(container, (StreamArray, StreamQueue)):
             return self._resolve_stream_queue(memlet, mem, sym)
-        slices = memlet.subset.evaluate(sym)
+        slices = self._slices(sdfg, memlet, container, sym)
         view = container[slices]
         if view.size == 1 and memlet.subset.is_point():
             return view.reshape(-1)[0]
@@ -784,14 +803,14 @@ class SDFGInterpreter:
         container = mem[memlet.data]
         if isinstance(container, (StreamArray, StreamQueue)):
             return container
-        return container[memlet.subset.evaluate(sym)]
+        return container[self._slices(sdfg, memlet, container, sym)]
 
     def _write_memlet(self, sdfg, memlet: Memlet, value, mem, sym) -> None:
         container = mem[memlet.data]
         if isinstance(container, (StreamArray, StreamQueue)):
             self._resolve_stream_queue(memlet, mem, sym).push(value)
             return
-        slices = memlet.subset.evaluate(sym)
+        slices = self._slices(sdfg, memlet, container, sym)
         if memlet.wcr is not None:
             wcr = self._wcr(memlet.wcr)
             old = container[slices]

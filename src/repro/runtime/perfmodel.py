@@ -129,6 +129,11 @@ class PerformanceModel:
         self.symbols = dict(symbols)
         for k, v in sdfg.constants.items():
             self.symbols.setdefault(k, v)
+        # ``expr -> float`` under these bindings, shared by every model
+        # with equal bindings through the ``model_eval`` memo table (the
+        # value's type keeps ``N = 4`` and ``N = 4.0`` apart).
+        binding = tuple(sorted((k, type(v), v) for k, v in self.symbols.items()))
+        self._values: Dict = memo.memoized("model_eval", binding, dict)
 
     # ------------------------------------------------------------- execution
     def state_visit_counts(self, max_visits: int = 100_000) -> Dict[int, int]:
@@ -157,10 +162,19 @@ class PerformanceModel:
 
     # --------------------------------------------------------------- analysis
     def _eval(self, expr) -> float:
+        values = self._values
         try:
-            return float(expr.evaluate(self.symbols))
+            return values[expr]
         except KeyError:
-            return 1.0  # unbound (data-dependent); count once
+            pass
+        try:
+            value = float(expr.evaluate(self.symbols))
+        except KeyError:
+            value = 1.0  # unbound (data-dependent); count once
+        if len(values) >= memo.MAX_ENTRIES:
+            values.clear()
+        values[expr] = value
+        return value
 
     def state_costs(self, state) -> Tuple[List[ScopeCost], float]:
         """Per-top-level-scope costs and host<->device transfer bytes."""

@@ -103,13 +103,13 @@ class Memlet:
 
     @property
     def free_symbols(self) -> frozenset:
-        out: frozenset = frozenset()
-        if self.subset is not None:
-            out |= self.subset.free_symbols
+        # The parts' sets are cached on them: return the subset's as it
+        # is when nothing else contributes.
+        out = self.subset.free_symbols if self.subset is not None else frozenset()
         if self.other_subset is not None:
-            out |= self.other_subset.free_symbols
+            out = out | self.other_subset.free_symbols
         if self._volume is not None:
-            out |= self._volume.free_symbols
+            out = out | self._volume.free_symbols
         return out
 
     # -- manipulation ------------------------------------------------------------

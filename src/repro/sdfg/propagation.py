@@ -23,7 +23,7 @@ from repro.sdfg.nodes import (
     NestedSDFG,
 )
 from repro.sdfg.state import SDFGState
-from repro.symbolic import Expr, Integer, Mul, Subset
+from repro.symbolic import Expr, Integer, Mul, Subset, memo
 
 
 def propagate_memlets_sdfg(sdfg) -> None:
@@ -98,14 +98,14 @@ def _propagate_union(
     memoized on those; callers ``clone()`` the returned prototype before
     attaching it to an edge.
     """
-    from repro.symbolic import memo
-
     non_empty = [m for m in memlets if not m.is_empty()]
     if not non_empty:
         return None
+    # A memlet without a stored volume counts its subset's elements, so
+    # the stored ``_volume`` (None then) keys it as well as ``volume``.
     try:
         key = (
-            tuple((m.data, m.subset, m.volume, m.dynamic, m.wcr) for m in non_empty),
+            tuple((m.data, m.subset, m._volume, m.dynamic, m.wcr) for m in non_empty),
             tuple(sorted(params.items())),
             isinstance(entry, ConsumeEntry),
         )

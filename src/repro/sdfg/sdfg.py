@@ -280,9 +280,9 @@ class SDFG(OrderedMultiDiGraph[SDFGState, InterstateEdge]):
 
     def free_symbols(self) -> Set[str]:
         """Symbols that must be supplied at invocation."""
-        used: Set[str] = set()
+        symbols: Set = set()
         for desc in self.arrays.values():
-            used |= {s.name for s in desc.free_symbols}
+            symbols |= desc.free_symbols
         defined: Set[str] = set()
         for state in self.nodes():
             for node in state.nodes():
@@ -293,16 +293,16 @@ class SDFG(OrderedMultiDiGraph[SDFGState, InterstateEdge]):
                     )
                     if hasattr(node, "map"):
                         defined.update(node.map.params)
-                        for r in node.map.range.ranges:
-                            used |= {s.name for s in r.free_symbols}
+                        symbols |= node.map.range.free_symbols
                     else:
                         defined.add(node.consume.pe_param)
-                        used |= {s.name for s in node.consume.num_pes.free_symbols}
+                        symbols |= node.consume.num_pes.free_symbols
             for e in state.edges():
-                used |= {s.name for s in e.data.free_symbols}
+                symbols |= e.data.free_symbols
         for e in self.edges():
-            used |= {s.name for s in e.data.free_symbols}
+            symbols |= e.data.free_symbols
             defined.update(e.data.assignments.keys())
+        used = {s.name for s in symbols}
         return (used - defined - set(self.constants)) & set(self.symbols) | (
             used - defined - set(self.constants) - set(self.arrays)
         )

@@ -4,14 +4,19 @@ Serialized SDFGs are what DIODE-style tooling exchanges and what
 "optimization version control" snapshots; the format is a plain
 dictionary so it can be stored, diffed, and inspected.
 
+Every dictionary is emitted with its keys in sorted order: fixed keys
+are written sorted, and maps with data-dependent keys (arrays, symbols,
+constants, interstate assignments, ``symbol_mapping``) are built from
+sorted keys.
+
 A *canonical* form (:func:`canonical_form` of the plain dictionary, or
 ``sdfg_to_json(sdfg, canonical=True)``) additionally fixes every source
 of incidental order — edges sorted by endpoint indices and connectors,
-transitions sorted, dictionary keys sorted at dump time — and omits the
-transformation history, so that two SDFGs with identical structure
-serialize to identical bytes.  That form backs :func:`content_hash`, the
-content address used by the tuning cache, and :func:`snapshot_hash`,
-the same address computed from a snapshot already in hand.
+transitions sorted — and omits the transformation history, so that two
+SDFGs with identical structure serialize to identical bytes.  Since the
+keys are sorted already, the dump does not sort them again.  That form
+backs :func:`content_hash`, the content address used by the tuning
+cache, the program cache and serve routing.
 """
 
 from __future__ import annotations
@@ -45,6 +50,11 @@ from repro.sdfg.state import SDFGState, _scope_of
 from repro.symbolic import Subset
 
 
+# The ``*_to_json`` functions write each dictionary's keys in sorted
+# order, and read enum names from ``_name_`` (``.name`` is a descriptor
+# that costs a call per read).
+
+
 def _instrument_from_json(obj: Dict[str, Any]) -> InstrumentationType:
     return InstrumentationType[obj.get("instrument", "NONE")]
 
@@ -60,10 +70,10 @@ def _subset_from_json(s):
 def memlet_to_json(m: Memlet) -> Dict[str, Any]:
     return {
         "data": m.data,
-        "subset": _subset_to_json(m.subset),
-        "other_subset": _subset_to_json(m.other_subset),
-        "volume": str(m._volume) if m._volume is not None else None,
         "dynamic": m.dynamic,
+        "other_subset": _subset_to_json(m.other_subset),
+        "subset": _subset_to_json(m.subset),
+        "volume": str(m._volume) if m._volume is not None else None,
         "wcr": m.wcr,
     }
 
@@ -80,19 +90,19 @@ def memlet_from_json(obj: Dict[str, Any]) -> Memlet:
 
 
 def data_to_json(desc: Data) -> Dict[str, Any]:
-    out: Dict[str, Any] = {
-        "type": type(desc).__name__,
-        "dtype": desc.dtype.name,
-        "shape": [str(s) for s in desc.shape],
-        "transient": desc.transient,
-        "storage": desc.storage.name,
-    }
-    if isinstance(desc, Array):
-        out["strides"] = [str(s) for s in desc.strides]
-        if desc.double_buffered:  # written only when set: hashes stay put
-            out["double_buffered"] = True
+    # Keys are written in sorted order.
+    out: Dict[str, Any] = {}
     if isinstance(desc, Stream):
         out["buffer_size"] = str(desc.buffer_size)
+    if isinstance(desc, Array) and desc.double_buffered:
+        out["double_buffered"] = True  # written only when set: hashes stay put
+    out["dtype"] = desc.dtype.name
+    out["shape"] = [str(s) for s in desc.shape]
+    out["storage"] = desc.storage._name_
+    if isinstance(desc, Array):
+        out["strides"] = [str(s) for s in desc.strides]
+    out["transient"] = desc.transient
+    out["type"] = type(desc).__name__
     return out
 
 
@@ -114,61 +124,72 @@ def data_from_json(obj: Dict[str, Any]) -> Data:
 
 
 def node_to_json(node: Node) -> Dict[str, Any]:
-    base = {
-        "in_connectors": sorted(node.in_connectors),
-        "out_connectors": sorted(node.out_connectors),
-    }
+    ins = sorted(node.in_connectors)
+    outs = sorted(node.out_connectors)
     if isinstance(node, AccessNode):
-        return {"type": "AccessNode", "data": node.data, **base}
+        return {
+            "data": node.data,
+            "in_connectors": ins,
+            "out_connectors": outs,
+            "type": "AccessNode",
+        }
     if isinstance(node, Tasklet):
         return {
-            "type": "Tasklet",
-            "name": node.name,
             "code": node.code,
-            "language": node.language.name,
             "code_global": node.code_global,
-            "instrument": node.instrument.name,
-            **base,
+            "in_connectors": ins,
+            "instrument": node.instrument._name_,
+            "language": node.language._name_,
+            "name": node.name,
+            "out_connectors": outs,
+            "type": "Tasklet",
         }
     if isinstance(node, (MapEntry, MapExit)):
+        m = node.map
         return {
+            "in_connectors": ins,
+            "instrument": m.instrument._name_,
+            "label": m.label,
+            "out_connectors": outs,
+            "params": m.params,
+            "range": str(m.range),
+            "schedule": m.schedule._name_,
             "type": type(node).__name__,
-            "label": node.map.label,
-            "params": node.map.params,
-            "range": str(node.map.range),
-            "schedule": node.map.schedule.name,
-            "unroll": node.map.unroll,
-            "vectorized": node.map.vectorized,
-            "instrument": node.map.instrument.name,
-            **base,
+            "unroll": m.unroll,
+            "vectorized": m.vectorized,
         }
     if isinstance(node, (ConsumeEntry, ConsumeExit)):
+        c = node.consume
         return {
+            "condition": c.condition,
+            "in_connectors": ins,
+            "instrument": c.instrument._name_,
+            "label": c.label,
+            "num_pes": str(c.num_pes),
+            "out_connectors": outs,
+            "pe_param": c.pe_param,
+            "schedule": c.schedule._name_,
             "type": type(node).__name__,
-            "label": node.consume.label,
-            "pe_param": node.consume.pe_param,
-            "num_pes": str(node.consume.num_pes),
-            "condition": node.consume.condition,
-            "schedule": node.consume.schedule.name,
-            "instrument": node.consume.instrument.name,
-            **base,
         }
     if isinstance(node, Reduce):
         return {
-            "type": "Reduce",
-            "name": node.name,
-            "wcr": node.wcr,
             "axes": list(node.axes) if node.axes is not None else None,
             "identity": node.identity,
-            **base,
+            "in_connectors": ins,
+            "name": node.name,
+            "out_connectors": outs,
+            "type": "Reduce",
+            "wcr": node.wcr,
         }
     if isinstance(node, NestedSDFG):
+        mapping = node.symbol_mapping
         return {
-            "type": "NestedSDFG",
+            "in_connectors": ins,
             "name": node.name,
+            "out_connectors": outs,
             "sdfg": sdfg_to_json(node.sdfg),
-            "symbol_mapping": {k: str(v) for k, v in node.symbol_mapping.items()},
-            **base,
+            "symbol_mapping": {k: str(mapping[k]) for k in sorted(mapping)},
+            "type": "NestedSDFG",
         }
     raise ValueError(f"cannot serialize node {node!r}")
 
@@ -254,21 +275,21 @@ def state_to_json(state: SDFGState) -> Dict[str, Any]:
     index = {id(n): i for i, n in enumerate(nodes)}
     edges = [
         {
-            "src": index[id(e.src)],
             "dst": index[id(e.dst)],
-            "src_conn": e.src_conn,
             "dst_conn": e.dst_conn,
             "memlet": memlet_to_json(e.data),
+            "src": index[id(e.src)],
+            "src_conn": e.src_conn,
         }
         for e in state.edges()
     ]
     jnodes = [node_to_json(n) for n in nodes]
     _pair_ambiguous_scopes(nodes, jnodes)
     return {
-        "name": state.name,
-        "instrument": state.instrument.name,
-        "nodes": jnodes,
         "edges": edges,
+        "instrument": state.instrument._name_,
+        "name": state.name,
+        "nodes": jnodes,
     }
 
 
@@ -291,7 +312,10 @@ def _pair_ambiguous_scopes(nodes: List[Node], jnodes: List[Dict[str, Any]]) -> N
         if isinstance(n, ExitNode):
             scope = _scope_of(n)
             if len(owners.get(_scope_key(j), ())) > 1 and id(scope) in entry_index:
-                j["scope_entry"] = entry_index[id(scope)]
+                # Re-insert every key so ``scope_entry`` takes its sorted place.
+                items = sorted({**j, "scope_entry": entry_index[id(scope)]}.items())
+                j.clear()
+                j.update(items)
 
 
 def state_from_json(obj: Dict[str, Any], sdfg) -> SDFGState:
@@ -328,26 +352,29 @@ def sdfg_to_json(sdfg, canonical: bool = False) -> Dict[str, Any]:
     """
     states = sdfg.nodes()
     index = {id(s): i for i, s in enumerate(states)}
+    arrays, symbols, constants = sdfg.arrays, sdfg.symbols, sdfg.constants
     out = {
+        "arrays": {name: data_to_json(arrays[name]) for name in sorted(arrays)},
+        "constants": {name: constants[name] for name in sorted(constants)},
+        "instrument": sdfg.instrument._name_,
         "name": sdfg.name,
-        "instrument": sdfg.instrument.name,
-        "arrays": {name: data_to_json(d) for name, d in sdfg.arrays.items()},
-        "symbols": {name: t.name for name, t in sdfg.symbols.items()},
-        "constants": dict(sdfg.constants),
         "start_state": (
             index[id(sdfg.start_state)] if sdfg.start_state is not None else None
         ),
         "states": [state_to_json(s) for s in states],
+        "symbols": {name: symbols[name].name for name in sorted(symbols)},
+        "transformation_history": list(sdfg.transformation_history),
         "transitions": [
             {
-                "src": index[id(e.src)],
-                "dst": index[id(e.dst)],
+                "assignments": {
+                    k: str(e.data.assignments[k]) for k in sorted(e.data.assignments)
+                },
                 "condition": str(e.data.condition),
-                "assignments": {k: str(v) for k, v in e.data.assignments.items()},
+                "dst": index[id(e.dst)],
+                "src": index[id(e.src)],
             }
             for e in sdfg.edges()
         ],
-        "transformation_history": list(sdfg.transformation_history),
     }
     return canonical_form(out) if canonical else out
 
@@ -357,7 +384,7 @@ def _edge_key(e: Dict[str, Any]):
 
 
 def _memlet_key(e: Dict[str, Any]) -> str:
-    return json.dumps(e["memlet"], sort_keys=True)
+    return json.dumps(e["memlet"])
 
 
 def _sorted_edges(edges: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
@@ -405,22 +432,21 @@ def canonical_form(obj: Dict[str, Any]) -> Dict[str, Any]:
     return out
 
 
+#: The canonical dump: compact, non-JSON values as ``str``.  Keys are
+#: emitted sorted and a serialized graph holds no cycle, so the encoder
+#: neither sorts nor tracks containers.
+_CANONICAL_ENCODER = json.JSONEncoder(
+    separators=(",", ":"), default=str, check_circular=False
+)
+
+
 def _canonical_dump(obj: Dict[str, Any]) -> str:
-    return json.dumps(
-        canonical_form(obj), sort_keys=True, separators=(",", ":"), default=str
-    )
+    return _CANONICAL_ENCODER.encode(canonical_form(obj))
 
 
 def canonical_sdfg_json(sdfg) -> str:
     """The canonical serialized form as one deterministic string."""
     return _canonical_dump(sdfg_to_json(sdfg))
-
-
-def snapshot_hash(obj: Dict[str, Any]) -> str:
-    """:func:`content_hash` of the SDFG a :func:`sdfg_to_json` dictionary
-    describes, without parsing it: a caller that already holds the
-    snapshot (the tuner's search variants) hashes it directly."""
-    return hashlib.sha256(_canonical_dump(obj).encode("utf-8")).hexdigest()
 
 
 def content_hash(sdfg) -> str:
@@ -431,7 +457,7 @@ def content_hash(sdfg) -> str:
     change to dataflow, descriptors, symbols, or instrumentation
     changes the hash.  This is the cache key the tuning subsystem uses.
     """
-    return snapshot_hash(sdfg_to_json(sdfg))
+    return hashlib.sha256(canonical_sdfg_json(sdfg).encode("utf-8")).hexdigest()
 
 
 def sdfg_from_json(obj: Dict[str, Any]):

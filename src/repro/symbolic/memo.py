@@ -3,8 +3,9 @@
 Expressions, ranges and subsets are immutable and hashable, so results
 of pure functions over them — canonical ``Add``/``Mul`` construction,
 parsing, substitution, canonical simplification, sign decisions, subset
-parsing and images, memlet-volume propagation — can be cached on
-structural identity.  Each
+parsing and images, memlet-volume propagation, the performance model's
+evaluation of an expression under one symbol binding (``model_eval``)
+— can be cached on structural identity.  Each
 named cache is a plain dict with wholesale clearing when it grows past
 :data:`MAX_ENTRIES` (the working set of a compile rebuilds immediately,
 and clearing wholesale avoids LRU bookkeeping on the hot path).

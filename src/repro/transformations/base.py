@@ -79,6 +79,17 @@ class Transformation:
         raise NotImplementedError
 
     @classmethod
+    def patterns(cls) -> List[OrderedMultiDiGraph]:
+        """:meth:`expressions`, built once per class.  Nothing changes a
+        pattern graph, so every enumeration shares the same graphs and
+        the match plan the matcher keeps on each."""
+        built = cls.__dict__.get("_patterns")
+        if built is None:
+            built = cls.expressions()
+            cls._patterns = built
+        return built
+
+    @classmethod
     def can_be_applied(cls, state: SDFGState, candidate, sdfg, strict: bool = False) -> bool:
         """Programmatic verification that requirements are met."""
         raise NotImplementedError
@@ -92,7 +103,7 @@ class Transformation:
     def matches_in_state(
         cls, sdfg, state: SDFGState, strict: bool = False
     ) -> Iterator["Transformation"]:
-        for pattern in cls.expressions():
+        for pattern in cls.patterns():
             for cand in subgraph_monomorphisms(
                 pattern, state, node_match=lambda pn, hn: pn.matches(hn)
             ):
@@ -125,7 +136,7 @@ class MultiStateTransformation(Transformation):
 
     @classmethod
     def matches(cls, sdfg, strict: bool = False) -> Iterator["Transformation"]:
-        for pattern in cls.expressions():
+        for pattern in cls.patterns():
             for cand in subgraph_monomorphisms(
                 pattern, sdfg, node_match=lambda pn, hn: pn.matches(hn)
             ):

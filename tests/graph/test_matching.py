@@ -251,10 +251,27 @@ class TestAnchoredOrder:
             for xform in default_pool():
                 cls = REGISTRY[xform]
                 hosts = [sdfg] if issubclass(cls, MultiStateTransformation) else sdfg.nodes()
-                for pattern in cls.expressions():
+                for pattern in cls.patterns():
                     for host in hosts:
                         assert _ordered(
                             subgraph_monomorphisms(pattern, host, node_match=node_match)
                         ) == _ordered(
                             _all_host_nodes_monomorphisms(pattern, host, node_match)
                         ), (name, xform, host)
+
+
+def test_each_class_builds_its_patterns_and_plans_once():
+    """``Transformation.patterns`` builds ``expressions()`` once per
+    class (a subclass builds its own), and the matcher plans each
+    pattern once, keeping the plan on it."""
+    from repro.workloads import kernels
+
+    cls = REGISTRY["MapCollapse"]
+    sub = type("MapCollapseAgain", (cls,), {})
+    first = cls.patterns()
+    assert cls.patterns() is first
+    assert sub.patterns() is not first and sub.patterns() is sub.patterns()
+    state = kernels.matmul_sdfg().start_state
+    list(subgraph_monomorphisms(first[0], state, node_match=lambda pn, hn: pn.matches(hn)))
+    plan = first[0].cached("vf2_plan", lambda: pytest.fail("the plan was not kept"))
+    assert [step[0] for step in plan] == [pn for pn, _ in _connectivity_order(first[0])]

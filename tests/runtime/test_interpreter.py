@@ -6,6 +6,7 @@ import pytest
 from repro.runtime import SDFGInterpreter, StreamQueue
 from repro.runtime.arguments import ArgumentError, infer_symbols, split_arguments
 from repro.runtime.interpreter import InterpreterError
+from repro.runtime.sanitizer import SanitizerError
 from repro.sdfg import SDFG, InterstateEdge, Memlet, dtypes
 
 
@@ -350,3 +351,46 @@ class TestArgumentHandling:
         out = np.zeros(1, np.int64)
         SDFGInterpreter(sdfg)(s=41, out=out)
         assert out[0] == 42
+
+
+class TestPointBounds:
+    """A memlet whose evaluated index falls outside its container is
+    R801, naming the memlet and the index, not a NumPy broadcast
+    error."""
+
+    @staticmethod
+    def _copy_one(read: str, write: str = "0"):
+        sdfg = SDFG("point")
+        sdfg.add_array("A", ("N",), dtypes.float64)
+        sdfg.add_array("B", ("N",), dtypes.float64)
+        st = sdfg.add_state()
+        t = st.add_tasklet("t", ["a"], ["b"], "b = a")
+        st.add_edge(st.add_read("A"), t, Memlet.simple("A", read), None, "a")
+        st.add_edge(t, st.add_write("B"), Memlet.simple("B", write), "b", None)
+        return sdfg
+
+    @staticmethod
+    def _run(sdfg, **symbols):
+        B = np.zeros(3)
+        SDFGInterpreter(sdfg)(A=np.arange(3.0), B=B, N=3, **symbols)
+        return B
+
+    def test_negative_point_read(self):
+        with pytest.raises(SanitizerError) as info:
+            self._run(self._copy_one("N - 4"))
+        err = info.value
+        assert err.diagnostic.code == "R801"
+        assert err.index == (-1,)
+        assert "index -1 out of bounds for dimension 0 of 'A' (extent 3)" in str(err)
+        assert "via memlet A[-4 + N]" in str(err)
+
+    def test_point_read_past_the_extent(self):
+        with pytest.raises(SanitizerError, match=r"index 3 out of bounds .* via memlet A\[M\]"):
+            self._run(self._copy_one("M"), M=3)
+
+    def test_point_write_past_the_extent(self):
+        with pytest.raises(SanitizerError, match=r"index 4 out of bounds .* via memlet B\[M\]"):
+            self._run(self._copy_one("0", "M"), M=4)
+
+    def test_in_bounds_accesses_are_unchanged(self):
+        assert list(self._run(self._copy_one("N - 1", "M"), M=1)) == [0.0, 2.0, 0.0]

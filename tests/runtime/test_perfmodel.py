@@ -232,3 +232,45 @@ class TestStateWalk:
         sdfg.add_edge(no, last, InterstateEdge())
         counts = PerformanceModel(sdfg, {}).state_visit_counts()
         assert [counts[id(s)] for s in (first, yes, no, last)] == [1, 0, 0, 0]
+
+
+class TestModelEvalTable:
+    """The model's expression values are memoized per symbol binding in
+    the ``model_eval`` table of the symbolic memo."""
+
+    def test_listed_by_stats_and_emptied_by_clear(self):
+        from repro.symbolic import memo
+
+        simulate(mm_sdfg(), "cpu", SYMS)
+        assert memo.stats()["model_eval"]["entries"] > 0
+        memo.clear()
+        assert memo.stats()["model_eval"]["entries"] == 0
+
+    def test_bounded_by_max_entries(self, monkeypatch):
+        from repro.symbolic import Integer, memo
+
+        monkeypatch.setattr(memo, "MAX_ENTRIES", 8)
+        memo.clear()
+        sdfg = SDFG("empty")
+        for n in range(20):
+            assert PerformanceModel(sdfg, {"N": n})._eval(N * 2) == 2.0 * n
+        assert 0 < memo.stats()["model_eval"]["entries"] <= 8
+        model = PerformanceModel(sdfg, {"N": 3})
+        for k in range(20):
+            assert model._eval(N + Integer(k)) == 3.0 + k
+        assert 0 < len(model._values) <= 8
+        memo.clear()
+
+    def test_bindings_are_told_apart(self):
+        sdfg = mm_sdfg()
+        small = simulate(sdfg, "cpu", {"M": 8, "K": 8, "N": 8})
+        large = simulate(sdfg, "cpu", SYMS)
+        assert small.flops < large.flops
+        assert simulate(sdfg, "cpu", {"M": 8, "K": 8, "N": 8}).flops == small.flops
+        models = [PerformanceModel(sdfg, {"N": v}) for v in (4, 4.0, 4)]
+        assert models[0]._values is models[2]._values
+        assert models[0]._values is not models[1]._values
+
+    def test_an_unbound_symbol_counts_once(self):
+        model = PerformanceModel(mm_sdfg(), {})
+        assert model._eval(N * 3) == 1.0

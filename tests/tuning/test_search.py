@@ -16,6 +16,7 @@ from repro.sdfg.serialize import (
     sdfg_from_json,
     sdfg_to_json,
 )
+from repro.symbolic import memo
 from repro.transformations import auto_optimize, replay
 from repro.transformations.guard import GuardedOptimizer
 from repro.transformations.optimizer import _resolve, sort_matches
@@ -406,6 +407,23 @@ class TestSearchTracePins:
         result, provider = _bench_search(key, _CheckedAnalyticCost)
         assert provider.hashes == TRACES[key]["variant_hashes"]
         assert result.history == TRACES[key]["winner"]
+
+
+class _ClearingAnalyticCost(AnalyticCost):
+    """The analytic cost with every symbolic memo table, the model's
+    evaluations among them, emptied before each score."""
+
+    def score_analysed(self, sdfg):
+        memo.clear()
+        return super().score_analysed(sdfg)
+
+
+def test_beam_scores_do_not_depend_on_the_model_memo():
+    key = "beam:atax"
+    result, _ = _bench_search(key, _ClearingAnalyticCost)
+    got = [[c.status, c.score] for c in result.report.candidates]
+    assert got == [[c[4], c[5]] for c in TRACES[key]["candidates"]]
+    assert result.best_score == TRACES[key]["best_score"]
 
 
 class TestReboundMatch:
