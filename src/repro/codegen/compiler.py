@@ -18,7 +18,7 @@ and fall through to the next.  Every hop is recorded on the returned
 callers — and the fault-injection harness — can see which fallbacks
 fired and why.
 
-The pipeline reports into the instrumentation event bus: each phase
+The pipeline profiles itself with one recorder per compile: each phase
 (validate, propagate, per-backend codegen) is timed into the artifact's
 ``compile_report``, and executing an instrumented SDFG attaches an
 :class:`~repro.instrumentation.report.InstrumentationReport` to the
@@ -345,7 +345,6 @@ def compile_sdfg(
     backend: str = "python",
     validate: bool = True,
     fallback: bool = True,
-    recorder: Optional[InstrumentationRecorder] = None,
     cache: Any = None,
     sanitize: Any = None,
     deadline: Optional[float] = None,
@@ -358,9 +357,8 @@ def compile_sdfg(
     On backend failure the next backend in :data:`DEGRADATION_CHAIN` is
     tried (``fallback=False`` disables this and re-raises).  The
     returned artifact records the requested backend and every fallback
-    hop taken, and carries phase timings in ``compile_report``.  Pass a
-    ``recorder`` to additionally splice the pipeline events into an
-    external event bus (the guarded optimizer does this).
+    hop taken, and carries phase timings in ``compile_report`` (timed
+    phases also stream to the active telemetry sink).
 
     ``cache`` selects the program cache (``"disk"``, ``"memory"``,
     ``"off"``, or a :class:`~repro.codegen.progcache.ProgramCache`);
@@ -397,7 +395,7 @@ def compile_sdfg(
         backend, validate, fallback, cache, sanitize, deadline, memory_budget,
         isolate, vectorize,
     )
-    return compile_with(sdfg, options, recorder)
+    return compile_with(sdfg, options)
 
 
 class Prepared(NamedTuple):
@@ -437,8 +435,7 @@ def prepare(sdfg, validate: bool = True) -> Prepared:
 
 
 def compile_with(
-    sdfg, options: CompileOptions, recorder: Optional[InstrumentationRecorder] = None,
-    prepared: Optional[Prepared] = None,
+    sdfg, options: CompileOptions, prepared: Optional[Prepared] = None,
 ) -> CompiledSDFG:
     """:func:`compile_sdfg` on already-resolved options (the serve worker
     resolves first, to key its artifacts on the record).  ``prepared``
@@ -527,9 +524,6 @@ def compile_with(
     compiled._adopt_options(options)
     compiled.compile_report = crec.report(sdfg.name, backend=f"compile[{backend}]")
     compiled.compile_report.lowering = compiled.lowering
-    if recorder is not None:
-        for node in crec.root.children.values():
-            recorder.absorb(node)
     return compiled
 
 

@@ -56,9 +56,6 @@ def subgraph_monomorphisms(
     pnodes = [step[0] for step in plan]
     hnodes = host.nodes()
 
-    def index_hosts() -> Dict:
-        return {hn: i for i, hn in enumerate(hnodes)}
-
     mapping: Dict[int, object] = {}  # id(pattern node) -> host node
     used: set = set()  # id(host node)
 
@@ -101,7 +98,7 @@ def subgraph_monomorphisms(
         hm = mapping[id(pm)]
         near = host.successors(hm) if is_successor else host.predecessors(hm)
         if len(near) > 1:
-            near.sort(key=host.cached("node_index", index_hosts).__getitem__)
+            near.sort(key=host.node_index().__getitem__)
         return near
 
     def backtrack(depth: int) -> Iterator[Dict]:

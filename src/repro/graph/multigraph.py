@@ -95,6 +95,13 @@ class OrderedMultiDiGraph(Generic[NodeT, EdgeDataT]):
         value = caches[name] = compute()
         return value
 
+    def node_index(self) -> Dict[NodeT, int]:
+        """Each node's position in insertion order, kept until the
+        structure changes (shared: do not mutate)."""
+        return self.cached(
+            "node_index", lambda: {n: i for i, n in enumerate(self._nodes)}
+        )
+
     def _changed(self) -> None:
         self.version += 1
         self._caches = None

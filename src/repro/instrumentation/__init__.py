@@ -6,9 +6,9 @@ package provides:
 
 * :class:`InstrumentationType` — per-element tags (SDFG, states,
   map/consume scopes, tasklets), persisted by the serializer;
-* :class:`InstrumentationRecorder` — the shared event bus that the
-  interpreter, generated Python modules, the compilation driver, and
-  the guarded optimizer all report into;
+* :class:`InstrumentationRecorder` — the per-run profile that the
+  interpreter and generated Python modules report one execution into,
+  and the compilation driver one compile;
 * :class:`InstrumentationReport` — the JSON-serializable profile tree,
   with a hot-spot renderer and a pre/post-optimization differ
   (``python -m repro.report``).
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.instrumentation.recorder import EventNode, InstrumentationRecorder, KINDS
+from repro.instrumentation.recorder import EventNode, InstrumentationRecorder
 from repro.instrumentation.report import (
     InstrumentationReport,
     diff_reports,
@@ -40,7 +40,6 @@ __all__ = [
     "InstrumentationRecorder",
     "InstrumentationReport",
     "InstrumentationType",
-    "KINDS",
     "diff_reports",
     "render_diff",
     "evaluate_volume",

@@ -1,14 +1,20 @@
-"""The instrumentation event bus.
+"""The per-run profile recorder.
 
-Executing backends, the compilation pipeline, and the guarded optimizer
-all report into one :class:`InstrumentationRecorder`.  Events form an
-*aggregated profile tree*: ``enter``/``exit`` pairs push and pop a
-stack, and repeated executions of the same element (same kind + label
-under the same parent) merge into one :class:`EventNode`, summing
-durations, counts, iterations, and bytes moved.  The resulting tree is
-deterministic — two backends that visit the same elements in the same
-nesting produce structurally identical trees, which is what the
-backend-consistency tests assert.
+A recorder profiles one run or one compile: the interpreter and the
+generated Python modules report an execution into it (the artifact's
+``last_report``), and the compilation driver reports its phases into
+its own (``compile_report``).  Process-lifetime counters — cache hits,
+admission decisions, tuning totals — stay with their owners'
+``stats()`` and stream through the telemetry sink instead; the package
+keeps no recorder past the run it profiles.
+
+Events form an *aggregated profile tree*: ``enter``/``exit`` pairs push
+and pop a stack, and repeated executions of the same element (same
+kind + label under the same parent) merge into one :class:`EventNode`,
+summing durations, counts, iterations, and bytes moved.  The resulting
+tree is deterministic — two backends that visit the same elements in
+the same nesting produce structurally identical trees, which is what
+the backend-consistency tests assert.
 """
 
 from __future__ import annotations
@@ -19,11 +25,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.instrumentation.types import InstrumentationType
 from repro.telemetry.sink import active_sink
-
-#: Event kinds, part of the report schema: IR elements and pipeline phases.
-KINDS = ("sdfg", "state", "map", "consume", "tasklet", "transformation",
-         "compile", "phase", "tuning", "cache", "sanitizer", "watchdog",
-         "serve", "breaker")
 
 
 class EventNode:
@@ -54,32 +55,21 @@ class EventNode:
             self.children[key] = node
         return node
 
-    # ------------------------------------------------------------ merging
+    # ---------------------------------------------------------- recording
     def add(
         self,
         duration: Optional[float] = None,
         iterations: Optional[int] = None,
         volume_bytes: Optional[int] = None,
-        count: int = 1,
     ) -> None:
-        self.count += count
+        """Fold one enter/exit pair (or leaf event) into this node."""
+        self.count += 1
         if duration is not None:
             self.duration = (self.duration or 0.0) + float(duration)
         if iterations is not None:
             self.iterations = (self.iterations or 0) + int(iterations)
         if volume_bytes is not None:
             self.volume_bytes = (self.volume_bytes or 0) + int(volume_bytes)
-
-    def merge(self, other: "EventNode") -> None:
-        """Fold another node's measurements (and subtree) into this one."""
-        self.add(
-            duration=other.duration,
-            iterations=other.iterations,
-            volume_bytes=other.volume_bytes,
-            count=other.count,
-        )
-        for child in other.children.values():
-            self.child(child.kind, child.label, child.itype).merge(child)
 
     # ------------------------------------------------------------- queries
     def total_duration(self) -> float:
@@ -133,17 +123,16 @@ class EventNode:
 class InstrumentationRecorder:
     """Collects enter/exit events into an aggregated profile tree.
 
-    The recorder is the shared event bus: the interpreter, generated
-    Python modules, the compilation driver, and the guarded optimizer
-    all call the same three methods.  Generated code receives the
-    recorder as the ``__instr`` argument of its entry function.
+    The interpreter, generated Python modules and the compilation
+    driver all call the same three methods.  Generated code receives
+    the recorder as the ``__instr`` argument of its entry function.
 
     The recorder is thread-safe: each thread gets its own enter/exit
     stack (rooted at the shared tree), and mutation of the shared
     :class:`EventNode` tree is serialized by a lock whose critical
-    section is a dict lookup plus a few additions.  Concurrent serve
-    workers and the daemon's connection threads can therefore report
-    into one recorder without corrupting counts.
+    section is a dict lookup plus a few additions.  No package code
+    shares a recorder across threads; the lock is there for callers
+    that do, so their counts stay exact.
 
     When a telemetry sink is active (see :mod:`repro.telemetry.sink`),
     every *timed* exit/event is also forwarded to it, so phase timings
@@ -223,14 +212,6 @@ class InstrumentationRecorder:
                     fields={"volume_bytes": volume} if volume else None,
                 )
         return node
-
-    def absorb(self, node: EventNode) -> None:
-        """Graft an externally-built event tree under the current node
-        (used to splice a compile pipeline's local tree into a caller's
-        recorder)."""
-        stack, _ = self._frames()
-        with self._lock:
-            stack[-1].child(node.kind, node.label, node.itype).merge(node)
 
     # ------------------------------------------------------------- queries
     @property

@@ -36,7 +36,6 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.chaos import faultpoint
 from repro.diagnostics import DiagnosticError, Severity, make_diagnostic
-from repro.instrumentation import InstrumentationRecorder
 from repro.telemetry.sink import TelemetrySink
 
 #: Failure codes that charge a tenant's circuit breaker.  Validation
@@ -83,7 +82,7 @@ class CircuitBreakerRegistry:
     # -------------------------------------------------------- observation
     def on_transition(self, listener: Callable[[str, str, str], None]) -> None:
         """Register a ``listener(key, old_state, new_state)`` callback
-        (admission mirrors transitions as instrumentation events)."""
+        (admission publishes transitions to its telemetry sink)."""
         with self._lock:
             self._listeners.append(listener)
 
@@ -270,20 +269,17 @@ class AdmissionController:
         self,
         default_policy: Optional[TenantPolicy] = None,
         policies: Optional[Dict[str, TenantPolicy]] = None,
-        recorder: Optional[InstrumentationRecorder] = None,
         sink: Optional[TelemetrySink] = None,
     ):
         self.default_policy = default_policy or TenantPolicy()
         self.policies = dict(policies or {})
-        self.recorder = recorder or InstrumentationRecorder()
         self.sink = sink
         self._lock = threading.Lock()
         self._tenants: Dict[str, _TenantState] = {}
         # Honor per-tenant breaker knobs: a TenantPolicy in `policies`
         # with its own threshold/cooldown overrides the default.
         self.breakers = CircuitBreakerRegistry(limits=self._breaker_limits)
-        # Mirror every breaker transition onto the instrumentation bus:
-        # dashboards (and the half-open tests) watch these events.
+        # Publish every breaker transition: dashboards watch these events.
         self.breakers.on_transition(self._on_breaker_transition)
 
     def _breaker_limits(self, tenant: str) -> Tuple[int, float]:
@@ -291,9 +287,6 @@ class AdmissionController:
         return policy.breaker_threshold, policy.breaker_cooldown
 
     def _on_breaker_transition(self, tenant: str, old: str, new: str) -> None:
-        self.recorder.event(
-            "breaker", f"{tenant}:{old}->{new}", itype="COUNTER", iterations=1
-        )
         if self.sink is not None:
             self.sink.publish("breaker", tenant,
                               fields={"old": old, "new": new})
@@ -333,8 +326,6 @@ class AdmissionController:
             pre_state = self.breakers.state(tenant)
             if self.breakers.is_open(tenant):
                 state.rejected += 1
-                self.recorder.event("serve", f"reject[{tenant}]:R807",
-                                    itype="COUNTER", iterations=1)
                 self._publish_decision(tenant, "reject", "R807")
                 retry_after = self.breakers.cooldown_remaining(tenant)
                 raise AdmissionError(
@@ -357,8 +348,6 @@ class AdmissionController:
                 if became_probe:
                     self.breakers.abort_probe(tenant)
                 state.rejected += 1
-                self.recorder.event("serve", f"reject[{tenant}]:R806",
-                                    itype="COUNTER", iterations=1)
                 self._publish_decision(tenant, "reject", "R806")
                 raise AdmissionError(
                     "R806",
@@ -379,8 +368,6 @@ class AdmissionController:
                     if became_probe:
                         self.breakers.abort_probe(tenant)
                     state.rejected += 1
-                    self.recorder.event("serve", f"reject[{tenant}]:R808",
-                                        itype="COUNTER", iterations=1)
                     self._publish_decision(tenant, "reject", "R808")
                     retry_after = (
                         spend[0][0] + policy.budget_window - now if spend else 0.0
@@ -396,8 +383,6 @@ class AdmissionController:
 
             state.inflight += 1
             state.admitted += 1
-            self.recorder.event("serve", f"admit[{tenant}]",
-                                itype="COUNTER", iterations=1)
             self._publish_decision(tenant, "admit")
             return Ticket(self, tenant)
 
@@ -430,8 +415,6 @@ class AdmissionController:
                 state.ok += 1
         if failed:
             self.breakers.record_failure(tenant, code=failure_code)
-            self.recorder.event("serve", f"failure[{tenant}]:{failure_code}",
-                                itype="COUNTER", iterations=1)
         else:
             self.breakers.record_success(tenant)
 

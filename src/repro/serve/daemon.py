@@ -42,7 +42,6 @@ import time
 from typing import Any, Dict, Optional
 
 from repro.chaos import ChaosFault, active_engine, faultpoint
-from repro.instrumentation import InstrumentationRecorder
 from repro.runtime.isolation import crash_dir
 from repro.runtime.watchdog import RetryPolicy
 from repro.serve import protocol
@@ -124,7 +123,6 @@ class SDFGServer:
 
     def __init__(self, config: Optional[ServeConfig] = None):
         self.config = config or ServeConfig()
-        self.recorder = InstrumentationRecorder()
         # The fleet event bus: daemon-side producers (admission, pool,
         # request accounting) publish into this sink explicitly, and the
         # workers' process-local sinks are propagated into it by the
@@ -141,7 +139,6 @@ class SDFGServer:
         self.admission = AdmissionController(
             default_policy=self.config.default_policy,
             policies=self.config.policies,
-            recorder=self.recorder,
             sink=self.sink,
         )
         self.pool = WorkerPool(

@@ -65,8 +65,7 @@ class Store:
     """One directory of content-addressed JSON entries with an mtime LRU.
 
     ``decode`` is the owner's check on a sound entry: it returns what a
-    hit hands back and raises ``ValueError`` for a malformed entry.
-    ``on_count`` sees every counter bump after it is counted.  With
+    hit hands back and raises ``ValueError`` for a malformed entry.  With
     ``root=None`` nothing touches the disk — reads miss, writes are
     dropped — but the counters still run.
     """
@@ -80,7 +79,6 @@ class Store:
         write_point: str,
         max_entries: int = 256,
         decode: Optional[Callable[[Dict[str, Any]], Any]] = None,
-        on_count: Optional[Callable[[str], None]] = None,
     ):
         self.root = root
         self.label = label
@@ -89,7 +87,6 @@ class Store:
         self.write_point = write_point
         self.max_entries = max(1, max_entries)
         self.decode = decode
-        self.on_count = on_count
         self.counts: Counter = Counter()
         self._count_lock = threading.Lock()
         #: Entries seen by the last scan plus keys published since (None
@@ -108,8 +105,6 @@ class Store:
         """Bump one counter and mirror it as a ``cache:<label>`` event."""
         with self._count_lock:
             self.counts[event] += 1
-        if self.on_count is not None:
-            self.on_count(event)
         sink = active_sink()
         if sink is not None:
             sink.publish("cache", self.label, fields={"event": event, "n": 1})

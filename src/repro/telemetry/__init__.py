@@ -24,8 +24,8 @@ continuous counterpart:
   comparison with ``--fail-on-drift``, wired into CI).
 
 Enable process-local collection with ``REPRO_TELEMETRY=1`` (the serve
-daemon enables it for itself and its workers by default); everything is
-a no-op otherwise.
+pool sets it for its workers; the daemon publishes into its own sink
+instead) or :func:`install_sink`; everything is a no-op otherwise.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Bounded ring-buffer telemetry sink (the fleet's event bus).
 
-Producers on hot paths — the instrumentation recorder, the program and
-tuning caches, the watchdog, the serve layer — call
-:meth:`TelemetrySink.publish`.  A publish is one ring-slot write under a
+Producers on hot paths — the instrumentation recorder's timed exits, the
+program and tuning caches, the tuner, the watchdog, the serve layer —
+call :meth:`TelemetrySink.publish`.  A publish is one ring-slot write under a
 lock whose critical section is a couple of list operations: a few
 microseconds, independent of how far behind any consumer is.  The sink
 never blocks and never grows; when producers outrun the consumer the
@@ -15,9 +15,11 @@ returned by their previous drain; they get every event still in the
 ring past that cursor plus the exact number they missed.
 
 A process has at most one *active* sink (:func:`active_sink`), installed
-explicitly (:func:`install_sink` — the serve daemon and its workers do
-this) or implicitly by setting ``REPRO_TELEMETRY=1`` in the environment.
-With no active sink every producer-side hook is a ``None`` check.
+explicitly (:func:`install_sink`) or implicitly by setting
+``REPRO_TELEMETRY=1`` in the environment (the worker pool sets it for
+its workers).  The serve daemon installs none: it hands its own sink to
+admission control and the pool, which publish into it directly.  With no
+active sink every producer-side hook is a ``None`` check.
 """
 
 from __future__ import annotations

@@ -59,25 +59,17 @@ def sort_matches(sdfg, matches: Iterable[Transformation]) -> List[Transformation
     "the k-th match" means the same candidate across runs, processes,
     and replayed histories.
     """
-    state_index = {id(s): i for i, s in enumerate(sdfg.nodes())}
-    node_index: Dict[int, int] = {}
-    for s in sdfg.nodes():
-        for ni, n in enumerate(s.nodes()):
-            node_index[id(n)] = ni
+    states = sdfg.node_index()
 
     def key(inst: Transformation) -> Tuple:
-        values = tuple(inst.candidate.values())
+        values = inst.candidate.values()
         if inst.state is not None:
+            nodes = inst.state.node_index()
             return (
-                state_index.get(id(inst.state), -1),
-                tuple(node_index.get(id(v), -1) for v in values),
+                states.get(inst.state, -1),
+                tuple(nodes.get(v, -1) for v in values),
             )
-        return (
-            -1,
-            tuple(
-                state_index.get(id(v), node_index.get(id(v), -1)) for v in values
-            ),
-        )
+        return (-1, tuple(states.get(v, -1) for v in values))
 
     return sorted(matches, key=key)
 

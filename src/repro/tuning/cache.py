@@ -14,15 +14,15 @@ skipped entirely and the history is replayed through
 Entries live in a :class:`repro.store.Store` (one JSON file per entry,
 atomic writes, mtime-LRU eviction, corrupt files deleted and counted as
 misses; DESIGN.md §16).  Hit/miss/store/evict counters are kept on the
-store and surfaced as ``cache`` instrumentation events on the recorder
-the tuner shares.
+store (:meth:`TuningCache.stats`, the tuning report's ``cache``
+section) and each bump streams to the active telemetry sink as a
+``cache``/``tuning`` event.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from repro.instrumentation import InstrumentationRecorder
 from repro.sdfg.serialize import content_hash
 from repro.store import Store, content_key
 
@@ -42,21 +42,14 @@ def _decode(entry: Dict[str, Any]) -> Dict[str, Any]:
 class TuningCache:
     """On-disk LRU cache of winning transformation histories."""
 
-    def __init__(
-        self,
-        cache_dir: str,
-        max_entries: int = 256,
-        recorder: Optional[InstrumentationRecorder] = None,
-    ):
+    def __init__(self, cache_dir: str, max_entries: int = 256):
         self.cache_dir = cache_dir
-        self.recorder = recorder
         self.disk = Store(
             cache_dir, "tuning", CACHE_SCHEMA_VERSION,
             read_point="tuningcache.disk_read",
             write_point="tuningcache.disk_write",
             max_entries=max_entries,
             decode=_decode,
-            on_count=self._record,
         )
 
     def key(self, sdfg, config_key: str, cost_key: str) -> str:
@@ -94,10 +87,6 @@ class TuningCache:
             return name == sdfg_name or name.startswith(cutout_prefix)
 
         return self.disk.invalidate_where(recorded_for)
-
-    def _record(self, what: str) -> None:
-        if self.recorder is not None:
-            self.recorder.event("cache", what, itype="COUNTER")
 
     def stats(self) -> Dict[str, int]:
         counts = self.disk.counts

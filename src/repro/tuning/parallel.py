@@ -48,7 +48,6 @@ import time
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.diagnostics import make_diagnostic, Severity
-from repro.instrumentation import InstrumentationRecorder
 from repro.sdfg.sdfg import restore_sdfg_inplace
 from repro.telemetry.sink import active_sink
 from repro.transformations.guard import GuardedOptimizer, differential_check
@@ -100,14 +99,11 @@ def _tune_one_cutout(
     provider: CostProvider,
     config,
     cache: Optional[TuningCache],
-    recorder: InstrumentationRecorder,
 ) -> Dict[str, Any]:
     """Search one cutout and return its outcome as plain data."""
     from repro.tuning.search import tune
 
-    result = tune(
-        cutout.sdfg, cost=provider, config=config, cache=cache, recorder=recorder
-    )
+    result = tune(cutout.sdfg, cost=provider, config=config, cache=cache)
     return {
         "history": list(result.history),
         "baseline": result.baseline_score,
@@ -198,7 +194,6 @@ def tune_cutouts(
     inputs: Optional[Mapping[str, Any]] = None,
     machine: str = "cpu",
     symbols: Optional[Mapping[str, int]] = None,
-    recorder: Optional[InstrumentationRecorder] = None,
 ):
     """Cutout tuning of a (multi-state) program; the
     ``strategy="cutout"`` driver behind :func:`repro.tuning.tune`.
@@ -217,7 +212,6 @@ def tune_cutouts(
 
     provider = resolve_provider(cost, inputs=inputs, machine=machine, symbols=symbols)
     cfg = config or TuningConfig(strategy="cutout")
-    recorder = recorder if recorder is not None else InstrumentationRecorder()
     sink = active_sink()
 
     base = sdfg.copy()
@@ -244,7 +238,7 @@ def tune_cutouts(
         ),
     )
     if cache is None and cache_dir is not None:
-        cache = TuningCache(cache_dir, recorder=recorder)
+        cache = TuningCache(cache_dir)
     cut_provider = _cutout_provider(
         provider, cache.cache_dir if cache is not None else None
     )
@@ -268,9 +262,7 @@ def tune_cutouts(
     for members in groups.values():
         start = time.perf_counter()
         try:
-            outcome = _tune_one_cutout(
-                members[0], cut_provider, sub_config, cache, recorder
-            )
+            outcome = _tune_one_cutout(members[0], cut_provider, sub_config, cache)
         except Exception as err:  # noqa: BLE001 - a failed search is an outcome
             outcome = {"error": f"{type(err).__name__}: {err}"}
         record = {

@@ -30,7 +30,6 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-from repro.instrumentation import InstrumentationRecorder
 from repro.sdfg.serialize import content_hash
 from repro.telemetry.sink import active_sink
 from repro.transformations.base import REGISTRY
@@ -204,7 +203,6 @@ def tune(
     inputs: Optional[Mapping[str, Any]] = None,
     machine: str = "cpu",
     symbols: Optional[Mapping[str, int]] = None,
-    recorder: Optional[InstrumentationRecorder] = None,
     jobs: int = 1,
 ) -> TuningResult:
     """Search for the best-scoring transformation sequence over ``sdfg``.
@@ -251,12 +249,9 @@ def tune(
             inputs=inputs,
             machine=machine,
             symbols=symbols,
-            recorder=recorder,
         )
     if cfg.strategy not in ("greedy", "beam"):
         raise ValueError(f"unknown search strategy {cfg.strategy!r}")
-
-    recorder = recorder if recorder is not None else InstrumentationRecorder()
 
     report = TuningReport(
         sdfg=sdfg.name,
@@ -268,9 +263,7 @@ def tune(
 
     store = cache
     if store is None and cache_dir is not None:
-        store = TuningCache(cache_dir, recorder=recorder)
-    elif store is not None and store.recorder is None:
-        store.recorder = recorder
+        store = TuningCache(cache_dir)
     key: Optional[str] = None
     if store is not None:
         key = store.key(sdfg, cfg.key(), provider.key())
@@ -296,7 +289,7 @@ def tune(
     else:
         report.cache = {"enabled": False}
 
-    recorder.enter("tuning", sdfg.name)
+    start = time.perf_counter()
     try:
         state = _SearchState(cfg.budget)
         # Every graph the search holds is validated and propagated — the
@@ -329,7 +322,9 @@ def tune(
         report.transformations = state.xform_stats()
         _publish_xform_stats(report.transformations)
     finally:
-        recorder.exit()
+        sink = active_sink()
+        if sink is not None:
+            sink.publish("tuning", sdfg.name, time.perf_counter() - start)
 
     if store is not None and key is not None:
         store.put(

@@ -4,12 +4,12 @@ import time
 
 import pytest
 
-from repro.instrumentation import InstrumentationRecorder
 from repro.serve.admission import (
     AdmissionController,
     AdmissionError,
     TenantPolicy,
 )
+from repro.telemetry.sink import TelemetrySink
 
 
 def controller(**policy_kw):
@@ -223,16 +223,20 @@ def test_per_tenant_policy_overrides_default():
 
 # ------------------------------------------------------ instrumentation
 def test_admission_emits_serve_and_breaker_events():
-    recorder = InstrumentationRecorder()
+    sink = TelemetrySink()
     ctrl = AdmissionController(
         default_policy=TenantPolicy(breaker_threshold=1, breaker_cooldown=60.0),
-        recorder=recorder,
+        sink=sink,
     )
     ctrl.admit("mallory").complete(failure_code="E201")
     with pytest.raises(AdmissionError):
         ctrl.admit("mallory")
-    labels = set(recorder.root.children.keys())
-    assert ("serve", "admit[mallory]") in labels
-    assert ("serve", "failure[mallory]:E201") in labels
-    assert ("breaker", "mallory:closed->open") in labels
-    assert ("serve", "reject[mallory]:R807") in labels
+    events, _, _ = sink.drain(0)
+    assert [(e.kind, e.label, e.fields) for e in events] == [
+        ("admission", "mallory", {"event": "admit", "code": None}),
+        ("breaker", "mallory", {"old": "closed", "new": "open"}),
+        ("admission", "mallory", {"event": "reject", "code": "R807"}),
+    ]
+    tenant = ctrl.stats()["tenants"]["mallory"]
+    assert tenant["failures"] == 1
+    assert tenant["admitted"] == 1 and tenant["rejected"] == 1

@@ -3,7 +3,7 @@ corrupt-entry tolerance, and instrumented hit/miss counters."""
 
 import os
 
-from repro.instrumentation import InstrumentationRecorder
+from repro.telemetry.sink import TelemetrySink, install_sink
 from repro.transformations import apply_match
 from repro.tuning import TuningCache
 from repro.workloads import kernels
@@ -91,16 +91,19 @@ class TestCorruptEntries:
 
 
 class TestInstrumentation:
-    def test_hit_miss_events_on_recorder(self, tmp_path):
-        rec = InstrumentationRecorder()
-        cache = TuningCache(str(tmp_path), recorder=rec)
-        cache.get("f" * 64)
-        cache.put("f" * 64, _entry([]))
-        cache.get("f" * 64)
-        events = {
-            (k, label): node.count
-            for (k, label), node in rec.root.children.items()
-        }
-        assert events[("cache", "miss")] == 1
-        assert events[("cache", "hit")] == 1
-        assert events[("cache", "store")] == 1
+    def test_hit_miss_store_events_on_sink_and_stats(self, tmp_path):
+        sink = TelemetrySink()
+        previous = install_sink(sink)
+        try:
+            cache = TuningCache(str(tmp_path))
+            cache.get("f" * 64)
+            cache.put("f" * 64, _entry([]))
+            cache.get("f" * 64)
+        finally:
+            install_sink(previous)
+        events, _, _ = sink.drain(0)
+        assert [(e.kind, e.label, e.fields) for e in events] == [
+            ("cache", "tuning", {"event": what, "n": 1})
+            for what in ("miss", "store", "hit")
+        ]
+        assert cache.stats() == {"hits": 1, "misses": 1, "evictions": 0}

@@ -9,7 +9,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.instrumentation import InstrumentationRecorder
 from repro.sdfg.serialize import (
     canonical_sdfg_json,
     content_hash,
@@ -17,6 +16,7 @@ from repro.sdfg.serialize import (
     sdfg_to_json,
 )
 from repro.symbolic import memo
+from repro.telemetry.sink import TelemetrySink, install_sink
 from repro.transformations import auto_optimize, replay
 from repro.transformations.guard import GuardedOptimizer
 from repro.transformations.optimizer import _resolve, sort_matches
@@ -232,21 +232,27 @@ class TestReportAndInstrumentation:
         assert loaded.render() == result.report.render()
         assert loaded.speedup() == result.report.speedup()
 
-    def test_tuning_and_cache_events_on_recorder(self, tmp_path):
-        rec = InstrumentationRecorder()
-        tune(
-            kernels.matmul_sdfg(),
-            cost=AnalyticCost(machine="cpu"),
-            depth=1,
-            budget=4,
-            transformations=POOL,
-            cache_dir=str(tmp_path / "c"),
-            recorder=rec,
-        )
-        kinds = {k for (k, _label) in rec.root.children}
-        assert "tuning" in kinds
-        assert "cache" in kinds
-        assert rec.is_balanced()
+    def test_tuning_and_cache_events_on_sink(self, tmp_path):
+        sink = TelemetrySink()
+        previous = install_sink(sink)
+        try:
+            result = tune(
+                kernels.matmul_sdfg(),
+                cost=AnalyticCost(machine="cpu"),
+                depth=1,
+                budget=4,
+                transformations=POOL,
+                cache_dir=str(tmp_path / "c"),
+            )
+        finally:
+            install_sink(previous)
+        events, _, _ = sink.drain(0)
+        timed = [e for e in events if e.kind == "tuning" and e.label == "mm"]
+        assert len(timed) == 1 and timed[0].value >= 0
+        cache = [e.fields["event"] for e in events if e.kind == "cache"
+                 and e.label == "tuning"]
+        assert cache == ["miss", "store"]
+        assert result.report.cache["misses"] == 1
 
 
 class TestAutoOptimizeIntegration:
