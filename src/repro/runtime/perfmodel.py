@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from repro.runtime.interpreter import next_state
 from repro.runtime.machine import MACHINES, FPGAModel, MachineModel
@@ -100,6 +100,12 @@ class SimReport:
     transfer_bytes: float = 0.0
     kernel_launches: int = 0
     breakdown: List[Tuple[str, float]] = field(default_factory=list)
+    #: Names the walk read without a binding, other than the parameters
+    #: of the scopes of the state it was reading: where an expression
+    #: counted once, a nested SDFG's mapping entry was left out, or a
+    #: transition ended the state walk.  Binding only names outside
+    #: this set does not change the report.
+    unbound: FrozenSet[str] = frozenset()
 
     @property
     def achieved_flops(self) -> float:
@@ -133,7 +139,14 @@ class PerformanceModel:
         # with equal bindings through the ``model_eval`` memo table (the
         # value's type keeps ``N = 4`` and ``N = 4.0`` apart).
         binding = tuple(sorted((k, type(v), v) for k, v in self.symbols.items()))
+        #: An expression that reads unbound names maps to the frozenset
+        #: of those names, a fact of the binding alone, so every model
+        #: that reads it from the shared table learns what it lacked.
         self._values: Dict = memo.memoized("model_eval", binding, dict)
+        #: What :attr:`SimReport.unbound` reports, and the names read
+        #: unbound in the state walked now, not yet told from its params.
+        self.unbound: Set[str] = set()
+        self._missing: Set[str] = set()
 
     # ------------------------------------------------------------- execution
     def state_visit_counts(self, max_visits: int = 100_000) -> Dict[int, int]:
@@ -156,6 +169,10 @@ class PerformanceModel:
             try:
                 state, assigned = next_state(self.sdfg, state, env)
             except KeyError:
+                for e in self.sdfg.out_edges(state):
+                    self.unbound.update(
+                        s.name for s in e.data.free_symbols if s.name not in env
+                    )
                 break
             env.update(assigned)
         return counts
@@ -164,17 +181,21 @@ class PerformanceModel:
     def _eval(self, expr) -> float:
         values = self._values
         try:
-            return values[expr]
+            value = values[expr]
         except KeyError:
-            pass
-        try:
-            value = float(expr.evaluate(self.symbols))
-        except KeyError:
-            value = 1.0  # unbound (data-dependent); count once
-        if len(values) >= memo.MAX_ENTRIES:
-            values.clear()
-        values[expr] = value
-        return value
+            try:
+                value = float(expr.evaluate(self.symbols))
+            except KeyError:
+                value = frozenset(
+                    s.name for s in expr.free_symbols if s.name not in self.symbols
+                )
+            if len(values) >= memo.MAX_ENTRIES:
+                values.clear()
+            values[expr] = value
+        if value.__class__ is float:
+            return value
+        self._missing |= value
+        return 1.0  # unbound (data-dependent); count once
 
     def state_costs(self, state) -> Tuple[List[ScopeCost], float]:
         """Per-top-level-scope costs and host<->device transfer bytes."""
@@ -211,8 +232,18 @@ class PerformanceModel:
                     cs, tr = inner.state_costs(st)
                     costs.extend(cs)
                     transfer += tr
+                self.unbound |= inner.unbound
             elif isinstance(node, AccessNode):
                 transfer += self._copy_transfer_bytes(state, node)
+        if self._missing:
+            params = set()
+            for entry in state.entry_nodes():
+                if isinstance(entry, MapEntry):
+                    params.update(entry.map.params)
+                else:
+                    params.add(entry.consume.pe_param)
+            self.unbound |= self._missing - params
+            self._missing = set()
         return costs, transfer
 
     def _inner_symbols(self, node: NestedSDFG) -> Dict[str, float]:
@@ -224,6 +255,9 @@ class PerformanceModel:
             try:
                 inner[name] = expr.evaluate(self.symbols)
             except KeyError:
+                self._missing.update(
+                    s.name for s in expr.free_symbols if s.name not in self.symbols
+                )
                 inner.pop(name, None)
         return inner
 
@@ -385,4 +419,5 @@ def simulate_analysed(
         if t_tr:
             report.breakdown.append((f"{state.name}/transfer", t_tr * reps))
         report.time += state_time * reps
+    report.unbound = frozenset(model.unbound)
     return report

@@ -460,6 +460,44 @@ def content_hash(sdfg) -> str:
     return hashlib.sha256(canonical_sdfg_json(sdfg).encode("utf-8")).hexdigest()
 
 
+def structural_fingerprint(sdfg) -> tuple:
+    """A cheap partial key of the canonical form, built in one pass.
+
+    Per state: each node's serialized ``type``, plus a map entry's or
+    exit's label, params, range, schedule and ``vectorized`` mark, an
+    access node's data name and a tasklet's name and code, all in the
+    form :func:`node_to_json` writes them; and the state's edge count.
+    Then the sorted container names and the transition count.  Nothing
+    here is something :func:`canonical_form` drops or reorders (edge
+    and transition order, the transformation history), so equal
+    canonical forms give equal fingerprints; the converse does not
+    hold, so two graphs with one fingerprint are told apart by
+    :func:`content_hash`.
+    """
+    states = []
+    for state in sdfg.nodes():
+        kinds = []
+        for node in state.nodes():
+            if isinstance(node, AccessNode):
+                kinds.append(("AccessNode", node.data))
+            elif isinstance(node, Tasklet):
+                kinds.append(("Tasklet", node.name, node.code))
+            elif isinstance(node, (MapEntry, MapExit)):
+                m = node.map
+                kinds.append((
+                    type(node).__name__, m.label, tuple(m.params), str(m.range),
+                    m.schedule._name_, m.vectorized,
+                ))
+            elif isinstance(node, Reduce):
+                kinds.append("Reduce")
+            elif isinstance(node, NestedSDFG):
+                kinds.append("NestedSDFG")
+            else:
+                kinds.append(type(node).__name__)
+        states.append((tuple(kinds), state.number_of_edges()))
+    return tuple(states), tuple(sorted(sdfg.arrays)), sdfg.number_of_edges()
+
+
 def sdfg_from_json(obj: Dict[str, Any]):
     from repro.sdfg.sdfg import SDFG, InterstateEdge
 

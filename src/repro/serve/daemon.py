@@ -52,7 +52,7 @@ from repro.serve.admission import (
 )
 from repro.serve.pool import WorkerPool
 from repro.telemetry.aggregate import WindowedAggregator
-from repro.telemetry.sink import TelemetrySink
+from repro.telemetry.sink import TelemetrySink, active_sink, install_sink
 
 #: The longest path an ``AF_UNIX`` socket binds to (``sun_path`` less its NUL).
 _UNIX_PATH_MAX = 107
@@ -126,8 +126,14 @@ class SDFGServer:
         # The fleet event bus: daemon-side producers (admission, pool,
         # request accounting) publish into this sink explicitly, and the
         # workers' process-local sinks are propagated into it by the
-        # pool, so one aggregator sees the whole fleet.
+        # pool, so one aggregator sees the whole fleet.  From start() to
+        # stop() it is also the process sink, so producers that publish
+        # through active_sink() (crash-bundle rotation, chaos faults)
+        # reach it too.
         self.sink: Optional[TelemetrySink] = None
+        #: The process sink start() displaced (it holds one entry
+        #: while this server's sink is installed).
+        self._displaced: list = []
         self.aggregator: Optional[WindowedAggregator] = None
         if self.config.telemetry:
             self.sink = TelemetrySink(capacity=self.config.telemetry_capacity)
@@ -171,6 +177,11 @@ class SDFGServer:
 
     # ---------------------------------------------------------- lifecycle
     def start(self) -> "SDFGServer":
+        if self.sink is not None:
+            # active_sink(), not install_sink()'s return: it resolves a
+            # REPRO_TELEMETRY sink not yet made, which stop() restores.
+            self._displaced.append(active_sink())
+            install_sink(self.sink)
         private_socket = not (self.config.socket_path or self.config.tcp)
         family, address = self.config.resolve_address()
         if private_socket:  # in a directory made for it, which stop() removes
@@ -244,6 +255,13 @@ class SDFGServer:
                     except OSError:
                         pass
         finally:
+            try:
+                previous = self._displaced.pop()
+            except IndexError:  # never installed, or restored already
+                pass
+            else:
+                if active_sink() is self.sink:  # not replaced meanwhile
+                    install_sink(previous)
             self._stopped.set()
 
     def request_shutdown(self, grace: Optional[float] = None) -> None:

@@ -17,9 +17,13 @@ ring past that cursor plus the exact number they missed.
 A process has at most one *active* sink (:func:`active_sink`), installed
 explicitly (:func:`install_sink`) or implicitly by setting
 ``REPRO_TELEMETRY=1`` in the environment (the worker pool sets it for
-its workers).  The serve daemon installs none: it hands its own sink to
-admission control and the pool, which publish into it directly.  With no
-active sink every producer-side hook is a ``None`` check.
+its workers).  A serve daemon with telemetry on installs its own sink
+from ``start()`` to ``stop()`` and puts the previous one back after: it
+also hands that sink to admission control and the pool, which publish
+into it directly, and the process-wide producers on the daemon's side
+(crash-bundle rotation, chaos ``fault`` events) reach it through
+:func:`active_sink`.  With no active sink every producer-side hook is a
+``None`` check.
 """
 
 from __future__ import annotations

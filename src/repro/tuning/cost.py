@@ -171,11 +171,24 @@ class AnalyticCost(CostProvider):
         return self._model_time(simulate_analysed, sdfg)
 
     def _model_time(self, sim, sdfg) -> float:
+        """The model's time with every unbound size symbol (declared, or
+        free in the graph) at ``symbol_default``.  The free ones take a
+        walk over the whole graph to find, so they are looked for only
+        when the model read a name the declared ones leave unbound."""
         symbols = dict(self.symbols)
-        for s in sorted(set(sdfg.free_symbols()) | set(sdfg.symbols)):
-            if s not in symbols and s not in sdfg.constants:
+        constants = sdfg.constants
+        for s in sdfg.symbols:
+            if s not in symbols and s not in constants:
                 symbols[s] = self.symbol_default
-        return float(sim(sdfg, self.machine, symbols, self.naive_fpga).time)
+        report = sim(sdfg, self.machine, symbols, self.naive_fpga)
+        if any(name not in sdfg.arrays for name in report.unbound):
+            free = [
+                s for s in sdfg.free_symbols() if s not in symbols and s not in constants
+            ]
+            if free:
+                symbols.update(dict.fromkeys(free, self.symbol_default))
+                report = sim(sdfg, self.machine, symbols, self.naive_fpga)
+        return float(report.time)
 
 
 def resolve_provider(

@@ -15,7 +15,8 @@ the space of legal transformation sequences:
    wall-clock or the analytic machine model) and explored greedily or
    with beam search under a global evaluation budget;
 4. variants are deduplicated by canonical content hash, so sequences
-   that commute are scored once.
+   that commute are scored once; a candidate is hashed only when its
+   structural fingerprint matches one already scored.
 
 The result carries the winning history (replayable via
 ``optimizer.replay``), a full :class:`TuningReport` trace, and — when a
@@ -28,9 +29,9 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.sdfg.serialize import content_hash
+from repro.sdfg.serialize import content_hash, structural_fingerprint
 from repro.telemetry.sink import active_sink
 from repro.transformations.base import REGISTRY
 from repro.transformations.guard import GuardedOptimizer
@@ -131,32 +132,64 @@ class TuningResult:
 @dataclass
 class _Variant:
     """One point in the search space: its graph, validated and
-    propagated, which its candidates copy and never change."""
+    propagated, which its candidates copy and never change.
+
+    ``hash`` is the graph's content hash once something needed it: a
+    later candidate with the same structural fingerprint, or this
+    variant's own fingerprint matching an earlier one's."""
 
     history: List[Dict[str, Any]]
     sdfg: Any
-    hash: str
     score: float
+    hash: Optional[str] = None
 
     def label(self) -> str:
         return history_label(self.history)
 
+    def content_hash(self) -> str:
+        if self.hash is None:
+            self.hash = content_hash(self.sdfg)
+        return self.hash
+
 
 class _SearchState:
     """Shared bookkeeping across one search: budget, dedup table and
-    per-transformation statistics."""
+    per-transformation statistics.
+
+    The dedup table holds the root and every scored variant, bucketed
+    by :func:`structural_fingerprint`.  Equal canonical forms give equal
+    fingerprints, so a candidate whose fingerprint is new cannot be a
+    duplicate and is never hashed; one that lands in a bucket is a
+    duplicate exactly when its content hash equals a bucket member's."""
 
     def __init__(self, budget: int):
         self.budget = budget
         self.evals = 0
-        #: content hash -> best known score (duplicate pruning).
-        self.seen: Dict[str, float] = {}
+        #: structural fingerprint -> variants remembered under it.
+        self.seen: Dict[Tuple, List[_Variant]] = {}
         #: per-transformation candidate/accept/reject counts and
         #: apply/evaluate wall-clock (surfaced as tuning telemetry).
         self.xforms: Dict[str, Dict[str, float]] = {}
 
     def exhausted(self) -> bool:
         return self.evals >= self.budget
+
+    def duplicate(
+        self, sdfg, fingerprint: Tuple
+    ) -> Tuple[Optional[_Variant], Optional[str]]:
+        """The remembered variant ``sdfg`` duplicates (or None), and
+        ``sdfg``'s content hash when telling that took one."""
+        bucket = self.seen.get(fingerprint)
+        if not bucket:
+            return None, None
+        digest = content_hash(sdfg)
+        for variant in bucket:
+            if variant.content_hash() == digest:
+                return variant, digest
+        return None, digest
+
+    def remember(self, variant: _Variant, fingerprint: Tuple) -> None:
+        self.seen.setdefault(fingerprint, []).append(variant)
 
     def xform(self, name: str) -> Dict[str, float]:
         return self.xforms.setdefault(
@@ -300,13 +333,8 @@ def tune(
         root_sdfg.validate()
         root_sdfg.propagate()
         baseline = provider.score_analysed(root_sdfg)
-        root = _Variant(
-            history=[],
-            sdfg=root_sdfg,
-            hash=content_hash(root_sdfg),
-            score=baseline,
-        )
-        state.seen[root.hash] = baseline
+        root = _Variant(history=[], sdfg=root_sdfg, score=baseline)
+        state.remember(root, structural_fingerprint(root_sdfg))
         report.baseline_score = baseline
 
         if cfg.strategy == "greedy":
@@ -470,11 +498,12 @@ def _expand(
                 )
                 continue
             # The guard validated and propagated the child.
-            digest = content_hash(work)
-            if digest in state.seen:
+            fingerprint = structural_fingerprint(work)
+            twin, digest = state.duplicate(work, fingerprint)
+            if twin is not None:
                 report.add(
                     depth, parent_label, name, index, "pruned_duplicate",
-                    score=state.seen[digest],
+                    score=twin.score,
                     reason="variant already scored (identical canonical form)",
                 )
                 continue
@@ -492,17 +521,15 @@ def _expand(
                 )
                 continue
             stats["accepted"] += 1
-            state.seen[digest] = score
             report.add(depth, parent_label, name, index, "scored", score=score)
-            children.append(
-                _Variant(
-                    history=variant.history
-                    + [{"transformation": name, "match": index}],
-                    sdfg=work,
-                    hash=digest,
-                    score=score,
-                )
+            child = _Variant(
+                history=variant.history + [{"transformation": name, "match": index}],
+                sdfg=work,
+                score=score,
+                hash=digest,
             )
+            state.remember(child, fingerprint)
+            children.append(child)
     return children
 
 

@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.runtime.perfmodel import simulate_analysed
+from repro.sdfg import SDFG, Memlet, dtypes
 from repro.sdfg.serialize import content_hash
+from repro.transformations import apply_match
 from repro.tuning import AnalyticCost, CostProvider, MeasuredCost, resolve_provider
 from repro.workloads import kernels
 
@@ -35,6 +38,92 @@ class TestAnalyticCost:
             AnalyticCost("cpu", symbols={"N": 8}).key()
             != AnalyticCost("cpu", symbols={"N": 9}).key()
         )
+
+
+def _implicit_symbol_sdfg():
+    """``B[i] = A[i] * 2`` over ``0:K``, where ``K`` is free in the map
+    range but not declared (arrays are sized by ``N``)."""
+    sdfg = SDFG("implicit_k")
+    sdfg.add_array("A", ("N",), dtypes.float64)
+    sdfg.add_array("B", ("N",), dtypes.float64)
+    state = sdfg.add_state("s")
+    state.add_mapped_tasklet(
+        "scale", {"i": "0:K"},
+        inputs={"a": Memlet.simple("A", "i")},
+        code="b = a * 2",
+        outputs={"b": Memlet.simple("B", "i")},
+    )
+    assert "K" not in sdfg.symbols and "K" in sdfg.free_symbols()
+    return sdfg
+
+
+def _loop_sdfg():
+    """The implicit-symbol graph with its map turned into a loop."""
+    sdfg = _implicit_symbol_sdfg()
+    assert apply_match(sdfg, "MapToForLoop")
+    return sdfg
+
+
+def _tiled_sdfg():
+    """matmul tiled: inner ranges read the tile parameters, which no
+    default binds."""
+    sdfg = kernels.matmul_sdfg()
+    assert apply_match(sdfg, "MapTiling")
+    return sdfg
+
+
+def _eager_time(provider, sdfg):
+    """The model's time with every unbound declared or free size symbol
+    bound to the default up front."""
+    symbols = dict(provider.symbols)
+    for s in sorted(set(sdfg.free_symbols()) | set(sdfg.symbols)):
+        if s not in symbols and s not in sdfg.constants:
+            symbols[s] = provider.symbol_default
+    return float(simulate_analysed(sdfg, provider.machine, symbols).time)
+
+
+class TestSymbolDefaults:
+    """The model binds the graph's free size symbols only when its walk
+    read a name the declared ones leave unbound; scores are those of
+    binding them all up front, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "make", [_implicit_symbol_sdfg, _loop_sdfg, _tiled_sdfg, kernels.matmul_sdfg]
+    )
+    @pytest.mark.parametrize("machine", ["cpu", "gpu", "fpga"])
+    @pytest.mark.parametrize("symbols", [{}, {"N": 96}])
+    def test_lazy_default_equals_eager_binding(self, make, machine, symbols):
+        sdfg = make()
+        sdfg.validate()
+        sdfg.propagate()
+        provider = AnalyticCost(machine=machine, symbols=symbols)
+        assert provider.score_analysed(sdfg).hex() == _eager_time(provider, sdfg).hex()
+
+    def test_implicit_symbol_takes_the_default(self):
+        sdfg = _implicit_symbol_sdfg()
+        sdfg.validate()
+        sdfg.propagate()
+        report = simulate_analysed(sdfg, "cpu", {"N": 64})
+        assert report.unbound == {"K"}
+        assert AnalyticCost(symbols={"N": 64, "K": 1024}).score_analysed(sdfg) == (
+            AnalyticCost(symbols={"N": 64}).score_analysed(sdfg)
+        )
+        assert AnalyticCost(symbols={"N": 64, "K": 8}).score_analysed(sdfg) < (
+            AnalyticCost(symbols={"N": 64}).score_analysed(sdfg)
+        )
+
+    def test_scope_parameters_read_unbound_take_no_symbol_walk(self, monkeypatch):
+        sdfg = _tiled_sdfg()
+        sdfg.validate()
+        sdfg.propagate()
+        walks = []
+        free_symbols = SDFG.free_symbols
+        monkeypatch.setattr(
+            SDFG, "free_symbols", lambda g: walks.append(g.name) or free_symbols(g)
+        )
+        assert AnalyticCost(symbols={}).score_analysed(sdfg) > 0
+        assert simulate_analysed(sdfg, "cpu", {}).unbound == {"K", "M", "N"}
+        assert walks == []
 
 
 class TestMeasuredCost:
