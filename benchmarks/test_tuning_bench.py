@@ -5,9 +5,12 @@ cutout strategy against the serial whole-SDFG search.
 Not a paper figure — this validates the tuning subsystem at benchmark
 scale: the winner found by :func:`repro.tuning.tune` must not be slower
 than the naive SDFG on the measured backend, a warm cache must replace
-the search with a single replay, and on the multi-state gemm chain the
-cutout strategy must reach a cost no worse than the serial search while
-evaluating fewer candidates (dedup: 16 states, 9 unique kernels).
+the search with a single replay, and on the multi-state matmul chain
+the cutout strategy must reach a cost no worse than the serial search
+while evaluating fewer candidates (dedup: 16 states, 9 unique kernels).
+The chain's product states win MapReduceFusion on the analytic model;
+the gemm chain's cutouts no longer improve there, so it stitches
+nothing.
 
 With ``REPRO_BENCH_REPORTS`` set the module refreshes
 ``benchmarks/baselines/BENCH_tuning.json`` (tuned-kernel p50s the
@@ -28,7 +31,7 @@ from repro.workloads import kernels
 
 SIZE = 48  # decisive margins on the python backend, still cheap
 
-CHAIN_LINKS = 8   # 16 states: 8 identical inits + 8 distinct gemms
+CHAIN_LINKS = 8   # 16 states: 8 distinct scales + 8 identical products
 CHAIN_N = 48      # analytic problem size (symbols only, never executed)
 CHAIN_EXEC_N = 16  # execution size for the stitched-correctness check
 
@@ -104,11 +107,11 @@ def chain_searches():
     common = dict(cost="analytic", symbols={"N": CHAIN_N},
                   transformations=pool, depth=3)
     t0 = time.perf_counter()
-    serial = tune(kernels.gemm_chain_sdfg(CHAIN_LINKS), strategy="beam",
+    serial = tune(kernels.matmul_chain_sdfg(CHAIN_LINKS), strategy="beam",
                   beam_width=3, budget=96, **common)
     serial_wall = time.perf_counter() - t0
     t0 = time.perf_counter()
-    cutout = tune(kernels.gemm_chain_sdfg(CHAIN_LINKS), strategy="cutout",
+    cutout = tune(kernels.matmul_chain_sdfg(CHAIN_LINKS), strategy="cutout",
                   budget=4, **common)
     cutout_wall = time.perf_counter() - t0
     return {"serial": serial, "serial_wall": serial_wall,
@@ -125,10 +128,10 @@ def test_cutout_cost_beats_serial_with_fewer_evals(chain_searches,
     assert cutout.best_score <= serial.best_score
     assert cutout.report.budget_used < serial.report.budget_used
     results_table.append(
-        ("tuning", "gemm_chain", "serial-beam-search",
+        ("tuning", "matmul_chain", "serial-beam-search",
          chain_searches["serial_wall"]))
     results_table.append(
-        ("tuning", "gemm_chain", "cutout-search",
+        ("tuning", "matmul_chain", "cutout-search",
          chain_searches["cutout_wall"]))
 
 
@@ -137,7 +140,7 @@ def test_cutout_dedup_and_stitching(chain_searches):
     assert cuts["total"] == 2 * CHAIN_LINKS
     assert cuts["unique"] == CHAIN_LINKS + 1
     assert cuts["deduplicated"] == CHAIN_LINKS - 1
-    assert cuts["stitched"] == 2 * CHAIN_LINKS
+    assert cuts["stitched"] == CHAIN_LINKS  # the product group, in every link
     assert cuts["verification"].startswith("ok")
 
 
@@ -155,7 +158,7 @@ def test_cutout_stitched_sdfg_correct_at_1e8(chain_searches):
 
 
 def test_search_matches_committed_baseline(chain_searches):
-    """The gemm-chain searches are deterministic (analytic cost): their
+    """The matmul-chain searches are deterministic (analytic cost): their
     evaluation counts and scores must equal the committed baseline's
     ``search`` section, so the file cannot go stale silently."""
     with open(os.path.join(BASELINES_DIR, "BENCH_tuning.json")) as f:
@@ -189,7 +192,7 @@ def test_refresh_tuning_baseline(tuned, chain_searches):
     payload = json.dumps({
         "kernels": {
             "matmul": {"p50": mm_p50, "count": mm_n},
-            "gemm_chain": {"p50": chain_p50, "count": chain_n},
+            "matmul_chain": {"p50": chain_p50, "count": chain_n},
         },
         "search": {
             "serial_evals": chain_searches["serial"].report.budget_used,

@@ -44,6 +44,7 @@ CODES: Dict[str, str] = {
     "V003": "duplicate state names",
     "V004": "interstate assignment targets a data container",
     "V005": "container shape or strides name a map or consume parameter",
+    "V006": "memlet outside a scope names a parameter of that scope",
     # --- state-level structure (V1xx)
     "V101": "state dataflow graph is cyclic",
     "V102": "malformed scope structure",
@@ -58,6 +59,7 @@ CODES: Dict[str, str] = {
     "V207": "nested SDFG connector has no matching container",
     "V208": "consume entry needs exactly one stream input",
     "V209": "consume entry input must come from a stream",
+    "V210": "map range names a dynamic-range connector its entry lacks",
     # --- edge/memlet checks (V3xx)
     "V301": "memlet references undefined container",
     "V302": "memlet subset rank mismatch",

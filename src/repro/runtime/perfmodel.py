@@ -23,6 +23,7 @@ just done that analysis themselves.
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
@@ -34,22 +35,17 @@ from repro.sdfg.nodes import (
     AccessNode,
     ConsumeEntry,
     EntryNode,
-    ExitNode,
     MapEntry,
     NestedSDFG,
     Reduce,
     Tasklet,
 )
 from repro.graph import topological_sort
+from repro.sdfg.propagation import scope_param_ranges
 from repro.symbolic import memo
+from repro.symbolic.sets import sum_over_ranges
 
 _GPU_STORAGE = {StorageType.GPU_Global, StorageType.GPU_Shared}
-_HOST_STORAGE = {
-    StorageType.Default,
-    StorageType.CPU_Heap,
-    StorageType.CPU_Pinned,
-    StorageType.CPU_ThreadLocal,
-}
 
 
 def tasklet_flops(tasklet: Tasklet) -> int:
@@ -100,11 +96,10 @@ class SimReport:
     transfer_bytes: float = 0.0
     kernel_launches: int = 0
     breakdown: List[Tuple[str, float]] = field(default_factory=list)
-    #: Names the walk read without a binding, other than the parameters
-    #: of the scopes of the state it was reading: where an expression
-    #: counted once, a nested SDFG's mapping entry was left out, or a
-    #: transition ended the state walk.  Binding only names outside
-    #: this set does not change the report.
+    #: Names the walk read without a binding, all of them data-dependent:
+    #: where an expression counted once, a nested SDFG's mapping entry was
+    #: left out, or a transition ended the state walk.  Binding only names
+    #: outside this set does not change the report.
     unbound: FrozenSet[str] = frozenset()
 
     @property
@@ -143,10 +138,8 @@ class PerformanceModel:
         #: of those names, a fact of the binding alone, so every model
         #: that reads it from the shared table learns what it lacked.
         self._values: Dict = memo.memoized("model_eval", binding, dict)
-        #: What :attr:`SimReport.unbound` reports, and the names read
-        #: unbound in the state walked now, not yet told from its params.
+        #: What :attr:`SimReport.unbound` reports.
         self.unbound: Set[str] = set()
-        self._missing: Set[str] = set()
 
     # ------------------------------------------------------------- execution
     def state_visit_counts(self, max_visits: int = 100_000) -> Dict[int, int]:
@@ -157,15 +150,15 @@ class PerformanceModel:
         bindings, so symbol-governed loops count exactly.  A transition
         that reads a container (a data-dependent condition or assignment)
         ends the walk: the states after it count 0, a deliberate lower
-        bound.
+        bound.  Each visit's values of the names the transitions assigned
+        (the loop variables) are kept for :meth:`visit_costs`.
         """
-        counts: Dict[int, int] = {id(s): 0 for s in self.sdfg.nodes()}
-        env = dict(self.symbols)
+        self._visits = {id(s): Counter() for s in self.sdfg.nodes()}
+        env, loop = dict(self.symbols), {}
         state = self.sdfg.start_state
-        visits = 0
-        while state is not None and visits < max_visits:
-            counts[id(state)] += 1
-            visits += 1
+        while state is not None and max_visits > 0:
+            self._visits[id(state)][tuple(sorted(loop.items()))] += 1
+            max_visits -= 1
             try:
                 state, assigned = next_state(self.sdfg, state, env)
             except KeyError:
@@ -175,7 +168,29 @@ class PerformanceModel:
                     )
                 break
             env.update(assigned)
-        return counts
+            loop.update(assigned)
+        return {k: sum(c.values()) for k, c in self._visits.items()}
+
+    def visit_costs(self, state) -> List[Tuple[List[ScopeCost], float, int]]:
+        """``(costs, transfer bytes, visits)`` over the walked visits: one
+        :meth:`state_costs` for all, or, if it read loop variables, one
+        per value of those among the visits (the walk binds them)."""
+        visits = self._visits[id(state)]
+        if not visits:
+            return []
+        costs, transfer = self.state_costs(state)
+        # A name a transition assigned is never left in ``unbound``.
+        loop = self.unbound & {name for key in visits for name, _ in key}
+        if not loop:
+            return [(costs, transfer, sum(visits.values()))]
+        self.unbound -= loop
+        groups = Counter(tuple(i for i in k if i[0] in loop) for k in visits.elements())
+        out = []
+        for key, n in sorted(groups.items()):
+            inner = PerformanceModel(self.sdfg, {**self.symbols, **dict(key)})
+            out.append((*inner.state_costs(state), n))
+            self.unbound |= inner.unbound
+        return out
 
     # --------------------------------------------------------------- analysis
     def _eval(self, expr) -> float:
@@ -194,7 +209,7 @@ class PerformanceModel:
             values[expr] = value
         if value.__class__ is float:
             return value
-        self._missing |= value
+        self.unbound |= value
         return 1.0  # unbound (data-dependent); count once
 
     def state_costs(self, state) -> Tuple[List[ScopeCost], float]:
@@ -203,29 +218,23 @@ class PerformanceModel:
         transfer = 0.0
         sd = state.scope_dict()
         order = topological_sort(state)
+        runs = self._execution_counts(order, sd)
         for node in order:
             if sd.get(node) is not None:
                 continue
             if isinstance(node, MapEntry):
-                costs.append(self._scope_cost(state, node, sd))
+                costs.append(self._scope_cost(state, node, sd, runs))
             elif isinstance(node, ConsumeEntry):
-                cost = ScopeCost(label=node.consume.label)
-                cost.iterations = self._eval(node.consume.num_pes)
-                cost.flops = cost.iterations * 2
-                costs.append(cost)
+                pes = runs[node]
+                costs.append(ScopeCost(node.consume.label, pes, flops=pes * 2))
             elif isinstance(node, Tasklet):
-                c = ScopeCost(label=node.name, iterations=1)
-                c.flops = tasklet_flops(node)
-                c.bytes_moved = self._edge_bytes(state, node)
-                costs.append(c)
+                bytes_moved = self._edge_bytes(state, node)
+                costs.append(ScopeCost(node.name, 1, tasklet_flops(node), bytes_moved))
             elif isinstance(node, Reduce):
                 in_e = state.in_edges(node)[0]
                 vol = self._eval(in_e.data.volume)
                 dt = self.sdfg.arrays[in_e.data.data].dtype.bytes
-                c = ScopeCost(label=node.label, iterations=vol)
-                c.flops = vol
-                c.bytes_moved = vol * dt * 2
-                costs.append(c)
+                costs.append(ScopeCost(node.label, vol, vol, vol * dt * 2))
             elif isinstance(node, NestedSDFG):
                 inner = PerformanceModel(node.sdfg, self._inner_symbols(node))
                 for st in node.sdfg.nodes():
@@ -235,16 +244,26 @@ class PerformanceModel:
                 self.unbound |= inner.unbound
             elif isinstance(node, AccessNode):
                 transfer += self._copy_transfer_bytes(state, node)
-        if self._missing:
-            params = set()
-            for entry in state.entry_nodes():
-                if isinstance(entry, MapEntry):
-                    params.update(entry.map.params)
-                else:
-                    params.add(entry.consume.pe_param)
-            self.unbound |= self._missing - params
-            self._missing = set()
         return costs, transfer
+
+    def _execution_counts(self, order, sd) -> Dict[EntryNode, float]:
+        """The execution-count tree: the runs of each scope's body in one
+        visit of its state, its count summed over the enclosing parameters'
+        values (a count that names none: the parent's runs times it)."""
+        runs: Dict[EntryNode, float] = {}
+        chains: Dict[Optional[EntryNode], list] = {None: []}  # innermost first
+        for node in order:
+            if not isinstance(node, EntryNode):
+                continue
+            is_map, parent = isinstance(node, MapEntry), sd.get(node)
+            count = node.map.num_iterations() if is_map else node.consume.num_pes
+            ranges = chains[parent]
+            chains[node] = [*reversed(scope_param_ranges(node).items()), *ranges]
+            if not {name for name, _ in ranges} & {s.name for s in count.free_symbols}:
+                runs[node] = runs.get(parent, 1.0) * self._eval(count)
+                continue
+            runs[node] = self._eval(sum_over_ranges(count, ranges, self.symbols))
+        return runs
 
     def _inner_symbols(self, node: NestedSDFG) -> Dict[str, float]:
         """Bindings inside a nested SDFG: the outer ones, with each
@@ -255,7 +274,7 @@ class PerformanceModel:
             try:
                 inner[name] = expr.evaluate(self.symbols)
             except KeyError:
-                self._missing.update(
+                self.unbound.update(
                     s.name for s in expr.free_symbols if s.name not in self.symbols
                 )
                 inner.pop(name, None)
@@ -270,17 +289,16 @@ class PerformanceModel:
             total += self._eval(e.data.volume) * desc.dtype.bytes
         return total
 
-    def _scope_cost(self, state, entry: MapEntry, sd) -> ScopeCost:
+    def _scope_cost(self, state, entry: MapEntry, sd, runs) -> ScopeCost:
         m = entry.map
         cost = ScopeCost(label=m.label, kernel=True)
-        cost.iterations = self._eval(m.num_iterations())
-        # Work: sum over tasklets in the scope (nested scopes multiply).
+        cost.iterations = runs[entry]
+        # Work: each tasklet in the scope, once per run of its scope's body.
         exit_ = state.exit_node(entry)
         inside = state.scope_subgraph(entry, include_scope_nodes=False, scope_dict=sd)
         for node in inside:
             if isinstance(node, Tasklet):
-                iters = self._nested_iterations(state, node, sd, entry)
-                cost.flops += tasklet_flops(node) * iters
+                cost.flops += tasklet_flops(node) * runs[sd[node]]
         # Data: propagated boundary memlets.
         for e in state.in_edges(entry) + state.out_edges(exit_):
             if e.data.is_empty() or e.data.data not in self.sdfg.arrays:
@@ -295,9 +313,8 @@ class PerformanceModel:
         # LLC re-reads from cache; approximate by discounting redundant
         # traffic down to one pass over the union footprint.
         for e in state.in_edges(entry):
-            if e.data.is_empty() or e.data.subset is None:
-                continue
-            if e.data.data not in self.sdfg.arrays:
+            mem = e.data
+            if mem.is_empty() or mem.subset is None or mem.data not in self.sdfg.arrays:
                 continue
             desc = self.sdfg.arrays[e.data.data]
             if isinstance(desc, Stream):
@@ -310,17 +327,6 @@ class PerformanceModel:
                 cost.bytes_moved -= 0.75 * (volume - footprint)
         cost.pes = self._unrolled_pes(state, entry)
         return cost
-
-    def _nested_iterations(self, state, node, sd, top_entry) -> float:
-        iters = 1.0
-        anc = sd.get(node)
-        while anc is not None:
-            if isinstance(anc, MapEntry):
-                iters *= self._eval(anc.map.num_iterations())
-            elif isinstance(anc, ConsumeEntry):
-                iters *= self._eval(anc.consume.num_pes)
-            anc = sd.get(anc)
-        return iters
 
     def _unrolled_pes(self, state, entry: MapEntry) -> int:
         if entry.map.unroll or entry.map.schedule.name == "FPGA_Device":
@@ -375,20 +381,14 @@ def simulate_analysed(
     """The model walk of :func:`simulate` alone, for a caller that has
     already validated and propagated ``sdfg`` (the tuner scores the
     variants its guarded optimizer just analysed this way)."""
-    if isinstance(machine, str):
-        machine_obj = MACHINES[machine]
-        machine_name = machine
-    else:
-        machine_obj = machine
-        machine_name = machine_obj.name
+    machine_obj = MACHINES[machine] if isinstance(machine, str) else machine
+    machine_name = machine if isinstance(machine, str) else machine.name
     model = PerformanceModel(sdfg, symbols or {})
-    visits = model.state_visit_counts()
+    model.state_visit_counts()
     report = SimReport(machine=machine_name)
-    for state in sdfg.nodes():
-        reps = max(visits[id(state)], 1) if visits[id(state)] else 0
-        if reps == 0:
-            continue
-        costs, transfer = model.state_costs(state)
+    for state, (costs, transfer, reps) in (
+        (st, group) for st in sdfg.nodes() for group in model.visit_costs(st)
+    ):
         state_time = 0.0
         for c in costs:
             if isinstance(machine_obj, FPGAModel):

@@ -23,7 +23,7 @@ from repro.sdfg.nodes import (
     NestedSDFG,
 )
 from repro.sdfg.state import SDFGState
-from repro.symbolic import Expr, Integer, Mul, Subset, memo
+from repro.symbolic import Expr, Integer, Mul, Subset, Symbol, memo, sum_over_ranges
 
 
 def propagate_memlets_sdfg(sdfg) -> None:
@@ -49,7 +49,7 @@ def propagate_memlets_state(sdfg, state: SDFGState) -> None:
     entries = sorted(state.entry_nodes(), key=depth, reverse=True)
     for entry in entries:
         exit_ = state.exit_node(entry)
-        params = _scope_param_ranges(entry)
+        params = scope_param_ranges(entry)
         # Inward-facing edges: outer edge at IN_k summarizes the union of
         # internal consumers hanging off OUT_k.
         for conn in sorted(c for c in entry.in_connectors if c.startswith("IN_")):
@@ -77,7 +77,8 @@ def propagate_memlets_state(sdfg, state: SDFGState) -> None:
                     e.data = summary.clone()
 
 
-def _scope_param_ranges(entry: EntryNode) -> Dict:
+def scope_param_ranges(entry: EntryNode) -> Dict:
+    """Each parameter of a map or consume scope with the range it sweeps."""
     if isinstance(entry, MapEntry):
         return entry.map.param_ranges()
     # Consume scopes: the PE parameter sweeps [0, num_pes); accesses are
@@ -138,10 +139,16 @@ def _propagate_union_uncached(
     union = images[0]
     for img in images[1:]:
         union = union.union_bb(img)
-    # Total accesses = per-iteration accesses x number of iterations.
+    # Total accesses: the inner volumes summed over the scope's range, so
+    # the outer volume names no parameter of the scope it leaves (V006).
+    # A parameter the volume does not name multiplies it by its size.
+    volume = total_volume
     iterations: Expr = Integer(1)
-    for rng in params.values():
-        iterations = Mul.make(iterations, rng.size())
-    volume = Mul.make(total_volume, iterations)
+    for name, rng in params.items():
+        if Symbol(name) in volume.free_symbols:
+            volume = sum_over_ranges(volume, [(name, rng)])
+        else:
+            iterations = Mul.make(iterations, rng.size())
+    volume = Mul.make(volume, iterations)
     out = Memlet(data=data, subset=union, volume=volume, dynamic=dynamic, wcr=wcr)
     return out

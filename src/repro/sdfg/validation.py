@@ -108,6 +108,7 @@ def _validate_sdfg_into(sdfg, ctx: DiagnosticCollector) -> None:
     _validate_descriptor_symbols(sdfg, ctx)
 
     for state in sdfg.nodes():
+        _validate_boundary_memlets(sdfg, state, ctx)
         validate_state(sdfg, state, ctx)
 
     # Interstate edges may only assign to symbols, not container names.
@@ -145,6 +146,40 @@ def _validate_descriptor_symbols(sdfg, ctx: DiagnosticCollector) -> None:
                 sdfg=sdfg,
                 data=name,
             )
+
+
+def _validate_boundary_memlets(sdfg, state: SDFGState, ctx: DiagnosticCollector) -> None:
+    """V006: a memlet outside a scope (into its entry, out of its exit)
+    whose volume names a parameter of that scope.  Propagation sums a
+    scope's inner volumes over its range, so the outer volume names none
+    of them; one that does was left by a rewrite.  Subsets are not
+    checked: a hand-built graph repeats the inner subset on every hop of
+    a memlet path until it is propagated, and its volume is the subset's
+    size, which names no parameter."""
+    for entry in state.entry_nodes():
+        if isinstance(entry, MapEntry):
+            params = set(entry.map.params)
+        else:
+            params = {entry.consume.pe_param}
+        try:
+            edges = state.in_edges(entry) + state.out_edges(state.exit_node(entry))
+        except KeyError:
+            continue  # reported as V103
+        for e in edges:
+            mem = e.data
+            if mem.is_empty():
+                continue
+            names = {s.name for s in mem.volume.free_symbols}
+            if names & params:
+                ctx.error(
+                    "V006",
+                    f"volume {mem.volume} of memlet {mem!r} outside the scope "
+                    f"of {entry!r} names its parameter(s) {sorted(names & params)}",
+                    sdfg=sdfg,
+                    state=state,
+                    node=entry,
+                    data=mem.data,
+                )
 
 
 def validate_state(
@@ -285,6 +320,28 @@ def _validate_node(
                     state=state,
                     node=node,
                 )
+        return
+
+    if isinstance(node, MapEntry):
+        # A range bound read from data arrives on a connector of the
+        # entry itself; a rewrite that moves the range off its entry
+        # leaves the name unbound where the map starts.
+        lacking = {s.name for s in node.map.range.free_symbols}
+        lacking -= node.in_connectors | set(sdfg.symbols) | set(sdfg.constants)
+        if lacking:
+            lacking &= {
+                c for n in state.entry_nodes() for c in n.in_connectors
+                if not c.startswith("IN_")
+            }
+        if lacking:
+            ctx.error(
+                "V210",
+                f"map range names dynamic-range connector(s) {sorted(lacking)} "
+                "that its entry lacks",
+                sdfg=sdfg,
+                state=state,
+                node=node,
+            )
         return
 
     if isinstance(node, ConsumeEntry):

@@ -49,7 +49,7 @@ from repro.symbolic.memo import clear as clear_caches
 from repro.symbolic.memo import snapshot as cache_snapshot
 from repro.symbolic.memo import stats as cache_stats
 from repro.symbolic.parser import parse_expr
-from repro.symbolic.sets import Indices, Range, Subset
+from repro.symbolic.sets import Indices, Range, Subset, sum_over, sum_over_ranges
 
 __all__ = [
     "Abs",
@@ -83,6 +83,8 @@ __all__ = [
     "clear_caches",
     "parse_expr",
     "simplify",
+    "sum_over",
+    "sum_over_ranges",
     "symbols",
     "sympify",
 ]

@@ -548,6 +548,103 @@ def Indices(indices: Sequence[ExprLike]) -> Subset:
     return Subset.from_indices(indices)
 
 
+@memo.cached("sum_over")
+def sum_over(expr: Expr, param: str, rng: Range) -> Optional[Expr]:
+    """The sum of ``expr`` as ``param`` takes every value of ``rng``, in
+    closed form, or None when there is none.
+
+    Each additive term is a ``param``-free factor times one of:
+
+    * nothing (the term is free of ``param``): the term times the size;
+    * an affine form ``a + c*param``: the arithmetic series
+      ``size * (f(first) + f(last)) / 2``;
+    * the tile form ``min(E, param + T) - param`` over ``b:E:T``, the
+      extent of one tile of a :class:`MapTiling` nest, possibly divided
+      (ceiling) by a step ``s`` that divides ``T``: ``(E - b) / s``.
+
+    A term free of ``param`` keeps the product form ``expr * size``, so
+    a rectangular nest sums to the product of its sizes.  The result is
+    a pure function of the three arguments, memoized on them.
+    """
+    sym = Symbol(param)
+    if sym not in expr.free_symbols:
+        return Mul.make(expr, rng.size())
+    summed = _sum_factor(expr, sym, rng)
+    if summed is not None or type(expr) not in (Add, Mul):
+        return summed
+    if type(expr) is Add:
+        parts = [sum_over(term, param, rng) for term in expr.args]
+        return None if any(p is None for p in parts) else Add.make(*parts)
+    dep = [f for f in expr.args if sym in f.free_symbols]
+    if len(dep) != 1:
+        return None
+    summed = sum_over(dep[0], param, rng)
+    if summed is None:
+        return None
+    return Mul.make(*(f for f in expr.args if f is not dep[0]), summed)
+
+
+def sum_over_ranges(
+    expr: Expr,
+    ranges: Sequence[Tuple[str, Range]],
+    bindings: Optional[Mapping[str, int]] = None,
+) -> Expr:
+    """``expr`` summed over every tuple of values of ``ranges``
+    (``(param, range)`` pairs, innermost first; a range may read the
+    parameters after it): an expression free of those parameters.
+
+    Each parameter is summed by :func:`sum_over` where it has a closed
+    form.  Past the first that has none, the outermost parameter takes
+    each of its values under ``bindings`` and the rest is summed per
+    value; without bindings that evaluate its range, the first one's sum
+    is estimated as its size times the larger of the summand at its
+    first and last value (exact for a summand monotone in it).
+    """
+    for i, (name, rng) in enumerate(ranges):
+        total = sum_over(expr, name, rng)
+        if total is None:
+            break
+        expr = total
+    else:
+        return expr
+    rest = ranges[i:]
+    name, rng = rest[-1]
+    try:
+        values = None if bindings is None else rng.evaluate(bindings)
+    except KeyError:  # a range read from data
+        values = None
+    if values is None:
+        name, rng = rest[0]
+        sym, n = Symbol(name), rng.size()
+        first = expr.subs({sym: rng.start})
+        last = expr.subs({sym: rng.start + (n - 1) * rng.step})
+        return sum_over_ranges(Mul.make(n, Max.make(first, last)), rest[1:], bindings)
+    parts = []
+    for value in values:
+        at = {name: value}
+        inner = [(n, r.subs(at)) for n, r in rest[:-1]]
+        parts.append(sum_over_ranges(expr.subs(at), inner, bindings))
+    return Add.make(*parts)
+
+
+def _sum_factor(f: Expr, sym: Symbol, rng: Range) -> Optional[Expr]:
+    """:func:`sum_over` of one factor that names ``sym``."""
+    n = rng.size()
+    tile = Min.make(rng.end, sym + rng.step) - sym
+    if f == tile:
+        return rng.end - rng.start
+    if (
+        type(f) is CeilDiv and f.a == tile and type(f.b) is Integer
+        and type(rng.step) is Integer and rng.step.value % f.b.value == 0
+    ):
+        return CeilDiv.make(rng.end - rng.start, f.b)
+    if linear_coefficient(f, sym) is None:
+        return None
+    first = f.subs({sym: rng.start})
+    last = f.subs({sym: rng.start + (n - 1) * rng.step})
+    return Mul.make(n, first + last) / 2
+
+
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------

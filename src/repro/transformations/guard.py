@@ -435,9 +435,9 @@ def synthesize_inputs(sdfg, symbol_default: int = 6, seed: int = 0) -> Dict[str,
         np_dtype = desc.dtype.as_numpy()
         if isinstance(desc, Scalar):
             if np.issubdtype(np_dtype, np.floating):
-                inputs[name] = np_dtype(rng.rand())
+                inputs[name] = np_dtype.type(rng.rand())
             else:
-                inputs[name] = np_dtype(0)
+                inputs[name] = np_dtype.type(0)
             continue
         shape = tuple(int(s.evaluate(symbols)) for s in desc.shape)
         if np.issubdtype(np_dtype, np.floating):

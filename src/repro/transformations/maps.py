@@ -9,6 +9,7 @@ from typing import Dict, Optional, Sequence, Tuple
 from repro.sdfg.dtypes import ScheduleType
 from repro.sdfg.memlet import Memlet
 from repro.sdfg.nodes import AccessNode, EntryNode, ExitNode, Map, MapEntry, MapExit, Tasklet
+from repro.sdfg.propagation import scope_param_ranges
 from repro.sdfg.state import SDFGState
 from repro.symbolic import Min, Range, Subset, sympify
 from repro.transformations.base import (
@@ -250,7 +251,19 @@ class MapTiling(Transformation):
         sizes = list(self.tile_sizes)
         while len(sizes) < len(m.params):
             sizes.append(sizes[-1])
-        tile_params = [f"__tile_{p}" for p in m.params]
+        # A tile parameter must not shadow a parameter of an enclosing
+        # scope (tiling a map a second time): its range reads that one.
+        taken, sd = set(m.params), state.scope_dict()
+        anc = sd.get(entry)
+        while anc is not None:
+            taken.update(scope_param_ranges(anc))
+            anc = sd.get(anc)
+        tile_params = []
+        for p in m.params:
+            tp = f"__tile_{p}"
+            while tp in taken:
+                tp += "_"
+            tile_params.append(tp)
         outer_ranges = []
         inner_ranges = []
         for p, tp, rng, ts in zip(m.params, tile_params, m.range.ranges, sizes):

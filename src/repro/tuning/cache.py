@@ -29,8 +29,10 @@ from repro.store import Store, content_key
 #: Bump when the entry layout changes, or when a stored history may no
 #: longer replay to what was scored; mismatched entries are deleted on
 #: read.  2: LocalStorage refuses tile-shaped buffers, so its match
-#: indices moved and a stored winner may not run.
-CACHE_SCHEMA_VERSION = 2
+#: indices moved and a stored winner may not run.  3: the analytic model
+#: counts every iteration of a tiled nest, so a stored analytic winner
+#: may have been chosen because the model undercounted its work.
+CACHE_SCHEMA_VERSION = 3
 
 
 def _decode(entry: Dict[str, Any]) -> Dict[str, Any]:

@@ -165,6 +165,7 @@ def query_sdfg() -> SDFG:
     st.add_edge(
         s_node, out_node, Memlet(data="S", subset="0", dynamic=True), None, None
     )
+    sdfg.propagate()
     return sdfg
 
 
@@ -265,6 +266,69 @@ def gemm_chain_sdfg(links: int = 8) -> SDFG:
         sdfg.add_edge(init, comp, InterstateEdge())
         prev_state = comp
         prev = out
+    sdfg.propagate()
+    return sdfg
+
+
+def matmul_chain_sdfg(links: int = 8) -> SDFG:
+    """Multi-state chain of ``links`` scaled matrix products, ``X_{k+1} =
+    (alpha_k * X_k) @ B``, each in the numpy operator's naive form.
+
+    Every link has a scale state (a map, distinct per link through its
+    ``alpha_k``) and a product state: a map writing every product into
+    an ``N x N x N`` transient and a ``Reduce`` summing its last axis,
+    which MapReduceFusion fuses into one WCR map.  The product states
+    are identical after cutout normalization, so the ``2 * links``
+    cutouts deduplicate to ``links + 1`` unique searches, and the
+    product group's winner is stitched into every link.  The data and
+    the reference are :func:`gemm_chain_data` and
+    :func:`gemm_chain_reference`.
+    """
+    sdfg = SDFG("matmul_chain")
+    for name in ("A", "B", "C"):
+        sdfg.add_array(name, ("N", "N"), dtypes.float64)
+    prev_state = None
+    prev = "A"
+    for k in range(links):
+        out = "C" if k == links - 1 else f"T{k}"
+        if out != "C":
+            sdfg.add_transient(out, ("N", "N"), dtypes.float64)
+        sdfg.add_transient(f"S{k}", ("N", "N"), dtypes.float64)
+        sdfg.add_transient(f"P{k}", ("N", "N", "N"), dtypes.float64)
+        scale = sdfg.add_state(f"scale{k}", is_start=(k == 0))
+        alpha = 1.0 + 0.125 * k  # distinct per link -> distinct cutout group
+        scale.add_mapped_tasklet(
+            "scale",
+            {"i": "0:N", "j": "0:N"},
+            inputs={"x": Memlet.simple(prev, "i, j")},
+            code=f"s = {alpha!r} * x",
+            outputs={"s": Memlet.simple(f"S{k}", "i, j")},
+        )
+        prod = sdfg.add_state(f"mm{k}")
+        _, _, mx = prod.add_mapped_tasklet(
+            "mult",
+            {"i": "0:N", "j": "0:N", "kk": "0:N"},
+            inputs={
+                "x": Memlet.simple(f"S{k}", "i, kk"),
+                "y": Memlet.simple("B", "kk, j"),
+            },
+            code="p = x * y",
+            outputs={"p": Memlet.simple(f"P{k}", "i, j, kk")},
+        )
+        red = prod.add_reduce("sum", axes=(2,))
+        prod.add_edge(
+            prod.out_edges(mx)[0].dst, red,
+            Memlet.simple(f"P{k}", "0:N, 0:N, 0:N"), None, "IN_1",
+        )
+        prod.add_edge(
+            red, prod.add_write(out), Memlet.simple(out, "0:N, 0:N"), "OUT_1", None
+        )
+        if prev_state is not None:
+            sdfg.add_edge(prev_state, scale, InterstateEdge())
+        sdfg.add_edge(scale, prod, InterstateEdge())
+        prev_state = prod
+        prev = out
+    sdfg.propagate()
     return sdfg
 
 

@@ -274,3 +274,65 @@ class TestModelEvalTable:
     def test_an_unbound_symbol_counts_once(self):
         model = PerformanceModel(mm_sdfg(), {})
         assert model._eval(N * 3) == 1.0
+
+
+class TestExecutionCounts:
+    """Each scope's body runs the sum of its per-instance count over the
+    values of the enclosing parameters (and of the loop variables the
+    state walk binds): no count reads a scope parameter unbound."""
+
+    @staticmethod
+    def _nest(inner_range, loop=False):
+        """``out[i] += in[i, j]`` over ``i`` in ``0:N`` and ``j`` in
+        ``inner_range``; with ``loop``, inside a loop over ``k < N``."""
+        sdfg = SDFG("nest")
+        sdfg.add_array("X", ("N", "N"), dtypes.float64)
+        sdfg.add_array("y", ("N",), dtypes.float64)
+        sdfg.add_symbol("N")
+        st = sdfg.add_state("body")
+        oe, ox = st.add_map("outer", {"i": "0:N"})
+        ie, ix = st.add_map("inner", {"j": inner_range})
+        t = st.add_tasklet("t", ["a"], ["b"], "b = a * 2")
+        st.add_memlet_path(st.add_read("X"), oe, ie, t,
+                           memlet=Memlet.simple("X", "i, j"), dst_conn="a")
+        st.add_memlet_path(t, ix, ox, st.add_write("y"),
+                           memlet=Memlet(data="y", subset="i", wcr="sum"), src_conn="b")
+        if loop:
+            init = sdfg.add_state("init", is_start=True)
+            sdfg.add_loop(init, st, None, "k", 0, "k < N", "k + 1")
+        return sdfg
+
+    @pytest.mark.parametrize("inner, runs", [
+        ("0:N", lambda n: n * n),
+        ("i + 1:N", lambda n: n * (n - 1) // 2),
+        ("0:i", lambda n: n * (n - 1) // 2),
+    ])
+    def test_a_nest_counts_every_iteration(self, inner, runs):
+        for n in (5, 12):
+            rep = simulate(self._nest(inner), "cpu", {"N": n})
+            assert rep.flops == runs(n)
+            assert rep.unbound == frozenset()
+
+    def test_a_range_reading_a_loop_variable_counts_per_visit(self):
+        rep = simulate(self._nest("0:k", loop=True), "cpu", {"N": 6})
+        assert rep.flops == 6 * sum(range(6))
+        assert rep.unbound == frozenset()
+
+    def test_tiling_keeps_the_count(self):
+        from repro.transformations.guard import GuardedOptimizer
+
+        naive = simulate(mm_sdfg(), "cpu", {"M": 64, "K": 64, "N": 64})
+        for chain in ([0], [0, 0], [1, 0]):
+            sdfg = mm_sdfg()
+            for index in chain:
+                assert GuardedOptimizer(sdfg).apply("MapTiling", match_index=index)
+            rep = simulate(sdfg, "cpu", {"M": 64, "K": 64, "N": 64})
+            assert rep.flops == naive.flops == 64 ** 3 + 64 ** 2  # products, zero fill
+            assert rep.bytes_moved >= 3 * 64 * 64 * 8
+            assert rep.unbound == frozenset()
+
+    def test_unbound_names_only_data(self):
+        from repro.workloads import kernels
+
+        rep = simulate(kernels.spmv_sdfg(), "cpu", {"H": 8, "W": 8, "nnz": 16})
+        assert rep.unbound == {"__rng0", "__rng1"}

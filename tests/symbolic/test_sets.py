@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.symbolic import Integer, Range, Subset, Symbol, symbols
 from repro.symbolic.expr import Max, Min, Real
-from repro.symbolic.sets import decide_nonnegative, linear_coefficient
+from repro.symbolic.sets import decide_nonnegative, linear_coefficient, sum_over
 
 N, M, T = symbols("N M T")
 i, j, t = symbols("i j t")
@@ -249,3 +249,48 @@ def test_a_top_level_real_keeps_the_real_zero():
     e = N + Real(0.5)
     assert type(linear_coefficient(e, i)) is Real
     assert linear_coefficient(e, i) == _coefficient_by_substitution(e, i)
+
+
+class TestSumOver:
+    """``sum_over`` against the sum of the expression at every value."""
+
+    N, M, i, t = Symbol("N"), Symbol("M"), Symbol("i"), Symbol("t")
+
+    @staticmethod
+    def _brute(expr, param, rng, env):
+        return sum(
+            expr.evaluate({**env, param: v}) for v in rng.evaluate(env)
+        )
+
+    def test_a_parameter_free_term_times_the_size(self):
+        N, M = self.N, self.M
+        assert sum_over(M * 3, "i", Range(0, N)) == M * 3 * N
+
+    @pytest.mark.parametrize("rng", [Range(0, "N"), Range(1, "N"), Range(2, "N", 3)])
+    def test_an_affine_term_is_an_arithmetic_series(self, rng):
+        N, M, i = self.N, self.M, self.i
+        for expr in (i, M - i - 1, 3 * i + 2, N * i + M):
+            total = sum_over(expr, "i", rng)
+            assert self.i not in total.free_symbols
+            for n in (5, 11, 12):
+                env = {"N": n, "M": 17}
+                assert total.evaluate(env) == self._brute(expr, "i", rng, env)
+
+    @pytest.mark.parametrize("start", [0, 3])
+    def test_the_tile_form_sums_to_the_untiled_extent(self, start):
+        N, t = self.N, self.t
+        rng = Range(start, N, 32)
+        tile = Min.make(N, t + 32) - t
+        assert sum_over(tile, "t", rng) == N - start
+        assert sum_over(self.M * tile, "t", rng) == self.M * (N - start)
+        strided = sum_over(Range(t, Min.make(N, t + 32), 2).size(), "t", rng)
+        for n in (31, 32, 70, 97):
+            env = {"N": n, "M": 5}
+            assert sum_over(tile, "t", rng).evaluate(env) == self._brute(tile, "t", rng, env)
+            assert strided.evaluate(env) == len(range(start, n, 2))
+
+    def test_no_closed_form_is_none(self):
+        i, t = self.i, self.t
+        assert sum_over(i * i, "i", Range(0, self.N)) is None
+        tile = Min.make(self.N, t + 32) - t
+        assert sum_over(tile * t, "t", Range(0, self.N, 32)) is None

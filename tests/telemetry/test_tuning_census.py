@@ -14,29 +14,34 @@ from repro.workloads import kernels
 #: The census at the parent of the change that made the tuner, the
 #: tuning cache and the compile driver publish without a shared
 #: recorder: ``(kind, label, value is not None, fields without *_s)``.
+#: Re-recorded when the model started counting every iteration of a
+#: tiled nest: the cutout search moved from the gemm chain, whose
+#: cutouts no longer improve, to the matmul chain, whose product group
+#: wins MapReduceFusion, so the stitch and its verification compile
+#: stay in the stream.
 PARENT_EVENTS = Counter({
     ("cache", "tuning", False, '{"event": "hit", "n": 1}'): 1,
     ("cache", "tuning", False, '{"event": "miss", "n": 1}'): 4,
     ("cache", "tuning", False, '{"event": "store", "n": 1}'): 4,
-    ("compile", "gemm_chain", True, None): 2,
+    ("compile", "matmul_chain", True, None): 2,
     ("phase", "codegen[interpreter]", True, None): 2,
     ("phase", "propagate", True, None): 2,
     ("phase", "validate", True, None): 2,
     ("tuning", "cutout:dedup", False, '{"saved": 1, "total": 4, "unique": 3}'): 1,
-    ("tuning", "cutout:init0", True,
-     '{"cache_hit": false, "evals": 3, "members": 2, "stitched": 2}'): 1,
     ("tuning", "cutout:mm0", True,
-     '{"cache_hit": false, "evals": 3, "members": 1, "stitched": 1}'): 1,
-    ("tuning", "cutout:mm1", True,
-     '{"cache_hit": false, "evals": 3, "members": 1, "stitched": 1}'): 1,
-    ("tuning", "gemm_chain_cut_init0", True, None): 1,
-    ("tuning", "gemm_chain_cut_mm0", True, None): 1,
-    ("tuning", "gemm_chain_cut_mm1", True, None): 1,
+     '{"cache_hit": false, "evals": 4, "members": 2, "stitched": 2}'): 1,
+    ("tuning", "cutout:scale0", True,
+     '{"cache_hit": false, "evals": 3, "members": 1, "stitched": 0}'): 1,
+    ("tuning", "cutout:scale1", True,
+     '{"cache_hit": false, "evals": 3, "members": 1, "stitched": 0}'): 1,
+    ("tuning", "matmul_chain_cut_mm0", True, None): 1,
+    ("tuning", "matmul_chain_cut_scale0", True, None): 1,
+    ("tuning", "matmul_chain_cut_scale1", True, None): 1,
     ("tuning", "mm", True, None): 1,
     ("tuning", "xform:MapExpansion", True,
      '{"accepted": 1, "candidates": 1, "rejected": 0}'): 4,
     ("tuning", "xform:MapReduceFusion", True,
-     '{"accepted": 1, "candidates": 1, "rejected": 0}'): 1,
+     '{"accepted": 1, "candidates": 1, "rejected": 0}'): 2,
     ("tuning", "xform:MapTiling", True,
      '{"accepted": 1, "candidates": 1, "rejected": 0}'): 4,
     ("tuning", "xform:Vectorization", True,
@@ -61,7 +66,7 @@ def test_tuning_sink_census_matches_the_parent(tmp_path):
         for _ in range(2):  # a miss, then a hit
             tune(kernels.matmul_sdfg(), cost=AnalyticCost(machine="cpu"),
                  depth=1, budget=4, cache_dir=str(tmp_path / "a"))
-        tune(kernels.gemm_chain_sdfg(2), cost=AnalyticCost(machine="cpu"),
+        tune(kernels.matmul_chain_sdfg(2), cost=AnalyticCost(machine="cpu"),
              strategy="cutout", depth=1, budget=4, cache_dir=str(tmp_path / "b"))
     finally:
         install_sink(previous)

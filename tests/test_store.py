@@ -22,13 +22,13 @@ from repro.tuning.cache import TuningCache
 # (large scatter maps run in strips), 10 (destination passing), 11
 # (scalar code on Python numbers) and 12 (no thread tier).
 # The tuning key pin predates the store; the tuning entry pin was
-# re-recorded at tuning CACHE_SCHEMA_VERSION 2 (the entry's "schema"
-# field is the only byte that moved).
+# re-recorded at tuning CACHE_SCHEMA_VERSION 2 and again at 3 (each
+# time the entry's "schema" field is the only byte that moved).
 PROGRAM_KEY = "79c09a1337dbef380cdd540c67b8b1adacac8631c8c44c9672352bc4757e5f72"
 PROGRAM_KEY_VARIANT = "914426a211585a2e9ce4071e7d762317ed4870e83ba60077abe04885f2d5ffd1"
 TUNING_KEY = "a6e0cfb9b97890493e3b38fe58d9ca424f63b75cd61a759ab119bb44c9250aae"
 PROGRAM_ENTRY_SHA = "86596094af18b11645bd272a7292d3e5939c0b8348030f5d4363c2e9e38d04c1"
-TUNING_ENTRY_SHA = "f2083a8daf31763afa93c3306f8f98554354729a874160c706a77f945c9ef8d7"
+TUNING_ENTRY_SHA = "de928ee5724a979ccc569a285e639894f8eba7998f42d719fa5c9aabbeb822bc"
 
 
 def _sha(path):
